@@ -13,7 +13,8 @@ use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbArena};
 use swhybrid_simd::engine::PreparedQuery;
-use swhybrid_simd::search::{search_arena, search_arena_multi, SearchConfig};
+use swhybrid_simd::search::{search_arena, SearchConfig};
+use swhybrid_simd::{ShardExecutor, ShardPlan};
 
 fn scoring() -> Scoring {
     Scoring {
@@ -80,8 +81,10 @@ proptest! {
             index.reverse();
         }
 
-        let base = search_arena_multi(&batch, &arena, 0..arena.len(), &cfg);
-        let perm = search_arena_multi(&permuted, &arena, 0..arena.len(), &cfg);
+        // The serve PE's entry point: one executor, one shard, one batch.
+        let plan = ShardPlan::from_config(0..arena.len(), &cfg);
+        let base = ShardExecutor::new().execute(&batch, &arena, &plan);
+        let perm = ShardExecutor::new().execute(&permuted, &arena, &plan);
         prop_assert_eq!(base.len(), batch.len());
         for (slot, &orig) in index.iter().enumerate() {
             prop_assert_eq!(

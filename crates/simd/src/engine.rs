@@ -10,10 +10,10 @@
 
 use std::sync::Arc;
 
-use crate::portable::{sw_striped_portable, StripedOutcome, Workspace};
 use crate::profile::StripedProfile;
 use crate::scratch::KernelScratch;
-use crate::sse;
+use crate::striped::sw_striped;
+use crate::vec::{Isa, TABLE_DIM};
 use swhybrid_align::gotoh::gap_params;
 use swhybrid_align::score_only::sw_score_affine;
 use swhybrid_align::scoring::Scoring;
@@ -21,14 +21,12 @@ use swhybrid_align::scoring::Scoring;
 /// Which implementation family to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EnginePreference {
-    /// Intrinsics when the CPU supports them, portable otherwise.
+    /// The widest vector tier the CPU supports ([`Isa::available`]),
+    /// portable when it supports none.
     #[default]
     Auto,
     /// Force the portable (array) kernels.
     Portable,
-    /// Force the x86-64 intrinsics kernels; falls back to portable per-call
-    /// when the CPU lacks the feature.
-    Simd,
 }
 
 /// Counters describing which kernels actually ran.
@@ -89,63 +87,60 @@ impl KernelStats {
 }
 
 /// The immutable, shareable half of a query's engine: the encoded query,
-/// the scoring scheme, and every striped profile the kernels may need.
+/// the scoring scheme, the kernel tier, and the tier's two striped
+/// profiles.
 ///
 /// Building the profiles is the per-query setup cost of a database scan
 /// (`O(query × alphabet)` work and the dominant allocation). A
 /// `PreparedQuery` is built once and shared — across the worker threads of
 /// one scan, and across *scans* by a long-lived server that sees the same
 /// query repeatedly. Engines ([`StripedEngine`]) stay per-thread because
-/// they own mutable workspaces; the profiles they read are behind an
+/// they own mutable counters; the profiles they read are behind an
 /// [`Arc`].
+///
+/// The tier is decided here, once (`Isa::resolve`), and checked against
+/// the CPU; every kernel dispatch downstream is a `match` on it.
 pub struct PreparedQuery {
-    pub(crate) query: Vec<u8>,
-    pub(crate) scoring: Scoring,
-    pub(crate) goe: i32,
-    pub(crate) ext: i32,
+    query: Vec<u8>,
+    scoring: Scoring,
+    goe: i32,
+    ext: i32,
+    /// Always a tier `Isa::is_available` confirmed: the kernels' `unsafe`
+    /// dispatch relies on it.
+    isa: Isa,
+    /// Striped profiles with the tier's lane counts.
     profile8: StripedProfile<i8>,
     profile16: StripedProfile<i16>,
-    /// 32-lane profile, built only when the AVX2 kernels will run.
-    profile8_avx: Option<StripedProfile<i8>>,
-    /// 16-lane profile, built only when the AVX2 kernels will run.
-    profile16_avx: Option<StripedProfile<i16>>,
-    /// Transposed substitution scores padded to 32-byte rows for the
-    /// inter-sequence kernels' score gather: row `c` (a database residue)
-    /// holds `score(q, c)` at `interseq_matrix[c * 32 + q]` for every query
-    /// symbol `q`. `None` when the alphabet exceeds 32 codes (the portable
-    /// inter-sequence pass handles those).
-    pub(crate) interseq_matrix: Option<Vec<i8>>,
-    preference: EnginePreference,
+    score_table: Box<[i8; TABLE_DIM * TABLE_DIM]>,
 }
 
 impl PreparedQuery {
-    /// Build all profiles for an encoded `query` under `scoring`.
+    /// Build the profiles for an encoded `query` under `scoring`, for the
+    /// tier `preference` resolves to on this CPU.
     pub fn new(query: &[u8], scoring: &Scoring, preference: EnginePreference) -> PreparedQuery {
+        PreparedQuery::with_isa(query, scoring, Isa::resolve(preference))
+    }
+
+    /// Build for an explicit tier — how the equivalence tests reach every
+    /// tier the CPU has, not just the widest.
+    ///
+    /// # Panics
+    /// Panics if `isa` is not available on this CPU, if the query is empty
+    /// or holds codes outside the matrix, or if the matrix has more than
+    /// 32 codes.
+    pub fn with_isa(query: &[u8], scoring: &Scoring, isa: Isa) -> PreparedQuery {
+        assert!(isa.is_available(), "{isa:?} kernels cannot run on this CPU");
         let (open, ext) = gap_params(scoring.gap);
-        let use_avx2 = preference != EnginePreference::Portable && crate::avx2::avx2_available();
+        let matrix = &scoring.matrix;
         PreparedQuery {
             query: query.to_vec(),
             scoring: scoring.clone(),
             goe: open + ext,
             ext,
-            profile8: StripedProfile::<i8>::build(query, &scoring.matrix),
-            profile16: StripedProfile::<i16>::build(query, &scoring.matrix),
-            profile8_avx: use_avx2.then(|| {
-                StripedProfile::<i8>::build_with_lanes(
-                    query,
-                    &scoring.matrix,
-                    crate::avx2::LANES_I8,
-                )
-            }),
-            profile16_avx: use_avx2.then(|| {
-                StripedProfile::<i16>::build_with_lanes(
-                    query,
-                    &scoring.matrix,
-                    crate::avx2::LANES_I16,
-                )
-            }),
-            interseq_matrix: build_interseq_matrix(&scoring.matrix),
-            preference,
+            isa,
+            profile8: StripedProfile::build_with_lanes(query, matrix, isa.lanes::<i8>()),
+            profile16: StripedProfile::build_with_lanes(query, matrix, isa.lanes::<i16>()),
+            score_table: build_score_table(matrix),
         }
     }
 
@@ -164,9 +159,9 @@ impl PreparedQuery {
         &self.scoring
     }
 
-    /// The kernel preference the profiles were built for.
-    pub fn preference(&self) -> EnginePreference {
-        self.preference
+    /// The kernel tier the profiles were built for.
+    pub fn isa(&self) -> Isa {
+        self.isa
     }
 
     /// Gap penalties as `(open + extend, extend)` — the magnitudes the
@@ -174,22 +169,32 @@ impl PreparedQuery {
     pub fn gap_penalties(&self) -> (i32, i32) {
         (self.goe, self.ext)
     }
+
+    /// Transposed substitution scores for the inter-sequence kernels' score
+    /// gather, padded to `TABLE_DIM` rows of `TABLE_DIM` bytes: row `c` (a
+    /// database residue) holds `score(q, c)` at byte `q` for every query
+    /// symbol `q`; rows and bytes past the alphabet are zero.
+    pub(crate) fn score_table(&self) -> &[i8; TABLE_DIM * TABLE_DIM] {
+        &self.score_table
+    }
 }
 
-/// Build the inter-sequence kernels' padded, transposed score table (see
-/// [`PreparedQuery::interseq_matrix`]).
-fn build_interseq_matrix(matrix: &swhybrid_align::scoring::SubstMatrix) -> Option<Vec<i8>> {
+/// Build [`PreparedQuery::score_table`].
+fn build_score_table(
+    matrix: &swhybrid_align::scoring::SubstMatrix,
+) -> Box<[i8; TABLE_DIM * TABLE_DIM]> {
     let dim = matrix.dim();
-    if dim > 32 {
-        return None;
-    }
-    let mut table = vec![0i8; dim * 32];
+    assert!(
+        dim <= TABLE_DIM,
+        "alphabet of {dim} codes exceeds {TABLE_DIM}"
+    );
+    let mut table = Box::new([0i8; TABLE_DIM * TABLE_DIM]);
     for c in 0..dim {
         for q in 0..dim {
-            table[c * 32 + q] = matrix.score(q as u8, c as u8) as i8;
+            table[c * TABLE_DIM + q] = matrix.score(q as u8, c as u8) as i8;
         }
     }
-    Some(table)
+    table
 }
 
 /// A query bound to its striped profiles and scoring scheme: scores one
@@ -251,37 +256,6 @@ impl StripedEngine {
         self.stats = KernelStats::default();
     }
 
-    fn run_i8(&self, subject: &[u8], ws: &mut Workspace<i8>) -> StripedOutcome {
-        let p = &self.prepared;
-        if let Some(profile) = &p.profile8_avx {
-            if let Some(out) = crate::avx2::sw_striped_i8_avx2(profile, subject, p.goe, p.ext, ws) {
-                return out;
-            }
-        }
-        if p.preference != EnginePreference::Portable {
-            if let Some(out) = sse::sw_striped_i8(&p.profile8, subject, p.goe, p.ext, ws) {
-                return out;
-            }
-        }
-        sw_striped_portable(&p.profile8, subject, p.goe, p.ext, ws)
-    }
-
-    fn run_i16(&self, subject: &[u8], ws: &mut Workspace<i16>) -> StripedOutcome {
-        let p = &self.prepared;
-        if let Some(profile) = &p.profile16_avx {
-            if let Some(out) = crate::avx2::sw_striped_i16_avx2(profile, subject, p.goe, p.ext, ws)
-            {
-                return out;
-            }
-        }
-        if p.preference != EnginePreference::Portable {
-            if let Some(out) = sse::sw_striped_i16(&p.profile16, subject, p.goe, p.ext, ws) {
-                return out;
-            }
-        }
-        sw_striped_portable(&p.profile16, subject, p.goe, p.ext, ws)
-    }
-
     /// Score one encoded subject, with the 8→16→scalar fallback chain.
     /// Every pass that runs is charged to `cells_computed`, so reported
     /// GCUPS reflect work actually done on saturated workloads. `scratch`
@@ -292,22 +266,30 @@ impl StripedEngine {
             self.stats.resolved_i8 += 1;
             return 0;
         }
-        let pass_cells = self.prepared.query_len() as u64 * subject.len() as u64;
+        let p = &*self.prepared;
+        let pass_cells = p.query.len() as u64 * subject.len() as u64;
         self.stats.cells_computed += pass_cells;
-        let out8 = self.run_i8(subject, &mut scratch.ws8);
+        let out8 = sw_striped(p.isa, &p.profile8, subject, p.goe, p.ext, &mut scratch.ws8);
         if !out8.saturated {
             self.stats.resolved_i8 += 1;
             return out8.score;
         }
         self.stats.cells_computed += pass_cells;
-        let out16 = self.run_i16(subject, &mut scratch.ws16);
+        let out16 = sw_striped(
+            p.isa,
+            &p.profile16,
+            subject,
+            p.goe,
+            p.ext,
+            &mut scratch.ws16,
+        );
         if !out16.saturated {
             self.stats.resolved_i16 += 1;
             return out16.score;
         }
         self.stats.resolved_scalar += 1;
         self.stats.cells_computed += pass_cells;
-        sw_score_affine(&self.prepared.query, subject, &self.prepared.scoring).score
+        sw_score_affine(&p.query, subject, &p.scoring).score
     }
 }
 
@@ -336,11 +318,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(113);
         let s = scoring();
         let query = random_seq(&mut rng, 90);
-        for pref in [
-            EnginePreference::Auto,
-            EnginePreference::Portable,
-            EnginePreference::Simd,
-        ] {
+        for pref in [EnginePreference::Auto, EnginePreference::Portable] {
             let mut scratch = KernelScratch::new();
             let mut engine = StripedEngine::new(&query, &s, pref);
             for _ in 0..30 {

@@ -5,8 +5,7 @@
 //! driving heterogeneous PEs; this module is that environment's inner loop.
 //! Three owners drive it:
 //!
-//! * the one-shot `search` scan workers ([`crate::search::search_arena`] and
-//!   the fused [`crate::search::search_arena_multi`]),
+//! * the one-shot `search` scan workers ([`crate::search::search_arena`]),
 //! * the serve daemon's local PE threads (`swhybrid-serve`),
 //! * the remote serve-mode slave executor (`core::net::slave`).
 //!
@@ -14,10 +13,11 @@
 //! chunk size, the kernel preference, prefetch) and drives a
 //! [`ShardExecutor`], which owns the per-worker [`KernelScratch`] for its
 //! lifetime and implements chunk claiming, per-chunk [`KernelChoice`]
-//! dispatch, solo and fused multi-query DP driving, [`KernelStats`]
-//! accumulation, and the per-query top-N demux. Because the loop exists
-//! once, hit tables and kernel counters are byte-identical across the three
-//! transports by construction — the tri-path oracle test pins this.
+//! dispatch, multi-query DP driving (a lone query is the batch of one),
+//! [`KernelStats`] accumulation, and the per-query top-N demux. Because the
+//! loop exists once, hit tables and kernel counters are byte-identical
+//! across the three transports by construction — the tri-path oracle test
+//! pins this.
 //!
 //! Chunk sizing is centralized here too: [`chunk_size`] enforces a floor of
 //! [`chunk_floor`] = 2 × the widest kernel lane count. Below that floor the
@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::engine::{KernelStats, PreparedQuery, StripedEngine};
-use crate::interseq::interseq_lanes;
 use crate::scratch::KernelScratch;
 use crate::search::{rank_scored, Hit, KernelChoice, ScanOutput, Scored, SearchConfig};
 use swhybrid_align::stats::cells;
@@ -42,7 +41,7 @@ use swhybrid_seq::arena::DbArena;
 /// `Auto` chunk silently runs striped — a performance bug with no wrong
 /// answers to catch it.
 pub const fn chunk_floor() -> usize {
-    2 * crate::avx2::LANES_I8
+    2 * crate::vec::MAX_LANES
 }
 
 /// The ONE chunk-size decision for every scan path. `None` yields the
@@ -106,7 +105,7 @@ fn auto_picks_interseq(prepared: &PreparedQuery, arena: &DbArena, chunk: Range<u
     /// is extreme (one subject dominating the whole chunk) does the
     /// striped kernel's sequential scan win back the difference.
     const MAX_SKEW: u64 = 8;
-    let lanes = interseq_lanes(prepared.preference()) as u64;
+    let lanes = prepared.isa().lanes::<i8>() as u64;
     if (chunk.len() as u64) < 2 * lanes {
         return false;
     }
@@ -124,8 +123,7 @@ fn auto_picks_interseq(prepared: &PreparedQuery, arena: &DbArena, chunk: Range<u
 /// One worker of the shard-execution layer. Owns the worker's
 /// [`KernelScratch`] for its lifetime — per-PE, not per-chunk, so chunk
 /// N+1 finds chunk N's buffers warm — and implements the only chunk-claim
-/// loops in the workspace ([`ShardExecutor::solo`] and
-/// [`ShardExecutor::fused`]).
+/// loop in the workspace ([`ShardExecutor::fused`]).
 pub struct ShardExecutor {
     scratch: KernelScratch,
 }
@@ -145,21 +143,9 @@ impl ShardExecutor {
         }
     }
 
-    /// Wrap an existing scratch (a caller that owns one per thread keeps
-    /// its warm buffers across executors).
-    pub fn from_scratch(scratch: KernelScratch) -> Self {
-        ShardExecutor { scratch }
-    }
-
-    /// Recover the scratch (and its warm buffers) from a finished executor.
-    pub fn into_scratch(self) -> KernelScratch {
-        self.scratch
-    }
-
-    /// THE solo chunk loop: claim chunks of `plan.range` from the shared
-    /// `cursor`, dispatch each per `plan.kernel`, and accumulate this
-    /// worker's scored subjects and kernel counters. `top_n` bounds the
-    /// local list (only the global top-N can survive the merge).
+    /// [`ShardExecutor::fused`] for a batch of one: this worker's scored
+    /// subjects (at most a small multiple of `top_n`) and kernel counters
+    /// for the chunks it claimed from `cursor`.
     pub fn solo(
         &mut self,
         prepared: &Arc<PreparedQuery>,
@@ -168,74 +154,19 @@ impl ShardExecutor {
         cursor: &AtomicUsize,
         top_n: usize,
     ) -> (Vec<Scored>, KernelStats) {
-        let range = &plan.range;
-        let chunk_size = plan.chunk_size;
-        let scratch = &mut self.scratch;
-        let mut engine = StripedEngine::with_prepared(Arc::clone(prepared));
-        let mut stats = KernelStats::default();
-        let mut local: Vec<Scored> = Vec::new();
-        loop {
-            let start = range.start + cursor.fetch_add(chunk_size, Ordering::Relaxed);
-            if start >= range.end {
-                break;
-            }
-            let end = (start + chunk_size).min(range.end);
-            let use_interseq = match plan.kernel {
-                KernelChoice::Striped => false,
-                KernelChoice::InterSeq => true,
-                KernelChoice::Auto => auto_picks_interseq(prepared, arena, start..end),
-            };
-            if use_interseq {
-                stats.chunks_interseq += 1;
-                let scores = crate::interseq::scores_arena_with(
-                    prepared,
-                    arena,
-                    start..end,
-                    &mut stats,
-                    scratch,
-                    plan.prefetch,
-                );
-                for (offset, &score) in scores.iter().enumerate() {
-                    let pos = start + offset;
-                    local.push(Scored {
-                        db_index: arena.db_index(pos),
-                        score,
-                        subject_len: arena.seq_len(pos),
-                    });
-                }
-            } else {
-                stats.chunks_striped += 1;
-                for pos in start..end {
-                    // Pull the next subject's residues towards L1 while this
-                    // one is scored.
-                    if plan.prefetch && pos + 1 < end {
-                        crate::scratch::prefetch_read(arena.residues(pos + 1));
-                    }
-                    let score = engine.score(arena.residues(pos), scratch);
-                    local.push(Scored {
-                        db_index: arena.db_index(pos),
-                        score,
-                        subject_len: arena.seq_len(pos),
-                    });
-                }
-            }
-            // Keep the per-worker list bounded: only the global top-N can
-            // survive the merge anyway.
-            if local.len() > 4 * top_n.max(16) {
-                rank_scored(&mut local);
-                local.truncate(2 * top_n.max(8));
-            }
-        }
-        stats.merge(&engine.stats());
-        (local, stats)
+        let batch = [(Arc::clone(prepared), top_n)];
+        let mut outputs = self.fused(&batch, arena, plan, cursor);
+        outputs.pop().expect("one output per batch entry")
     }
 
-    /// THE fused chunk loop: claim chunks from the shared cursor and score
-    /// every batch query against each chunk before releasing it. The
-    /// per-query work inside one chunk mirrors [`ShardExecutor::solo`]
-    /// statement for statement — that is what keeps fused outputs
-    /// byte-identical to solo scans. Returns one `(scored, stats)` pair per
-    /// batch entry.
+    /// THE chunk loop: claim chunks of `plan.range` from the shared
+    /// `cursor`, dispatch each per `plan.kernel`, and score every batch
+    /// query against the chunk before releasing it. Each entry is
+    /// `(prepared query, top_n)`; `top_n` bounds that query's local list
+    /// (only the global top-N can survive the merge). Per query the work
+    /// does not depend on the rest of the batch, so a query's output is
+    /// byte-identical whether it scans alone or fused. Returns one
+    /// `(scored, stats)` pair per batch entry.
     pub fn fused(
         &mut self,
         batch: &[(Arc<PreparedQuery>, usize)],
@@ -268,8 +199,7 @@ impl ShardExecutor {
             // all the inter-sequence queries through ONE fused pass while
             // the chunk is hot: the per-column score gather is shared across
             // the batch and each query's DP loop runs over the
-            // already-filled lane buffer. Per query this is byte-identical
-            // to its solo `scores_arena` call.
+            // already-filled lane buffer.
             picks_interseq.clear();
             picks_interseq.extend(batch.iter().map(|(prepared, _)| match plan.kernel {
                 KernelChoice::Striped => false,
@@ -287,7 +217,7 @@ impl ShardExecutor {
             // the same either way because each query takes exactly one of
             // the paths.
             {
-                let fused_scores = crate::interseq::scores_arena_multi_with(
+                let fused_scores = crate::interseq::scores_batch(
                     &fused_batch,
                     arena,
                     start..end,
@@ -313,6 +243,8 @@ impl ShardExecutor {
                 if !picks_interseq[k] {
                     stats[k].chunks_striped += 1;
                     for pos in start..end {
+                        // Pull the next subject's residues towards L1
+                        // while this one is scored.
                         if plan.prefetch && pos + 1 < end {
                             crate::scratch::prefetch_read(arena.residues(pos + 1));
                         }
@@ -324,6 +256,8 @@ impl ShardExecutor {
                         });
                     }
                 }
+                // Keep the per-worker list bounded: only the global top-N
+                // can survive the merge anyway.
                 if locals[k].len() > 4 * top_n.max(16) {
                     rank_scored(&mut locals[k]);
                     locals[k].truncate(2 * top_n.max(8));
@@ -338,9 +272,8 @@ impl ShardExecutor {
 
     /// Scan one whole shard with this (single) worker: the entry point of
     /// the long-lived owners — serve PE threads and the remote slave — that
-    /// execute one self-describing shard task at a time. Drives the fused
-    /// loop over a private cursor and demuxes into per-query outputs; a
-    /// one-query batch is byte-identical to a solo scan of the same range.
+    /// execute one self-describing shard task at a time. Drives the chunk
+    /// loop over a private cursor and demuxes into per-query outputs.
     pub fn execute(
         &mut self,
         batch: &[(Arc<PreparedQuery>, usize)],

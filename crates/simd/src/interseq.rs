@@ -5,86 +5,57 @@
 //! parallelisation with the best multicore GCUPS. Where Farrar's *striped*
 //! kernel vectorises **within** one query × subject comparison, the
 //! inter-sequence kernel scores `LANES` *different database sequences*
-//! simultaneously, one per lane, against the same query. Lanes refill from
-//! the database queue as their sequences finish, so utilisation stays high
-//! regardless of length skew — and, unlike the striped kernel, there is no
-//! lazy-F fixpoint loop and no per-subject setup: the DP state lives across
-//! subjects and a finished lane costs one column reset.
+//! simultaneously, one per lane. Lanes refill from the database queue as
+//! their sequences finish, so utilisation stays high regardless of length
+//! skew — and, unlike the striped kernel, there is no lazy-F fixpoint loop
+//! and no per-subject setup: the DP state lives across subjects and a
+//! finished lane costs one column reset.
 //!
-//! Three implementations share one contract (`Some(score)` exact, `None`
+//! The per-step substitution gather — each lane needs
+//! `score(query[j], c_lane)` for its own residue `c_lane` — is the crux.
+//! `SimdVec::gather` loads each lane's row of the padded, transposed
+//! score table (`PreparedQuery::score_table`) and byte-transposes them
+//! into one vector per *query symbol*; the DP loop then indexes this
+//! `dprofile` by `query[j]`, a single load per cell, exactly like SWIPE's
+//! score profile. The gather depends only on the lanes' residues, never on
+//! the query, so a pass takes a query **batch**: the gather is built once
+//! per column and every query of the batch runs its own DP column over it.
+//! A lone query is the batch of one — there is no separate solo kernel.
+//!
+//! Two implementations share one contract (`Some(score)` exact, `None`
 //! saturated — recompute wider):
 //!
-//! * the **portable** generic pass in this module (lane-major arrays over
-//!   any [`Lane`] width; the cross-architecture reference),
-//! * [`crate::interseq_sse`] — 16 × i8 and 8 × i16 per 128-bit register,
-//! * [`crate::interseq_avx2`] — 32 × i8 and 16 × i16 per 256-bit register.
+//! * `pass_body`, the vector pass, written once over `SimdVec` and
+//!   instantiated per tier ([`Isa`]) and width;
+//! * `pass_portable_buf`, lane-major arrays over any [`Lane`] width —
+//!   the cross-architecture path and the reference the vector pass is
+//!   tested against, result for result.
 //!
-//! [`scores_arena`] is the dispatch driver used by the database scan: run
-//! the widest available 8-bit pass over a [`DbArena`] range, collect the
-//! lanes that saturated, rerun them at 16 bits, and finish stragglers with
-//! the exact scalar kernel — the same fallback chain as the striped engine,
-//! but batched per pass instead of per subject.
+//! [`scores_batch`] is the saturation chain the database scan drives: one
+//! 8-bit pass for the batch over a [`DbArena`] range, then per query the
+//! saturated subjects rerun at 16 bits and stragglers finish with the exact
+//! scalar kernel — the same fallback chain as the striped engine, but
+//! batched per pass instead of per subject.
+
+#![allow(unsafe_code)]
 
 use std::ops::Range;
 
-use crate::engine::{EnginePreference, KernelStats, PreparedQuery};
+use crate::engine::{KernelStats, PreparedQuery};
 use crate::lanes::Lane;
 use crate::scratch::{InterSeqScratch, KernelScratch, WidthBuf};
+use crate::vec::{Isa, SimdVec, Width, MAX_LANES, TABLE_DIM};
 use swhybrid_align::gotoh::gap_params;
 use swhybrid_align::score_only::sw_score_affine;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_seq::arena::DbArena;
-use swhybrid_seq::sequence::EncodedSequence;
-
-/// Lane count of the historical portable reference (8 × i16 in a 128-bit
-/// register). The generic pass uses [`Lane::SIMD_LANES`] per width.
-pub const LANES: usize = 8;
 
 /// Sentinel for an idle lane.
 const IDLE: usize = usize::MAX;
 
-/// How many subjects the 8-bit inter-sequence kernel scores per vector on
-/// this machine under `preference` (the lane count the Auto dispatcher
-/// reasons about).
-pub fn interseq_lanes(preference: EnginePreference) -> usize {
-    if preference != EnginePreference::Portable && crate::avx2::avx2_available() {
-        crate::avx2::LANES_I8
-    } else {
-        <i8 as Lane>::SIMD_LANES
-    }
-}
-
-/// Scores every subject against `query`, [`LANES`] subjects at a time, with
-/// the portable 16-bit pass (saturated subjects are rescored by the exact
-/// scalar kernel). Returns one score per subject, in input order.
-///
-/// This is the historical portable reference API; the database scan goes
-/// through [`scores_arena`], which adds the 8-bit pass and the vectorized
-/// kernels.
-pub fn scores_inter_sequence(
-    query: &[u8],
-    subjects: &[EncodedSequence],
-    scoring: &Scoring,
-) -> Vec<i32> {
-    assert!(!query.is_empty(), "query must not be empty");
-    let arena = DbArena::from_encoded(subjects);
-    let jobs: Vec<usize> = (0..arena.len()).collect();
-    pass_portable::<i16>(query, scoring, &arena, &jobs)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| match r {
-            Some(score) => score,
-            None => sw_score_affine(query, &subjects[i].codes, scoring).score,
-        })
-        .collect()
-}
-
-/// Score the scan positions `range` of `arena` with the inter-sequence
-/// kernel chain (widest available i8 pass → i16 pass over saturated lanes →
-/// exact scalar), returning one exact score per position, in range order.
-///
-/// Counters and computed cells are accumulated into `stats`
-/// (`interseq_i8`/`interseq_i16`/`interseq_scalar`, `cells_computed`).
+/// Score the scan positions `range` of `arena` against one query with the
+/// inter-sequence chain, returning one exact score per position in range
+/// order: [`scores_batch`] for a batch of one on a fresh scratch.
 pub fn scores_arena(
     prepared: &PreparedQuery,
     arena: &DbArena,
@@ -92,42 +63,42 @@ pub fn scores_arena(
     stats: &mut KernelStats,
 ) -> Vec<i32> {
     let mut scratch = KernelScratch::new();
-    scores_arena_with(prepared, arena, range, stats, &mut scratch, false).to_vec()
+    let stats = std::slice::from_mut(stats);
+    scores_batch(&[prepared], arena, range, stats, &mut scratch, false)[0].clone()
 }
 
-/// Hot-path variant of [`scores_arena`]: every buffer the chain needs lives
-/// in `scratch` (reused across chunks — zero steady-state allocations) and
-/// the returned slice borrows `scratch.scores`. `prefetch` turns on the
+/// THE inter-sequence saturation chain: score every query in `batch`
+/// against the scan positions `range` — ONE shared 8-bit pass, then per
+/// query an i16 rerun of its saturated subjects and the exact scalar kernel
+/// for stragglers. Returns one exact score vector per batch entry, in range
+/// order, borrowed from `scratch` (every buffer lives there and is reused
+/// across chunks: zero steady-state allocations).
+///
+/// Per query, scores and the `stats` accounting (`interseq_i8` /
+/// `interseq_i16` / `interseq_scalar`, `cells_computed`) do not depend on
+/// who else is in the batch: sharing a pass changes wall-clock, never
+/// results. Queries whose scoring or tier differ cannot share a gather, so
+/// a mixed batch runs one pass per query instead. `prefetch` turns on the
 /// advisory next-subject prefetch at lane refill; it never changes scores
 /// or `stats`.
-pub fn scores_arena_with<'s>(
-    prepared: &PreparedQuery,
+pub fn scores_batch<'s>(
+    batch: &[&PreparedQuery],
     arena: &DbArena,
     range: Range<usize>,
-    stats: &mut KernelStats,
+    stats: &mut [KernelStats],
     scratch: &'s mut KernelScratch,
     prefetch: bool,
-) -> &'s [i32] {
-    assert!(!prepared.query().is_empty(), "query must not be empty");
+) -> &'s [Vec<i32>] {
+    assert_eq!(batch.len(), stats.len(), "one stats slot per query");
     let KernelScratch {
         interseq, scores, ..
     } = scratch;
-    interseq.jobs.clear();
-    interseq.jobs.extend(range);
-    scores_jobs_into(prepared, arena, interseq, prefetch, stats, scores);
-    scores
-}
-
-/// Run the full i8 → i16 → scalar chain over the pre-filled
-/// `interseq.jobs`, writing one exact score per job into `out`.
-fn scores_jobs_into(
-    prepared: &PreparedQuery,
-    arena: &DbArena,
-    interseq: &mut InterSeqScratch,
-    prefetch: bool,
-    stats: &mut KernelStats,
-    out: &mut Vec<i32>,
-) {
+    if batch.is_empty() {
+        return &scores[..0];
+    }
+    if scores.len() < batch.len() {
+        scores.resize_with(batch.len(), Vec::new);
+    }
     let InterSeqScratch {
         jobs,
         sat,
@@ -135,32 +106,35 @@ fn scores_jobs_into(
         w8,
         w16,
     } = interseq;
-    let m = prepared.query_len() as u64;
-    stats.cells_computed += m * jobs.iter().map(|&p| arena.seq_len(p) as u64).sum::<u64>();
-    run_pass_buf::<i8>(prepared, arena, jobs, prefetch, w8);
-    finish_after_i8_into(
-        prepared,
-        arena,
-        jobs,
-        &w8.results,
-        sat,
-        jobs16,
-        w16,
-        prefetch,
-        stats,
-        out,
-    );
+    jobs.clear();
+    jobs.extend(range);
+    let residues: u64 = jobs.iter().map(|&p| arena.seq_len(p) as u64).sum();
+
+    let group = if shares_pass(batch) { batch.len() } else { 1 };
+    for ((queries, stats), scores) in batch
+        .chunks(group)
+        .zip(stats.chunks_mut(group))
+        .zip(scores.chunks_mut(group))
+    {
+        pass::<i8>(queries, arena, jobs, prefetch, w8);
+        for (q, ((prepared, stats), out)) in queries.iter().zip(stats).zip(scores).enumerate() {
+            stats.cells_computed += prepared.query_len() as u64 * residues;
+            let r8 = &w8.results[q];
+            resolve_saturated(
+                prepared, arena, jobs, r8, sat, jobs16, w16, prefetch, stats, out,
+            );
+        }
+    }
+    &scores[..batch.len()]
 }
 
 /// Resolve one query's i8 pass results into exact scores: keep the exact
-/// i8 lanes, rerun the saturated subjects at 16 bits, and finish stragglers
-/// with the exact scalar kernel — accumulating the width counters and the
-/// rerun cells into `stats`. Shared by the solo and fused chains, which is
-/// what keeps the fused chain's per-query output and accounting
-/// byte-identical to the solo chain's. `sat`/`jobs16`/`w16` are scratch
-/// (reused across chunks); `out` receives one score per job.
+/// i8 lanes, rerun the saturated subjects at 16 bits (a pass for a batch of
+/// one), and finish stragglers with the exact scalar kernel — accumulating
+/// the width counters and the rerun cells into `stats`. `sat`/`jobs16`/`w16`
+/// are scratch (reused across chunks); `out` receives one score per job.
 #[allow(clippy::too_many_arguments)]
-fn finish_after_i8_into(
+fn resolve_saturated(
     prepared: &PreparedQuery,
     arena: &DbArena,
     jobs: &[usize],
@@ -174,7 +148,6 @@ fn finish_after_i8_into(
 ) {
     let query = prepared.query();
     let m = query.len() as u64;
-    let scoring = prepared.scoring();
 
     out.clear();
     out.resize(jobs.len(), 0);
@@ -188,238 +161,335 @@ fn finish_after_i8_into(
             None => sat.push(k),
         }
     }
+    if sat.is_empty() {
+        return;
+    }
 
-    if !sat.is_empty() {
-        jobs16.clear();
-        jobs16.extend(sat.iter().map(|&k| jobs[k]));
-        stats.cells_computed += m * jobs16.iter().map(|&p| arena.seq_len(p) as u64).sum::<u64>();
-        run_pass_buf::<i16>(prepared, arena, jobs16, prefetch, w16);
-        for (i, &k) in sat.iter().enumerate() {
-            match w16.results[i] {
-                Some(score) => {
-                    out[k] = score;
-                    stats.interseq_i16 += 1;
-                }
-                None => {
-                    let subject = arena.residues(jobs[k]);
-                    stats.cells_computed += m * subject.len() as u64;
-                    out[k] = sw_score_affine(query, subject, scoring).score;
-                    stats.interseq_scalar += 1;
-                }
+    jobs16.clear();
+    jobs16.extend(sat.iter().map(|&k| jobs[k]));
+    stats.cells_computed += m * jobs16.iter().map(|&p| arena.seq_len(p) as u64).sum::<u64>();
+    pass::<i16>(
+        std::slice::from_ref(&prepared),
+        arena,
+        jobs16,
+        prefetch,
+        w16,
+    );
+    for (&k, r16) in sat.iter().zip(&w16.results[0]) {
+        match *r16 {
+            Some(score) => {
+                out[k] = score;
+                stats.interseq_i16 += 1;
+            }
+            None => {
+                let subject = arena.residues(jobs[k]);
+                stats.cells_computed += m * subject.len() as u64;
+                out[k] = sw_score_affine(query, subject, prepared.scoring()).score;
+                stats.interseq_scalar += 1;
             }
         }
     }
 }
 
-/// Fused variant of [`scores_arena`]: score every query in `batch` against
-/// the same scan range in ONE shared 8-bit pass. The per-column score
-/// gather (matrix-row loads plus the byte transpose) depends only on the
-/// database lanes, so the fused pass builds it once per column and runs
-/// each query's DP loop over the already-filled lane buffer; each query's
-/// saturated subjects then finish through its own i16 → scalar rerun,
-/// exactly like the solo chain.
-///
-/// Returns one score vector per batch entry. Scores and the per-query
-/// `stats` accounting are byte-identical to calling [`scores_arena`] once
-/// per query — fusion changes wall-clock, never results. When the batch
-/// cannot fuse (a single query, mixed scorings, a portable preference, or
-/// no vectorized multi-query pass on this CPU) it falls back to exactly
-/// that solo loop.
-pub fn scores_arena_multi(
+/// Whether every query of `batch` can ride ONE pass: the same tier, the
+/// same padded score table and the same gap penalties (the serve path
+/// guarantees one scoring per fused task). Allocation-free.
+fn shares_pass(batch: &[&PreparedQuery]) -> bool {
+    let Some((first, rest)) = batch.split_first() else {
+        return false;
+    };
+    rest.iter().all(|p| {
+        p.isa() == first.isa()
+            && p.gap_penalties() == first.gap_penalties()
+            && p.score_table() == first.score_table()
+    })
+}
+
+/// One raw pass at width `T` on a fresh buffer: per batch query, one result
+/// per job (`Some(score)` exact, `None` saturated `T::MAX`). `None` when
+/// the batch cannot share a pass. The scan goes through [`scores_batch`];
+/// this is the per-width view the kernel-equivalence tests compare against
+/// the scalar oracle.
+pub fn pass_results<T: Width>(
     batch: &[&PreparedQuery],
     arena: &DbArena,
-    range: Range<usize>,
-    stats: &mut [KernelStats],
-) -> Vec<Vec<i32>> {
-    let mut scratch = KernelScratch::new();
-    scores_arena_multi_with(batch, arena, range, stats, &mut scratch, false).to_vec()
+    jobs: &[usize],
+) -> Option<Vec<Vec<Option<i32>>>> {
+    shares_pass(batch).then(|| {
+        let mut buf = WidthBuf::new();
+        pass::<T>(batch, arena, jobs, false, &mut buf);
+        buf.results
+    })
 }
 
-/// Hot-path variant of [`scores_arena_multi`]: all buffers live in
-/// `scratch` and the returned slice borrows `scratch.multi_scores` (one
-/// score vector per batch entry). Scores and per-query `stats` stay
-/// byte-identical to the solo chain's regardless of `prefetch` or scratch
-/// reuse.
-pub fn scores_arena_multi_with<'s>(
+/// One pass at width `T` for a batch that [`shares_pass`], on the batch's
+/// tier: results land in `buf.results[q]` for batch query `q`.
+fn pass<T: Width>(
     batch: &[&PreparedQuery],
-    arena: &DbArena,
-    range: Range<usize>,
-    stats: &mut [KernelStats],
-    scratch: &'s mut KernelScratch,
-    prefetch: bool,
-) -> &'s [Vec<i32>] {
-    assert_eq!(batch.len(), stats.len(), "one stats slot per query");
-    assert!(
-        batch.iter().all(|p| !p.query().is_empty()),
-        "query must not be empty"
-    );
-    let KernelScratch {
-        interseq,
-        multi_scores,
-        ..
-    } = scratch;
-    multi_scores.resize_with(batch.len(), Vec::new);
-    interseq.jobs.clear();
-    interseq.jobs.extend(range);
-
-    let fused = batch.len() >= 2
-        && batch
-            .iter()
-            .all(|p| p.preference() != EnginePreference::Portable)
-        && {
-            let InterSeqScratch { jobs, w8, .. } = &mut *interseq;
-            crate::interseq_avx2::multi_pass_i8_buf(batch, arena, jobs, prefetch, w8)
-                || crate::interseq_sse::multi_pass_i8_buf(batch, arena, jobs, prefetch, w8)
-        };
-    if fused {
-        let total: u64 = interseq.jobs.iter().map(|&p| arena.seq_len(p) as u64).sum();
-        let InterSeqScratch {
-            jobs,
-            sat,
-            jobs16,
-            w8,
-            w16,
-        } = interseq;
-        for (q, (prepared, stats)) in batch.iter().zip(stats.iter_mut()).enumerate() {
-            stats.cells_computed += prepared.query_len() as u64 * total;
-            finish_after_i8_into(
-                prepared,
-                arena,
-                jobs,
-                &w8.mresults[q],
-                sat,
-                jobs16,
-                w16,
-                prefetch,
-                stats,
-                &mut multi_scores[q],
-            );
-        }
-    } else {
-        // Fall back to exactly the solo chain, one query at a time over the
-        // same job list.
-        for ((prepared, stats), out) in batch
-            .iter()
-            .zip(stats.iter_mut())
-            .zip(multi_scores.iter_mut())
-        {
-            scores_jobs_into(prepared, arena, interseq, prefetch, stats, out);
-        }
-    }
-    multi_scores
-}
-
-/// Validate that `batch` can share one fused pass and unpack the kernel
-/// inputs: every query must carry the same padded score table and gap
-/// penalties (the serve path guarantees one scoring per fused task; mixed
-/// batches simply refuse to fuse). Returns the shared matrix and penalties
-/// — allocation-free, because the fused kernels read the queries straight
-/// from the batch.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn fusable_batch<'a>(batch: &[&'a PreparedQuery]) -> Option<(&'a [i8], i32, i32)> {
-    let first = batch.first()?;
-    let matrix32 = first.interseq_matrix.as_deref()?;
-    let (goe, ext) = first.gap_penalties();
-    for p in &batch[1..] {
-        if p.interseq_matrix.as_deref() != Some(matrix32) || p.gap_penalties() != (goe, ext) {
-            return None;
-        }
-    }
-    Some((matrix32, goe, ext))
-}
-
-/// One pass at width `T` into `buf.results`: vectorized when the
-/// preference and CPU allow it, portable otherwise. `Some(score)` is exact;
-/// `None` saturated `T::MAX`.
-fn run_pass_buf<T: Lane + InterSeqWidth>(
-    prepared: &PreparedQuery,
     arena: &DbArena,
     jobs: &[usize],
     prefetch: bool,
     buf: &mut WidthBuf<T>,
 ) {
-    if prepared.preference() != EnginePreference::Portable
-        && T::pass_simd_buf(prepared, arena, jobs, prefetch, buf)
-    {
+    let Some(first) = batch.first() else {
         return;
-    }
-    pass_portable_buf::<T>(
-        prepared.query(),
-        prepared.scoring(),
-        arena,
-        jobs,
-        prefetch,
-        buf,
-    );
-}
-
-/// Width-specific hook into the hand-vectorized kernels.
-pub(crate) trait InterSeqWidth: Lane {
-    /// Run the vectorized pass for this width into `buf.results`, or return
-    /// `false` when the CPU / alphabet cannot (caller falls back to the
-    /// portable pass).
-    fn pass_simd_buf(
-        prepared: &PreparedQuery,
-        arena: &DbArena,
-        jobs: &[usize],
-        prefetch: bool,
-        buf: &mut WidthBuf<Self>,
-    ) -> bool;
-}
-
-impl InterSeqWidth for i8 {
-    fn pass_simd_buf(
-        prepared: &PreparedQuery,
-        arena: &DbArena,
-        jobs: &[usize],
-        prefetch: bool,
-        buf: &mut WidthBuf<i8>,
-    ) -> bool {
-        crate::interseq_avx2::pass_i8_buf(prepared, arena, jobs, prefetch, buf)
-            || crate::interseq_sse::pass_i8_buf(prepared, arena, jobs, prefetch, buf)
+    };
+    debug_assert!(shares_pass(batch));
+    buf.grow_slots(batch.len());
+    match first.isa() {
+        // SAFETY (both arms): a `PreparedQuery` only ever holds a tier that
+        // `Isa::is_available` confirmed when it was built.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { pass_avx2::<T::Avx2>(batch, arena, jobs, prefetch, buf) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Sse41 => unsafe { pass_sse41::<T::Sse41>(batch, arena, jobs, prefetch, buf) },
+        Isa::Portable => {
+            for (slot, p) in batch.iter().enumerate() {
+                pass_portable_buf(p.query(), p.scoring(), arena, jobs, prefetch, buf, slot);
+            }
+        }
     }
 }
 
-impl InterSeqWidth for i16 {
-    fn pass_simd_buf(
-        prepared: &PreparedQuery,
-        arena: &DbArena,
-        jobs: &[usize],
-        prefetch: bool,
-        buf: &mut WidthBuf<i16>,
-    ) -> bool {
-        crate::interseq_avx2::pass_i16_buf(prepared, arena, jobs, prefetch, buf)
-            || crate::interseq_sse::pass_i16_buf(prepared, arena, jobs, prefetch, buf)
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn pass_avx2<V: SimdVec>(
+    batch: &[&PreparedQuery],
+    arena: &DbArena,
+    jobs: &[usize],
+    prefetch: bool,
+    buf: &mut WidthBuf<V::Elem>,
+) {
+    pass_body::<V>(batch, arena, jobs, prefetch, buf)
+}
+
+/// # Safety
+/// The CPU must support SSE4.1.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.1")]
+unsafe fn pass_sse41<V: SimdVec>(
+    batch: &[&PreparedQuery],
+    arena: &DbArena,
+    jobs: &[usize],
+    prefetch: bool,
+    buf: &mut WidthBuf<V::Elem>,
+) {
+    pass_body::<V>(batch, arena, jobs, prefetch, buf)
+}
+
+/// Per-lane scan cursors over the arena's flat residue buffer.
+struct LaneCursors {
+    /// Index into `jobs` (or [`IDLE`]).
+    job: [usize; MAX_LANES],
+    /// Absolute offset of the next residue in the arena buffer.
+    cur: [usize; MAX_LANES],
+    /// Absolute end offset of the lane's sequence.
+    end: [usize; MAX_LANES],
+    next: usize,
+    active: usize,
+}
+
+impl LaneCursors {
+    fn new(lanes: usize, arena: &DbArena, jobs: &[usize], prefetch: bool) -> Self {
+        let mut cursors = LaneCursors {
+            job: [IDLE; MAX_LANES],
+            cur: [0; MAX_LANES],
+            end: [0; MAX_LANES],
+            next: 0,
+            active: 0,
+        };
+        for lane in 0..lanes {
+            cursors.assign(lane, arena, jobs, prefetch);
+        }
+        cursors
+    }
+
+    /// Give `lane` the next queued job (or mark it idle).
+    fn assign(&mut self, lane: usize, arena: &DbArena, jobs: &[usize], prefetch: bool) {
+        let was_live = self.job[lane] != IDLE;
+        if self.next < jobs.len() {
+            let (offset, len) = arena.span(jobs[self.next]);
+            self.job[lane] = self.next;
+            self.cur[lane] = offset;
+            self.end[lane] = offset + len;
+            self.next += 1;
+            if !was_live {
+                self.active += 1;
+            }
+            // Hide the NEXT refill's residue fetch behind the columns
+            // about to run: whichever lane retires first will start
+            // reading this span at its head.
+            if prefetch && self.next < jobs.len() {
+                crate::scratch::prefetch_read(arena.residues(jobs[self.next]));
+            }
+        } else {
+            self.job[lane] = IDLE;
+            if was_live {
+                self.active -= 1;
+            }
+        }
+    }
+}
+
+/// THE vector inter-sequence pass: every query of `batch` scored against
+/// `jobs` in one lane traversal. Lanes hold different database sequences
+/// and refill from the job queue as sequences finish; each column gathers
+/// the lanes' scores once and advances every query's DP column over them.
+/// Per query the instruction sequence does not depend on the rest of the
+/// batch, which is what keeps a shared pass byte-identical to passes of
+/// one. Gap penalties are clamped into the lane type exactly as the
+/// portable pass clamps them, so every tier saturates identically.
+///
+/// # Safety
+/// The CPU must support `V`'s instructions. `batch` must be non-empty and
+/// satisfy [`shares_pass`], and `buf` must have a slot per batch query.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn pass_body<V: SimdVec>(
+    batch: &[&PreparedQuery],
+    arena: &DbArena,
+    jobs: &[usize],
+    prefetch: bool,
+    buf: &mut WidthBuf<V::Elem>,
+) {
+    let lanes = V::LANES;
+    let (zero, min, max) = (V::Elem::ZERO, V::Elem::MIN, V::Elem::MAX);
+    let first = batch[0];
+    let table = first.score_table();
+    let halves = first.scoring().matrix.dim().div_ceil(16);
+    let (goe, ext) = first.gap_penalties();
+    let v_goe = V::splat(V::Elem::from_i32_sat(goe));
+    let v_ext = V::splat(V::Elem::from_i32_sat(ext));
+    let residues = arena.buffer();
+
+    // Per-query DP state over the SHARED lane assignment: query q's
+    // `j * lanes + lane` is its prefix j against that lane's subject.
+    // Caller-owned and sized high-water: clear + resize only change the
+    // length once warm.
+    let WidthBuf {
+        results,
+        h,
+        e,
+        best,
+        ..
+    } = buf;
+    for (((results, h), e), p) in results
+        .iter_mut()
+        .zip(h.iter_mut())
+        .zip(e.iter_mut())
+        .zip(batch)
+    {
+        results.clear();
+        results.resize(jobs.len(), None);
+        let rows = (p.query_len() + 1) * lanes;
+        h.clear();
+        h.resize(rows, zero);
+        e.clear();
+        e.resize(rows, min);
+    }
+    // Per-query per-lane best, flattened `q * lanes + lane`.
+    best.clear();
+    best.resize(batch.len() * lanes, zero);
+    // One vector of lane scores per query symbol.
+    let mut dprofile = [zero; TABLE_DIM * MAX_LANES];
+    let (v_zero, v_min) = (V::splat(zero), V::splat(min));
+    let mut cursors = LaneCursors::new(lanes, arena, jobs, prefetch);
+
+    while cursors.active > 0 {
+        // Retire finished lanes for EVERY query (the traversal is shared,
+        // so all queries finish a subject together; empty subjects retire
+        // a whole run at once) and refill from the queue.
+        for lane in 0..lanes {
+            while cursors.job[lane] != IDLE && cursors.cur[lane] == cursors.end[lane] {
+                let job = cursors.job[lane];
+                for (q, p) in batch.iter().enumerate() {
+                    let b = best[q * lanes + lane];
+                    results[q][job] = (b != max).then(|| b.to_i32());
+                    for j in 0..=p.query_len() {
+                        h[q][j * lanes + lane] = zero;
+                        e[q][j * lanes + lane] = min;
+                    }
+                    best[q * lanes + lane] = zero;
+                }
+                cursors.assign(lane, arena, jobs, prefetch);
+            }
+        }
+        if cursors.active == 0 {
+            break;
+        }
+
+        // One residue per live lane, masked to a row of the padded table;
+        // idle lanes read row 0 (their results are never used).
+        let mut codes = [0usize; MAX_LANES];
+        for lane in 0..lanes {
+            if cursors.job[lane] != IDLE {
+                codes[lane] = residues[cursors.cur[lane]] as usize % TABLE_DIM;
+            }
+        }
+        // SAFETY: `table` is TABLE_DIM rows of TABLE_DIM bytes, every code
+        // was just reduced below TABLE_DIM, `halves` ≤ TABLE_DIM / 16, and
+        // `dprofile` holds TABLE_DIM × MAX_LANES elements.
+        V::gather(table.as_ptr(), &codes, halves, dprofile.as_mut_ptr());
+
+        // Each query advances one DP column over the already-gathered lane
+        // scores. The chains are independent, so the CPU overlaps their
+        // latencies.
+        for (q, p) in batch.iter().enumerate() {
+            // SAFETY: rows `0..=m` of `lanes` elements were sized above;
+            // query codes are below the matrix dimension ≤ TABLE_DIM
+            // (`PreparedQuery` checks them), so every dprofile row read is
+            // in bounds.
+            let (h, e) = (h[q].as_mut_ptr(), e[q].as_mut_ptr());
+            let best = best[q * lanes..][..lanes].as_mut_ptr();
+            let mut v_f = v_min;
+            let mut v_diag = v_zero;
+            let mut v_best = V::load(best);
+            for (j, &symbol) in p.query().iter().enumerate() {
+                let off = (j + 1) * lanes;
+                let v_h_old = V::load(h.add(off));
+                let v_e = v_h_old.subs(v_goe).max(V::load(e.add(off)).subs(v_ext));
+                let v_h = v_diag
+                    .adds(V::load(dprofile.as_ptr().add(symbol as usize * lanes)))
+                    .max(v_e)
+                    .max(v_f)
+                    .max(v_zero);
+                v_h.store(h.add(off));
+                v_e.store(e.add(off));
+                v_best = v_best.max(v_h);
+                v_f = v_h.subs(v_goe).max(v_f.subs(v_ext));
+                v_diag = v_h_old;
+            }
+            v_best.store(best);
+        }
+
+        for lane in 0..lanes {
+            if cursors.job[lane] != IDLE {
+                cursors.cur[lane] += 1;
+            }
+        }
     }
 }
 
 /// The portable inter-sequence pass over `jobs` (scan positions into
-/// `arena`), generic in the lane width. `Some(score)` is exact; `None`
-/// means the lane reached `T::MAX` and the subject must be rescored wider.
+/// `arena`), generic in the lane width: the non-x86 path and the oracle
+/// the vector pass is tested against. `Some(score)` is exact; `None` means
+/// the lane reached `T::MAX` and the subject must be rescored wider. All
+/// lane state lives in `buf` (reused across chunks); results land in
+/// `buf.results[slot]`, the DP rows in slot `slot` too.
 ///
-/// Gap penalties are clamped into `T` exactly like the vectorized kernels
-/// clamp theirs, so both paths saturate identically.
-pub(crate) fn pass_portable<T: Lane>(
-    query: &[u8],
-    scoring: &Scoring,
-    arena: &DbArena,
-    jobs: &[usize],
-) -> Vec<Option<i32>> {
-    let mut buf = WidthBuf::new();
-    pass_portable_buf::<T>(query, scoring, arena, jobs, false, &mut buf);
-    buf.results
-}
-
-/// Hot-path variant of [`pass_portable`]: all lane state lives in `buf`
-/// (reused across chunks) and results land in `buf.results`.
+/// Gap penalties are clamped into `T` exactly like the vector pass clamps
+/// them, so both paths saturate identically.
 #[allow(clippy::needless_range_loop)] // lane-state arrays are co-indexed
-pub(crate) fn pass_portable_buf<T: Lane>(
+fn pass_portable_buf<T: Lane>(
     query: &[u8],
     scoring: &Scoring,
     arena: &DbArena,
     jobs: &[usize],
     prefetch: bool,
     buf: &mut WidthBuf<T>,
+    slot: usize,
 ) {
     let lanes = T::SIMD_LANES;
     let m = query.len();
@@ -439,8 +509,8 @@ pub(crate) fn pass_portable_buf<T: Lane>(
         live,
         diag,
         f,
-        ..
     } = buf;
+    let (results, h, e) = (&mut results[slot], &mut h[slot], &mut e[slot]);
 
     // Query-major score columns: colprof[c * m + j] = score(query[j], c),
     // the portable analogue of the vectorized kernels' transposed gather.
@@ -586,6 +656,7 @@ mod tests {
     use super::*;
     use rand::{RngExt, SeedableRng};
     use swhybrid_align::scoring::{GapModel, SubstMatrix};
+    use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::Alphabet;
 
     fn scoring() -> Scoring {
@@ -598,89 +669,70 @@ mod tests {
         }
     }
 
+    fn subject(id: &str, codes: Vec<u8>) -> EncodedSequence {
+        EncodedSequence {
+            id: id.into(),
+            codes,
+            alphabet: Alphabet::Protein,
+        }
+    }
+
     fn random_subjects(seed: u64, n: usize, max_len: usize) -> Vec<EncodedSequence> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         (0..n)
-            .map(|i| EncodedSequence {
-                id: format!("s{i}"),
-                codes: (0..rng.random_range(1..max_len))
-                    .map(|_| rng.random_range(0..20u8))
-                    .collect(),
-                alphabet: Alphabet::Protein,
+            .map(|i| {
+                let len = rng.random_range(1..max_len);
+                subject(
+                    &format!("s{i}"),
+                    (0..len).map(|_| rng.random_range(0..20u8)).collect(),
+                )
             })
             .collect()
     }
 
+    fn random_query(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..len).map(|_| rng.random_range(0..20u8)).collect()
+    }
+
+    /// The whole chain on every tier returns the oracle score for every
+    /// subject.
+    fn assert_chain_matches_oracle(query: &[u8], subjects: &[EncodedSequence]) {
+        let s = scoring();
+        let arena = DbArena::from_encoded(subjects);
+        for isa in Isa::available() {
+            let prepared = PreparedQuery::with_isa(query, &s, isa);
+            let mut stats = KernelStats::default();
+            let got = scores_arena(&prepared, &arena, 0..arena.len(), &mut stats);
+            assert_eq!(got.len(), subjects.len());
+            for (i, subject) in subjects.iter().enumerate() {
+                let expect = sw_score_affine(query, &subject.codes, &s).score;
+                assert_eq!(got[i], expect, "{isa:?} subject {i}");
+            }
+            assert_eq!(stats.interseq_total(), subjects.len() as u64, "{isa:?}");
+        }
+    }
+
     #[test]
     fn matches_scalar_on_random_database() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(211);
-        let query: Vec<u8> = (0..70).map(|_| rng.random_range(0..20u8)).collect();
-        let subjects = random_subjects(212, 50, 140);
-        let s = scoring();
-        let got = scores_inter_sequence(&query, &subjects, &s);
-        for (i, subject) in subjects.iter().enumerate() {
-            let expect = sw_score_affine(&query, &subject.codes, &s).score;
-            assert_eq!(got[i], expect, "subject {i}");
-        }
+        assert_chain_matches_oracle(&random_query(211, 70), &random_subjects(212, 50, 140));
     }
 
     #[test]
     fn length_skew_is_handled_by_lane_refill() {
         // One very long subject among many short ones: lanes refill while
         // the long lane keeps going.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(213);
-        let query: Vec<u8> = (0..40).map(|_| rng.random_range(0..20u8)).collect();
         let mut subjects = random_subjects(214, 30, 25);
-        subjects.insert(
-            7,
-            EncodedSequence {
-                id: "long".into(),
-                codes: (0..900).map(|_| rng.random_range(0..20u8)).collect(),
-                alphabet: Alphabet::Protein,
-            },
-        );
-        let s = scoring();
-        let got = scores_inter_sequence(&query, &subjects, &s);
-        for (i, subject) in subjects.iter().enumerate() {
-            assert_eq!(
-                got[i],
-                sw_score_affine(&query, &subject.codes, &s).score,
-                "subject {i}"
-            );
-        }
+        subjects.insert(7, subject("long", random_query(213, 900)));
+        assert_chain_matches_oracle(&random_query(215, 40), &subjects);
     }
 
     #[test]
-    fn fewer_subjects_than_lanes() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(215);
-        let query: Vec<u8> = (0..30).map(|_| rng.random_range(0..20u8)).collect();
-        let subjects = random_subjects(216, 3, 50);
-        let s = scoring();
-        let got = scores_inter_sequence(&query, &subjects, &s);
-        assert_eq!(got.len(), 3);
-        for (i, subject) in subjects.iter().enumerate() {
-            assert_eq!(got[i], sw_score_affine(&query, &subject.codes, &s).score);
-        }
-    }
-
-    #[test]
-    fn empty_database() {
-        let query = vec![0u8, 1, 2];
-        assert!(scores_inter_sequence(&query, &[], &scoring()).is_empty());
-    }
-
-    #[test]
-    fn empty_subject_scores_zero() {
-        let query = vec![0u8, 1, 2];
-        let subjects = vec![EncodedSequence {
-            id: "empty".into(),
-            codes: vec![],
-            alphabet: Alphabet::Protein,
-        }];
-        assert_eq!(
-            scores_inter_sequence(&query, &subjects, &scoring()),
-            vec![0]
-        );
+    fn fewer_subjects_than_lanes_empty_subjects_and_an_empty_database() {
+        let query = random_query(216, 30);
+        assert_chain_matches_oracle(&query, &random_subjects(217, 3, 50));
+        assert_chain_matches_oracle(&query, &[subject("empty", vec![])]);
+        assert_chain_matches_oracle(&query, &[]);
     }
 
     #[test]
@@ -688,142 +740,124 @@ mod tests {
         // Self-comparison of 3,100 tryptophans exceeds i16 range
         // (3,100 × 11 = 34,100 under BLOSUM62).
         let long: Vec<u8> = vec![17u8; 3100];
-        let subjects = vec![EncodedSequence {
-            id: "self".into(),
-            codes: long.clone(),
-            alphabet: Alphabet::Protein,
-        }];
         let s = scoring();
-        let got = scores_inter_sequence(&long, &subjects, &s);
         let expect = sw_score_affine(&long, &long, &s).score;
         assert!(expect > i16::MAX as i32, "premise: must exceed i16");
-        assert_eq!(got[0], expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "query must not be empty")]
-    fn empty_query_rejected() {
-        scores_inter_sequence(&[], &[], &scoring());
-    }
-
-    #[test]
-    fn i8_portable_pass_flags_saturation() {
-        // A 30-residue self-match scores well over 127 → every lane result
-        // must come back None at 8 bits, Some at 16.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(217);
-        let query: Vec<u8> = (0..60).map(|_| rng.random_range(0..20u8)).collect();
-        let subjects = vec![EncodedSequence {
-            id: "self".into(),
-            codes: query.clone(),
-            alphabet: Alphabet::Protein,
-        }];
-        let s = scoring();
-        let expect = sw_score_affine(&query, &query, &s).score;
-        assert!(expect > 127, "premise: must exceed i8");
-        let arena = DbArena::from_encoded(&subjects);
-        let r8 = pass_portable::<i8>(&query, &s, &arena, &[0]);
-        assert_eq!(r8, vec![None]);
-        let r16 = pass_portable::<i16>(&query, &s, &arena, &[0]);
-        assert_eq!(r16, vec![Some(expect)]);
-    }
-
-    #[test]
-    fn scores_arena_runs_the_width_chain() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(219);
-        let query: Vec<u8> = (0..80).map(|_| rng.random_range(0..20u8)).collect();
-        let mut subjects = random_subjects(220, 40, 60);
-        // Plant an i8-saturating subject and an i16-saturating one.
-        subjects[5] = EncodedSequence {
-            id: "sat8".into(),
-            codes: query.clone(),
-            alphabet: Alphabet::Protein,
-        };
-        for pref in [
-            EnginePreference::Auto,
-            EnginePreference::Portable,
-            EnginePreference::Simd,
-        ] {
-            let prepared = PreparedQuery::new(&query, &scoring(), pref);
-            let arena = DbArena::from_encoded(&subjects);
+        let arena = DbArena::from_encoded(&[subject("self", long.clone())]);
+        for isa in Isa::available() {
+            let prepared = PreparedQuery::with_isa(&long, &s, isa);
             let mut stats = KernelStats::default();
-            let got = scores_arena(&prepared, &arena, 0..arena.len(), &mut stats);
-            for (i, subject) in subjects.iter().enumerate() {
-                let expect = sw_score_affine(&query, &subject.codes, &scoring()).score;
-                assert_eq!(got[i], expect, "pref {pref:?} subject {i}");
-            }
-            assert_eq!(stats.interseq_total(), subjects.len() as u64, "{pref:?}");
-            assert!(stats.interseq_i16 >= 1, "planted subject saturates i8");
-            assert!(stats.cells_computed > 0);
+            assert_eq!(scores_arena(&prepared, &arena, 0..1, &mut stats), [expect]);
+            assert_eq!(stats.interseq_scalar, 1, "{isa:?}");
+            // Three passes' worth of cells: i8, i16 and scalar.
+            assert_eq!(stats.cells_computed, 3 * 3100 * 3100);
         }
     }
 
     #[test]
-    fn scores_arena_multi_is_byte_identical_to_solo_chains() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(231);
+    fn chain_runs_the_width_chain() {
+        let query = random_query(219, 80);
+        let mut subjects = random_subjects(220, 40, 60);
+        // Plant an i8-saturating subject.
+        subjects[5] = subject("sat8", query.clone());
+        assert_chain_matches_oracle(&query, &subjects);
+        let arena = DbArena::from_encoded(&subjects);
+        for isa in Isa::available() {
+            let prepared = PreparedQuery::with_isa(&query, &scoring(), isa);
+            let mut stats = KernelStats::default();
+            scores_arena(&prepared, &arena, 0..arena.len(), &mut stats);
+            assert_eq!(stats.interseq_i16, 1, "planted subject saturates i8");
+            assert_eq!(stats.interseq_i8, 39);
+        }
+    }
+
+    #[test]
+    fn a_shared_pass_is_byte_identical_to_passes_of_one() {
         // Different lengths, one query with a planted i8-saturating
-        // self-match: the fused chain must reproduce each solo chain's
-        // scores AND its width/cell accounting exactly.
-        let queries: Vec<Vec<u8>> = [20usize, 55, 20, 90]
+        // self-match: the K = 4 chain must reproduce each K = 1 chain's
+        // scores AND its width/cell accounting exactly, with the scratch
+        // reused across both.
+        let queries: Vec<Vec<u8>> = [(1u64, 20usize), (2, 55), (3, 20), (4, 90)]
             .iter()
-            .map(|&m| (0..m).map(|_| rng.random_range(0..20u8)).collect())
+            .map(|&(seed, m)| random_query(230 + seed, m))
             .collect();
         let mut subjects = random_subjects(232, 70, 60);
-        subjects[13] = EncodedSequence {
-            id: "self".into(),
-            codes: queries[1].clone(),
-            alphabet: Alphabet::Protein,
-        };
-        for pref in [
-            EnginePreference::Auto,
-            EnginePreference::Portable,
-            EnginePreference::Simd,
-        ] {
+        subjects[13] = subject("self", queries[1].clone());
+        let arena = DbArena::from_encoded(&subjects);
+        for isa in Isa::available() {
             let prepared: Vec<PreparedQuery> = queries
                 .iter()
-                .map(|q| PreparedQuery::new(q, &scoring(), pref))
+                .map(|q| PreparedQuery::with_isa(q, &scoring(), isa))
                 .collect();
             let batch: Vec<&PreparedQuery> = prepared.iter().collect();
-            let arena = DbArena::from_encoded(&subjects);
-            let mut multi_stats = vec![KernelStats::default(); batch.len()];
-            let fused = scores_arena_multi(&batch, &arena, 0..arena.len(), &mut multi_stats);
+            let mut scratch = KernelScratch::new();
+            let mut batch_stats = vec![KernelStats::default(); batch.len()];
+            let range = 0..arena.len();
+            let fused = scores_batch(
+                &batch,
+                &arena,
+                range.clone(),
+                &mut batch_stats,
+                &mut scratch,
+                true,
+            )
+            .to_vec();
             assert_eq!(fused.len(), batch.len());
             for (q, prepared) in batch.iter().enumerate() {
-                let mut solo_stats = KernelStats::default();
-                let solo = scores_arena(prepared, &arena, 0..arena.len(), &mut solo_stats);
-                assert_eq!(fused[q], solo, "pref {pref:?} query {q}");
-                assert_eq!(multi_stats[q], solo_stats, "pref {pref:?} query {q} stats");
+                let mut solo_stats = [KernelStats::default()];
+                let solo = scores_batch(
+                    &[prepared],
+                    &arena,
+                    range.clone(),
+                    &mut solo_stats,
+                    &mut scratch,
+                    false,
+                );
+                assert_eq!(solo.len(), 1);
+                assert_eq!(fused[q], solo[0], "{isa:?} query {q}");
+                assert_eq!(batch_stats[q], solo_stats[0], "{isa:?} query {q} stats");
             }
         }
     }
 
     #[test]
-    fn scores_arena_multi_falls_back_on_mixed_scorings() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(233);
-        let query: Vec<u8> = (0..30).map(|_| rng.random_range(0..20u8)).collect();
+    fn mixed_scorings_and_tiers_run_one_pass_per_query() {
+        let query = random_query(233, 30);
         let cheap = Scoring {
             matrix: SubstMatrix::blosum62(),
             gap: GapModel::Affine { open: 4, extend: 1 },
         };
-        let a = PreparedQuery::new(&query, &scoring(), EnginePreference::Auto);
-        let b = PreparedQuery::new(&query, &cheap, EnginePreference::Auto);
         let subjects = random_subjects(234, 40, 50);
         let arena = DbArena::from_encoded(&subjects);
-        let mut stats = vec![KernelStats::default(); 2];
-        let got = scores_arena_multi(&[&a, &b], &arena, 0..arena.len(), &mut stats);
-        for (prepared, scores) in [&a, &b].into_iter().zip(&got) {
+        let tiers: Vec<Isa> = Isa::available().collect();
+        let a = PreparedQuery::with_isa(&query, &scoring(), tiers[0]);
+        let b = PreparedQuery::with_isa(&query, &cheap, tiers[0]);
+        let c = PreparedQuery::with_isa(&query, &cheap, Isa::Portable);
+        let batch = [&a, &b, &c];
+        let mut stats = vec![KernelStats::default(); batch.len()];
+        let mut scratch = KernelScratch::new();
+        let got = scores_batch(
+            &batch,
+            &arena,
+            0..arena.len(),
+            &mut stats,
+            &mut scratch,
+            false,
+        );
+        for ((prepared, scores), stats) in batch.into_iter().zip(got).zip(&stats) {
             for (k, subject) in subjects.iter().enumerate() {
                 let expect = sw_score_affine(&query, &subject.codes, prepared.scoring()).score;
                 assert_eq!(scores[k], expect);
             }
+            assert_eq!(stats.interseq_total(), subjects.len() as u64);
         }
     }
 
     #[test]
-    fn scores_arena_on_a_subrange_of_a_sorted_arena() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(221);
-        let query: Vec<u8> = (0..50).map(|_| rng.random_range(0..20u8)).collect();
+    fn chain_on_a_subrange_of_a_sorted_arena() {
+        let query = random_query(221, 50);
         let subjects = random_subjects(222, 25, 120);
-        let prepared = PreparedQuery::new(&query, &scoring(), EnginePreference::Auto);
+        let prepared = PreparedQuery::new(&query, &scoring(), Default::default());
         let arena = DbArena::length_sorted(&subjects);
         let mut stats = KernelStats::default();
         let got = scores_arena(&prepared, &arena, 5..20, &mut stats);

@@ -9,43 +9,46 @@
 //! * [`profile`] — the striped query profile (Farrar's layout: query
 //!   position `j` lives in vector `j % seg_len`, lane `j / seg_len`),
 //! * [`lanes`] — the signed saturating lane arithmetic (`i8`/`i16`/`i32`),
+//! * `vec` — the `SimdVec` trait (the dozen vector operations the two
+//!   recurrences need), its four x86 impls (SSE4.1 and AVX2, i8 and i16) —
+//!   the only place `std::arch` arithmetic appears — and [`Isa`], the tier
+//!   resolved once per [`PreparedQuery`],
+//! * `striped` — the vector striped kernel, written once over `SimdVec`,
 //! * [`portable`] — the striped kernel over plain arrays (works on every
-//!   architecture; the reference for the intrinsics path),
-//! * [`sse`] — x86-64 intrinsics kernels (16 × i8 via SSE4.1, 8 × i16 via
-//!   SSE2), selected at runtime,
-//! * [`engine`] — the dispatch + saturation-fallback chain: 8-bit kernel
-//!   first, recompute with 16 bits on saturation, fall back to the exact
-//!   scalar kernel as a last resort,
+//!   architecture; the reference for the vector kernel),
+//! * [`engine`] — [`PreparedQuery`] and the striped saturation-fallback
+//!   chain: 8-bit kernel first, recompute with 16 bits on saturation, fall
+//!   back to the exact scalar kernel as a last resort,
 //! * [`interseq`] — the Rognes/SWIPE-style *inter-sequence* kernel family
 //!   (the related-work baseline [17]): `LANES` database sequences scored
 //!   simultaneously in the lanes of one vector, lanes refilling from the
-//!   queue, with its own i8 → i16 → scalar saturation chain,
-//! * [`interseq_sse`] / [`interseq_avx2`] — the hand-vectorized
-//!   inter-sequence passes (16/8 lanes per 128-bit register, 32/16 per
-//!   256-bit register) whose score gather is a 16 × 16 byte transpose,
+//!   queue, for a whole query *batch* per pass (a lone query is the batch
+//!   of one); one vector pass over `SimdVec`, one portable pass, and their
+//!   i8 → i16 → scalar saturation chain,
+//! * [`exec`] — the shard executor: THE chunk-claim loop every scan owner
+//!   drives, with adaptive per-chunk kernel dispatch,
 //! * [`search`] — a multi-threaded query × database scan with
 //!   self-scheduled chunks (the intra-node parallelisation of Rognes'
-//!   SWIPE-style tools) and adaptive per-chunk kernel dispatch
-//!   ([`search::KernelChoice`]), producing a ranked hit list.
+//!   SWIPE-style tools, [`search::KernelChoice`]), producing a ranked hit
+//!   list.
 //!
 //! Every kernel computes the **Gotoh affine-gap local alignment score** and
 //! is validated against `swhybrid_align::score_only::sw_score_affine`.
 
-pub mod avx2;
 pub mod engine;
 pub mod exec;
 pub mod interseq;
-pub mod interseq_avx2;
-pub mod interseq_sse;
 pub mod lanes;
 pub mod portable;
 pub mod profile;
 pub mod scratch;
 pub mod search;
-pub mod sse;
+mod striped;
+pub(crate) mod vec;
 
 pub use engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
 pub use exec::{chunk_floor, chunk_size, materialize_hits, ShardExecutor, ShardPlan};
 pub use profile::StripedProfile;
 pub use scratch::KernelScratch;
 pub use search::{DatabaseSearch, Hit, KernelChoice, SearchConfig};
+pub use vec::Isa;

@@ -3,8 +3,8 @@
 //! Implements Farrar's striped recurrence with the paper's signed-integer
 //! adaptation over plain arrays, one "vector" being `T::SIMD_LANES`
 //! consecutive elements. It is architecture-independent, auto-vectorisable,
-//! and — most importantly — the executable specification the intrinsics
-//! kernels in [`crate::sse`] are compared against lane-for-lane.
+//! and — most importantly — the executable specification the vector kernel
+//! in `simd::striped` is compared against lane-for-lane.
 //!
 //! ## Recurrence (per database residue, column `j`)
 //!
@@ -33,7 +33,7 @@ pub struct StripedOutcome {
 }
 
 /// Reusable DP rows for the striped kernels (this portable one and the
-/// intrinsics kernels in [`crate::sse`] / [`crate::avx2`]); allocate once
+/// vector kernel in `simd::striped`); allocate once
 /// per worker — typically as part of [`crate::scratch::KernelScratch`] —
 /// and reuse across subjects and chunks. Rows grow high-water: `reset`
 /// only changes lengths, so steady-state reuse never reallocates.
@@ -43,7 +43,7 @@ pub struct Workspace<T: Lane> {
     pub(crate) h_store: Vec<T>,
     pub(crate) e: Vec<T>,
     /// The wrap-around H vector of the current column (portable path only;
-    /// the intrinsics kernels keep it in a register).
+    /// the vector kernel keeps it in a register).
     pub(crate) vh: Vec<T>,
     /// The F carry vector (portable path only).
     pub(crate) vf: Vec<T>,

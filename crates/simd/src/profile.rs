@@ -85,8 +85,8 @@ impl<T: Lane> StripedProfile<T> {
         &self.data[base..base + self.lanes]
     }
 
-    /// Raw pointer to vector `k` of code `r` — used by the intrinsics
-    /// kernels for `_mm_load_si128`-style access.
+    /// Raw pointer to vector `k` of code `r` — what the vector kernel
+    /// hands to `SimdVec::load`.
     #[inline(always)]
     pub fn vector_ptr(&self, r: u8, k: usize) -> *const T {
         self.data[(r as usize * self.seg_len + k) * self.lanes..].as_ptr()

@@ -5,9 +5,9 @@
 //! reflects the hardware; an allocator round-trip per claimed chunk breaks
 //! that. [`KernelScratch`] therefore owns the complete working set of every
 //! kernel family — the striped H/E rows ([`crate::portable::Workspace`] at
-//! both widths), the inter-sequence lane state at both widths (solo and
-//! fused multi-query variants), the i8→i16→scalar fallback job lists, and
-//! the score output vectors — all sized high-water: each buffer grows to the
+//! both widths), the inter-sequence lane state at both widths (one slot
+//! per batch query), the i8→i16→scalar fallback job lists, and the score
+//! output vectors — all sized high-water: each buffer grows to the
 //! largest chunk/query it has seen and is then only `clear()`ed and
 //! `resize()`d (a length change, never a reallocation) on reuse. After the
 //! first chunk a worker claims, the steady-state scan performs **zero** heap
@@ -24,21 +24,23 @@
 use crate::lanes::Lane;
 use crate::portable::Workspace;
 
-/// Reusable buffers for one inter-sequence lane width (solo and fused
-/// multi-query variants). Grown high-water, never shrunk.
+/// Reusable buffers for one inter-sequence lane width: one slot of DP state
+/// and results per batch query, plus the portable pass's lane state. Grown
+/// high-water, never shrunk.
 pub(crate) struct WidthBuf<T: Lane> {
-    /// Per-job pass results (`Some(score)` exact, `None` saturated).
-    pub(crate) results: Vec<Option<i32>>,
-    /// Lane-major H row, `(m + 1) * lanes`.
-    pub(crate) h: Vec<T>,
-    /// Lane-major E row, `(m + 1) * lanes`.
-    pub(crate) e: Vec<T>,
+    /// Per-query pass results (`Some(score)` exact, `None` saturated).
+    pub(crate) results: Vec<Vec<Option<i32>>>,
+    /// Per-query lane-major H rows, `(m + 1) * lanes`.
+    pub(crate) h: Vec<Vec<T>>,
+    /// Per-query lane-major E rows, `(m + 1) * lanes`.
+    pub(crate) e: Vec<Vec<T>>,
+    /// Per-lane running best: flattened `nq * lanes` in the vector pass,
+    /// `lanes` in the portable pass (one query at a time).
+    pub(crate) best: Vec<T>,
     /// Portable pass: query-major score columns, `dim * m`.
     pub(crate) colprof: Vec<T>,
     /// Portable pass: the gathered score column, `(m + 1) * lanes`.
     pub(crate) score_col: Vec<T>,
-    /// Portable pass: per-lane running best.
-    pub(crate) best: Vec<T>,
     /// Portable pass: per-lane job index (or IDLE).
     pub(crate) lane_job: Vec<usize>,
     /// Portable pass: per-lane position within the subject.
@@ -49,14 +51,6 @@ pub(crate) struct WidthBuf<T: Lane> {
     pub(crate) diag: Vec<T>,
     /// Portable pass: per-lane F carry.
     pub(crate) f: Vec<T>,
-    /// Fused pass: per-query pass results.
-    pub(crate) mresults: Vec<Vec<Option<i32>>>,
-    /// Fused pass: per-query lane-major H rows.
-    pub(crate) mh: Vec<Vec<T>>,
-    /// Fused pass: per-query lane-major E rows.
-    pub(crate) me: Vec<Vec<T>>,
-    /// Fused pass: per-query per-lane best, flattened `nq * lanes`.
-    pub(crate) mbest: Vec<T>,
 }
 
 impl<T: Lane> WidthBuf<T> {
@@ -65,18 +59,24 @@ impl<T: Lane> WidthBuf<T> {
             results: Vec::new(),
             h: Vec::new(),
             e: Vec::new(),
+            best: Vec::new(),
             colprof: Vec::new(),
             score_col: Vec::new(),
-            best: Vec::new(),
             lane_job: Vec::new(),
             lane_pos: Vec::new(),
             live: Vec::new(),
             diag: Vec::new(),
             f: Vec::new(),
-            mresults: Vec::new(),
-            mh: Vec::new(),
-            me: Vec::new(),
-            mbest: Vec::new(),
+        }
+    }
+
+    /// Make sure at least `nq` per-query slots exist. Never shrinks, so a
+    /// smaller batch leaves the larger batch's warm rows in place.
+    pub(crate) fn grow_slots(&mut self, nq: usize) {
+        if self.results.len() < nq {
+            self.results.resize_with(nq, Vec::new);
+            self.h.resize_with(nq, Vec::new);
+            self.e.resize_with(nq, Vec::new);
         }
     }
 }
@@ -113,12 +113,10 @@ pub struct KernelScratch {
     pub(crate) ws8: Workspace<i8>,
     /// Striped i16 DP rows (the saturation rerun width).
     pub(crate) ws16: Workspace<i16>,
-    /// Inter-sequence chain buffers (solo and fused).
+    /// Inter-sequence chain buffers.
     pub(crate) interseq: InterSeqScratch,
-    /// Solo-chain score output, one per chunk position.
-    pub(crate) scores: Vec<i32>,
-    /// Fused-chain score output, one vector per batch query.
-    pub(crate) multi_scores: Vec<Vec<i32>>,
+    /// Inter-sequence chain score output, one vector per batch query.
+    pub(crate) scores: Vec<Vec<i32>>,
 }
 
 impl KernelScratch {
@@ -130,7 +128,6 @@ impl KernelScratch {
             ws16: Workspace::new(),
             interseq: InterSeqScratch::new(),
             scores: Vec::new(),
-            multi_scores: Vec::new(),
         }
     }
 }

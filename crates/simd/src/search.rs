@@ -37,11 +37,9 @@ use std::sync::Arc;
 
 use crate::engine::{EnginePreference, KernelStats, PreparedQuery};
 use crate::exec::{demux_top_n, ShardExecutor, ShardPlan};
-use crate::scratch::KernelScratch;
 use swhybrid_align::alignment::Alignment;
 use swhybrid_align::gotoh::gotoh_align;
 use swhybrid_align::scoring::Scoring;
-use swhybrid_align::stats::cells;
 use swhybrid_seq::arena::DbArena;
 use swhybrid_seq::sequence::EncodedSequence;
 
@@ -116,7 +114,7 @@ pub struct SearchConfig {
     pub top_n: usize,
     /// Subjects per self-scheduled chunk.
     pub chunk_size: usize,
-    /// Kernel family preference (intrinsics vs portable).
+    /// Kernel tier preference (widest vector tier vs portable).
     pub preference: EnginePreference,
     /// Kernel dispatch: striped, inter-sequence, or adaptive.
     pub kernel: KernelChoice,
@@ -266,191 +264,88 @@ impl<'a> DatabaseSearch<'a> {
     }
 
     /// Scan `subjects` and return the ranked hits. The query profiles are
-    /// built once and shared by every worker.
+    /// built once and shared by every worker; the subjects are packed into
+    /// a transient [`DbArena`] (length-sorted when `config.sort_by_length`)
+    /// — callers that already hold an arena and a [`PreparedQuery`] use
+    /// [`search_arena`] directly.
     pub fn run(&self, subjects: &[EncodedSequence]) -> SearchResult {
+        let config = &self.config;
         let prepared = Arc::new(PreparedQuery::new(
             self.query,
             self.scoring,
-            self.config.preference,
+            config.preference,
         ));
-        search_prepared(&prepared, subjects, &self.config)
+        let arena = if config.sort_by_length {
+            DbArena::length_sorted(subjects)
+        } else {
+            DbArena::from_encoded(subjects)
+        };
+        let out = search_arena(&prepared, &arena, 0..arena.len(), config);
+        let hits = crate::exec::materialize_hits(&out.scored, |i| subjects[i].id.clone());
+        SearchResult {
+            hits,
+            cells: out.cells,
+            cells_nominal: out.cells_nominal,
+            stats: out.stats,
+        }
     }
 }
 
-/// Scan `subjects` with an already-prepared query (shared profiles). This
-/// is the entry point for long-lived callers — a server that keeps
-/// [`PreparedQuery`]s across searches skips the per-query profile build
-/// entirely. `config.preference` is ignored: the preference is baked into
-/// the prepared profiles.
-///
-/// The subjects are packed into a transient [`DbArena`] (length-sorted when
-/// `config.sort_by_length`); callers that already hold an arena should use
-/// [`search_arena`] directly.
-pub fn search_prepared(
-    prepared: &Arc<PreparedQuery>,
-    subjects: &[EncodedSequence],
-    config: &SearchConfig,
-) -> SearchResult {
-    let arena = if config.sort_by_length {
-        DbArena::length_sorted(subjects)
-    } else {
-        DbArena::from_encoded(subjects)
-    };
-    let out = search_arena(prepared, &arena, 0..arena.len(), config);
-    let hits = crate::exec::materialize_hits(&out.scored, |i| subjects[i].id.clone());
-    SearchResult {
-        hits,
-        cells: out.cells,
-        cells_nominal: out.cells_nominal,
-        stats: out.stats,
-    }
-}
-
-/// Scan the arena positions in `range` with an already-prepared query.
-/// Workers claim chunks of scan positions; each chunk is dispatched per
-/// `config.kernel`. Returned records are keyed by **database** index
-/// ([`DbArena::db_index`]), so the output is independent of the arena's
-/// scan order.
+/// Scan the arena positions in `range` with an already-prepared query (a
+/// long-lived caller that keeps [`PreparedQuery`]s across searches skips
+/// the per-query profile build entirely; `config.preference` is ignored,
+/// the tier is baked into the prepared profiles). Workers claim chunks of
+/// scan positions; each chunk is dispatched per `config.kernel`. Returned
+/// records are keyed by **database** index ([`DbArena::db_index`]), so the
+/// output is independent of the arena's scan order.
 pub fn search_arena(
     prepared: &Arc<PreparedQuery>,
     arena: &DbArena,
     range: Range<usize>,
     config: &SearchConfig,
 ) -> ScanOutput {
-    search_arena_with_scratch(prepared, arena, range, config, &mut KernelScratch::new())
+    let batch = [(Arc::clone(prepared), config.top_n)];
+    let mut outputs = scan_batch(&batch, arena, range, config);
+    outputs.pop().expect("one output per batch entry")
 }
 
-/// [`search_arena`] with a caller-owned [`KernelScratch`] for the
-/// single-worker path. Long-lived executors (serve PE threads, the remote
-/// slave) keep one scratch per thread so back-to-back shards find warm,
-/// already-sized buffers — the steady-state scan then allocates nothing.
-/// With `config.threads > 1` every spawned worker owns its own scratch for
-/// its lifetime and `scratch` is left untouched.
-pub fn search_arena_with_scratch(
-    prepared: &Arc<PreparedQuery>,
-    arena: &DbArena,
-    range: Range<usize>,
-    config: &SearchConfig,
-    scratch: &mut KernelScratch,
-) -> ScanOutput {
-    assert!(config.threads >= 1, "at least one worker required");
-    assert!(config.chunk_size >= 1, "chunk size must be positive");
-    assert!(range.end <= arena.len(), "scan range out of bounds");
-    let span = range.len();
-    let n_workers = config.threads.min(span.max(1));
-    let cursor = AtomicUsize::new(0);
-    let plan = ShardPlan::from_config(range.clone(), config);
-
-    let mut worker_outputs: Vec<(Vec<Scored>, KernelStats)> = if n_workers == 1 {
-        // Single worker: run on the caller's scratch so a long-lived owner
-        // keeps its warm buffers (moved into the executor and back).
-        let mut executor = ShardExecutor::from_scratch(std::mem::take(scratch));
-        let out = executor.solo(prepared, arena, &plan, &cursor, config.top_n);
-        *scratch = executor.into_scratch();
-        vec![out]
-    } else {
-        let mut outs = Vec::with_capacity(n_workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|_| {
-                    let plan = &plan;
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        ShardExecutor::new().solo(prepared, arena, plan, cursor, config.top_n)
-                    })
-                })
-                .collect();
-            for h in handles {
-                outs.push(h.join().expect("search worker panicked"));
-            }
-        });
-        outs
-    };
-
-    let mut stats = KernelStats::default();
-    for (_, worker_stats) in &worker_outputs {
-        stats.merge(worker_stats);
-    }
-    let mut scored: Vec<Scored> = worker_outputs
-        .drain(..)
-        .flat_map(|(worker_scored, _)| worker_scored)
-        .collect();
-    rank_scored(&mut scored);
-    scored.truncate(config.top_n);
-
-    ScanOutput {
-        scored,
-        cells: stats.cells_computed,
-        cells_nominal: cells(prepared.query_len(), 1) * arena.range_residues(range),
-        stats,
-    }
-}
-
-/// Scan the arena positions in `range` for a *batch* of prepared queries
-/// at once — the fused-scan entry point of the serve path. Each entry is
-/// `(prepared query, top_n)`; the returned outputs are paired positionally
-/// with the batch.
+/// THE worker-spawning scan: `config.threads` workers, each a
+/// [`ShardExecutor`] with its own scratch, claim chunks of `range` from one
+/// shared cursor and score every `(prepared query, top_n)` entry of `batch`
+/// against each chunk; the per-worker lists are merged and demuxed into one
+/// [`ScanOutput`] per entry (`config.top_n` is ignored, each entry carries
+/// its own).
 ///
-/// Workers claim chunks exactly as [`search_arena`] does, but score every
-/// query of the batch against a chunk while its residues are hot in cache:
-/// the striped kernel loops per query per chunk, the inter-sequence kernel
-/// re-runs its lane buffer over the same chunk per query. Per-query kernel
-/// work is *identical* to a solo [`search_arena`] run — the kernel choice
+/// Per-query kernel work does not depend on the batch — the kernel choice
 /// depends only on the query and the chunk shape, lane scheduling in the
 /// inter-sequence pass is score-independent, and ranking is a total order —
 /// so each output is byte-identical to scanning that query alone
 /// (`fused_batch_matches_solo_scans` and the serve crate's permutation
-/// property prove the law). `config.top_n` is ignored; each entry carries
-/// its own.
-pub fn search_arena_multi(
+/// property prove the law).
+pub(crate) fn scan_batch(
     batch: &[(Arc<PreparedQuery>, usize)],
     arena: &DbArena,
     range: Range<usize>,
     config: &SearchConfig,
-) -> Vec<ScanOutput> {
-    search_arena_multi_with_scratch(batch, arena, range, config, &mut KernelScratch::new())
-}
-
-/// [`search_arena_multi`] with a caller-owned [`KernelScratch`] (see
-/// [`search_arena_with_scratch`] for the ownership model).
-pub fn search_arena_multi_with_scratch(
-    batch: &[(Arc<PreparedQuery>, usize)],
-    arena: &DbArena,
-    range: Range<usize>,
-    config: &SearchConfig,
-    scratch: &mut KernelScratch,
 ) -> Vec<ScanOutput> {
     assert!(config.threads >= 1, "at least one worker required");
     assert!(config.chunk_size >= 1, "chunk size must be positive");
     assert!(range.end <= arena.len(), "scan range out of bounds");
-    if batch.is_empty() {
-        return Vec::new();
-    }
-    let span = range.len();
-    let n_workers = config.threads.min(span.max(1));
+    let n_workers = config.threads.min(range.len().max(1));
     let cursor = AtomicUsize::new(0);
     let plan = ShardPlan::from_config(range.clone(), config);
+    let worker = || ShardExecutor::new().fused(batch, arena, &plan, &cursor);
 
     let worker_outputs: Vec<Vec<(Vec<Scored>, KernelStats)>> = if n_workers == 1 {
-        let mut executor = ShardExecutor::from_scratch(std::mem::take(scratch));
-        let out = executor.fused(batch, arena, &plan, &cursor);
-        *scratch = executor.into_scratch();
-        vec![out]
+        vec![worker()]
     } else {
-        let mut outs = Vec::with_capacity(n_workers);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|_| {
-                    let plan = &plan;
-                    let cursor = &cursor;
-                    scope.spawn(move || ShardExecutor::new().fused(batch, arena, plan, cursor))
-                })
-                .collect();
-            for h in handles {
-                outs.push(h.join().expect("fused search worker panicked"));
-            }
-        });
-        outs
+            let handles: Vec<_> = (0..n_workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("search worker panicked"))
+                .collect()
+        })
     };
 
     let mut merged: Vec<(Vec<Scored>, KernelStats)> =
@@ -776,12 +671,12 @@ mod tests {
         };
         let whole = DatabaseSearch::new(&query, &s, cfg.clone()).run(&db);
 
-        let prepared = Arc::new(PreparedQuery::new(&query, &s, cfg.preference));
         let bounds = [0usize, 13, 50, 51, 120];
         let shard_lists: Vec<Vec<Hit>> = bounds
             .windows(2)
             .map(|w| {
-                let mut part = search_prepared(&prepared, &db[w[0]..w[1]], &cfg).hits;
+                let shard = DatabaseSearch::new(&query, &s, cfg.clone());
+                let mut part = shard.run(&db[w[0]..w[1]]).hits;
                 // Shard hits index into the shard; rebase to global order.
                 for h in &mut part {
                     h.db_index += w[0];
@@ -806,7 +701,7 @@ mod tests {
         let prepared = Arc::new(PreparedQuery::new(&query, &s, cfg.preference));
         let arena = DbArena::from_encoded(&db);
         let out = search_arena(&prepared, &arena, 20..55, &cfg);
-        let slice = search_prepared(&prepared, &db[20..55], &cfg);
+        let slice = DatabaseSearch::new(&query, &s, cfg.clone()).run(&db[20..55]);
         let rebased: Vec<Scored> = slice
             .hits
             .iter()
@@ -858,7 +753,7 @@ mod tests {
                         )
                     })
                     .collect();
-                let fused = search_arena_multi(&batch, &arena, 0..arena.len(), &cfg);
+                let fused = scan_batch(&batch, &arena, 0..arena.len(), &cfg);
                 assert_eq!(fused.len(), batch.len());
                 for ((prepared, top_n), out) in batch.iter().zip(&fused) {
                     let solo_cfg = SearchConfig {
@@ -875,7 +770,7 @@ mod tests {
         }
     }
 
-    /// A single-entry batch degrades to exactly `search_arena`, and an
+    /// `ShardExecutor::execute` on one worker is the same scan, and an
     /// empty batch returns nothing without touching the arena.
     #[test]
     fn fused_batch_edge_sizes() {
@@ -889,12 +784,15 @@ mod tests {
             ..Default::default()
         };
         let prepared = Arc::new(PreparedQuery::new(&query, &s, cfg.preference));
-        let fused = search_arena_multi(&[(Arc::clone(&prepared), 7)], &arena, 10..35, &cfg);
+        let plan = ShardPlan::from_config(10..35, &cfg);
+        let fused = ShardExecutor::new().execute(&[(Arc::clone(&prepared), 7)], &arena, &plan);
         let solo = search_arena(&prepared, &arena, 10..35, &cfg);
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].scored, solo.scored);
         assert_eq!(fused[0].cells, solo.cells);
-        assert!(search_arena_multi(&[], &arena, 0..arena.len(), &cfg).is_empty());
+        assert_eq!(fused[0].stats, solo.stats);
+        assert!(ShardExecutor::new().execute(&[], &arena, &plan).is_empty());
+        assert!(scan_batch(&[], &arena, 0..arena.len(), &cfg).is_empty());
     }
 
     #[test]

@@ -1,0 +1,770 @@
+//! The vector abstraction under both kernel families, and the one module
+//! that touches `std::arch`.
+//!
+//! [`SimdVec`] is the complete list of vector operations the two DP
+//! recurrences need — nothing else in the crate names an intrinsic (the
+//! prefetch hint in [`crate::scratch`] aside). [`crate::striped`] and
+//! [`crate::interseq`] each write their recurrence **once** as an
+//! `#[inline(always)]` body generic over `V: SimdVec`; a `#[target_feature]`
+//! stub per ISA tier instantiates it, so the body is compiled with the
+//! tier's instructions enabled and every trait method inlines down to its
+//! single intrinsic. A new tier (AVX-512BW, NEON) is one more set of impls
+//! here plus one match arm per algorithm.
+//!
+//! [`Isa`] names the tiers. The tier is resolved **once**, when a
+//! [`crate::engine::PreparedQuery`] is built, and every kernel dispatch
+//! afterwards is a single `match` on the stored value.
+
+#![allow(unsafe_code)]
+
+use crate::engine::EnginePreference;
+use crate::lanes::Lane;
+
+/// Lane count of the widest vector of any tier (AVX2, 32 × i8). Sizes the
+/// per-lane cursor arrays of the inter-sequence pass and sets
+/// [`crate::exec::chunk_floor`].
+pub(crate) const MAX_LANES: usize = 32;
+
+/// Rows and row stride of the padded score table the inter-sequence gather
+/// reads ([`crate::engine::PreparedQuery::score_table`]): one 32-byte row
+/// per database residue code, 32 rows, so any residue masked to five bits
+/// addresses a whole row.
+pub(crate) const TABLE_DIM: usize = 32;
+
+/// An instruction-set tier of the vector kernels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Isa {
+    /// 256-bit registers: 32 × i8 / 16 × i16 lanes.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// 128-bit registers: 16 × i8 / 8 × i16 lanes. SSE4.1 is the floor
+    /// because signed byte `max` arrived with it — the paper's "signed
+    /// integers instead of unsigned" adaptation presumes it.
+    #[cfg(target_arch = "x86_64")]
+    Sse41,
+    /// The array kernels of [`crate::portable`] and the portable
+    /// inter-sequence pass: every architecture, and the test oracle.
+    Portable,
+}
+
+impl Isa {
+    #[cfg(target_arch = "x86_64")]
+    const ALL: [Isa; 3] = [Isa::Avx2, Isa::Sse41, Isa::Portable];
+    #[cfg(not(target_arch = "x86_64"))]
+    const ALL: [Isa; 1] = [Isa::Portable];
+
+    /// Whether this CPU can run the tier.
+    pub fn is_available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Sse41 => is_x86_feature_detected!("sse4.1"),
+            Isa::Portable => true,
+        }
+    }
+
+    /// Every tier this CPU can run, widest first; [`Isa::Portable`] is
+    /// always last.
+    pub fn available() -> impl Iterator<Item = Isa> {
+        Isa::ALL.into_iter().filter(|isa| isa.is_available())
+    }
+
+    /// THE tier decision: the widest available tier, or the portable
+    /// kernels when the caller forces them.
+    pub(crate) fn resolve(preference: EnginePreference) -> Isa {
+        match preference {
+            EnginePreference::Portable => Isa::Portable,
+            EnginePreference::Auto => Isa::available()
+                .next()
+                .expect("the portable tier is always available"),
+        }
+    }
+
+    /// Lanes per vector of element type `T` on this tier.
+    pub(crate) fn lanes<T: Lane>(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => 2 * T::SIMD_LANES,
+            _ => T::SIMD_LANES,
+        }
+    }
+}
+
+/// A vector of `LANES` signed saturating DP lanes: exactly the operations
+/// the striped and inter-sequence recurrences use.
+///
+/// # Safety
+/// Every method requires that the CPU supports the implementing tier's
+/// instructions (callers sit behind a `#[target_feature]` stub reached only
+/// through a [`crate::engine::PreparedQuery`] whose [`Isa`] was checked
+/// with [`Isa::is_available`]). Pointer arguments must be valid for `LANES`
+/// elements; no alignment is required.
+pub trait SimdVec: Copy {
+    /// The lane type.
+    type Elem: Lane;
+    /// Lanes per vector.
+    const LANES: usize;
+
+    /// Every lane `x` (gap penalties, the zero floor, the −∞ carry).
+    unsafe fn splat(x: Self::Elem) -> Self;
+    /// Read one vector of DP state or profile scores.
+    unsafe fn load(p: *const Self::Elem) -> Self;
+    /// Write one vector of DP state.
+    unsafe fn store(self, p: *mut Self::Elem);
+    /// Lane-wise saturating add (`H_diag + score`).
+    unsafe fn adds(self, o: Self) -> Self;
+    /// Lane-wise saturating subtract (gap open / extend).
+    unsafe fn subs(self, o: Self) -> Self;
+    /// Lane-wise signed max (the recurrence's `max` and the zero floor).
+    unsafe fn max(self, o: Self) -> Self;
+    /// Whether any lane of `self` exceeds `o` (striped lazy-F: is the carry
+    /// still alive?).
+    unsafe fn any_gt(self, o: Self) -> bool;
+    /// Move every lane up by one; lane 0 receives the top lane of `fill`'s
+    /// low 128 bits. Striped only — its layout puts query position `j + 1`
+    /// one lane above `j` at the stripe wrap. Callers pass a splat: zero
+    /// for the `H` boundary, `MIN` for the `F` carry.
+    unsafe fn shift_in(self, fill: Self) -> Self;
+    /// The inter-sequence score gather. For each query symbol `s` below
+    /// `16 × halves`, write to `dprofile[s × LANES..][..LANES]` the score of
+    /// `s` against every lane's current residue: `table[codes[lane]][s]`.
+    /// `table` is the `TABLE_DIM × TABLE_DIM` padded score table, every
+    /// `codes[lane]` is below `TABLE_DIM`, and `dprofile` has room for
+    /// `TABLE_DIM × LANES` elements.
+    unsafe fn gather(
+        table: *const i8,
+        codes: &[usize; MAX_LANES],
+        halves: usize,
+        dprofile: *mut Self::Elem,
+    );
+
+    /// Largest lane (the striped kernel's final score).
+    #[inline(always)]
+    unsafe fn hmax(self) -> Self::Elem {
+        let mut lanes = [Self::Elem::MIN; MAX_LANES];
+        self.store(lanes.as_mut_ptr());
+        let mut best = lanes[0];
+        for &x in &lanes[1..Self::LANES] {
+            best = best.max(x);
+        }
+        best
+    }
+}
+
+/// The kernel lane widths, `i8` and `i16`: names each width's vector type
+/// on every tier, so a dispatch site is one `match` written once for both
+/// widths of the saturation chain.
+pub trait Width: Lane {
+    /// This width in a 128-bit register.
+    #[cfg(target_arch = "x86_64")]
+    type Sse41: SimdVec<Elem = Self>;
+    /// This width in a 256-bit register.
+    #[cfg(target_arch = "x86_64")]
+    type Avx2: SimdVec<Elem = Self>;
+}
+
+impl Width for i8 {
+    #[cfg(target_arch = "x86_64")]
+    type Sse41 = x86::Sse41I8;
+    #[cfg(target_arch = "x86_64")]
+    type Avx2 = x86::Avx2I8;
+}
+
+impl Width for i16 {
+    #[cfg(target_arch = "x86_64")]
+    type Sse41 = x86::Sse41I16;
+    #[cfg(target_arch = "x86_64")]
+    type Avx2 = x86::Avx2I16;
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{SimdVec, MAX_LANES, TABLE_DIM};
+    use std::arch::x86_64::*;
+
+    /// Transpose a 16 × 16 byte matrix: `out[s]` byte `l` = `rows[l]` byte
+    /// `s`. A 4-stage unpack network (8 → 16 → 32 → 64 bit granularity);
+    /// all intrinsics are baseline SSE2.
+    #[inline(always)]
+    unsafe fn transpose_16x16(rows: [__m128i; 16]) -> [__m128i; 16] {
+        let z = _mm_setzero_si128();
+        let mut u = [z; 16]; // u[2g], u[2g+1]: rows (2g, 2g+1), cols 0-7 / 8-15
+        for g in 0..8 {
+            u[2 * g] = _mm_unpacklo_epi8(rows[2 * g], rows[2 * g + 1]);
+            u[2 * g + 1] = _mm_unpackhi_epi8(rows[2 * g], rows[2 * g + 1]);
+        }
+        let mut v = [z; 16]; // row quads × col quads
+        for g in 0..4 {
+            v[4 * g] = _mm_unpacklo_epi16(u[4 * g], u[4 * g + 2]);
+            v[4 * g + 1] = _mm_unpackhi_epi16(u[4 * g], u[4 * g + 2]);
+            v[4 * g + 2] = _mm_unpacklo_epi16(u[4 * g + 1], u[4 * g + 3]);
+            v[4 * g + 3] = _mm_unpackhi_epi16(u[4 * g + 1], u[4 * g + 3]);
+        }
+        let mut w = [z; 16]; // row octets × col pairs
+        for g in 0..2 {
+            for k in 0..4 {
+                w[8 * g + 2 * k] = _mm_unpacklo_epi32(v[8 * g + k], v[8 * g + 4 + k]);
+                w[8 * g + 2 * k + 1] = _mm_unpackhi_epi32(v[8 * g + k], v[8 * g + 4 + k]);
+            }
+        }
+        let mut out = [z; 16];
+        for k in 0..8 {
+            out[2 * k] = _mm_unpacklo_epi64(w[k], w[8 + k]);
+            out[2 * k + 1] = _mm_unpackhi_epi64(w[k], w[8 + k]);
+        }
+        out
+    }
+
+    /// The gather's shared half: load the table rows of up to 16 lanes'
+    /// residues (absent lanes read as zero rows) for query symbols
+    /// `16 × half ..`, and transpose them so `out[s]` holds symbol
+    /// `16 × half + s`'s score against each lane.
+    #[inline(always)]
+    unsafe fn symbol_scores(table: *const i8, codes: &[usize], half: usize) -> [__m128i; 16] {
+        let mut rows = [_mm_setzero_si128(); 16];
+        for (row, &code) in rows.iter_mut().zip(codes) {
+            debug_assert!(code < TABLE_DIM);
+            *row = _mm_loadu_si128(table.add(code * TABLE_DIM + half * 16) as *const __m128i);
+        }
+        transpose_16x16(rows)
+    }
+
+    /// 16 × i8 in a 128-bit register.
+    #[derive(Clone, Copy)]
+    pub struct Sse41I8(__m128i);
+
+    impl SimdVec for Sse41I8 {
+        type Elem = i8;
+        const LANES: usize = 16;
+
+        #[inline(always)]
+        unsafe fn splat(x: i8) -> Self {
+            Self(_mm_set1_epi8(x))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i8) -> Self {
+            Self(_mm_loadu_si128(p as *const __m128i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut i8) {
+            _mm_storeu_si128(p as *mut __m128i, self.0)
+        }
+        #[inline(always)]
+        unsafe fn adds(self, o: Self) -> Self {
+            Self(_mm_adds_epi8(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn subs(self, o: Self) -> Self {
+            Self(_mm_subs_epi8(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            Self(_mm_max_epi8(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn any_gt(self, o: Self) -> bool {
+            _mm_movemask_epi8(_mm_cmpgt_epi8(self.0, o.0)) != 0
+        }
+        #[inline(always)]
+        unsafe fn shift_in(self, fill: Self) -> Self {
+            Self(_mm_alignr_epi8::<15>(self.0, fill.0))
+        }
+        #[inline(always)]
+        unsafe fn gather(
+            table: *const i8,
+            codes: &[usize; MAX_LANES],
+            halves: usize,
+            dprofile: *mut i8,
+        ) {
+            for half in 0..halves {
+                let scores = symbol_scores(table, &codes[..16], half);
+                for (s, v) in scores.iter().enumerate() {
+                    _mm_storeu_si128(dprofile.add((half * 16 + s) * 16) as *mut __m128i, *v);
+                }
+            }
+        }
+    }
+
+    /// 8 × i16 in a 128-bit register.
+    #[derive(Clone, Copy)]
+    pub struct Sse41I16(__m128i);
+
+    impl SimdVec for Sse41I16 {
+        type Elem = i16;
+        const LANES: usize = 8;
+
+        #[inline(always)]
+        unsafe fn splat(x: i16) -> Self {
+            Self(_mm_set1_epi16(x))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i16) -> Self {
+            Self(_mm_loadu_si128(p as *const __m128i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut i16) {
+            _mm_storeu_si128(p as *mut __m128i, self.0)
+        }
+        #[inline(always)]
+        unsafe fn adds(self, o: Self) -> Self {
+            Self(_mm_adds_epi16(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn subs(self, o: Self) -> Self {
+            Self(_mm_subs_epi16(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            Self(_mm_max_epi16(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn any_gt(self, o: Self) -> bool {
+            _mm_movemask_epi8(_mm_cmpgt_epi16(self.0, o.0)) != 0
+        }
+        #[inline(always)]
+        unsafe fn shift_in(self, fill: Self) -> Self {
+            Self(_mm_alignr_epi8::<14>(self.0, fill.0))
+        }
+        #[inline(always)]
+        unsafe fn gather(
+            table: *const i8,
+            codes: &[usize; MAX_LANES],
+            halves: usize,
+            dprofile: *mut i16,
+        ) {
+            // 8 live rows (+ 8 zero rows) through the byte transpose, then
+            // sign-extend each output's low 8 bytes.
+            for half in 0..halves {
+                let scores = symbol_scores(table, &codes[..8], half);
+                for (s, v) in scores.iter().enumerate() {
+                    let wide = _mm_cvtepi8_epi16(*v);
+                    _mm_storeu_si128(dprofile.add((half * 16 + s) * 8) as *mut __m128i, wide);
+                }
+            }
+        }
+    }
+
+    /// `shift_in` for 256-bit registers: `_mm256_alignr_epi8` shifts within
+    /// each 128-bit half, so first build the vector whose halves are what
+    /// each half must shift in — `fill`'s low half below, `v`'s low half
+    /// above. The byte count is the lane width (`16 - BYTES` for alignr).
+    #[inline(always)]
+    unsafe fn shift_in_256<const KEEP: i32>(v: __m256i, fill: __m256i) -> __m256i {
+        let below = _mm256_permute2x128_si256::<0x02>(v, fill);
+        _mm256_alignr_epi8::<KEEP>(v, below)
+    }
+
+    /// 32 × i8 in a 256-bit register.
+    #[derive(Clone, Copy)]
+    pub struct Avx2I8(__m256i);
+
+    impl SimdVec for Avx2I8 {
+        type Elem = i8;
+        const LANES: usize = 32;
+
+        #[inline(always)]
+        unsafe fn splat(x: i8) -> Self {
+            Self(_mm256_set1_epi8(x))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i8) -> Self {
+            Self(_mm256_loadu_si256(p as *const __m256i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut i8) {
+            _mm256_storeu_si256(p as *mut __m256i, self.0)
+        }
+        #[inline(always)]
+        unsafe fn adds(self, o: Self) -> Self {
+            Self(_mm256_adds_epi8(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn subs(self, o: Self) -> Self {
+            Self(_mm256_subs_epi8(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            Self(_mm256_max_epi8(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn any_gt(self, o: Self) -> bool {
+            _mm256_movemask_epi8(_mm256_cmpgt_epi8(self.0, o.0)) != 0
+        }
+        #[inline(always)]
+        unsafe fn shift_in(self, fill: Self) -> Self {
+            Self(shift_in_256::<15>(self.0, fill.0))
+        }
+        #[inline(always)]
+        unsafe fn gather(
+            table: *const i8,
+            codes: &[usize; MAX_LANES],
+            halves: usize,
+            dprofile: *mut i8,
+        ) {
+            // Two 16-lane transposes per half; each output is a 128-bit
+            // half of that symbol's 32-byte dprofile row.
+            for half in 0..halves {
+                for group in 0..2 {
+                    let scores = symbol_scores(table, &codes[group * 16..][..16], half);
+                    for (s, v) in scores.iter().enumerate() {
+                        let at = dprofile.add((half * 16 + s) * 32 + group * 16);
+                        _mm_storeu_si128(at as *mut __m128i, *v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// 16 × i16 in a 256-bit register.
+    #[derive(Clone, Copy)]
+    pub struct Avx2I16(__m256i);
+
+    impl SimdVec for Avx2I16 {
+        type Elem = i16;
+        const LANES: usize = 16;
+
+        #[inline(always)]
+        unsafe fn splat(x: i16) -> Self {
+            Self(_mm256_set1_epi16(x))
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i16) -> Self {
+            Self(_mm256_loadu_si256(p as *const __m256i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut i16) {
+            _mm256_storeu_si256(p as *mut __m256i, self.0)
+        }
+        #[inline(always)]
+        unsafe fn adds(self, o: Self) -> Self {
+            Self(_mm256_adds_epi16(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn subs(self, o: Self) -> Self {
+            Self(_mm256_subs_epi16(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            Self(_mm256_max_epi16(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn any_gt(self, o: Self) -> bool {
+            _mm256_movemask_epi8(_mm256_cmpgt_epi16(self.0, o.0)) != 0
+        }
+        #[inline(always)]
+        unsafe fn shift_in(self, fill: Self) -> Self {
+            Self(shift_in_256::<14>(self.0, fill.0))
+        }
+        #[inline(always)]
+        unsafe fn gather(
+            table: *const i8,
+            codes: &[usize; MAX_LANES],
+            halves: usize,
+            dprofile: *mut i16,
+        ) {
+            // One 16-lane transpose per half, sign-extended with vpmovsxbw.
+            for half in 0..halves {
+                let scores = symbol_scores(table, &codes[..16], half);
+                for (s, v) in scores.iter().enumerate() {
+                    let wide = _mm256_cvtepi8_epi16(*v);
+                    _mm256_storeu_si256(dprofile.add((half * 16 + s) * 16) as *mut __m256i, wide);
+                }
+            }
+        }
+    }
+}
+
+/// The kernel-equivalence table: every tier this CPU has × {i8, i16} ×
+/// {striped, inter-sequence at K = 1 and K = 4}, each cell compared with
+/// the portable kernels (scores and saturation flags) and, where it
+/// resolves, with the scalar oracle.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::PreparedQuery;
+    use crate::interseq::pass_results;
+    use crate::portable::{sw_striped_portable, Workspace};
+    use crate::profile::StripedProfile;
+    use crate::striped::sw_striped;
+    use rand::{RngExt, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use swhybrid_align::score_only::sw_score_affine;
+    use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
+    use swhybrid_seq::arena::DbArena;
+    use swhybrid_seq::sequence::EncodedSequence;
+    use swhybrid_seq::Alphabet;
+
+    /// Gap-open penalties of the table: the default, the last value an i8
+    /// lane holds, the first it must clamp, and one an i16 lane must clamp.
+    const GAP_OPENS: [i32; 4] = [10, 127, 128, 40_000];
+
+    fn scoring(open: i32) -> Scoring {
+        Scoring {
+            matrix: SubstMatrix::blosum62(),
+            gap: GapModel::Affine { open, extend: 2 },
+        }
+    }
+
+    fn codes(rng: &mut ChaCha8Rng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.random_range(0..20u8)).collect()
+    }
+
+    fn subject(id: &str, codes: Vec<u8>) -> EncodedSequence {
+        EncodedSequence {
+            id: id.into(),
+            codes,
+            alphabet: Alphabet::Protein,
+        }
+    }
+
+    fn random_subjects(rng: &mut ChaCha8Rng, n: usize, max_len: usize) -> Vec<EncodedSequence> {
+        (0..n)
+            .map(|i| {
+                let len = rng.random_range(1..max_len);
+                subject(&format!("s{i}"), codes(rng, len))
+            })
+            .collect()
+    }
+
+    /// Run one case at both widths on every available tier.
+    fn table(case8: fn(Isa), case16: fn(Isa)) {
+        for isa in Isa::available() {
+            case8(isa);
+            case16(isa);
+        }
+    }
+
+    #[test]
+    fn portable_is_always_the_last_tier_and_auto_takes_the_first() {
+        let tiers: Vec<Isa> = Isa::available().collect();
+        assert_eq!(tiers.last(), Some(&Isa::Portable));
+        assert_eq!(Isa::resolve(EnginePreference::Auto), tiers[0]);
+        assert_eq!(Isa::resolve(EnginePreference::Portable), Isa::Portable);
+        assert_eq!(Isa::Portable.lanes::<i8>(), 16);
+        assert_eq!(Isa::Portable.lanes::<i16>(), 8);
+        assert!(tiers.iter().all(|t| t.lanes::<i8>() <= MAX_LANES));
+    }
+
+    fn striped_case<T: Width>(isa: Isa) {
+        let mut rng = ChaCha8Rng::seed_from_u64(101 + isa.lanes::<T>() as u64);
+        let (mut ws, mut ws_portable) = (Workspace::<T>::new(), Workspace::<T>::new());
+        for open in GAP_OPENS {
+            let s = scoring(open);
+            let (goe, ext) = (open + 2, 2);
+            for round in 0..25 {
+                let query_len = rng.random_range(1..200);
+                let q = codes(&mut rng, query_len);
+                // Random subjects, the empty subject, and a self-match that
+                // saturates i8 once the query is long enough.
+                let subject_len = rng.random_range(1..200);
+                let subjects = [codes(&mut rng, subject_len), Vec::new(), q.clone()];
+                let profile =
+                    StripedProfile::<T>::build_with_lanes(&q, &s.matrix, isa.lanes::<T>());
+                for t in &subjects {
+                    let got = sw_striped(isa, &profile, t, goe, ext, &mut ws);
+                    let portable = sw_striped_portable(&profile, t, goe, ext, &mut ws_portable);
+                    let case = format!(
+                        "{isa:?} open {open} round {round} q={} t={}",
+                        q.len(),
+                        t.len()
+                    );
+                    assert_eq!(got, portable, "{case}");
+                    if !got.saturated {
+                        assert_eq!(got.score, sw_score_affine(&q, t, &s).score, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn striped_matches_portable_and_oracle_on_every_tier_and_width() {
+        table(striped_case::<i8>, striped_case::<i16>);
+    }
+
+    #[test]
+    fn striped_i8_flags_saturation_where_i16_resolves() {
+        let mut rng = ChaCha8Rng::seed_from_u64(107);
+        let q = codes(&mut rng, 300);
+        let s = scoring(10);
+        for isa in Isa::available() {
+            let p8 = StripedProfile::<i8>::build_with_lanes(&q, &s.matrix, isa.lanes::<i8>());
+            let out8 = sw_striped(isa, &p8, &q, 12, 2, &mut Workspace::new());
+            assert!(out8.saturated, "{isa:?}");
+            assert_eq!(out8.score, i8::MAX as i32);
+            let p16 = StripedProfile::<i16>::build_with_lanes(&q, &s.matrix, isa.lanes::<i16>());
+            let out16 = sw_striped(isa, &p16, &q, 12, 2, &mut Workspace::new());
+            assert!(!out16.saturated, "{isa:?}");
+            assert_eq!(out16.score, sw_score_affine(&q, &q, &s).score);
+        }
+    }
+
+    #[test]
+    fn striped_score_does_not_depend_on_the_lane_count() {
+        // The striped score is lane-layout invariant: 8- and 16-lane
+        // portable runs agree (this also validates build_with_lanes).
+        let matrix = SubstMatrix::blosum62();
+        let mut rng = ChaCha8Rng::seed_from_u64(305);
+        let mut ws = Workspace::<i16>::new();
+        for _ in 0..20 {
+            let (q, t) = (codes(&mut rng, 60), codes(&mut rng, 80));
+            let p8 = StripedProfile::<i16>::build_with_lanes(&q, &matrix, 8);
+            let p16 = StripedProfile::<i16>::build_with_lanes(&q, &matrix, 16);
+            let s8 = sw_striped_portable(&p8, &t, 12, 2, &mut ws);
+            let s16 = sw_striped_portable(&p16, &t, 12, 2, &mut ws);
+            assert_eq!(s8.score, s16.score);
+        }
+    }
+
+    /// One tier's inter-sequence pass at width `T`, K = 1 and K = 4, against
+    /// the portable pass and the oracle.
+    fn interseq_case<T: Width>(isa: Isa) {
+        let mut rng = ChaCha8Rng::seed_from_u64(301 + isa.lanes::<T>() as u64);
+        // Different lengths on purpose: a shared pass must keep each
+        // query's own DP extent while sharing the lane traversal.
+        let queries: Vec<Vec<u8>> = [20usize, 47, 1, 111]
+            .iter()
+            .map(|&m| codes(&mut rng, m))
+            .collect();
+        // Random subjects, runs of empty and tiny ones (lanes retire
+        // several jobs in one column), and a self-match of query 1 that
+        // saturates the i8 pass for that query only.
+        let mut subjects = random_subjects(&mut rng, 90, 70);
+        for at in [3, 4, 5, 60] {
+            subjects[at].codes.clear();
+        }
+        subjects[17].codes = vec![3, 1, 4];
+        subjects[89].codes = vec![1];
+        subjects[40].codes = queries[1].clone();
+        let arena = DbArena::from_encoded(&subjects);
+        let all: Vec<usize> = (0..arena.len()).collect();
+
+        for open in GAP_OPENS {
+            let s = scoring(open);
+            let tier: Vec<PreparedQuery> = queries
+                .iter()
+                .map(|q| PreparedQuery::with_isa(q, &s, isa))
+                .collect();
+            let batch: Vec<&PreparedQuery> = tier.iter().collect();
+            // Every job, and fewer jobs than any tier has lanes.
+            for jobs in [&all[..], &all[38..41]] {
+                let fused = pass_results::<T>(&batch, &arena, jobs).expect("one scoring");
+                assert_eq!(fused.len(), batch.len());
+                for (q, query) in queries.iter().enumerate() {
+                    let case = format!("{isa:?} open {open} query {q} jobs {}", jobs.len());
+                    let oracle = PreparedQuery::with_isa(query, &s, Isa::Portable);
+                    let portable = pass_results::<T>(&[&oracle], &arena, jobs).unwrap();
+                    let solo = pass_results::<T>(&[batch[q]], &arena, jobs).unwrap();
+                    assert_eq!(solo[0], portable[0], "K = 1 vs portable, {case}");
+                    assert_eq!(fused[q], solo[0], "K = 4 vs K = 1, {case}");
+                    for (&job, r) in jobs.iter().zip(&solo[0]) {
+                        if let Some(score) = *r {
+                            let expect = sw_score_affine(query, arena.residues(job), &s).score;
+                            assert_eq!(score, expect, "job {job}, {case}");
+                        }
+                    }
+                }
+            }
+            let fused = pass_results::<T>(&batch, &arena, &all).unwrap();
+            assert_eq!(fused[0][3], Some(0), "an empty subject scores zero");
+            if T::MAX.to_i32() == i8::MAX as i32 {
+                assert_eq!(fused[1][40], None, "planted self-match must saturate i8");
+            }
+        }
+    }
+
+    #[test]
+    fn interseq_pass_matches_portable_and_oracle_on_every_tier_and_width() {
+        table(interseq_case::<i8>, interseq_case::<i16>);
+    }
+
+    #[test]
+    fn interseq_i16_pass_flags_saturation_like_portable() {
+        // 3,100 tryptophans self-align to 34,100 > i16::MAX.
+        let query = vec![17u8; 3100];
+        let s = scoring(10);
+        let arena = DbArena::from_encoded(&[subject("self", query.clone())]);
+        for isa in Isa::available() {
+            let prepared = PreparedQuery::with_isa(&query, &s, isa);
+            let r16 = pass_results::<i16>(&[&prepared], &arena, &[0]).unwrap();
+            assert_eq!(r16[0], vec![None], "{isa:?}");
+        }
+    }
+
+    #[test]
+    fn a_pass_refuses_mixed_scorings_and_mixed_tiers() {
+        let mut rng = ChaCha8Rng::seed_from_u64(431);
+        let query = codes(&mut rng, 30);
+        let arena = DbArena::from_encoded(&random_subjects(&mut rng, 8, 30));
+        let jobs: Vec<usize> = (0..arena.len()).collect();
+        let tiers: Vec<Isa> = Isa::available().collect();
+        for &isa in &tiers {
+            let a = PreparedQuery::with_isa(&query, &scoring(10), isa);
+            let b = PreparedQuery::with_isa(&query, &scoring(4), isa);
+            assert!(
+                pass_results::<i8>(&[&a, &b], &arena, &jobs).is_none(),
+                "mixed gap penalties must refuse to share a pass ({isa:?})"
+            );
+            let c = PreparedQuery::with_isa(&query, &scoring(10), tiers[0]);
+            assert_eq!(
+                pass_results::<i8>(&[&a, &c], &arena, &jobs).is_some(),
+                isa == tiers[0]
+            );
+        }
+    }
+
+    /// The cross-lane and gather operations of one vector type against
+    /// their scalar definitions (the element-wise ones are covered by the
+    /// kernel table above).
+    #[cfg(target_arch = "x86_64")]
+    fn vector_ops_case<V: SimdVec>() {
+        let elem = |x: usize| V::Elem::from_i32_sat(x as i32);
+        let ramp: Vec<V::Elem> = (0..V::LANES).map(|l| elem(l + 1)).collect();
+        let mut out = vec![V::Elem::ZERO; V::LANES];
+        // SAFETY: the caller checked the tier; every pointer spans LANES
+        // elements (or the documented table / dprofile extents).
+        unsafe {
+            let v = V::load(ramp.as_ptr());
+            assert_eq!(v.hmax(), elem(V::LANES));
+            assert!(v.any_gt(V::splat(elem(V::LANES - 1))));
+            assert!(!v.any_gt(V::splat(elem(V::LANES))));
+            v.shift_in(V::splat(V::Elem::MIN)).store(out.as_mut_ptr());
+            assert_eq!(out[0], V::Elem::MIN);
+            assert_eq!(out[1..], ramp[..V::LANES - 1]);
+
+            let table: Vec<i8> = (0..TABLE_DIM * TABLE_DIM)
+                .map(|i| (i % 251) as i8)
+                .collect();
+            let mut lane_codes = [0usize; MAX_LANES];
+            for (lane, code) in lane_codes.iter_mut().enumerate() {
+                *code = (lane * 7 + 3) % TABLE_DIM;
+            }
+            let mut dprofile = vec![V::Elem::ZERO; TABLE_DIM * V::LANES];
+            V::gather(table.as_ptr(), &lane_codes, 2, dprofile.as_mut_ptr());
+            for symbol in 0..TABLE_DIM {
+                for lane in 0..V::LANES {
+                    let expect = table[lane_codes[lane] * TABLE_DIM + symbol];
+                    assert_eq!(
+                        dprofile[symbol * V::LANES + lane].to_i32(),
+                        expect as i32,
+                        "symbol {symbol} lane {lane}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn shift_and_gather_match_their_scalar_definitions() {
+        if Isa::Sse41.is_available() {
+            vector_ops_case::<<i8 as Width>::Sse41>();
+            vector_ops_case::<<i16 as Width>::Sse41>();
+        }
+        if Isa::Avx2.is_available() {
+            vector_ops_case::<<i8 as Width>::Avx2>();
+            vector_ops_case::<<i16 as Width>::Avx2>();
+        }
+    }
+}

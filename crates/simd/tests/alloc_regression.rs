@@ -1,7 +1,7 @@
 //! Steady-state allocation regression: after the first (warming) chunk, a
 //! scan worker's hot path must perform **zero** heap allocations per chunk,
-//! for every kernel family — striped, solo inter-sequence, and the fused
-//! multi-query chain. The [`KernelScratch`] buffers are sized high-water on
+//! for every kernel family — striped, and the inter-sequence chain at both
+//! K = 1 and K > 1. The [`KernelScratch`] buffers are sized high-water on
 //! the first chunk and only `clear()`/`resize()`d afterwards; this test is
 //! the enforcement for that contract (see `crates/simd/src/scratch.rs`).
 //!
@@ -17,7 +17,7 @@ use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbArena};
 use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
-use swhybrid_simd::interseq::{scores_arena_multi_with, scores_arena_with};
+use swhybrid_simd::interseq::scores_batch;
 use swhybrid_simd::KernelScratch;
 
 struct CountingAlloc;
@@ -90,6 +90,19 @@ fn arena(n: usize, max_len: usize) -> DbArena {
     DbArena::from_encoded(&db)
 }
 
+/// The K = 1 scan path: a batch of one through the batch chain.
+fn scores_one(
+    prepared: &PreparedQuery,
+    arena: &DbArena,
+    range: std::ops::Range<usize>,
+    stats: &mut KernelStats,
+    scratch: &mut KernelScratch,
+    prefetch: bool,
+) {
+    let stats = std::slice::from_mut(stats);
+    scores_batch(&[prepared], arena, range, stats, scratch, prefetch);
+}
+
 #[test]
 fn warm_scan_paths_allocate_nothing_per_chunk() {
     let scoring = scoring();
@@ -108,11 +121,11 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
         let query = residues(99, 120);
         let prepared = PreparedQuery::new(&query, &scoring, pref);
 
-        // Solo inter-sequence chain: chunk 0 warms the scratch high-water;
+        // Inter-sequence chain at K = 1: chunk 0 warms the scratch high-water;
         // every later chunk must be allocation-free.
         let mut scratch = KernelScratch::new();
         let mut stats = KernelStats::default();
-        scores_arena_with(
+        scores_one(
             &prepared,
             &arena,
             chunks[0].clone(),
@@ -122,7 +135,7 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
         );
         for c in &chunks[1..] {
             let n = allocations_during(|| {
-                scores_arena_with(&prepared, &arena, c.clone(), &mut stats, &mut scratch, true);
+                scores_one(&prepared, &arena, c.clone(), &mut stats, &mut scratch, true);
             });
             assert_eq!(
                 n, 0,
@@ -145,8 +158,8 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
         );
     }
 
-    // Fused multi-query chain: the batch and per-query outputs are part of
-    // the scratch too.
+    // Inter-sequence chain at K = 3: the batch and per-query outputs are
+    // part of the scratch too.
     let q0 = residues(7, 90);
     let q1 = residues(8, 110);
     let q2 = residues(9, 70);
@@ -157,7 +170,7 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
     let refs: Vec<&PreparedQuery> = batch.iter().collect();
     let mut scratch = KernelScratch::new();
     let mut stats = vec![KernelStats::default(); refs.len()];
-    scores_arena_multi_with(
+    scores_batch(
         &refs,
         &arena,
         chunks[0].clone(),
@@ -167,7 +180,7 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
     );
     for c in &chunks[1..] {
         let n = allocations_during(|| {
-            scores_arena_multi_with(&refs, &arena, c.clone(), &mut stats, &mut scratch, true);
+            scores_batch(&refs, &arena, c.clone(), &mut stats, &mut scratch, true);
         });
         assert_eq!(n, 0, "fused chunk {c:?} allocated {n} times after warmup");
     }
@@ -179,11 +192,11 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
     let prepared = PreparedQuery::new(&query, &scoring, EnginePreference::Auto);
     let mut scratch = KernelScratch::new();
     let mut stats = KernelStats::default();
-    scores_arena_with(&prepared, &arena, 0..32, &mut stats, &mut scratch, false);
+    scores_one(&prepared, &arena, 0..32, &mut stats, &mut scratch, false);
     let n = allocations_during(|| {
         for _ in 0..20 {
-            scores_arena_with(&prepared, &arena, 16..48, &mut stats, &mut scratch, false);
-            scores_arena_with(&prepared, &arena, 32..64, &mut stats, &mut scratch, false);
+            scores_one(&prepared, &arena, 16..48, &mut stats, &mut scratch, false);
+            scores_one(&prepared, &arena, 32..64, &mut stats, &mut scratch, false);
         }
     });
     assert_eq!(n, 0, "40 warm chunks allocated {n} times");

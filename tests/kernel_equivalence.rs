@@ -1,16 +1,18 @@
-//! Cross-kernel equivalence: every inter-sequence lane width (portable,
-//! SSE, AVX2; i8 and i16) must agree with the scalar Gotoh oracle, and a
+//! Cross-kernel equivalence: every kernel tier the CPU has (`Isa::available`:
+//! AVX2, SSE4.1, portable) at every lane width (i8 and i16) must agree with
+//! the scalar Gotoh oracle, and a
 //! database search must return bit-identical rankings under every
 //! `KernelChoice`, thread count, and scan order.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use swhybrid::align::score_only::sw_score_affine;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::{Alphabet, DbArena};
-use swhybrid::simd::engine::{EnginePreference, KernelStats, PreparedQuery};
+use swhybrid::simd::engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
 use swhybrid::simd::search::{DatabaseSearch, KernelChoice, SearchConfig};
-use swhybrid::simd::{interseq, interseq_avx2, interseq_sse};
+use swhybrid::simd::{interseq, Isa, KernelScratch};
 
 fn protein_codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..20, 1..max_len)
@@ -65,31 +67,60 @@ proptest! {
         }
     }
 
-    /// Each vectorized lane width individually agrees with the oracle on
-    /// every job it resolves (None = saturated, checked by the chain law).
+    /// Each tier × lane width individually agrees with the oracle on every
+    /// job it resolves (None = saturated, checked by the chain law), and the
+    /// striped chain of every tier returns the oracle score outright — also
+    /// with gap penalties at and beyond what an i8 or i16 lane can hold,
+    /// which every kernel must clamp, never wrap.
     #[test]
     fn every_lane_width_matches_oracle(
         query in protein_codes(90),
-        subjects in prop::collection::vec(protein_codes(110), 1..40),
+        mut subjects in prop::collection::vec(protein_codes(110), 1..40),
         scoring in scoring_strategy(),
     ) {
+        // A self-match: saturates i8 once the query is long enough, so the
+        // 16-bit kernels see work under every gap penalty below.
+        subjects.push(query.clone());
         let db = encode_db(&subjects);
         let arena = DbArena::from_encoded(&db);
         let jobs: Vec<usize> = (0..arena.len()).collect();
-        let prepared = PreparedQuery::new(&query, &scoring, EnginePreference::Auto);
-        let passes: [(&str, Option<Vec<Option<i32>>>); 4] = [
-            ("sse_i8", interseq_sse::pass_i8(&prepared, &arena, &jobs)),
-            ("sse_i16", interseq_sse::pass_i16(&prepared, &arena, &jobs)),
-            ("avx2_i8", interseq_avx2::pass_i8(&prepared, &arena, &jobs)),
-            ("avx2_i16", interseq_avx2::pass_i16(&prepared, &arena, &jobs)),
-        ];
-        for (name, pass) in passes {
-            let Some(results) = pass else { continue };
-            prop_assert_eq!(results.len(), subjects.len());
-            for (s, r) in subjects.iter().zip(results) {
-                if let Some(score) = r {
-                    let expect = sw_score_affine(&query, s, &scoring).score;
-                    prop_assert_eq!(score, expect, "{} lane", name);
+        let GapModel::Affine { open, extend } = scoring.gap else {
+            unreachable!("scoring_strategy is affine")
+        };
+        for open in [open, 10, 127, 128, 40_000] {
+            let scoring = Scoring {
+                matrix: scoring.matrix.clone(),
+                gap: GapModel::Affine { open, extend },
+            };
+            let expect: Vec<i32> = subjects
+                .iter()
+                .map(|s| sw_score_affine(&query, s, &scoring).score)
+                .collect();
+            for isa in Isa::available() {
+                let prepared = Arc::new(PreparedQuery::with_isa(&query, &scoring, isa));
+                let passes = [
+                    ("i8", interseq::pass_results::<i8>(&[&*prepared], &arena, &jobs)),
+                    ("i16", interseq::pass_results::<i16>(&[&*prepared], &arena, &jobs)),
+                ];
+                for (width, pass) in passes {
+                    let results = &pass.expect("a batch of one always shares a pass")[0];
+                    prop_assert_eq!(results.len(), subjects.len());
+                    for (r, &expect) in results.iter().zip(&expect) {
+                        if let Some(score) = *r {
+                            prop_assert_eq!(
+                                score, expect,
+                                "{:?} {} lane, gap open {}", isa, width, open
+                            );
+                        }
+                    }
+                }
+                let mut engine = StripedEngine::with_prepared(Arc::clone(&prepared));
+                let mut scratch = KernelScratch::new();
+                for (s, &expect) in subjects.iter().zip(&expect) {
+                    prop_assert_eq!(
+                        engine.score(s, &mut scratch), expect,
+                        "{:?} striped chain, gap open {}", isa, open
+                    );
                 }
             }
         }

@@ -3,10 +3,11 @@
 //! arbitrary sequences, scoring schemes, and gap parameters.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use swhybrid::align::score_only::sw_score_affine;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::simd::engine::{EnginePreference, StripedEngine};
-use swhybrid::simd::KernelScratch;
+use swhybrid::simd::{Isa, KernelScratch, PreparedQuery};
 
 fn protein_codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..20, 1..max_len)
@@ -33,10 +34,17 @@ proptest! {
         scoring in scoring_strategy(),
     ) {
         let expect = sw_score_affine(&query, &subject, &scoring).score;
-        for pref in [EnginePreference::Auto, EnginePreference::Portable, EnginePreference::Simd] {
+        for pref in [EnginePreference::Auto, EnginePreference::Portable] {
             let mut engine = StripedEngine::new(&query, &scoring, pref);
             let mut scratch = KernelScratch::new();
             prop_assert_eq!(engine.score(&subject, &mut scratch), expect, "preference {:?}", pref);
+        }
+        // Every tier this CPU has, not just the one Auto resolves to.
+        for isa in Isa::available() {
+            let prepared = Arc::new(PreparedQuery::with_isa(&query, &scoring, isa));
+            let mut engine = StripedEngine::with_prepared(prepared);
+            let mut scratch = KernelScratch::new();
+            prop_assert_eq!(engine.score(&subject, &mut scratch), expect, "tier {:?}", isa);
         }
     }
 
