@@ -1,4 +1,4 @@
-//! Smith-Waterman / Gotoh / Needleman-Wunsch alignment algorithms.
+//! Smith-Waterman / Gotoh local alignment algorithms.
 //!
 //! This crate is the algorithmic substrate of `swhybrid` (paper §II):
 //!
@@ -12,14 +12,8 @@
 //!   alignment by traceback, Fig. 2),
 //! * [`gotoh`] — the affine-gap variant with the three DP matrices H/E/F
 //!   (§II-A-3),
-//! * [`nw`] — Needleman-Wunsch global alignment (used by the didactic
-//!   Fig. 1 example and by Hirschberg),
 //! * [`score_only`] — linear-space score-only kernels; these are the
 //!   reference implementations the SIMD kernels are validated against,
-//! * [`banded`] — banded Smith-Waterman,
-//! * [`hirschberg`] — linear-space alignment recovery (divide and conquer,
-//!   linear gaps),
-//! * [`myers_miller`] — linear-space alignment recovery with affine gaps,
 //! * [`stats`] — GCUPS and cell-count helpers (the paper's performance
 //!   metric: Billions of Cell Updates Per Second).
 //!
@@ -28,12 +22,8 @@
 //! lookup.
 
 pub mod alignment;
-pub mod banded;
 pub mod evalue;
 pub mod gotoh;
-pub mod hirschberg;
-pub mod myers_miller;
-pub mod nw;
 pub mod score_only;
 pub mod scoring;
 pub mod stats;

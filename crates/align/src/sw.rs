@@ -14,7 +14,7 @@
 //! reached (Fig. 2), yielding the optimal local alignment.
 //!
 //! This implementation is intentionally simple and allocation-honest: it is
-//! the *oracle* the linear-space, banded, and SIMD kernels are validated
+//! the *oracle* the linear-space and SIMD kernels are validated
 //! against, and the engine behind the didactic examples.
 
 use crate::alignment::{AlignOp, Alignment};

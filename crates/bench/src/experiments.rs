@@ -1,8 +1,8 @@
 //! One function per paper table/figure (and per ablation/extension).
 //!
 //! Each function is deterministic and returns a [`Table`] ready to print —
-//! the thin binaries in `src/bin/` and the `run_all` driver both call these,
-//! and the integration tests assert the headline shapes on the same code.
+//! the `run_all` driver calls these by name, and the integration tests
+//! assert the headline shapes on the same code.
 
 use std::sync::Arc;
 
@@ -588,7 +588,7 @@ pub fn ablation_policy_under_load() -> Table {
 /// file-order dispatch vs size-aware dispatch (fast PEs take the largest
 /// ready tasks), 4 GPUs + 4 SSEs across all databases.
 pub fn ablation_dispatch() -> Table {
-    use swhybrid_core::master::Dispatch;
+    use swhybrid_core::sched::Dispatch;
     let mut t = Table::new(
         "ablation_dispatch",
         "Ablation: ready-queue dispatch (4 GPUs + 4 SSEs vs 4 GPUs, time s)",

@@ -1,10 +1,10 @@
 //! Shared harness for the paper-reproduction experiments.
 //!
-//! Every table and figure of the paper's evaluation (§V) has a binary in
-//! `src/bin/` that builds its workload through this module, runs the
-//! platform simulation (or real kernels, for the microbenches), prints the
-//! paper-style rows, and dumps machine-readable JSON under
-//! `target/experiments/` for `EXPERIMENTS.md`.
+//! Every table and figure of the paper's evaluation (§V) is a function in
+//! [`experiments`] that builds its workload through this module, runs the
+//! platform simulation, and returns the paper-style rows; the `run_all`
+//! binary runs them by name, prints them, and dumps machine-readable JSON
+//! under `target/experiments/` for `EXPERIMENTS.md`.
 
 use std::io::Write as _;
 use std::path::PathBuf;

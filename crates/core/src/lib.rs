@@ -20,35 +20,30 @@
 //!   replication, completion, cancellation, parameterized by a
 //!   [`sched::Clock`] (wall clock or virtual time) so every driver shares
 //!   one implementation of the paper's §III decisions,
-//! * [`master`] — the master process: a thin driver-facing façade over
-//!   [`sched::Scheduler`] under its historical name,
 //! * [`sim`] — a deterministic discrete-event simulator driving the same
 //!   engine with modelled PEs on a [`sched::VirtualClock`] (how the
 //!   paper-scale platform of 4 GPUs + 8 SSE cores is reproduced on this
 //!   machine),
 //! * [`pool`] — the one pool-drive loop every real runtime shares: a
-//!   [`pool::PePool`] (master + membership behind the wakeup hub) driven
+//!   [`pool::PePool`] (engine + membership behind the wakeup hub) driven
 //!   through transport-agnostic [`pool::PeEndpoint`]s,
-//! * [`runtime`] — a real threaded master/slave runtime computing genuine
-//!   scores on materialised databases (local-thread endpoints on the
-//!   shared loop),
-//! * [`net`] — the same runtime across processes: a TCP master/slave
-//!   protocol with long-polled requests, heartbeats, and reconnection
-//!   (remote-session endpoints on the shared loop),
-//! * [`shared`] — the condvar-backed wakeup hub both real runtimes park
+//! * [`net`] — the batch master: one run on a local fleet of threads
+//!   computing genuine scores ([`net::LocalFleet`]), on slave processes
+//!   over a TCP protocol with long-polled requests, heartbeats, and
+//!   reconnection ([`net::MasterServer`]), or on both at once — every PE
+//!   an endpoint on the shared loop,
+//! * [`shared`] — the condvar-backed wakeup hub the real runtimes park
 //!   idle PEs on (no busy-wait polling),
 //! * [`trace`] — execution traces: per-PE Gantt segments (Fig. 5) and
 //!   notification series (Figs. 7/8),
 //! * [`membership`] — future-work extension: PEs joining/leaving mid-run,
 //! * [`platform`] — the public facade: build a platform, run a workload.
 
-pub mod master;
 pub mod membership;
 pub mod net;
 pub mod platform;
 pub mod policy;
 pub mod pool;
-pub mod runtime;
 pub mod sched;
 pub mod shared;
 pub mod sim;
@@ -56,7 +51,7 @@ pub mod stats;
 pub mod task;
 pub mod trace;
 
-pub use master::{Assignment, Master, MasterConfig};
 pub use platform::{PlatformBuilder, SimOutcome};
 pub use policy::Policy;
+pub use sched::{Assignment, MasterConfig, Scheduler};
 pub use task::{PeId, TaskId, TaskState};

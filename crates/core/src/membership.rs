@@ -2,8 +2,8 @@
 //!
 //! The paper's §VI lists "tackle situations where nodes join/leave the
 //! platform while an SW application is executing" as future work. The
-//! mechanics live in [`crate::master::Master::pe_joins`] /
-//! [`crate::master::Master::pe_leaves`] and the simulator's `Join`/`Leave`
+//! mechanics live in [`crate::sched::Scheduler::pe_joins`] /
+//! [`crate::sched::Scheduler::pe_leaves`] and the simulator's `Join`/`Leave`
 //! events; this module provides the user-facing description of a membership
 //! scenario plus helpers to attach one to a platform.
 

@@ -5,16 +5,17 @@
 //! themselves in the master" (Fig. 4). This module is that deployment
 //! shape: a [`MasterServer`] listens on a socket, slaves connect with
 //! [`run_slave`], register, request work, and stream results back. The
-//! same [`crate::master::Master`] state machine as the simulator and the
-//! in-process runtime makes the decisions — and since the endpoint
-//! extraction, the *same* [`crate::pool::drive`] loop runs it: a TCP
-//! session ([`serve_connection`]) is just a remote
-//! [`crate::pool::PeEndpoint`].
+//! same [`crate::sched::Scheduler`] as the simulator makes the decisions,
+//! and the same [`crate::pool::drive`] loop runs every PE: a TCP session
+//! ([`serve_connection`]) is a remote [`crate::pool::PeEndpoint`], a
+//! [`LocalFleet`] member a local one, and one batch may mix both
+//! ([`MasterServer::serve_hybrid`]) or use the fleet alone
+//! ([`LocalFleet::run`]).
 //!
 //! Submodules: `wire` (message encoding + line reader), `session` (the
 //! master side of one connection, on the shared drive loop), `server`
-//! (the one-shot batch [`MasterServer`]), `slave` (the slave process,
-//! batch and serve modes).
+//! (the batch master: [`MasterServer`], [`LocalFleet`]), `slave` (the
+//! slave process, batch and serve modes).
 //!
 //! ## Wire protocol (v3)
 //!
@@ -94,7 +95,7 @@ use crate::trace::RuntimeEvent;
 use swhybrid_device::exec::QueryHit;
 use swhybrid_simd::engine::KernelStats;
 
-pub use server::{LocalFleet, MasterServer};
+pub use server::{query_specs, LocalFleet, MasterServer};
 pub use session::serve_connection;
 pub use slave::{run_serve_slave, run_slave, run_slave_with};
 pub use wire::{
@@ -174,7 +175,8 @@ impl NetConfig {
     }
 }
 
-/// Outcome of a distributed run (master side).
+/// Outcome of one batch run (master side), whichever mix of local fleet
+/// and remote slaves carried it.
 #[derive(Debug)]
 pub struct DistributedOutcome {
     /// Wall-clock seconds from first registration to last completion.
@@ -185,16 +187,20 @@ pub struct DistributedOutcome {
     pub gcups: f64,
     /// Globally merged hits.
     pub hits: Vec<QueryHit>,
-    /// For each task, the name of the slave whose result was used.
+    /// For each task, the name of the PE (slave or local fleet member)
+    /// whose result was used.
     pub completed_by: Vec<String>,
     /// Kernel-family counters merged across every slave completion
     /// (losing replicas included — they are work the platform really did),
     /// so distributed runs report the same counters as `search --kernel`.
     pub kernels: KernelStats,
-    /// Kernel counters per slave, `(name, counters)`, for slaves that
-    /// reported any.
+    /// Kernel counters per PE, `(name, counters)`, for PEs that reported
+    /// any.
     pub kernels_by_pe: Vec<(String, KernelStats)>,
-    /// Structured event stream of the run (see [`crate::trace`]).
+    /// Structured event stream of the run (see [`crate::trace`]). Empty
+    /// when the run streamed its events to a sink instead
+    /// ([`MasterServer::with_event_sink`]; `master --events` counts what it
+    /// streams and never reads this).
     pub events: Vec<RuntimeEvent>,
 }
 
@@ -206,11 +212,12 @@ mod tests {
 
     use super::wire::{decode, recv, send, Wire};
     use super::*;
-    use crate::master::MasterConfig;
     use crate::policy::Policy;
+    use crate::sched::MasterConfig;
     use crate::trace::EventKind;
     use swhybrid_align::scoring::Scoring;
     use swhybrid_device::exec::{ComputeBackend, QueryHit, StripedBackend};
+    use swhybrid_device::fleet::FleetPe;
     use swhybrid_device::task::TaskSpec;
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::synth::{paper_database, QueryOrder, QuerySetSpec};
@@ -239,18 +246,7 @@ mod tests {
         .iter()
         .map(|q| EncodedSequence::from_sequence(q, Alphabet::Protein).unwrap())
         .collect();
-        let db_residues: u64 = subjects.iter().map(|s| s.len() as u64).sum();
-        let specs = queries
-            .iter()
-            .enumerate()
-            .map(|(id, q)| TaskSpec {
-                id,
-                query_len: q.len(),
-                queries: 1,
-                db_residues,
-                db_sequences: subjects.len(),
-            })
-            .collect();
+        let specs = query_specs(&queries, &subjects);
         (queries, subjects, specs)
     }
 
@@ -422,15 +418,20 @@ mod tests {
 
     #[test]
     fn malformed_lines_decode_to_invalid_data() {
+        // The last case is one line of open brackets: a parse error (the
+        // session is dropped), not a stack overflow.
+        let deep = "[".repeat(200_000);
         for bad in [
             "",
             "not json",
             "{\"type\":\"warp\"}",
             "{\"type\":\"started\"}",
             "{\"type\":\"register\",\"name\":\"x\",\"gcups\":1.0,\"db_digest\":12}",
+            deep.as_str(),
         ] {
             let err = decode::<SlaveMsg>(bad).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "input: {bad:?}");
+            let shown = &bad[..bad.len().min(60)];
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "input: {shown:?}");
         }
     }
 
@@ -561,7 +562,6 @@ mod tests {
 
     #[test]
     fn hybrid_fleet_and_remote_slave_share_one_pool() {
-        use crate::runtime::RealPe;
         use swhybrid_device::FleetSpec;
         let (queries, subjects, specs) = tiny_workload();
         let sc = scoring();
@@ -577,12 +577,7 @@ mod tests {
         .unwrap();
         let addr = server.local_addr().unwrap();
         let fleet = LocalFleet {
-            pes: FleetSpec::parse("gpu:1+sse:1")
-                .unwrap()
-                .build()
-                .into_iter()
-                .map(RealPe::from)
-                .collect(),
+            pes: FleetSpec::parse("gpu:1+sse:1").unwrap().build(),
             queries: &queries,
             subjects: &subjects,
             scoring: &sc,
@@ -667,18 +662,12 @@ mod tests {
 
     #[test]
     fn hybrid_serve_with_zero_slaves_is_a_local_run() {
-        use crate::runtime::RealPe;
         use swhybrid_device::FleetSpec;
         let (queries, subjects, specs) = tiny_workload();
         let sc = scoring();
         let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 0).unwrap();
         let fleet = LocalFleet {
-            pes: FleetSpec::parse("sse:2")
-                .unwrap()
-                .build()
-                .into_iter()
-                .map(RealPe::from)
-                .collect(),
+            pes: FleetSpec::parse("sse:2").unwrap().build(),
             queries: &queries,
             subjects: &subjects,
             scoring: &sc,
@@ -1301,24 +1290,19 @@ mod tests {
             server.serve(specs).expect("server ok")
         });
 
-        let local = crate::runtime::run_real(
-            vec![crate::runtime::RealPe {
-                name: "solo".into(),
-                static_gcups: 1.0,
-                backend: Box::new(StripedBackend::default()),
-            }],
-            &queries,
-            &subjects,
-            &scoring(),
-            crate::runtime::RuntimeConfig {
-                master: MasterConfig {
-                    policy: Policy::SelfScheduling,
-                    adjustment: false,
-                    dispatch: Default::default(),
-                },
-                top_n: 3,
-            },
-        );
+        let sc = scoring();
+        let local = LocalFleet {
+            pes: vec![FleetPe::simd("solo", 1.0)],
+            queries: &queries,
+            subjects: &subjects,
+            scoring: &sc,
+            top_n: 3,
+        }
+        .run(MasterConfig {
+            policy: Policy::SelfScheduling,
+            adjustment: false,
+            dispatch: Default::default(),
+        });
         let key = |hits: &[QueryHit]| {
             let mut v: Vec<(usize, usize, i32)> = hits
                 .iter()
@@ -1328,5 +1312,173 @@ mod tests {
             v
         };
         assert_eq!(key(&outcome.hits), key(&local.hits));
+    }
+
+    // The batch function on a local fleet alone — no listener, no remote
+    // slave: the same pool, engine and drive loop with only local-thread
+    // endpoints on it.
+
+    fn local_run(pes: Vec<FleetPe>, config: MasterConfig, top_n: usize) -> DistributedOutcome {
+        let (queries, subjects, _) = tiny_workload();
+        let sc = scoring();
+        LocalFleet {
+            pes,
+            queries: &queries,
+            subjects: &subjects,
+            scoring: &sc,
+            top_n,
+        }
+        .run(config)
+    }
+
+    fn ss_with_adjustment() -> MasterConfig {
+        MasterConfig {
+            policy: Policy::SelfScheduling,
+            adjustment: true,
+            dispatch: Default::default(),
+        }
+    }
+
+    #[test]
+    fn local_run_completes_all_tasks_single_pe() {
+        let out = local_run(
+            vec![FleetPe::simd("solo", 1.0)],
+            MasterConfig::default(),
+            10,
+        );
+        assert_eq!(out.completed_by.len(), 6);
+        assert!(out.completed_by.iter().all(|n| n == "solo"));
+        assert!(!out.hits.is_empty());
+        assert!(out.total_cells > 0);
+        assert!(out.gcups > 0.0);
+        // The kernel counters travelled through the pool: every computed
+        // cell is accounted for.
+        assert!(out.kernels.cells_computed > 0);
+        assert!(out.kernels.chunks_striped + out.kernels.chunks_interseq > 0);
+    }
+
+    #[test]
+    fn local_run_multi_pe_covers_all_tasks() {
+        let out = local_run(
+            vec![
+                FleetPe::simd("a", 1.0),
+                FleetPe::simd("b", 1.0),
+                FleetPe::simd("c", 1.0),
+            ],
+            ss_with_adjustment(),
+            5,
+        );
+        assert!(out.completed_by.iter().all(|n| !n.is_empty()));
+        // Results identical to a single-PE run (scores are deterministic).
+        let solo = local_run(vec![FleetPe::simd("solo", 1.0)], ss_with_adjustment(), 5);
+        let key = |hits: &[QueryHit]| {
+            let mut v: Vec<(usize, usize, i32)> = hits
+                .iter()
+                .map(|h| (h.query_index, h.hit.db_index, h.hit.score))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(key(&out.hits), key(&solo.hits));
+    }
+
+    #[test]
+    fn static_wfixed_policy_also_completes() {
+        let out = local_run(
+            vec![FleetPe::simd("fast", 4.0), FleetPe::simd("slow", 1.0)],
+            MasterConfig {
+                policy: Policy::WFixed,
+                adjustment: false,
+                dispatch: Default::default(),
+            },
+            5,
+        );
+        assert!(out.completed_by.iter().all(|n| !n.is_empty()));
+    }
+
+    #[test]
+    fn hybrid_fleet_matches_solo_and_attributes_modeled_speed() {
+        use swhybrid_device::{DeviceModel, FleetSpec, GpuDevice};
+        let out = local_run(
+            FleetSpec::parse("gpu:1+sse:2").unwrap().build(),
+            MasterConfig::default(),
+            10,
+        );
+        // Bit-identical hit table vs a single real PE.
+        let solo = local_run(
+            vec![FleetPe::simd("solo", 1.0)],
+            MasterConfig::default(),
+            10,
+        );
+        assert_eq!(
+            out.hits, solo.hits,
+            "hybrid fleet must score bit-identically"
+        );
+        // The modeled GPU attributes its calibrated model speed, which is
+        // far beyond what one host thread really measures on this workload.
+        let gpu_pe = out
+            .events
+            .iter()
+            .find_map(|e| match &e.kind {
+                EventKind::PeRegistered { pe, name, .. } if name == "gpu0" => Some(*pe),
+                _ => None,
+            })
+            .expect("gpu0 registered");
+        let modeled: Vec<(usize, f64)> = out
+            .events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TaskFinished {
+                    pe,
+                    task,
+                    measured_gcups,
+                    ..
+                } if pe == gpu_pe => Some((task, measured_gcups)),
+                _ => None,
+            })
+            .collect();
+        assert!(!modeled.is_empty(), "the modeled PE finished no task");
+        // The attributed speed is the calibrated model's throughput for
+        // exactly that task spec — not a host wall-clock measurement.
+        let device = GpuDevice::gtx580("gpu0");
+        let (_, _, specs) = tiny_workload();
+        for (task, gcups) in modeled {
+            assert_eq!(
+                gcups,
+                device.task_gcups(&specs[task]),
+                "task {task}: attributed speed must be the model's"
+            );
+        }
+    }
+
+    #[test]
+    fn event_stream_covers_the_run_and_never_reports_zero_speed() {
+        let out = local_run(
+            vec![FleetPe::simd("a", 1.0), FleetPe::simd("b", 1.0)],
+            MasterConfig::default(),
+            10,
+        );
+        let finishes = out
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::TaskFinished { .. }))
+            .count();
+        assert!(finishes >= 6, "at least one finish per task: {finishes}");
+        assert!(out.events.iter().any(|e| e.kind == EventKind::RunCompleted));
+        // The PSS-poisoning regression: real completions must never report
+        // a zero speed, however fast the timer said the task was.
+        for e in &out.events {
+            if let EventKind::TaskFinished { measured_gcups, .. } = e.kind {
+                assert!(
+                    measured_gcups > 0.0 && measured_gcups.is_finite(),
+                    "degenerate speed report {measured_gcups}"
+                );
+            }
+        }
+        // Times are monotonically plausible and start at registration.
+        assert!(matches!(
+            out.events[0].kind,
+            EventKind::PeRegistered { pe: 0, .. }
+        ));
     }
 }

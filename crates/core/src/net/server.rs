@@ -1,5 +1,6 @@
-//! The master process: accepts slave connections and runs one batch to
-//! completion on the shared pool-drive loop.
+//! The master process: runs one batch to completion on the shared
+//! pool-drive loop — on a local fleet, on slaves that connect over TCP, or
+//! on both at once.
 
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
@@ -7,13 +8,13 @@ use std::time::{Duration, Instant};
 
 use super::session::serve_connection;
 use super::{DistributedOutcome, NetConfig};
-use crate::master::{Master, MasterConfig};
 use crate::pool::{drive, BatchOwner, LocalEndpoint, PePool, TaskResult};
-use crate::runtime::RealPe;
+use crate::sched::{MasterConfig, Scheduler};
 use crate::stats::observed_gcups;
 use crate::trace::RuntimeEvent;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_device::exec::merge_hits;
+use swhybrid_device::fleet::FleetPe;
 use swhybrid_device::task::TaskSpec;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_simd::engine::KernelStats;
@@ -22,7 +23,7 @@ use swhybrid_simd::engine::KernelStats;
 /// work-request poll — work requests are long-polled on the hub condvar).
 const ACCEPT_QUANTUM: Duration = Duration::from_millis(10);
 
-/// A live event tap, as accepted by [`MasterServer::with_event_sink`].
+/// A live event consumer, as accepted by [`MasterServer::with_event_sink`].
 type EventCallback = Box<dyn FnMut(&RuntimeEvent) + Send>;
 
 /// The master's own PEs: a hybrid fleet computing in-process, sharing the
@@ -31,8 +32,8 @@ type EventCallback = Box<dyn FnMut(&RuntimeEvent) + Send>;
 /// dispatcher but may *itself* host real SIMD cores and modeled
 /// accelerators.
 pub struct LocalFleet<'a> {
-    /// The fleet members (e.g. from `FleetSpec::build()` via `RealPe::from`).
-    pub pes: Vec<RealPe>,
+    /// The fleet members (e.g. from `FleetSpec::build()`).
+    pub pes: Vec<FleetPe>,
     /// The encoded query set (task id = query index, as everywhere).
     pub queries: &'a [EncodedSequence],
     /// The materialised database.
@@ -43,7 +44,39 @@ pub struct LocalFleet<'a> {
     pub top_n: usize,
 }
 
-/// The master process: owns the task pool, serves slave connections.
+impl LocalFleet<'_> {
+    /// Run the fleet's queries as one batch (one task per query, see
+    /// [`query_specs`]) on the fleet alone: no listener, no remote slaves
+    /// — the same pool, scheduler and drive loop as a distributed run,
+    /// with only local-thread endpoints on it.
+    pub fn run(self, config: MasterConfig) -> DistributedOutcome {
+        let specs = query_specs(self.queries, self.subjects);
+        // Every way a batch fails is a transport failure: no slave
+        // registered, every slave lost, the listener broke.
+        run_batch(specs, config, None, Some(self), None)
+            .expect("a batch without a listener has no transport to fail")
+    }
+}
+
+/// The paper's very coarse grain: one task per query, each against the
+/// whole database.
+pub fn query_specs(queries: &[EncodedSequence], subjects: &[EncodedSequence]) -> Vec<TaskSpec> {
+    let db_residues: u64 = subjects.iter().map(|s| s.len() as u64).sum();
+    queries
+        .iter()
+        .enumerate()
+        .map(|(id, q)| TaskSpec {
+            id,
+            query_len: q.len(),
+            queries: 1,
+            db_residues,
+            db_sequences: subjects.len(),
+        })
+        .collect()
+}
+
+/// The listening half of a master: where slaves connect, how many the
+/// registration barrier waits for, and the liveness timings.
 pub struct MasterServer {
     listener: TcpListener,
     config: MasterConfig,
@@ -72,7 +105,7 @@ impl MasterServer {
         expected_slaves: usize,
         net: NetConfig,
     ) -> io::Result<MasterServer> {
-        // Zero slaves is now legal — the run can be carried entirely by a
+        // Zero slaves is legal — the run can be carried entirely by a
         // local fleet (see [`MasterServer::serve_hybrid`]); the PE-count
         // requirement is checked at serve time, when the fleet is known.
         net.validate()?;
@@ -87,7 +120,9 @@ impl MasterServer {
 
     /// Stream every [`RuntimeEvent`] to `sink` as it is emitted (e.g. a
     /// JSONL file flushed per line, so a crashed run still leaves a usable
-    /// trace). Called with the master's lock held — keep it short.
+    /// trace) instead of collecting them into
+    /// [`DistributedOutcome::events`]. Called with the master's lock held
+    /// — keep it short.
     pub fn with_event_sink(
         mut self,
         sink: impl FnMut(&RuntimeEvent) + Send + 'static,
@@ -111,192 +146,217 @@ impl MasterServer {
     /// fails its handshake never consumes a slave's place and late or
     /// reconnecting slaves can always get in.
     pub fn serve(self, specs: Vec<TaskSpec>) -> io::Result<DistributedOutcome> {
-        assert!(self.expected_slaves >= 1, "need at least one slave");
-        self.serve_inner(specs, None)
+        self.run(specs, None)
     }
 
     /// Serve with a hybrid in-process fleet *and* (optionally) remote
     /// slaves, all on the same pool: the fleet's PEs are admitted before
     /// the accept loop starts, count toward the registration barrier, and
-    /// compute through their [`crate::runtime::RealPe`] backends (real
-    /// SIMD, or modeled accelerators attributing their device model's
-    /// GCUPS) while slave sessions come and go over TCP. With
-    /// `expected_slaves == 0` this is a purely local hybrid run that still
-    /// flows through the full distributed machinery.
+    /// compute through their backends (real SIMD, or modeled accelerators
+    /// attributing their device model's GCUPS) while slave sessions come
+    /// and go over TCP.
     pub fn serve_hybrid(
         self,
         specs: Vec<TaskSpec>,
         fleet: LocalFleet<'_>,
     ) -> io::Result<DistributedOutcome> {
-        assert!(
-            self.expected_slaves + fleet.pes.len() >= 1,
-            "need at least one PE (slave or fleet member)"
-        );
-        self.serve_inner(specs, Some(fleet))
+        self.run(specs, Some(fleet))
     }
 
-    fn serve_inner(
+    fn run(
         self,
         specs: Vec<TaskSpec>,
         fleet: Option<LocalFleet<'_>>,
     ) -> io::Result<DistributedOutcome> {
-        let MasterServer {
-            listener,
-            config,
-            expected_slaves,
-            net,
-            sink,
-        } = self;
-        let n_tasks = specs.len();
-        let total_cells: u64 = specs.iter().map(|s| s.cells()).sum();
-        let mut master = Master::new(specs.clone(), config);
-        if let Some(sink) = sink {
-            master.set_event_sink(sink);
-        }
-        let fleet_size = fleet.as_ref().map_or(0, |f| f.pes.len());
-        let pool = PePool::new(
-            master,
-            BatchOwner::new(n_tasks),
-            expected_slaves + fleet_size,
-        );
-        listener.set_nonblocking(true)?;
-        let start = Instant::now();
-        let mut lost_since: Option<Instant> = None;
+        let slaves = (self.listener, self.expected_slaves, self.net);
+        run_batch(specs, self.config, self.sink, fleet, Some(slaves))
+    }
+}
 
-        std::thread::scope(|scope| {
-            // Admit and launch the local fleet first: its registrations
-            // open the barrier's local share, and its threads are ordinary
-            // pool-drive endpoints — the same loop the slave sessions run.
-            if let Some(fleet) = &fleet {
-                let ids: Vec<_> = fleet
-                    .pes
-                    .iter()
-                    .map(|pe| pool.admit(&pe.name, pe.static_gcups, false))
-                    .collect();
-                for (pe_id, pe) in ids.into_iter().zip(&fleet.pes) {
-                    let pool = &pool;
-                    let specs = &specs;
-                    let (queries, subjects) = (fleet.queries, fleet.subjects);
-                    let (scoring, top_n) = (fleet.scoring, fleet.top_n);
-                    scope.spawn(move || {
-                        let mut endpoint = LocalEndpoint::new(|task| {
-                            let t_start = Instant::now();
-                            let search =
-                                pe.backend.compare(&queries[task], subjects, scoring, top_n);
-                            let gcups =
-                                pe.backend.modeled_gcups(&specs[task]).unwrap_or_else(|| {
-                                    observed_gcups(search.cells, t_start.elapsed().as_secs_f64())
-                                });
-                            TaskResult {
-                                gcups: Some(gcups),
-                                hits: search.hits,
-                                cells: search.cells,
-                                kernels: Some(search.stats),
-                                fused: None,
-                            }
+/// Run one batch of tasks to completion on one pool: `fleet`'s PEs as
+/// local threads, plus whatever slaves connect to the `slaves` listener
+/// (with the number the registration barrier waits for and the liveness
+/// timings). Either half may be absent (not both); every PE — local or
+/// remote — is an endpoint on the same [`drive`] loop under the same
+/// [`Scheduler`].
+///
+/// One deliberate difference from the simulator: real replicas are not
+/// preempted — a replica that loses the race runs to completion and its
+/// result is discarded (cooperative cancellation would complicate the
+/// kernels for no behavioural gain at this scale).
+fn run_batch(
+    specs: Vec<TaskSpec>,
+    config: MasterConfig,
+    sink: Option<EventCallback>,
+    fleet: Option<LocalFleet<'_>>,
+    slaves: Option<(TcpListener, usize, NetConfig)>,
+) -> io::Result<DistributedOutcome> {
+    let fleet_size = fleet.as_ref().map_or(0, |f| f.pes.len());
+    let (listener, expected_slaves, net) = match slaves {
+        Some((listener, expected, net)) => (Some(listener), expected, net),
+        None => (None, 0, NetConfig::default()),
+    };
+    assert!(
+        expected_slaves + fleet_size >= 1,
+        "need at least one PE (slave or fleet member)"
+    );
+    let n_tasks = specs.len();
+    let total_cells: u64 = specs.iter().map(|s| s.cells()).sum();
+    let mut master = Scheduler::new(specs.clone(), config);
+    if let Some(sink) = sink {
+        master.set_event_sink(sink);
+    }
+    let pool = PePool::new(
+        master,
+        BatchOwner::new(n_tasks),
+        expected_slaves + fleet_size,
+    );
+    if let Some(listener) = &listener {
+        listener.set_nonblocking(true)?;
+    }
+    let start = Instant::now();
+    let mut lost_since: Option<Instant> = None;
+
+    std::thread::scope(|scope| {
+        // Admit the whole local fleet before any of its threads runs, so
+        // the event stream opens with the complete registration block
+        // (the paper's barrier) and PE ids follow the fleet's order.
+        if let Some(fleet) = &fleet {
+            let ids: Vec<_> = fleet
+                .pes
+                .iter()
+                .map(|pe| pool.admit(&pe.name, pe.static_gcups, false))
+                .collect();
+            for (pe_id, pe) in ids.into_iter().zip(&fleet.pes) {
+                let pool = &pool;
+                let specs = &specs;
+                let (queries, subjects) = (fleet.queries, fleet.subjects);
+                let (scoring, top_n) = (fleet.scoring, fleet.top_n);
+                scope.spawn(move || {
+                    let mut endpoint = LocalEndpoint::new(|task| {
+                        let t_start = Instant::now();
+                        let search = pe.backend.compare(&queries[task], subjects, scoring, top_n);
+                        // Modeled accelerators attribute their device
+                        // model's throughput (so the scheduler sees e.g.
+                        // GTX-580 speed); real PEs report measured
+                        // wall-clock speed.
+                        let gcups = pe.backend.modeled_gcups(&specs[task]).unwrap_or_else(|| {
+                            observed_gcups(search.cells, t_start.elapsed().as_secs_f64())
                         });
-                        drive(pool, pe_id, &mut endpoint);
-                    });
-                }
-            }
-            loop {
-                {
-                    let mut g = pool.lock();
-                    if g.abort().is_some() {
-                        break;
-                    }
-                    if g.barrier_open() && g.master.all_finished() && g.alive() == 0 {
-                        break;
-                    }
-                    if !g.barrier_open() {
-                        if let Some(t) = net.register_timeout {
-                            if start.elapsed() > t {
-                                if g.registered() == 0 {
-                                    g.set_abort(
-                                        io::ErrorKind::TimedOut,
-                                        format!("no slave registered within {t:?}"),
-                                    );
-                                } else {
-                                    // Proceed degraded with the slaves we
-                                    // have rather than hang on a no-show.
-                                    g.open_barrier();
-                                }
-                                drop(g);
-                                pool.notify_all();
-                                continue;
-                            }
+                        TaskResult {
+                            gcups: Some(gcups),
+                            hits: search.hits,
+                            cells: search.cells,
+                            kernels: Some(search.stats),
+                            fused: None,
                         }
-                    } else if g.alive() == 0 && !g.master.all_finished() {
-                        let since = *lost_since.get_or_insert_with(Instant::now);
-                        if since.elapsed() > net.all_lost_grace {
-                            g.set_abort(
-                                io::ErrorKind::ConnectionAborted,
-                                "every slave disconnected mid-run",
-                            );
+                    });
+                    drive(pool, pe_id, &mut endpoint);
+                });
+            }
+        }
+        loop {
+            {
+                let mut g = pool.lock();
+                if g.abort().is_some() {
+                    break;
+                }
+                if g.barrier_open() && g.master.all_finished() && g.alive() == 0 {
+                    break;
+                }
+                if !g.barrier_open() {
+                    if let Some(t) = net.register_timeout {
+                        if start.elapsed() > t {
+                            if g.registered() == 0 {
+                                g.set_abort(
+                                    io::ErrorKind::TimedOut,
+                                    format!("no slave registered within {t:?}"),
+                                );
+                            } else {
+                                // Proceed degraded with the slaves we
+                                // have rather than hang on a no-show.
+                                g.open_barrier();
+                            }
                             drop(g);
                             pool.notify_all();
                             continue;
                         }
-                    } else {
-                        lost_since = None;
                     }
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let pool = &pool;
-                        let net = &net;
-                        scope.spawn(move || serve_connection(stream, pool, net));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        // Wakes early on any pool change (e.g. run
-                        // completed) and at the latest after one quantum.
-                        let g = pool.lock();
-                        let _g = pool.wait_timeout(g, ACCEPT_QUANTUM);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        let mut g = pool.lock();
-                        g.set_abort(e.kind(), e.to_string());
+                } else if g.alive() == 0 && !g.master.all_finished() {
+                    let since = *lost_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() > net.all_lost_grace {
+                        g.set_abort(
+                            io::ErrorKind::ConnectionAborted,
+                            "every slave disconnected mid-run",
+                        );
                         drop(g);
                         pool.notify_all();
-                        break;
+                        continue;
                     }
+                } else {
+                    lost_since = None;
                 }
             }
-            // Wake every parked endpoint so the scope can join them.
-            pool.notify_all();
-        });
-
-        let elapsed_seconds = start.elapsed().as_secs_f64();
-        let mut core = pool.into_inner();
-        if let Some((kind, message)) = core.take_abort() {
-            return Err(io::Error::new(kind, message));
+            // Without a listener there is never a connection to accept.
+            let accepted = match &listener {
+                Some(listener) => listener.accept(),
+                None => Err(io::ErrorKind::WouldBlock.into()),
+            };
+            match accepted {
+                Ok((stream, _peer)) => {
+                    let pool = &pool;
+                    let net = &net;
+                    scope.spawn(move || serve_connection(stream, pool, net));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Wakes early on any pool change (e.g. run
+                    // completed) and at the latest after one quantum.
+                    let g = pool.lock();
+                    let _g = pool.wait_timeout(g, ACCEPT_QUANTUM);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    let mut g = pool.lock();
+                    g.set_abort(e.kind(), e.to_string());
+                    drop(g);
+                    pool.notify_all();
+                    break;
+                }
+            }
         }
-        let kernels_by_pe: Vec<(String, KernelStats)> = core
-            .owner
-            .kernels_by_pe
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| **k != KernelStats::default())
-            .map(|(pe, k)| (core.master.pe_name(pe).to_string(), *k))
-            .collect();
-        let events = core.master.take_events();
-        let hits = merge_hits(
-            core.owner
-                .results
-                .into_iter()
-                .enumerate()
-                .filter_map(|(task, hits)| hits.map(|hits| (task, hits))),
-        );
-        Ok(DistributedOutcome {
-            elapsed_seconds,
-            total_cells,
-            gcups: observed_gcups(total_cells, elapsed_seconds),
-            hits,
-            completed_by: core.owner.completed_by,
-            kernels: core.owner.kernels,
-            kernels_by_pe,
-            events,
-        })
+        // Wake every parked endpoint so the scope can join them.
+        pool.notify_all();
+    });
+
+    let elapsed_seconds = start.elapsed().as_secs_f64();
+    let mut core = pool.into_inner();
+    if let Some((kind, message)) = core.take_abort() {
+        return Err(io::Error::new(kind, message));
     }
+    let kernels_by_pe: Vec<(String, KernelStats)> = core
+        .owner
+        .kernels_by_pe
+        .iter()
+        .enumerate()
+        .filter(|(_, k)| **k != KernelStats::default())
+        .map(|(pe, k)| (core.master.pe_name(pe).to_string(), *k))
+        .collect();
+    let events = core.master.take_events();
+    let hits = merge_hits(
+        core.owner
+            .results
+            .into_iter()
+            .enumerate()
+            .filter_map(|(task, hits)| hits.map(|hits| (task, hits))),
+    );
+    Ok(DistributedOutcome {
+        elapsed_seconds,
+        total_cells,
+        gcups: observed_gcups(total_cells, elapsed_seconds),
+        hits,
+        completed_by: core.owner.completed_by,
+        kernels: core.owner.kernels,
+        kernels_by_pe,
+        events,
+    })
 }

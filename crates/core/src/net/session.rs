@@ -7,7 +7,7 @@
 //! lines into [`PeEvent`]s and watches the liveness deadline, while the
 //! calling thread runs [`drive`] with a [`RemoteEndpoint`] that writes
 //! scheduling decisions back out. The drive loop is *the same function*
-//! the threaded runtime runs — the transport is the only difference.
+//! a local fleet thread runs — the transport is the only difference.
 
 use std::io::{self, BufWriter};
 use std::net::TcpStream;

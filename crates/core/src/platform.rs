@@ -152,8 +152,8 @@ impl PlatformBuilder {
     }
 
     /// Select the ready-queue dispatch order (extension; the paper's
-    /// behaviour is [`crate::master::Dispatch::FileOrder`]).
-    pub fn dispatch(mut self, dispatch: crate::master::Dispatch) -> Self {
+    /// behaviour is [`crate::sched::Dispatch::FileOrder`]).
+    pub fn dispatch(mut self, dispatch: crate::sched::Dispatch) -> Self {
         self.config.master.dispatch = dispatch;
         self
     }

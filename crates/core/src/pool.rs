@@ -1,17 +1,15 @@
 //! The one pool-drive loop shared by every real runtime.
 //!
 //! The paper's task environment is a single master scheduling a *hybrid*
-//! pool of PEs (Fig. 1). Historically this repository grew three separate
-//! drivers of the [`Master`] state machine — the virtual-time simulator,
-//! the threaded runtime, and the TCP `MasterServer` — each re-implementing
-//! the same request/execute/report cycle. This module is the extraction:
-//! one [`PePool`] (the master plus membership bookkeeping behind a
-//! [`WaitHub`]) and one [`drive`] loop, with the *transport* abstracted
-//! behind [`PeEndpoint`]. A local worker thread ([`LocalEndpoint`]) and a
-//! remote TCP slave session (`net::serve_connection`) are now just two
-//! endpoint implementations feeding the same master with identical
-//! event/stat flow: `RuntimeEvent`s, `KernelStats`, PSS progress
-//! notifications, replication/steal, and liveness-driven requeue.
+//! pool of PEs (Fig. 1). This module is that master for every driver that
+//! runs in real time: one [`PePool`] (the [`Scheduler`] plus membership
+//! bookkeeping behind a [`WaitHub`]) and one [`drive`] loop, with the
+//! *transport* abstracted behind [`PeEndpoint`]. A local worker thread
+//! ([`LocalEndpoint`]) and a remote TCP slave session
+//! (`net::serve_connection`) are two endpoint implementations feeding the
+//! same engine with identical event/stat flow: `RuntimeEvent`s,
+//! `KernelStats`, PSS progress notifications, replication/steal, and
+//! liveness-driven requeue.
 //!
 //! What a runtime still chooses is what happens to a finished task's
 //! result: that is the [`PoolOwner`] — batch runs collect hits per task
@@ -31,8 +29,7 @@ use std::io;
 
 use std::time::Duration;
 
-use crate::master::{Assignment, Master};
-use crate::sched::{Clock, WallClock};
+use crate::sched::{Assignment, Clock, Scheduler, WallClock};
 use crate::shared::{HubGuard, WaitHub};
 use crate::task::{PeId, TaskId, TaskState};
 use crate::trace::EventKind;
@@ -142,7 +139,7 @@ pub trait PoolOwner: Send {
     /// [`Deferred`] to run work off-lock.
     fn on_finished(
         &mut self,
-        master: &mut Master,
+        master: &mut Scheduler,
         pe: PeId,
         task: TaskId,
         result: TaskResult,
@@ -155,7 +152,7 @@ pub trait PoolOwner: Send {
     /// is identified by id alone (batch runs, where both sides hold the
     /// same files) — or, for a payload-bearing owner, that the task is no
     /// longer shippable (e.g. its database generation was swapped out).
-    fn task_payload(&self, _master: &Master, _task: TaskId) -> Option<TaskPayload> {
+    fn task_payload(&self, _master: &Scheduler, _task: TaskId) -> Option<TaskPayload> {
         None
     }
 
@@ -171,7 +168,7 @@ pub trait PoolOwner: Send {
 struct Member {
     /// No further commands will be delivered (retired or torn down).
     closed: bool,
-    /// [`Master::pe_leaves`] bookkeeping ran (or was deliberately skipped
+    /// [`Scheduler::pe_leaves`] bookkeeping ran (or was deliberately skipped
     /// for a clean retirement); guards against double teardown.
     left: bool,
     /// Admitted over the wire rather than as a local thread.
@@ -182,7 +179,7 @@ struct Member {
 /// membership/barrier/abort state every endpoint shares.
 pub struct PoolCore<S> {
     /// The scheduling state machine.
-    pub master: Master,
+    pub master: Scheduler,
     /// The result policy.
     pub owner: S,
     members: HashMap<PeId, Member>,
@@ -252,7 +249,7 @@ impl<S> PoolCore<S> {
     }
 
     /// Tear down a member: exactly once per PE, its held tasks return to
-    /// the ready queue ([`Master::pe_leaves`]). `suspected_dead` marks a
+    /// the ready queue ([`Scheduler::pe_leaves`]). `suspected_dead` marks a
     /// liveness verdict (silence past the deadline) rather than an
     /// observed hang-up. Callable under an existing lock — the caller
     /// must notify the hub afterwards.
@@ -299,7 +296,7 @@ impl<S: PoolOwner> PePool<S> {
     /// New pool around `master`. The registration barrier opens once
     /// `expected` PEs have been admitted (0 opens it immediately — members
     /// then join as latecomers).
-    pub fn new(master: Master, owner: S, expected: usize) -> PePool<S> {
+    pub fn new(master: Scheduler, owner: S, expected: usize) -> PePool<S> {
         PePool {
             hub: WaitHub::new(PoolCore {
                 master,
@@ -519,7 +516,7 @@ pub trait PeEndpoint<S: PoolOwner> {
 }
 
 /// Drive one admitted PE until it retires, fails, or the pool aborts —
-/// THE pool-drive loop. Both the threaded runtime and the TCP server run
+/// THE pool-drive loop. Local worker threads and TCP slave sessions run
 /// exactly this function; they differ only in the endpoint.
 pub fn drive<S: PoolOwner, E: PeEndpoint<S>>(pool: &PePool<S>, pe: PeId, endpoint: &mut E) {
     loop {
@@ -560,7 +557,7 @@ pub fn drive<S: PoolOwner, E: PeEndpoint<S>>(pool: &PePool<S>, pe: PeId, endpoin
 
 /// The in-process endpoint: a queue of assigned tasks and a closure that
 /// really computes one. Skips queued entries that were stolen or finished
-/// elsewhere, exactly like the old threaded runtime's inner loop.
+/// elsewhere while they waited.
 pub struct LocalEndpoint<F> {
     queue: VecDeque<TaskId>,
     running: Option<TaskId>,
@@ -634,7 +631,7 @@ impl BatchOwner {
 impl PoolOwner for BatchOwner {
     fn on_finished(
         &mut self,
-        master: &mut Master,
+        master: &mut Scheduler,
         pe: PeId,
         task: TaskId,
         result: TaskResult,
@@ -663,7 +660,7 @@ impl PoolOwner for BatchOwner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::master::MasterConfig;
+    use crate::sched::MasterConfig;
     use swhybrid_device::task::TaskSpec;
 
     fn specs(n: usize) -> Vec<TaskSpec> {
@@ -680,7 +677,7 @@ mod tests {
 
     fn pool(n_tasks: usize, expected: usize) -> PePool<BatchOwner> {
         PePool::new(
-            Master::new(specs(n_tasks), MasterConfig::default()),
+            Scheduler::new(specs(n_tasks), MasterConfig::default()),
             BatchOwner::new(n_tasks),
             expected,
         )

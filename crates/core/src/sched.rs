@@ -7,15 +7,21 @@
 //! The engine is deliberately **transport- and clock-agnostic**: every
 //! entry point takes an explicit `now` stamp in seconds, produced by
 //! whichever [`Clock`] the driver holds. The real runtimes
-//! ([`crate::pool`], [`crate::runtime`], the TCP master, the query
+//! ([`crate::pool`], the batch master in [`crate::net`], the query
 //! service) read a [`WallClock`]; the discrete-event simulator
 //! ([`crate::sim`]) advances a [`VirtualClock`] along its event heap.
 //! Both drive the *same* [`Scheduler`] — there is exactly one place in the
 //! tree where a Φ batch is sized or a replica is cancelled, so simulated
 //! and real runs cannot silently diverge.
 //!
-//! [`crate::master::Master`] is the thin driver-facing façade over this
-//! engine; it adds nothing but the historical name and re-exports.
+//! In the paper's terms (Fig. 4) this is the master's decision logic:
+//! under a dynamic policy it pops ready tasks in file order (batch size
+//! from the policy); once the ready queue is empty the **workload
+//! adjustment mechanism** (if enabled) hands an idle PE a replica of the
+//! executing task with the largest estimated remaining work. The first PE
+//! to complete a task wins and the other replicas are cancelled. Slaves
+//! give implicit speed information when they ask for more work and
+//! explicit information through periodic progress notifications.
 
 use crate::policy::Policy;
 use crate::stats::PeSpeedStats;
@@ -107,8 +113,8 @@ pub enum Dispatch {
 }
 
 /// Engine configuration: the user-selected policy and whether the workload
-/// adjustment mechanism is active. (Named for the master process that
-/// historically owned it; re-exported as `master::MasterConfig`.)
+/// adjustment mechanism is active. (Named for the paper's master process,
+/// whose decisions the engine makes.)
 #[derive(Debug, Clone, Copy)]
 pub struct MasterConfig {
     /// Task allocation policy.
@@ -154,10 +160,12 @@ pub enum Assignment {
     Done,
 }
 
-/// A live tap on the engine's event stream: called once per event, in
-/// emission order, while the driver's lock is held — keep callbacks short
-/// (push to a channel, write a line). Events are still appended to the
-/// in-memory stream; the sink is a copy, not a diversion.
+/// Where the engine's event stream goes when someone consumes it live:
+/// called once per event, in emission order, while the driver's lock is
+/// held — keep callbacks short (fold a counter, write a line). An engine
+/// with a sink forwards and does **not** retain: [`Scheduler::events`]
+/// stays empty, so a long-lived engine's memory does not grow with the
+/// number of tasks it has scheduled.
 pub struct EventSink(pub(crate) Box<dyn FnMut(&RuntimeEvent) + Send>);
 
 impl std::fmt::Debug for EventSink {
@@ -194,7 +202,8 @@ pub struct Scheduler {
     /// first request (all PEs must register before that point).
     quotas: Option<Vec<usize>>,
     /// Structured event stream (every scheduling decision and membership
-    /// change, in emission order).
+    /// change, in emission order) — retained only while no sink is
+    /// installed.
     events: Vec<RuntimeEvent>,
     /// Latest time any driver call reported; events from calls without a
     /// `now` parameter are stamped with this.
@@ -204,7 +213,7 @@ pub struct Scheduler {
     /// [`Assignment::Done`]: the engine outlives its current workload and
     /// expects more batches via [`Scheduler::submit_tasks`].
     keep_alive: bool,
-    /// Optional live event tap (see [`EventSink`]).
+    /// Where events go instead of `events` (see [`EventSink`]).
     sink: Option<EventSink>,
 }
 
@@ -224,10 +233,11 @@ impl Scheduler {
         }
     }
 
-    /// Install a live event tap: `sink` is called for every event from now
-    /// on, in emission order (events already in the stream are not
-    /// replayed). Used by the CLI to stream JSONL incrementally and by the
-    /// query service to derive per-PE metrics without polling.
+    /// Divert the event stream: `sink` is called for every event from now
+    /// on, in emission order, and the engine stops retaining them (events
+    /// already in the stream are not replayed). Used by the CLI to stream
+    /// JSONL incrementally and by the query service to fold per-PE
+    /// metrics as they happen.
     pub fn set_event_sink(&mut self, sink: impl FnMut(&RuntimeEvent) + Send + 'static) {
         self.sink = Some(EventSink(Box::new(sink)));
     }
@@ -278,13 +288,13 @@ impl Scheduler {
     }
 
     fn push_event(&mut self, event: RuntimeEvent) {
-        if let Some(EventSink(sink)) = &mut self.sink {
-            sink(&event);
+        match &mut self.sink {
+            Some(EventSink(sink)) => sink(&event),
+            None => self.events.push(event),
         }
-        self.events.push(event);
     }
 
-    /// The event stream so far.
+    /// The retained event stream so far (empty once a sink is installed).
     pub fn events(&self) -> &[RuntimeEvent] {
         &self.events
     }
@@ -658,9 +668,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_runs_a_minimal_workload_directly() {
-        // The engine works without the Master façade: drivers may hold a
-        // Scheduler directly.
+    fn scheduler_runs_a_minimal_workload_under_a_virtual_clock() {
         let spec = TaskSpec {
             id: 0,
             query_len: 100,
@@ -676,5 +684,460 @@ mod tests {
         clock.advance_to(1.0);
         assert!(s.task_finished(pe, 0, clock.now(), Some(1.0)).is_empty());
         assert_eq!(s.request(pe, clock.now()), Assignment::Done);
+    }
+
+    fn specs(n: usize) -> Vec<TaskSpec> {
+        (0..n)
+            .map(|id| TaskSpec {
+                id,
+                query_len: 1000,
+                queries: 1,
+                db_residues: 1_000_000_000,
+                db_sequences: 10_000,
+            })
+            .collect()
+    }
+
+    fn engine(n_tasks: usize, policy: Policy, adjustment: bool) -> Scheduler {
+        Scheduler::new(
+            specs(n_tasks),
+            MasterConfig {
+                policy,
+                adjustment,
+                dispatch: Default::default(),
+            },
+        )
+    }
+
+    #[test]
+    fn ss_hands_one_task_per_request() {
+        let mut m = engine(3, Policy::SelfScheduling, true);
+        let a = m.register("pe0", 1.0);
+        assert_eq!(m.request(a, 0.0), Assignment::Tasks(vec![0]));
+        assert_eq!(m.request(a, 0.0), Assignment::Tasks(vec![1]));
+    }
+
+    #[test]
+    fn pss_first_allocation_is_one_then_adapts() {
+        let mut m = engine(20, Policy::pss_default(), true);
+        let gpu = m.register("gpu0", 30.0);
+        let sse = m.register("sse0", 3.0);
+        // "In the first allocation, the master assigns one work unit for
+        // each slave" — regardless of priors.
+        assert_eq!(m.request(gpu, 0.0), Assignment::Tasks(vec![0]));
+        assert_eq!(m.request(sse, 0.0), Assignment::Tasks(vec![1]));
+        // The GPU reports completion: observed 30 GCUPS vs the SSE's 3.0
+        // prior → Φ = 10.
+        m.task_finished(gpu, 0, 1.0, Some(30.0));
+        match m.request(gpu, 1.0) {
+            Assignment::Tasks(t) => assert_eq!(t.len(), 10),
+            other => panic!("{other:?}"),
+        }
+        // Observations can also overturn the prior downwards.
+        m.notify_progress(sse, 2.0, 40.0); // the "SSE" is actually fast
+        match m.request(sse, 2.0) {
+            Assignment::Tasks(t) => assert_eq!(t.len(), 1), // 40/30 rounds to 1
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Regression: a PE that joins (or reconnects) mid-run re-enters the
+    /// Ω window with only its static prior. That prior is a `min_alive`
+    /// candidate, so before the clamp a wildly wrong one would hand every
+    /// *other* PE a mis-calibrated Φ batch until the joiner's first real
+    /// measurement landed. The fleet must instead drop to the SS grain
+    /// for exactly that interval.
+    #[test]
+    fn late_join_clamps_fleet_to_ss_until_first_measurement() {
+        let mut m = engine(40, Policy::pss_default(), true);
+        let gpu = m.register("gpu0", 30.0);
+        let sse = m.register("sse0", 3.0);
+        assert_eq!(m.request(gpu, 0.0), Assignment::Tasks(vec![0]));
+        assert_eq!(m.request(sse, 0.0), Assignment::Tasks(vec![1]));
+        m.task_finished(gpu, 0, 1.0, Some(30.0));
+        m.task_finished(sse, 1, 1.0, Some(3.0));
+        // Calibrated fleet: Φ = round(30/3) = 10 for the GPU.
+        let batch = match m.request(gpu, 1.0) {
+            Assignment::Tasks(t) => {
+                assert_eq!(t.len(), 10);
+                t
+            }
+            other => panic!("{other:?}"),
+        };
+        for t in batch {
+            m.task_finished(gpu, t, 1.5, Some(30.0));
+        }
+        // A PE joins mid-run with a wildly wrong (tiny) static prior.
+        // Unclamped, min_alive = 0.05 and the GPU's next Φ would be
+        // round(30/0.05) = 600 — the whole fleet must clamp to SS instead.
+        let joiner = m.pe_joins("joiner", 0.05, 2.0);
+        match m.request(gpu, 2.0) {
+            Assignment::Tasks(t) => assert_eq!(
+                t.len(),
+                1,
+                "fleet must hold the SS grain while the joiner is unobserved"
+            ),
+            other => panic!("{other:?}"),
+        }
+        // The joiner itself starts on the first-allocation rule.
+        let t_joiner = match m.request(joiner, 2.0) {
+            Assignment::Tasks(t) => {
+                assert_eq!(t.len(), 1);
+                t[0]
+            }
+            other => panic!("{other:?}"),
+        };
+        // Its first real measurement replaces the prior in the Ω window
+        // and lifts the clamp: Φ resumes against measured speeds only
+        // (min_alive is the SSE's observed 3.0, not the joiner's prior).
+        m.task_finished(joiner, t_joiner, 3.0, Some(5.0));
+        match m.request(gpu, 3.0) {
+            Assignment::Tasks(t) => assert_eq!(t.len(), 10),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn adjustment_replicates_when_ready_drains() {
+        let mut m = engine(2, Policy::SelfScheduling, true);
+        let a = m.register("a", 1.0);
+        let b = m.register("b", 1.0);
+        assert_eq!(m.request(a, 0.0), Assignment::Tasks(vec![0]));
+        assert_eq!(m.request(b, 0.0), Assignment::Tasks(vec![1]));
+        m.task_started(a, 0, 0.0);
+        m.task_started(b, 1, 0.0);
+        // a finishes its task and asks again: only b's task is executing.
+        assert!(m.task_finished(a, 0, 5.0, Some(1.0)).is_empty());
+        assert_eq!(m.request(a, 5.0), Assignment::Replicate(1));
+        // b's task now has two executors; when b finishes first, a must be
+        // cancelled.
+        m.task_started(a, 1, 5.0);
+        let cancels = m.task_finished(b, 1, 6.0, Some(1.0));
+        assert_eq!(cancels, vec![a]);
+        assert!(m.all_finished());
+        assert_eq!(m.request(a, 6.0), Assignment::Done);
+    }
+
+    #[test]
+    fn no_adjustment_means_wait() {
+        let mut m = engine(2, Policy::SelfScheduling, false);
+        let a = m.register("a", 1.0);
+        let b = m.register("b", 1.0);
+        m.request(a, 0.0);
+        m.request(b, 0.0);
+        m.task_finished(a, 0, 5.0, None);
+        assert_eq!(m.request(a, 5.0), Assignment::Wait);
+    }
+
+    #[test]
+    fn replication_never_duplicates_onto_same_pe() {
+        let mut m = engine(1, Policy::SelfScheduling, true);
+        let a = m.register("a", 1.0);
+        assert_eq!(m.request(a, 0.0), Assignment::Tasks(vec![0]));
+        m.task_started(a, 0, 0.0);
+        // a itself asks again — it cannot replicate its own task.
+        assert_eq!(m.request(a, 1.0), Assignment::Wait);
+    }
+
+    #[test]
+    fn replication_prefers_larger_remaining_work() {
+        let mut m = engine(2, Policy::SelfScheduling, true);
+        let a = m.register("a", 1.0);
+        let b = m.register("b", 1.0);
+        let c = m.register("c", 1.0);
+        m.request(a, 0.0);
+        m.request(b, 0.0);
+        m.task_started(a, 0, 0.0);
+        // b starts later, so more of task 1 remains at t=400.
+        m.task_started(b, 1, 300.0);
+        match m.request(c, 400.0) {
+            Assignment::Replicate(t) => assert_eq!(t, 1),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn unstarted_batch_entries_are_stolen_when_beneficial() {
+        let mut m = engine(3, Policy::Pss { omega: 3 }, true);
+        let a = m.register("a", 3.0);
+        let b = m.register("b", 2.0);
+        // First allocation: one task. a completes it, reporting 3 GCUPS.
+        assert_eq!(m.request(a, 0.0), Assignment::Tasks(vec![0]));
+        m.task_started(a, 0, 0.0);
+        m.task_finished(a, 0, 333.0, Some(3.0));
+        // Φ = round(3/2) = 2: a takes the remaining two tasks as a batch
+        // and starts the first.
+        match m.request(a, 333.0) {
+            Assignment::Tasks(t) => assert_eq!(t, vec![1, 2]),
+            other => panic!("{other:?}"),
+        }
+        m.task_started(a, 1, 333.0);
+        // a's backlog ≈ 2 tasks at 3 GCUPS (ETA ≈ 667 s); b at 2 GCUPS
+        // would finish task 2 in 500 s → the takeover is beneficial and no
+        // work is lost.
+        match m.request(b, 333.0) {
+            Assignment::Steal { task, from } => {
+                assert_eq!(task, 2);
+                assert_eq!(from, a);
+                // The stolen task now belongs to b alone.
+                assert_eq!(m.pool().get(task).executors, vec![b]);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn harmful_takeover_degrades_to_replication() {
+        // A very slow idle PE must NOT move a big task off a fast PE's
+        // queue — it replicates instead, so the fast PE still gets to run
+        // the original.
+        let mut m = engine(3, Policy::Pss { omega: 3 }, true);
+        let fast = m.register("fast", 30.0);
+        let slow = m.register("slow", 1.0);
+        m.notify_progress(fast, 0.0, 30.0);
+        match m.request(fast, 0.0) {
+            Assignment::Tasks(t) => assert_eq!(t, vec![0, 1, 2]),
+            other => panic!("{other:?}"),
+        }
+        m.task_started(fast, 0, 0.0);
+        match m.request(slow, 0.0) {
+            Assignment::Replicate(t) => {
+                assert!(t == 1 || t == 2);
+                // The fast PE still holds the task.
+                assert!(m.pool().get(t).executors.contains(&fast));
+            }
+            other => panic!("expected replication, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fixed_policy_splits_upfront_and_stops() {
+        let mut m = engine(4, Policy::Fixed, false);
+        let a = m.register("a", 30.0);
+        let b = m.register("b", 1.0);
+        match m.request(a, 0.0) {
+            Assignment::Tasks(t) => assert_eq!(t.len(), 2),
+            other => panic!("{other:?}"),
+        }
+        match m.request(b, 0.0) {
+            Assignment::Tasks(t) => assert_eq!(t.len(), 2),
+            other => panic!("{other:?}"),
+        }
+        // Quotas exhausted.
+        assert_eq!(m.request(a, 1.0), Assignment::Wait);
+    }
+
+    #[test]
+    fn wfixed_policy_splits_by_static_speed() {
+        let mut m = engine(11, Policy::WFixed, false);
+        let a = m.register("gpu", 30.0);
+        let b = m.register("sse", 3.0);
+        let got_a = match m.request(a, 0.0) {
+            Assignment::Tasks(t) => t.len(),
+            other => panic!("{other:?}"),
+        };
+        let got_b = match m.request(b, 0.0) {
+            Assignment::Tasks(t) => t.len(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(got_a + got_b, 11);
+        assert_eq!(got_a, 10);
+        assert_eq!(got_b, 1);
+    }
+
+    #[test]
+    fn late_finisher_result_is_discarded() {
+        let mut m = engine(1, Policy::SelfScheduling, true);
+        let a = m.register("a", 1.0);
+        let b = m.register("b", 1.0);
+        m.request(a, 0.0);
+        m.task_started(a, 0, 0.0);
+        assert_eq!(m.request(b, 0.1), Assignment::Replicate(0));
+        m.task_started(b, 0, 0.1);
+        let cancels = m.task_finished(b, 0, 1.0, None);
+        assert_eq!(cancels, vec![a]);
+        // a crosses the line later: empty cancel list signals "discard".
+        assert!(m.task_finished(a, 0, 1.1, None).is_empty());
+    }
+
+    #[test]
+    fn leave_returns_tasks_to_ready() {
+        let mut m = engine(2, Policy::Pss { omega: 3 }, true);
+        let a = m.register("a", 2.0);
+        let b = m.register("b", 1.0);
+        m.notify_progress(a, 0.0, 2.0);
+        match m.request(a, 0.0) {
+            Assignment::Tasks(t) => assert_eq!(t, vec![0, 1]),
+            other => panic!("{other:?}"),
+        }
+        m.task_started(a, 0, 0.0);
+        m.pe_leaves(a, &[0, 1]);
+        // Both tasks are ready again; b picks them up.
+        match m.request(b, 1.0) {
+            Assignment::Tasks(t) => assert!(!t.is_empty()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn join_mid_run_participates() {
+        let mut m = engine(3, Policy::SelfScheduling, true);
+        let a = m.register("a", 1.0);
+        m.request(a, 0.0);
+        let late = m.pe_joins("late", 5.0, 1.0);
+        match m.request(late, 1.0) {
+            Assignment::Tasks(t) => assert_eq!(t, vec![1]),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "register before the first request")]
+    fn static_policy_registration_after_request_rejected() {
+        let mut m = engine(4, Policy::Fixed, false);
+        let a = m.register("a", 1.0);
+        m.request(a, 0.0);
+        m.register("b", 1.0);
+    }
+
+    #[test]
+    fn event_stream_records_the_full_run() {
+        use crate::trace::EventKind as E;
+        let mut m = engine(2, Policy::SelfScheduling, true);
+        let a = m.register("a", 1.0);
+        let b = m.register("b", 1.0);
+        m.request(a, 0.0);
+        m.request(b, 0.0);
+        m.task_started(a, 0, 0.0);
+        m.task_started(b, 1, 0.0);
+        m.task_finished(a, 0, 5.0, Some(1.0));
+        assert_eq!(m.request(a, 5.0), Assignment::Replicate(1));
+        m.task_started(a, 1, 5.0);
+        m.task_finished(b, 1, 6.0, Some(1.0));
+        let names: Vec<&str> = m.events().iter().map(|e| e.kind.name()).collect();
+        assert_eq!(
+            names,
+            vec![
+                "pe_registered",
+                "pe_registered",
+                "tasks_assigned",
+                "tasks_assigned",
+                "task_started",
+                "task_started",
+                "task_finished",
+                "task_replicated",
+                "task_started",
+                "task_finished",
+                "replica_cancelled",
+                "run_completed",
+            ]
+        );
+        // The replica a ran for 1 s at ~1 GCUPS: its wasted work is counted.
+        let wasted = m.events().iter().find_map(|e| match e.kind {
+            E::ReplicaCancelled { wasted_cells, .. } => Some(wasted_cells),
+            _ => None,
+        });
+        assert!(wasted.unwrap() > 0);
+        // take_events drains.
+        assert_eq!(m.take_events().len(), 12);
+        assert!(m.events().is_empty());
+    }
+
+    #[test]
+    fn keep_alive_waits_across_batches_and_replays_completion() {
+        use crate::trace::EventKind as E;
+        let mut m = engine(1, Policy::SelfScheduling, true);
+        m.set_keep_alive(true);
+        let a = m.register("a", 1.0);
+        assert_eq!(m.request(a, 0.0), Assignment::Tasks(vec![0]));
+        m.task_started(a, 0, 0.0);
+        m.task_finished(a, 0, 1.0, Some(1.0));
+        assert!(m.all_finished());
+        // Drained but kept alive: the PE idles instead of exiting.
+        assert_eq!(m.request(a, 1.0), Assignment::Wait);
+        // A second batch arrives and is scheduled like any other work.
+        let ids = m.submit_tasks(specs(2));
+        assert_eq!(ids, vec![1, 2]);
+        assert_eq!(m.request(a, 2.0), Assignment::Tasks(vec![1]));
+        m.task_started(a, 1, 2.0);
+        m.task_finished(a, 1, 3.0, Some(1.0));
+        assert_eq!(m.request(a, 3.0), Assignment::Tasks(vec![2]));
+        m.task_started(a, 2, 3.0);
+        m.task_finished(a, 2, 4.0, Some(1.0));
+        // Each drain emits its own run_completed.
+        let completions = m
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, E::RunCompleted))
+            .count();
+        assert_eq!(completions, 2);
+        // Shutdown: clearing keep-alive lets the PE exit.
+        m.set_keep_alive(false);
+        assert_eq!(m.request(a, 5.0), Assignment::Done);
+    }
+
+    #[test]
+    fn a_sink_receives_the_stream_and_the_engine_retains_nothing() {
+        use std::sync::{Arc, Mutex};
+        // The daemon's shape: a kept-alive engine fed one batch per round.
+        fn rounds(m: &mut Scheduler) {
+            m.set_keep_alive(true);
+            let a = m.register("a", 1.0);
+            for round in 0..50 {
+                let now = round as f64;
+                let task = m.submit_tasks(specs(1))[0];
+                assert_eq!(m.request(a, now), Assignment::Tasks(vec![task]));
+                m.task_started(a, task, now);
+                m.task_finished(a, task, now + 0.5, Some(1.0));
+            }
+        }
+        // Without a sink the engine retains the stream, as ever.
+        let mut retaining = engine(0, Policy::SelfScheduling, true);
+        rounds(&mut retaining);
+        assert_eq!(retaining.events().len(), 1 + 50 * 5);
+        // With one, every event is forwarded in order and none is kept.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut forwarding = engine(0, Policy::SelfScheduling, true);
+        let tap = Arc::clone(&seen);
+        forwarding.set_event_sink(move |e| tap.lock().unwrap().push(e.clone()));
+        rounds(&mut forwarding);
+        assert!(forwarding.events().is_empty());
+        assert!(forwarding.take_events().is_empty());
+        assert_eq!(*seen.lock().unwrap(), retaining.events());
+    }
+
+    #[test]
+    #[should_panic(expected = "dynamic policy")]
+    fn static_policy_rejects_multi_batch() {
+        let mut m = engine(2, Policy::Fixed, false);
+        m.register("a", 1.0);
+        m.submit_tasks(specs(1));
+    }
+
+    #[test]
+    fn leave_emits_requeue_only_for_returned_tasks() {
+        use crate::trace::EventKind as E;
+        let mut m = engine(2, Policy::Pss { omega: 3 }, true);
+        // Φ(a) = round(1.8/1.0) = 2, so a takes both tasks — yet b would
+        // still finish the unstarted one before a's two-task backlog drains,
+        // so the takeover is beneficial.
+        let a = m.register("a", 1.8);
+        let b = m.register("b", 1.0);
+        m.notify_progress(a, 0.0, 1.8);
+        m.request(a, 0.0); // a takes both tasks
+        m.task_started(a, 0, 0.0);
+        assert_eq!(m.request(b, 0.1), Assignment::Steal { task: 1, from: a });
+        m.task_started(b, 1, 0.1);
+        // a dies holding task 0 (task 1 was stolen away already).
+        m.pe_leaves(a, &[0]);
+        let requeued: Vec<_> = m
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                E::TaskRequeued { task, from } => Some((task, from)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(requeued, vec![(0, a)]);
     }
 }

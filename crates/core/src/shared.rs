@@ -1,12 +1,10 @@
 //! Shared-state wakeups for the real runtimes.
 //!
-//! Both real drivers of the [`crate::master::Master`] state machine — the
-//! threaded runtime and the TCP master — previously polled: an idle PE that
-//! received [`crate::master::Assignment::Wait`] slept a fixed interval and
-//! asked again. [`WaitHub`] replaces that with a mutex + condvar pair so a
-//! waiter is woken the moment another PE finishes a task (or dies and has
-//! its work requeued), turning the idle→busy latency from the poll interval
-//! into microseconds.
+//! An idle PE that received [`crate::sched::Assignment::Wait`] must not
+//! poll the [`crate::sched::Scheduler`]: [`WaitHub`] is a mutex + condvar
+//! pair, so a waiter is woken the moment another PE finishes a task (or
+//! dies and has its work requeued), and the idle→busy latency is
+//! microseconds rather than a poll interval.
 //!
 //! The protocol is deliberately minimal: every mutation of the protected
 //! state that could unblock a waiter must be followed by

@@ -7,9 +7,8 @@
 //! (non-dedicated §V-C runs). The *scheduling logic itself is not
 //! simulated* — this module contains no SS/PSS/Φ sizing and no adjustment
 //! decisions of its own. The simulator is a discrete-event **driver** of
-//! the one scheduling engine in [`crate::sched`] (through the [`Master`]
-//! façade, exactly like the real runtimes): it advances a
-//! [`VirtualClock`] along its event heap and relays
+//! the one scheduling engine in [`crate::sched`], exactly like the real
+//! runtimes: it advances a [`VirtualClock`] along its event heap and relays
 //! request/start/notify/finish calls, so allocation decisions,
 //! replication, and cancellations are the genuine article.
 //!
@@ -21,8 +20,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use crate::master::{Assignment, Master, MasterConfig};
-use crate::sched::{Clock, VirtualClock};
+use crate::sched::{Assignment, Clock, MasterConfig, Scheduler, VirtualClock};
 use crate::task::{PeId, TaskId};
 use crate::trace::{NotifySample, SegmentEnd, Trace, TraceSegment};
 use swhybrid_device::load::LoadSchedule;
@@ -215,7 +213,7 @@ impl Simulator {
 struct Engine {
     pes: Vec<SimPe>,
     state: Vec<PeState>,
-    master: Master,
+    master: Scheduler,
     /// The run's time base: advanced to each popped event's stamp; every
     /// `now` handed to the engine is read back off this clock.
     clock: VirtualClock,
@@ -233,7 +231,7 @@ struct Engine {
 impl Engine {
     fn new(pes: Vec<SimPe>, specs: Vec<TaskSpec>, config: SimConfig) -> Engine {
         let total_cells = specs.iter().map(|s| s.cells()).sum();
-        let mut master = Master::new(specs, config.master);
+        let mut master = Scheduler::new(specs, config.master);
         let mut state = Vec::with_capacity(pes.len());
         for pe in &pes {
             // Every PE (early or late) is registered up front so ids line

@@ -26,8 +26,8 @@ pub const MIN_MEASURED_SECONDS: f64 = 1e-6;
 /// Convert a completed task's `cells` / `seconds` measurement into a GCUPS
 /// observation, clamping the duration to [`MIN_MEASURED_SECONDS`].
 ///
-/// Both real drivers (the threaded runtime and the TCP slave) report task
-/// speeds through this helper; the virtual-time simulator keeps its own
+/// Every real PE (local fleet threads, daemon workers, TCP slaves) reports
+/// task speeds through this helper; the virtual-time simulator keeps its own
 /// exact arithmetic.
 pub fn observed_gcups(cells: u64, seconds: f64) -> f64 {
     cells as f64 / seconds.max(MIN_MEASURED_SECONDS) / 1e9

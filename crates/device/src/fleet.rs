@@ -45,6 +45,20 @@ pub struct FleetPe {
     pub model: Option<Arc<dyn DeviceModel>>,
 }
 
+impl FleetPe {
+    /// A real SIMD PE: the striped backend, no device model — its speed
+    /// is measured, `static_gcups` only seeds WFixed and the PSS prior.
+    pub fn simd(name: impl Into<String>, static_gcups: f64) -> FleetPe {
+        FleetPe {
+            name: name.into(),
+            kind: DeviceKind::SseCore,
+            backend: Box::new(StripedBackend::default()),
+            static_gcups,
+            model: None,
+        }
+    }
+}
+
 impl std::fmt::Debug for FleetPe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetPe")
@@ -134,13 +148,7 @@ impl FleetSpec {
             for _ in 0..count {
                 let i = counters.entry(kind).or_insert(0usize);
                 let pe = match kind {
-                    DeviceKind::SseCore => FleetPe {
-                        name: format!("sse{i}"),
-                        kind,
-                        backend: Box::new(StripedBackend::default()),
-                        static_gcups: 1.0,
-                        model: None,
-                    },
+                    DeviceKind::SseCore => FleetPe::simd(format!("sse{i}"), 1.0),
                     DeviceKind::Gpu => {
                         let device: Arc<dyn DeviceModel> =
                             Arc::new(GpuDevice::gtx580(format!("gpu{i}")));

@@ -39,12 +39,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level and its input arrives from sockets, so an
+/// unbounded depth lets one line of `[` overflow the stack; no protocol
+/// message in this workspace nests deeper than 4.
+pub const MAX_DEPTH: usize = 64;
+
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Nesting beyond [`MAX_DEPTH`] is a [`ParseError`].
     pub fn parse(input: &str) -> Result<Json, ParseError> {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -242,6 +250,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -290,12 +300,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -527,6 +550,22 @@ mod tests {
         for bad in ["{", "[1,", "tru", "\"abc", "{\"a\" 1}", "1 2", "{'a': 1}"] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH - 1)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count against the same limit as arrays.
+        let objects = format!("{}1{}", "{\"k\":[".repeat(40), "]}".repeat(40));
+        assert!(Json::parse(&objects).is_err());
+        // Siblings do not accumulate depth.
+        assert!(Json::parse(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
+        // 1 MB of '[' returns an error instead of overflowing the stack.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

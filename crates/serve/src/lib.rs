@@ -5,7 +5,7 @@
 //! to the slave PEs" for one workload and exits. This crate turns that
 //! runtime into a long-running daemon for server-side traffic:
 //!
-//! * [`service`] — the query engine: a persistent [`swhybrid_core::master::Master`]
+//! * [`service`] — the query engine: a persistent [`swhybrid_core::sched::Scheduler`]
 //!   in keep-alive mode fed multi-batch workloads, one task per database
 //!   shard, executed by long-lived PE worker threads,
 //! * [`admission`] — a bounded admission queue with per-client in-flight

@@ -1,11 +1,15 @@
 //! The daemon's live metrics: latency histogram, admission counters, and
-//! per-PE throughput folded from the master's event stream.
+//! per-PE throughput folded from the scheduler's event stream.
 //!
 //! Per-PE GCUPS is not measured separately by the service — it is *derived*
 //! from the [`RuntimeEvent`] stream the scheduler already emits
 //! ([`EventKind::TaskFinished`] carries the measured speed of every
 //! completion), so the numbers the `stats` verb reports are exactly the
-//! numbers the PSS policy schedules by.
+//! numbers the PSS policy schedules by. The service installs
+//! [`fold_event`] as the engine's event sink, so each event is folded the
+//! moment it is emitted and never stored.
+
+use std::sync::{Arc, Mutex};
 
 use swhybrid_core::trace::{EventKind, RuntimeEvent};
 use swhybrid_json::Json;
@@ -191,42 +195,42 @@ pub struct Metrics {
     pub latency: LatencyHistogram,
     /// Cumulative kernel usage across every shard scan (winner or not).
     pub kernels: KernelStats,
-    /// Per-PE throughput, indexed by `PeId`.
-    pub pes: Vec<PeMetric>,
+    /// Per-PE throughput, indexed by `PeId`. Shared with the engine's
+    /// event sink, which is the only writer (see [`fold_event`]); both
+    /// sides run under the pool lock, so this lock is never contended.
+    pub pes: Arc<Mutex<Vec<PeMetric>>>,
 }
 
-impl Metrics {
-    /// Fold one runtime event into the per-PE series.
-    pub fn apply_event(&mut self, event: &RuntimeEvent) {
-        match &event.kind {
-            EventKind::PeRegistered { pe, name } | EventKind::PeJoined { pe, name } => {
-                if self.pes.len() <= *pe {
-                    self.pes.resize_with(pe + 1, PeMetric::default);
-                }
-                self.pes[*pe].name = name.clone();
+/// Fold one runtime event into a per-PE series.
+pub fn fold_event(pes: &mut Vec<PeMetric>, event: &RuntimeEvent) {
+    match &event.kind {
+        EventKind::PeRegistered { pe, name } | EventKind::PeJoined { pe, name } => {
+            if pes.len() <= *pe {
+                pes.resize_with(pe + 1, PeMetric::default);
             }
-            EventKind::TaskFinished {
-                pe, measured_gcups, ..
-            } => {
-                if self.pes.len() <= *pe {
-                    self.pes.resize_with(pe + 1, PeMetric::default);
-                }
-                let m = &mut self.pes[*pe];
-                m.tasks_finished += 1;
-                if measured_gcups.is_finite() {
-                    m.sum_gcups += measured_gcups;
-                    m.measured += 1;
-                    m.last_gcups = *measured_gcups;
-                }
-            }
-            EventKind::TaskKernels { pe, kernels, .. } => {
-                if self.pes.len() <= *pe {
-                    self.pes.resize_with(pe + 1, PeMetric::default);
-                }
-                self.pes[*pe].kernels.merge(kernels);
-            }
-            _ => {}
+            pes[*pe].name = name.clone();
         }
+        EventKind::TaskFinished {
+            pe, measured_gcups, ..
+        } => {
+            if pes.len() <= *pe {
+                pes.resize_with(pe + 1, PeMetric::default);
+            }
+            let m = &mut pes[*pe];
+            m.tasks_finished += 1;
+            if measured_gcups.is_finite() {
+                m.sum_gcups += measured_gcups;
+                m.measured += 1;
+                m.last_gcups = *measured_gcups;
+            }
+        }
+        EventKind::TaskKernels { pe, kernels, .. } => {
+            if pes.len() <= *pe {
+                pes.resize_with(pe + 1, PeMetric::default);
+            }
+            pes[*pe].kernels.merge(kernels);
+        }
+        _ => {}
     }
 }
 
@@ -261,53 +265,65 @@ mod tests {
 
     #[test]
     fn events_fold_into_pe_metrics() {
-        let mut m = Metrics::default();
-        m.apply_event(&RuntimeEvent {
-            time: 0.0,
-            kind: EventKind::PeRegistered {
-                pe: 0,
-                name: "cpu0".into(),
+        let mut pes = Vec::new();
+        fold_event(
+            &mut pes,
+            &RuntimeEvent {
+                time: 0.0,
+                kind: EventKind::PeRegistered {
+                    pe: 0,
+                    name: "cpu0".into(),
+                },
             },
-        });
-        m.apply_event(&RuntimeEvent {
-            time: 1.0,
-            kind: EventKind::TaskFinished {
-                pe: 0,
-                task: 0,
-                winner: true,
-                measured_gcups: 2.0,
+        );
+        fold_event(
+            &mut pes,
+            &RuntimeEvent {
+                time: 1.0,
+                kind: EventKind::TaskFinished {
+                    pe: 0,
+                    task: 0,
+                    winner: true,
+                    measured_gcups: 2.0,
+                },
             },
-        });
-        m.apply_event(&RuntimeEvent {
-            time: 2.0,
-            kind: EventKind::TaskFinished {
-                pe: 0,
-                task: 1,
-                winner: false,
-                measured_gcups: 4.0,
+        );
+        fold_event(
+            &mut pes,
+            &RuntimeEvent {
+                time: 2.0,
+                kind: EventKind::TaskFinished {
+                    pe: 0,
+                    task: 1,
+                    winner: false,
+                    measured_gcups: 4.0,
+                },
             },
-        });
-        assert_eq!(m.pes[0].name, "cpu0");
-        assert_eq!(m.pes[0].tasks_finished, 2);
-        assert!((m.pes[0].mean_gcups() - 3.0).abs() < 1e-12);
-        assert!((m.pes[0].last_gcups - 4.0).abs() < 1e-12);
+        );
+        assert_eq!(pes[0].name, "cpu0");
+        assert_eq!(pes[0].tasks_finished, 2);
+        assert!((pes[0].mean_gcups() - 3.0).abs() < 1e-12);
+        assert!((pes[0].last_gcups - 4.0).abs() < 1e-12);
         // NaN measurements (replicas finished without timing) are skipped.
-        m.apply_event(&RuntimeEvent {
-            time: 3.0,
-            kind: EventKind::TaskFinished {
-                pe: 0,
-                task: 2,
-                winner: false,
-                measured_gcups: f64::NAN,
+        fold_event(
+            &mut pes,
+            &RuntimeEvent {
+                time: 3.0,
+                kind: EventKind::TaskFinished {
+                    pe: 0,
+                    task: 2,
+                    winner: false,
+                    measured_gcups: f64::NAN,
+                },
             },
-        });
-        assert_eq!(m.pes[0].tasks_finished, 3);
-        assert!((m.pes[0].mean_gcups() - 3.0).abs() < 1e-12);
+        );
+        assert_eq!(pes[0].tasks_finished, 3);
+        assert!((pes[0].mean_gcups() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn task_kernels_events_fold_into_per_pe_counters() {
-        let mut m = Metrics::default();
+        let mut pes = Vec::new();
         let kernels = KernelStats {
             resolved_i8: 7,
             chunks_striped: 2,
@@ -315,25 +331,31 @@ mod tests {
             ..Default::default()
         };
         // Arrives before any registration event: the series must grow.
-        m.apply_event(&RuntimeEvent {
-            time: 1.0,
-            kind: EventKind::TaskKernels {
-                pe: 1,
-                task: 0,
-                kernels,
+        fold_event(
+            &mut pes,
+            &RuntimeEvent {
+                time: 1.0,
+                kind: EventKind::TaskKernels {
+                    pe: 1,
+                    task: 0,
+                    kernels,
+                },
             },
-        });
-        m.apply_event(&RuntimeEvent {
-            time: 2.0,
-            kind: EventKind::TaskKernels {
-                pe: 1,
-                task: 1,
-                kernels,
+        );
+        fold_event(
+            &mut pes,
+            &RuntimeEvent {
+                time: 2.0,
+                kind: EventKind::TaskKernels {
+                    pe: 1,
+                    task: 1,
+                    kernels,
+                },
             },
-        });
-        assert_eq!(m.pes[1].kernels.resolved_i8, 14);
-        assert_eq!(m.pes[1].kernels.chunks_striped, 4);
-        assert_eq!(m.pes[1].kernels.cells_computed, 2468);
-        assert_eq!(m.pes[0].kernels, KernelStats::default());
+        );
+        assert_eq!(pes[1].kernels.resolved_i8, 14);
+        assert_eq!(pes[1].kernels.chunks_striped, 4);
+        assert_eq!(pes[1].kernels.cells_computed, 2468);
+        assert_eq!(pes[0].kernels, KernelStats::default());
     }
 }

@@ -302,6 +302,9 @@ mod tests {
         assert!(parse_request(r#"{"verb":"search"}"#).is_err());
         assert!(parse_request(r#"{"verb":"search","query":"A","top_n":0}"#).is_err());
         assert!(parse_request(r#"{"verb":"cancel"}"#).is_err());
+        // One line of open brackets is a parse error (the server answers
+        // `bad_request`), not a stack overflow.
+        assert!(parse_request(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

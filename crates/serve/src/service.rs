@@ -3,7 +3,7 @@
 //!
 //! One [`QueryService`] owns:
 //!
-//! * a [`Master`] in keep-alive mode — the same SS/PSS scheduler and
+//! * a [`Scheduler`] in keep-alive mode — the same SS/PSS engine and
 //!   workload-adjustment state machine the batch runtimes use, never
 //!   restarted between queries — wrapped in a
 //!   [`PePool`](swhybrid_core::pool::PePool),
@@ -73,17 +73,15 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use swhybrid_align::scoring::Scoring;
-use swhybrid_core::master::{Master, MasterConfig};
 use swhybrid_core::net::{serve_connection, NetConfig};
 use swhybrid_core::policy::Policy;
 use swhybrid_core::pool::{drive, LocalEndpoint, PePool};
+use swhybrid_core::sched::{MasterConfig, Scheduler};
 use swhybrid_core::task::{PeId, TaskId};
-use swhybrid_core::trace::RuntimeEvent;
 use swhybrid_device::task::DeviceModel;
 use swhybrid_device::FleetSpec;
 use swhybrid_seq::sequence::EncodedSequence;
@@ -94,7 +92,7 @@ use swhybrid_simd::ShardExecutor;
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{CacheKey, ResultCache};
-use crate::metrics::Metrics;
+use crate::metrics::{fold_event, Metrics};
 use crate::prepared::{PreparedCache, PreparedKey};
 
 /// Slave-listener accept re-check interval.
@@ -332,7 +330,6 @@ struct ServeOwner {
     queue: AdmissionQueue,
     cache: ResultCache,
     metrics: Metrics,
-    events_rx: Receiver<RuntimeEvent>,
     /// The current database generation: ids, database-order arena, digest.
     /// Replaced wholesale by a reload, never mutated — in-flight jobs hold
     /// their own `Arc` and finish on the snapshot they were admitted under.
@@ -453,9 +450,7 @@ impl QueryService {
              static quotas cannot absorb multi-batch workloads"
         );
 
-        let (events_tx, events_rx): (Sender<RuntimeEvent>, Receiver<RuntimeEvent>) =
-            std::sync::mpsc::channel();
-        let mut master = Master::new(
+        let mut master = Scheduler::new(
             Vec::new(),
             MasterConfig {
                 policy: cfg.policy,
@@ -464,8 +459,13 @@ impl QueryService {
             },
         );
         master.set_keep_alive(true);
+        // The engine's events fold into the per-PE series as they are
+        // emitted and are kept nowhere else: a daemon's memory must not
+        // grow with the number of queries it has served.
+        let metrics = Metrics::default();
+        let pes = Arc::clone(&metrics.pes);
         master.set_event_sink(move |e| {
-            let _ = events_tx.send(e.clone());
+            fold_event(&mut pes.lock().expect("per-PE series lock"), e);
         });
 
         let db = Arc::new(db);
@@ -477,8 +477,7 @@ impl QueryService {
             task_map: HashMap::new(),
             queue: AdmissionQueue::new(cfg.queue_depth, cfg.per_client_inflight),
             cache: ResultCache::new(cfg.cache_capacity),
-            metrics: Metrics::default(),
-            events_rx,
+            metrics,
             db,
             db_generation: 0,
             active_jobs: 0,

@@ -8,10 +8,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use swhybrid_core::master::Master;
 use swhybrid_core::pool::{
     Deferred, FusedQueryResult, PoolOwner, QueryPayload, TaskPayload, TaskResult,
 };
+use swhybrid_core::sched::Scheduler;
 use swhybrid_core::stats::observed_gcups;
 use swhybrid_core::task::{PeId, TaskId};
 use swhybrid_device::task::DeviceModel;
@@ -26,7 +26,7 @@ use super::{Completion, Inner, Phase, SearchReply, ServeOwner};
 impl PoolOwner for ServeOwner {
     fn on_finished(
         &mut self,
-        master: &mut Master,
+        master: &mut Scheduler,
         _pe: PeId,
         task: TaskId,
         result: TaskResult,
@@ -92,7 +92,7 @@ impl PoolOwner for ServeOwner {
         }))
     }
 
-    fn task_payload(&self, _master: &Master, task: TaskId) -> Option<TaskPayload> {
+    fn task_payload(&self, _master: &Scheduler, task: TaskId) -> Option<TaskPayload> {
         let ft = self.task_map.get(&task)?;
         // A remote slave holds the *current* database; never ship it a
         // shard of an older snapshot (possible only transiently, since a

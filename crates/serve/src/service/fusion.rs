@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use swhybrid_core::master::Master;
+use swhybrid_core::sched::Scheduler;
 use swhybrid_device::task::TaskSpec;
 
 use super::{FusedTask, Inner, Phase, ServeOwner, ACCEPT_QUANTUM};
@@ -55,7 +55,7 @@ pub(super) fn spawn_window_flusher(
 /// Admit queued jobs into the task pool up to the active-group bound,
 /// fusing co-queued same-generation queries into shared shard tasks (up
 /// to [`super::ServiceConfig::fusion`] queries per group).
-pub(super) fn pump(master: &mut Master, o: &mut ServeOwner, now: f64, flush: bool) {
+pub(super) fn pump(master: &mut Scheduler, o: &mut ServeOwner, now: f64, flush: bool) {
     // A popped job whose snapshot generation differs from the group being
     // formed starts the next group instead (it cannot be pushed back into
     // the admission queue). In the rare swap-db race this can transiently
@@ -108,7 +108,7 @@ pub(super) fn pump(master: &mut Master, o: &mut ServeOwner, now: f64, flush: boo
 /// Submit one fused group (1..=fusion jobs sharing a database snapshot
 /// generation) as a set of shard tasks, one task per shard scoring the
 /// whole batch.
-fn schedule_group(master: &mut Master, o: &mut ServeOwner, group: &[u64]) {
+fn schedule_group(master: &mut Scheduler, o: &mut ServeOwner, group: &[u64]) {
     let Some(&head) = group.first() else {
         return;
     };

@@ -1,5 +1,4 @@
-//! Observability: the `stats` reply body (folding pending runtime events
-//! into the per-PE series first) and the scoring-scheme digest.
+//! Observability: the `stats` reply body and the scoring-scheme digest.
 
 use swhybrid_align::scoring::{GapModel, Scoring};
 use swhybrid_core::net::kernels_to_json;
@@ -30,20 +29,17 @@ pub fn scoring_digest(scoring: &Scoring) -> u64 {
 }
 
 impl QueryService {
-    /// Snapshot the daemon's metrics as the `stats` reply body. Folds any
-    /// pending runtime events into the per-PE series first.
+    /// Snapshot the daemon's metrics as the `stats` reply body.
     pub fn stats(&self) -> Json {
         let inner = &self.inner;
         let mut g = inner.pool.lock();
         let now = inner.pool.now();
         let o = &mut g.owner;
-        while let Ok(e) = o.events_rx.try_recv() {
-            o.metrics.apply_event(&e);
-        }
         // Age-based eviction must not depend on traffic: an idle daemon's
         // registry drains on the next stats poll.
         sweep_retired(o, now);
         let m = &o.metrics;
+        let pes = m.pes.lock().expect("per-PE series lock");
         let cs = o.cache.stats();
         Json::obj(vec![
             ("ok", Json::Bool(true)),
@@ -132,8 +128,7 @@ impl QueryService {
             (
                 "pes",
                 Json::Arr(
-                    m.pes
-                        .iter()
+                    pes.iter()
                         .enumerate()
                         .map(|(pe, p)| {
                             Json::obj(vec![

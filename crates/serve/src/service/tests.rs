@@ -381,6 +381,49 @@ fn job_registry_stays_bounded_over_ten_thousand_queries() {
     svc.shutdown();
 }
 
+/// Regression: every scanned query used to leave its scheduling events
+/// behind twice — in the engine's retained stream, which the daemon never
+/// read, and in a channel only a `stats` call drained. Events now fold
+/// into the per-PE series as they are emitted and are kept nowhere.
+#[test]
+fn engine_events_fold_into_stats_without_being_retained() {
+    let db = random_db(83, 20, 50);
+    let query = random_query(89, 30);
+    let svc = QueryService::new(
+        db,
+        scoring(),
+        ServiceConfig {
+            workers: 1,
+            cache_capacity: 0, // every search must really scan
+            fusion: 1,
+            ..Default::default()
+        },
+    );
+    for _ in 0..1_000 {
+        let reply = svc.search_blocking(query.clone(), 5, 1).unwrap();
+        assert!(!reply.cached);
+    }
+    assert!(
+        svc.inner.pool.lock().master.events().is_empty(),
+        "the engine retained events although the daemon installed a sink"
+    );
+    // The first `stats` call after 1,000 unpolled scans sees all of them.
+    let stats = svc.stats();
+    let pes = stats.get("pes").unwrap().as_array().unwrap();
+    assert_eq!(pes.len(), 1);
+    assert_eq!(pes[0].get("name").unwrap().as_str(), Some("serve0"));
+    assert_eq!(pes[0].get("tasks_finished").unwrap().as_u64(), Some(1_000));
+    assert!(pes[0].get("mean_gcups").unwrap().as_f64().unwrap() > 0.0);
+    assert!(pes[0].get("last_gcups").unwrap().as_f64().unwrap() > 0.0);
+    let cells = |j: &swhybrid_json::Json| j.get("cells_computed").unwrap().as_u64().unwrap();
+    assert_eq!(
+        cells(pes[0].get("kernels").unwrap()),
+        cells(stats.get("kernels").unwrap()),
+        "per-PE kernel counters must account for every scan"
+    );
+    svc.shutdown();
+}
+
 /// Terminal records also age out without traffic: the age bound must
 /// drain an idle daemon's registry (swept on the stats poll).
 #[test]

@@ -1,14 +1,12 @@
 //! Quickstart: the five-minute tour of the `swhybrid` API.
 //!
-//! Reproduces the paper's didactic figures — a global alignment with its
-//! score (Fig. 1) and the Smith-Waterman similarity matrix with traceback
-//! (Fig. 2) — then shows that the striped SIMD engine agrees with the
-//! scalar oracle.
+//! Reproduces the paper's didactic Fig. 2 — the Smith-Waterman similarity
+//! matrix with traceback — then shows that the striped SIMD engine agrees
+//! with the scalar oracle.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use swhybrid::align::gotoh::gotoh_align;
-use swhybrid::align::nw::nw_align;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::align::sw::SwMatrix;
 use swhybrid::seq::fasta;
@@ -17,16 +15,9 @@ use swhybrid::simd::engine::{EnginePreference, StripedEngine};
 use swhybrid::simd::KernelScratch;
 
 fn main() {
-    // --- Fig. 1: a global alignment and its score ------------------------
+    // --- Fig. 2: the SW similarity matrix and local traceback ------------
     // ma = +1, mi = −1, g = −2 (the paper's example scheme).
     let scoring = Scoring::paper_dna();
-    let s = Alphabet::Dna.encode(b"ACTTGTCCG").expect("valid DNA");
-    let t = Alphabet::Dna.encode(b"ATTGTCAG").expect("valid DNA");
-    let global = nw_align(&s, &t, &scoring);
-    println!("— Fig. 1: global alignment (score = {}) —", global.score);
-    println!("{}\n", global.pretty(b"ACTTGTCCG", b"ATTGTCAG"));
-
-    // --- Fig. 2: the SW similarity matrix and local traceback ------------
     let s2 = Alphabet::Dna.encode(b"GCTGAC").expect("valid DNA");
     let t2 = Alphabet::Dna.encode(b"GAAGCTA").expect("valid DNA");
     let matrix = SwMatrix::build(&s2, &t2, &scoring);

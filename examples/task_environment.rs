@@ -8,10 +8,10 @@
 //! Run with: `cargo run --release --example task_environment`
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid::device::exec::StripedBackend;
-use swhybrid::exec::master::MasterConfig;
+use swhybrid::device::FleetPe;
+use swhybrid::exec::net::LocalFleet;
 use swhybrid::exec::policy::Policy;
-use swhybrid::exec::runtime::{run_real, RealPe, RuntimeConfig};
+use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::fasta;
 use swhybrid::seq::index::IndexedFasta;
 use swhybrid::seq::sequence::EncodedSequence;
@@ -68,37 +68,22 @@ fn main() {
             extend: 2,
         },
     };
-    let pes = vec![
-        RealPe {
-            name: "slave-0".into(),
-            static_gcups: 1.0,
-            backend: Box::new(StripedBackend::default()),
-        },
-        RealPe {
-            name: "slave-1".into(),
-            static_gcups: 1.0,
-            backend: Box::new(StripedBackend::default()),
-        },
-        RealPe {
-            name: "slave-2".into(),
-            static_gcups: 1.0,
-            backend: Box::new(StripedBackend::default()),
-        },
-    ];
-    let outcome = run_real(
-        pes,
-        &encoded_queries,
-        &subjects,
-        &scoring,
-        RuntimeConfig {
-            master: MasterConfig {
-                policy: Policy::pss_default(),
-                adjustment: true,
-                dispatch: Default::default(),
-            },
-            top_n: 3,
-        },
-    );
+    let outcome = LocalFleet {
+        pes: vec![
+            FleetPe::simd("slave-0", 1.0),
+            FleetPe::simd("slave-1", 1.0),
+            FleetPe::simd("slave-2", 1.0),
+        ],
+        queries: &encoded_queries,
+        subjects: &subjects,
+        scoring: &scoring,
+        top_n: 3,
+    }
+    .run(MasterConfig {
+        policy: Policy::pss_default(),
+        adjustment: true,
+        dispatch: Default::default(),
+    });
 
     println!(
         "executed {} tasks in {:.2} s  →  {:.2} GCUPS on this machine",

@@ -108,9 +108,8 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
-    use crate::exec::master::MasterConfig;
-    use crate::exec::net::{LocalFleet, MasterServer, NetConfig};
-    use crate::exec::runtime::RealPe;
+    use crate::exec::net::{query_specs, LocalFleet, MasterServer, NetConfig};
+    use crate::exec::sched::MasterConfig;
     use crate::store::Store;
 
     let opts = Opts::parse(
@@ -157,18 +156,7 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
     if queries.is_empty() {
         return Err(format!("{qpath}: no query sequences"));
     }
-    let db_residues: u64 = subjects.iter().map(|s| s.len() as u64).sum();
-    let specs = queries
-        .iter()
-        .enumerate()
-        .map(|(id, q)| crate::device::task::TaskSpec {
-            id,
-            query_len: q.len(),
-            queries: 1,
-            db_residues,
-            db_sequences: subjects.len(),
-        })
-        .collect();
+    let specs = query_specs(&queries, &subjects);
 
     let mut net = NetConfig::default();
     if let Some(secs) = opts.get("register-timeout") {
@@ -231,11 +219,10 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
             // slaves feed from.
             println!("local fleet: {}", spec.describe());
             let scoring = scoring_from_opts(&opts)?;
-            let pes: Vec<RealPe> = spec.build().into_iter().map(RealPe::from).collect();
             server.serve_hybrid(
                 specs,
                 LocalFleet {
-                    pes,
+                    pes: spec.build(),
                     queries: &queries,
                     subjects: &subjects,
                     scoring: &scoring,

@@ -9,15 +9,12 @@
 //! * [`db`] — database plumbing: `index`, `db build|inspect`, `generate`,
 //!   and [`db::DbSource`] (FASTA records or a memory-mapped `.swdb` store),
 //! * [`search`] — the one-shot `search` verb,
-//! * [`bench`] — the `bench-kernels` / `bench-serve` / `bench-store`
-//!   measurement verbs and their JSON baseline regression checks,
 //! * [`master_slave`] — the distributed `master` / `slave` pair and the
 //!   virtual-time `simulate` verb,
 //! * [`serve`] — the persistent daemon (`serve`) and its clients
 //!   (`query`, `reload`).
 
 mod args;
-mod bench;
 mod db;
 mod master_slave;
 mod search;
@@ -64,19 +61,6 @@ USAGE:
       memory-mapped and scanned in place (no parse, no re-encode), with
       hit tables byte-identical to the FASTA path. --verify-store
       re-checks the arena checksum and digest before scanning.
-
-  swhybrid bench-kernels [--subjects N] [--qlen N] [--reps N]
-                         [--threads LIST] [--json FILE]
-                         [--baseline FILE] [--tolerance PCT]
-      Time the striped, inter-sequence, and adaptive kernels over a
-      length-skewed synthetic database and report GCUPS (nominal cells,
-      so the kernels are directly comparable). --threads takes a comma
-      list of worker counts (default 1,2,4) and reports per-count GCUPS
-      plus scaling efficiency; rankings must stay identical across every
-      kernel x thread combination. --json also writes the table as a
-      JSON report. --baseline compares each kernel's single-thread GCUPS
-      against a previously written report and fails if any regressed
-      more than --tolerance percent (default 5).
 
   swhybrid simulate [--gpus N] [--sse N] [--fpgas N] [--fleet SPEC]
                     [--db NAME] [--policy ss|pss|fixed|wfixed]
@@ -137,17 +121,6 @@ USAGE:
       back into the full checksum + digest check). A running daemon
       hot-swaps databases via the `reload` verb (see swhybrid reload).
 
-  swhybrid bench-serve [--concurrency N] [--queries N] [--qlen N]
-                       [--subjects N] [--fusion N] [--workers N]
-                       [--json FILE] [--baseline FILE] [--tolerance PCT]
-      Measure serving throughput (queries/sec) of the in-process daemon
-      at --concurrency closed-loop clients, fused vs unfused, and report
-      the speedup. Hit tables are diffed between the two runs — fusion
-      must never change an answer. --json writes the report (default
-      BENCH_serve.json). --baseline compares fused and unfused
-      queries/sec against a previous report and fails if either
-      regressed more than --tolerance percent (default 5).
-
   swhybrid query [query.fasta] --connect HOST:PORT [--top N]
                  [--deadline-ms N] [--stats] [--shutdown]
       Send each query in the FASTA to a running daemon and print the
@@ -161,13 +134,6 @@ USAGE:
       queries see only the new one, the result cache is invalidated, and
       remote slaves are disconnected for re-admission under the new
       digest. --verify makes the daemon fully checksum the store first.
-
-  swhybrid bench-store [--subjects N] [--qlen N] [--reps N] [--json FILE]
-      Measure cold-start-to-first-result latency and peak memory of the
-      two database load paths — FASTA parse + re-encode vs `.swdb`
-      memory-map — over the same synthetic database, diff the hit
-      tables (must be identical), and write the report (default
-      BENCH_store.json).
 
   swhybrid slave <query.fasta> <db.fasta> --connect HOST:PORT
                  [--name NAME] [--gcups X] [--threads N]
@@ -203,10 +169,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Some("db") => db::cmd_db(&args[1..]),
         Some("generate") => db::cmd_generate(&args[1..]),
         Some("search") => search::cmd_search(&args[1..]),
-        Some("bench-kernels") => bench::cmd_bench_kernels(&args[1..]),
-        Some("bench-serve") => bench::cmd_bench_serve(&args[1..]),
-        Some("bench-store") => bench::cmd_bench_store(&args[1..]),
-        Some("bench-store-probe") => bench::cmd_bench_store_probe(&args[1..]),
         Some("reload") => serve::cmd_reload(&args[1..]),
         Some("simulate") => master_slave::cmd_simulate(&args[1..]),
         Some("master") => master_slave::cmd_master(&args[1..]),

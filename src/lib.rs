@@ -7,14 +7,15 @@
 //!
 //! * [`seq`] — sequences, alphabets, FASTA, the indexed file format, and the
 //!   synthetic stand-ins for the paper's five databases,
-//! * [`align`] — Smith-Waterman / Gotoh / Needleman-Wunsch kernels,
+//! * [`align`] — Smith-Waterman / Gotoh kernels (the scalar oracles),
 //! * [`simd`] — the adapted-Farrar striped SIMD kernel and the multithreaded
 //!   database search built on it,
 //! * [`device`] — processing-element models (simulated CUDASW++ GPU, SSE
 //!   core, FPGA) with calibrated performance models,
 //! * [`exec`] — the paper's contribution: the master/slave task execution
-//!   environment with SS/PSS allocation policies and the dynamic workload
-//!   adjustment mechanism,
+//!   environment — one scheduling engine (`exec::sched`: SS/PSS allocation
+//!   policies, the dynamic workload adjustment mechanism) under the
+//!   simulator, the batch master (`exec::net`) and the daemon,
 //! * [`serve`] — the persistent query service: a TCP daemon that keeps the
 //!   master/slave runtime warm between queries, with admission control,
 //!   an LRU result cache, and live metrics,

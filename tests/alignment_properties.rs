@@ -1,10 +1,7 @@
 //! Property-based invariants across the alignment kernels.
 
 use proptest::prelude::*;
-use swhybrid::align::banded::sw_score_banded;
 use swhybrid::align::gotoh::{gotoh_align, gotoh_score};
-use swhybrid::align::hirschberg::{hirschberg_global, hirschberg_local};
-use swhybrid::align::nw::{nw_align, nw_score};
 use swhybrid::align::score_only::{sw_score_affine, sw_score_linear};
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::align::sw::{sw_align, sw_score};
@@ -72,77 +69,6 @@ proptest! {
             sw_score_affine(&s, &t, &scoring).score,
             gotoh_score(&s, &t, &scoring)
         );
-    }
-
-    #[test]
-    fn local_score_bounds_global_score(
-        s in protein_codes(50),
-        t in protein_codes(50),
-        scoring in linear_scoring(),
-    ) {
-        prop_assert!(nw_score(&s, &t, &scoring) <= sw_score(&s, &t, &scoring));
-    }
-
-    #[test]
-    fn hirschberg_global_equals_nw(
-        s in protein_codes(50),
-        t in protein_codes(50),
-        scoring in linear_scoring(),
-    ) {
-        let h = hirschberg_global(&s, &t, &scoring);
-        let n = nw_align(&s, &t, &scoring);
-        prop_assert_eq!(h.score, n.score);
-        prop_assert_eq!(h.rescore(&s, &t, &scoring), h.score);
-    }
-
-    #[test]
-    fn hirschberg_local_equals_sw(
-        s in protein_codes(50),
-        t in protein_codes(50),
-        scoring in linear_scoring(),
-    ) {
-        let h = hirschberg_local(&s, &t, &scoring);
-        prop_assert_eq!(h.score, sw_score(&s, &t, &scoring));
-        if !h.is_empty() {
-            prop_assert_eq!(h.rescore(&s, &t, &scoring), h.score);
-        }
-    }
-
-    #[test]
-    fn myers_miller_equals_quadratic_affine_global(
-        s in protein_codes(45),
-        t in protein_codes(45),
-        scoring in affine_scoring(),
-    ) {
-        let mm = swhybrid::align::myers_miller::myers_miller_global(&s, &t, &scoring);
-        let reference = swhybrid::align::nw::nw_affine_align(&s, &t, &scoring);
-        prop_assert_eq!(mm.score, reference.score);
-        prop_assert_eq!(mm.rescore(&s, &t, &scoring), mm.score);
-    }
-
-    #[test]
-    fn nw_affine_traceback_rescores(
-        s in protein_codes(45),
-        t in protein_codes(45),
-        scoring in affine_scoring(),
-    ) {
-        let a = swhybrid::align::nw::nw_affine_align(&s, &t, &scoring);
-        prop_assert_eq!(a.rescore(&s, &t, &scoring), a.score);
-    }
-
-    #[test]
-    fn banded_is_monotone_in_band_width(
-        s in protein_codes(40),
-        t in protein_codes(40),
-        scoring in linear_scoring(),
-    ) {
-        let mut prev = 0;
-        for band in [0usize, 2, 5, 10, 50] {
-            let score = sw_score_banded(&s, &t, &scoring, band, 0);
-            prop_assert!(score >= prev, "band {} shrank the score", band);
-            prev = score;
-        }
-        prop_assert_eq!(prev, sw_score(&s, &t, &scoring));
     }
 
     #[test]

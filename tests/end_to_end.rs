@@ -2,10 +2,10 @@
 //! real threads → merged hit lists, across crates.
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid::device::exec::StripedBackend;
-use swhybrid::exec::master::MasterConfig;
+use swhybrid::device::FleetPe;
+use swhybrid::exec::net::{DistributedOutcome, LocalFleet};
 use swhybrid::exec::policy::Policy;
-use swhybrid::exec::runtime::{run_real, RealPe, RuntimeConfig};
+use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::fasta::{self, FastaReader};
 use swhybrid::seq::index::{index_path_for, IndexedFasta, SeqIndex};
 use swhybrid::seq::sequence::EncodedSequence;
@@ -22,12 +22,26 @@ fn scoring() -> Scoring {
     }
 }
 
-fn pe(name: &str) -> RealPe {
-    RealPe {
-        name: name.into(),
-        static_gcups: 1.0,
-        backend: Box::new(StripedBackend::default()),
+fn pe(name: &str) -> FleetPe {
+    FleetPe::simd(name, 1.0)
+}
+
+/// One batch on a local fleet alone: the batch function with no listener.
+fn run_local(
+    pes: Vec<FleetPe>,
+    queries: &[EncodedSequence],
+    subjects: &[EncodedSequence],
+    master: MasterConfig,
+    top_n: usize,
+) -> DistributedOutcome {
+    LocalFleet {
+        pes,
+        queries,
+        subjects,
+        scoring: &scoring(),
+        top_n,
     }
+    .run(master)
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -81,19 +95,16 @@ fn real_runtime_hits_match_direct_kernel_scores() {
     .map(|q| EncodedSequence::from_sequence(q, Alphabet::Protein).unwrap())
     .collect();
 
-    let out = run_real(
+    let out = run_local(
         vec![pe("a"), pe("b")],
         &queries,
         &subjects,
-        &scoring(),
-        RuntimeConfig {
-            master: MasterConfig {
-                policy: Policy::pss_default(),
-                adjustment: true,
-                dispatch: Default::default(),
-            },
-            top_n: 3,
+        MasterConfig {
+            policy: Policy::pss_default(),
+            adjustment: true,
+            dispatch: Default::default(),
         },
+        3,
     );
     assert_eq!(out.completed_by.len(), 5);
     assert!(out.completed_by.iter().all(|n| n == "a" || n == "b"));
@@ -129,20 +140,17 @@ fn runtime_results_are_identical_across_policies_and_pe_counts() {
     .map(|q| EncodedSequence::from_sequence(q, Alphabet::Protein).unwrap())
     .collect();
 
-    let key = |pes: Vec<RealPe>, policy: Policy, adjustment: bool| {
-        let out = run_real(
+    let key = |pes: Vec<FleetPe>, policy: Policy, adjustment: bool| {
+        let out = run_local(
             pes,
             &queries,
             &subjects,
-            &scoring(),
-            RuntimeConfig {
-                master: MasterConfig {
-                    policy,
-                    adjustment,
-                    dispatch: Default::default(),
-                },
-                top_n: 4,
+            MasterConfig {
+                policy,
+                adjustment,
+                dispatch: Default::default(),
             },
+            4,
         );
         let mut v: Vec<(usize, usize, i32)> = out
             .hits

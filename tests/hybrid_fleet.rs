@@ -9,7 +9,8 @@
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::task::DeviceModel;
 use swhybrid::device::{FleetSpec, FpgaDevice, GpuDevice, TaskSpec};
-use swhybrid::exec::runtime::{run_real, RealPe, RuntimeConfig};
+use swhybrid::exec::net::{DistributedOutcome, LocalFleet};
+use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::EventKind;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
@@ -62,23 +63,15 @@ impl Fixture {
         }
     }
 
-    fn run_fleet(&self, spec: &str) -> swhybrid::exec::runtime::RuntimeOutcome {
-        let pes: Vec<RealPe> = FleetSpec::parse(spec)
-            .unwrap()
-            .build()
-            .into_iter()
-            .map(RealPe::from)
-            .collect();
-        run_real(
-            pes,
-            &self.queries,
-            &self.subjects,
-            &scoring(),
-            RuntimeConfig {
-                top_n: TOP_N,
-                ..RuntimeConfig::default()
-            },
-        )
+    fn run_fleet(&self, spec: &str) -> DistributedOutcome {
+        LocalFleet {
+            pes: FleetSpec::parse(spec).unwrap().build(),
+            queries: &self.queries,
+            subjects: &self.subjects,
+            scoring: &scoring(),
+            top_n: TOP_N,
+        }
+        .run(MasterConfig::default())
     }
 
     /// The one-shot oracle: per-query kernel scans merged through the same
@@ -100,10 +93,7 @@ impl Fixture {
     }
 
     /// Per-task `TaskFinished` speeds of every PE named `name` in the run.
-    fn finished_speeds(
-        out: &swhybrid::exec::runtime::RuntimeOutcome,
-        name: &str,
-    ) -> Vec<(usize, f64)> {
+    fn finished_speeds(out: &DistributedOutcome, name: &str) -> Vec<(usize, f64)> {
         let pe_id = out
             .events
             .iter()

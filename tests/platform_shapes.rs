@@ -96,7 +96,7 @@ fn table5_hybrid_beats_gpu_only_on_swissprot() {
         .gpus(4)
         .sse_cores(4)
         .policy(Policy::pss_default())
-        .dispatch(swhybrid::exec::master::Dispatch::SizeAware)
+        .dispatch(swhybrid::exec::sched::Dispatch::SizeAware)
         .run(PlatformBuilder::workload(&db, &QuerySetSpec::paper(), 2013));
     assert!(
         size_aware.seconds() < fifo.seconds(),
@@ -117,7 +117,7 @@ fn size_aware_dispatch_makes_hybrids_additive_on_small_dbs() {
         let hybrid = PlatformBuilder::new()
             .gpus(4)
             .sse_cores(4)
-            .dispatch(swhybrid::exec::master::Dispatch::SizeAware)
+            .dispatch(swhybrid::exec::sched::Dispatch::SizeAware)
             .run(w());
         assert!(
             hybrid.seconds() <= gpu_only.seconds() * 1.02,

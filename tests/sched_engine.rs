@@ -10,8 +10,8 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use swhybrid::device::task::TaskSpec;
-use swhybrid::exec::master::MasterConfig;
 use swhybrid::exec::policy::Policy;
+use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::sched::{Assignment, Clock, Dispatch, Scheduler, VirtualClock};
 use swhybrid::exec::stats::PeSpeedStats;
 use swhybrid::exec::trace::EventKind;

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use swhybrid::device::cpu::CpuSseDevice;
 use swhybrid::device::perfmodel::PerfModel;
 use swhybrid::device::task::{DeviceModel, TaskSpec};
-use swhybrid::exec::master::MasterConfig;
 use swhybrid::exec::policy::Policy;
+use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::sim::{SimConfig, SimPe, SimReport, Simulator};
 use swhybrid::exec::trace::SegmentEnd;
 

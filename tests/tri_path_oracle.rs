@@ -14,9 +14,9 @@ use std::sync::Arc;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::exec::StripedBackend;
 use swhybrid::device::task::TaskSpec;
-use swhybrid::exec::master::MasterConfig;
 use swhybrid::exec::net::{run_slave_with, MasterServer, NetConfig};
 use swhybrid::exec::policy::Policy;
+use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::Alphabet;
