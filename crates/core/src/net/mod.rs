@@ -6,16 +6,18 @@
 //! shape: a [`MasterServer`] listens on a socket, slaves connect with
 //! [`run_slave`], register, request work, and stream results back. The
 //! same [`crate::sched::Scheduler`] as the simulator makes the decisions,
-//! and the same [`crate::pool::drive`] loop runs every PE: a TCP session
-//! ([`serve_connection`]) is a remote [`crate::pool::PeEndpoint`], a
-//! [`LocalFleet`] member a local one, and one batch may mix both
-//! ([`MasterServer::serve_hybrid`]) or use the fleet alone
-//! ([`LocalFleet::run`]).
+//! and the same [`crate::pool::drive`] loop runs every PE: a TCP session is
+//! a remote [`crate::pool::PeEndpoint`], a [`LocalFleet`] member a local
+//! one, and one batch may mix both ([`MasterServer::serve_hybrid`]) or use
+//! the fleet alone ([`LocalFleet::run`]).
 //!
-//! Submodules: `wire` (message encoding + line reader), `session` (the
-//! master side of one connection, on the shared drive loop), `server`
-//! (the batch master: [`MasterServer`], [`LocalFleet`]), `slave` (the
-//! slave process, batch and serve modes).
+//! Submodules: `wire` (THE line framer, [`LineReader`] with its
+//! [`MAX_LINE`] bound, and the messages), `accept` (THE accept loop,
+//! [`Acceptor`] with its [`MAX_SESSIONS`] cap — the serve daemon's client
+//! port runs on both too), `session` (the master side of slave
+//! connections on the shared drive loop, [`serve_slaves`]), `server` (the
+//! batch master: [`MasterServer`], [`LocalFleet`]), `slave` (the slave
+//! process, batch and serve modes).
 //!
 //! ## Wire protocol (v3)
 //!
@@ -49,11 +51,16 @@
 //! | done | `{"type":"done"}` |
 //! | error | `{"type":"error","message":"…"}` |
 //!
-//! A hit is `{"db_index":0,"id":"seq1","score":42,"subject_len":99}`; a
-//! task desc is `{"queries":[{"query":[…],"top_n":10},…],"shard":[s,e]}`
-//! — a *fused query batch*, length 1 for the paper's grain. Both halves of
-//! the handshake carry [`PROTOCOL_VERSION`]; a mismatched pair fails with
-//! a clear error at registration instead of a parse failure mid-run.
+//! The payloads are the pool's own types: a hit (`simd::search::Hit`) is
+//! `{"db_index":0,"id":"seq1","score":42,"subject_len":99}`, a task desc
+//! ([`crate::pool::TaskPayload`]) is
+//! `{"queries":[{"query":[…],"top_n":10},…],"shard":[s,e]}` — a *fused
+//! query batch*, length 1 for the paper's grain — and `finished` carries a
+//! [`crate::pool::TaskResult`]. Both halves of the handshake carry
+//! [`PROTOCOL_VERSION`]; a mismatched pair fails with a clear error at
+//! registration instead of a parse failure mid-run. A line over
+//! [`MAX_LINE`] or not UTF-8 drops the session (told why, during the
+//! handshake), as does being one connection over [`MAX_SESSIONS`].
 //!
 //! ## Long-polled requests (no busy-waiting)
 //!
@@ -74,15 +81,18 @@
 //! the connection is dropped and every task the slave held returns to the
 //! ready queue (`pe_leaves`), waking the other PEs immediately. The same
 //! deadline bounds the registration handshake, so a connection that never
-//! says anything cannot pin server state. [`MasterServer::serve`] itself
-//! is bounded by [`NetConfig::register_timeout`] (never blocks forever on
-//! accept) and [`NetConfig::all_lost_grace`] (gives up when every slave is
-//! gone mid-run). Slaves that lose the connection reconnect with
+//! says anything cannot pin server state, and every write to a slave (one
+//! that stops reading is as dead as one that stops talking). The accept
+//! loop blocks on its own thread; [`MasterServer::serve`] itself sleeps on
+//! the pool and gives up at [`NetConfig::register_timeout`] (no slave ever
+//! came) or [`NetConfig::all_lost_grace`] (every slave gone mid-run).
+//! Slaves that lose the connection reconnect with
 //! exponential backoff ([`NetConfig::reconnect_backoff_initial`] …
 //! [`NetConfig::reconnect_backoff_max`], at most
 //! [`NetConfig::reconnect_max_retries`] consecutive failures), re-register
 //! and resume — the master admits them as late joiners.
 
+mod accept;
 mod server;
 mod session;
 mod slave;
@@ -95,12 +105,12 @@ use crate::trace::RuntimeEvent;
 use swhybrid_device::exec::QueryHit;
 use swhybrid_simd::engine::KernelStats;
 
+pub use accept::{Acceptor, MAX_SESSIONS};
 pub use server::{query_specs, LocalFleet, MasterServer};
-pub use session::serve_connection;
+pub use session::serve_slaves;
 pub use slave::{run_serve_slave, run_slave, run_slave_with};
 pub use wire::{
-    kernels_from_json, kernels_to_json, FusedResultDesc, MasterMsg, QueryDesc, SlaveMsg, TaskDesc,
-    WireHit, PROTOCOL_VERSION,
+    kernels_from_json, kernels_to_json, LineReader, MasterMsg, SlaveMsg, MAX_LINE, PROTOCOL_VERSION,
 };
 
 /// Timing and fault-tolerance knobs of the TCP runtime. The defaults are
@@ -210,9 +220,10 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
-    use super::wire::{decode, recv, send, Wire};
+    use super::wire::{decode, send, Wire};
     use super::*;
     use crate::policy::Policy;
+    use crate::pool::{QueryPayload, TaskPayload, TaskResult};
     use crate::sched::MasterConfig;
     use crate::trace::EventKind;
     use swhybrid_align::scoring::Scoring;
@@ -222,6 +233,7 @@ mod tests {
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::synth::{paper_database, QueryOrder, QuerySetSpec};
     use swhybrid_seq::Alphabet;
+    use swhybrid_simd::search::Hit;
 
     fn scoring() -> Scoring {
         Scoring {
@@ -265,23 +277,26 @@ mod tests {
             SlaveMsg::Started { task: 3 },
             SlaveMsg::Finished {
                 task: 3,
-                gcups: 2.5,
-                hits: vec![WireHit {
-                    db_index: 1,
-                    id: "s1".into(),
-                    score: -7, // scores can be negative; as_i64, not as_u64
-                    subject_len: 99,
-                }],
-                kernels: Some(swhybrid_simd::engine::KernelStats {
-                    resolved_i8: 5,
-                    interseq_i8: 40,
-                    interseq_i16: 2,
-                    chunks_striped: 1,
-                    chunks_interseq: 3,
-                    cells_computed: 12_345,
-                    ..Default::default()
-                }),
-                fused: None,
+                result: TaskResult {
+                    gcups: Some(2.5),
+                    hits: vec![Hit {
+                        db_index: 1,
+                        id: "s1".into(),
+                        score: -7, // scores can be negative; as_i64, not as_u64
+                        subject_len: 99,
+                    }],
+                    cells: 12_345,
+                    kernels: Some(swhybrid_simd::engine::KernelStats {
+                        resolved_i8: 5,
+                        interseq_i8: 40,
+                        interseq_i16: 2,
+                        chunks_striped: 1,
+                        chunks_interseq: 3,
+                        cells_computed: 12_345,
+                        ..Default::default()
+                    }),
+                    fused: None,
+                },
             },
             SlaveMsg::Heartbeat,
         ];
@@ -289,11 +304,11 @@ mod tests {
         for m in &slave_msgs {
             send(&mut buf, m).unwrap();
         }
-        let mut reader = BufReader::new(buf.as_slice());
+        let mut reader = LineReader::new(buf.as_slice());
         for _ in 0..slave_msgs.len() {
-            assert!(recv::<_, SlaveMsg>(&mut reader).unwrap().is_some());
+            assert!(reader.next_msg::<SlaveMsg>().unwrap().is_some());
         }
-        assert!(recv::<_, SlaveMsg>(&mut reader).unwrap().is_none());
+        assert!(reader.next_msg::<SlaveMsg>().unwrap().is_none());
 
         let master_msgs = vec![
             MasterMsg::Registered {
@@ -306,13 +321,13 @@ mod tests {
             },
             MasterMsg::Tasks {
                 tasks: vec![7],
-                descs: Some(vec![TaskDesc {
+                descs: Some(vec![TaskPayload {
                     queries: vec![
-                        wire::QueryDesc {
+                        QueryPayload {
                             query: vec![0, 3, 19, 2],
                             top_n: 10,
                         },
-                        wire::QueryDesc {
+                        QueryPayload {
                             query: vec![5, 7],
                             top_n: 3,
                         },
@@ -333,9 +348,9 @@ mod tests {
         for m in &master_msgs {
             send(&mut buf, m).unwrap();
         }
-        let mut reader = BufReader::new(buf.as_slice());
+        let mut reader = LineReader::new(buf.as_slice());
         for _ in 0..master_msgs.len() {
-            assert!(recv::<_, MasterMsg>(&mut reader).unwrap().is_some());
+            assert!(reader.next_msg::<MasterMsg>().unwrap().is_some());
         }
         // The register round-trip preserves version and digest verbatim.
         match decode::<SlaveMsg>(&slave_msgs[0].to_json().to_string()).unwrap() {
@@ -350,28 +365,24 @@ mod tests {
         // The finished round-trip preserves the hit verbatim.
         let msg = decode::<SlaveMsg>(&slave_msgs[3].to_json().to_string()).unwrap();
         match msg {
-            SlaveMsg::Finished {
-                task,
-                gcups,
-                hits,
-                kernels,
-                fused,
-            } => {
+            SlaveMsg::Finished { task, result } => {
                 assert_eq!(task, 3);
-                assert!((gcups - 2.5).abs() < 1e-12);
+                assert!((result.gcups.unwrap() - 2.5).abs() < 1e-12);
                 assert_eq!(
-                    hits,
-                    vec![WireHit {
+                    result.hits,
+                    vec![Hit {
                         db_index: 1,
                         id: "s1".into(),
                         score: -7,
                         subject_len: 99,
                     }]
                 );
-                let k = kernels.expect("kernels field must round-trip");
+                let k = result.kernels.expect("kernels field must round-trip");
                 assert_eq!(k.interseq_i8, 40);
                 assert_eq!(k.cells_computed, 12_345);
-                assert!(fused.is_none());
+                // `cells` does not travel; it is the kernels' count.
+                assert_eq!(result.cells, 12_345);
+                assert!(result.fused.is_none());
             }
             other => panic!("wrong decode: {other:?}"),
         }
@@ -394,7 +405,7 @@ mod tests {
         // decodes, with the counters absent.
         let legacy = r#"{"type":"finished","task":1,"gcups":1.0,"hits":[]}"#;
         match decode::<SlaveMsg>(legacy).unwrap() {
-            SlaveMsg::Finished { kernels, .. } => assert!(kernels.is_none()),
+            SlaveMsg::Finished { result, .. } => assert!(result.kernels.is_none()),
             other => panic!("wrong decode: {other:?}"),
         }
         // A v1 register (no proto, no digest) decodes as version 1 — the
@@ -709,11 +720,11 @@ mod tests {
             scope.spawn(move || {
                 // Not a slave at all: say something wrong, expect an error.
                 let stream = TcpStream::connect(addr).unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut reader = LineReader::new(stream.try_clone().unwrap());
                 let mut writer = BufWriter::new(stream);
                 writer.write_all(b"i am not a slave\n").unwrap();
                 writer.flush().unwrap();
-                match recv::<_, MasterMsg>(&mut reader).unwrap() {
+                match reader.next_msg::<MasterMsg>().unwrap() {
                     Some(MasterMsg::Error { .. }) => {}
                     other => panic!("expected an error reply, got {other:?}"),
                 }
@@ -743,6 +754,51 @@ mod tests {
         assert!(outcome.completed_by.iter().all(|n| !n.is_empty()));
     }
 
+    /// One line over [`MAX_LINE`] on the slave port is told why and dropped
+    /// as soon as the limit is crossed, and costs the run nothing.
+    #[test]
+    fn oversize_line_drops_that_session_only() {
+        let (queries, subjects, specs) = tiny_workload();
+        let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 1).unwrap();
+        let addr = server.local_addr().unwrap();
+
+        let outcome = std::thread::scope(|scope| {
+            let q = &queries;
+            let s = &subjects;
+            scope.spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                let mut reader = LineReader::new(stream.try_clone().unwrap());
+                let sent = std::time::Instant::now();
+                stream.write_all(&vec![b'A'; MAX_LINE + 1]).unwrap();
+                match reader.next_msg::<MasterMsg>().unwrap() {
+                    Some(MasterMsg::Error { message }) => {
+                        assert!(message.contains("longer than"), "unhelpful: {message}")
+                    }
+                    other => panic!("expected an error reply, got {other:?}"),
+                }
+                assert!(matches!(reader.read_line(), Ok(None)), "not closed");
+                // Quadratic rescanning of 16 MiB takes minutes.
+                assert!(sent.elapsed() < Duration::from_secs(5));
+            });
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(100));
+                run_slave(
+                    addr,
+                    "real",
+                    1.0,
+                    &StripedBackend::default(),
+                    q,
+                    s,
+                    &scoring(),
+                    3,
+                )
+                .expect("real slave ok")
+            });
+            server.serve(specs).expect("server unaffected")
+        });
+        assert!(outcome.completed_by.iter().all(|n| n == "real"));
+    }
+
     /// A version-mismatched slave is refused at the handshake with a clear
     /// error naming both versions — and, like any failed handshake, does
     /// not consume a registration slot.
@@ -767,13 +823,13 @@ mod tests {
             scope.spawn(move || {
                 // A v1 slave: its register line has no proto field.
                 let stream = TcpStream::connect(addr).unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut reader = LineReader::new(stream.try_clone().unwrap());
                 let mut writer = BufWriter::new(stream);
                 writer
                     .write_all(b"{\"type\":\"register\",\"name\":\"old\",\"gcups\":1.0}\n")
                     .unwrap();
                 writer.flush().unwrap();
-                match recv::<_, MasterMsg>(&mut reader).unwrap() {
+                match reader.next_msg::<MasterMsg>().unwrap() {
                     Some(MasterMsg::Error { message }) => {
                         assert!(
                             message.contains("protocol version mismatch")
@@ -814,7 +870,7 @@ mod tests {
         subjects: &[EncodedSequence],
     ) {
         let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut reader = LineReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
         send(
             &mut writer,
@@ -827,13 +883,13 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            recv::<_, MasterMsg>(&mut reader).unwrap(),
+            reader.next_msg::<MasterMsg>().unwrap(),
             Some(MasterMsg::Registered { .. })
         ));
         // First allocation is one task; complete it honestly but report an
         // absurd speed so Φ hands us a huge batch next time.
         send(&mut writer, &SlaveMsg::Request).unwrap();
-        let first = match recv::<_, MasterMsg>(&mut reader).unwrap() {
+        let first = match reader.next_msg::<MasterMsg>().unwrap() {
             Some(MasterMsg::Tasks { tasks, .. }) => tasks[0],
             other => panic!("expected first allocation, got {other:?}"),
         };
@@ -844,15 +900,18 @@ mod tests {
             &mut writer,
             &SlaveMsg::Finished {
                 task: first,
-                gcups: 1000.0,
-                hits: result.hits.into_iter().map(WireHit::from_hit).collect(),
-                kernels: Some(result.stats),
-                fused: None,
+                result: TaskResult {
+                    gcups: Some(1000.0),
+                    hits: result.hits,
+                    cells: result.cells,
+                    kernels: Some(result.stats),
+                    fused: None,
+                },
             },
         )
         .unwrap();
         send(&mut writer, &SlaveMsg::Request).unwrap();
-        match recv::<_, MasterMsg>(&mut reader).unwrap() {
+        match reader.next_msg::<MasterMsg>().unwrap() {
             Some(MasterMsg::Tasks { tasks, .. }) => {
                 // Start the first batch entry, then vanish holding them all.
                 send(&mut writer, &SlaveMsg::Started { task: tasks[0] }).unwrap();
@@ -953,7 +1012,7 @@ mod tests {
                 // Mute slave: alone it satisfies the barrier, takes a task,
                 // reports it started, then goes silent with the socket open.
                 let stream = TcpStream::connect(addr).unwrap();
-                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut reader = LineReader::new(stream.try_clone().unwrap());
                 let mut writer = BufWriter::new(stream.try_clone().unwrap());
                 send(
                     &mut writer,
@@ -966,21 +1025,18 @@ mod tests {
                 )
                 .unwrap();
                 assert!(matches!(
-                    recv::<_, MasterMsg>(&mut reader).unwrap(),
+                    reader.next_msg::<MasterMsg>().unwrap(),
                     Some(MasterMsg::Registered { .. })
                 ));
                 send(&mut writer, &SlaveMsg::Request).unwrap();
-                let assigned = match recv::<_, MasterMsg>(&mut reader).unwrap() {
+                let assigned = match reader.next_msg::<MasterMsg>().unwrap() {
                     Some(MasterMsg::Tasks { tasks, .. }) => tasks,
                     other => panic!("expected tasks, got {other:?}"),
                 };
                 send(&mut writer, &SlaveMsg::Started { task: assigned[0] }).unwrap();
                 // Silence. No heartbeat, no FIN — block until the master,
                 // having declared this PE dead, closes the connection.
-                let mut sink = String::new();
-                while reader.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
-                    sink.clear();
-                }
+                while matches!(reader.read_line(), Ok(Some(_))) {}
             });
             scope.spawn(move || {
                 // The real slave joins late (pe_joins path) so the mute one
@@ -1200,18 +1256,18 @@ mod tests {
             // Session 1: take the registration, then drop the connection.
             {
                 let (stream, _) = listener.accept().unwrap();
-                let mut reader = BufReader::new(stream);
+                let mut reader = LineReader::new(stream);
                 assert!(matches!(
-                    recv::<_, SlaveMsg>(&mut reader).unwrap(),
+                    reader.next_msg::<SlaveMsg>().unwrap(),
                     Some(SlaveMsg::Register { .. })
                 ));
             }
             // Session 2: full handshake, one task, done.
             let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut reader = LineReader::new(stream.try_clone().unwrap());
             let mut writer = BufWriter::new(stream);
             assert!(matches!(
-                recv::<_, SlaveMsg>(&mut reader).unwrap(),
+                reader.next_msg::<SlaveMsg>().unwrap(),
                 Some(SlaveMsg::Register { .. })
             ));
             send(
@@ -1223,7 +1279,7 @@ mod tests {
             )
             .unwrap();
             loop {
-                match recv::<_, SlaveMsg>(&mut reader).unwrap() {
+                match reader.next_msg::<SlaveMsg>().unwrap() {
                     Some(SlaveMsg::Request) => break,
                     Some(SlaveMsg::Heartbeat) => {}
                     other => panic!("unexpected {other:?}"),
@@ -1239,9 +1295,10 @@ mod tests {
             .unwrap();
             let mut finished = false;
             loop {
-                match recv::<_, SlaveMsg>(&mut reader).unwrap() {
+                match reader.next_msg::<SlaveMsg>().unwrap() {
                     Some(SlaveMsg::Heartbeat) | Some(SlaveMsg::Started { .. }) => {}
-                    Some(SlaveMsg::Finished { task, gcups, .. }) => {
+                    Some(SlaveMsg::Finished { task, result }) => {
+                        let gcups = result.gcups.unwrap();
                         assert_eq!(task, 0);
                         assert!(gcups > 0.0, "finished with degenerate speed {gcups}");
                         finished = true;

@@ -3,12 +3,14 @@
 //! on both at once.
 
 use std::io;
-use std::net::{TcpListener, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::net::ToSocketAddrs;
+use std::time::Instant;
 
-use super::session::serve_connection;
+use super::accept::Acceptor;
+use super::session::serve_slaves;
+use super::slave::compare_task;
 use super::{DistributedOutcome, NetConfig};
-use crate::pool::{drive, BatchOwner, LocalEndpoint, PePool, TaskResult};
+use crate::pool::{drive, BatchOwner, LocalEndpoint, PePool};
 use crate::sched::{MasterConfig, Scheduler};
 use crate::stats::observed_gcups;
 use crate::trace::RuntimeEvent;
@@ -18,10 +20,6 @@ use swhybrid_device::fleet::FleetPe;
 use swhybrid_device::task::TaskSpec;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_simd::engine::KernelStats;
-
-/// Accept-loop re-check interval (a *connection* poll while idle, not a
-/// work-request poll — work requests are long-polled on the hub condvar).
-const ACCEPT_QUANTUM: Duration = Duration::from_millis(10);
 
 /// A live event consumer, as accepted by [`MasterServer::with_event_sink`].
 type EventCallback = Box<dyn FnMut(&RuntimeEvent) + Send>;
@@ -78,7 +76,7 @@ pub fn query_specs(queries: &[EncodedSequence], subjects: &[EncodedSequence]) ->
 /// The listening half of a master: where slaves connect, how many the
 /// registration barrier waits for, and the liveness timings.
 pub struct MasterServer {
-    listener: TcpListener,
+    listener: Acceptor,
     config: MasterConfig,
     expected_slaves: usize,
     net: NetConfig,
@@ -110,7 +108,7 @@ impl MasterServer {
         // requirement is checked at serve time, when the fleet is known.
         net.validate()?;
         Ok(MasterServer {
-            listener: TcpListener::bind(addr)?,
+            listener: Acceptor::bind(addr)?,
             config,
             expected_slaves,
             net,
@@ -189,7 +187,7 @@ fn run_batch(
     config: MasterConfig,
     sink: Option<EventCallback>,
     fleet: Option<LocalFleet<'_>>,
-    slaves: Option<(TcpListener, usize, NetConfig)>,
+    slaves: Option<(Acceptor, usize, NetConfig)>,
 ) -> io::Result<DistributedOutcome> {
     let fleet_size = fleet.as_ref().map_or(0, |f| f.pes.len());
     let (listener, expected_slaves, net) = match slaves {
@@ -211,9 +209,6 @@ fn run_batch(
         BatchOwner::new(n_tasks),
         expected_slaves + fleet_size,
     );
-    if let Some(listener) = &listener {
-        listener.set_nonblocking(true)?;
-    }
     let start = Instant::now();
     let mut lost_since: Option<Instant> = None;
 
@@ -234,95 +229,71 @@ fn run_batch(
                 let (scoring, top_n) = (fleet.scoring, fleet.top_n);
                 scope.spawn(move || {
                     let mut endpoint = LocalEndpoint::new(|task| {
-                        let t_start = Instant::now();
-                        let search = pe.backend.compare(&queries[task], subjects, scoring, top_n);
-                        // Modeled accelerators attribute their device
-                        // model's throughput (so the scheduler sees e.g.
-                        // GTX-580 speed); real PEs report measured
-                        // wall-clock speed.
-                        let gcups = pe.backend.modeled_gcups(&specs[task]).unwrap_or_else(|| {
-                            observed_gcups(search.cells, t_start.elapsed().as_secs_f64())
-                        });
-                        TaskResult {
-                            gcups: Some(gcups),
-                            hits: search.hits,
-                            cells: search.cells,
-                            kernels: Some(search.stats),
-                            fused: None,
-                        }
+                        let spec = Some(&specs[task]);
+                        compare_task(&*pe.backend, spec, &queries[task], subjects, scoring, top_n)
                     });
                     drive(pool, pe_id, &mut endpoint);
                 });
             }
         }
-        loop {
-            {
-                let mut g = pool.lock();
-                if g.abort().is_some() {
-                    break;
-                }
-                if g.barrier_open() && g.master.all_finished() && g.alive() == 0 {
-                    break;
-                }
-                if !g.barrier_open() {
-                    if let Some(t) = net.register_timeout {
-                        if start.elapsed() > t {
-                            if g.registered() == 0 {
-                                g.set_abort(
-                                    io::ErrorKind::TimedOut,
-                                    format!("no slave registered within {t:?}"),
-                                );
-                            } else {
-                                // Proceed degraded with the slaves we
-                                // have rather than hang on a no-show.
-                                g.open_barrier();
-                            }
-                            drop(g);
-                            pool.notify_all();
-                            continue;
-                        }
-                    }
-                } else if g.alive() == 0 && !g.master.all_finished() {
-                    let since = *lost_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() > net.all_lost_grace {
-                        g.set_abort(
-                            io::ErrorKind::ConnectionAborted,
-                            "every slave disconnected mid-run",
-                        );
-                        drop(g);
-                        pool.notify_all();
-                        continue;
-                    }
-                } else {
-                    lost_since = None;
-                }
-            }
-            // Without a listener there is never a connection to accept.
-            let accepted = match &listener {
-                Some(listener) => listener.accept(),
-                None => Err(io::ErrorKind::WouldBlock.into()),
-            };
-            match accepted {
-                Ok((stream, _peer)) => {
-                    let pool = &pool;
-                    let net = &net;
-                    scope.spawn(move || serve_connection(stream, pool, net));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Wakes early on any pool change (e.g. run
-                    // completed) and at the latest after one quantum.
-                    let g = pool.lock();
-                    let _g = pool.wait_timeout(g, ACCEPT_QUANTUM);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    let mut g = pool.lock();
-                    g.set_abort(e.kind(), e.to_string());
-                    drop(g);
+        if let Some(listener) = &listener {
+            let (pool, net) = (&pool, &net);
+            scope.spawn(move || {
+                if let Err(e) = serve_slaves(listener, pool, net) {
+                    pool.lock().set_abort(e.kind(), e.to_string());
                     pool.notify_all();
-                    break;
                 }
+            });
+        }
+        // Every change this loop reacts to notifies the hub, so it sleeps
+        // until one happens or its own next deadline — the registration
+        // timeout before the barrier opens, the all-lost grace after.
+        let mut g = pool.lock();
+        loop {
+            if g.abort().is_some() {
+                break;
             }
+            if g.barrier_open() && g.master.all_finished() && g.alive() == 0 {
+                break;
+            }
+            let deadline = if !g.barrier_open() {
+                net.register_timeout.map(|t| (start, t))
+            } else if g.alive() == 0 {
+                let since = *lost_since.get_or_insert_with(Instant::now);
+                Some((since, net.all_lost_grace))
+            } else {
+                lost_since = None;
+                None
+            };
+            let Some((since, limit)) = deadline else {
+                g = pool.wait(g);
+                continue;
+            };
+            let left = limit.saturating_sub(since.elapsed());
+            if !left.is_zero() {
+                g = pool.wait_timeout(g, left);
+                continue;
+            }
+            if g.barrier_open() {
+                g.set_abort(
+                    io::ErrorKind::ConnectionAborted,
+                    "every slave disconnected mid-run",
+                );
+            } else if g.registered() == 0 {
+                g.set_abort(
+                    io::ErrorKind::TimedOut,
+                    format!("no slave registered within {limit:?}"),
+                );
+            } else {
+                // Proceed degraded with the slaves we have rather than
+                // hang on a no-show.
+                g.open_barrier();
+            }
+            pool.notify_all();
+        }
+        drop(g);
+        if let Some(listener) = &listener {
+            listener.stop();
         }
         // Wake every parked endpoint so the scope can join them.
         pool.notify_all();

@@ -1,122 +1,84 @@
-//! Master-side handling of one slave connection, as an endpoint on the
-//! shared pool-drive loop.
+//! Master-side handling of slave connections, as endpoints on the shared
+//! pool-drive loop.
 //!
-//! [`serve_connection`] performs the versioned handshake (protocol and —
-//! for serve-mode slaves — database digest), admits the slave into the
-//! [`PePool`], then splits the socket: a reader thread turns incoming
-//! lines into [`PeEvent`]s and watches the liveness deadline, while the
-//! calling thread runs [`drive`] with a [`RemoteEndpoint`] that writes
-//! scheduling decisions back out. The drive loop is *the same function*
-//! a local fleet thread runs — the transport is the only difference.
+//! [`serve_slaves`] turns every connection an [`Acceptor`] hands it into
+//! one session: `serve_connection` performs the versioned handshake
+//! (protocol and — for serve-mode slaves — database digest), admits the
+//! slave into the [`PePool`], then splits the socket: a reader thread
+//! turns incoming lines into [`PeEvent`]s and watches the liveness
+//! deadline, while the calling thread runs [`drive`] with a
+//! [`RemoteEndpoint`] that writes scheduling decisions back out. The drive
+//! loop is *the same function* a local fleet thread runs — the transport
+//! is the only difference.
 
-use std::io::{self, BufWriter};
+use std::io;
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::Instant;
 
+use super::accept::Acceptor;
 use super::wire::{
-    decode, invalid, liveness_quantum, send, LineReader, MasterMsg, QueryDesc, ReadOutcome,
-    SlaveMsg, TaskDesc, WireHit, PROTOCOL_VERSION,
+    decode, invalid, liveness_quantum, send, LineReader, MasterMsg, SlaveMsg, Wire,
+    PROTOCOL_VERSION,
 };
 use super::NetConfig;
-use crate::pool::{
-    drive, FusedQueryResult, PeCommand, PeEndpoint, PeEvent, PePool, PoolOwner, TaskResult,
-};
+use crate::pool::{drive, PeCommand, PeEndpoint, PeEvent, PePool, PoolOwner, TaskPayload};
 use crate::task::PeId;
 
+/// Accept slaves on `acceptor` and serve each against `pool` until
+/// [`Acceptor::stop`]; returns once every session has ended. A connection
+/// over the session cap is refused with one `error` line.
+pub fn serve_slaves<S: PoolOwner>(
+    acceptor: &Acceptor,
+    pool: &PePool<S>,
+    net: &NetConfig,
+) -> io::Result<()> {
+    let refusal = MasterMsg::Error {
+        message: "too many sessions on this port; try again later".to_string(),
+    };
+    acceptor.run(&refusal.to_json().to_string(), |stream| {
+        serve_connection(stream, pool, net)
+    })
+}
+
 /// Serve one slave connection against `pool` until the slave retires,
-/// fails, or the pool aborts. Blocks for the lifetime of the connection;
-/// callers spawn it per accepted socket.
-pub fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &NetConfig) {
-    stream.set_nodelay(true).ok();
+/// fails, or the pool aborts. Blocks for the lifetime of the connection.
+fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &NetConfig) {
+    // A slave that cannot take a write for the liveness deadline is dead
+    // by the same definition as one that sends nothing for it: the failed
+    // `deliver` tears the session down.
     let quantum = liveness_quantum(net.slave_deadline);
-    let Ok(writer_stream) = stream.try_clone() else {
+    let Ok((mut reader, mut writer)) = LineReader::accepted(stream, quantum, net.slave_deadline)
+    else {
         return;
     };
-    let Ok(mut reader) = LineReader::new(stream, quantum) else {
-        return;
-    };
-    let mut writer = BufWriter::new(writer_stream);
 
     // Handshake: the first line must arrive within the deadline and must
-    // be a registration. Anything else frees the socket WITHOUT consuming
-    // any server state — a connection that fails its handshake never
-    // counts against the registration barrier.
+    // be an acceptable registration. Anything else is told why and frees
+    // the socket WITHOUT consuming any server state — a connection that
+    // fails its handshake never counts against the registration barrier.
     let opened = Instant::now();
     let first = loop {
         match reader.read_line() {
-            Ok(ReadOutcome::Line(l)) => break l,
-            Ok(ReadOutcome::Eof) | Err(_) => return,
-            Ok(ReadOutcome::Timeout) => {
+            Ok(Some(l)) => break decode::<SlaveMsg>(l).map_err(|_| NOT_A_REGISTER.to_string()),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
                 if pool.lock().abort().is_some() || opened.elapsed() > net.slave_deadline {
                     return;
                 }
             }
+            // An over-long or non-UTF-8 line.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => break Err(e.to_string()),
+            Ok(None) | Err(_) => return,
         }
     };
-    let refuse = |writer: &mut BufWriter<TcpStream>, message: String| {
-        let _ = send(writer, &MasterMsg::Error { message });
-    };
-    let (name, gcups, slave_digest) = match decode::<SlaveMsg>(&first) {
-        Ok(SlaveMsg::Register {
-            name,
-            gcups,
-            proto,
-            db_digest,
-        }) => {
-            if proto != PROTOCOL_VERSION {
-                refuse(
-                    &mut writer,
-                    format!(
-                        "protocol version mismatch: master speaks v{PROTOCOL_VERSION}, \
-                         slave speaks v{proto}"
-                    ),
-                );
-                return;
-            }
-            (name, gcups, db_digest)
-        }
-        _ => {
-            refuse(&mut writer, "expected a register message first".to_string());
-            return;
-        }
-    };
-    // Digest discipline: a serve-mode master ships self-describing tasks
-    // and requires proof the slave scans the same database; a batch master
-    // schedules by task id and has nothing to check a digest against.
-    // Snapshot the digest first: a `match` on `pool.lock().…` would keep
-    // the guard alive across every arm, including the refusal paths that
-    // block on socket writes.
+    // The digest is snapshotted, not matched on under the guard: the
+    // refusal below blocks on a socket write.
     let master_digest = pool.lock().owner.db_digest();
-    let wants_descs = match (master_digest, slave_digest) {
-        (None, None) => false,
-        (None, Some(_)) => {
-            refuse(
-                &mut writer,
-                "this master schedules tasks by id; register without a database digest".to_string(),
-            );
+    let (name, gcups, wants_descs) = match first.and_then(|msg| vet(msg, master_digest)) {
+        Ok(registration) => registration,
+        Err(message) => {
+            let _ = send(&mut writer, &MasterMsg::Error { message });
             return;
-        }
-        (Some(_), None) => {
-            refuse(
-                &mut writer,
-                "this master ships self-describing tasks; register with a database digest \
-                 (serve-mode slave)"
-                    .to_string(),
-            );
-            return;
-        }
-        (Some(want), Some(got)) => {
-            if want != got {
-                refuse(
-                    &mut writer,
-                    format!(
-                        "database mismatch: master digest {want:016x}, slave digest {got:016x}"
-                    ),
-                );
-                return;
-            }
-            true
         }
     };
 
@@ -150,13 +112,60 @@ pub fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: 
     });
 }
 
+const NOT_A_REGISTER: &str = "expected a register message first";
+
+/// Whether the opening message may join a pool whose owner has
+/// `master_digest`: its name, its speed prior and whether it is a
+/// serve-mode slave (every assignment carries its payload) — or why not.
+fn vet(msg: SlaveMsg, master_digest: Option<u64>) -> Result<(String, f64, bool), String> {
+    let SlaveMsg::Register {
+        name,
+        gcups,
+        proto,
+        db_digest,
+    } = msg
+    else {
+        return Err(NOT_A_REGISTER.to_string());
+    };
+    if proto != PROTOCOL_VERSION {
+        return Err(format!(
+            "protocol version mismatch: master speaks v{PROTOCOL_VERSION}, slave speaks v{proto}"
+        ));
+    }
+    // Digest discipline: a serve-mode master ships self-describing tasks
+    // and requires proof the slave scans the same database; a batch master
+    // schedules by task id and has nothing to check a digest against.
+    let wants_descs = match (master_digest, db_digest) {
+        (None, None) => false,
+        (None, Some(_)) => {
+            return Err(
+                "this master schedules tasks by id; register without a database digest".to_string(),
+            )
+        }
+        (Some(_), None) => {
+            return Err(
+                "this master ships self-describing tasks; register with a database \
+                        digest (serve-mode slave)"
+                    .to_string(),
+            )
+        }
+        (Some(want), Some(got)) if want != got => {
+            return Err(format!(
+                "database mismatch: master digest {want:016x}, slave digest {got:016x}"
+            ))
+        }
+        (Some(_), Some(_)) => true,
+    };
+    Ok((name, gcups, wants_descs))
+}
+
 /// Reader half of one slave connection: turns wire messages into
 /// [`PeEvent`]s and enforces the liveness deadline. On any terminal
 /// condition it tears the member down *directly* (so a drive thread parked
 /// in a long-poll wakes and unwinds) and returns, which drops the channel
 /// sender — a drive thread blocked on the channel sees the hang-up too.
 fn reader_loop<S: PoolOwner>(
-    reader: &mut LineReader,
+    reader: &mut LineReader<TcpStream>,
     pool: &PePool<S>,
     pe: PeId,
     tx: mpsc::Sender<PeEvent>,
@@ -178,9 +187,9 @@ fn reader_loop<S: PoolOwner>(
             }
         }
         match reader.read_line() {
-            Ok(ReadOutcome::Line(line)) => {
+            Ok(Some(line)) => {
                 last_seen = Instant::now();
-                let Ok(msg) = decode::<SlaveMsg>(&line) else {
+                let Ok(msg) = decode::<SlaveMsg>(line) else {
                     pool.disconnect(pe, false);
                     return;
                 };
@@ -188,31 +197,7 @@ fn reader_loop<S: PoolOwner>(
                     SlaveMsg::Heartbeat => continue,
                     SlaveMsg::Request => PeEvent::NeedWork,
                     SlaveMsg::Started { task } => PeEvent::Started(task),
-                    SlaveMsg::Finished {
-                        task,
-                        gcups,
-                        hits,
-                        kernels,
-                        fused,
-                    } => PeEvent::Finished {
-                        task,
-                        result: TaskResult {
-                            gcups: Some(gcups),
-                            hits: hits.into_iter().map(WireHit::into_hit).collect(),
-                            cells: kernels.map(|k| k.cells_computed).unwrap_or(0),
-                            kernels,
-                            fused: fused.map(|per_query| {
-                                per_query
-                                    .into_iter()
-                                    .map(|f| FusedQueryResult {
-                                        cells: f.kernels.map(|k| k.cells_computed).unwrap_or(0),
-                                        hits: f.hits.into_iter().map(WireHit::into_hit).collect(),
-                                        kernels: f.kernels,
-                                    })
-                                    .collect()
-                            }),
-                        },
-                    },
+                    SlaveMsg::Finished { task, result } => PeEvent::Finished { task, result },
                     SlaveMsg::Register { .. } => {
                         // A registration mid-session is a protocol breach.
                         pool.disconnect(pe, false);
@@ -224,17 +209,17 @@ fn reader_loop<S: PoolOwner>(
                     return;
                 }
             }
-            Ok(ReadOutcome::Eof) | Err(_) => {
-                pool.disconnect(pe, false);
-                return;
-            }
-            Ok(ReadOutcome::Timeout) => {
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
                 if last_seen.elapsed() > net.slave_deadline {
                     // Nothing — not even a heartbeat — within the deadline:
                     // declare the slave dead and requeue its tasks.
                     pool.disconnect(pe, true);
                     return;
                 }
+            }
+            Ok(None) | Err(_) => {
+                pool.disconnect(pe, false);
+                return;
             }
         }
     }
@@ -243,7 +228,7 @@ fn reader_loop<S: PoolOwner>(
 /// The TCP transport of one slave, as seen by the drive loop.
 struct RemoteEndpoint {
     rx: mpsc::Receiver<PeEvent>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     /// The slave registered serve-mode: every assignment must carry its
     /// self-describing payload.
     wants_descs: bool,
@@ -258,24 +243,13 @@ impl RemoteEndpoint {
         &self,
         pool: &PePool<S>,
         tasks: &[crate::task::TaskId],
-    ) -> io::Result<Vec<TaskDesc>> {
+    ) -> io::Result<Vec<TaskPayload>> {
         let g = pool.lock();
         tasks
             .iter()
             .map(|&t| {
                 g.owner
                     .task_payload(&g.master, t)
-                    .map(|p| TaskDesc {
-                        queries: p
-                            .queries
-                            .into_iter()
-                            .map(|q| QueryDesc {
-                                query: q.query,
-                                top_n: q.top_n,
-                            })
-                            .collect(),
-                        shard: p.shard,
-                    })
                     .ok_or_else(|| invalid(format!("task {t} has no shippable payload")))
             })
             .collect()

@@ -13,20 +13,20 @@
 //!   worker thread.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use super::wire::{
-    invalid, recv, send, FusedResultDesc, MasterMsg, SlaveMsg, TaskDesc, WireHit, PROTOCOL_VERSION,
-};
+use super::wire::{invalid, send, LineReader, MasterMsg, SlaveMsg, PROTOCOL_VERSION};
 use super::NetConfig;
+use crate::pool::{FusedQueryResult, TaskPayload, TaskResult};
 use crate::shared::WaitHub;
 use crate::stats::observed_gcups;
 use crate::task::TaskId;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_device::exec::ComputeBackend;
+use swhybrid_device::task::TaskSpec;
 use swhybrid_seq::digest::db_digest;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbArena;
@@ -55,42 +55,36 @@ fn is_retryable(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// How a slave turns one assignment into a `finished` message. The session
-/// loop (handshake, heartbeats, reconnect) is mode-agnostic; this is the
-/// mode.
-trait TaskExecutor {
-    /// Execute `task`. `desc` is its self-describing payload when the
-    /// master ships one (serve mode).
-    fn execute(&mut self, task: TaskId, desc: Option<&TaskDesc>) -> io::Result<SlaveMsg>;
-}
+/// How a slave turns one assignment — the task and, when the master ships
+/// one (serve mode), its self-describing payload — into its result. The
+/// session loop (handshake, heartbeats, reconnect) is mode-agnostic; this
+/// is the mode.
+type TaskExecutor<'a> = dyn FnMut(TaskId, Option<&TaskPayload>) -> io::Result<TaskResult> + 'a;
 
-/// Batch mode: the task id indexes locally held query files.
-struct BatchExecutor<'a> {
-    backend: &'a dyn ComputeBackend,
-    queries: &'a [EncodedSequence],
-    subjects: &'a [EncodedSequence],
-    scoring: &'a Scoring,
+/// THE compute step of a batch PE, local fleet thread or remote slave:
+/// one query against the whole database. With the task's `spec` a modeled
+/// accelerator attributes its device model's throughput (so the scheduler
+/// sees e.g. GTX-580 speed); otherwise — real PEs, and slaves, which hold
+/// no specs — the speed is the measured wall-clock one.
+pub(super) fn compare_task(
+    backend: &dyn ComputeBackend,
+    spec: Option<&TaskSpec>,
+    query: &EncodedSequence,
+    subjects: &[EncodedSequence],
+    scoring: &Scoring,
     top_n: usize,
-}
-
-impl TaskExecutor for BatchExecutor<'_> {
-    fn execute(&mut self, task: TaskId, _desc: Option<&TaskDesc>) -> io::Result<SlaveMsg> {
-        let query = self
-            .queries
-            .get(task)
-            .ok_or_else(|| invalid(format!("master referenced unknown task {task}")))?;
-        let t0 = Instant::now();
-        let result = self
-            .backend
-            .compare(query, self.subjects, self.scoring, self.top_n);
-        let gcups = observed_gcups(result.cells, t0.elapsed().as_secs_f64());
-        Ok(SlaveMsg::Finished {
-            task,
-            gcups,
-            hits: result.hits.into_iter().map(WireHit::from_hit).collect(),
-            kernels: Some(result.stats),
-            fused: None,
-        })
+) -> TaskResult {
+    let t0 = Instant::now();
+    let search = backend.compare(query, subjects, scoring, top_n);
+    let gcups = spec
+        .and_then(|spec| backend.modeled_gcups(spec))
+        .unwrap_or_else(|| observed_gcups(search.cells, t0.elapsed().as_secs_f64()));
+    TaskResult {
+        gcups: Some(gcups),
+        hits: search.hits,
+        cells: search.cells,
+        kernels: Some(search.stats),
+        fused: None,
     }
 }
 
@@ -110,8 +104,8 @@ struct ServeShardExecutor<'a> {
     executor: ShardExecutor,
 }
 
-impl TaskExecutor for ServeShardExecutor<'_> {
-    fn execute(&mut self, task: TaskId, desc: Option<&TaskDesc>) -> io::Result<SlaveMsg> {
+impl ServeShardExecutor<'_> {
+    fn execute(&mut self, task: TaskId, desc: Option<&TaskPayload>) -> io::Result<TaskResult> {
         let desc = desc.ok_or_else(|| {
             invalid(format!(
                 "master sent serve-mode task {task} without a payload"
@@ -151,28 +145,25 @@ impl TaskExecutor for ServeShardExecutor<'_> {
         let t0 = Instant::now();
         let outputs = self.executor.execute(&batch, &self.arena, &plan);
         let elapsed = t0.elapsed().as_secs_f64();
-        let total_cells: u64 = outputs.iter().map(|o| o.cells).sum();
-        let gcups = observed_gcups(total_cells, elapsed);
+        let cells: u64 = outputs.iter().map(|o| o.cells).sum();
         let mut merged = KernelStats::default();
         // Hits carry global database indices, so the master's cross-shard
         // merge tie-breaks identically to a whole-db scan.
-        let fused: Vec<FusedResultDesc> = outputs
+        let fused: Vec<FusedQueryResult> = outputs
             .into_iter()
             .map(|out| {
                 merged.merge(&out.stats);
-                FusedResultDesc {
-                    hits: materialize_hits(&out.scored, |i| self.subjects[i].id.clone())
-                        .into_iter()
-                        .map(WireHit::from_hit)
-                        .collect(),
+                FusedQueryResult {
+                    hits: materialize_hits(&out.scored, |i| self.subjects[i].id.clone()),
+                    cells: out.cells,
                     kernels: Some(out.stats),
                 }
             })
             .collect();
-        Ok(SlaveMsg::Finished {
-            task,
-            gcups,
+        Ok(TaskResult {
+            gcups: Some(observed_gcups(cells, elapsed)),
             hits: Vec::new(),
+            cells,
             kernels: Some(merged),
             fused: Some(fused),
         })
@@ -223,14 +214,14 @@ pub fn run_slave_with(
     top_n: usize,
     net: &NetConfig,
 ) -> io::Result<usize> {
-    let mut executor = BatchExecutor {
-        backend,
-        queries,
-        subjects,
-        scoring,
-        top_n,
+    // Batch mode: the task id indexes the locally held query files.
+    let mut execute = |task: TaskId, _desc: Option<&TaskPayload>| {
+        let query = queries
+            .get(task)
+            .ok_or_else(|| invalid(format!("master referenced unknown task {task}")))?;
+        Ok(compare_task(backend, None, query, subjects, scoring, top_n))
     };
-    run_sessions(&addr, name, static_gcups, None, &mut executor, net)
+    run_sessions(&addr, name, static_gcups, None, &mut execute, net)
 }
 
 /// Run a serve-mode slave against a daemon listening with
@@ -255,7 +246,8 @@ pub fn run_serve_slave(
         prepared: HashMap::new(),
         executor: ShardExecutor::new(),
     };
-    run_sessions(&addr, name, static_gcups, Some(digest), &mut executor, net)
+    let mut execute = |task: TaskId, desc: Option<&TaskPayload>| executor.execute(task, desc);
+    run_sessions(&addr, name, static_gcups, Some(digest), &mut execute, net)
 }
 
 /// The mode-agnostic reconnect loop around [`slave_session`].
@@ -264,7 +256,7 @@ fn run_sessions(
     name: &str,
     static_gcups: f64,
     db_digest: Option<u64>,
-    executor: &mut dyn TaskExecutor,
+    execute: &mut TaskExecutor<'_>,
     net: &NetConfig,
 ) -> io::Result<usize> {
     net.validate()?;
@@ -272,7 +264,7 @@ fn run_sessions(
     let mut retries_left = net.reconnect_max_retries;
     let mut backoff = net.reconnect_backoff_initial;
     loop {
-        match slave_session(addr, name, static_gcups, db_digest, executor, net) {
+        match slave_session(addr, name, static_gcups, db_digest, execute, net) {
             Ok(SessionEnd::Done(n)) => return Ok(total + n),
             Ok(SessionEnd::Lost(n)) => {
                 total += n;
@@ -307,31 +299,25 @@ fn run_sessions(
 /// Send a heartbeat line every `interval` until told to stop. Runs in its
 /// own thread so heartbeats flow even while the work loop is deep inside a
 /// kernel; parks on a [`WaitHub`] so stopping is immediate.
-fn spawn_heartbeat(
-    writer: Arc<Mutex<BufWriter<TcpStream>>>,
-    stop: Arc<WaitHub<bool>>,
-    interval: Duration,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut stopped = stop.lock();
-        loop {
-            stopped = stop.wait_timeout(stopped, interval);
-            if *stopped {
-                return;
-            }
-            drop(stopped);
-            let failed = send(
-                &mut *writer.lock().expect("slave writer poisoned"),
-                &SlaveMsg::Heartbeat,
-            )
-            .is_err();
-            if failed {
-                // The socket is gone; the work loop will notice on its own.
-                return;
-            }
-            stopped = stop.lock();
+fn heartbeat(writer: &Mutex<TcpStream>, stop: &WaitHub<bool>, interval: Duration) {
+    let mut stopped = stop.lock();
+    loop {
+        stopped = stop.wait_timeout(stopped, interval);
+        if *stopped {
+            return;
         }
-    })
+        drop(stopped);
+        let failed = send(
+            &mut *writer.lock().expect("slave writer poisoned"),
+            &SlaveMsg::Heartbeat,
+        )
+        .is_err();
+        if failed {
+            // The socket is gone; the work loop will notice on its own.
+            return;
+        }
+        stopped = stop.lock();
+    }
 }
 
 fn slave_session(
@@ -339,13 +325,13 @@ fn slave_session(
     name: &str,
     static_gcups: f64,
     db_digest: Option<u64>,
-    executor: &mut dyn TaskExecutor,
+    execute: &mut TaskExecutor<'_>,
     net: &NetConfig,
 ) -> io::Result<SessionEnd> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let writer = Arc::new(Mutex::new(BufWriter::new(stream)));
+    let mut reader = LineReader::new(stream.try_clone()?);
+    let writer = Mutex::new(stream);
 
     send(
         &mut *writer.lock().expect("slave writer poisoned"),
@@ -356,7 +342,7 @@ fn slave_session(
             db_digest,
         },
     )?;
-    match recv::<_, MasterMsg>(&mut reader)? {
+    match reader.next_msg::<MasterMsg>()? {
         Some(MasterMsg::Registered { proto, .. }) => {
             if proto != PROTOCOL_VERSION {
                 return Err(invalid(format!(
@@ -370,23 +356,20 @@ fn slave_session(
         None => return Ok(SessionEnd::Lost(0)),
     }
 
-    let stop = Arc::new(WaitHub::new(false));
-    let heartbeat = spawn_heartbeat(
-        Arc::clone(&writer),
-        Arc::clone(&stop),
-        net.heartbeat_interval,
-    );
-    let outcome = slave_work_loop(&mut reader, &writer, executor);
-    *stop.lock() = true;
-    stop.notify_all();
-    heartbeat.join().expect("heartbeat thread panicked");
-    outcome
+    let stop = WaitHub::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| heartbeat(&writer, &stop, net.heartbeat_interval));
+        let outcome = slave_work_loop(&mut reader, &writer, execute);
+        *stop.lock() = true;
+        stop.notify_all();
+        outcome
+    })
 }
 
 fn slave_work_loop(
-    reader: &mut BufReader<TcpStream>,
-    writer: &Mutex<BufWriter<TcpStream>>,
-    executor: &mut dyn TaskExecutor,
+    reader: &mut LineReader<TcpStream>,
+    writer: &Mutex<TcpStream>,
+    execute: &mut TaskExecutor<'_>,
 ) -> io::Result<SessionEnd> {
     let send_msg = |msg: &SlaveMsg| send(&mut *writer.lock().expect("slave writer poisoned"), msg);
     let mut executed = 0usize;
@@ -396,7 +379,7 @@ fn slave_work_loop(
         }
         // The master long-polls: this blocks (heartbeats still flowing)
         // until an assignment or completion arrives.
-        let batch: Vec<(TaskId, Option<TaskDesc>)> = match recv::<_, MasterMsg>(reader) {
+        let batch: Vec<(TaskId, Option<TaskPayload>)> = match reader.next_msg::<MasterMsg>() {
             Ok(Some(MasterMsg::Tasks { tasks, descs })) => match descs {
                 Some(descs) if descs.len() != tasks.len() => {
                     return Err(invalid(format!(
@@ -422,8 +405,8 @@ fn slave_work_loop(
             if send_msg(&SlaveMsg::Started { task }).is_err() {
                 return Ok(SessionEnd::Lost(executed));
             }
-            let finished = executor.execute(task, desc.as_ref())?;
-            if send_msg(&finished).is_err() {
+            let result = execute(task, desc.as_ref())?;
+            if send_msg(&SlaveMsg::Finished { task, result }).is_err() {
                 return Ok(SessionEnd::Lost(executed));
             }
             executed += 1;

@@ -1,14 +1,18 @@
-//! Wire encoding of the master/slave protocol: newline-delimited JSON
-//! messages, the deadline-aware line reader, and the kernel-counter JSON
-//! shape shared with the serve daemon's `stats` verb.
+//! Where bytes become messages: the bounded line framer ([`LineReader`])
+//! under the master's slave port, the daemon's client and slave ports, the
+//! slave and the daemon client; the master/slave messages with the pool's
+//! own types as their payloads; and the kernel-counter JSON shape shared
+//! with the serve daemon's `stats` verb and the event log.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crate::pool::{FusedQueryResult, QueryPayload, TaskPayload, TaskResult};
 use crate::task::{PeId, TaskId};
 use swhybrid_json::Json;
 use swhybrid_simd::engine::KernelStats;
+use swhybrid_simd::search::Hit;
 
 /// Version of the wire protocol spoken by this build. Carried by both
 /// halves of the `register` handshake; a mismatched pair fails with a
@@ -28,190 +32,6 @@ pub const PROTOCOL_VERSION: u32 = 3;
 /// Socket read quantum: deadlines are checked at this granularity.
 pub(crate) fn liveness_quantum(deadline: Duration) -> Duration {
     (deadline / 4).clamp(Duration::from_millis(10), Duration::from_millis(100))
-}
-
-/// A hit as it travels over the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireHit {
-    /// Index of the subject in the database.
-    pub db_index: usize,
-    /// Subject identifier.
-    pub id: String,
-    /// Local alignment score.
-    pub score: i32,
-    /// Subject length.
-    pub subject_len: usize,
-}
-
-impl WireHit {
-    pub(crate) fn from_hit(h: swhybrid_simd::search::Hit) -> WireHit {
-        WireHit {
-            db_index: h.db_index,
-            id: h.id,
-            score: h.score,
-            subject_len: h.subject_len,
-        }
-    }
-
-    pub(crate) fn into_hit(self) -> swhybrid_simd::search::Hit {
-        swhybrid_simd::search::Hit {
-            db_index: self.db_index,
-            id: self.id,
-            score: self.score,
-            subject_len: self.subject_len,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("db_index", Json::Num(self.db_index as f64)),
-            ("id", Json::str(self.id.clone())),
-            ("score", Json::Num(self.score as f64)),
-            ("subject_len", Json::Num(self.subject_len as f64)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<WireHit, String> {
-        Ok(WireHit {
-            db_index: field_usize(v, "db_index")?,
-            id: field_str(v, "id")?,
-            score: field(v, "score")?
-                .as_i64()
-                .ok_or("field 'score' is not an integer")? as i32,
-            subject_len: field_usize(v, "subject_len")?,
-        })
-    }
-}
-
-/// One query of a self-describing task as it travels over the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryDesc {
-    /// Encoded query residues.
-    pub query: Vec<u8>,
-    /// Hits retained for the shard, for this query.
-    pub top_n: usize,
-}
-
-impl QueryDesc {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "query",
-                Json::Arr(self.query.iter().map(|&c| Json::Num(c as f64)).collect()),
-            ),
-            ("top_n", Json::Num(self.top_n as f64)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<QueryDesc, String> {
-        let query = field(v, "query")?
-            .as_array()
-            .ok_or("field 'query' is not an array")?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .filter(|&n| n <= u8::MAX as u64)
-                    .map(|n| n as u8)
-                    .ok_or_else(|| "query residue is not a byte".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(QueryDesc {
-            query,
-            top_n: field_usize(v, "top_n")?,
-        })
-    }
-}
-
-/// A self-describing task as it travels over the wire: everything a
-/// serve-mode slave (which holds only the database) needs to run the scan.
-/// Since v3 a task carries a *batch* of queries (length 1 for an unfused
-/// task) that are all scored against the shard in one fused pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskDesc {
-    /// The fused query batch, in demux order.
-    pub queries: Vec<QueryDesc>,
-    /// Database shard `[start, end)` in global subject indices.
-    pub shard: (usize, usize),
-}
-
-impl TaskDesc {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "queries",
-                Json::Arr(self.queries.iter().map(QueryDesc::to_json).collect()),
-            ),
-            (
-                "shard",
-                Json::Arr(vec![
-                    Json::Num(self.shard.0 as f64),
-                    Json::Num(self.shard.1 as f64),
-                ]),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<TaskDesc, String> {
-        let queries = field(v, "queries")?
-            .as_array()
-            .ok_or("field 'queries' is not an array")?
-            .iter()
-            .map(QueryDesc::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        if queries.is_empty() {
-            return Err("field 'queries' is empty".to_string());
-        }
-        let shard = field(v, "shard")?
-            .as_array()
-            .ok_or("field 'shard' is not an array")?;
-        let [s, e] = shard else {
-            return Err("field 'shard' is not a [start, end) pair".to_string());
-        };
-        let bound = |j: &Json| {
-            j.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| "shard bound is not a non-negative integer".to_string())
-        };
-        Ok(TaskDesc {
-            queries,
-            shard: (bound(s)?, bound(e)?),
-        })
-    }
-}
-
-/// One query's slice of a fused `finished` message.
-#[derive(Debug, Clone)]
-pub struct FusedResultDesc {
-    /// This query's ranked hits over the shard.
-    pub hits: Vec<WireHit>,
-    /// This query's kernel counters (per-query attribution); its cells are
-    /// `kernels.cells_computed`, exactly like the top-level convention.
-    pub kernels: Option<KernelStats>,
-}
-
-impl FusedResultDesc {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![(
-            "hits",
-            Json::Arr(self.hits.iter().map(WireHit::to_json).collect()),
-        )];
-        if let Some(k) = &self.kernels {
-            fields.push(("kernels", kernels_to_json(k)));
-        }
-        Json::obj(fields)
-    }
-
-    fn from_json(v: &Json) -> Result<FusedResultDesc, String> {
-        Ok(FusedResultDesc {
-            hits: field(v, "hits")?
-                .as_array()
-                .ok_or("field 'hits' is not an array")?
-                .iter()
-                .map(WireHit::from_json)
-                .collect::<Result<_, _>>()?,
-            kernels: v.get("kernels").map(kernels_from_json).transpose()?,
-        })
-    }
 }
 
 /// Messages from slave to master.
@@ -242,17 +62,10 @@ pub enum SlaveMsg {
     Finished {
         /// The task.
         task: TaskId,
-        /// Observed GCUPS while executing it.
-        gcups: f64,
-        /// Top hits of the comparison (aggregate; empty for fused tasks,
-        /// whose hits travel per query in `fused`).
-        hits: Vec<WireHit>,
-        /// Kernel-usage counters of the scan (merged over the batch for
-        /// fused tasks). Optional on the wire.
-        kernels: Option<KernelStats>,
-        /// Per-query results of a fused task, paired positionally with the
-        /// payload's query batch. Absent for batch-mode tasks.
-        fused: Option<Vec<FusedResultDesc>>,
+        /// What the slave produced. On the wire `gcups` is mandatory (a slave
+        /// always measures), `kernels` and `fused` are optional, and `cells`
+        /// does not travel: it decodes as `kernels.cells_computed`.
+        result: TaskResult,
     },
     /// Periodic liveness signal; carries no state.
     Heartbeat,
@@ -274,14 +87,14 @@ pub enum MasterMsg {
         tasks: Vec<TaskId>,
         /// Self-describing payloads, paired positionally with `tasks`.
         /// Present only for serve-mode slaves.
-        descs: Option<Vec<TaskDesc>>,
+        descs: Option<Vec<TaskPayload>>,
     },
     /// Execute this task even though another PE also holds it.
     Execute {
         /// The task (a steal or a replica — the slave does not care).
         task: TaskId,
         /// Self-describing payload (serve-mode slaves only).
-        desc: Option<TaskDesc>,
+        desc: Option<TaskPayload>,
     },
     /// Everything is finished; disconnect.
     Done,
@@ -314,6 +127,37 @@ pub(crate) fn field_usize(v: &Json, key: &str) -> Result<usize, String> {
         .as_u64()
         .map(|n| n as usize)
         .ok_or_else(|| format!("field '{key}' is not a non-negative integer"))
+}
+
+fn field_array<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    field(v, key)?
+        .as_array()
+        .ok_or_else(|| format!("field '{key}' is not an array"))
+}
+
+fn list_to_json<T: Wire>(items: &[T]) -> Json {
+    Json::Arr(items.iter().map(T::to_json).collect())
+}
+
+fn list_from_json<T: Wire>(v: &Json, key: &str) -> Result<Vec<T>, String> {
+    field_array(v, key)?.iter().map(T::from_json).collect()
+}
+
+/// An optional list field: absent is `None`, present must decode.
+fn opt_list_from_json<T: Wire>(v: &Json, key: &str) -> Result<Option<Vec<T>>, String> {
+    v.get(key).map(|_| list_from_json(v, key)).transpose()
+}
+
+/// The `proto` field of either handshake half; pre-versioning peers omit
+/// it and are v1.
+fn proto_from_json(v: &Json) -> Result<u32, String> {
+    match v.get("proto") {
+        None => Ok(1),
+        Some(p) => p
+            .as_u64()
+            .map(|n| n as u32)
+            .ok_or_else(|| "field 'proto' is not a non-negative integer".to_string()),
+    }
 }
 
 /// Kernel counters as a JSON object (the optional `kernels` field of a
@@ -358,6 +202,114 @@ pub(crate) trait Wire: Sized {
     fn from_json(v: &Json) -> Result<Self, String>;
 }
 
+impl Wire for Hit {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("db_index", Json::Num(self.db_index as f64)),
+            ("id", Json::str(self.id.clone())),
+            ("score", Json::Num(self.score as f64)),
+            ("subject_len", Json::Num(self.subject_len as f64)),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<Hit, String> {
+        Ok(Hit {
+            db_index: field_usize(v, "db_index")?,
+            id: field_str(v, "id")?,
+            score: field(v, "score")?
+                .as_i64()
+                .ok_or("field 'score' is not an integer")? as i32,
+            subject_len: field_usize(v, "subject_len")?,
+        })
+    }
+}
+
+impl Wire for QueryPayload {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "query",
+                Json::Arr(self.query.iter().map(|&c| Json::Num(c as f64)).collect()),
+            ),
+            ("top_n", Json::Num(self.top_n as f64)),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<QueryPayload, String> {
+        let query = field_array(v, "query")?
+            .iter()
+            .map(|c| {
+                c.as_u64()
+                    .filter(|&n| n <= u8::MAX as u64)
+                    .map(|n| n as u8)
+                    .ok_or_else(|| "query residue is not a byte".to_string())
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(QueryPayload {
+            query,
+            top_n: field_usize(v, "top_n")?,
+        })
+    }
+}
+
+/// The `descs`/`desc` payload of a serve-mode assignment: since v3 a
+/// *batch* of queries (length 1 for an unfused task), all scored against
+/// the shard in one fused pass.
+impl Wire for TaskPayload {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("queries", list_to_json(&self.queries)),
+            (
+                "shard",
+                Json::Arr(vec![
+                    Json::Num(self.shard.0 as f64),
+                    Json::Num(self.shard.1 as f64),
+                ]),
+            ),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<TaskPayload, String> {
+        let queries: Vec<QueryPayload> = list_from_json(v, "queries")?;
+        if queries.is_empty() {
+            return Err("field 'queries' is empty".to_string());
+        }
+        let [s, e] = field_array(v, "shard")? else {
+            return Err("field 'shard' is not a [start, end) pair".to_string());
+        };
+        let bound = |j: &Json| {
+            j.as_u64()
+                .map(|n| n as usize)
+                .ok_or_else(|| "shard bound is not a non-negative integer".to_string())
+        };
+        Ok(TaskPayload {
+            queries,
+            shard: (bound(s)?, bound(e)?),
+        })
+    }
+}
+
+/// One query's slice of a fused `finished` message; `cells` decodes as
+/// `kernels.cells_computed`, like the top-level one.
+impl Wire for FusedQueryResult {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![("hits", list_to_json(&self.hits))];
+        if let Some(k) = &self.kernels {
+            fields.push(("kernels", kernels_to_json(k)));
+        }
+        Json::obj(fields)
+    }
+
+    fn from_json(v: &Json) -> Result<FusedQueryResult, String> {
+        let kernels = v.get("kernels").map(kernels_from_json).transpose()?;
+        Ok(FusedQueryResult {
+            hits: list_from_json(v, "hits")?,
+            cells: kernels.map_or(0, |k| k.cells_computed),
+            kernels,
+        })
+    }
+}
+
 impl Wire for SlaveMsg {
     fn to_json(&self) -> Json {
         match self {
@@ -385,30 +337,18 @@ impl Wire for SlaveMsg {
                 ("type", Json::str("started")),
                 ("task", Json::Num(*task as f64)),
             ]),
-            SlaveMsg::Finished {
-                task,
-                gcups,
-                hits,
-                kernels,
-                fused,
-            } => {
+            SlaveMsg::Finished { task, result } => {
                 let mut fields = vec![
                     ("type", Json::str("finished")),
                     ("task", Json::Num(*task as f64)),
-                    ("gcups", Json::Num(*gcups)),
-                    (
-                        "hits",
-                        Json::Arr(hits.iter().map(WireHit::to_json).collect()),
-                    ),
+                    ("gcups", Json::Num(result.gcups.unwrap_or(0.0))),
+                    ("hits", list_to_json(&result.hits)),
                 ];
-                if let Some(k) = kernels {
+                if let Some(k) = &result.kernels {
                     fields.push(("kernels", kernels_to_json(k)));
                 }
-                if let Some(fused) = fused {
-                    fields.push((
-                        "fused",
-                        Json::Arr(fused.iter().map(FusedResultDesc::to_json).collect()),
-                    ));
+                if let Some(fused) = &result.fused {
+                    fields.push(("fused", list_to_json(fused)));
                 }
                 Json::obj(fields)
             }
@@ -421,13 +361,7 @@ impl Wire for SlaveMsg {
             "register" => Ok(SlaveMsg::Register {
                 name: field_str(v, "name")?,
                 gcups: field_f64(v, "gcups")?,
-                proto: match v.get("proto") {
-                    None => 1, // pre-versioning peers are v1
-                    Some(p) => p
-                        .as_u64()
-                        .map(|n| n as u32)
-                        .ok_or("field 'proto' is not a non-negative integer")?,
-                },
+                proto: proto_from_json(v)?,
                 db_digest: v
                     .get("db_digest")
                     .map(|d| {
@@ -441,27 +375,19 @@ impl Wire for SlaveMsg {
             "started" => Ok(SlaveMsg::Started {
                 task: field_usize(v, "task")?,
             }),
-            "finished" => Ok(SlaveMsg::Finished {
-                task: field_usize(v, "task")?,
-                gcups: field_f64(v, "gcups")?,
-                hits: field(v, "hits")?
-                    .as_array()
-                    .ok_or("field 'hits' is not an array")?
-                    .iter()
-                    .map(WireHit::from_json)
-                    .collect::<Result<_, _>>()?,
-                kernels: v.get("kernels").map(kernels_from_json).transpose()?,
-                fused: v
-                    .get("fused")
-                    .map(|f| {
-                        f.as_array()
-                            .ok_or("field 'fused' is not an array".to_string())?
-                            .iter()
-                            .map(FusedResultDesc::from_json)
-                            .collect::<Result<_, _>>()
-                    })
-                    .transpose()?,
-            }),
+            "finished" => {
+                let kernels = v.get("kernels").map(kernels_from_json).transpose()?;
+                Ok(SlaveMsg::Finished {
+                    task: field_usize(v, "task")?,
+                    result: TaskResult {
+                        gcups: Some(field_f64(v, "gcups")?),
+                        hits: list_from_json(v, "hits")?,
+                        cells: kernels.map_or(0, |k| k.cells_computed),
+                        kernels,
+                        fused: opt_list_from_json(v, "fused")?,
+                    },
+                })
+            }
             "heartbeat" => Ok(SlaveMsg::Heartbeat),
             other => Err(format!("unknown slave message type '{other}'")),
         }
@@ -485,10 +411,7 @@ impl Wire for MasterMsg {
                     ),
                 ];
                 if let Some(descs) = descs {
-                    fields.push((
-                        "descs",
-                        Json::Arr(descs.iter().map(TaskDesc::to_json).collect()),
-                    ));
+                    fields.push(("descs", list_to_json(descs)));
                 }
                 Json::obj(fields)
             }
@@ -514,18 +437,10 @@ impl Wire for MasterMsg {
         match field_str(v, "type")?.as_str() {
             "registered" => Ok(MasterMsg::Registered {
                 pe_id: field_usize(v, "pe_id")?,
-                proto: match v.get("proto") {
-                    None => 1,
-                    Some(p) => p
-                        .as_u64()
-                        .map(|n| n as u32)
-                        .ok_or("field 'proto' is not a non-negative integer")?,
-                },
+                proto: proto_from_json(v)?,
             }),
             "tasks" => Ok(MasterMsg::Tasks {
-                tasks: field(v, "tasks")?
-                    .as_array()
-                    .ok_or("field 'tasks' is not an array")?
+                tasks: field_array(v, "tasks")?
                     .iter()
                     .map(|t| {
                         t.as_u64()
@@ -533,20 +448,11 @@ impl Wire for MasterMsg {
                             .ok_or_else(|| "task id is not a non-negative integer".to_string())
                     })
                     .collect::<Result<_, _>>()?,
-                descs: v
-                    .get("descs")
-                    .map(|d| {
-                        d.as_array()
-                            .ok_or("field 'descs' is not an array".to_string())?
-                            .iter()
-                            .map(TaskDesc::from_json)
-                            .collect::<Result<_, _>>()
-                    })
-                    .transpose()?,
+                descs: opt_list_from_json(v, "descs")?,
             }),
             "execute" => Ok(MasterMsg::Execute {
                 task: field_usize(v, "task")?,
-                desc: v.get("desc").map(TaskDesc::from_json).transpose()?,
+                desc: v.get("desc").map(TaskPayload::from_json).transpose()?,
             }),
             "done" => Ok(MasterMsg::Done),
             "error" => Ok(MasterMsg::Error {
@@ -573,73 +479,451 @@ pub(crate) fn decode<M: Wire>(line: &str) -> io::Result<M> {
     M::from_json(&v).map_err(invalid)
 }
 
-/// Blocking receive of one message (slave side and tests; the master reads
-/// through [`LineReader`] so it can watch deadlines).
-pub(crate) fn recv<R: BufRead, M: Wire>(reader: &mut R) -> io::Result<Option<M>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    decode(&line).map(Some)
+/// Longest line any port accepts, newline excluded; a longer one is an
+/// [`io::ErrorKind::InvalidData`] error and the connection is dropped.
+/// The largest legitimate line is a serve-mode `tasks` message: tasks ×
+/// fused queries × ≈ 4 bytes per residue (a code ≤ 24 and its comma).
+/// The longest known protein (titin, ≈ 35,000 aa) is 140 KB that way, so
+/// a batch of 8 tasks each fusing 4 of it is 4.5 MB; the usual ≤ 5,000-aa
+/// queries make 0.6 MB. A `search` line is 1 byte per residue and a
+/// `finished` line ≈ 80 bytes per hit. 16 MiB is ample.
+pub const MAX_LINE: usize = 16 << 20;
+
+/// Bytes asked of the source per `read`.
+const READ_CHUNK: usize = 4096;
+
+/// THE line framer: every port, the slave and the daemon client read
+/// through it. (`BufReader::read_line` loses a partial line on a socket
+/// timeout and bounds nothing.) It keeps partial input across timeouts,
+/// scans each byte for the newline once however many reads deliver a
+/// line, holds at most [`MAX_LINE`] + one read, and rejects non-UTF-8.
+/// After an error the connection is to be dropped.
+pub struct LineReader<R> {
+    inner: R,
+    /// `buf[start..]` is unconsumed input.
+    buf: Vec<u8>,
+    start: usize,
+    /// `buf[start..scanned]` is known to hold no newline.
+    scanned: usize,
 }
 
-/// What one attempt to read a line produced.
-pub(crate) enum ReadOutcome {
-    /// A complete line (newline stripped).
-    Line(String),
-    /// Clean end of stream.
-    Eof,
-    /// Nothing new within the read quantum; check deadlines and try again.
-    Timeout,
-}
-
-/// Line reader over a raw [`TcpStream`] with a read timeout.
-///
-/// `BufReader::read_line` cannot be used with socket timeouts: a timeout
-/// mid-line loses the bytes read so far. This reader keeps partial input
-/// in a persistent buffer across timeouts.
-pub(crate) struct LineReader {
-    stream: TcpStream,
-    pending: Vec<u8>,
-}
-
-impl LineReader {
-    pub(crate) fn new(stream: TcpStream, quantum: Duration) -> io::Result<LineReader> {
+impl LineReader<TcpStream> {
+    /// The two halves of an accepted connection. `read_line` fails with
+    /// [`io::ErrorKind::TimedOut`] whenever nothing arrives for `quantum`,
+    /// so the session can watch a deadline or a stop flag and read on; a
+    /// write that makes no progress for `write_timeout` fails, so a peer
+    /// that stops reading cannot block its writer forever.
+    pub fn accepted(
+        stream: TcpStream,
+        quantum: Duration,
+        write_timeout: Duration,
+    ) -> io::Result<(Self, TcpStream)> {
+        stream.set_nodelay(true).ok();
+        let writer = stream.try_clone()?;
+        writer.set_write_timeout(Some(write_timeout))?;
         stream.set_read_timeout(Some(quantum))?;
-        Ok(LineReader {
-            stream,
-            pending: Vec::new(),
-        })
+        Ok((LineReader::new(stream), writer))
+    }
+}
+
+impl<R: Read> LineReader<R> {
+    /// Read lines off any byte source.
+    pub fn new(inner: R) -> LineReader<R> {
+        LineReader {
+            inner,
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+        }
     }
 
-    pub(crate) fn read_line(&mut self) -> io::Result<ReadOutcome> {
+    /// The next line (`\n` or `\r\n` stripped, valid until the next
+    /// read), or `None` at a clean end of stream. A source that times out
+    /// fails with [`io::ErrorKind::TimedOut`] and loses nothing: read again.
+    pub fn read_line(&mut self) -> io::Result<Option<&str>> {
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let rest = self.pending.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.pending, rest);
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return match String::from_utf8(line) {
-                    Ok(s) => Ok(ReadOutcome::Line(s)),
-                    Err(_) => Err(invalid("non-UTF-8 line on the wire")),
-                };
+            // A newline counts only within MAX_LINE of the line's start.
+            let limit = self.buf.len().min(self.start + MAX_LINE + 1);
+            if let Some(i) = self.buf[self.scanned..limit]
+                .iter()
+                .position(|&b| b == b'\n')
+            {
+                let (start, end) = (self.start, self.scanned + i);
+                self.start = end + 1;
+                self.scanned = end + 1;
+                let line = &self.buf[start..end];
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                return std::str::from_utf8(line)
+                    .map(Some)
+                    .map_err(|_| invalid("non-UTF-8 line on the wire"));
             }
-            let mut buf = [0u8; 4096];
-            match self.stream.read(&mut buf) {
-                Ok(0) => return Ok(ReadOutcome::Eof),
-                Ok(n) => self.pending.extend_from_slice(&buf[..n]),
+            self.scanned = limit;
+            if limit - self.start > MAX_LINE {
+                return Err(invalid(format!("line longer than {MAX_LINE} bytes")));
+            }
+            // Consumed lines leave before the buffer grows.
+            self.buf.drain(..self.start);
+            self.scanned -= self.start;
+            self.start = 0;
+            let mut chunk = [0u8; READ_CHUNK];
+            match self.inner.read(&mut chunk) {
+                Ok(0) => return Ok(None),
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    return Ok(ReadOutcome::Timeout)
+                    return Err(io::ErrorKind::TimedOut.into())
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// [`LineReader::read_line`], decoded.
+    pub(crate) fn next_msg<M: Wire>(&mut self) -> io::Result<Option<M>> {
+        self.read_line()?.map(decode).transpose()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A byte source that hands out exactly the scripted reads, then EOF.
+    struct Script(VecDeque<io::Result<Vec<u8>>>);
+
+    impl Script {
+        fn of(reads: impl IntoIterator<Item = io::Result<Vec<u8>>>) -> LineReader<Script> {
+            LineReader::new(Script(reads.into_iter().collect()))
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    /// One byte per `read`, whatever the caller asks for.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            buf[0] = first;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    fn line(reader: &mut LineReader<impl Read>) -> String {
+        let line = reader.read_line().expect("a line, not an error");
+        line.expect("a line, not the end").to_string()
+    }
+
+    fn timed_out(reader: &mut LineReader<impl Read>) -> bool {
+        reader
+            .read_line()
+            .is_err_and(|e| e.kind() == io::ErrorKind::TimedOut)
+    }
+
+    #[test]
+    fn a_line_delivered_byte_by_byte_is_scanned_once() {
+        // 1 MiB in 1-byte reads: rescanning from byte 0 after every read
+        // is 5·10^11 comparisons and would not finish.
+        let mut input = vec![b'x'; 1 << 20];
+        input.extend_from_slice(b"\nnext\n");
+        let mut reader = LineReader::new(Trickle(&input));
+        assert_eq!(line(&mut reader).len(), 1 << 20);
+        assert_eq!(line(&mut reader), "next");
+        assert!(matches!(reader.read_line(), Ok(None)));
+    }
+
+    #[test]
+    fn max_line_is_the_longest_line_and_bounds_the_buffer() {
+        let mut fits = vec![b'a'; MAX_LINE - 1];
+        fits.push(b'\n');
+        assert_eq!(
+            line(&mut LineReader::new(fits.as_slice())).len(),
+            MAX_LINE - 1
+        );
+
+        // No newline ever comes: the error must, after MAX_LINE + one read.
+        let endless = vec![b'a'; 2 * MAX_LINE];
+        let mut reader = LineReader::new(endless.as_slice());
+        let err = reader.read_line().expect_err("over-long line");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(reader.buf.len() <= MAX_LINE + READ_CHUNK);
+
+        // One byte over, with its newline in the same read, is still over.
+        let mut over = vec![b'a'; MAX_LINE + 1];
+        over.push(b'\n');
+        let err = LineReader::new(over.as_slice()).read_line().err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+    }
+
+    #[test]
+    fn a_line_split_across_a_timeout_survives_it() {
+        let mut reader = Script::of([
+            Ok(b"abc".to_vec()),
+            Err(io::ErrorKind::WouldBlock.into()),
+            Err(io::ErrorKind::Interrupted.into()),
+            Ok(b"def\r\nsecond\nthi".to_vec()),
+            Err(io::ErrorKind::TimedOut.into()),
+            Ok(b"rd\n".to_vec()),
+        ]);
+        assert!(timed_out(&mut reader));
+        assert_eq!(line(&mut reader), "abcdef"); // and `\r\n` is stripped
+        assert_eq!(line(&mut reader), "second");
+        assert!(timed_out(&mut reader));
+        assert_eq!(line(&mut reader), "third");
+        assert!(matches!(reader.read_line(), Ok(None)));
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_typed_error() {
+        let mut reader = LineReader::new(&b"ok\n\xff\xfe\nafter\n"[..]);
+        assert_eq!(line(&mut reader), "ok");
+        let err = reader.read_line().expect_err("non-UTF-8 line");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    fn kernels() -> KernelStats {
+        KernelStats {
+            resolved_i8: 5,
+            resolved_i16: 1,
+            resolved_scalar: 0,
+            interseq_i8: 40,
+            interseq_i16: 2,
+            interseq_scalar: 0,
+            chunks_striped: 1,
+            chunks_interseq: 3,
+            cells_computed: 12_345,
+        }
+    }
+
+    fn hit() -> Hit {
+        Hit {
+            db_index: 1,
+            id: "s\"1".into(),
+            score: -7,
+            subject_len: 99,
+        }
+    }
+
+    fn payload() -> TaskPayload {
+        TaskPayload {
+            queries: vec![
+                QueryPayload {
+                    query: vec![0, 3, 19, 2],
+                    top_n: 10,
+                },
+                QueryPayload {
+                    query: vec![5, 7],
+                    top_n: 3,
+                },
+            ],
+            shard: (128, 256),
+        }
+    }
+
+    fn finished(task: TaskId, gcups: f64, result: TaskResult) -> SlaveMsg {
+        SlaveMsg::Finished {
+            task,
+            result: TaskResult {
+                gcups: Some(gcups),
+                ..result
+            },
+        }
+    }
+
+    const KERNELS: &str = r#"{"striped_i8":5,"striped_i16":1,"striped_scalar":0,"interseq_i8":40,"interseq_i16":2,"interseq_scalar":0,"chunks_striped":1,"chunks_interseq":3,"cells_computed":12345}"#;
+    const HIT: &str = r#"{"db_index":1,"id":"s\"1","score":-7,"subject_len":99}"#;
+    const DESC: &str = r#"{"queries":[{"query":[0,3,19,2],"top_n":10},{"query":[5,7],"top_n":3}],"shard":[128,256]}"#;
+
+    /// Every message variant, with and without its optional parts, beside
+    /// the exact line the parent commit (mirror structs `WireHit`,
+    /// `QueryDesc`, `TaskDesc`, `FusedResultDesc`) wrote for it.
+    fn golden() -> Vec<(Json, String)> {
+        let slave = [
+            (
+                SlaveMsg::Register {
+                    name: "host-a/core0".into(),
+                    gcups: 2.7,
+                    proto: PROTOCOL_VERSION,
+                    db_digest: Some(0xdead_beef_cafe_f00d),
+                },
+                r#"{"type":"register","name":"host-a/core0","gcups":2.7,"proto":3,"db_digest":"deadbeefcafef00d"}"#.to_string(),
+            ),
+            (
+                SlaveMsg::Register {
+                    name: "b".into(),
+                    gcups: 1.0,
+                    proto: PROTOCOL_VERSION,
+                    db_digest: None,
+                },
+                r#"{"type":"register","name":"b","gcups":1,"proto":3}"#.to_string(),
+            ),
+            (SlaveMsg::Request, r#"{"type":"request"}"#.to_string()),
+            (
+                SlaveMsg::Started { task: 3 },
+                r#"{"type":"started","task":3}"#.to_string(),
+            ),
+            (
+                finished(
+                    3,
+                    2.5,
+                    TaskResult {
+                        hits: vec![hit()],
+                        cells: 12_345,
+                        kernels: Some(kernels()),
+                        ..TaskResult::default()
+                    },
+                ),
+                format!(r#"{{"type":"finished","task":3,"gcups":2.5,"hits":[{HIT}],"kernels":{KERNELS}}}"#),
+            ),
+            (
+                finished(1, 1.0, TaskResult::default()),
+                r#"{"type":"finished","task":1,"gcups":1,"hits":[]}"#.to_string(),
+            ),
+            (
+                finished(
+                    9,
+                    0.75,
+                    TaskResult {
+                        cells: 12_345,
+                        kernels: Some(kernels()),
+                        fused: Some(vec![
+                            FusedQueryResult {
+                                hits: vec![hit()],
+                                cells: 12_345,
+                                kernels: Some(kernels()),
+                            },
+                            FusedQueryResult::default(),
+                        ]),
+                        ..TaskResult::default()
+                    },
+                ),
+                format!(
+                    r#"{{"type":"finished","task":9,"gcups":0.75,"hits":[],"kernels":{KERNELS},"fused":[{{"hits":[{HIT}],"kernels":{KERNELS}}},{{"hits":[]}}]}}"#
+                ),
+            ),
+            (SlaveMsg::Heartbeat, r#"{"type":"heartbeat"}"#.to_string()),
+        ];
+        let master = [
+            (
+                MasterMsg::Registered {
+                    pe_id: 1,
+                    proto: PROTOCOL_VERSION,
+                },
+                r#"{"type":"registered","pe_id":1,"proto":3}"#.to_string(),
+            ),
+            (
+                MasterMsg::Tasks {
+                    tasks: vec![4, 5],
+                    descs: None,
+                },
+                r#"{"type":"tasks","tasks":[4,5]}"#.to_string(),
+            ),
+            (
+                MasterMsg::Tasks {
+                    tasks: vec![7],
+                    descs: Some(vec![payload()]),
+                },
+                format!(r#"{{"type":"tasks","tasks":[7],"descs":[{DESC}]}}"#),
+            ),
+            (
+                MasterMsg::Execute {
+                    task: 2,
+                    desc: None,
+                },
+                r#"{"type":"execute","task":2}"#.to_string(),
+            ),
+            (
+                MasterMsg::Execute {
+                    task: 8,
+                    desc: Some(payload()),
+                },
+                format!(r#"{{"type":"execute","task":8,"desc":{DESC}}}"#),
+            ),
+            (MasterMsg::Done, r#"{"type":"done"}"#.to_string()),
+            (
+                MasterMsg::Error {
+                    message: "nope".into(),
+                },
+                r#"{"type":"error","message":"nope"}"#.to_string(),
+            ),
+        ];
+        let slave = slave.into_iter().map(|(m, line)| (m.to_json(), line));
+        let master = master.into_iter().map(|(m, line)| (m.to_json(), line));
+        slave.chain(master).collect()
+    }
+
+    #[test]
+    fn every_message_encodes_to_the_bytes_the_parent_wrote() {
+        for (json, line) in golden() {
+            assert_eq!(json.to_string(), line);
+        }
+        // And the canonical lines decode back to what encodes the same.
+        for (_, line) in golden() {
+            let again = match decode::<SlaveMsg>(&line) {
+                Ok(m) => m.to_json(),
+                Err(_) => decode::<MasterMsg>(&line)
+                    .expect("one of the two")
+                    .to_json(),
+            };
+            assert_eq!(again.to_string(), line);
+        }
+    }
+
+    /// Through the framer and both decoders: decodes or is the typed
+    /// error, never a panic.
+    fn survives(bytes: &[u8]) {
+        let mut reader = LineReader::new(bytes);
+        loop {
+            match reader.read_line() {
+                Ok(Some(l)) => {
+                    for err in [decode::<SlaveMsg>(l).err(), decode::<MasterMsg>(l).err()] {
+                        assert!(err.is_none_or(|e| e.kind() == io::ErrorKind::InvalidData));
+                    }
+                }
+                Ok(None) => return,
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_messages_never_panic() {
+        for (_, line) in golden() {
+            let mut bytes = line.into_bytes();
+            bytes.push(b'\n');
+            for cut in 0..bytes.len() {
+                let mut prefix = bytes[..cut].to_vec();
+                prefix.push(b'\n');
+                survives(&prefix);
+            }
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                survives(&bytes);
+                bytes[bit / 8] ^= 1 << (bit % 8);
             }
         }
     }

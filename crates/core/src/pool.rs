@@ -470,32 +470,24 @@ impl<S: PoolOwner> PePool<S> {
             }
             if g.barrier_open {
                 let now = self.now();
-                match g.master.request(pe, now) {
-                    Assignment::Tasks(tasks) => {
-                        drop(g);
-                        self.notify_all();
-                        return Some(PeCommand::Tasks(tasks));
-                    }
-                    Assignment::Steal { task, .. } => {
-                        drop(g);
-                        self.notify_all();
-                        return Some(PeCommand::Execute(task));
-                    }
-                    Assignment::Replicate(task) => {
-                        drop(g);
-                        self.notify_all();
-                        return Some(PeCommand::Execute(task));
+                let cmd = match g.master.request(pe, now) {
+                    Assignment::Tasks(tasks) => Some(PeCommand::Tasks(tasks)),
+                    Assignment::Steal { task, .. } | Assignment::Replicate(task) => {
+                        Some(PeCommand::Execute(task))
                     }
                     Assignment::Done => {
                         let m = g.members.get_mut(&pe).expect("member admitted");
                         m.closed = true;
                         m.left = true;
                         g.alive -= 1;
-                        drop(g);
-                        self.notify_all();
-                        return Some(PeCommand::Done);
+                        Some(PeCommand::Done)
                     }
-                    Assignment::Wait => {}
+                    Assignment::Wait => None,
+                };
+                if cmd.is_some() {
+                    drop(g);
+                    self.notify_all();
+                    return cmd;
                 }
             }
             g = self.wait_timeout(g, PARK_QUANTUM);

@@ -326,18 +326,10 @@ impl RuntimeEvent {
             EventKind::TaskKernels { pe, task, kernels } => {
                 push("pe", Json::Num(*pe as f64));
                 push("task", Json::Num(*task as f64));
-                for (key, value) in [
-                    ("striped_i8", kernels.resolved_i8),
-                    ("striped_i16", kernels.resolved_i16),
-                    ("striped_scalar", kernels.resolved_scalar),
-                    ("interseq_i8", kernels.interseq_i8),
-                    ("interseq_i16", kernels.interseq_i16),
-                    ("interseq_scalar", kernels.interseq_scalar),
-                    ("chunks_striped", kernels.chunks_striped),
-                    ("chunks_interseq", kernels.chunks_interseq),
-                    ("cells_computed", kernels.cells_computed),
-                ] {
-                    push(key, Json::Num(value as f64));
+                // The counters sit flat beside `pe`/`task`, under the
+                // wire's key names.
+                if let Json::Obj(counters) = crate::net::kernels_to_json(kernels) {
+                    fields.extend(counters);
                 }
             }
             EventKind::ReplicaCancelled {

@@ -1,9 +1,10 @@
 //! A small blocking client for the daemon's wire protocol — what the
 //! `swhybrid query` CLI and the integration tests speak through.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
+use swhybrid_core::net::LineReader;
 use swhybrid_json::Json;
 use swhybrid_simd::search::Hit;
 
@@ -11,7 +12,7 @@ use crate::protocol::{hits_from_json, request_to_json, ReloadRequest, Request, S
 
 /// One connection to a running [`crate::ServeDaemon`].
 pub struct ServeClient {
-    reader: BufReader<TcpStream>,
+    reader: LineReader<TcpStream>,
     writer: TcpStream,
 }
 
@@ -22,7 +23,7 @@ impl ServeClient {
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
         Ok(ServeClient {
-            reader: BufReader::new(stream),
+            reader: LineReader::new(stream),
             writer,
         })
     }
@@ -33,15 +34,13 @@ impl ServeClient {
 
     /// Read the next reply line (blocking).
     pub fn recv(&mut self) -> io::Result<Json> {
-        let mut line = String::new();
         loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
+            let Some(line) = self.reader.read_line()? else {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "daemon closed the connection",
                 ));
-            }
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;

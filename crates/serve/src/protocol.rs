@@ -307,6 +307,36 @@ mod tests {
         assert!(parse_request(&"[".repeat(200_000)).is_err());
     }
 
+    /// Every prefix and every single-bit flip of the canonical request
+    /// lines parses or is refused — never a panic. (Flips that leave
+    /// UTF-8 never reach the parser: the framer refuses them.)
+    #[test]
+    fn truncated_and_bit_flipped_requests_never_panic() {
+        let canonical = [
+            r#"{"verb":"search","query":"MKVLAW","top_n":7,"deadline_ms":2500,"tag":"q\"1","ack":true}"#,
+            r#"{"verb":"status","job":3}"#,
+            r#"{"verb":"cancel","job":9}"#,
+            r#"{"verb":"stats"}"#,
+            r#"{"verb":"reload","store":"/data/db.swdb","verify":true}"#,
+            r#"{"verb":"reload","fasta":"db.fasta"}"#,
+            r#"{"verb":"shutdown"}"#,
+        ];
+        for line in canonical {
+            assert!(parse_request(line).is_ok(), "{line}");
+            for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
+                let _ = parse_request(&line[..cut]);
+            }
+            let mut bytes = line.as_bytes().to_vec();
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(flipped) = std::str::from_utf8(&bytes) {
+                    let _ = parse_request(flipped);
+                }
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
     #[test]
     fn reload_round_trips_and_demands_one_source() {
         for req in [

@@ -1,12 +1,21 @@
 //! The TCP front end: a newline-delimited JSON daemon over one
 //! [`QueryService`].
 //!
-//! One thread accepts connections; each connection gets a reader thread.
+//! `swhybrid_core::net`'s [`Acceptor`] blocks in `accept`, caps the live
+//! connections (`MAX_SESSIONS`; one over gets a `too_many_connections`
+//! line) and runs each on a scoped thread, which reads through the one
+//! bounded framer ([`LineReader`]): a line over `MAX_LINE` or not UTF-8 is
+//! answered `bad_request` and the connection closed.
+//!
 //! Replies go through a shared, mutex-guarded write half so completion
 //! callbacks (which fire on PE worker threads) and inline replies
-//! (status/stats/cancel) never interleave bytes. A `search` result is
-//! therefore asynchronous with respect to other verbs on the same
-//! connection; `tag`/`job` correlate. Note that a cache-served search
+//! (status/stats/cancel) never interleave bytes. Writes are under
+//! [`CLIENT_WRITE_TIMEOUT`]: a client that stops reading costs one worker
+//! one timeout, then its connection is shut down and later replies to it
+//! fail at once.
+//!
+//! A `search` result is asynchronous with respect to other verbs on the
+//! same connection; `tag`/`job` correlate. Note that a cache-served search
 //! completes synchronously inside submission, so with `"ack":true` its
 //! result line can precede the ack — clients must dispatch on `type`,
 //! not on line order.
@@ -16,14 +25,15 @@
 //! (sockets stay writable until every completion has fired), then
 //! [`ServeDaemon::run`] returns.
 
-use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufWriter, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use swhybrid_align::scoring::Scoring;
+use swhybrid_core::net::{Acceptor, LineReader};
 use swhybrid_json::Json;
 use swhybrid_seq::fasta::FastaReader;
 use swhybrid_seq::sequence::EncodedSequence;
@@ -35,12 +45,22 @@ use crate::service::{
     CancelOutcome, Completion, JobStatus, QueryService, SearchReply, ServiceConfig,
 };
 
+/// How long a reply may make no progress into a client's socket before
+/// the client counts as gone. Only a client that stopped reading (its
+/// window and our send buffer both full) ever waits, and the waiter is a
+/// PE worker losing scan time: 2 s, the patience a silent slave gets by
+/// default (`NetConfig::slave_deadline`).
+pub const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How often an idle connection looks at the stop flag.
+const READ_QUANTUM: Duration = Duration::from_millis(200);
+
 /// Shared write half of one connection.
 type ConnWriter = Arc<Mutex<BufWriter<TcpStream>>>;
 
 /// A bound-but-not-yet-running daemon.
 pub struct ServeDaemon {
-    listener: TcpListener,
+    listener: Acceptor,
     service: QueryService,
 }
 
@@ -53,11 +73,7 @@ impl ServeDaemon {
         scoring: Scoring,
         config: ServiceConfig,
     ) -> io::Result<ServeDaemon> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(ServeDaemon {
-            listener,
-            service: QueryService::new(db, scoring, config),
-        })
+        Self::bind_snapshot(addr, DbSnapshot::from_encoded("", &db), scoring, config)
     }
 
     /// Bind over a pre-assembled database snapshot — the `serve
@@ -69,7 +85,7 @@ impl ServeDaemon {
         scoring: Scoring,
         config: ServiceConfig,
     ) -> io::Result<ServeDaemon> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = Acceptor::bind(addr)?;
         Ok(ServeDaemon {
             listener,
             service: QueryService::with_snapshot(db, scoring, config),
@@ -97,94 +113,64 @@ impl ServeDaemon {
     /// query and return.
     pub fn run(self) -> io::Result<()> {
         let ServeDaemon { listener, service } = self;
-        listener.set_nonblocking(true)?;
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let mut next_client: u64 = 0;
-            while !stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let client = next_client;
-                        next_client += 1;
-                        let service = &service;
-                        let stop = &stop;
-                        scope.spawn(move || handle_conn(service, stream, client, stop));
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-                        ) =>
-                    {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    // Transient accept failures (e.g. a connection reset
-                    // before we picked it up) must not kill the daemon.
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            }
+        let next_client = AtomicU64::new(0);
+        let refusal = error_reply(
+            "request",
+            "too_many_connections",
+            "connection limit reached; try again later",
+            None,
+        );
+        let served = listener.run(&refusal.to_string(), |stream| {
+            let client = next_client.fetch_add(1, Ordering::Relaxed);
+            handle_conn(&service, stream, client, &listener)
         });
         service.shutdown();
-        Ok(())
+        served
     }
 }
 
 /// One connection: read lines, dispatch verbs, until EOF or shutdown.
-fn handle_conn(service: &QueryService, stream: TcpStream, client: u64, stop: &AtomicBool) {
-    // Accepted sockets must block with a timeout so the reader notices a
-    // shutdown initiated on another connection.
-    if stream.set_nonblocking(false).is_err()
-        || stream
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .is_err()
-    {
+fn handle_conn(service: &QueryService, stream: TcpStream, client: u64, port: &Acceptor) {
+    // The quantum is how a reader notices a shutdown initiated on another
+    // connection.
+    let Ok((mut reader, writer)) = LineReader::accepted(stream, READ_QUANTUM, CLIENT_WRITE_TIMEOUT)
+    else {
         return;
-    }
-    stream.set_nodelay(true).ok();
-    let writer: ConnWriter = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(BufWriter::new(w))),
-        Err(_) => return,
     };
-    let mut stream = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    'conn: loop {
-        // Drain complete lines before reading more.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let rest = pending.split_off(pos + 1);
-            let mut line = std::mem::replace(&mut pending, rest);
-            line.pop();
-            let line = String::from_utf8_lossy(&line);
-            let line = line.trim();
-            if !line.is_empty() && handle_request(service, line, client, &writer, stop) {
-                break 'conn;
+    let writer: ConnWriter = Arc::new(Mutex::new(BufWriter::new(writer)));
+    while !port.stopped() {
+        match reader.read_line() {
+            Ok(Some(line)) => {
+                let line = line.trim();
+                if !line.is_empty() && handle_request(service, line, client, &writer, port) {
+                    break;
+                }
             }
-        }
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break, // EOF
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+            // An over-long or non-UTF-8 line: the framer cannot resume
+            // after it, so say why and hang up.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let reason = e.to_string();
+                write_json(
+                    &writer,
+                    &error_reply("request", "bad_request", &reason, None),
+                );
+                break;
+            }
+            Ok(None) | Err(_) => break,
         }
     }
 }
 
-/// Dispatch one request line. Returns whether to close the connection.
+/// Dispatch one request line and write its inline reply, if it has one
+/// (a `search` without `ack` has only its asynchronous result). Returns
+/// whether to close the connection.
 fn handle_request(
     service: &QueryService,
     line: &str,
     client: u64,
     writer: &ConnWriter,
-    stop: &AtomicBool,
+    port: &Acceptor,
 ) -> bool {
     let req = match parse_request(line) {
         Ok(req) => req,
@@ -196,155 +182,122 @@ fn handle_request(
             return false;
         }
     };
-    match req {
-        Request::Search(s) => {
-            let codes = match service.encode_query(s.query.as_bytes()) {
-                Ok(codes) => codes,
-                Err(e) => {
-                    write_json(
-                        writer,
-                        &error_reply("search", "bad_query", &e, s.tag.as_deref()),
-                    );
-                    return false;
-                }
-            };
-            let w = Arc::clone(writer);
-            let completion: Completion = Box::new(move |reply| {
-                write_json(&w, &result_to_json(&reply));
-            });
-            match service.submit(
-                codes,
-                s.top_n,
-                s.deadline_ms,
-                s.tag.clone(),
-                client,
-                completion,
-            ) {
-                Ok(job) => {
-                    if s.ack {
-                        write_json(
-                            writer,
-                            &Json::obj(vec![
-                                ("ok", Json::Bool(true)),
-                                ("type", Json::str("ack")),
-                                ("job", Json::Num(job as f64)),
-                            ]),
-                        );
-                    }
-                }
-                Err(e) => write_json(
-                    writer,
-                    &error_reply("search", e.code(), &e.reason(), s.tag.as_deref()),
-                ),
-            }
-            false
-        }
-        Request::Status { job } => {
-            let reply = match service.status(job) {
-                JobStatus::Unknown => {
-                    error_reply("status", "unknown_job", &format!("no job {job}"), None)
-                }
-                JobStatus::Queued { position } => status_reply(
-                    job,
-                    "queued",
-                    vec![("position", Json::Num(position as f64))],
-                ),
-                JobStatus::Running {
-                    shards_done,
-                    shards_total,
-                } => status_reply(
-                    job,
-                    "running",
-                    vec![
-                        ("shards_done", Json::Num(shards_done as f64)),
-                        ("shards_total", Json::Num(shards_total as f64)),
-                    ],
-                ),
-                JobStatus::Done { cancelled, cached } => status_reply(
-                    job,
-                    "done",
-                    vec![
-                        ("cancelled", Json::Bool(cancelled)),
-                        ("cached", Json::Bool(cached)),
-                    ],
-                ),
-                // The id was issued but its terminal record aged out of the
-                // registry: a well-formed answer, not an error.
-                JobStatus::Expired => status_reply(job, "expired", Vec::new()),
-            };
-            write_json(writer, &reply);
-            false
-        }
-        Request::Cancel { job } => {
-            let reply = match service.cancel(job) {
-                CancelOutcome::Unknown => {
-                    error_reply("cancel", "unknown_job", &format!("no job {job}"), None)
-                }
-                outcome => Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("type", Json::str("cancel")),
-                    ("job", Json::Num(job as f64)),
-                    (
-                        "outcome",
-                        Json::str(match outcome {
-                            CancelOutcome::Cancelled => "cancelled",
-                            _ => "already_done",
-                        }),
-                    ),
-                ]),
-            };
-            write_json(writer, &reply);
-            false
-        }
-        Request::Stats => {
-            write_json(writer, &service.stats());
-            false
-        }
-        Request::Reload(r) => {
-            // Load and validate the new generation entirely off the pool
-            // lock — concurrent queries keep flowing against the old
-            // snapshot; the swap itself is one pointer replacement.
-            match load_reload_snapshot(&r, service.scoring()) {
-                Ok((snapshot, source)) => {
-                    let name = snapshot.name().to_string();
-                    let sequences = snapshot.len();
-                    let residues = snapshot.total_residues();
-                    let digest = snapshot.digest();
-                    let generation = service.swap_snapshot(snapshot);
-                    write_json(
-                        writer,
-                        &Json::obj(vec![
+    let shutdown = req == Request::Shutdown;
+    let reply = match req {
+        Request::Search(s) => match service.encode_query(s.query.as_bytes()) {
+            Err(e) => Some(error_reply("search", "bad_query", &e, s.tag.as_deref())),
+            Ok(codes) => {
+                let w = Arc::clone(writer);
+                let completion: Completion = Box::new(move |reply| {
+                    write_json(&w, &result_to_json(&reply));
+                });
+                let tag = s.tag.clone();
+                match service.submit(codes, s.top_n, s.deadline_ms, tag, client, completion) {
+                    Ok(job) => s.ack.then(|| {
+                        Json::obj(vec![
                             ("ok", Json::Bool(true)),
-                            ("type", Json::str("reload")),
-                            ("source", Json::str(source)),
-                            ("name", Json::str(&name)),
-                            ("generation", Json::Num(generation as f64)),
-                            ("sequences", Json::Num(sequences as f64)),
-                            ("residues", Json::Num(residues as f64)),
-                            ("digest", Json::str(format!("{digest:016x}"))),
-                        ]),
-                    );
-                }
-                Err((code, reason)) => {
-                    write_json(writer, &error_reply("reload", code, &reason, None))
+                            ("type", Json::str("ack")),
+                            ("job", Json::Num(job as f64)),
+                        ])
+                    }),
+                    Err(e) => Some(error_reply(
+                        "search",
+                        e.code(),
+                        &e.reason(),
+                        s.tag.as_deref(),
+                    )),
                 }
             }
-            false
-        }
+        },
+        Request::Status { job } => Some(match service.status(job) {
+            JobStatus::Unknown => {
+                error_reply("status", "unknown_job", &format!("no job {job}"), None)
+            }
+            JobStatus::Queued { position } => status_reply(
+                job,
+                "queued",
+                vec![("position", Json::Num(position as f64))],
+            ),
+            JobStatus::Running {
+                shards_done,
+                shards_total,
+            } => status_reply(
+                job,
+                "running",
+                vec![
+                    ("shards_done", Json::Num(shards_done as f64)),
+                    ("shards_total", Json::Num(shards_total as f64)),
+                ],
+            ),
+            JobStatus::Done { cancelled, cached } => status_reply(
+                job,
+                "done",
+                vec![
+                    ("cancelled", Json::Bool(cancelled)),
+                    ("cached", Json::Bool(cached)),
+                ],
+            ),
+            // The id was issued but its terminal record aged out of the
+            // registry: a well-formed answer, not an error.
+            JobStatus::Expired => status_reply(job, "expired", Vec::new()),
+        }),
+        Request::Cancel { job } => Some(match service.cancel(job) {
+            CancelOutcome::Unknown => {
+                error_reply("cancel", "unknown_job", &format!("no job {job}"), None)
+            }
+            outcome => Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("type", Json::str("cancel")),
+                ("job", Json::Num(job as f64)),
+                (
+                    "outcome",
+                    Json::str(match outcome {
+                        CancelOutcome::Cancelled => "cancelled",
+                        _ => "already_done",
+                    }),
+                ),
+            ]),
+        }),
+        Request::Stats => Some(service.stats()),
+        // Load and validate the new generation entirely off the pool lock —
+        // concurrent queries keep flowing against the old snapshot; the
+        // swap itself is one pointer replacement.
+        Request::Reload(r) => Some(match load_reload_snapshot(&r, service.scoring()) {
+            Ok((snapshot, source)) => {
+                let name = snapshot.name().to_string();
+                let sequences = snapshot.len();
+                let residues = snapshot.total_residues();
+                let digest = snapshot.digest();
+                let generation = service.swap_snapshot(snapshot);
+                Json::obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("type", Json::str("reload")),
+                    ("source", Json::str(source)),
+                    ("name", Json::str(&name)),
+                    ("generation", Json::Num(generation as f64)),
+                    ("sequences", Json::Num(sequences as f64)),
+                    ("residues", Json::Num(residues as f64)),
+                    ("digest", Json::str(format!("{digest:016x}"))),
+                ])
+            }
+            Err((code, reason)) => error_reply("reload", code, &reason, None),
+        }),
         Request::Shutdown => {
             service.begin_drain();
-            write_json(
-                writer,
-                &Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("type", Json::str("shutdown")),
-                    ("draining", Json::Bool(true)),
-                ]),
-            );
-            stop.store(true, Ordering::SeqCst);
-            true
+            Some(Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("type", Json::str("shutdown")),
+                ("draining", Json::Bool(true)),
+            ]))
         }
+    };
+    if let Some(reply) = reply {
+        write_json(writer, &reply);
     }
+    if shutdown {
+        port.stop();
+    }
+    shutdown
 }
 
 /// Assemble the new database generation for a `reload` request: map a
@@ -431,10 +384,118 @@ pub fn result_to_json(reply: &SearchReply) -> Json {
     Json::Obj(fields)
 }
 
-/// Write one reply line; IO errors are swallowed (a vanished client must
-/// not take the daemon down).
+/// Write one reply line with one `write` (the buffer takes the pieces).
+/// IO errors are swallowed (a vanished or stalled client must not take the
+/// daemon down) but end the connection: once shut down, its reader sees
+/// EOF and every later reply fails at once instead of waiting out the
+/// timeout again.
 fn write_json(writer: &ConnWriter, json: &Json) {
     let mut w = writer.lock().expect("connection writer poisoned");
-    let _ = writeln!(w, "{json}");
-    let _ = w.flush();
+    if writeln!(w, "{json}").and_then(|()| w.flush()).is_err() {
+        let _ = w.get_ref().shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+    use swhybrid_simd::engine::KernelStats;
+    use swhybrid_simd::search::Hit;
+
+    /// Reply lines exactly as the parent commit wrote them (recorded from
+    /// it): the benchmark and every deployed client parse these bytes.
+    #[test]
+    fn reply_lines_are_byte_stable() {
+        const HITS: &str = r#"[{"rank":1,"db_index":4,"id":"s4","score":99,"len":120},{"rank":2,"db_index":0,"id":"s\"0","score":-1,"len":50}]"#;
+        const HEAD: &str = r#"{"ok":true,"type":"result","job":7,"cached":false,"cancelled":false,"generation":2,"cells":12345,"elapsed_ms":1.5,"kernels":{"striped_i8":5,"striped_i16":1,"striped_scalar":0,"interseq_i8":40,"interseq_i16":2,"interseq_scalar":0,"chunks_striped":1,"chunks_interseq":3,"cells_computed":12345},"hits":"#;
+        let hit = |db_index, id: &str, score, subject_len| Hit {
+            db_index,
+            id: id.into(),
+            score,
+            subject_len,
+        };
+        let mut reply = SearchReply {
+            job: 7,
+            tag: Some("t-1".into()),
+            cached: false,
+            cancelled: false,
+            generation: 2,
+            cells: 12_345,
+            elapsed_ms: 1.5,
+            kernels: KernelStats {
+                resolved_i8: 5,
+                resolved_i16: 1,
+                resolved_scalar: 0,
+                interseq_i8: 40,
+                interseq_i16: 2,
+                interseq_scalar: 0,
+                chunks_striped: 1,
+                chunks_interseq: 3,
+                cells_computed: 12_345,
+            },
+            hits: vec![hit(4, "s4", 99, 120), hit(0, "s\"0", -1, 50)],
+        };
+        assert_eq!(hits_to_json(&reply.hits).to_string(), HITS);
+        assert_eq!(
+            result_to_json(&reply).to_string(),
+            format!(r#"{HEAD}{HITS},"tag":"t-1"}}"#)
+        );
+        reply.tag = None;
+        assert_eq!(
+            result_to_json(&reply).to_string(),
+            format!("{HEAD}{HITS}}}")
+        );
+        assert_eq!(
+            error_reply("request", "bad_request", "bad JSON: x", None).to_string(),
+            r#"{"ok":false,"type":"request","error":"bad_request","reason":"bad JSON: x"}"#
+        );
+    }
+
+    /// A peer that never reads: the write that finds the socket full waits
+    /// out the timeout once; after it every write fails at once and the
+    /// peer sees the connection end.
+    #[test]
+    fn a_full_socket_times_out_once_then_fails_fast() {
+        let timeout = Duration::from_millis(200);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_write_timeout(Some(timeout)).unwrap();
+        let writer: ConnWriter = Arc::new(Mutex::new(BufWriter::new(stream)));
+
+        // Shut down is observable: a raw write fails at once with EPIPE
+        // (on a full but live socket it would wait and say `WouldBlock`).
+        let dead = || {
+            let probe = writer.lock().unwrap().get_ref().write(b"\n");
+            probe.is_err_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+        };
+        let reply = Json::str("x".repeat(64 << 10));
+        let started = Instant::now();
+        let mut slowest = Duration::ZERO;
+        while !dead() {
+            let before = Instant::now();
+            write_json(&writer, &reply);
+            slowest = slowest.max(before.elapsed());
+            assert!(started.elapsed() < Duration::from_secs(30), "never gave up");
+        }
+        // A partial write restarts the socket's timer once, no more.
+        assert!(slowest < 3 * timeout, "one reply waited {slowest:?}");
+        let before = Instant::now();
+        for _ in 0..100 {
+            write_json(&writer, &Json::Null);
+        }
+        assert!(before.elapsed() < timeout, "dead connection still waits");
+        // The peer reads what was buffered, then the end — not a hang.
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let drained = io::copy(&mut &peer, &mut io::sink());
+        assert!(
+            !drained
+                .as_ref()
+                .is_err_and(|e| e.kind() == io::ErrorKind::WouldBlock),
+            "{drained:?}"
+        );
+    }
 }

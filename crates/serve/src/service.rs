@@ -12,7 +12,7 @@
 //!   shared [`drive`](swhybrid_core::pool::drive) loop,
 //! * optionally, via [`QueryService::listen_slaves`], remote TCP slaves
 //!   that join and leave mid-daemon-lifetime — served by the *same* drive
-//!   loop through [`serve_connection`](swhybrid_core::net::serve_connection),
+//!   loop through [`serve_slaves`](swhybrid_core::net::serve_slaves),
 //!   so a fleet can mix local SIMD threads and remote processes freely,
 //! * the admission queue, result cache, and metrics.
 //!
@@ -71,13 +71,11 @@ pub use stats::scoring_digest;
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::ToSocketAddrs;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use swhybrid_align::scoring::Scoring;
-use swhybrid_core::net::{serve_connection, NetConfig};
+use swhybrid_core::net::{serve_slaves, Acceptor, NetConfig};
 use swhybrid_core::policy::Policy;
 use swhybrid_core::pool::{drive, LocalEndpoint, PePool};
 use swhybrid_core::sched::{MasterConfig, Scheduler};
@@ -94,9 +92,6 @@ use crate::admission::AdmissionQueue;
 use crate::cache::{CacheKey, ResultCache};
 use crate::metrics::{fold_event, Metrics};
 use crate::prepared::{PreparedCache, PreparedKey};
-
-/// Slave-listener accept re-check interval.
-const ACCEPT_QUANTUM: Duration = Duration::from_millis(10);
 
 /// How a reply leaves the service: invoked exactly once per submitted
 /// query, off the executor's lock.
@@ -387,21 +382,20 @@ impl Inner {
     }
 }
 
-/// The persistent query service. Dropping it shuts the workers down
-/// without draining; call [`QueryService::shutdown`] for the graceful
 /// One local worker in the roster: its PE name, its static GCUPS prior,
 /// and — for modeled fleet kinds — the device model that attributes its
 /// speed (None for real SIMD workers, which report wall-clock
 /// measurements).
 type WorkerSpec = (String, f64, Option<Arc<dyn DeviceModel>>);
 
+/// The persistent query service. Dropping it shuts the workers down
+/// without draining; call [`QueryService::shutdown`] for the graceful
 /// drain-then-exit path.
 pub struct QueryService {
     inner: Arc<Inner>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    /// Tells slave-listener threads to stop accepting.
-    stop_listeners: Arc<AtomicBool>,
-    listeners: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Slave ports and the threads accepting on them.
+    listeners: Mutex<Vec<(Arc<Acceptor>, std::thread::JoinHandle<()>)>>,
 }
 
 impl QueryService {
@@ -516,7 +510,7 @@ impl QueryService {
             .map(|(pe, model)| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
-                    .name(format!("swhybrid-serve-pe{pe}"))
+                    .name(format!("serve-pe{pe}"))
                     .spawn(move || {
                         // One ShardExecutor (and so one KernelScratch) per
                         // PE thread, living for the daemon's lifetime:
@@ -531,17 +525,12 @@ impl QueryService {
                     .expect("spawn PE worker")
             })
             .collect();
-        let stop = Arc::new(AtomicBool::new(false));
         if inner.cfg.fusion > 1 && inner.cfg.fusion_window_ms > 0.0 {
-            workers.push(fusion::spawn_window_flusher(
-                Arc::clone(&inner),
-                Arc::clone(&stop),
-            ));
+            workers.push(fusion::spawn_window_flusher(Arc::clone(&inner)));
         }
         QueryService {
             inner,
             workers,
-            stop_listeners: stop,
             listeners: Mutex::new(Vec::new()),
         }
     }
@@ -550,7 +539,7 @@ impl QueryService {
     /// the hybrid-fleet mode of `swhybrid serve --listen-slaves`.
     ///
     /// Each accepted connection is a full protocol session
-    /// ([`serve_connection`]) feeding the same pool as the local worker
+    /// ([`serve_slaves`]) feeding the same pool as the local worker
     /// threads: slaves join mid-lifetime (`pe_joins`), receive
     /// self-describing shard payloads, and may disconnect at any time —
     /// their in-flight shards requeue to the remaining fleet. A slave must
@@ -564,34 +553,21 @@ impl QueryService {
         net: NetConfig,
     ) -> io::Result<std::net::SocketAddr> {
         net.validate()?;
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let acceptor = Arc::new(Acceptor::bind(addr)?);
+        let local = acceptor.local_addr()?;
         let inner = Arc::clone(&self.inner);
-        let stop = Arc::clone(&self.stop_listeners);
+        let port = Arc::clone(&acceptor);
         let handle = std::thread::Builder::new()
-            .name("swhybrid-serve-slaves".to_string())
-            .spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let inner = Arc::clone(&inner);
-                        let net = net.clone();
-                        std::thread::spawn(move || serve_connection(stream, &inner.pool, &net));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_QUANTUM);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return,
-                }
+            .name("serve-slaves".to_string())
+            .spawn(move || {
+                // A broken listener only ends this port; the daemon and its
+                // local workers keep serving.
+                let _ = serve_slaves(&port, &inner.pool, &net);
             })?;
         self.listeners
             .lock()
             .expect("listener registry")
-            .push(handle);
+            .push((acceptor, handle));
         Ok(local)
     }
 

@@ -2,32 +2,30 @@
 //! fused shard-task groups, and the fusion-window flusher that stops a
 //! straggler from waiting forever for companions.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use swhybrid_core::sched::Scheduler;
 use swhybrid_device::task::TaskSpec;
 
-use super::{FusedTask, Inner, Phase, ServeOwner, ACCEPT_QUANTUM};
+use super::{FusedTask, Inner, Phase, ServeOwner};
 
 /// The fusion-window flusher: a mostly-idle thread that schedules a held
 /// undersized group once its window elapses. Under steady concurrent
 /// load the batch fills before the deadline and this thread never pumps;
 /// it exists so a straggler's query cannot wait forever for companions
-/// that never come.
-pub(super) fn spawn_window_flusher(
-    inner: Arc<Inner>,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
+/// that never come. With no window open it sleeps until notified (a submit
+/// that opens one notifies); it ends once the service has stopped its
+/// engine (`keep_alive` off — set under the lock, then notified).
+pub(super) fn spawn_window_flusher(inner: Arc<Inner>) -> std::thread::JoinHandle<()> {
     let window = inner.cfg.fusion_window_ms / 1000.0;
     std::thread::Builder::new()
-        .name("swhybrid-serve-fuser".to_string())
+        .name("serve-fuser".to_string())
         .spawn(move || loop {
-            if stop.load(Ordering::Relaxed) {
+            let mut g = inner.pool.lock();
+            if !g.master.keep_alive() {
                 return;
             }
-            let mut g = inner.pool.lock();
             let now = inner.pool.now();
             match g.owner.window_open_since {
                 Some(t0) if now - t0 >= window => {
@@ -45,7 +43,7 @@ pub(super) fn spawn_window_flusher(
                     let _g = inner.pool.wait_timeout(g, Duration::from_secs_f64(left));
                 }
                 None => {
-                    let _g = inner.pool.wait_timeout(g, ACCEPT_QUANTUM);
+                    let _g = inner.pool.wait(g);
                 }
             }
         })

@@ -1,6 +1,5 @@
 //! Lifecycle transitions: hot database reloads, draining, and shutdown.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,17 +71,17 @@ impl QueryService {
         self.stop_everything();
     }
 
-    /// Stop listeners, disconnect remote slaves, join workers.
+    /// Stop listeners, disconnect remote slaves, join workers. The engine
+    /// is already stopped (`keep_alive` off).
     fn stop_everything(&mut self) {
-        self.stop_listeners.store(true, Ordering::Relaxed);
         let listeners: Vec<_> = self
             .listeners
             .lock()
             .expect("listener registry")
             .drain(..)
             .collect();
-        for h in listeners {
-            h.join().expect("slave listener panicked");
+        for (port, _) in &listeners {
+            port.stop();
         }
         // Remote sessions see `Done` on their next request; disconnect the
         // rest proactively so their reader threads exit within a quantum.
@@ -92,6 +91,10 @@ impl QueryService {
         let remote = self.inner.pool.lock().remote_members();
         for pe in remote {
             self.inner.pool.disconnect(pe, false);
+        }
+        // A port's thread returns once its sessions have ended.
+        for (_, h) in listeners {
+            h.join().expect("slave listener panicked");
         }
         for h in self.workers.drain(..) {
             h.join().expect("PE worker panicked");

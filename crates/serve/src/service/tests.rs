@@ -1,5 +1,6 @@
 use super::*;
 use rand::{RngExt, SeedableRng};
+use std::time::Duration;
 use swhybrid_align::scoring::{GapModel, SubstMatrix};
 use swhybrid_seq::Alphabet;
 use swhybrid_simd::search::DatabaseSearch;
