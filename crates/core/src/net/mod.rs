@@ -102,13 +102,13 @@ use std::io;
 use std::time::Duration;
 
 use crate::trace::RuntimeEvent;
-use swhybrid_device::exec::QueryHit;
 use swhybrid_simd::engine::KernelStats;
+use swhybrid_simd::search::{merge_top_n, Hit};
 
 pub use accept::{Acceptor, MAX_SESSIONS};
 pub use server::{query_specs, LocalFleet, MasterServer};
 pub use session::serve_slaves;
-pub use slave::{run_serve_slave, run_slave, run_slave_with};
+pub use slave::{run_serve_slave, run_slave};
 pub use wire::{
     kernels_from_json, kernels_to_json, LineReader, MasterMsg, SlaveMsg, MAX_LINE, PROTOCOL_VERSION,
 };
@@ -214,6 +214,48 @@ pub struct DistributedOutcome {
     pub events: Vec<RuntimeEvent>,
 }
 
+/// One merged hit of a batch run, tagged with its query index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryHit {
+    /// Index of the query in the query set.
+    pub query_index: usize,
+    /// The database hit.
+    pub hit: Hit,
+}
+
+/// Merge per-task hit lists into a global ranking (the master's "merge
+/// results" step of Fig. 4), best score first.
+///
+/// Per-query ranking is delegated to [`merge_top_n`] — the workspace's one
+/// canonical merge (score descending, database order ascending) — and the
+/// cross-query interleave is a *stable* sort on (score descending, query
+/// index ascending). Stability preserves the per-query db-ascending order
+/// inside ties, so the overall order is (score desc, query asc, db asc):
+/// byte-identical to merging everything with a single three-key
+/// comparator, but with exactly one implementation of the ranking rule.
+pub fn merge_hits(per_task: impl IntoIterator<Item = (usize, Vec<Hit>)>) -> Vec<QueryHit> {
+    let mut by_query: std::collections::BTreeMap<usize, Vec<Vec<Hit>>> =
+        std::collections::BTreeMap::new();
+    for (query_index, hits) in per_task {
+        by_query.entry(query_index).or_default().push(hits);
+    }
+    let mut all: Vec<QueryHit> = by_query
+        .into_iter()
+        .flat_map(|(query_index, lists)| {
+            merge_top_n(lists, usize::MAX)
+                .into_iter()
+                .map(move |hit| QueryHit { query_index, hit })
+        })
+        .collect();
+    all.sort_by(|a, b| {
+        b.hit
+            .score
+            .cmp(&a.hit.score)
+            .then(a.query_index.cmp(&b.query_index))
+    });
+    all
+}
+
 #[cfg(test)]
 mod tests {
     use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -223,17 +265,16 @@ mod tests {
     use super::wire::{decode, send, Wire};
     use super::*;
     use crate::policy::Policy;
-    use crate::pool::{QueryPayload, TaskPayload, TaskResult};
+    use crate::pool::{PeExecutor, QueryPayload, TaskPayload, TaskResult};
     use crate::sched::MasterConfig;
     use crate::trace::EventKind;
     use swhybrid_align::scoring::Scoring;
-    use swhybrid_device::exec::{ComputeBackend, QueryHit, StripedBackend};
     use swhybrid_device::fleet::FleetPe;
     use swhybrid_device::task::TaskSpec;
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::synth::{paper_database, QueryOrder, QuerySetSpec};
-    use swhybrid_seq::Alphabet;
-    use swhybrid_simd::search::Hit;
+    use swhybrid_seq::{Alphabet, DbSnapshot};
+    use swhybrid_simd::search::KernelChoice;
 
     fn scoring() -> Scoring {
         Scoring {
@@ -245,9 +286,13 @@ mod tests {
         }
     }
 
-    fn tiny_workload() -> (Vec<EncodedSequence>, Vec<EncodedSequence>, Vec<TaskSpec>) {
-        let db = paper_database("dog").unwrap().generate_scaled(77, 0.001);
-        let subjects: Vec<EncodedSequence> = db.encode_all().unwrap();
+    fn tiny_workload() -> (Vec<EncodedSequence>, DbSnapshot, Vec<TaskSpec>) {
+        let subjects = paper_database("dog")
+            .unwrap()
+            .generate_scaled(77, 0.001)
+            .encode_all()
+            .unwrap();
+        let db = DbSnapshot::from_encoded("dog", &subjects);
         let queries: Vec<EncodedSequence> = QuerySetSpec {
             count: 6,
             min_len: 40,
@@ -258,8 +303,8 @@ mod tests {
         .iter()
         .map(|q| EncodedSequence::from_sequence(q, Alphabet::Protein).unwrap())
         .collect();
-        let specs = query_specs(&queries, &subjects);
-        (queries, subjects, specs)
+        let specs = query_specs(&queries, &db);
+        (queries, db, specs)
     }
 
     #[test]
@@ -484,15 +529,15 @@ mod tests {
                 .err()
                 .expect("inconsistent timings must fail bind");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let err = run_slave_with(
+        let err = run_slave(
             "127.0.0.1:1", // never reached: validation fails first
             "bad",
             1.0,
-            &StripedBackend::default(),
             &[],
-            &[],
+            &DbSnapshot::from_encoded("", &[]),
             &scoring(),
             3,
+            KernelChoice::Auto,
             &cases[0],
         )
         .unwrap_err();
@@ -501,7 +546,7 @@ mod tests {
 
     #[test]
     fn distributed_run_two_slaves_over_tcp() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -516,18 +561,19 @@ mod tests {
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             for name in ["host-a", "host-b"] {
                 scope.spawn(move || {
                     run_slave(
                         addr,
                         name,
                         1.0,
-                        &StripedBackend::default(),
                         q,
                         s,
                         &scoring(),
                         3,
+                        KernelChoice::Auto,
+                        &NetConfig::default(),
                     )
                     .expect("slave runs clean")
                 });
@@ -563,7 +609,7 @@ mod tests {
         for qh in &outcome.hits {
             let expect = swhybrid_align::score_only::sw_score_affine(
                 &queries[qh.query_index].codes,
-                &subjects[qh.hit.db_index].codes,
+                db.residues(qh.hit.db_index),
                 &scoring(),
             )
             .score;
@@ -574,7 +620,7 @@ mod tests {
     #[test]
     fn hybrid_fleet_and_remote_slave_share_one_pool() {
         use swhybrid_device::FleetSpec;
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let sc = scoring();
         let server = MasterServer::bind(
             "127.0.0.1:0",
@@ -590,24 +636,25 @@ mod tests {
         let fleet = LocalFleet {
             pes: FleetSpec::parse("gpu:1+sse:1").unwrap().build(),
             queries: &queries,
-            subjects: &subjects,
+            db: &db,
             scoring: &sc,
             top_n: 3,
         };
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "remote-a",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
                 )
                 .expect("slave runs clean")
             });
@@ -663,7 +710,7 @@ mod tests {
         for qh in &outcome.hits {
             let expect = swhybrid_align::score_only::sw_score_affine(
                 &queries[qh.query_index].codes,
-                &subjects[qh.hit.db_index].codes,
+                db.residues(qh.hit.db_index),
                 &scoring(),
             )
             .score;
@@ -674,13 +721,13 @@ mod tests {
     #[test]
     fn hybrid_serve_with_zero_slaves_is_a_local_run() {
         use swhybrid_device::FleetSpec;
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let sc = scoring();
         let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 0).unwrap();
         let fleet = LocalFleet {
             pes: FleetSpec::parse("sse:2").unwrap().build(),
             queries: &queries,
-            subjects: &subjects,
+            db: &db,
             scoring: &sc,
             top_n: 3,
         };
@@ -701,7 +748,7 @@ mod tests {
     /// the server. It must instead get an error and cost nothing.
     #[test]
     fn garbage_first_message_does_not_consume_a_registration_slot() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -716,7 +763,7 @@ mod tests {
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             scope.spawn(move || {
                 // Not a slave at all: say something wrong, expect an error.
                 let stream = TcpStream::connect(addr).unwrap();
@@ -738,11 +785,12 @@ mod tests {
                         addr,
                         name,
                         1.0,
-                        &StripedBackend::default(),
                         q,
                         s,
                         &scoring(),
                         3,
+                        KernelChoice::Auto,
+                        &NetConfig::default(),
                     )
                     .expect("real slave ok")
                 });
@@ -758,13 +806,13 @@ mod tests {
     /// as soon as the limit is crossed, and costs the run nothing.
     #[test]
     fn oversize_line_drops_that_session_only() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 1).unwrap();
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             scope.spawn(move || {
                 let mut stream = TcpStream::connect(addr).unwrap();
                 let mut reader = LineReader::new(stream.try_clone().unwrap());
@@ -786,11 +834,12 @@ mod tests {
                     addr,
                     "real",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
                 )
                 .expect("real slave ok")
             });
@@ -804,7 +853,7 @@ mod tests {
     /// not consume a registration slot.
     #[test]
     fn version_mismatch_is_refused_with_a_clear_error() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -819,7 +868,7 @@ mod tests {
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             scope.spawn(move || {
                 // A v1 slave: its register line has no proto field.
                 let stream = TcpStream::connect(addr).unwrap();
@@ -847,11 +896,12 @@ mod tests {
                     addr,
                     "current",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
                 )
                 .expect("current-version slave ok")
             });
@@ -864,11 +914,7 @@ mod tests {
 
     /// A slave that earns a big batch, then drops the connection (FIN)
     /// mid-batch — simulating a process crash.
-    fn run_flaky_slave(
-        addr: std::net::SocketAddr,
-        queries: &[EncodedSequence],
-        subjects: &[EncodedSequence],
-    ) {
+    fn run_flaky_slave(addr: std::net::SocketAddr, queries: &[EncodedSequence], db: &DbSnapshot) {
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = LineReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
@@ -893,19 +939,17 @@ mod tests {
             Some(MasterMsg::Tasks { tasks, .. }) => tasks[0],
             other => panic!("expected first allocation, got {other:?}"),
         };
-        let backend = StripedBackend::default();
         send(&mut writer, &SlaveMsg::Started { task: first }).unwrap();
-        let result = backend.compare(&queries[first], subjects, &scoring(), 3);
+        let sc = scoring();
+        let result =
+            PeExecutor::new(db, &sc, KernelChoice::Auto).scan_query(&queries[first].codes, 3);
         send(
             &mut writer,
             &SlaveMsg::Finished {
                 task: first,
                 result: TaskResult {
                     gcups: Some(1000.0),
-                    hits: result.hits,
-                    cells: result.cells,
-                    kernels: Some(result.stats),
-                    fused: None,
+                    ..result
                 },
             },
         )
@@ -928,7 +972,7 @@ mod tests {
 
     #[test]
     fn slave_crash_mid_run_is_recovered() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let n_tasks = specs.len();
         let server = MasterServer::bind(
             "127.0.0.1:0",
@@ -944,18 +988,19 @@ mod tests {
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             scope.spawn(move || run_flaky_slave(addr, q, s));
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "steady",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
                 )
                 .expect("steady slave survives")
             });
@@ -985,7 +1030,7 @@ mod tests {
     /// slave pick it up without any poll-interval delay.
     #[test]
     fn silently_dead_slave_is_detected_and_its_task_requeued() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let net = NetConfig {
             heartbeat_interval: Duration::from_millis(100),
             slave_deadline: Duration::from_secs(1),
@@ -1006,7 +1051,7 @@ mod tests {
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             let net = &net;
             scope.spawn(move || {
                 // Mute slave: alone it satisfies the barrier, takes a task,
@@ -1042,15 +1087,15 @@ mod tests {
                 // The real slave joins late (pe_joins path) so the mute one
                 // is guaranteed to have been assigned its task first.
                 std::thread::sleep(Duration::from_millis(200));
-                run_slave_with(
+                run_slave(
                     addr,
                     "steady",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
                     net,
                 )
                 .expect("steady slave completes the run")
@@ -1098,7 +1143,7 @@ mod tests {
         for qh in &outcome.hits {
             let expect = swhybrid_align::score_only::sw_score_affine(
                 &queries[qh.query_index].codes,
-                &subjects[qh.hit.db_index].codes,
+                db.residues(qh.hit.db_index),
                 &scoring(),
             )
             .score;
@@ -1110,7 +1155,7 @@ mod tests {
     /// the handshake deadline frees it without consuming a slot.
     #[test]
     fn silent_probe_connection_is_dropped_at_handshake_deadline() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let net = NetConfig {
             heartbeat_interval: Duration::from_millis(100),
             slave_deadline: Duration::from_secs(1),
@@ -1131,7 +1176,7 @@ mod tests {
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             let net = &net;
             scope.spawn(move || {
                 // Connect, say nothing, wait for the master to hang up.
@@ -1144,15 +1189,15 @@ mod tests {
             });
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
-                run_slave_with(
+                run_slave(
                     addr,
                     "real",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
                     net,
                 )
                 .expect("real slave ok")
@@ -1168,7 +1213,7 @@ mod tests {
     /// server: the barrier opens with whoever did register.
     #[test]
     fn register_timeout_proceeds_with_fewer_slaves() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let net = NetConfig {
             register_timeout: Some(Duration::from_millis(300)),
             ..NetConfig::default()
@@ -1188,17 +1233,18 @@ mod tests {
 
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "only",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
                 )
                 .expect("lone slave completes everything")
             });
@@ -1211,7 +1257,7 @@ mod tests {
     /// in accept.
     #[test]
     fn register_timeout_with_no_slaves_errors_out() {
-        let (_queries, _subjects, specs) = tiny_workload();
+        let (_queries, _db, specs) = tiny_workload();
         let net = NetConfig {
             register_timeout: Some(Duration::from_millis(200)),
             ..NetConfig::default()
@@ -1226,7 +1272,7 @@ mod tests {
     /// with backoff, and the second session completes the work.
     #[test]
     fn slave_reconnects_after_connection_drop() {
-        let (queries, subjects, _specs) = tiny_workload();
+        let (queries, db, _specs) = tiny_workload();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let net = NetConfig {
@@ -1238,18 +1284,18 @@ mod tests {
 
         let executed = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             let net = &net;
             let slave = scope.spawn(move || {
-                run_slave_with(
+                run_slave(
                     addr,
                     "phoenix",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
                     net,
                 )
             });
@@ -1316,7 +1362,7 @@ mod tests {
 
     #[test]
     fn distributed_equals_local_runtime_results() {
-        let (queries, subjects, specs) = tiny_workload();
+        let (queries, db, specs) = tiny_workload();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -1330,17 +1376,18 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let outcome = std::thread::scope(|scope| {
             let q = &queries;
-            let s = &subjects;
+            let s = &db;
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "solo",
                     1.0,
-                    &StripedBackend::default(),
                     q,
                     s,
                     &scoring(),
                     3,
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
                 )
                 .expect("slave ok")
             });
@@ -1351,7 +1398,7 @@ mod tests {
         let local = LocalFleet {
             pes: vec![FleetPe::simd("solo", 1.0)],
             queries: &queries,
-            subjects: &subjects,
+            db: &db,
             scoring: &sc,
             top_n: 3,
         }
@@ -1376,12 +1423,12 @@ mod tests {
     // endpoints on it.
 
     fn local_run(pes: Vec<FleetPe>, config: MasterConfig, top_n: usize) -> DistributedOutcome {
-        let (queries, subjects, _) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
         let sc = scoring();
         LocalFleet {
             pes,
             queries: &queries,
-            subjects: &subjects,
+            db: &db,
             scoring: &sc,
             top_n,
         }
@@ -1537,5 +1584,72 @@ mod tests {
             out.events[0].kind,
             EventKind::PeRegistered { pe: 0, .. }
         ));
+    }
+
+    #[test]
+    fn merge_hits_globally_ranked() {
+        let h = |id: &str, score: i32| Hit {
+            db_index: 0,
+            id: id.into(),
+            score,
+            subject_len: 10,
+        };
+        let merged = merge_hits(vec![
+            (0, vec![h("a", 10), h("b", 30)]),
+            (1, vec![h("c", 20)]),
+        ]);
+        let scores: Vec<i32> = merged.iter().map(|m| m.hit.score).collect();
+        assert_eq!(scores, vec![30, 20, 10]);
+        assert_eq!(merged[1].query_index, 1);
+    }
+
+    #[test]
+    fn merge_breaks_ties_by_query_then_db_index() {
+        let mk = |db_index: usize, score: i32| Hit {
+            db_index,
+            id: format!("s{db_index}"),
+            score,
+            subject_len: 5,
+        };
+        let merged = merge_hits(vec![(1, vec![mk(2, 10)]), (0, vec![mk(1, 10), mk(0, 10)])]);
+        assert_eq!(merged[0].query_index, 0);
+        assert_eq!(merged[0].hit.db_index, 0);
+        assert_eq!(merged[1].hit.db_index, 1);
+        assert_eq!(merged[2].query_index, 1);
+    }
+
+    #[test]
+    fn merge_hits_equals_single_three_key_sort() {
+        // The delegated form (merge_top_n per query + stable cross-query
+        // sort) must reproduce the historical one-shot comparator exactly.
+        let mk = |db_index: usize, score: i32| Hit {
+            db_index,
+            id: format!("s{db_index}"),
+            score,
+            subject_len: 5,
+        };
+        let input = vec![
+            (2, vec![mk(5, 10), mk(1, 40), mk(9, 10)]),
+            (0, vec![mk(3, 10), mk(7, 40)]),
+            (1, vec![mk(0, 40), mk(2, 10), mk(4, 25)]),
+            (0, vec![mk(8, 25), mk(6, 10)]), // second task for query 0
+        ];
+        let mut expected: Vec<QueryHit> = input
+            .iter()
+            .flat_map(|(q, hits)| {
+                hits.iter().map(|h| QueryHit {
+                    query_index: *q,
+                    hit: h.clone(),
+                })
+            })
+            .collect();
+        expected.sort_by(|a, b| {
+            b.hit
+                .score
+                .cmp(&a.hit.score)
+                .then(a.query_index.cmp(&b.query_index))
+                .then(a.hit.db_index.cmp(&b.hit.db_index))
+        });
+        assert_eq!(merge_hits(input), expected);
     }
 }

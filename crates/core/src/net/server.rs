@@ -8,18 +8,18 @@ use std::time::Instant;
 
 use super::accept::Acceptor;
 use super::session::serve_slaves;
-use super::slave::compare_task;
-use super::{DistributedOutcome, NetConfig};
-use crate::pool::{drive, BatchOwner, LocalEndpoint, PePool};
+use super::{merge_hits, DistributedOutcome, NetConfig};
+use crate::pool::{drive, BatchOwner, LocalEndpoint, PeExecutor, PePool};
 use crate::sched::{MasterConfig, Scheduler};
 use crate::stats::observed_gcups;
 use crate::trace::RuntimeEvent;
 use swhybrid_align::scoring::Scoring;
-use swhybrid_device::exec::merge_hits;
 use swhybrid_device::fleet::FleetPe;
 use swhybrid_device::task::TaskSpec;
 use swhybrid_seq::sequence::EncodedSequence;
+use swhybrid_seq::DbSnapshot;
 use swhybrid_simd::engine::KernelStats;
+use swhybrid_simd::search::KernelChoice;
 
 /// A live event consumer, as accepted by [`MasterServer::with_event_sink`].
 type EventCallback = Box<dyn FnMut(&RuntimeEvent) + Send>;
@@ -34,8 +34,8 @@ pub struct LocalFleet<'a> {
     pub pes: Vec<FleetPe>,
     /// The encoded query set (task id = query index, as everywhere).
     pub queries: &'a [EncodedSequence],
-    /// The materialised database.
-    pub subjects: &'a [EncodedSequence],
+    /// The loaded database.
+    pub db: &'a DbSnapshot,
     /// Alignment scoring.
     pub scoring: &'a Scoring,
     /// Hits retained per task.
@@ -48,7 +48,7 @@ impl LocalFleet<'_> {
     /// — the same pool, scheduler and drive loop as a distributed run,
     /// with only local-thread endpoints on it.
     pub fn run(self, config: MasterConfig) -> DistributedOutcome {
-        let specs = query_specs(self.queries, self.subjects);
+        let specs = query_specs(self.queries, self.db);
         // Every way a batch fails is a transport failure: no slave
         // registered, every slave lost, the listener broke.
         run_batch(specs, config, None, Some(self), None)
@@ -58,8 +58,8 @@ impl LocalFleet<'_> {
 
 /// The paper's very coarse grain: one task per query, each against the
 /// whole database.
-pub fn query_specs(queries: &[EncodedSequence], subjects: &[EncodedSequence]) -> Vec<TaskSpec> {
-    let db_residues: u64 = subjects.iter().map(|s| s.len() as u64).sum();
+pub fn query_specs(queries: &[EncodedSequence], db: &DbSnapshot) -> Vec<TaskSpec> {
+    let db_residues = db.total_residues();
     queries
         .iter()
         .enumerate()
@@ -68,7 +68,7 @@ pub fn query_specs(queries: &[EncodedSequence], subjects: &[EncodedSequence]) ->
             query_len: q.len(),
             queries: 1,
             db_residues,
-            db_sequences: subjects.len(),
+            db_sequences: db.len(),
         })
         .collect()
 }
@@ -150,9 +150,9 @@ impl MasterServer {
     /// Serve with a hybrid in-process fleet *and* (optionally) remote
     /// slaves, all on the same pool: the fleet's PEs are admitted before
     /// the accept loop starts, count toward the registration barrier, and
-    /// compute through their backends (real SIMD, or modeled accelerators
-    /// attributing their device model's GCUPS) while slave sessions come
-    /// and go over TCP.
+    /// compute on threads of this process (real SIMD speed measured, a
+    /// modeled accelerator's attributed from its device model) while slave
+    /// sessions come and go over TCP.
     pub fn serve_hybrid(
         self,
         specs: Vec<TaskSpec>,
@@ -200,7 +200,7 @@ fn run_batch(
     );
     let n_tasks = specs.len();
     let total_cells: u64 = specs.iter().map(|s| s.cells()).sum();
-    let mut master = Scheduler::new(specs.clone(), config);
+    let mut master = Scheduler::new(specs, config);
     if let Some(sink) = sink {
         master.set_event_sink(sink);
     }
@@ -217,21 +217,14 @@ fn run_batch(
         // the event stream opens with the complete registration block
         // (the paper's barrier) and PE ids follow the fleet's order.
         if let Some(fleet) = &fleet {
-            let ids: Vec<_> = fleet
-                .pes
-                .iter()
-                .map(|pe| pool.admit(&pe.name, pe.static_gcups, false))
-                .collect();
-            for (pe_id, pe) in ids.into_iter().zip(&fleet.pes) {
+            let ids: Vec<_> = fleet.pes.iter().map(|pe| pool.admit_fleet(pe)).collect();
+            for pe_id in ids {
                 let pool = &pool;
-                let specs = &specs;
-                let (queries, subjects) = (fleet.queries, fleet.subjects);
-                let (scoring, top_n) = (fleet.scoring, fleet.top_n);
+                let (queries, top_n) = (fleet.queries, fleet.top_n);
+                let mut executor = PeExecutor::new(fleet.db, fleet.scoring, KernelChoice::Auto);
                 scope.spawn(move || {
-                    let mut endpoint = LocalEndpoint::new(|task| {
-                        let spec = Some(&specs[task]);
-                        compare_task(&*pe.backend, spec, &queries[task], subjects, scoring, top_n)
-                    });
+                    let mut endpoint =
+                        LocalEndpoint::new(|task| executor.scan_query(&queries[task].codes, top_n));
                     drive(pool, pe_id, &mut endpoint);
                 });
             }

@@ -3,7 +3,7 @@
 //!
 //! Two execution modes share one session loop:
 //!
-//! * **batch** ([`run_slave`]/[`run_slave_with`]) — both sides already
+//! * **batch** ([`run_slave`]) — both sides already
 //!   hold the query and database files (the paper's deployment); tasks
 //!   travel as bare ids.
 //! * **serve** ([`run_serve_slave`]) — the slave holds only the database
@@ -12,27 +12,20 @@
 //!   execute queries it has never seen, exactly like a local daemon
 //!   worker thread.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 use super::wire::{invalid, send, LineReader, MasterMsg, SlaveMsg, PROTOCOL_VERSION};
 use super::NetConfig;
-use crate::pool::{FusedQueryResult, TaskPayload, TaskResult};
+use crate::pool::{PeExecutor, TaskPayload, TaskResult};
 use crate::shared::WaitHub;
-use crate::stats::observed_gcups;
 use crate::task::TaskId;
 use swhybrid_align::scoring::Scoring;
-use swhybrid_device::exec::ComputeBackend;
-use swhybrid_device::task::TaskSpec;
-use swhybrid_seq::digest::db_digest;
 use swhybrid_seq::sequence::EncodedSequence;
-use swhybrid_seq::DbArena;
-use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
-use swhybrid_simd::exec::{chunk_size, materialize_hits, ShardExecutor, ShardPlan};
-use swhybrid_simd::search::{KernelChoice, SearchConfig};
+use swhybrid_seq::DbSnapshot;
+use swhybrid_simd::search::KernelChoice;
 
 /// How a slave session over one connection ended.
 enum SessionEnd {
@@ -61,165 +54,31 @@ fn is_retryable(kind: io::ErrorKind) -> bool {
 /// is the mode.
 type TaskExecutor<'a> = dyn FnMut(TaskId, Option<&TaskPayload>) -> io::Result<TaskResult> + 'a;
 
-/// THE compute step of a batch PE, local fleet thread or remote slave:
-/// one query against the whole database. With the task's `spec` a modeled
-/// accelerator attributes its device model's throughput (so the scheduler
-/// sees e.g. GTX-580 speed); otherwise — real PEs, and slaves, which hold
-/// no specs — the speed is the measured wall-clock one.
-pub(super) fn compare_task(
-    backend: &dyn ComputeBackend,
-    spec: Option<&TaskSpec>,
-    query: &EncodedSequence,
-    subjects: &[EncodedSequence],
-    scoring: &Scoring,
-    top_n: usize,
-) -> TaskResult {
-    let t0 = Instant::now();
-    let search = backend.compare(query, subjects, scoring, top_n);
-    let gcups = spec
-        .and_then(|spec| backend.modeled_gcups(spec))
-        .unwrap_or_else(|| observed_gcups(search.cells, t0.elapsed().as_secs_f64()));
-    TaskResult {
-        gcups: Some(gcups),
-        hits: search.hits,
-        cells: search.cells,
-        kernels: Some(search.stats),
-        fused: None,
-    }
-}
-
-/// Serve mode: tasks are self-describing database shards. Prepared query
-/// profiles are memoised across tasks *and* reconnects — the dominant
-/// per-query setup cost is paid once per distinct query, like a local
-/// daemon worker.
-struct ServeShardExecutor<'a> {
-    arena: DbArena,
-    subjects: &'a [EncodedSequence],
-    scoring: &'a Scoring,
-    kernel: KernelChoice,
-    prepared: HashMap<Vec<u8>, Arc<PreparedQuery>>,
-    /// The shared shard-execution layer, reused across shards (and
-    /// reconnects) for this slave's lifetime — it owns the kernel scratch,
-    /// so the steady-state shard scan allocates nothing.
-    executor: ShardExecutor,
-}
-
-impl ServeShardExecutor<'_> {
-    fn execute(&mut self, task: TaskId, desc: Option<&TaskPayload>) -> io::Result<TaskResult> {
-        let desc = desc.ok_or_else(|| {
-            invalid(format!(
-                "master sent serve-mode task {task} without a payload"
-            ))
-        })?;
-        let (s, e) = desc.shard;
-        if s > e || e > self.subjects.len() {
-            return Err(invalid(format!(
-                "task {task} shard {s}..{e} exceeds the database ({} subjects)",
-                self.subjects.len()
-            )));
-        }
-        // One pass over the shard scores the whole fused batch (K = 1 for
-        // an unfused daemon). Profiles are memoised per distinct query.
-        let batch: Vec<(Arc<PreparedQuery>, usize)> = desc
-            .queries
-            .iter()
-            .map(|q| {
-                let prepared = self.prepared.entry(q.query.clone()).or_insert_with(|| {
-                    Arc::new(PreparedQuery::new(
-                        &q.query,
-                        self.scoring,
-                        EnginePreference::Auto,
-                    ))
-                });
-                (Arc::clone(prepared), q.top_n)
-            })
-            .collect();
-        let plan = ShardPlan {
-            range: s..e,
-            // The centralized chunk-size decision; the floor keeps Auto
-            // dispatch able to fill the inter-sequence lanes.
-            chunk_size: chunk_size(None).map_err(invalid)?,
-            kernel: self.kernel,
-            prefetch: SearchConfig::default().prefetch,
-        };
-        let t0 = Instant::now();
-        let outputs = self.executor.execute(&batch, &self.arena, &plan);
-        let elapsed = t0.elapsed().as_secs_f64();
-        let cells: u64 = outputs.iter().map(|o| o.cells).sum();
-        let mut merged = KernelStats::default();
-        // Hits carry global database indices, so the master's cross-shard
-        // merge tie-breaks identically to a whole-db scan.
-        let fused: Vec<FusedQueryResult> = outputs
-            .into_iter()
-            .map(|out| {
-                merged.merge(&out.stats);
-                FusedQueryResult {
-                    hits: materialize_hits(&out.scored, |i| self.subjects[i].id.clone()),
-                    cells: out.cells,
-                    kernels: Some(out.stats),
-                }
-            })
-            .collect();
-        Ok(TaskResult {
-            gcups: Some(observed_gcups(cells, elapsed)),
-            hits: Vec::new(),
-            cells,
-            kernels: Some(merged),
-            fused: Some(fused),
-        })
-    }
-}
-
-/// Run a slave: connect, register, execute tasks until the master says
-/// done, with default [`NetConfig`] timings.
-///
-/// `queries` and `subjects` are the locally available sequence data (the
-/// paper's model: files are on every host).
+/// Run a batch slave: connect, register, execute tasks until the master
+/// says done. `queries` and `db` are the locally available sequence data
+/// (the paper's model: files are on every host). Reconnects with
+/// exponential backoff when the connection to the master is lost; returns
+/// the total number of tasks executed across all sessions.
 #[allow(clippy::too_many_arguments)] // a slave's full execution context, deliberately flat
 pub fn run_slave(
     addr: impl ToSocketAddrs,
     name: &str,
     static_gcups: f64,
-    backend: &dyn ComputeBackend,
     queries: &[EncodedSequence],
-    subjects: &[EncodedSequence],
+    db: &DbSnapshot,
     scoring: &Scoring,
     top_n: usize,
-) -> io::Result<usize> {
-    run_slave_with(
-        addr,
-        name,
-        static_gcups,
-        backend,
-        queries,
-        subjects,
-        scoring,
-        top_n,
-        &NetConfig::default(),
-    )
-}
-
-/// [`run_slave`] with explicit [`NetConfig`] timings. Reconnects with
-/// exponential backoff when the connection to the master is lost; returns
-/// the total number of tasks executed across all sessions.
-#[allow(clippy::too_many_arguments)]
-pub fn run_slave_with(
-    addr: impl ToSocketAddrs,
-    name: &str,
-    static_gcups: f64,
-    backend: &dyn ComputeBackend,
-    queries: &[EncodedSequence],
-    subjects: &[EncodedSequence],
-    scoring: &Scoring,
-    top_n: usize,
+    kernel: KernelChoice,
     net: &NetConfig,
 ) -> io::Result<usize> {
+    // The PE's compute state lives across tasks *and* reconnects.
+    let mut pe = PeExecutor::new(db, scoring, kernel);
     // Batch mode: the task id indexes the locally held query files.
     let mut execute = |task: TaskId, _desc: Option<&TaskPayload>| {
         let query = queries
             .get(task)
             .ok_or_else(|| invalid(format!("master referenced unknown task {task}")))?;
-        Ok(compare_task(backend, None, query, subjects, scoring, top_n))
+        Ok(pe.scan_query(&query.codes, top_n))
     };
     run_sessions(&addr, name, static_gcups, None, &mut execute, net)
 }
@@ -232,22 +91,32 @@ pub fn run_serve_slave(
     addr: impl ToSocketAddrs,
     name: &str,
     static_gcups: f64,
-    subjects: &[EncodedSequence],
+    db: &DbSnapshot,
     scoring: &Scoring,
     kernel: KernelChoice,
     net: &NetConfig,
 ) -> io::Result<usize> {
-    let digest = db_digest(subjects);
-    let mut executor = ServeShardExecutor {
-        arena: DbArena::from_encoded(subjects),
-        subjects,
-        scoring,
-        kernel,
-        prepared: HashMap::new(),
-        executor: ShardExecutor::new(),
+    let mut pe = PeExecutor::new(db, scoring, kernel);
+    // Serve mode: tasks are self-describing database shards. Hits carry
+    // global database indices, so the daemon's cross-shard merge
+    // tie-breaks identically to a whole-db scan.
+    let mut execute = |task: TaskId, desc: Option<&TaskPayload>| {
+        let desc = desc.ok_or_else(|| {
+            invalid(format!(
+                "master sent serve-mode task {task} without a payload"
+            ))
+        })?;
+        let (s, e) = desc.shard;
+        if s > e || e > db.len() {
+            return Err(invalid(format!(
+                "task {task} shard {s}..{e} exceeds the database ({} subjects)",
+                db.len()
+            )));
+        }
+        Ok(pe.scan(&desc.queries, s..e))
     };
-    let mut execute = |task: TaskId, desc: Option<&TaskPayload>| executor.execute(task, desc);
-    run_sessions(&addr, name, static_gcups, Some(digest), &mut execute, net)
+    let digest = Some(db.digest());
+    run_sessions(&addr, name, static_gcups, digest, &mut execute, net)
 }
 
 /// The mode-agnostic reconnect loop around [`slave_session`].

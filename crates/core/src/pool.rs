@@ -6,10 +6,14 @@
 //! bookkeeping behind a [`WaitHub`]) and one [`drive`] loop, with the
 //! *transport* abstracted behind [`PeEndpoint`]. A local worker thread
 //! ([`LocalEndpoint`]) and a remote TCP slave session
-//! (`net::serve_connection`) are two endpoint implementations feeding the
+//! (`net::serve_slaves`) are two endpoint implementations feeding the
 //! same engine with identical event/stat flow: `RuntimeEvent`s,
 //! `KernelStats`, PSS progress notifications, replication/steal, and
 //! liveness-driven requeue.
+//!
+//! Beside the one drive loop sits the one compute step, [`scan_shard`]:
+//! what every PE — daemon worker, serve-mode slave, batch slave,
+//! local-fleet thread — does with a task.
 //!
 //! What a runtime still chooses is what happens to a finished task's
 //! result: that is the [`PoolOwner`] — batch runs collect hits per task
@@ -26,15 +30,22 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-
-use std::time::Duration;
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::sched::{Assignment, Clock, Scheduler, WallClock};
 use crate::shared::{HubGuard, WaitHub};
+use crate::stats::observed_gcups;
 use crate::task::{PeId, TaskId, TaskState};
 use crate::trace::EventKind;
-use swhybrid_simd::engine::KernelStats;
-use swhybrid_simd::search::Hit;
+use swhybrid_align::scoring::Scoring;
+use swhybrid_device::fleet::FleetPe;
+use swhybrid_device::task::DeviceModel;
+use swhybrid_seq::DbSnapshot;
+use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
+use swhybrid_simd::exec::{chunk_floor, materialize_hits, ShardExecutor, ShardPlan};
+use swhybrid_simd::search::{Hit, KernelChoice};
 
 /// One query's slice of a fused task's result: what the serve owner
 /// demuxes back to the individual job (paired positionally with the
@@ -68,6 +79,132 @@ pub struct TaskResult {
     /// [`TaskPayload::queries`] batch. `None` for the paper's
     /// one-query-per-task grain.
     pub fused: Option<Vec<FusedQueryResult>>,
+}
+
+/// THE compute step of every PE: score every `(prepared query, top_n)`
+/// entry of `batch` against the `plan.range` shard of `db` in one pass of
+/// `executor` (which owns the PE's kernel scratch and lives as long as
+/// the PE). The result is fused — per-query hits (ids from `db`, indices
+/// global), cells and [`KernelStats`], positionally paired with `batch`,
+/// plus their totals — and carries the measured wall-clock GCUPS (for a
+/// modeled PE, [`PePool::task_finished`] replaces it with the device
+/// model's figure).
+pub fn scan_shard(
+    executor: &mut ShardExecutor,
+    batch: &[(Arc<PreparedQuery>, usize)],
+    db: &DbSnapshot,
+    plan: &ShardPlan,
+) -> TaskResult {
+    let t0 = Instant::now();
+    let outputs = executor.execute(batch, db.arena(), plan);
+    let mut cells = 0u64;
+    let mut kernels = KernelStats::default();
+    let fused: Vec<FusedQueryResult> = outputs
+        .into_iter()
+        .map(|out| {
+            cells += out.cells;
+            kernels.merge(&out.stats);
+            FusedQueryResult {
+                hits: materialize_hits(&out.scored, |i| db.id(i).to_string()),
+                cells: out.cells,
+                kernels: Some(out.stats),
+            }
+        })
+        .collect();
+    TaskResult {
+        gcups: Some(observed_gcups(cells, t0.elapsed().as_secs_f64())),
+        hits: Vec::new(),
+        cells,
+        kernels: Some(kernels),
+        fused: Some(fused),
+    }
+}
+
+/// Query profiles a [`PeExecutor`] keeps between shard tasks. A daemon
+/// ships the same query once per shard and again for replicas, so a
+/// recent few are worth keeping; a slave that kept every query a daemon
+/// ever sent would grow without bound.
+pub const PREPARED_MEMO_CAP: usize = 64;
+
+/// The compute state of a PE that holds one database for its lifetime (a
+/// batch slave, a serve-mode slave, a local-fleet thread): the database,
+/// the scoring, the PE's [`ShardExecutor`], and a bounded memo of query
+/// profiles. Both grains run through [`scan_shard`].
+pub struct PeExecutor<'a> {
+    db: &'a DbSnapshot,
+    scoring: &'a Scoring,
+    kernel: KernelChoice,
+    shards: ShardExecutor,
+    prepared: HashMap<Vec<u8>, Arc<PreparedQuery>>,
+}
+
+impl<'a> PeExecutor<'a> {
+    /// A PE over `db`, dispatching chunks per `kernel`.
+    pub fn new(db: &'a DbSnapshot, scoring: &'a Scoring, kernel: KernelChoice) -> Self {
+        PeExecutor {
+            db,
+            scoring,
+            kernel,
+            shards: ShardExecutor::new(),
+            prepared: HashMap::new(),
+        }
+    }
+
+    /// The serve grain: a fused query batch against the `shard` range of
+    /// the database (which the caller has checked lies inside it).
+    /// Profiles are memoised per distinct query; when the memo would
+    /// outgrow [`PREPARED_MEMO_CAP`] everything but this batch's profiles
+    /// is dropped first.
+    pub fn scan(&mut self, queries: &[QueryPayload], shard: Range<usize>) -> TaskResult {
+        let missing = queries
+            .iter()
+            .filter(|q| !self.prepared.contains_key(&q.query))
+            .count();
+        if self.prepared.len() + missing > PREPARED_MEMO_CAP {
+            self.prepared
+                .retain(|codes, _| queries.iter().any(|q| q.query == *codes));
+        }
+        let scoring = self.scoring;
+        let batch: Vec<(Arc<PreparedQuery>, usize)> = queries
+            .iter()
+            .map(|q| {
+                let prepared = self
+                    .prepared
+                    .entry(q.query.clone())
+                    .or_insert_with(|| prepare(&q.query, scoring));
+                (Arc::clone(prepared), q.top_n)
+            })
+            .collect();
+        self.run(&batch, shard)
+    }
+
+    /// The paper's grain: one query against the whole database — the
+    /// `0..db.len()` shard with a batch of one, its hits reported at the
+    /// task level (`TaskResult::hits`) rather than as a fused list. The
+    /// profile is built for this task and dropped with it.
+    pub fn scan_query(&mut self, query: &[u8], top_n: usize) -> TaskResult {
+        let batch = [(prepare(query, self.scoring), top_n)];
+        let mut result = self.run(&batch, 0..self.db.len());
+        let only = result.fused.take().and_then(|mut fused| fused.pop());
+        result.hits = only.map(|q| q.hits).unwrap_or_default();
+        result
+    }
+
+    fn run(&mut self, batch: &[(Arc<PreparedQuery>, usize)], range: Range<usize>) -> TaskResult {
+        let plan = ShardPlan {
+            range,
+            // The floor keeps Auto dispatch able to fill the
+            // inter-sequence lanes.
+            chunk_size: chunk_floor(),
+            kernel: self.kernel,
+            prefetch: true,
+        };
+        scan_shard(&mut self.shards, batch, self.db, &plan)
+    }
+}
+
+fn prepare(query: &[u8], scoring: &Scoring) -> Arc<PreparedQuery> {
+    Arc::new(PreparedQuery::new(query, scoring, EnginePreference::Auto))
 }
 
 /// A scheduling decision delivered to an endpoint.
@@ -164,7 +301,6 @@ pub trait PoolOwner: Send {
 }
 
 /// Membership record of one admitted PE.
-#[derive(Debug)]
 struct Member {
     /// No further commands will be delivered (retired or torn down).
     closed: bool,
@@ -173,6 +309,9 @@ struct Member {
     left: bool,
     /// Admitted over the wire rather than as a local thread.
     remote: bool,
+    /// The device model of a modeled accelerator PE (see
+    /// [`PePool::admit_fleet`]); `None` for every PE whose speed is measured.
+    model: Option<Arc<dyn DeviceModel>>,
 }
 
 /// The lock-guarded heart of a pool: the master, the owner, and the
@@ -353,6 +492,24 @@ impl<S: PoolOwner> PePool<S> {
     /// value rather than rejected (a misreported prior must not crash the
     /// pool — PSS replaces it with observations anyway).
     pub fn admit(&self, name: &str, static_gcups: f64, remote: bool) -> PeId {
+        self.admit_member(name, static_gcups, remote, None)
+    }
+
+    /// Admit a local fleet member. A modeled accelerator computes real
+    /// scores on a host thread like any PE, but every completion of its is
+    /// attributed its device model's GCUPS (see [`PePool::task_finished`]).
+    pub fn admit_fleet(&self, member: &FleetPe) -> PeId {
+        let model = member.model.clone();
+        self.admit_member(&member.name, member.static_gcups, false, model)
+    }
+
+    fn admit_member(
+        &self,
+        name: &str,
+        static_gcups: f64,
+        remote: bool,
+        model: Option<Arc<dyn DeviceModel>>,
+    ) -> PeId {
         let gcups = if static_gcups.is_finite() && static_gcups > 0.0 {
             static_gcups
         } else {
@@ -377,6 +534,7 @@ impl<S: PoolOwner> PePool<S> {
                 closed: false,
                 left: false,
                 remote,
+                model,
             },
         );
         drop(g);
@@ -424,11 +582,21 @@ impl<S: PoolOwner> PePool<S> {
     /// `TaskKernels` for the first finisher), hands the result to the
     /// owner, then runs any deferred work off-lock. Returns `false` on an
     /// out-of-bounds task id.
-    pub fn task_finished(&self, pe: PeId, task: TaskId, result: TaskResult) -> bool {
+    ///
+    /// This is the one place that knows both the PE and the task's spec,
+    /// so it is where a modeled PE's measured speed is replaced by
+    /// `model.task_gcups(spec)`: the scheduler's Ω window then sees e.g.
+    /// GTX-580 throughput, while the scan — and so the result — is the
+    /// host's. A completion without a speed (a skipped scan) stays so.
+    pub fn task_finished(&self, pe: PeId, task: TaskId, mut result: TaskResult) -> bool {
         let deferred = {
             let mut g = self.lock();
             if task >= g.master.pool().len() {
                 return false;
+            }
+            let model = g.members.get(&pe).and_then(|m| m.model.as_ref());
+            if let (Some(model), Some(_)) = (model, result.gcups) {
+                result.gcups = Some(model.task_gcups(&g.master.pool().get(task).spec));
             }
             let now = self.now();
             let was_first = g.master.pool().get(task).state != TaskState::Finished;
@@ -665,6 +833,125 @@ mod tests {
                 db_sequences: 10,
             })
             .collect()
+    }
+
+    fn scoring() -> Scoring {
+        Scoring {
+            matrix: swhybrid_align::scoring::SubstMatrix::blosum62(),
+            gap: swhybrid_align::scoring::GapModel::Affine {
+                open: 10,
+                extend: 2,
+            },
+        }
+    }
+
+    fn protein_db(subjects: &[(&str, &[u8])]) -> DbSnapshot {
+        let encoded: Vec<_> = subjects
+            .iter()
+            .map(|(id, residues)| {
+                swhybrid_seq::sequence::EncodedSequence::from_residues(
+                    *id,
+                    residues,
+                    swhybrid_seq::Alphabet::Protein,
+                )
+                .unwrap()
+            })
+            .collect();
+        DbSnapshot::from_encoded("", &encoded)
+    }
+
+    #[test]
+    fn scan_query_finds_planted_hit_and_reports_at_task_level() {
+        let query = b"MKVLAWCDEFGHIKLMNPQRST";
+        let db = protein_db(&[("a", b"PPPPPPPPPP"), ("b", query), ("c", b"GGGGGGGG")]);
+        let sc = scoring();
+        let codes = swhybrid_seq::Alphabet::Protein.encode(query).unwrap();
+        let result = PeExecutor::new(&db, &sc, KernelChoice::Auto).scan_query(&codes, 3);
+        assert_eq!(result.hits[0].id, "b");
+        assert!(result.hits[0].score > result.hits[1].score);
+        assert!(result.fused.is_none(), "the paper's grain is not fused");
+        let kernels = result.kernels.expect("every scan reports its kernels");
+        assert_eq!(kernels.total(), 3);
+        assert_eq!(result.cells, kernels.cells_computed);
+        assert!(result.gcups.is_some_and(|g| g > 0.0 && g.is_finite()));
+    }
+
+    #[test]
+    fn both_grains_are_one_scan() {
+        // A fused batch over the whole database is, per query, exactly the
+        // one-query task: same hits, cells and counters, paired
+        // positionally, with the task-level figures their sums.
+        let db = protein_db(&[
+            ("a", b"MKVLAWCDEFGHIKLMNPQRST"),
+            ("b", b"WCDEFGHIKL"),
+            ("c", b"GGGGGGGGAWCDEF"),
+            ("d", b"PPPP"),
+        ]);
+        let sc = scoring();
+        let queries: Vec<QueryPayload> = [&b"AWCDEFGHIK"[..], &b"MKVLGGGG"[..]]
+            .iter()
+            .zip([2usize, 4])
+            .map(|(q, top_n)| QueryPayload {
+                query: swhybrid_seq::Alphabet::Protein.encode(q).unwrap(),
+                top_n,
+            })
+            .collect();
+        let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
+        let fused = pe.scan(&queries, 0..db.len());
+        let per_query = fused.fused.as_ref().expect("a shard task is fused");
+        assert!(fused.hits.is_empty());
+        assert_eq!(per_query.len(), 2);
+        let mut cells = 0;
+        for (q, got) in queries.iter().zip(per_query) {
+            let solo = pe.scan_query(&q.query, q.top_n);
+            assert_eq!(got.hits, solo.hits);
+            assert_eq!(got.hits.len(), q.top_n);
+            assert_eq!(got.cells, solo.cells);
+            assert_eq!(got.kernels, solo.kernels);
+            cells += got.cells;
+        }
+        assert_eq!(fused.cells, cells);
+        // A sub-shard reports global database indices.
+        let tail = pe.scan(&queries[..1], 2..4);
+        let tail_hits = &tail.fused.as_ref().unwrap()[0].hits;
+        assert!(tail_hits.iter().all(|h| h.db_index >= 2));
+        assert_eq!(tail_hits[0].id, db.id(tail_hits[0].db_index));
+    }
+
+    #[test]
+    fn profile_memo_is_bounded_and_eviction_changes_no_result() {
+        let db = protein_db(&[
+            ("a", b"MKVLAWCDEFGHIKLMNPQRST"),
+            ("b", b"WCDEFGHIKL"),
+            ("c", b"GGGGGGGGAWCDEF"),
+        ]);
+        let sc = scoring();
+        let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
+        // 10 × cap distinct queries, as a daemon would ship them over the
+        // life of a slave: every one a different residue string.
+        for i in 0..10 * PREPARED_MEMO_CAP {
+            let query: Vec<u8> = (0..12)
+                .map(|j| ((i >> j) & 1) as u8 * 3 + (j % 5) as u8)
+                .collect();
+            let payload = [QueryPayload { query, top_n: 3 }];
+            let got = pe.scan(&payload, 0..db.len());
+            assert!(
+                pe.prepared.len() <= PREPARED_MEMO_CAP,
+                "memo grew past its cap"
+            );
+            if i % 97 == 0 {
+                let fresh =
+                    PeExecutor::new(&db, &sc, KernelChoice::Auto).scan(&payload, 0..db.len());
+                let (got, fresh) = (&got.fused.unwrap()[0], &fresh.fused.unwrap()[0]);
+                assert_eq!(got.hits, fresh.hits);
+                assert_eq!(got.kernels, fresh.kernels);
+            }
+            // A repeat of the query just scanned is served from the memo.
+            let before = pe.prepared.len();
+            pe.scan(&payload, 0..db.len());
+            assert_eq!(pe.prepared.len(), before);
+        }
+        assert!(!pe.prepared.is_empty());
     }
 
     fn pool(n_tasks: usize, expected: usize) -> PePool<BatchOwner> {

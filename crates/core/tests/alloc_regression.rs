@@ -1,0 +1,106 @@
+//! Per-task allocation regression for a batch PE: the database is loaded
+//! and packed once, and a PE's executor (kernel scratch included) lives as
+//! long as the PE — so the second and later tasks a PE executes must
+//! allocate far less than the database holds. (A PE that re-packed the
+//! database into a fresh arena per task, with fresh scratch, allocated at
+//! least one full copy of it every time.)
+//!
+//! The counting allocator is the one of `crates/simd/tests/
+//! alloc_regression.rs`, counting bytes instead of calls; it is
+//! process-wide, so everything runs inside one `#[test]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
+use swhybrid_core::pool::PeExecutor;
+use swhybrid_seq::sequence::EncodedSequence;
+use swhybrid_seq::{Alphabet, DbSnapshot};
+use swhybrid_simd::search::KernelChoice;
+
+struct CountingAlloc;
+
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: pure pass-through to the system allocator plus a relaxed counter.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn bytes_allocated_during<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    std::hint::black_box(f());
+    ALLOCATED_BYTES.load(Ordering::Relaxed) - before
+}
+
+/// Deterministic pseudo-random residues (no rand dependency: the
+/// allocator hook must observe only the PE).
+fn residues(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % 20) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn later_batch_tasks_allocate_less_than_the_database_holds() {
+    let subjects: Vec<EncodedSequence> = (0..1500)
+        .map(|i| EncodedSequence {
+            id: format!("s{i}"),
+            codes: residues(i as u64 + 1, 120 + (i * 37) % 300),
+            alphabet: Alphabet::Protein,
+        })
+        .collect();
+    let db = DbSnapshot::from_encoded("alloc", &subjects);
+    drop(subjects);
+    let scoring = Scoring {
+        matrix: SubstMatrix::blosum62(),
+        gap: GapModel::Affine {
+            open: 10,
+            extend: 2,
+        },
+    };
+    let queries: Vec<Vec<u8>> = (0..5)
+        .map(|i| residues(9000 + i, 60 + 7 * i as usize))
+        .collect();
+
+    let mut pe = PeExecutor::new(&db, &scoring, KernelChoice::Auto);
+    // The first task sizes the PE's scratch high-water.
+    let first = bytes_allocated_during(|| pe.scan_query(&queries[0], 10));
+    assert!(first > 0);
+    for (task, query) in queries.iter().enumerate().skip(1) {
+        let bytes = bytes_allocated_during(|| {
+            let result = pe.scan_query(query, 10);
+            assert_eq!(result.hits.len(), 10);
+            result
+        });
+        assert!(
+            bytes < db.total_residues(),
+            "task {task} allocated {bytes} bytes against a database of {} residues: \
+             a PE must not copy the database (or rebuild its scratch) per task",
+            db.total_residues()
+        );
+    }
+}

@@ -9,16 +9,16 @@
 //!
 //! [`FleetSpec::build`] materialises the spec into runnable PEs:
 //!
-//! * `sse` entries become **real** SIMD PEs ([`StripedBackend`], neutral
+//! * `sse` entries become **real** SIMD PEs (no device model, neutral
 //!   1.0-GCUPS prior — their true speed is measured, not assumed);
-//! * `gpu` / `fpga` entries become **modeled** PEs ([`ModeledBackend`]
-//!   around the calibrated [`GpuDevice::gtx580`] / [`FpgaDevice::systolic`]
-//!   models): real scores via the same kernels, with the model's
-//!   throughput registered as the prior and attributed on completion.
+//! * `gpu` / `fpga` entries become **modeled** PEs (the calibrated
+//!   [`GpuDevice::gtx580`] / [`FpgaDevice::systolic`] models): every PE
+//!   computes real scores through the one shard-scan step, and a modeled
+//!   one registers its model's throughput as the prior and has it
+//!   attributed on completion.
 
 use std::sync::Arc;
 
-use crate::exec::{ComputeBackend, ModeledBackend, StripedBackend};
 use crate::fpga::FpgaDevice;
 use crate::gpu::GpuDevice;
 use crate::task::{DeviceKind, DeviceModel, TaskSpec};
@@ -33,28 +33,32 @@ pub struct FleetSpec {
 pub struct FleetPe {
     /// Pool-visible PE name (`gpu0`, `sse3`, …).
     pub name: String,
-    /// What kind of PE this is.
-    pub kind: DeviceKind,
-    /// The compute path (real striped SIMD, or modeled accelerator).
-    pub backend: Box<dyn ComputeBackend>,
     /// Registration prior in GCUPS (WFixed weight / PSS seed).
     pub static_gcups: f64,
-    /// The performance model for modeled kinds (`None` for real SIMD PEs).
-    /// Drivers that bring their own compute path (the query service's
-    /// shard executors) use this to attribute modeled speed.
+    /// The performance model for modeled kinds (`None` for real SIMD PEs,
+    /// whose speed is measured): the driver attributes
+    /// `model.task_gcups(spec)` to each task this PE completes.
     pub model: Option<Arc<dyn DeviceModel>>,
 }
 
 impl FleetPe {
-    /// A real SIMD PE: the striped backend, no device model — its speed
-    /// is measured, `static_gcups` only seeds WFixed and the PSS prior.
+    /// A real SIMD PE: no device model — its speed is measured,
+    /// `static_gcups` only seeds WFixed and the PSS prior.
     pub fn simd(name: impl Into<String>, static_gcups: f64) -> FleetPe {
         FleetPe {
             name: name.into(),
-            kind: DeviceKind::SseCore,
-            backend: Box::new(StripedBackend::default()),
             static_gcups,
             model: None,
+        }
+    }
+
+    /// A modeled accelerator PE, named after its device: the model's
+    /// throughput on the probe task is its registration prior.
+    pub fn modeled(device: Arc<dyn DeviceModel>) -> FleetPe {
+        FleetPe {
+            name: device.name().to_string(),
+            static_gcups: device.task_gcups(&TaskSpec::probe()),
+            model: Some(device),
         }
     }
 }
@@ -63,7 +67,6 @@ impl std::fmt::Debug for FleetPe {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetPe")
             .field("name", &self.name)
-            .field("kind", &self.kind)
             .field("static_gcups", &self.static_gcups)
             .field("modeled", &self.model.is_some())
             .finish()
@@ -141,7 +144,6 @@ impl FleetSpec {
     /// independently across the whole spec: `sse:2+gpu:1` → `sse0`,
     /// `sse1`, `gpu0`.
     pub fn build(&self) -> Vec<FleetPe> {
-        let probe = TaskSpec::probe();
         let mut counters = std::collections::HashMap::new();
         let mut pes = Vec::with_capacity(self.total());
         for &(kind, count) in &self.entries {
@@ -150,26 +152,10 @@ impl FleetSpec {
                 let pe = match kind {
                     DeviceKind::SseCore => FleetPe::simd(format!("sse{i}"), 1.0),
                     DeviceKind::Gpu => {
-                        let device: Arc<dyn DeviceModel> =
-                            Arc::new(GpuDevice::gtx580(format!("gpu{i}")));
-                        FleetPe {
-                            name: format!("gpu{i}"),
-                            kind,
-                            static_gcups: device.task_gcups(&probe),
-                            backend: Box::new(ModeledBackend::new(Arc::clone(&device))),
-                            model: Some(device),
-                        }
+                        FleetPe::modeled(Arc::new(GpuDevice::gtx580(format!("gpu{i}"))))
                     }
                     DeviceKind::Fpga => {
-                        let device: Arc<dyn DeviceModel> =
-                            Arc::new(FpgaDevice::systolic(format!("fpga{i}")));
-                        FleetPe {
-                            name: format!("fpga{i}"),
-                            kind,
-                            static_gcups: device.task_gcups(&probe),
-                            backend: Box::new(ModeledBackend::new(Arc::clone(&device))),
-                            model: Some(device),
-                        }
+                        FleetPe::modeled(Arc::new(FpgaDevice::systolic(format!("fpga{i}"))))
                     }
                 };
                 *i += 1;
@@ -249,14 +235,13 @@ mod tests {
             gpu.static_gcups
         );
         assert_eq!(
-            gpu.backend.prior_gcups(),
-            Some(gpu.static_gcups),
-            "backend and fleet entry must agree on the prior"
+            gpu.model.as_ref().unwrap().task_gcups(&TaskSpec::probe()),
+            gpu.static_gcups,
+            "model and fleet entry must agree on the prior"
         );
         let sse = &pes[1];
         assert!(sse.model.is_none());
         assert_eq!(sse.static_gcups, 1.0);
-        assert_eq!(sse.backend.prior_gcups(), None);
     }
 
     #[test]

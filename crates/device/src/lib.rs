@@ -25,15 +25,11 @@
 //!   length and Meng/Chaudhary-style query segmentation,
 //! * [`load`] — step-function load schedules for non-dedicated experiments
 //!   (the paper's §V-C `superpi` interference test),
-//! * [`exec`] — real execution backends (actually compute scores with the
-//!   `swhybrid-simd` kernels): real SIMD PEs and modeled accelerator PEs
-//!   behind one [`exec::ComputeBackend`] trait,
 //! * [`fleet`] — the shared `sse:8+gpu:2` fleet-spec parser and builder
 //!   every hybrid-fleet surface (`master`, `serve`, `simulate`) uses.
 
 pub mod cpu;
 pub mod cudasw;
-pub mod exec;
 pub mod fleet;
 pub mod fpga;
 pub mod gpu;

@@ -7,8 +7,9 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::Path;
 
+use crate::alphabet::Alphabet;
 use crate::error::SeqError;
-use crate::sequence::Sequence;
+use crate::sequence::{EncodedSequence, Sequence};
 
 /// Streaming FASTA reader: yields one [`Sequence`] per record.
 pub struct FastaReader<R: BufRead> {
@@ -128,6 +129,23 @@ pub fn parse_str(input: &str) -> Result<Vec<Sequence>, SeqError> {
 /// Parse every record of a reader.
 pub fn parse_reader<R: Read>(reader: R) -> Result<Vec<Sequence>, SeqError> {
     FastaReader::new(BufReader::new(reader)).read_all()
+}
+
+/// Read a FASTA file and encode every record under `alphabet`, one record
+/// at a time (the raw text of a record is dropped as soon as it is
+/// encoded). An encoding failure names its record.
+pub fn read_encoded(
+    path: impl AsRef<Path>,
+    alphabet: Alphabet,
+) -> Result<Vec<EncodedSequence>, SeqError> {
+    let mut reader = FastaReader::open(path)?;
+    let mut encoded = Vec::new();
+    while let Some(record) = reader.next_record()? {
+        let sequence = EncodedSequence::from_sequence(&record, alphabet)
+            .map_err(|e| SeqError::MalformedFasta(format!("record {}: {e}", record.id)))?;
+        encoded.push(sequence);
+    }
+    Ok(encoded)
 }
 
 /// Width at which [`write_fasta`] wraps residue lines.

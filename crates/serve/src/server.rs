@@ -27,7 +27,6 @@
 
 use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -35,10 +34,8 @@ use std::time::Duration;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_core::net::{Acceptor, LineReader};
 use swhybrid_json::Json;
-use swhybrid_seq::fasta::FastaReader;
-use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbSnapshot;
-use swhybrid_store::{Store, Verify};
+use swhybrid_store::{DbFile, StoreError, Verify};
 
 use crate::protocol::{error_reply, hits_to_json, parse_request, ReloadRequest, Request};
 use crate::service::{
@@ -65,20 +62,9 @@ pub struct ServeDaemon {
 }
 
 impl ServeDaemon {
-    /// Bind the listener and start the query service (PE workers spawn
-    /// now; the socket accepts after [`ServeDaemon::run`]).
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        db: Vec<EncodedSequence>,
-        scoring: Scoring,
-        config: ServiceConfig,
-    ) -> io::Result<ServeDaemon> {
-        Self::bind_snapshot(addr, DbSnapshot::from_encoded("", &db), scoring, config)
-    }
-
-    /// Bind over a pre-assembled database snapshot — the `serve
-    /// --db-store` path, where the snapshot borrows a memory-mapped
-    /// `.swdb` and the digest comes from its header (no startup re-hash).
+    /// Bind the listener and start the query service over a loaded
+    /// database (PE workers spawn now; the socket accepts after
+    /// [`ServeDaemon::run`]).
     pub fn bind_snapshot(
         addr: impl ToSocketAddrs,
         db: DbSnapshot,
@@ -300,53 +286,37 @@ fn handle_request(
     shutdown
 }
 
-/// Assemble the new database generation for a `reload` request: map a
-/// `.swdb` store (optionally Full-verified) or parse a FASTA under the
-/// daemon's scoring alphabet. A failure leaves the daemon exactly as it
-/// was — the error names the source, and nothing has been swapped.
+/// Load the new database generation for a `reload` request through the
+/// one loader: a `.swdb` store (optionally Full-verified) or a FASTA,
+/// under the daemon's scoring alphabet. A failure leaves the daemon
+/// exactly as it was — the error names the source, and nothing has been
+/// swapped.
 fn load_reload_snapshot(
     r: &ReloadRequest,
     scoring: &Scoring,
 ) -> Result<(DbSnapshot, &'static str), (&'static str, String)> {
-    if let Some(path) = &r.store {
+    let (file, source, bad_source) = if let Some(path) = &r.store {
         let verify = if r.verify {
             Verify::Full
         } else {
             Verify::Quick
         };
-        let store =
-            Store::open_with(path, verify).map_err(|e| ("bad_store", format!("{path}: {e}")))?;
-        if !store.is_empty() && store.alphabet() != scoring.matrix.alphabet {
-            return Err((
-                "alphabet_mismatch",
-                format!(
-                    "store alphabet {:?} does not match the daemon's scoring alphabet {:?}",
-                    store.alphabet(),
-                    scoring.matrix.alphabet
-                ),
-            ));
-        }
-        let snap = store
-            .into_snapshot()
-            .map_err(|e| ("bad_store", format!("{path}: {e}")))?;
-        Ok((snap, "store"))
+        (DbFile::Store(path, verify), "store", "bad_store")
     } else if let Some(path) = &r.fasta {
-        let records = FastaReader::open(path)
-            .and_then(|mut f| f.read_all())
-            .map_err(|e| ("bad_fasta", format!("{path}: {e}")))?;
-        let db: Vec<EncodedSequence> = records
-            .iter()
-            .map(|rec| EncodedSequence::from_sequence(rec, scoring.matrix.alphabet))
-            .collect::<Result<_, _>>()
-            .map_err(|e| ("bad_fasta", format!("{path}: {e}")))?;
-        let name = Path::new(path)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        Ok((DbSnapshot::from_encoded(name, &db), "fasta"))
+        (DbFile::Fasta(path), "fasta", "bad_fasta")
     } else {
         // parse_request guarantees one source; belt and braces.
-        Err(("bad_request", "reload needs a source".into()))
+        return Err(("bad_request", "reload needs a source".into()));
+    };
+    match file.load(scoring.matrix.alphabet) {
+        Ok(snapshot) => Ok((snapshot, source)),
+        Err(e) => {
+            let code = match e {
+                StoreError::AlphabetMismatch { .. } => "alphabet_mismatch",
+                _ => bad_source,
+            };
+            Err((code, format!("{}: {e}", file.path())))
+        }
     }
 }
 

@@ -24,8 +24,8 @@
 //! served ranking bit-identical to a cold single-process scan. Remote
 //! slaves receive shards as self-describing payloads (query batch + shard
 //! bounds) and must prove at registration — by database digest — that they
-//! hold the exact database the daemon serves; a [`QueryService::swap_db`]
-//! disconnects every remote slave, because their copy is now stale.
+//! hold the exact database the daemon serves; a
+//! [`QueryService::swap_snapshot`] disconnects every remote slave, because their copy is now stale.
 //!
 //! ## Cross-query fusion
 //!
@@ -80,9 +80,7 @@ use swhybrid_core::policy::Policy;
 use swhybrid_core::pool::{drive, LocalEndpoint, PePool};
 use swhybrid_core::sched::{MasterConfig, Scheduler};
 use swhybrid_core::task::{PeId, TaskId};
-use swhybrid_device::task::DeviceModel;
-use swhybrid_device::FleetSpec;
-use swhybrid_seq::sequence::EncodedSequence;
+use swhybrid_device::{FleetPe, FleetSpec};
 use swhybrid_seq::DbSnapshot;
 use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
 use swhybrid_simd::search::{Hit, KernelChoice};
@@ -382,12 +380,6 @@ impl Inner {
     }
 }
 
-/// One local worker in the roster: its PE name, its static GCUPS prior,
-/// and — for modeled fleet kinds — the device model that attributes its
-/// speed (None for real SIMD workers, which report wall-clock
-/// measurements).
-type WorkerSpec = (String, f64, Option<Arc<dyn DeviceModel>>);
-
 /// The persistent query service. Dropping it shuts the workers down
 /// without draining; call [`QueryService::shutdown`] for the graceful
 /// drain-then-exit path.
@@ -399,18 +391,11 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Start the service over owned encoded sequences (the FASTA load
-    /// path): packs a [`DbSnapshot`] — which hashes the database, O(db) —
-    /// and delegates to [`QueryService::with_snapshot`].
-    pub fn new(db: Vec<EncodedSequence>, scoring: Scoring, config: ServiceConfig) -> QueryService {
-        QueryService::with_snapshot(DbSnapshot::from_encoded("", &db), scoring, config)
-    }
-
-    /// Start the service over a pre-assembled database snapshot — the
-    /// store load path (`serve --db-store`), where the digest comes from
-    /// the `.swdb` header, so startup never re-hashes the database.
-    /// Spawns `config.workers` PE threads; they idle on the hub until
-    /// queries arrive.
+    /// Start the service over a loaded database — packed from FASTA, or
+    /// borrowed from a `.swdb` mapping whose header supplies the digest,
+    /// so a store-backed start never re-hashes the database. Spawns
+    /// `config.workers` PE threads; they idle on the hub until queries
+    /// arrive.
     pub fn with_snapshot(db: DbSnapshot, scoring: Scoring, config: ServiceConfig) -> QueryService {
         assert!(
             db.is_empty() || db.alphabet() == scoring.matrix.alphabet,
@@ -487,27 +472,23 @@ impl QueryService {
             scoring,
             cfg,
         });
-        // The worker roster: a hybrid fleet when configured (names,
-        // priors, and — for modeled kinds — the device model that
-        // attributes speed), else the historical homogeneous SIMD pool.
-        let members: Vec<WorkerSpec> = match fleet_pes {
-            Some(pes) => pes
-                .into_iter()
-                .map(|p| (p.name, p.static_gcups, p.model))
-                .collect(),
-            None => (0..inner.cfg.workers)
-                .map(|w| (format!("serve{w}"), 1.0, None))
-                .collect(),
-        };
+        // The worker roster: a hybrid fleet when configured (a modeled
+        // kind has its device model's speed attributed by the pool), else
+        // the historical homogeneous SIMD pool.
+        let members = fleet_pes.unwrap_or_else(|| {
+            (0..inner.cfg.workers)
+                .map(|w| FleetPe::simd(format!("serve{w}"), 1.0))
+                .collect()
+        });
         // Admit the local workers up front (the registration block), then
         // spawn their drive threads.
-        let admitted: Vec<(PeId, Option<Arc<dyn DeviceModel>>)> = members
-            .into_iter()
-            .map(|(name, prior, model)| (inner.pool.admit(&name, prior, false), model))
+        let admitted: Vec<PeId> = members
+            .iter()
+            .map(|member| inner.pool.admit_fleet(member))
             .collect();
         let mut workers: Vec<_> = admitted
             .into_iter()
-            .map(|(pe, model)| {
+            .map(|pe| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("serve-pe{pe}"))
@@ -518,7 +499,7 @@ impl QueryService {
                         // warm, high-water-sized buffers.
                         let mut executor = ShardExecutor::new();
                         let mut endpoint = LocalEndpoint::new(|task| {
-                            execution::execute_task(&inner, task, &mut executor, model.as_deref())
+                            execution::execute_task(&inner, task, &mut executor)
                         });
                         drive(&inner.pool, pe, &mut endpoint);
                     })

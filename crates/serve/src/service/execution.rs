@@ -1,23 +1,20 @@
 //! The execution path: the pool-owner callbacks (result demux, payload
-//! assembly) and the local PE worker's shard scan, which drives the ONE
-//! shared shard executor ([`ShardExecutor`]) — the same chunk loop, kernel
-//! dispatch, and top-N demux the one-shot `search` workers and the remote
-//! serve-mode slave use, so served hit tables and kernel counters are
-//! byte-identical to theirs by construction.
+//! assembly) and the local PE worker's shard scan, which is the ONE
+//! compute step every PE runs ([`scan_shard`]) — the same call a batch
+//! slave, a serve-mode slave and a local-fleet thread make, so served hit
+//! tables and kernel counters are byte-identical to theirs by
+//! construction.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use swhybrid_core::pool::{
-    Deferred, FusedQueryResult, PoolOwner, QueryPayload, TaskPayload, TaskResult,
+    scan_shard, Deferred, FusedQueryResult, PoolOwner, QueryPayload, TaskPayload, TaskResult,
 };
 use swhybrid_core::sched::Scheduler;
-use swhybrid_core::stats::observed_gcups;
 use swhybrid_core::task::{PeId, TaskId};
-use swhybrid_device::task::DeviceModel;
 use swhybrid_simd::engine::{KernelStats, PreparedQuery};
 use swhybrid_simd::search::{merge_top_n, Hit};
-use swhybrid_simd::{materialize_hits, ShardExecutor, ShardPlan};
+use swhybrid_simd::{ShardExecutor, ShardPlan};
 
 use super::admit::retire;
 use super::fusion::pump;
@@ -132,29 +129,22 @@ impl PoolOwner for ServeOwner {
 }
 
 /// Execute one fused shard task on a local worker: snapshot the batch
-/// under the lock, then drive the shared [`ShardExecutor`] over the shard
-/// off it. The pool (via [`swhybrid_core::pool::LocalEndpoint`] and
-/// [`ServeOwner::on_finished`]) handles started/finished bookkeeping.
-///
-/// `model` is the worker's device model when it is a modeled accelerator
-/// PE of a hybrid fleet: the completion then attributes the model's GCUPS
-/// for the task's spec (so the scheduler's Ω window sees e.g. GTX-580
-/// speed) instead of the host thread's wall-clock measurement. The scan —
-/// and so the reply — is identical either way.
+/// under the lock, then run [`scan_shard`] over the shard off it. The pool
+/// (via [`swhybrid_core::pool::LocalEndpoint`] and
+/// [`ServeOwner::on_finished`]) handles started/finished bookkeeping, and
+/// attributes a modeled worker's speed.
 pub(super) fn execute_task(
     inner: &Inner,
     task: TaskId,
     executor: &mut ShardExecutor,
-    model: Option<&dyn DeviceModel>,
 ) -> TaskResult {
-    let (entries, range, db, spec) = {
+    let (entries, range, db) = {
         let g = inner.pool.lock();
         let o = &g.owner;
         let Some(ft) = o.task_map.get(&task) else {
             // Unknown task (should not happen): report a skip, not a scan.
             return TaskResult::default();
         };
-        let spec = model.map(|_| g.master.pool().get(task).spec.clone());
         // Batch members stay positional: a cancelled (or vanished) member
         // keeps its slot as `None` so results pair with `FusedTask::jobs`.
         let mut entries: Vec<Option<(Arc<PreparedQuery>, usize)>> =
@@ -181,15 +171,9 @@ pub(super) fn execute_task(
                 ..TaskResult::default()
             };
         };
-        (
-            entries,
-            range.expect("live member sets the range"),
-            db,
-            spec,
-        )
+        (entries, range.expect("live member sets the range"), db)
     };
     let (s, e) = range;
-    let t0 = Instant::now();
     let live: Vec<(Arc<PreparedQuery>, usize)> = entries.iter().flatten().cloned().collect();
     let plan = ShardPlan {
         range: s..e,
@@ -197,41 +181,18 @@ pub(super) fn execute_task(
         kernel: inner.cfg.kernel,
         prefetch: inner.cfg.prefetch,
     };
-    let outs = executor.execute(&live, db.arena(), &plan);
-    // Demux per query, positionally. The arena is in database order, so
-    // shard scan positions already are global database indices and the
-    // cross-shard merge tie-breaks identically to a whole-db scan.
-    // Identifiers are cloned here for the shard's top-N only.
-    let mut outs = outs.into_iter();
-    let mut fused = Vec::with_capacity(entries.len());
-    let mut total_cells = 0u64;
-    let mut merged_stats = KernelStats::default();
-    for entry in &entries {
-        if entry.is_none() {
-            fused.push(FusedQueryResult::default());
-            continue;
-        }
-        let out = outs.next().expect("one output per live batch member");
-        let hits = materialize_hits(&out.scored, |i| db.id(i).to_string());
-        total_cells += out.cells;
-        merged_stats.merge(&out.stats);
-        fused.push(FusedQueryResult {
-            hits,
-            cells: out.cells,
-            kernels: Some(out.stats),
-        });
-    }
-    let gcups = match (model, &spec) {
-        (Some(m), Some(s)) => m.task_gcups(s),
-        _ => observed_gcups(total_cells, t0.elapsed().as_secs_f64()),
-    };
-    TaskResult {
-        gcups: Some(gcups),
-        hits: Vec::new(),
-        cells: total_cells,
-        kernels: Some(merged_stats),
-        fused: Some(fused),
-    }
+    let mut result = scan_shard(executor, &live, &db, &plan);
+    // Back to batch positions: a cancelled member contributes nothing.
+    let mut scanned = result.fused.take().unwrap_or_default().into_iter();
+    let fused = entries
+        .iter()
+        .map(|entry| match entry {
+            Some(_) => scanned.next().expect("one output per live batch member"),
+            None => FusedQueryResult::default(),
+        })
+        .collect();
+    result.fused = Some(fused);
+    result
 }
 
 /// Fold a winning shard result into its job; on the last shard, finalize:

@@ -3,19 +3,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbSnapshot;
 
 use super::QueryService;
 
 impl QueryService {
-    /// Replace the database from owned sequences (re-encodes and
-    /// re-hashes — the FASTA reload path). See
-    /// [`QueryService::swap_snapshot`] for the semantics.
-    pub fn swap_db(&self, subjects: Vec<EncodedSequence>) {
-        self.swap_snapshot(DbSnapshot::from_encoded("", &subjects));
-    }
-
     /// Atomically swap the daemon onto a new database snapshot (a hot
     /// reload). Running jobs keep scanning their own snapshot
     /// (`Arc`-shared), so no query ever observes a mixed-generation

@@ -2,8 +2,14 @@ use super::*;
 use rand::{RngExt, SeedableRng};
 use std::time::Duration;
 use swhybrid_align::scoring::{GapModel, SubstMatrix};
+use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::Alphabet;
-use swhybrid_simd::search::DatabaseSearch;
+use swhybrid_simd::search::search_db;
+
+/// The database as every driver holds it.
+fn snap(db: &[EncodedSequence]) -> DbSnapshot {
+    DbSnapshot::from_encoded("", db)
+}
 
 fn scoring() -> Scoring {
     Scoring {
@@ -35,8 +41,8 @@ fn random_query(seed: u64, len: usize) -> Vec<u8> {
 }
 
 fn small_service(db: &[EncodedSequence]) -> QueryService {
-    QueryService::new(
-        db.to_vec(),
+    QueryService::with_snapshot(
+        snap(db),
         scoring(),
         ServiceConfig {
             workers: 2,
@@ -69,15 +75,15 @@ fn served_result_matches_cold_scan() {
     let query = random_query(29, 60);
     let svc = small_service(&db);
     let reply = svc.search_blocking(query.clone(), 12, 1).unwrap();
-    let cold = DatabaseSearch::new(
+    let cold = search_db(
         &query,
+        &snap(&db),
         &scoring(),
-        swhybrid_simd::search::SearchConfig {
+        &swhybrid_simd::search::SearchConfig {
             top_n: 12,
             ..Default::default()
         },
-    )
-    .run(&db);
+    );
     assert_eq!(reply.hits, cold.hits);
     assert!(!reply.cached);
     assert_eq!(reply.cells, cold.cells);
@@ -92,8 +98,8 @@ fn served_result_matches_cold_scan() {
 fn served_kernel_stats_match_cold_scan_with_one_shard() {
     let db = random_db(27, 90, 100);
     let query = random_query(33, 55);
-    let svc = QueryService::new(
-        db.clone(),
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
@@ -102,15 +108,15 @@ fn served_kernel_stats_match_cold_scan_with_one_shard() {
         },
     );
     let reply = svc.search_blocking(query.clone(), 8, 1).unwrap();
-    let cold = DatabaseSearch::new(
+    let cold = search_db(
         &query,
+        &snap(&db),
         &scoring(),
-        swhybrid_simd::search::SearchConfig {
+        &swhybrid_simd::search::SearchConfig {
             top_n: 8,
             ..Default::default()
         },
-    )
-    .run(&db);
+    );
     assert_eq!(reply.hits, cold.hits);
     assert_eq!(
         reply.kernels, cold.stats,
@@ -129,8 +135,8 @@ fn served_kernel_stats_match_cold_scan_with_one_shard() {
 #[test]
 fn local_pe_kernels_surface_in_per_pe_stats() {
     let db = random_db(35, 60, 80);
-    let svc = QueryService::new(
-        db,
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
@@ -165,8 +171,8 @@ fn local_pe_kernels_surface_in_per_pe_stats() {
 fn hybrid_fleet_service_matches_cold_scan_and_names_both_kinds() {
     let db = random_db(41, 70, 90);
     let query = random_query(43, 50);
-    let svc = QueryService::new(
-        db.clone(),
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             fleet: Some(FleetSpec::parse("gpu:1+sse:1").unwrap()),
@@ -174,15 +180,15 @@ fn hybrid_fleet_service_matches_cold_scan_and_names_both_kinds() {
         },
     );
     let reply = svc.search_blocking(query.clone(), 10, 1).unwrap();
-    let cold = DatabaseSearch::new(
+    let cold = search_db(
         &query,
+        &snap(&db),
         &scoring(),
-        swhybrid_simd::search::SearchConfig {
+        &swhybrid_simd::search::SearchConfig {
             top_n: 10,
             ..Default::default()
         },
-    )
-    .run(&db);
+    );
     assert_eq!(
         reply.hits, cold.hits,
         "hybrid fleet must score bit-identically"
@@ -251,18 +257,18 @@ fn swap_db_invalidates_cache_and_changes_results() {
     let query = random_query(47, 40);
     let svc = small_service(&db_a);
     let a = svc.search_blocking(query.clone(), 5, 1).unwrap();
-    svc.swap_db(db_b.clone());
+    svc.swap_snapshot(snap(&db_b));
     let b = svc.search_blocking(query.clone(), 5, 1).unwrap();
     assert!(!b.cached, "generation bump must bypass the cache");
-    let cold_b = DatabaseSearch::new(
+    let cold_b = search_db(
         &query,
+        &snap(&db_b),
         &scoring(),
-        swhybrid_simd::search::SearchConfig {
+        &swhybrid_simd::search::SearchConfig {
             top_n: 5,
             ..Default::default()
         },
-    )
-    .run(&db_b);
+    );
     assert_eq!(b.hits, cold_b.hits);
     // Old-generation result is still byte-identical to its own scan.
     assert_ne!(a.hits, b.hits);
@@ -272,8 +278,8 @@ fn swap_db_invalidates_cache_and_changes_results() {
 #[test]
 fn cancel_queued_job_never_scans() {
     let db = random_db(53, 30, 60);
-    let svc = QueryService::new(
-        db.clone(),
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
@@ -350,8 +356,8 @@ fn drain_rejects_new_but_finishes_queued() {
 fn job_registry_stays_bounded_over_ten_thousand_queries() {
     let db = random_db(83, 20, 50);
     let query = random_query(89, 30);
-    let svc = QueryService::new(
-        db,
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
@@ -390,8 +396,8 @@ fn job_registry_stays_bounded_over_ten_thousand_queries() {
 fn engine_events_fold_into_stats_without_being_retained() {
     let db = random_db(83, 20, 50);
     let query = random_query(89, 30);
-    let svc = QueryService::new(
-        db,
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
@@ -430,8 +436,8 @@ fn engine_events_fold_into_stats_without_being_retained() {
 #[test]
 fn retention_age_drains_an_idle_registry() {
     let db = random_db(91, 15, 40);
-    let svc = QueryService::new(
-        db,
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
@@ -454,8 +460,8 @@ fn retention_age_drains_an_idle_registry() {
 #[test]
 fn fused_queries_match_cold_scans_and_share_tasks() {
     let db = random_db(97, 50, 70);
-    let svc = QueryService::new(
-        db.clone(),
+    let svc = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
@@ -497,15 +503,15 @@ fn fused_queries_match_cold_scans_and_share_tasks() {
     }
     let replies: Vec<SearchReply> = (0..5).map(|_| rx.recv().unwrap()).collect();
     let oracle = |q: &[u8], top_n: usize| {
-        DatabaseSearch::new(
+        search_db(
             q,
+            &snap(&db),
             &scoring(),
-            swhybrid_simd::search::SearchConfig {
+            &swhybrid_simd::search::SearchConfig {
                 top_n,
                 ..Default::default()
             },
         )
-        .run(&db)
     };
     for reply in &replies {
         let (q, top_n) = if reply.job == 0 {
@@ -564,8 +570,8 @@ fn scoring_digest_separates_schemes() {
 #[should_panic(expected = "chunk_size")]
 fn undersized_chunk_size_is_rejected() {
     let db = random_db(95, 5, 30);
-    let _ = QueryService::new(
-        db,
+    let _ = QueryService::with_snapshot(
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,

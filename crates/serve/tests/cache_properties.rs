@@ -5,10 +5,15 @@
 use proptest::prelude::*;
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_seq::sequence::EncodedSequence;
-use swhybrid_seq::Alphabet;
+use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::protocol::hits_to_json;
 use swhybrid_serve::service::{QueryService, ServiceConfig};
-use swhybrid_simd::search::{DatabaseSearch, SearchConfig};
+use swhybrid_simd::search::{search_db, SearchConfig};
+
+/// The database as every driver holds it.
+fn snap(db: &[EncodedSequence]) -> DbSnapshot {
+    DbSnapshot::from_encoded("", db)
+}
 
 fn scoring() -> Scoring {
     Scoring {
@@ -43,15 +48,15 @@ fn cold_hits(
     db: &[EncodedSequence],
     top_n: usize,
 ) -> Vec<swhybrid_simd::search::Hit> {
-    DatabaseSearch::new(
+    search_db(
         query,
+        &snap(db),
         &scoring(),
-        SearchConfig {
+        &SearchConfig {
             top_n,
             ..Default::default()
         },
     )
-    .run(db)
     .hits
 }
 
@@ -65,11 +70,7 @@ proptest! {
         query in codes(40),
         top_n in 1usize..12,
     ) {
-        let svc = QueryService::new(
-            db_a.clone(),
-            scoring(),
-            ServiceConfig { workers: 2, ..Default::default() },
-        );
+        let svc = QueryService::with_snapshot(snap(&db_a), scoring(), ServiceConfig { workers: 2, ..Default::default() });
 
         // Cold: the service's sharded scan equals a single-shot search.
         let cold = svc.search_blocking(query.clone(), top_n, 1).unwrap();
@@ -88,7 +89,7 @@ proptest! {
 
         // Swap the database: the generation bump must force a rescan that
         // matches the new database's cold scan.
-        svc.swap_db(db_b.clone());
+        svc.swap_snapshot(snap(&db_b));
         let after = svc.search_blocking(query.clone(), top_n, 1).unwrap();
         prop_assert!(!after.cached, "stale cache entry survived a db swap");
         prop_assert_eq!(&after.hits, &cold_hits(&query, &db_b, top_n));

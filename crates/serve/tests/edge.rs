@@ -13,12 +13,17 @@ use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_core::net::{NetConfig, MAX_LINE, MAX_SESSIONS};
 use swhybrid_json::Json;
 use swhybrid_seq::sequence::EncodedSequence;
-use swhybrid_seq::Alphabet;
+use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::server::CLIENT_WRITE_TIMEOUT;
 use swhybrid_serve::service::ServiceConfig;
 use swhybrid_serve::{ServeClient, ServeDaemon};
 
 const QUERY: &str = "MKVLAWTRESDFGHIKLMNPQRSTVWYACDEFGHIKLMNPQRSTVWYACDEFGHIKLMNPQ";
+
+/// The database as every driver holds it.
+fn snap(db: &[EncodedSequence]) -> DbSnapshot {
+    DbSnapshot::from_encoded("", db)
+}
 
 fn scoring() -> Scoring {
     Scoring {
@@ -53,7 +58,8 @@ fn start_daemon() -> (
         cache_capacity: 0,
         ..Default::default()
     };
-    let daemon = ServeDaemon::bind(("127.0.0.1", 0), tiny_db(), scoring(), config).unwrap();
+    let daemon =
+        ServeDaemon::bind_snapshot(("127.0.0.1", 0), snap(&tiny_db()), scoring(), config).unwrap();
     let addr = daemon.local_addr().unwrap();
     let slaves = daemon
         .listen_slaves(("127.0.0.1", 0), NetConfig::default())

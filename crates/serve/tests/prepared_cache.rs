@@ -10,10 +10,15 @@
 use proptest::prelude::*;
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_seq::sequence::EncodedSequence;
-use swhybrid_seq::Alphabet;
+use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::prepared::{PreparedCache, PreparedKey};
 use swhybrid_serve::service::{scoring_digest, QueryService, ServiceConfig};
 use swhybrid_simd::engine::{EnginePreference, PreparedQuery};
+
+/// The database as every driver holds it.
+fn snap(db: &[EncodedSequence]) -> DbSnapshot {
+    DbSnapshot::from_encoded("", db)
+}
 
 fn scoring() -> Scoring {
     Scoring {
@@ -78,16 +83,8 @@ proptest! {
         extra in 1usize..6,
     ) {
         let depth_b = depth_a + extra; // different depth ⇒ result-cache miss
-        let cached = QueryService::new(
-            db.clone(),
-            scoring(),
-            ServiceConfig { workers: 1, ..Default::default() },
-        );
-        let cold = QueryService::new(
-            db.clone(),
-            scoring(),
-            ServiceConfig { workers: 1, prepared_capacity: 0, ..Default::default() },
-        );
+        let cached = QueryService::with_snapshot(snap(&db), scoring(), ServiceConfig { workers: 1, ..Default::default() });
+        let cold = QueryService::with_snapshot(snap(&db), scoring(), ServiceConfig { workers: 1, prepared_capacity: 0, ..Default::default() });
 
         let first_cached = cached.search_blocking(query.clone(), depth_a, 1).unwrap();
         let first_cold = cold.search_blocking(query.clone(), depth_a, 1).unwrap();

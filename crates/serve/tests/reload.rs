@@ -17,11 +17,16 @@ use swhybrid_core::net::{run_serve_slave, NetConfig, PROTOCOL_VERSION};
 use swhybrid_json::Json;
 use swhybrid_seq::digest::db_digest;
 use swhybrid_seq::sequence::EncodedSequence;
-use swhybrid_seq::Alphabet;
+use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::service::ServiceConfig;
 use swhybrid_serve::{ServeClient, ServeDaemon};
-use swhybrid_simd::search::{DatabaseSearch, Hit, KernelChoice, SearchConfig};
+use swhybrid_simd::search::{search_db, Hit, KernelChoice, SearchConfig};
 use swhybrid_store::{build_store, Store};
+
+/// The database as every driver holds it.
+fn snap(db: &[EncodedSequence]) -> DbSnapshot {
+    DbSnapshot::from_encoded("", db)
+}
 
 fn scoring() -> Scoring {
     Scoring {
@@ -57,15 +62,15 @@ fn random_query_ascii(seed: u64, len: usize) -> String {
 
 fn cold_hits(query_ascii: &str, db: &[EncodedSequence], top_n: usize) -> Vec<Hit> {
     let codes = Alphabet::Protein.encode(query_ascii.as_bytes()).unwrap();
-    DatabaseSearch::new(
+    search_db(
         &codes,
+        &snap(db),
         &scoring(),
-        SearchConfig {
+        &SearchConfig {
             top_n,
             ..Default::default()
         },
     )
-    .run(db)
     .hits
 }
 
@@ -275,9 +280,9 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
         .collect();
 
     // Cache off and many shards so remote slaves always have work.
-    let daemon = ServeDaemon::bind(
+    let daemon = ServeDaemon::bind_snapshot(
         ("127.0.0.1", 0),
-        db_a.clone(),
+        snap(&db_a),
         scoring(),
         ServiceConfig {
             workers: 2,
@@ -305,7 +310,7 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
             slave_addr,
             "remote-old",
             1.0,
-            &slave_db,
+            &snap(&slave_db),
             &scoring(),
             KernelChoice::Auto,
             &net,
@@ -375,7 +380,7 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
             slave_addr,
             "remote-new",
             1.0,
-            &slave_db,
+            &snap(&slave_db),
             &scoring(),
             KernelChoice::Auto,
             &net,

@@ -13,11 +13,16 @@ use swhybrid_core::net::{run_serve_slave, NetConfig, PROTOCOL_VERSION};
 use swhybrid_json::Json;
 use swhybrid_seq::digest::db_digest;
 use swhybrid_seq::sequence::EncodedSequence;
-use swhybrid_seq::Alphabet;
+use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::protocol::{request_to_json, Request, SearchRequest};
 use swhybrid_serve::service::ServiceConfig;
 use swhybrid_serve::{ServeClient, ServeDaemon};
-use swhybrid_simd::search::{DatabaseSearch, Hit, KernelChoice, SearchConfig};
+use swhybrid_simd::search::{search_db, Hit, KernelChoice, SearchConfig};
+
+/// The database as every driver holds it.
+fn snap(db: &[EncodedSequence]) -> DbSnapshot {
+    DbSnapshot::from_encoded("", db)
+}
 
 fn scoring() -> Scoring {
     Scoring {
@@ -54,15 +59,15 @@ fn random_query_ascii(seed: u64, len: usize) -> String {
 
 fn cold_hits(query_ascii: &str, db: &[EncodedSequence], top_n: usize) -> Vec<Hit> {
     let codes = Alphabet::Protein.encode(query_ascii.as_bytes()).unwrap();
-    DatabaseSearch::new(
+    search_db(
         &codes,
+        &snap(db),
         &scoring(),
-        SearchConfig {
+        &SearchConfig {
             top_n,
             ..Default::default()
         },
     )
-    .run(db)
     .hits
 }
 
@@ -73,7 +78,8 @@ fn start_daemon(
     std::net::SocketAddr,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let daemon = ServeDaemon::bind(("127.0.0.1", 0), db, scoring(), config).unwrap();
+    let daemon =
+        ServeDaemon::bind_snapshot(("127.0.0.1", 0), snap(&db), scoring(), config).unwrap();
     let addr = daemon.local_addr().unwrap();
     (addr, std::thread::spawn(move || daemon.run()))
 }
@@ -500,9 +506,9 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
     // Two local workers plus a slave listener; caching off so every query
     // really exercises the fleet, and enough shards per query that remote
     // slaves always have work to claim.
-    let daemon = ServeDaemon::bind(
+    let daemon = ServeDaemon::bind_snapshot(
         ("127.0.0.1", 0),
-        db.clone(),
+        snap(&db),
         scoring(),
         ServiceConfig {
             workers: 2,
@@ -531,7 +537,7 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
             slave_addr,
             "remote-a",
             1.0,
-            &slave_db,
+            &snap(&slave_db),
             &scoring(),
             KernelChoice::Auto,
             &net,

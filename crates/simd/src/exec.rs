@@ -3,11 +3,11 @@
 //!
 //! The paper's architecture (Fig. 1) is a single task-execution environment
 //! driving heterogeneous PEs; this module is that environment's inner loop.
-//! Three owners drive it:
+//! Two owners drive it:
 //!
 //! * the one-shot `search` scan workers ([`crate::search::search_arena`]),
-//! * the serve daemon's local PE threads (`swhybrid-serve`),
-//! * the remote serve-mode slave executor (`core::net::slave`).
+//! * the one compute step of every PE (`core::pool::scan_shard`: daemon
+//!   worker threads, serve-mode slaves, batch slaves, local-fleet threads).
 //!
 //! Each owner builds a [`ShardPlan`] (which arena positions to scan, the
 //! chunk size, the kernel preference, prefetch) and drives a
@@ -16,7 +16,7 @@
 //! dispatch, multi-query DP driving (a lone query is the batch of one),
 //! [`KernelStats`] accumulation, and the per-query top-N demux. Because the
 //! loop exists once, hit tables and kernel counters are byte-identical
-//! across the three transports by construction — the tri-path oracle test
+//! across the transports by construction — the tri-path oracle test
 //! pins this.
 //!
 //! Chunk sizing is centralized here too: [`chunk_size`] enforces a floor of
@@ -271,8 +271,8 @@ impl ShardExecutor {
     }
 
     /// Scan one whole shard with this (single) worker: the entry point of
-    /// the long-lived owners — serve PE threads and the remote slave — that
-    /// execute one self-describing shard task at a time. Drives the chunk
+    /// the long-lived owners — every PE, through `core::pool::scan_shard` —
+    /// that execute one shard task at a time. Drives the chunk
     /// loop over a private cursor and demuxes into per-query outputs.
     pub fn execute(
         &mut self,

@@ -27,10 +27,10 @@
 //!   i8 → i16 → scalar saturation chain,
 //! * [`exec`] — the shard executor: THE chunk-claim loop every scan owner
 //!   drives, with adaptive per-chunk kernel dispatch,
-//! * [`search`] — a multi-threaded query × database scan with
-//!   self-scheduled chunks (the intra-node parallelisation of Rognes'
-//!   SWIPE-style tools, [`search::KernelChoice`]), producing a ranked hit
-//!   list.
+//! * [`search`] — [`search_db`], the one-shot search of a `DbSnapshot`,
+//!   over a multi-threaded arena scan with self-scheduled chunks (the
+//!   intra-node parallelisation of Rognes' SWIPE-style tools,
+//!   [`search::KernelChoice`]), producing a ranked hit list.
 //!
 //! Every kernel computes the **Gotoh affine-gap local alignment score** and
 //! is validated against `swhybrid_align::score_only::sw_score_affine`.
@@ -50,5 +50,5 @@ pub use engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
 pub use exec::{chunk_floor, chunk_size, materialize_hits, ShardExecutor, ShardPlan};
 pub use profile::StripedProfile;
 pub use scratch::KernelScratch;
-pub use search::{DatabaseSearch, Hit, KernelChoice, SearchConfig};
+pub use search::{search_db, Hit, KernelChoice, SearchConfig};
 pub use vec::Isa;

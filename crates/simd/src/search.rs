@@ -6,9 +6,9 @@
 //! the same SS idea as Rognes' multi-threaded SSE search [17]), each worker
 //! owning its own engine state so the scan is embarrassingly parallel.
 //!
-//! The database is packed into a flat [`DbArena`] before scanning, and each
-//! claimed chunk is dispatched to one of two kernel families
-//! ([`KernelChoice`]):
+//! The database is a [`DbSnapshot`] — its flat [`DbArena`] is scanned in
+//! place — and each claimed chunk is dispatched to one of two kernel
+//! families ([`KernelChoice`]):
 //!
 //! * **Striped** — the adapted-Farrar intra-sequence kernel, one subject at
 //!   a time. Wins on long queries (its DP state is `O(query)`) and on tiny
@@ -16,7 +16,7 @@
 //! * **InterSeq** — the SWIPE-style inter-sequence kernel, `LANES` subjects
 //!   per vector. Wins on bulk scans of short-to-medium subjects: no per
 //!   subject setup, no lazy-F loop, near-perfect lane utilisation when
-//!   chunk lengths are homogeneous (see [`SearchConfig::sort_by_length`]).
+//!   chunk lengths are homogeneous ([`DbArena::length_sorted`]).
 //! * **Auto** (default) — picks per chunk from the query length and the
 //!   chunk's length skew; the decision counters land in [`KernelStats`].
 //!
@@ -36,12 +36,12 @@ use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use crate::engine::{EnginePreference, KernelStats, PreparedQuery};
-use crate::exec::{demux_top_n, ShardExecutor, ShardPlan};
+use crate::exec::{demux_top_n, materialize_hits, ShardExecutor, ShardPlan};
 use swhybrid_align::alignment::Alignment;
 use swhybrid_align::gotoh::gotoh_align;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_seq::arena::DbArena;
-use swhybrid_seq::sequence::EncodedSequence;
+use swhybrid_seq::DbSnapshot;
 
 /// One database hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,10 +118,6 @@ pub struct SearchConfig {
     pub preference: EnginePreference,
     /// Kernel dispatch: striped, inter-sequence, or adaptive.
     pub kernel: KernelChoice,
-    /// Scan the database in ascending-length order (chunks become
-    /// length-homogeneous, which the inter-sequence kernel likes). Hits are
-    /// always reported by database index, so results are unchanged.
-    pub sort_by_length: bool,
     /// Software-prefetch the next subject's residue span ahead of use
     /// (inter-sequence lane refill and the striped sequential scan). A pure
     /// CPU hint: scores, rankings and [`KernelStats`] are identical either
@@ -137,7 +133,6 @@ impl Default for SearchConfig {
             chunk_size: crate::exec::chunk_floor(),
             preference: EnginePreference::Auto,
             kernel: KernelChoice::Auto,
-            sort_by_length: false,
             prefetch: true,
         }
     }
@@ -186,13 +181,13 @@ impl SearchResult {
     pub fn align_hits(
         &self,
         query: &[u8],
-        subjects: &[EncodedSequence],
+        db: &DbSnapshot,
         scoring: &Scoring,
     ) -> Vec<(Hit, Alignment)> {
         self.hits
             .iter()
             .map(|hit| {
-                let alignment = gotoh_align(query, &subjects[hit.db_index].codes, scoring);
+                let alignment = gotoh_align(query, db.residues(hit.db_index), scoring);
                 debug_assert_eq!(alignment.score, hit.score, "hit {}", hit.id);
                 (hit.clone(), alignment)
             })
@@ -244,50 +239,25 @@ pub fn merge_top_n(lists: impl IntoIterator<Item = Vec<Hit>>, top_n: usize) -> V
     all
 }
 
-/// A prepared database search: one query against many subjects.
-pub struct DatabaseSearch<'a> {
-    query: &'a [u8],
-    scoring: &'a Scoring,
-    config: SearchConfig,
-}
-
-impl<'a> DatabaseSearch<'a> {
-    /// Prepare a search for an encoded query.
-    pub fn new(query: &'a [u8], scoring: &'a Scoring, config: SearchConfig) -> Self {
-        assert!(config.threads >= 1, "at least one worker required");
-        assert!(config.chunk_size >= 1, "chunk size must be positive");
-        DatabaseSearch {
-            query,
-            scoring,
-            config,
-        }
-    }
-
-    /// Scan `subjects` and return the ranked hits. The query profiles are
-    /// built once and shared by every worker; the subjects are packed into
-    /// a transient [`DbArena`] (length-sorted when `config.sort_by_length`)
-    /// — callers that already hold an arena and a [`PreparedQuery`] use
-    /// [`search_arena`] directly.
-    pub fn run(&self, subjects: &[EncodedSequence]) -> SearchResult {
-        let config = &self.config;
-        let prepared = Arc::new(PreparedQuery::new(
-            self.query,
-            self.scoring,
-            config.preference,
-        ));
-        let arena = if config.sort_by_length {
-            DbArena::length_sorted(subjects)
-        } else {
-            DbArena::from_encoded(subjects)
-        };
-        let out = search_arena(&prepared, &arena, 0..arena.len(), config);
-        let hits = crate::exec::materialize_hits(&out.scored, |i| subjects[i].id.clone());
-        SearchResult {
-            hits,
-            cells: out.cells,
-            cells_nominal: out.cells_nominal,
-            stats: out.stats,
-        }
+/// THE one-shot search: one query against a whole database. Builds the
+/// query profiles once (`config.preference`), scans the snapshot's arena
+/// in place with [`search_arena`], and attaches identifiers to the ranked
+/// top-N. Callers that keep [`PreparedQuery`]s across searches, or scan a
+/// sub-range or a [`DbArena::length_sorted`] order, use [`search_arena`]
+/// directly.
+pub fn search_db(
+    query: &[u8],
+    db: &DbSnapshot,
+    scoring: &Scoring,
+    config: &SearchConfig,
+) -> SearchResult {
+    let prepared = Arc::new(PreparedQuery::new(query, scoring, config.preference));
+    let out = search_arena(&prepared, db.arena(), 0..db.len(), config);
+    SearchResult {
+        hits: materialize_hits(&out.scored, |i| db.id(i).to_string()),
+        cells: out.cells,
+        cells_nominal: out.cells_nominal,
+        stats: out.stats,
     }
 }
 
@@ -365,7 +335,23 @@ mod tests {
     use rand::{RngExt, SeedableRng};
     use swhybrid_align::score_only::sw_score_affine;
     use swhybrid_align::scoring::{GapModel, SubstMatrix};
+    use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::Alphabet;
+
+    /// [`search_db`] over freshly packed records.
+    fn run(
+        query: &[u8],
+        scoring: &Scoring,
+        config: SearchConfig,
+        subjects: &[EncodedSequence],
+    ) -> SearchResult {
+        search_db(
+            query,
+            &DbSnapshot::from_encoded("", subjects),
+            scoring,
+            &config,
+        )
+    }
 
     fn scoring() -> Scoring {
         Scoring {
@@ -397,15 +383,15 @@ mod tests {
         let query: Vec<u8> = (0..60).map(|_| rng.random_range(0..20u8)).collect();
         let db = random_db(133, 50, 120);
         let s = scoring();
-        let result = DatabaseSearch::new(
+        let result = run(
             &query,
             &s,
             SearchConfig {
                 top_n: 50,
                 ..Default::default()
             },
-        )
-        .run(&db);
+            &db,
+        );
         assert_eq!(result.hits.len(), 50);
         for pair in result.hits.windows(2) {
             assert!(pair[0].score >= pair[1].score);
@@ -423,7 +409,7 @@ mod tests {
         let query: Vec<u8> = (0..80).map(|_| rng.random_range(0..20u8)).collect();
         let db = random_db(139, 200, 150);
         let s = scoring();
-        let single = DatabaseSearch::new(
+        let single = run(
             &query,
             &s,
             SearchConfig {
@@ -431,9 +417,9 @@ mod tests {
                 top_n: 10,
                 ..Default::default()
             },
-        )
-        .run(&db);
-        let multi = DatabaseSearch::new(
+            &db,
+        );
+        let multi = run(
             &query,
             &s,
             SearchConfig {
@@ -442,8 +428,8 @@ mod tests {
                 chunk_size: 7,
                 ..Default::default()
             },
-        )
-        .run(&db);
+            &db,
+        );
         assert_eq!(single.hits, multi.hits);
         assert_eq!(single.stats.total(), multi.stats.total());
     }
@@ -454,7 +440,7 @@ mod tests {
         let query: Vec<u8> = (0..70).map(|_| rng.random_range(0..20u8)).collect();
         let db = random_db(173, 160, 140);
         let s = scoring();
-        let baseline = DatabaseSearch::new(
+        let baseline = run(
             &query,
             &s,
             SearchConfig {
@@ -462,27 +448,26 @@ mod tests {
                 top_n: 25,
                 ..Default::default()
             },
-        )
-        .run(&db);
+            &db,
+        );
         for kernel in [KernelChoice::InterSeq, KernelChoice::Auto] {
-            for sort_by_length in [false, true] {
-                let got = DatabaseSearch::new(
-                    &query,
-                    &s,
-                    SearchConfig {
-                        kernel,
-                        sort_by_length,
-                        top_n: 25,
-                        threads: 3,
-                        chunk_size: 33,
-                        ..Default::default()
-                    },
-                )
-                .run(&db);
-                assert_eq!(
-                    got.hits, baseline.hits,
-                    "kernel {kernel:?} sorted {sort_by_length}"
-                );
+            // Scan order is the arena's: database order, or ascending
+            // length (hits are keyed by database index either way).
+            for (order, arena) in [
+                ("db", DbArena::from_encoded(&db)),
+                ("sorted", DbArena::length_sorted(&db)),
+            ] {
+                let cfg = SearchConfig {
+                    kernel,
+                    top_n: 25,
+                    threads: 3,
+                    chunk_size: 33,
+                    ..Default::default()
+                };
+                let prepared = Arc::new(PreparedQuery::new(&query, &s, cfg.preference));
+                let out = search_arena(&prepared, &arena, 0..arena.len(), &cfg);
+                let hits = materialize_hits(&out.scored, |i| db[i].id.clone());
+                assert_eq!(hits, baseline.hits, "kernel {kernel:?} order {order}");
             }
         }
     }
@@ -493,15 +478,15 @@ mod tests {
         let query: Vec<u8> = (0..50).map(|_| rng.random_range(0..20u8)).collect();
         let db = random_db(179, 100, 60);
         let s = scoring();
-        let result = DatabaseSearch::new(
+        let result = run(
             &query,
             &s,
             SearchConfig {
                 kernel: KernelChoice::InterSeq,
                 ..Default::default()
             },
-        )
-        .run(&db);
+            &db,
+        );
         assert_eq!(result.stats.interseq_total(), 100);
         assert_eq!(result.stats.total(), 100);
         assert!(result.stats.chunks_interseq >= 1);
@@ -516,7 +501,7 @@ mod tests {
         let s = scoring();
         // 128 similar-length subjects in one big chunk: inter-sequence.
         let db = random_db(183, 128, 60);
-        let bulk = DatabaseSearch::new(
+        let bulk = run(
             &query,
             &s,
             SearchConfig {
@@ -524,19 +509,19 @@ mod tests {
                 chunk_size: 128,
                 ..Default::default()
             },
-        )
-        .run(&db);
+            &db,
+        );
         assert!(bulk.stats.chunks_interseq >= 1, "{:?}", bulk.stats);
         // 5 subjects: lanes can't fill, Auto must stay striped.
-        let tiny = DatabaseSearch::new(
+        let tiny = run(
             &query,
             &s,
             SearchConfig {
                 kernel: KernelChoice::Auto,
                 ..Default::default()
             },
-        )
-        .run(&db[..5]);
+            &db[..5],
+        );
         assert_eq!(tiny.stats.chunks_interseq, 0);
         assert!(tiny.stats.chunks_striped >= 1);
     }
@@ -546,15 +531,15 @@ mod tests {
         let db = random_db(141, 30, 60);
         let query: Vec<u8> = (0..40).map(|i| (i % 20) as u8).collect();
         let s = scoring();
-        let result = DatabaseSearch::new(
+        let result = run(
             &query,
             &s,
             SearchConfig {
                 top_n: 5,
                 ..Default::default()
             },
-        )
-        .run(&db);
+            &db,
+        );
         assert_eq!(result.hits.len(), 5);
     }
 
@@ -570,7 +555,7 @@ mod tests {
             alphabet: Alphabet::Protein,
         };
         let s = scoring();
-        let result = DatabaseSearch::new(&query, &s, SearchConfig::default()).run(&db);
+        let result = run(&query, &s, SearchConfig::default(), &db);
         assert_eq!(result.hits[0].id, "planted");
         assert_eq!(
             result.hits[0].score,
@@ -584,7 +569,7 @@ mod tests {
         let total: u64 = db.iter().map(|d| d.len() as u64).sum();
         let query: Vec<u8> = (0..25).map(|i| (i % 20) as u8).collect();
         let s = scoring();
-        let result = DatabaseSearch::new(&query, &s, SearchConfig::default()).run(&db);
+        let result = run(&query, &s, SearchConfig::default(), &db);
         assert_eq!(result.cells_nominal, 25 * total);
         assert_eq!(result.cells, result.stats.cells_computed);
         // No subject here saturates i8, so actual equals nominal.
@@ -601,15 +586,15 @@ mod tests {
         }];
         let s = scoring();
         for kernel in [KernelChoice::Striped, KernelChoice::InterSeq] {
-            let result = DatabaseSearch::new(
+            let result = run(
                 &query,
                 &s,
                 SearchConfig {
                     kernel,
                     ..Default::default()
                 },
-            )
-            .run(&db);
+                &db,
+            );
             assert!(
                 result.cells > result.cells_nominal,
                 "kernel {kernel:?}: self-match must saturate i8 and recompute"
@@ -623,16 +608,16 @@ mod tests {
         let query: Vec<u8> = (0..50).map(|_| rng.random_range(0..20u8)).collect();
         let db = random_db(165, 25, 80);
         let s = scoring();
-        let result = DatabaseSearch::new(
+        let result = run(
             &query,
             &s,
             SearchConfig {
                 top_n: 5,
                 ..Default::default()
             },
-        )
-        .run(&db);
-        let aligned = result.align_hits(&query, &db, &s);
+            &db,
+        );
+        let aligned = result.align_hits(&query, &DbSnapshot::from_encoded("", &db), &s);
         assert_eq!(aligned.len(), 5);
         for (hit, alignment) in &aligned {
             assert_eq!(alignment.score, hit.score);
@@ -649,7 +634,7 @@ mod tests {
     fn empty_database_yields_no_hits() {
         let query: Vec<u8> = vec![0, 1, 2];
         let s = scoring();
-        let result = DatabaseSearch::new(&query, &s, SearchConfig::default()).run(&[]);
+        let result = run(&query, &s, SearchConfig::default(), &[]);
         assert!(result.hits.is_empty());
         assert_eq!(result.cells, 0);
         assert_eq!(result.cells_nominal, 0);
@@ -669,14 +654,13 @@ mod tests {
             top_n: 15,
             ..Default::default()
         };
-        let whole = DatabaseSearch::new(&query, &s, cfg.clone()).run(&db);
+        let whole = run(&query, &s, cfg.clone(), &db);
 
         let bounds = [0usize, 13, 50, 51, 120];
         let shard_lists: Vec<Vec<Hit>> = bounds
             .windows(2)
             .map(|w| {
-                let shard = DatabaseSearch::new(&query, &s, cfg.clone());
-                let mut part = shard.run(&db[w[0]..w[1]]).hits;
+                let mut part = run(&query, &s, cfg.clone(), &db[w[0]..w[1]]).hits;
                 // Shard hits index into the shard; rebase to global order.
                 for h in &mut part {
                     h.db_index += w[0];
@@ -701,7 +685,7 @@ mod tests {
         let prepared = Arc::new(PreparedQuery::new(&query, &s, cfg.preference));
         let arena = DbArena::from_encoded(&db);
         let out = search_arena(&prepared, &arena, 20..55, &cfg);
-        let slice = DatabaseSearch::new(&query, &s, cfg.clone()).run(&db[20..55]);
+        let slice = run(&query, &s, cfg.clone(), &db[20..55]);
         let rebased: Vec<Scored> = slice
             .hits
             .iter()

@@ -1,7 +1,9 @@
-//! Typed errors for the `.swdb` store.
+//! Typed errors for the `.swdb` store and the database loader.
 //!
 //! Every way a store file can be wrong — truncated, foreign, version-skewed,
-//! bit-flipped, or internally inconsistent — maps to a distinct variant, so
+//! bit-flipped, internally inconsistent, or in the wrong alphabet for the
+//! scoring — maps to a distinct variant (as does a FASTA source that
+//! cannot be read), so
 //! callers (and operators reading daemon logs) see *what* is corrupt, and no
 //! corruption path ever reaches the scan kernels as a panic or a silently
 //! wrong score.
@@ -9,7 +11,7 @@
 use std::fmt;
 use std::io;
 
-use swhybrid_seq::SeqError;
+use swhybrid_seq::{Alphabet, SeqError};
 
 /// Errors produced while building or opening a `.swdb` store.
 #[derive(Debug)]
@@ -77,6 +79,17 @@ pub enum StoreError {
     },
     /// A sequence-layer invariant failed while assembling the snapshot.
     Seq(SeqError),
+    /// The store's residues are not encoded in the scoring matrix's
+    /// alphabet: a kernel would index the matrix with foreign codes.
+    AlphabetMismatch {
+        /// Alphabet recorded in the store.
+        store: Alphabet,
+        /// Alphabet of the scoring matrix.
+        scoring: Alphabet,
+    },
+    /// The database is a FASTA file that could not be read, parsed, or
+    /// encoded under the scoring alphabet.
+    Fasta(SeqError),
 }
 
 impl fmt::Display for StoreError {
@@ -125,6 +138,11 @@ impl fmt::Display for StoreError {
                 "arena byte {byte} at offset {position} is not a valid code (alphabet has {alphabet_size} codes)"
             ),
             StoreError::Seq(e) => write!(f, "sequence layer rejected store contents: {e}"),
+            StoreError::AlphabetMismatch { store, scoring } => write!(
+                f,
+                "store alphabet {store:?} does not match scoring alphabet {scoring:?}"
+            ),
+            StoreError::Fasta(e) => write!(f, "{e}"),
         }
     }
 }
@@ -133,7 +151,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Seq(e) => Some(e),
+            StoreError::Seq(e) | StoreError::Fasta(e) => Some(e),
             _ => None,
         }
     }

@@ -13,6 +13,8 @@
 //! * [`format`] — the on-disk layout (header, sections, checksums),
 //! * [`writer`] — atomic store builds (temp file + fsync + rename),
 //! * [`reader`] — validated opens and zero-copy [`DbSnapshot`] loads,
+//! * [`load`] — THE database loader ([`DbFile::load`]): FASTA path or
+//!   store path in, [`DbSnapshot`] out, alphabet checked,
 //! * [`mmap`] — read-only file mapping with an owned-read fallback,
 //! * [`error`] — one typed variant per way a store can be corrupt.
 //!
@@ -21,11 +23,13 @@
 
 pub mod error;
 pub mod format;
+pub mod load;
 pub mod mmap;
 pub mod reader;
 pub mod writer;
 
 pub use error::StoreError;
+pub use load::DbFile;
 pub use mmap::StoreBytes;
 pub use reader::{Store, Verify};
 pub use writer::{build_store, BuildSummary};

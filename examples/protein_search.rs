@@ -13,8 +13,8 @@ use std::time::Instant;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, random_protein, rng};
-use swhybrid::seq::{Alphabet, Sequence};
-use swhybrid::simd::search::{DatabaseSearch, SearchConfig};
+use swhybrid::seq::{Alphabet, DbSnapshot, Sequence};
+use swhybrid::simd::search::{search_db, SearchConfig};
 
 fn main() {
     let scoring = Scoring {
@@ -50,19 +50,23 @@ fn main() {
 
     let query = EncodedSequence::from_residues("query", &query_res, Alphabet::Protein)
         .expect("synthetic residues are valid");
-    let subjects = db.encode_all().expect("synthetic residues are valid");
+    // Pack the database once into the snapshot every driver scans.
+    let subjects = DbSnapshot::from_encoded(
+        db.name.as_str(),
+        &db.encode_all().expect("synthetic residues are valid"),
+    );
 
     let start = Instant::now();
-    let result = DatabaseSearch::new(
+    let result = search_db(
         &query.codes,
+        &subjects,
         &scoring,
-        SearchConfig {
+        &SearchConfig {
             threads: 2,
             top_n: 10,
             ..Default::default()
         },
-    )
-    .run(&subjects);
+    );
     let secs = start.elapsed().as_secs_f64();
 
     println!(

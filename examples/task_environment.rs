@@ -16,7 +16,7 @@ use swhybrid::seq::fasta;
 use swhybrid::seq::index::IndexedFasta;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
-use swhybrid::seq::Alphabet;
+use swhybrid::seq::{Alphabet, DbSnapshot};
 
 fn main() {
     // --- Build the inputs: a query FASTA file + its index (§IV-B) --------
@@ -50,14 +50,18 @@ fn main() {
         .collect();
 
     // --- The database: scaled-down Ensembl Dog ---------------------------
+    // The master converts it once; every PE scans that form in place.
     let db = paper_database("dog")
         .expect("preset exists")
         .generate_scaled(6, 0.004);
-    let subjects = db.encode_all().expect("synthetic residues are valid");
+    let db = DbSnapshot::from_encoded(
+        "dog",
+        &db.encode_all().expect("synthetic residues are valid"),
+    );
     println!(
         "database: {} sequences, {} residues\n",
-        subjects.len(),
-        subjects.iter().map(|s| s.len() as u64).sum::<u64>()
+        db.len(),
+        db.total_residues()
     );
 
     // --- Run the environment: one master, three slaves -------------------
@@ -75,7 +79,7 @@ fn main() {
             FleetPe::simd("slave-2", 1.0),
         ],
         queries: &encoded_queries,
-        subjects: &subjects,
+        db: &db,
         scoring: &scoring,
         top_n: 3,
     }

@@ -1,93 +1,55 @@
-//! Database plumbing: FASTA loading, the `index` / `db build` /
-//! `db inspect` / `generate` verbs, and [`DbSource`] — the one abstraction
-//! over "where the subject residues come from" that the one-shot verbs
-//! share.
+//! Database plumbing: query-set loading, [`load_db`] — the one call by
+//! which every verb turns the database it was given into a
+//! [`DbSnapshot`] — and the `index` / `db build` / `db inspect` /
+//! `generate` verbs.
 
-use crate::seq::fasta::FastaReader;
+use crate::align::scoring::Scoring;
+use crate::seq::fasta::read_encoded;
 use crate::seq::index::SeqIndex;
 use crate::seq::sequence::EncodedSequence;
 use crate::seq::synth::paper_database;
 use crate::seq::{Alphabet, DbSnapshot};
-use crate::simd::materialize_hits;
-use crate::simd::search::{search_arena, DatabaseSearch, SearchConfig, SearchResult};
-use crate::simd::PreparedQuery;
-use crate::store::{build_store, Store};
+use crate::store::{build_store, DbFile, Store};
 
 use super::args::{store_verify, Opts};
 
-/// Read a FASTA file and encode every record as protein.
+/// Read a FASTA file and encode every record as protein (query sets, and
+/// the input of `db build`).
 pub(super) fn load_encoded(path: &str) -> Result<Vec<EncodedSequence>, String> {
-    FastaReader::open(path)
-        .map_err(|e| format!("{path}: {e}"))?
-        .read_all()
-        .map_err(|e| format!("{path}: {e}"))?
-        .iter()
-        .map(|r| {
-            EncodedSequence::from_sequence(r, Alphabet::Protein)
-                .map_err(|e| format!("{path} ({}): {e}", r.id))
-        })
-        .collect()
+    read_encoded(path, Alphabet::Protein).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The database side of a one-shot search: encoded records from FASTA, or
-/// a `.swdb` snapshot whose arena is scanned in place (memory-mapped, no
-/// re-encode). Hit tables are identical either way — the scan is keyed by
-/// database index, independent of the arena's provenance.
-pub(super) enum DbSource {
-    Encoded(Vec<EncodedSequence>),
-    Snapshot(DbSnapshot),
+/// Which database a verb was given: `--db-store FILE.swdb` (validated
+/// fully under `--verify-store`), or else one more positional FASTA path
+/// after the verb's `n_leading` own ones (`leading` names those in the
+/// usage error). Returns the leading paths and the database.
+pub(super) fn db_file<'a>(
+    opts: &'a Opts,
+    verb: &str,
+    leading: &str,
+    n_leading: usize,
+) -> Result<(&'a [String], DbFile<'a>), String> {
+    match (opts.get("db-store"), opts.positional.as_slice()) {
+        (Some(store), paths) if paths.len() == n_leading => Ok((
+            paths,
+            DbFile::Store(store, store_verify(opts.has("verify-store"))),
+        )),
+        (None, paths) if paths.len() == n_leading + 1 => {
+            Ok((&paths[..n_leading], DbFile::Fasta(&paths[n_leading])))
+        }
+        _ => Err(format!(
+            "{verb} takes {leading}<db.fasta> (or {leading}--db-store FILE.swdb)"
+        )),
+    }
 }
 
-impl DbSource {
-    pub(super) fn len(&self) -> usize {
-        match self {
-            DbSource::Encoded(v) => v.len(),
-            DbSource::Snapshot(s) => s.len(),
-        }
-    }
-
-    pub(super) fn total_residues(&self) -> u64 {
-        match self {
-            DbSource::Encoded(v) => v.iter().map(|s| s.len() as u64).sum(),
-            DbSource::Snapshot(s) => s.total_residues(),
-        }
-    }
-
-    pub(super) fn subject_codes(&self, i: usize) -> &[u8] {
-        match self {
-            DbSource::Encoded(v) => &v[i].codes,
-            DbSource::Snapshot(s) => s.residues(i),
-        }
-    }
-
-    pub(super) fn decode_subject(&self, i: usize) -> Vec<u8> {
-        match self {
-            DbSource::Encoded(v) => v[i].decode(),
-            DbSource::Snapshot(s) => s.alphabet().decode_all(s.residues(i)),
-        }
-    }
-
-    pub(super) fn search(
-        &self,
-        query: &[u8],
-        scoring: &crate::align::scoring::Scoring,
-        config: SearchConfig,
-    ) -> SearchResult {
-        match self {
-            DbSource::Encoded(v) => DatabaseSearch::new(query, scoring, config).run(v),
-            DbSource::Snapshot(snap) => {
-                let prepared =
-                    std::sync::Arc::new(PreparedQuery::new(query, scoring, config.preference));
-                let out = search_arena(&prepared, snap.arena(), 0..snap.len(), &config);
-                SearchResult {
-                    hits: materialize_hits(&out.scored, |i| snap.id(i).to_string()),
-                    cells: out.cells,
-                    cells_nominal: out.cells_nominal,
-                    stats: out.stats,
-                }
-            }
-        }
-    }
+/// Load a verb's database — a FASTA file, or a `.swdb` store whose arena
+/// is scanned in place — for scoring under `scoring`. Hit tables are
+/// identical either way: the scan is keyed by database index, independent
+/// of the arena's provenance.
+pub(super) fn load_db(file: DbFile<'_>, scoring: &Scoring) -> Result<DbSnapshot, String> {
+    file.load(scoring.matrix.alphabet)
+        .map_err(|e| format!("{}: {e}", file.path()))
 }
 
 pub(super) fn cmd_index(args: &[String]) -> Result<(), String> {

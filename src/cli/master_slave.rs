@@ -6,10 +6,8 @@ use crate::exec::platform::PlatformBuilder;
 use crate::exec::policy::Policy;
 use crate::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 
-use super::args::{
-    fleet_from_opts, kernel_from_opts, policy_from_opts, scoring_from_opts, store_verify, Opts,
-};
-use super::db::load_encoded;
+use super::args::{fleet_from_opts, kernel_from_opts, policy_from_opts, scoring_from_opts, Opts};
+use super::db::{db_file, load_db, load_encoded};
 
 pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -110,7 +108,6 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
 pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
     use crate::exec::net::{query_specs, LocalFleet, MasterServer, NetConfig};
     use crate::exec::sched::MasterConfig;
-    use crate::store::Store;
 
     let opts = Opts::parse(
         args,
@@ -131,32 +128,23 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
         &["no-adjustment", "verify-store"],
     )?;
     let fleet = fleet_from_opts(&opts)?;
-    // The master holds the database either way (it merges hits and may
-    // host a local fleet): from FASTA, or materialised out of a `.swdb`
-    // store so batch runs and the daemon share one on-disk format.
-    let (qpath, subjects) = match (opts.get("db-store"), opts.positional.as_slice()) {
-        (Some(store_path), [qpath]) => {
-            let snapshot = Store::open_with(store_path, store_verify(opts.has("verify-store")))
-                .and_then(Store::into_snapshot)
-                .map_err(|e| format!("{store_path}: {e}"))?;
-            (qpath.clone(), snapshot.to_encoded())
-        }
-        (None, [qpath, dbpath]) => (qpath.clone(), load_encoded(dbpath)?),
-        (Some(_), _) => return Err("master --db-store takes <query.fasta> only".into()),
-        (None, _) => {
-            return Err("master takes <query.fasta> <db.fasta> (or --db-store FILE.swdb)".into())
-        }
-    };
+    // The master holds the database either way (it sizes the tasks and may
+    // host a local fleet): from FASTA, or mapped out of a `.swdb` store so
+    // batch runs and the daemon share one on-disk format.
+    let scoring = scoring_from_opts(&opts)?;
+    let (paths, file) = db_file(&opts, "master", "<query.fasta> ", 1)?;
+    let qpath = &paths[0];
+    let db = load_db(file, &scoring)?;
     let listen = opts.get("listen").unwrap_or("0.0.0.0:7878");
     let slaves: usize = opts.get_parsed("slaves", 1)?;
     if slaves == 0 && fleet.is_none() {
         return Err("--slaves must be at least 1 (or pass --fleet for a local hybrid run)".into());
     }
-    let queries = load_encoded(&qpath)?;
+    let queries = load_encoded(qpath)?;
     if queries.is_empty() {
         return Err(format!("{qpath}: no query sequences"));
     }
-    let specs = query_specs(&queries, &subjects);
+    let specs = query_specs(&queries, &db);
 
     let mut net = NetConfig::default();
     if let Some(secs) = opts.get("register-timeout") {
@@ -218,13 +206,12 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
             // PEs plus modeled accelerators — on the same pool the TCP
             // slaves feed from.
             println!("local fleet: {}", spec.describe());
-            let scoring = scoring_from_opts(&opts)?;
             server.serve_hybrid(
                 specs,
                 LocalFleet {
                     pes: spec.build(),
                     queries: &queries,
-                    subjects: &subjects,
+                    db: &db,
                     scoring: &scoring,
                     top_n: opts.get_parsed("top", 10usize)?,
                 },
@@ -296,8 +283,8 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
 }
 
 pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
-    use crate::device::exec::StripedBackend;
-    use crate::exec::net::{run_serve_slave, run_slave_with, NetConfig};
+    use crate::exec::net::{run_serve_slave, run_slave, NetConfig};
+    use crate::store::DbFile;
 
     let opts = Opts::parse(
         args,
@@ -339,13 +326,13 @@ pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
         let [dbpath] = opts.positional.as_slice() else {
             return Err("slave --serve takes <db.fasta>".into());
         };
-        let subjects = load_encoded(dbpath)?;
+        let db = load_db(DbFile::Fasta(dbpath), &scoring)?;
         println!("{name}: connecting to daemon at {connect} (serve mode)");
         let executed = run_serve_slave(
             connect,
             &name,
             gcups,
-            &subjects,
+            &db,
             &scoring,
             kernel_from_opts(&opts)?,
             &net,
@@ -359,21 +346,17 @@ pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
         return Err("slave takes <query.fasta> <db.fasta>".into());
     };
     let queries = load_encoded(qpath)?;
-    let subjects = load_encoded(dbpath)?;
+    let db = load_db(DbFile::Fasta(dbpath), &scoring)?;
     println!("{name}: connecting to {connect}");
-    let backend = StripedBackend {
-        kernel: kernel_from_opts(&opts)?,
-        ..StripedBackend::default()
-    };
-    let executed = run_slave_with(
+    let executed = run_slave(
         connect,
         &name,
         gcups,
-        &backend,
         &queries,
-        &subjects,
+        &db,
         &scoring,
         opts.get_parsed("top", 10usize)?,
+        kernel_from_opts(&opts)?,
         &net,
     )
     .map_err(|e| e.to_string())?;

@@ -7,7 +7,8 @@
 //! * [`args`] — the shared flag parser plus the scoring / kernel / policy
 //!   option decoders every verb reuses,
 //! * [`db`] — database plumbing: `index`, `db build|inspect`, `generate`,
-//!   and [`db::DbSource`] (FASTA records or a memory-mapped `.swdb` store),
+//!   and [`db::load_db`], by which every verb loads its database (FASTA
+//!   or a memory-mapped `.swdb` store) into the one `DbSnapshot`,
 //! * [`search`] — the one-shot `search` verb,
 //! * [`master_slave`] — the distributed `master` / `slave` pair and the
 //!   virtual-time `simulate` verb,

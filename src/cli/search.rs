@@ -1,11 +1,9 @@
-//! The one-shot `search` verb: load queries, pick a [`DbSource`], scan,
+//! The one-shot `search` verb: load the queries and the database, scan,
 //! rank, and (optionally) print Gotoh alignments for the reported hits.
 
-use crate::simd::search::SearchConfig;
-use crate::store::Store;
-
-use super::args::{kernel_from_opts, scoring_from_opts, store_verify, Opts};
-use super::db::{load_encoded, DbSource};
+use super::args::{kernel_from_opts, scoring_from_opts, Opts};
+use super::db::{db_file, load_db, load_encoded};
+use crate::simd::search::{search_db, SearchConfig};
 
 pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -29,24 +27,9 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
         return Err("--threads must be at least 1".into());
     }
 
-    let (qpath, db) = match (opts.get("db-store"), opts.positional.as_slice()) {
-        (Some(store_path), [qpath]) => {
-            let snapshot = Store::open_with(store_path, store_verify(opts.has("verify-store")))
-                .and_then(Store::into_snapshot)
-                .map_err(|e| format!("{store_path}: {e}"))?;
-            if !snapshot.is_empty() && snapshot.alphabet() != scoring.matrix.alphabet {
-                return Err(format!(
-                    "{store_path}: store alphabet {:?} does not match scoring alphabet {:?}",
-                    snapshot.alphabet(),
-                    scoring.matrix.alphabet
-                ));
-            }
-            (qpath, DbSource::Snapshot(snapshot))
-        }
-        (None, [qpath, dbpath]) => (qpath, DbSource::Encoded(load_encoded(dbpath)?)),
-        (Some(_), _) => return Err("search --db-store takes <query.fasta> only".into()),
-        (None, _) => return Err("search takes <query.fasta> <db.fasta>".into()),
-    };
+    let (paths, file) = db_file(&opts, "search", "<query.fasta> ", 1)?;
+    let qpath = &paths[0];
+    let db = load_db(file, &scoring)?;
     let queries = load_encoded(qpath)?;
     if queries.is_empty() {
         return Err(format!("{qpath}: no query sequences"));
@@ -62,10 +45,11 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     let mut total_cells = 0u64;
     let mut kernel_stats = crate::simd::engine::KernelStats::default();
     for query in &queries {
-        let result = db.search(
+        let result = search_db(
             &query.codes,
+            &db,
             &scoring,
-            SearchConfig {
+            &SearchConfig {
                 threads,
                 top_n,
                 kernel,
@@ -103,13 +87,7 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
             );
         }
         if opts.has("align") {
-            for hit in &result.hits {
-                let alignment = crate::align::gotoh::gotoh_align(
-                    &query.codes,
-                    db.subject_codes(hit.db_index),
-                    &scoring,
-                );
-                debug_assert_eq!(alignment.score, hit.score, "hit {}", hit.id);
+            for (hit, alignment) in result.align_hits(&query.codes, &db, &scoring) {
                 println!(
                     "\n>{} score {} cigar {} identity {:.0}%",
                     hit.id,
@@ -118,7 +96,7 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
                     alignment.identity() * 100.0
                 );
                 let q_ascii = query.decode();
-                let s_ascii = db.decode_subject(hit.db_index);
+                let s_ascii = db.alphabet().decode_all(db.residues(hit.db_index));
                 println!("{}", alignment.pretty(&q_ascii, &s_ascii));
             }
         }

@@ -2,14 +2,11 @@
 //! or a `.swdb` store), `query` (client: search / stats / shutdown), and
 //! `reload` (client: atomic hot-swap onto a new database).
 
+use super::args::{kernel_from_opts, scoring_from_opts, Opts};
+use super::db::{db_file, load_db};
 use crate::exec::policy::Policy;
 use crate::json::Json;
 use crate::seq::fasta::FastaReader;
-use crate::seq::DbSnapshot;
-use crate::store::Store;
-
-use super::args::{kernel_from_opts, scoring_from_opts, store_verify, Opts};
-use super::db::load_encoded;
 
 pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
     use crate::serve::{ServeDaemon, ServiceConfig};
@@ -52,31 +49,9 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
     // The daemon boots either from FASTA (parse + encode + digest on every
     // start) or from a `.swdb` store (memory-mapped arena, stored digest —
     // no O(db) re-hash unless --verify-store asks for it).
-    let (dbpath, snapshot) = match (opts.get("db-store"), opts.positional.as_slice()) {
-        (Some(store_path), []) => {
-            let snapshot = Store::open_with(store_path, store_verify(opts.has("verify-store")))
-                .and_then(Store::into_snapshot)
-                .map_err(|e| format!("{store_path}: {e}"))?;
-            if !snapshot.is_empty() && snapshot.alphabet() != scoring.matrix.alphabet {
-                return Err(format!(
-                    "{store_path}: store alphabet {:?} does not match scoring alphabet {:?}",
-                    snapshot.alphabet(),
-                    scoring.matrix.alphabet
-                ));
-            }
-            (store_path.to_string(), snapshot)
-        }
-        (None, [dbpath]) => {
-            let subjects = load_encoded(dbpath)?;
-            let name = std::path::Path::new(dbpath)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            (dbpath.clone(), DbSnapshot::from_encoded(&name, &subjects))
-        }
-        (Some(_), _) => return Err("serve --db-store takes no positional database".into()),
-        (None, _) => return Err("serve takes <db.fasta> (or --db-store FILE.swdb)".into()),
-    };
+    let (_, file) = db_file(&opts, "serve", "", 0)?;
+    let dbpath = file.path();
+    let snapshot = load_db(file, &scoring)?;
     let listen = opts.get("listen").unwrap_or("127.0.0.1:7979");
     let policy = match opts.get("policy").unwrap_or("pss") {
         "ss" => Policy::SelfScheduling,

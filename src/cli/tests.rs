@@ -1,13 +1,13 @@
 use super::args::{scoring_from_opts, Opts};
-use super::db::{load_encoded, DbSource};
+use super::db::load_db;
 use super::run;
 
 use crate::align::scoring::{GapModel, Scoring, SubstMatrix};
 use crate::seq::fasta::FastaReader;
 use crate::seq::sequence::EncodedSequence;
 use crate::seq::Alphabet;
-use crate::simd::search::SearchConfig;
-use crate::store::Store;
+use crate::simd::search::{search_db, SearchConfig};
+use crate::store::{build_store, DbFile, Verify};
 
 fn s(v: &[&str]) -> Vec<String> {
     v.iter().map(|x| x.to_string()).collect()
@@ -392,7 +392,6 @@ fn db_build_inspect_and_store_search_round_trip() {
 
     // Byte-identity of the two paths, checked on the hit tables
     // themselves (the CLI prints; the API diff is the real assert).
-    let subjects = load_encoded(&db_s).unwrap();
     let query = EncodedSequence::from_sequence(&first, Alphabet::Protein).unwrap();
     let scoring = Scoring {
         matrix: SubstMatrix::blosum62(),
@@ -405,13 +404,12 @@ fn db_build_inspect_and_store_search_round_trip() {
         top_n: 5,
         ..Default::default()
     };
-    let via_fasta = DbSource::Encoded(subjects).search(&query.codes, &scoring, config());
-    let snapshot = Store::open_verified(&store)
-        .unwrap()
-        .into_snapshot()
-        .unwrap();
-    assert!(snapshot.arena().is_shared(), "store arena is not mapped");
-    let via_store = DbSource::Snapshot(snapshot).search(&query.codes, &scoring, config());
+    let from_fasta = load_db(DbFile::Fasta(&db_s), &scoring).unwrap();
+    let via_fasta = search_db(&query.codes, &from_fasta, &scoring, &config());
+    let from_store = load_db(DbFile::Store(&store_s, Verify::Full), &scoring).unwrap();
+    assert!(from_store.arena().is_shared(), "store arena is not mapped");
+    assert_eq!(from_store.digest(), from_fasta.digest());
+    let via_store = search_db(&query.codes, &from_store, &scoring, &config());
     assert_eq!(via_fasta.hits, via_store.hits);
 
     // Mismatched usage is rejected, not silently accepted.
@@ -558,5 +556,82 @@ fn generate_index_search_round_trip() {
         "--align",
     ]))
     .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn non_protein_store_is_refused_by_every_verb_with_one_error() {
+    // A `.swdb` whose residues are DNA codes must never reach a protein
+    // scoring matrix. Every verb that takes a store loads it through the
+    // one loader, so each refuses it with the same line — `master` too,
+    // which used to skip the check.
+    let dir = std::env::temp_dir().join(format!("swhybrid_cli_alpha_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dna: Vec<EncodedSequence> = [&b"ACGTACGTTGCA"[..], &b"GGGCCCAATT"[..]]
+        .iter()
+        .enumerate()
+        .map(|(i, r)| EncodedSequence::from_residues(format!("d{i}"), r, Alphabet::Dna).unwrap())
+        .collect();
+    let store = dir.join("dna.swdb");
+    let store_s = store.to_str().unwrap().to_string();
+    build_store(&store, "dna", &dna).unwrap();
+    let protein = dir.join("p.fasta");
+    std::fs::write(&protein, ">p0\nMKVLAWCDEFGHIKLMNPQRST\n>p1\nAWCDEFGH\n").unwrap();
+    let protein_s = protein.to_str().unwrap().to_string();
+    let expected = format!("{store_s}: store alphabet Dna does not match scoring alphabet Protein");
+
+    let refused = |args: &[&str]| {
+        let err = run(&s(args)).expect_err("a DNA store must be refused");
+        assert!(err.ends_with(&expected), "{}: {err}", args[0]);
+    };
+    refused(&["search", &protein_s, "--db-store", &store_s]);
+    refused(&["serve", "--db-store", &store_s]);
+    refused(&[
+        "master",
+        &protein_s,
+        "--db-store",
+        &store_s,
+        "--listen",
+        "127.0.0.1:0",
+    ]);
+
+    // `reload` reaches the same loader through a running daemon, which
+    // keeps serving its protein database afterwards.
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = probe.local_addr().unwrap().to_string();
+    drop(probe);
+    let (addr2, protein2) = (addr.clone(), protein_s.clone());
+    let daemon = std::thread::spawn(move || {
+        run(&s(&[
+            "serve",
+            &protein2,
+            "--listen",
+            &addr2,
+            "--workers",
+            "1",
+        ]))
+        .unwrap();
+    });
+    let mut connected = false;
+    for _ in 0..300 {
+        if run(&s(&["query", "--connect", &addr])).is_ok() {
+            connected = true;
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert!(connected, "query CLI never reached the daemon");
+    refused(&["reload", "--connect", &addr, "--store", &store_s]);
+    run(&s(&[
+        "query",
+        &protein_s,
+        "--connect",
+        &addr,
+        "--top",
+        "2",
+        "--shutdown",
+    ]))
+    .unwrap();
+    daemon.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

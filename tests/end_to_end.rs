@@ -10,7 +10,7 @@ use swhybrid::seq::fasta::{self, FastaReader};
 use swhybrid::seq::index::{index_path_for, IndexedFasta, SeqIndex};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
-use swhybrid::seq::Alphabet;
+use swhybrid::seq::{Alphabet, DbSnapshot};
 
 fn scoring() -> Scoring {
     Scoring {
@@ -30,14 +30,14 @@ fn pe(name: &str) -> FleetPe {
 fn run_local(
     pes: Vec<FleetPe>,
     queries: &[EncodedSequence],
-    subjects: &[EncodedSequence],
+    db: &DbSnapshot,
     master: MasterConfig,
     top_n: usize,
 ) -> DistributedOutcome {
     LocalFleet {
         pes,
         queries,
-        subjects,
+        db,
         scoring: &scoring(),
         top_n,
     }
@@ -83,7 +83,7 @@ fn indexed_fasta_random_access_equals_sequential_parse() {
 #[test]
 fn real_runtime_hits_match_direct_kernel_scores() {
     let db = paper_database("dog").unwrap().generate_scaled(31, 0.0015);
-    let subjects: Vec<EncodedSequence> = db.encode_all().unwrap();
+    let db = DbSnapshot::from_encoded("dog", &db.encode_all().unwrap());
     let queries: Vec<EncodedSequence> = QuerySetSpec {
         count: 5,
         min_len: 50,
@@ -98,7 +98,7 @@ fn real_runtime_hits_match_direct_kernel_scores() {
     let out = run_local(
         vec![pe("a"), pe("b")],
         &queries,
-        &subjects,
+        &db,
         MasterConfig {
             policy: Policy::pss_default(),
             adjustment: true,
@@ -113,7 +113,7 @@ fn real_runtime_hits_match_direct_kernel_scores() {
     for qh in &out.hits {
         let expect = swhybrid::align::score_only::sw_score_affine(
             &queries[qh.query_index].codes,
-            &subjects[qh.hit.db_index].codes,
+            db.residues(qh.hit.db_index),
             &scoring(),
         )
         .score;
@@ -128,7 +128,7 @@ fn real_runtime_hits_match_direct_kernel_scores() {
 #[test]
 fn runtime_results_are_identical_across_policies_and_pe_counts() {
     let db = paper_database("mouse").unwrap().generate_scaled(41, 0.001);
-    let subjects: Vec<EncodedSequence> = db.encode_all().unwrap();
+    let db = DbSnapshot::from_encoded("mouse", &db.encode_all().unwrap());
     let queries: Vec<EncodedSequence> = QuerySetSpec {
         count: 4,
         min_len: 60,
@@ -144,7 +144,7 @@ fn runtime_results_are_identical_across_policies_and_pe_counts() {
         let out = run_local(
             pes,
             &queries,
-            &subjects,
+            &db,
             MasterConfig {
                 policy,
                 adjustment,

@@ -9,13 +9,13 @@
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::task::DeviceModel;
 use swhybrid::device::{FleetSpec, FpgaDevice, GpuDevice, TaskSpec};
-use swhybrid::exec::net::{DistributedOutcome, LocalFleet};
+use swhybrid::exec::net::{merge_hits, DistributedOutcome, LocalFleet, QueryHit};
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::EventKind;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
-use swhybrid::seq::Alphabet;
-use swhybrid::simd::search::{DatabaseSearch, SearchConfig};
+use swhybrid::seq::{Alphabet, DbSnapshot};
+use swhybrid::simd::search::{search_db, SearchConfig};
 
 const TOP_N: usize = 5;
 
@@ -31,13 +31,13 @@ fn scoring() -> Scoring {
 
 struct Fixture {
     queries: Vec<EncodedSequence>,
-    subjects: Vec<EncodedSequence>,
+    db: DbSnapshot,
 }
 
 impl Fixture {
     fn build() -> Fixture {
         let db = paper_database("dog").unwrap().generate_scaled(77, 0.0015);
-        let subjects = db.encode_all().unwrap();
+        let db = DbSnapshot::from_encoded("dog", &db.encode_all().unwrap());
         let queries = QuerySetSpec {
             count: 6,
             min_len: 40,
@@ -48,18 +48,18 @@ impl Fixture {
         .iter()
         .map(|q| EncodedSequence::from_sequence(q, Alphabet::Protein).unwrap())
         .collect();
-        Fixture { queries, subjects }
+        Fixture { queries, db }
     }
 
     /// The spec the runtime derives for query `task` — what a modeled
-    /// backend's speed attribution is a function of.
+    /// PE's speed attribution is a function of.
     fn task_spec(&self, task: usize) -> TaskSpec {
         TaskSpec {
             id: task,
             query_len: self.queries[task].len(),
             queries: 1,
-            db_residues: self.subjects.iter().map(|s| s.len() as u64).sum(),
-            db_sequences: self.subjects.len(),
+            db_residues: self.db.total_residues(),
+            db_sequences: self.db.len(),
         }
     }
 
@@ -67,7 +67,7 @@ impl Fixture {
         LocalFleet {
             pes: FleetSpec::parse(spec).unwrap().build(),
             queries: &self.queries,
-            subjects: &self.subjects,
+            db: &self.db,
             scoring: &scoring(),
             top_n: TOP_N,
         }
@@ -76,19 +76,14 @@ impl Fixture {
 
     /// The one-shot oracle: per-query kernel scans merged through the same
     /// canonical ranking rule the runtime uses.
-    fn one_shot(&self) -> Vec<swhybrid::device::exec::QueryHit> {
+    fn one_shot(&self) -> Vec<QueryHit> {
         let scoring = scoring();
-        swhybrid::device::exec::merge_hits(self.queries.iter().enumerate().map(|(i, q)| {
+        merge_hits(self.queries.iter().enumerate().map(|(i, q)| {
             let cfg = SearchConfig {
                 top_n: TOP_N,
                 ..SearchConfig::default()
             };
-            (
-                i,
-                DatabaseSearch::new(&q.codes, &scoring, cfg)
-                    .run(&self.subjects)
-                    .hits,
-            )
+            (i, search_db(&q.codes, &self.db, &scoring, &cfg).hits)
         }))
     }
 

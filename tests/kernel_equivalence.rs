@@ -9,10 +9,10 @@ use std::sync::Arc;
 use swhybrid::align::score_only::sw_score_affine;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::seq::sequence::EncodedSequence;
-use swhybrid::seq::{Alphabet, DbArena};
+use swhybrid::seq::{Alphabet, DbArena, DbSnapshot};
 use swhybrid::simd::engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
-use swhybrid::simd::search::{DatabaseSearch, KernelChoice, SearchConfig};
-use swhybrid::simd::{interseq, Isa, KernelScratch};
+use swhybrid::simd::search::{search_arena, search_db, KernelChoice, SearchConfig};
+use swhybrid::simd::{interseq, materialize_hits, Isa, KernelScratch};
 
 fn protein_codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..20, 1..max_len)
@@ -137,38 +137,40 @@ proptest! {
         chunk_size in 1usize..40,
     ) {
         let db = encode_db(&subjects);
-        let baseline = DatabaseSearch::new(
+        let baseline = search_db(
             &query,
+            &DbSnapshot::from_encoded("", &db),
             &scoring,
-            SearchConfig {
+            &SearchConfig {
                 top_n: db.len(),
                 kernel: KernelChoice::Striped,
                 ..Default::default()
             },
-        )
-        .run(&db);
+        );
+        // Scan order is the arena's: database order or ascending length.
+        let orders = [
+            ("db", DbArena::from_encoded(&db)),
+            ("sorted", DbArena::length_sorted(&db)),
+        ];
         for pref in [EnginePreference::Auto, EnginePreference::Portable] {
+            let prepared = Arc::new(PreparedQuery::new(&query, &scoring, pref));
             for kernel in [KernelChoice::Striped, KernelChoice::InterSeq, KernelChoice::Auto] {
-                for sort_by_length in [false, true] {
+                for (order, arena) in &orders {
                     for prefetch in [false, true] {
-                        let got = DatabaseSearch::new(
-                            &query,
-                            &scoring,
-                            SearchConfig {
-                                threads,
-                                top_n: db.len(),
-                                chunk_size,
-                                preference: pref,
-                                kernel,
-                                sort_by_length,
-                                prefetch,
-                            },
-                        )
-                        .run(&db);
+                        let config = SearchConfig {
+                            threads,
+                            top_n: db.len(),
+                            chunk_size,
+                            preference: pref,
+                            kernel,
+                            prefetch,
+                        };
+                        let out = search_arena(&prepared, arena, 0..arena.len(), &config);
+                        let hits = materialize_hits(&out.scored, |i| db[i].id.clone());
                         prop_assert_eq!(
-                            &got.hits, &baseline.hits,
-                            "kernel {:?} pref {:?} sorted {} threads {} prefetch {}",
-                            kernel, pref, sort_by_length, threads, prefetch
+                            &hits, &baseline.hits,
+                            "kernel {:?} pref {:?} order {} threads {} prefetch {}",
+                            kernel, pref, order, threads, prefetch
                         );
                     }
                 }
@@ -266,16 +268,16 @@ fn saturation_accounting_identical_across_kernels() {
         KernelChoice::InterSeq,
         KernelChoice::Auto,
     ] {
-        let r = DatabaseSearch::new(
+        let r = search_db(
             &query,
+            &DbSnapshot::from_encoded("", &db),
             &scoring,
-            SearchConfig {
+            &SearchConfig {
                 top_n: db.len(),
                 kernel,
                 ..Default::default()
             },
-        )
-        .run(&db);
+        );
         assert!(
             r.cells > r.cells_nominal,
             "saturation retries must be charged ({kernel:?})"

@@ -1,28 +1,33 @@
-//! Tri-path differential oracle: one store, one query batch, three
+//! Tri-path differential oracle: one database, one query batch, three
 //! transports — the `search` one-shot scan, the persistent serve daemon,
-//! and the classic master/slave TCP pair — must produce byte-identical
-//! hit tables and identical kernel counters.
+//! and the batch master (a TCP slave, and a `LocalFleet` thread) — must
+//! produce byte-identical hit tables and identical per-query kernel
+//! counters.
 //!
-//! This pins the PR 9 contract: every execution path drives the ONE shard
-//! executor (`swhybrid_simd::exec`) with the same plan (full range, chunk
-//! floor 64, `KernelChoice::Auto`, single worker), so not only the scores
-//! but the exact per-kernel subject counts must agree. A divergence here
-//! means a path grew a private executor again.
-
-use std::sync::Arc;
+//! Every path holds the database as a [`DbSnapshot`] and runs the one
+//! compute step over it with the same plan (full range, chunk floor 64,
+//! `KernelChoice::Auto`, single worker), so not only the scores but the
+//! exact per-kernel subject counts must agree. And a snapshot's
+//! provenance must not matter: each path is handed the database both
+//! packed from encoded records ([`DbSnapshot::from_encoded`]) and mapped
+//! out of a `.swdb` store (`build_store` → `Store::open` →
+//! `into_snapshot`), six runs held to one oracle. A divergence here means
+//! a path grew a private executor, or a private database, again.
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid::device::exec::StripedBackend;
-use swhybrid::device::task::TaskSpec;
-use swhybrid::exec::net::{run_slave_with, MasterServer, NetConfig};
+use swhybrid::device::FleetPe;
+use swhybrid::exec::net::{
+    query_specs, run_slave, DistributedOutcome, LocalFleet, MasterServer, NetConfig,
+};
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
+use swhybrid::exec::trace::EventKind;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
-use swhybrid::seq::Alphabet;
+use swhybrid::seq::{Alphabet, DbSnapshot};
 use swhybrid::serve::{QueryService, ServiceConfig};
-use swhybrid::simd::search::{search_arena, DatabaseSearch, Hit, SearchConfig};
-use swhybrid::simd::{materialize_hits, KernelStats, PreparedQuery};
+use swhybrid::simd::search::{search_db, Hit, KernelChoice, SearchConfig};
+use swhybrid::simd::KernelStats;
 use swhybrid::store::{build_store, Store};
 
 const TOP_N: usize = 8;
@@ -37,19 +42,23 @@ fn scoring() -> Scoring {
     }
 }
 
-/// The shared fixture: a synthetic database, three queries, and a `.swdb`
-/// store built from the database in a temp dir.
+/// The shared fixture: three queries and one synthetic database in both
+/// provenances — packed in memory, and reopened from a `.swdb` store built
+/// in a temp dir.
 struct Fixture {
-    subjects: Vec<EncodedSequence>,
     queries: Vec<EncodedSequence>,
-    store_path: std::path::PathBuf,
+    packed: DbSnapshot,
+    mapped: DbSnapshot,
     dir: std::path::PathBuf,
 }
 
 impl Fixture {
     fn build(tag: &str) -> Fixture {
-        let db = paper_database("dog").unwrap().generate_scaled(2013, 0.001);
-        let subjects: Vec<EncodedSequence> = db.encode_all().unwrap();
+        let subjects: Vec<EncodedSequence> = paper_database("dog")
+            .unwrap()
+            .generate_scaled(2013, 0.001)
+            .encode_all()
+            .unwrap();
         let queries: Vec<EncodedSequence> = QuerySetSpec {
             count: 3,
             min_len: 40,
@@ -65,18 +74,20 @@ impl Fixture {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let store_path = dir.join("oracle.swdb");
         build_store(&store_path, "dog-oracle", &subjects).expect("build store");
+        let mapped = Store::open(&store_path)
+            .and_then(Store::into_snapshot)
+            .expect("open store");
         Fixture {
-            subjects,
             queries,
-            store_path,
+            packed: DbSnapshot::from_encoded("dog-oracle", &subjects),
+            mapped,
             dir,
         }
     }
 
-    fn snapshot(&self) -> swhybrid::seq::DbSnapshot {
-        Store::open(&self.store_path)
-            .and_then(Store::into_snapshot)
-            .expect("open store")
+    /// The same database, by provenance.
+    fn provenances(&self) -> [(&'static str, &DbSnapshot); 2] {
+        [("packed", &self.packed), ("mapped", &self.mapped)]
     }
 }
 
@@ -86,48 +97,42 @@ impl Drop for Fixture {
     }
 }
 
-/// Path A: the one-shot scan — per-query hit table and kernel counters,
-/// computed with the default config (1 worker, chunk floor, `Auto`
-/// dispatch). This is the oracle the other two paths are held to.
-fn one_shot(fx: &Fixture) -> Vec<(Vec<Hit>, KernelStats)> {
-    let scoring = scoring();
-    fx.queries
-        .iter()
-        .map(|q| {
-            let cfg = SearchConfig {
-                top_n: TOP_N,
-                ..SearchConfig::default()
-            };
-            let out = DatabaseSearch::new(&q.codes, &scoring, cfg).run(&fx.subjects);
-            (out.hits, out.stats)
-        })
-        .collect()
-}
+/// Per-query hit table and kernel counters.
+type Tables = Vec<(Vec<Hit>, KernelStats)>;
 
-/// The store must be a faithful stand-in for the FASTA-encoded database:
-/// an arena scan over the memory-mapped snapshot yields the same table
-/// and counters as the in-memory one-shot.
-#[test]
-fn store_arena_scan_matches_one_shot() {
-    let fx = Fixture::build("arena");
-    let oracle = one_shot(&fx);
-    let snapshot = fx.snapshot();
+/// Path A: the one-shot scan with the default config (1 worker, chunk
+/// floor, `Auto` dispatch).
+fn one_shot(fx: &Fixture, db: &DbSnapshot) -> Tables {
     let scoring = scoring();
     let cfg = SearchConfig {
         top_n: TOP_N,
         ..SearchConfig::default()
     };
-    for (q, (hits, stats)) in fx.queries.iter().zip(&oracle) {
-        let prepared = Arc::new(PreparedQuery::new(&q.codes, &scoring, cfg.preference));
-        let out = search_arena(&prepared, snapshot.arena(), 0..snapshot.len(), &cfg);
-        let arena_hits = materialize_hits(&out.scored, |i| snapshot.id(i).to_string());
-        assert_eq!(&arena_hits, hits, "store scan diverged for {}", q.id);
-        assert_eq!(
-            &out.stats, stats,
-            "store kernel counters diverged for {}",
-            q.id
-        );
-    }
+    fx.queries
+        .iter()
+        .map(|q| {
+            let out = search_db(&q.codes, db, &scoring, &cfg);
+            (out.hits, out.stats)
+        })
+        .collect()
+}
+
+/// The oracle the other runs are held to: the one-shot scan of the packed
+/// database.
+fn oracle(fx: &Fixture) -> Tables {
+    one_shot(fx, &fx.packed)
+}
+
+/// The store must be a faithful stand-in for the FASTA-encoded database:
+/// a scan of the memory-mapped snapshot yields the same tables and
+/// counters as the packed one.
+#[test]
+fn store_arena_scan_matches_one_shot() {
+    let fx = Fixture::build("arena");
+    assert!(fx.mapped.arena().is_shared(), "store arena is not mapped");
+    assert!(!fx.packed.arena().is_shared());
+    assert_eq!(fx.mapped.digest(), fx.packed.digest());
+    assert_eq!(one_shot(&fx, &fx.mapped), oracle(&fx));
 }
 
 /// Path B: the serve daemon's local PE execution. One worker, one shard,
@@ -137,130 +142,137 @@ fn store_arena_scan_matches_one_shot() {
 #[test]
 fn serve_daemon_matches_one_shot() {
     let fx = Fixture::build("serve");
-    let oracle = one_shot(&fx);
-    let svc = QueryService::with_snapshot(
-        fx.snapshot(),
-        scoring(),
-        ServiceConfig {
-            workers: 1,
-            shards: 1,
-            cache_capacity: 0,
-            prepared_capacity: 0,
-            fusion: 1,
-            adjustment: false,
-            policy: Policy::SelfScheduling,
-            ..ServiceConfig::default()
-        },
-    );
-    for (q, (hits, stats)) in fx.queries.iter().zip(&oracle) {
-        let reply = svc
-            .search_blocking(q.codes.clone(), TOP_N, 1)
-            .expect("serve query");
-        assert!(!reply.cached && !reply.cancelled);
-        assert_eq!(&reply.hits, hits, "serve hits diverged for {}", q.id);
-        assert_eq!(
-            &reply.kernels, stats,
-            "serve kernel counters diverged for {}",
-            q.id
+    let oracle = oracle(&fx);
+    for (provenance, db) in fx.provenances() {
+        let svc = QueryService::with_snapshot(
+            db.clone(),
+            scoring(),
+            ServiceConfig {
+                workers: 1,
+                shards: 1,
+                cache_capacity: 0,
+                prepared_capacity: 0,
+                fusion: 1,
+                adjustment: false,
+                policy: Policy::SelfScheduling,
+                ..ServiceConfig::default()
+            },
         );
+        for (q, (hits, stats)) in fx.queries.iter().zip(&oracle) {
+            let reply = svc
+                .search_blocking(q.codes.clone(), TOP_N, 1)
+                .expect("serve query");
+            assert!(!reply.cached && !reply.cancelled);
+            assert_eq!(
+                &reply.hits, hits,
+                "serve hits diverged for {} ({provenance})",
+                q.id
+            );
+            assert_eq!(
+                &reply.kernels, stats,
+                "serve kernel counters diverged for {} ({provenance})",
+                q.id
+            );
+        }
+        svc.shutdown();
     }
-    svc.shutdown();
 }
 
-/// Path C: the master/slave TCP pair. One slave, adjustment off — every
-/// task executes exactly once through [`StripedBackend`] (which pins the
-/// same single-worker / chunk-floor config), so the per-query tables
-/// recovered from the merged hit list match the oracle, and the
-/// wire-merged kernel counters equal the sum of the per-query oracles.
-#[test]
-fn master_slave_pair_matches_one_shot() {
-    let fx = Fixture::build("net");
-    let oracle = one_shot(&fx);
-    let scoring = scoring();
+/// One PE, adjustment off: every task executes exactly once.
+fn exactly_once() -> MasterConfig {
+    MasterConfig {
+        policy: Policy::SelfScheduling,
+        adjustment: false,
+        dispatch: Default::default(),
+    }
+}
 
-    let db_residues: u64 = fx.subjects.iter().map(|s| s.len() as u64).sum();
-    let specs: Vec<TaskSpec> = fx
-        .queries
-        .iter()
-        .enumerate()
-        .map(|(id, q)| TaskSpec {
-            id,
-            query_len: q.len(),
-            queries: 1,
-            db_residues,
-            db_sequences: fx.subjects.len(),
-        })
-        .collect();
-
-    let net = NetConfig {
-        register_timeout: Some(std::time::Duration::from_secs(30)),
-        ..NetConfig::default()
-    };
-    let server = MasterServer::bind_with(
-        "127.0.0.1:0",
-        MasterConfig {
-            policy: Policy::SelfScheduling,
-            adjustment: false,
-            dispatch: Default::default(),
-        },
-        1,
-        net.clone(),
-    )
-    .expect("bind master");
-    let addr = server.local_addr().expect("local addr").to_string();
-
-    let queries = fx.queries.clone();
-    let subjects = fx.subjects.clone();
-    let slave_scoring = scoring.clone();
-    let slave_net = net.clone();
-    let slave = std::thread::spawn(move || {
-        let backend = StripedBackend::default();
-        // Retry until the master accepts registrations.
-        for _ in 0..200 {
-            match run_slave_with(
-                addr.as_str(),
-                "oracle-slave",
-                1.0,
-                &backend,
-                &queries,
-                &subjects,
-                &slave_scoring,
-                TOP_N,
-                &slave_net,
-            ) {
-                Ok(executed) => return executed,
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
-            }
-        }
-        panic!("slave never connected");
-    });
-
-    let outcome = server.serve(specs).expect("master serve");
-    let executed = slave.join().expect("slave thread");
-    assert_eq!(executed, fx.queries.len());
-    assert_eq!(outcome.completed_by.len(), fx.queries.len());
-
-    // Per-query tables: the global merge orders by (score desc,
-    // query_index, db_index); restricted to one query that is exactly the
-    // one-shot ranking, so a plain filter reconstructs each table.
-    for (qi, (hits, _)) in oracle.iter().enumerate() {
+/// Hold a batch outcome to the oracle. The global merge orders by (score
+/// desc, query_index, db_index); restricted to one query that is exactly
+/// the one-shot ranking, so a plain filter reconstructs each table. The
+/// per-query counters are the `TaskKernels` events (task id = query
+/// index), and with every task run exactly once the merged counters are
+/// their sum.
+fn assert_batch_matches(outcome: &DistributedOutcome, oracle: &Tables, label: &str) {
+    assert_eq!(outcome.completed_by.len(), oracle.len(), "{label}");
+    let mut expected_total = KernelStats::default();
+    for (qi, (hits, stats)) in oracle.iter().enumerate() {
         let table: Vec<Hit> = outcome
             .hits
             .iter()
             .filter(|qh| qh.query_index == qi)
             .map(|qh| qh.hit.clone())
             .collect();
-        assert_eq!(&table, hits, "distributed hits diverged for query {qi}");
-    }
-
-    // With one slave and no replication every task completes exactly once,
-    // so the wire-merged counters are the sum of the per-query oracles.
-    let mut expected = KernelStats::default();
-    for (_, stats) in &oracle {
-        expected.merge(stats);
+        assert_eq!(&table, hits, "{label}: hits diverged for query {qi}");
+        let reported: Vec<&KernelStats> = outcome
+            .events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::TaskKernels { task, kernels, .. } if *task == qi => Some(kernels),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            reported,
+            [stats],
+            "{label}: kernel counters diverged for query {qi}"
+        );
+        expected_total.merge(stats);
     }
     assert_eq!(
-        outcome.kernels, expected,
-        "wire-merged kernel counters diverged"
+        outcome.kernels, expected_total,
+        "{label}: merged kernel counters diverged"
     );
+}
+
+/// Path C: the batch master — once with a slave process' worth of code
+/// behind a TCP session (counters travel over the wire), once with a
+/// `LocalFleet` thread on the same pool.
+#[test]
+fn master_slave_pair_matches_one_shot() {
+    let fx = Fixture::build("net");
+    let oracle = oracle(&fx);
+    let scoring = scoring();
+    let net = NetConfig {
+        register_timeout: Some(std::time::Duration::from_secs(30)),
+        ..NetConfig::default()
+    };
+
+    for (provenance, db) in fx.provenances() {
+        let server = MasterServer::bind_with("127.0.0.1:0", exactly_once(), 1, net.clone())
+            .expect("bind master");
+        let addr = server.local_addr().expect("local addr");
+        let (outcome, executed) = std::thread::scope(|scope| {
+            let slave = scope.spawn(|| {
+                run_slave(
+                    addr,
+                    "oracle-slave",
+                    1.0,
+                    &fx.queries,
+                    db,
+                    &scoring,
+                    TOP_N,
+                    KernelChoice::Auto,
+                    &net,
+                )
+                .expect("slave runs clean")
+            });
+            let outcome = server
+                .serve(query_specs(&fx.queries, db))
+                .expect("master serve");
+            (outcome, slave.join().expect("slave thread"))
+        });
+        assert_eq!(executed, fx.queries.len());
+        assert_batch_matches(&outcome, &oracle, &format!("tcp slave, {provenance}"));
+
+        let outcome = LocalFleet {
+            pes: vec![FleetPe::simd("oracle-pe", 1.0)],
+            queries: &fx.queries,
+            db,
+            scoring: &scoring,
+            top_n: TOP_N,
+        }
+        .run(exactly_once());
+        assert_batch_matches(&outcome, &oracle, &format!("local fleet, {provenance}"));
+    }
 }
