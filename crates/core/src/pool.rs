@@ -120,22 +120,16 @@ pub fn scan_shard(
     }
 }
 
-/// Query profiles a [`PeExecutor`] keeps between shard tasks. A daemon
-/// ships the same query once per shard and again for replicas, so a
-/// recent few are worth keeping; a slave that kept every query a daemon
-/// ever sent would grow without bound.
-pub const PREPARED_MEMO_CAP: usize = 64;
-
 /// The compute state of a PE that holds one database for its lifetime (a
 /// batch slave, a serve-mode slave, a local-fleet thread): the database,
-/// the scoring, the PE's [`ShardExecutor`], and a bounded memo of query
-/// profiles. Both grains run through [`scan_shard`].
+/// the scoring and the PE's [`ShardExecutor`]. Both grains run through
+/// [`scan_shard`], each on profiles built for the task and dropped with it
+/// (a profile costs microseconds against a scan's milliseconds).
 pub struct PeExecutor<'a> {
     db: &'a DbSnapshot,
     scoring: &'a Scoring,
     kernel: KernelChoice,
     shards: ShardExecutor,
-    prepared: HashMap<Vec<u8>, Arc<PreparedQuery>>,
 }
 
 impl<'a> PeExecutor<'a> {
@@ -146,42 +140,22 @@ impl<'a> PeExecutor<'a> {
             scoring,
             kernel,
             shards: ShardExecutor::new(),
-            prepared: HashMap::new(),
         }
     }
 
     /// The serve grain: a fused query batch against the `shard` range of
     /// the database (which the caller has checked lies inside it).
-    /// Profiles are memoised per distinct query; when the memo would
-    /// outgrow [`PREPARED_MEMO_CAP`] everything but this batch's profiles
-    /// is dropped first.
     pub fn scan(&mut self, queries: &[QueryPayload], shard: Range<usize>) -> TaskResult {
-        let missing = queries
-            .iter()
-            .filter(|q| !self.prepared.contains_key(&q.query))
-            .count();
-        if self.prepared.len() + missing > PREPARED_MEMO_CAP {
-            self.prepared
-                .retain(|codes, _| queries.iter().any(|q| q.query == *codes));
-        }
-        let scoring = self.scoring;
         let batch: Vec<(Arc<PreparedQuery>, usize)> = queries
             .iter()
-            .map(|q| {
-                let prepared = self
-                    .prepared
-                    .entry(q.query.clone())
-                    .or_insert_with(|| prepare(&q.query, scoring));
-                (Arc::clone(prepared), q.top_n)
-            })
+            .map(|q| (prepare(&q.query, self.scoring), q.top_n))
             .collect();
         self.run(&batch, shard)
     }
 
     /// The paper's grain: one query against the whole database — the
     /// `0..db.len()` shard with a batch of one, its hits reported at the
-    /// task level (`TaskResult::hits`) rather than as a fused list. The
-    /// profile is built for this task and dropped with it.
+    /// task level (`TaskResult::hits`) rather than as a fused list.
     pub fn scan_query(&mut self, query: &[u8], top_n: usize) -> TaskResult {
         let batch = [(prepare(query, self.scoring), top_n)];
         let mut result = self.run(&batch, 0..self.db.len());
@@ -557,10 +531,10 @@ impl<S: PoolOwner> PePool<S> {
     /// while queued.
     pub fn still_runnable(&self, pe: PeId, task: TaskId) -> bool {
         let g = self.lock();
-        task < g.master.pool().len() && {
-            let t = g.master.pool().get(task);
-            t.state != TaskState::Finished && t.executors.contains(&pe)
-        }
+        g.master
+            .pool()
+            .find(task)
+            .is_some_and(|t| t.state != TaskState::Finished && t.executors.contains(&pe))
     }
 
     /// Record a task start. Returns `false` — the caller must tear the PE
@@ -596,10 +570,13 @@ impl<S: PoolOwner> PePool<S> {
             }
             let model = g.members.get(&pe).and_then(|m| m.model.as_ref());
             if let (Some(model), Some(_)) = (model, result.gcups) {
-                result.gcups = Some(model.task_gcups(&g.master.pool().get(task).spec));
+                // A replica that lost so long ago that its task is forgotten
+                // has no spec left to model: it reports no speed.
+                let held = g.master.pool().find(task);
+                result.gcups = held.map(|t| model.task_gcups(&t.spec));
             }
             let now = self.now();
-            let was_first = g.master.pool().get(task).state != TaskState::Finished;
+            let was_first = g.master.pool().state(task) != TaskState::Finished;
             g.master.task_finished(pe, task, now, result.gcups);
             if was_first {
                 if let Some(kernels) = result.kernels {
@@ -919,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_memo_is_bounded_and_eviction_changes_no_result() {
+    fn a_repeated_query_is_re_prepared_and_changes_no_result() {
         let db = protein_db(&[
             ("a", b"MKVLAWCDEFGHIKLMNPQRST"),
             ("b", b"WCDEFGHIKL"),
@@ -927,31 +904,25 @@ mod tests {
         ]);
         let sc = scoring();
         let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
-        // 10 × cap distinct queries, as a daemon would ship them over the
-        // life of a slave: every one a different residue string.
-        for i in 0..10 * PREPARED_MEMO_CAP {
+        // Distinct queries interleaved with repeats, as a daemon ships them
+        // (once per shard, again for replicas): a long-lived PE answers
+        // each exactly as a fresh one does.
+        for i in 0..64usize {
             let query: Vec<u8> = (0..12)
                 .map(|j| ((i >> j) & 1) as u8 * 3 + (j % 5) as u8)
                 .collect();
             let payload = [QueryPayload { query, top_n: 3 }];
-            let got = pe.scan(&payload, 0..db.len());
-            assert!(
-                pe.prepared.len() <= PREPARED_MEMO_CAP,
-                "memo grew past its cap"
-            );
-            if i % 97 == 0 {
-                let fresh =
-                    PeExecutor::new(&db, &sc, KernelChoice::Auto).scan(&payload, 0..db.len());
-                let (got, fresh) = (&got.fused.unwrap()[0], &fresh.fused.unwrap()[0]);
-                assert_eq!(got.hits, fresh.hits);
-                assert_eq!(got.kernels, fresh.kernels);
+            let first = pe.scan(&payload, 0..db.len()).fused.unwrap();
+            let again = pe.scan(&payload, 0..db.len()).fused.unwrap();
+            let fresh = PeExecutor::new(&db, &sc, KernelChoice::Auto)
+                .scan(&payload, 0..db.len())
+                .fused
+                .unwrap();
+            for got in [&first[0], &again[0]] {
+                assert_eq!(got.hits, fresh[0].hits);
+                assert_eq!(got.kernels, fresh[0].kernels);
             }
-            // A repeat of the query just scanned is served from the memo.
-            let before = pe.prepared.len();
-            pe.scan(&payload, 0..db.len());
-            assert_eq!(pe.prepared.len(), before);
         }
-        assert!(!pe.prepared.is_empty());
     }
 
     fn pool(n_tasks: usize, expected: usize) -> PePool<BatchOwner> {

@@ -517,10 +517,10 @@ impl Scheduler {
     /// over its executors of `cells − speed × elapsed` (a task assigned but
     /// not started counts as entirely remaining).
     pub fn estimated_remaining_cells(&self, task: TaskId, now: f64) -> f64 {
-        let t = self.pool.get(task);
-        if t.state != TaskState::Executing {
+        if self.pool.state(task) != TaskState::Executing {
             return 0.0;
         }
+        let t = self.pool.get(task);
         let cells = t.spec.cells() as f64;
         t.executors
             .iter()
@@ -565,7 +565,7 @@ impl Scheduler {
         if let Some(g) = measured_gcups {
             self.pes[pe].stats.observe(now, g);
         }
-        let winner = self.pool.get(task).state != TaskState::Finished;
+        let winner = self.pool.state(task) != TaskState::Finished;
         let cancels = self.pool.finish(task, pe);
         self.emit(EventKind::TaskFinished {
             pe,
@@ -573,7 +573,6 @@ impl Scheduler {
             winner,
             measured_gcups: measured_gcups.unwrap_or(f64::NAN),
         });
-        let task_cells = self.pool.get(task).spec.cells();
         for &other in &cancels {
             // Estimate the duplicated work the cancelled replica had done:
             // its speed estimate × its time on the task, capped at the task
@@ -581,6 +580,7 @@ impl Scheduler {
             let wasted_cells = match self.pes[other].running.get(&task) {
                 Some(&start) => {
                     let speed = self.pes[other].stats.weighted_mean_gcups() * 1e9;
+                    let task_cells = self.pool.get(task).spec.cells();
                     (speed * (now - start)).max(0.0).min(task_cells as f64) as u64
                 }
                 None => 0, // assigned but never started: nothing computed
@@ -596,6 +596,11 @@ impl Scheduler {
             self.run_completed_emitted = true;
             self.emit(EventKind::RunCompleted);
         }
+        // An engine that outlives its workloads must not hold (or walk, in
+        // every adjustment decision) each task it ever finished.
+        if self.keep_alive {
+            self.pool.forget_finished_prefix();
+        }
         cancels
     }
 
@@ -607,11 +612,12 @@ impl Scheduler {
         self.pes[pe].running.clear();
         self.emit(EventKind::PeLeft { pe });
         for &t in held {
-            let was_executing = self.pool.get(t).state == TaskState::Executing
-                && self.pool.get(t).executors.contains(&pe);
+            let was_executing = self.pool.find(t).is_some_and(|held| {
+                held.state == TaskState::Executing && held.executors.contains(&pe)
+            });
             self.pool.release(t, pe);
             // Requeued only when no surviving replica kept it executing.
-            if was_executing && self.pool.get(t).state == TaskState::Ready {
+            if was_executing && self.pool.state(t) == TaskState::Ready {
                 self.emit(EventKind::TaskRequeued { task: t, from: pe });
             }
         }
@@ -1074,6 +1080,40 @@ mod tests {
         // Shutdown: clearing keep-alive lets the PE exit.
         m.set_keep_alive(false);
         assert_eq!(m.request(a, 5.0), Assignment::Done);
+    }
+
+    /// Regression: a daemon's engine kept every task it had ever finished,
+    /// and each adjustment decision (`steal_candidate`,
+    /// `replication_candidate`, `backlog_cells`) walked all of them.
+    #[test]
+    fn a_keep_alive_engine_holds_only_the_tasks_in_flight() {
+        let mut m = engine(0, Policy::SelfScheduling, true);
+        m.set_keep_alive(true);
+        m.set_event_sink(|_| {});
+        let a = m.register("a", 1.0);
+        let b = m.register("b", 1.0);
+        for round in 0..10_000 {
+            let now = round as f64;
+            // The daemon's shape: one query, two shard tasks.
+            let tasks = m.submit_tasks(specs(2));
+            assert_eq!(m.request(a, now), Assignment::Tasks(vec![tasks[0]]));
+            assert_eq!(m.request(b, now), Assignment::Tasks(vec![tasks[1]]));
+            m.task_started(a, tasks[0], now);
+            m.task_started(b, tasks[1], now);
+            m.task_finished(b, tasks[1], now + 0.25, Some(1.0));
+            assert_eq!(m.pool().live(), 2, "the unfinished shard holds the window");
+            // b asks again with nothing ready: the adjustment weighs one
+            // live task, however many the engine has finished.
+            assert_eq!(m.request(b, now + 0.25), Assignment::Replicate(tasks[0]));
+            m.task_finished(a, tasks[0], now + 0.5, Some(1.0));
+            assert_eq!(m.pool().live(), 0);
+        }
+        assert_eq!(m.pool().len(), 20_000, "ids are issued once, for ever");
+        // Questions about a forgotten id answer "finished".
+        assert_eq!(m.pool().state(0), TaskState::Finished);
+        assert_eq!(m.estimated_remaining_cells(0, 1e4), 0.0);
+        assert!(m.task_finished(b, 0, 1e4, Some(1.0)).is_empty());
+        assert_eq!(m.request(a, 1e4), Assignment::Wait);
     }
 
     #[test]

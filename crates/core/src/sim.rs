@@ -232,6 +232,9 @@ impl Engine {
     fn new(pes: Vec<SimPe>, specs: Vec<TaskSpec>, config: SimConfig) -> Engine {
         let total_cells = specs.iter().map(|s| s.cells()).sum();
         let mut master = Scheduler::new(specs, config.master);
+        // The report is built from the simulator's own trace; nothing reads
+        // the engine's event stream, so it is not kept.
+        master.set_event_sink(|_| {});
         let mut state = Vec::with_capacity(pes.len());
         for pe in &pes {
             // Every PE (early or late) is registered up front so ids line

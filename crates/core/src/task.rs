@@ -41,7 +41,11 @@ pub struct Task {
 /// The master's pool of tasks.
 #[derive(Debug, Clone, Default)]
 pub struct TaskPool {
+    /// The live tasks: ids `forgotten..len()`, in id order.
     tasks: Vec<Task>,
+    /// Finished tasks dropped from the front by
+    /// [`TaskPool::forget_finished_prefix`]; their ids are never reused.
+    forgotten: usize,
     /// FIFO of ready task ids (allocation order = query file order).
     ready: std::collections::VecDeque<TaskId>,
     finished_count: usize,
@@ -62,6 +66,7 @@ impl TaskPool {
             .collect();
         TaskPool {
             tasks,
+            forgotten: 0,
             ready,
             finished_count: 0,
         }
@@ -72,7 +77,7 @@ impl TaskPool {
     /// initial workload drains). The spec's `id` is rewritten to the pool
     /// slot so ids stay dense and stable.
     pub fn push(&mut self, mut spec: TaskSpec) -> TaskId {
-        let id = self.tasks.len();
+        let id = self.len();
         spec.id = id;
         self.tasks.push(Task {
             spec,
@@ -84,19 +89,54 @@ impl TaskPool {
         id
     }
 
-    /// Total number of tasks.
+    /// Total number of tasks ever in the pool: every id below this was
+    /// issued, forgotten ones included.
     pub fn len(&self) -> usize {
+        self.forgotten + self.tasks.len()
+    }
+
+    /// Whether the pool has never held a task.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of tasks still held: every id issued minus the forgotten
+    /// finished prefix.
+    pub fn live(&self) -> usize {
         self.tasks.len()
     }
 
-    /// Whether the pool has no tasks at all.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+    /// Access a task that is still held (panics on a forgotten id).
+    pub fn get(&self, id: TaskId) -> &Task {
+        self.find(id).expect("task was finished and forgotten")
     }
 
-    /// Access a task.
-    pub fn get(&self, id: TaskId) -> &Task {
-        &self.tasks[id]
+    fn held_mut(&mut self, id: TaskId) -> &mut Task {
+        &mut self.tasks[id - self.forgotten]
+    }
+
+    /// An issued task, or `None` once it has been forgotten.
+    pub fn find(&self, id: TaskId) -> Option<&Task> {
+        self.tasks.get(id.checked_sub(self.forgotten)?)
+    }
+
+    /// The state of an issued task; a forgotten one is finished.
+    pub fn state(&self, id: TaskId) -> TaskState {
+        self.find(id).map_or(TaskState::Finished, |t| t.state)
+    }
+
+    /// Drop the finished tasks at the front of the pool, so an engine that
+    /// outlives its workloads holds (and [`TaskPool::executing_ids`] walks)
+    /// only the tasks still in flight. Ids are not reused: [`TaskPool::len`]
+    /// keeps counting them and [`TaskPool::state`] answers `Finished`.
+    pub fn forget_finished_prefix(&mut self) {
+        let finished = self
+            .tasks
+            .iter()
+            .take_while(|t| t.state == TaskState::Finished)
+            .count();
+        self.tasks.drain(..finished);
+        self.forgotten += finished;
     }
 
     /// Number of tasks still in the ready state.
@@ -111,7 +151,7 @@ impl TaskPool {
 
     /// Whether every task has finished.
     pub fn all_finished(&self) -> bool {
-        self.finished_count == self.tasks.len()
+        self.finished_count == self.len()
     }
 
     /// Tasks currently in the executing state.
@@ -120,7 +160,7 @@ impl TaskPool {
             .iter()
             .enumerate()
             .filter(|(_, t)| t.state == TaskState::Executing)
-            .map(|(id, _)| id)
+            .map(|(i, _)| self.forgotten + i)
     }
 
     /// Pop up to `n` ready tasks (file order) and assign them to `pe`.
@@ -130,7 +170,7 @@ impl TaskPool {
             let Some(id) = self.ready.pop_front() else {
                 break;
             };
-            let task = &mut self.tasks[id];
+            let task = self.held_mut(id);
             debug_assert_eq!(task.state, TaskState::Ready);
             task.state = TaskState::Executing;
             task.executors.push(pe);
@@ -147,7 +187,7 @@ impl TaskPool {
         let mut out = Vec::with_capacity(n.min(self.ready.len()));
         for _ in 0..n {
             let Some(pos) = (0..self.ready.len()).max_by_key(|&i| {
-                let cells = self.tasks[self.ready[i]].spec.cells() as i128;
+                let cells = self.get(self.ready[i]).spec.cells() as i128;
                 if prefer_large {
                     cells
                 } else {
@@ -157,7 +197,7 @@ impl TaskPool {
                 break;
             };
             let id = self.ready.remove(pos).expect("position is in range");
-            let task = &mut self.tasks[id];
+            let task = self.held_mut(id);
             debug_assert_eq!(task.state, TaskState::Ready);
             task.state = TaskState::Executing;
             task.executors.push(pe);
@@ -169,7 +209,7 @@ impl TaskPool {
     /// Add `pe` as an additional executor of an already-executing task
     /// (the workload adjustment replication).
     pub fn replicate(&mut self, id: TaskId, pe: PeId) {
-        let task = &mut self.tasks[id];
+        let task = self.held_mut(id);
         assert_eq!(
             task.state,
             TaskState::Executing,
@@ -185,7 +225,7 @@ impl TaskPool {
     /// Move an executing task from one holder to another (work stealing of
     /// a not-yet-started batch entry).
     pub fn reassign(&mut self, id: TaskId, from: PeId, to: PeId) {
-        let task = &mut self.tasks[id];
+        let task = self.held_mut(id);
         assert_eq!(
             task.state,
             TaskState::Executing,
@@ -207,13 +247,13 @@ impl TaskPool {
     /// replicas must be cancelled; idempotent calls after the first return
     /// an empty list.
     pub fn finish(&mut self, id: TaskId, pe: PeId) -> Vec<PeId> {
-        let task = &mut self.tasks[id];
-        if task.state == TaskState::Finished {
+        if self.state(id) == TaskState::Finished {
             return Vec::new();
         }
+        self.finished_count += 1;
+        let task = self.held_mut(id);
         task.state = TaskState::Finished;
         task.finished_by = Some(pe);
-        self.finished_count += 1;
         let others: Vec<PeId> = task
             .executors
             .iter()
@@ -227,10 +267,10 @@ impl TaskPool {
     /// Return a task held by a departing PE to the ready state
     /// (membership extension). No-op if other PEs still hold it.
     pub fn release(&mut self, id: TaskId, pe: PeId) {
-        let task = &mut self.tasks[id];
-        if task.state != TaskState::Executing {
+        if self.state(id) != TaskState::Executing {
             return;
         }
+        let task = self.held_mut(id);
         task.executors.retain(|&p| p != pe);
         if task.executors.is_empty() {
             task.state = TaskState::Ready;
@@ -331,6 +371,29 @@ mod tests {
         pool.release(0, 0);
         assert_eq!(pool.get(0).state, TaskState::Executing);
         assert_eq!(pool.get(0).executors, vec![1]);
+    }
+
+    #[test]
+    fn a_forgotten_prefix_keeps_its_ids_and_answers_finished() {
+        let mut pool = TaskPool::new(specs(3));
+        pool.take_ready(3, 0);
+        pool.finish(1, 0);
+        pool.forget_finished_prefix();
+        assert_eq!(pool.live(), 3, "executing task 0 holds the window open");
+        pool.finish(0, 0);
+        pool.forget_finished_prefix();
+        assert_eq!((pool.live(), pool.len()), (1, 3));
+        assert_eq!(pool.state(0), TaskState::Finished);
+        assert_eq!(pool.state(2), TaskState::Executing);
+        assert_eq!(pool.executing_ids().collect::<Vec<_>>(), vec![2]);
+        // A replica crossing the line after its task was forgotten loses.
+        assert!(pool.finish(1, 5).is_empty());
+        pool.release(1, 5);
+        assert_eq!(pool.finished_count(), 2);
+        // Ids are never reused.
+        assert_eq!(pool.push(specs(1).remove(0)), 3);
+        assert_eq!(pool.take_ready(1, 1), vec![3]);
+        assert!(!pool.all_finished());
     }
 
     #[test]

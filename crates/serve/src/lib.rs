@@ -30,7 +30,6 @@ pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod metrics;
-pub mod prepared;
 pub mod protocol;
 pub mod server;
 pub mod service;

@@ -32,12 +32,13 @@
 //! When several queries are active at once, the dominant cost of scanning
 //! each one separately is *streaming the database again*: the arena is
 //! typically far larger than any cache, so K solo scans read it K times.
-//! The dispatcher therefore **fuses** co-admitted queries (up to
-//! [`ServiceConfig::fusion`], same database generation) into shared shard
-//! tasks: one task scores the whole query batch against its shard while
-//! the chunk is hot in cache. Per-query work inside a chunk is exactly
-//! what a solo scan would do — the fused and solo paths share one
-//! implementation, [`ShardExecutor`](swhybrid_simd::ShardExecutor) — so
+//! The dispatcher therefore **fuses** the queries that queued behind the
+//! running groups (up to [`ServiceConfig::fusion`], same database
+//! generation) into shared shard tasks: one task scores the whole query
+//! batch against its shard while the chunk is hot in cache. Per-query work
+//! inside a chunk is exactly what a solo scan would do — the fused and solo
+//! paths share one implementation,
+//! [`ShardExecutor`](swhybrid_simd::ShardExecutor) — so
 //! fused replies stay byte-identical to per-query cold scans; the win is
 //! wall-clock throughput, not a different answer. A fused task's
 //! [`TaskSpec`](swhybrid_device::task::TaskSpec) charges the batch's
@@ -82,14 +83,13 @@ use swhybrid_core::sched::{MasterConfig, Scheduler};
 use swhybrid_core::task::{PeId, TaskId};
 use swhybrid_device::{FleetPe, FleetSpec};
 use swhybrid_seq::DbSnapshot;
-use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
+use swhybrid_simd::engine::{KernelStats, PreparedQuery};
 use swhybrid_simd::search::{Hit, KernelChoice};
 use swhybrid_simd::ShardExecutor;
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{CacheKey, ResultCache};
 use crate::metrics::{fold_event, Metrics};
-use crate::prepared::{PreparedCache, PreparedKey};
 
 /// How a reply leaves the service: invoked exactly once per submitted
 /// query, off the executor's lock.
@@ -119,8 +119,6 @@ pub struct ServiceConfig {
     /// every `Auto` scan to the striped kernel, so they are rejected
     /// rather than normalised.
     pub chunk_size: usize,
-    /// Kernel preference for the striped engines.
-    pub preference: EnginePreference,
     /// Chunk dispatch: striped, inter-sequence, or adaptive.
     pub kernel: KernelChoice,
     /// Task allocation policy (must be dynamic: SS or PSS).
@@ -128,27 +126,16 @@ pub struct ServiceConfig {
     /// Whether the workload adjustment mechanism is active.
     pub adjustment: bool,
     /// Maximum queries fused into one shard task (1 disables fusion).
-    /// Only co-active queries against the same database generation fuse.
+    /// Only queries waiting together when a group slot frees fuse, and only
+    /// against the same database generation; a query that finds a free
+    /// slot is scheduled at once.
     pub fusion: usize,
-    /// Fusion window: when a free slot sees fewer than `fusion` queued
-    /// queries, it holds this long for companions before scheduling an
-    /// undersized group. Under a steady concurrent load the window never
-    /// actually elapses — the batch fills first — so only stragglers pay
-    /// it. `0.0` schedules immediately (no window).
-    pub fusion_window_ms: f64,
     /// Terminal jobs kept answering `status` before eviction (count bound;
     /// see also [`ServiceConfig::retention_secs`]).
     pub retained_jobs: usize,
     /// Terminal jobs older than this are evicted even under the count
     /// bound, so an idle daemon's registry also drains.
     pub retention_secs: f64,
-    /// Prepared-query cache capacity (entries); 0 disables it. Hits skip
-    /// profile construction entirely; results are byte-identical either
-    /// way (the cache stores exactly what the cold path would build).
-    pub prepared_capacity: usize,
-    /// Software next-subject prefetch inside shard scans. Advisory only —
-    /// never changes results.
-    pub prefetch: bool,
     /// Hybrid worker fleet (`sse:8+gpu:2`). When set it *replaces* the
     /// homogeneous `workers` pool: each entry becomes one PE thread —
     /// real SIMD PEs measure wall-clock speed, modeled accelerators
@@ -168,16 +155,12 @@ impl Default for ServiceConfig {
             per_client_inflight: 4,
             cache_capacity: 128,
             chunk_size: swhybrid_simd::chunk_floor(),
-            preference: EnginePreference::Auto,
             kernel: KernelChoice::Auto,
             policy: Policy::pss_default(),
             adjustment: true,
             fusion: 4,
-            fusion_window_ms: 3.0,
             retained_jobs: 256,
             retention_secs: 300.0,
-            prepared_capacity: 128,
-            prefetch: true,
             fleet: None,
         }
     }
@@ -267,16 +250,18 @@ enum Phase {
         cells: u64,
         kernels: KernelStats,
     },
-    Done,
 }
 
+/// A job that has not delivered its reply yet. Once it has, only a
+/// [`Finished`] record is left of it.
 struct Job {
     client: u64,
     tag: Option<String>,
     /// The raw encoded query, shipped to remote slaves as the task payload.
     codes: Vec<u8>,
-    /// Shared query profiles; `None` only for cache-served jobs.
-    prepared: Option<Arc<PreparedQuery>>,
+    /// The query's profiles, built once at submission and shared by every
+    /// shard scan of the job.
+    prepared: Arc<PreparedQuery>,
     /// The database snapshot this job scans (survives a concurrent
     /// [`QueryService::swap_snapshot`]): ids plus the database-order
     /// arena, so shard scan positions are global database indices.
@@ -290,8 +275,15 @@ struct Job {
     shards: Vec<(usize, usize)>,
     phase: Phase,
     cancelled: bool,
-    cached: bool,
     completion: Option<Completion>,
+}
+
+/// What `status` still reads of a terminal job. It holds no query bytes,
+/// profile, shard list or database snapshot, so a retired job pins nothing
+/// — in particular not a database a reload has since replaced.
+struct Finished {
+    cancelled: bool,
+    cached: bool,
 }
 
 /// One scheduled shard task: the job ids whose queries it scores (the
@@ -311,11 +303,13 @@ struct FusedTask {
 /// snapshot `Arc`s and release before scanning.
 struct ServeOwner {
     cfg: ServiceConfig,
-    /// Live and recently terminal jobs, by id. Terminal jobs are evicted
-    /// after the retention window (`retired`), so the registry stays
-    /// bounded however long the daemon runs.
+    /// Queued and running jobs, by id.
     jobs: HashMap<u64, Job>,
     next_job_id: u64,
+    /// Recently terminal jobs, by id: evicted after the retention window
+    /// (`retired`), so the registry stays bounded however long the daemon
+    /// runs.
+    finished: HashMap<u64, Finished>,
     /// Terminal jobs awaiting eviction, oldest first, with the time they
     /// retired.
     retired: VecDeque<(u64, f64)>,
@@ -329,11 +323,6 @@ struct ServeOwner {
     db: Arc<DbSnapshot>,
     db_generation: u64,
     active_jobs: usize,
-    /// When an undersized backlog started waiting for companions (the
-    /// fusion window). `None` when the queue is empty, full enough, or
-    /// already drained into a group. The flusher thread schedules the
-    /// partial group once the window elapses.
-    window_open_since: Option<f64>,
     /// Fused groups currently in the pool — the unit [`ServiceConfig::
     /// max_active`] bounds. A group frees its slot only when its last
     /// member finishes, so up to `fusion` queued queries can take the
@@ -348,36 +337,6 @@ struct Inner {
     cfg: ServiceConfig,
     scoring: Scoring,
     scoring_digest: u64,
-    /// Prepared-query profiles shared across submissions (and across
-    /// database reloads: the key is database-independent). Own lock, not
-    /// the pool lock — profile builds happen off the scheduler.
-    prepared: Mutex<PreparedCache>,
-}
-
-impl Inner {
-    /// Fetch the shared profile for `codes`, building (off every lock)
-    /// and caching it on a miss. Hits are byte-identical to a cold build:
-    /// the profile is a pure function of the cache key.
-    fn prepared_query(&self, codes: &[u8], query_digest: u64) -> Arc<PreparedQuery> {
-        let key = PreparedKey {
-            query_digest,
-            scoring_digest: self.scoring_digest,
-            preference: self.cfg.preference,
-        };
-        if let Some(p) = self.prepared.lock().unwrap().get(&key, codes) {
-            return p;
-        }
-        let p = Arc::new(PreparedQuery::new(
-            codes,
-            &self.scoring,
-            self.cfg.preference,
-        ));
-        self.prepared
-            .lock()
-            .unwrap()
-            .insert(key, codes, Arc::clone(&p));
-        p
-    }
 }
 
 /// The persistent query service. Dropping it shuts the workers down
@@ -452,6 +411,7 @@ impl QueryService {
             cfg: cfg.clone(),
             jobs: HashMap::new(),
             next_job_id: 0,
+            finished: HashMap::new(),
             retired: VecDeque::new(),
             task_map: HashMap::new(),
             queue: AdmissionQueue::new(cfg.queue_depth, cfg.per_client_inflight),
@@ -460,7 +420,6 @@ impl QueryService {
             db,
             db_generation: 0,
             active_jobs: 0,
-            window_open_since: None,
             active_groups: 0,
             draining: false,
         };
@@ -468,7 +427,6 @@ impl QueryService {
         let inner = Arc::new(Inner {
             pool,
             scoring_digest: scoring_digest(&scoring),
-            prepared: Mutex::new(PreparedCache::new(cfg.prepared_capacity)),
             scoring,
             cfg,
         });
@@ -486,7 +444,7 @@ impl QueryService {
             .iter()
             .map(|member| inner.pool.admit_fleet(member))
             .collect();
-        let mut workers: Vec<_> = admitted
+        let workers = admitted
             .into_iter()
             .map(|pe| {
                 let inner = Arc::clone(&inner);
@@ -506,9 +464,6 @@ impl QueryService {
                     .expect("spawn PE worker")
             })
             .collect();
-        if inner.cfg.fusion > 1 && inner.cfg.fusion_window_ms > 0.0 {
-            workers.push(fusion::spawn_window_flusher(Arc::clone(&inner)));
-        }
         QueryService {
             inner,
             workers,
@@ -557,8 +512,12 @@ impl QueryService {
         &self.inner.scoring
     }
 
-    /// Encode an ASCII query under the service's alphabet.
+    /// Encode an ASCII query under the service's alphabet. An empty query
+    /// is refused here: no profile can be built for it.
     pub fn encode_query(&self, residues: &[u8]) -> Result<Vec<u8>, String> {
+        if residues.is_empty() {
+            return Err("empty query".into());
+        }
         self.inner
             .scoring
             .matrix

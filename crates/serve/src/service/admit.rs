@@ -4,18 +4,20 @@
 use std::sync::Arc;
 
 use swhybrid_seq::digest::query_digest;
-use swhybrid_simd::engine::KernelStats;
+use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
 
 use super::fusion::pump;
 use super::{
-    CancelOutcome, Completion, Job, JobStatus, Phase, QueryService, SearchReply, ServeOwner,
-    SubmitError,
+    CancelOutcome, Completion, Finished, Job, JobStatus, Phase, QueryService, SearchReply,
+    ServeOwner, SubmitError,
 };
 use crate::admission::AdmitError;
 use crate::cache::CacheKey;
 
-/// Mark a terminal job for eviction and sweep the retention window.
-pub(super) fn retire(o: &mut ServeOwner, job: u64, now: f64) {
+/// Record a job (already out of `jobs`) as terminal, mark it for eviction
+/// and sweep the retention window.
+pub(super) fn retire(o: &mut ServeOwner, job: u64, record: Finished, now: f64) {
+    o.finished.insert(job, record);
     o.retired.push_back((job, now));
     sweep_retired(o, now);
 }
@@ -26,7 +28,7 @@ pub(super) fn sweep_retired(o: &mut ServeOwner, now: f64) {
     while let Some(&(job, at)) = o.retired.front() {
         if o.retired.len() > o.cfg.retained_jobs || now - at > o.cfg.retention_secs {
             o.retired.pop_front();
-            o.jobs.remove(&job);
+            o.finished.remove(&job);
             o.metrics.jobs_expired += 1;
         } else {
             break;
@@ -72,28 +74,12 @@ impl QueryService {
                 let now = pool.now();
                 let job_id = o.next_job_id;
                 o.next_job_id += 1;
-                let db = Arc::clone(&o.db);
                 let generation = o.db_generation;
-                o.jobs.insert(
-                    job_id,
-                    Job {
-                        client,
-                        tag: tag.clone(),
-                        codes,
-                        prepared: None,
-                        db,
-                        generation,
-                        top_n,
-                        key,
-                        submitted_at: now,
-                        shards: Vec::new(),
-                        phase: Phase::Done,
-                        cancelled: false,
-                        cached: true,
-                        completion: None,
-                    },
-                );
-                retire(o, job_id, now);
+                let record = Finished {
+                    cancelled: false,
+                    cached: true,
+                };
+                retire(o, job_id, record, now);
                 o.metrics.completed += 1;
                 o.metrics.served_from_cache += 1;
                 let elapsed_ms = (pool.now() - now) * 1000.0;
@@ -114,9 +100,12 @@ impl QueryService {
             }
         }
 
-        // Cold path: fetch (or build, off the lock) the shared profiles,
-        // then admit.
-        let prepared = inner.prepared_query(&codes, qdigest);
+        // Cold path: build the query's profiles off the lock, then admit.
+        let prepared = Arc::new(PreparedQuery::new(
+            &codes,
+            &inner.scoring,
+            EnginePreference::Auto,
+        ));
         let mut g = pool.lock();
         let core = &mut *g;
         let o = &mut core.owner;
@@ -153,7 +142,7 @@ impl QueryService {
                 client,
                 tag,
                 codes,
-                prepared: Some(prepared),
+                prepared,
                 db,
                 generation,
                 top_n,
@@ -162,12 +151,11 @@ impl QueryService {
                 shards: Vec::new(),
                 phase: Phase::Queued,
                 cancelled: false,
-                cached: false,
                 completion: Some(completion),
             },
         );
         o.metrics.admitted += 1;
-        pump(&mut core.master, o, now, false);
+        pump(&mut core.master, o);
         drop(g);
         pool.notify_all();
         Ok(job_id)
@@ -200,28 +188,25 @@ impl QueryService {
     pub fn status(&self, job: u64) -> JobStatus {
         let g = self.inner.pool.lock();
         let o = &g.owner;
-        let Some(j) = o.jobs.get(&job) else {
-            return if job < o.next_job_id {
-                JobStatus::Expired
-            } else {
-                JobStatus::Unknown
-            };
-        };
-        match &j.phase {
-            Phase::Queued => JobStatus::Queued {
+        match o.jobs.get(&job).map(|j| &j.phase) {
+            Some(Phase::Queued) => JobStatus::Queued {
                 position: o.queue.position(job).unwrap_or(0),
             },
-            Phase::Running {
+            Some(Phase::Running {
                 pending,
                 shard_hits,
                 ..
-            } => JobStatus::Running {
+            }) => JobStatus::Running {
                 shards_done: shard_hits.len() - pending,
                 shards_total: shard_hits.len(),
             },
-            Phase::Done => JobStatus::Done {
-                cancelled: j.cancelled,
-                cached: j.cached,
+            None => match o.finished.get(&job) {
+                Some(f) => JobStatus::Done {
+                    cancelled: f.cancelled,
+                    cached: f.cached,
+                },
+                None if job < o.next_job_id => JobStatus::Expired,
+                None => JobStatus::Unknown,
             },
         }
     }
@@ -236,30 +221,33 @@ impl QueryService {
         let now = pool.now();
         let o = &mut g.owner;
         let Some(j) = o.jobs.get_mut(&job) else {
-            // An evicted job necessarily already completed.
+            // A terminal job, retained or evicted, already completed.
             return if job < o.next_job_id {
                 CancelOutcome::AlreadyDone
             } else {
                 CancelOutcome::Unknown
             };
         };
-        if j.cancelled || matches!(j.phase, Phase::Done) {
+        if j.cancelled {
             return CancelOutcome::AlreadyDone;
         }
         j.cancelled = true;
-        let was_queued = matches!(j.phase, Phase::Queued);
-        if was_queued {
-            j.phase = Phase::Done;
-        }
         let client = j.client;
         let tag = j.tag.clone();
         let generation = j.generation;
         let elapsed_ms = (now - j.submitted_at) * 1000.0;
         let completion = j.completion.take();
-        if was_queued {
+        if matches!(j.phase, Phase::Queued) {
+            // Withdrawn before any kernel ran, so terminal at once; a
+            // running job stays until its in-flight shards land.
+            o.jobs.remove(&job);
             o.queue.remove(job);
             o.queue.release(client);
-            retire(o, job, now);
+            let record = Finished {
+                cancelled: true,
+                cached: false,
+            };
+            retire(o, job, record, now);
         }
         o.metrics.cancelled += 1;
         drop(g);

@@ -18,7 +18,7 @@ use swhybrid_simd::{ShardExecutor, ShardPlan};
 
 use super::admit::retire;
 use super::fusion::pump;
-use super::{Completion, Inner, Phase, SearchReply, ServeOwner};
+use super::{Completion, Finished, Inner, Phase, SearchReply, ServeOwner};
 
 impl PoolOwner for ServeOwner {
     fn on_finished(
@@ -66,16 +66,12 @@ impl PoolOwner for ServeOwner {
         // entries so the map stays bounded over the daemon's lifetime,
         // free its scheduling slot, and refill from the queue — a freed
         // slot admits up to `fusion` queued queries as the next group.
-        if ft.jobs.iter().all(|id| {
-            self.jobs
-                .get(id)
-                .is_none_or(|j| matches!(j.phase, Phase::Done))
-        }) {
+        if ft.jobs.iter().all(|id| !self.jobs.contains_key(id)) {
             for t in &ft.group_tasks {
                 self.task_map.remove(t);
             }
             self.active_groups -= 1;
-            pump(master, self, now, false);
+            pump(master, self);
         }
         if done.is_empty() {
             return None;
@@ -155,10 +151,7 @@ pub(super) fn execute_task(
             let entry = o.jobs.get(id).filter(|j| !j.cancelled).map(|job| {
                 range = Some(job.shards[ft.shard_idx]);
                 snapshot = Some(Arc::clone(&job.db));
-                (
-                    Arc::clone(job.prepared.as_ref().expect("running jobs carry profiles")),
-                    job.top_n,
-                )
+                (Arc::clone(&job.prepared), job.top_n)
             });
             entries.push(entry);
         }
@@ -179,7 +172,7 @@ pub(super) fn execute_task(
         range: s..e,
         chunk_size: inner.cfg.chunk_size,
         kernel: inner.cfg.kernel,
-        prefetch: inner.cfg.prefetch,
+        prefetch: true,
     };
     let mut result = scan_shard(executor, &live, &db, &plan);
     // Back to batch positions: a cancelled member contributes nothing.
@@ -232,14 +225,15 @@ fn record_shard(
             return None;
         }
     }
-    // Last shard in: finalize.
-    let job = o.jobs.get_mut(&job_id)?;
+    // Last shard in: finalize. The job leaves the registry whole — its
+    // query, profiles, shard list and snapshot go with it.
+    let job = o.jobs.remove(&job_id)?;
     let Phase::Running {
         shard_hits,
-        cells: total_cells,
-        kernels: total_kernels,
+        cells,
+        kernels,
         ..
-    } = std::mem::replace(&mut job.phase, Phase::Done)
+    } = job.phase
     else {
         unreachable!("guarded above");
     };
@@ -250,35 +244,34 @@ fn record_shard(
         job.top_n,
     );
     let elapsed_ms = (now - job.submitted_at) * 1000.0;
-    let cancelled = job.cancelled;
-    let completion = job.completion.take();
-    let client = job.client;
-    let key = job.key;
-    let codes = job.codes.clone();
     let reply = SearchReply {
         job: job_id,
-        tag: job.tag.clone(),
+        tag: job.tag,
         cached: false,
-        cancelled,
+        cancelled: job.cancelled,
         generation: job.generation,
-        cells: total_cells,
+        cells,
         elapsed_ms,
-        kernels: total_kernels,
-        hits: if cancelled {
+        kernels,
+        hits: if job.cancelled {
             Vec::new()
         } else {
             merged.clone()
         },
     };
-    if !cancelled {
-        o.cache.insert(key, &codes, merged);
+    if !job.cancelled {
+        o.cache.insert(job.key, &job.codes, merged);
         o.metrics.completed += 1;
         o.metrics.latency.observe(elapsed_ms);
     }
-    retire(o, job_id, now);
+    let record = Finished {
+        cancelled: job.cancelled,
+        cached: false,
+    };
+    retire(o, job_id, record, now);
     o.active_jobs -= 1;
-    o.queue.release(client);
+    o.queue.release(job.client);
     // The scheduling slot is the *group's*; [`ServeOwner::on_finished`]
     // frees it (and pumps the queue) when the whole group is done.
-    Some((completion, reply))
+    Some((job.completion, reply))
 }

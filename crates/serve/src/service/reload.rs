@@ -34,12 +34,6 @@ impl QueryService {
         generation
     }
 
-    /// The current generation number and database snapshot.
-    pub fn db(&self) -> (u64, Arc<DbSnapshot>) {
-        let g = self.inner.pool.lock();
-        (g.owner.db_generation, Arc::clone(&g.owner.db))
-    }
-
     /// Stop admitting new queries; queued and running ones still complete.
     pub fn begin_drain(&self) {
         self.inner.pool.lock().owner.draining = true;

@@ -75,7 +75,10 @@ impl QueryService {
                     ),
                     ("rejected_draining", Json::Num(m.rejected_draining as f64)),
                     ("expired", Json::Num(m.jobs_expired as f64)),
-                    ("registry", Json::Num(o.jobs.len() as f64)),
+                    (
+                        "registry",
+                        Json::Num((o.jobs.len() + o.finished.len()) as f64),
+                    ),
                 ]),
             ),
             (
@@ -108,20 +111,6 @@ impl QueryService {
                     ("served_from_cache", Json::Num(m.served_from_cache as f64)),
                 ]),
             ),
-            ("prepared_cache", {
-                let pc = inner.prepared.lock().unwrap();
-                let ps = pc.stats();
-                Json::obj(vec![
-                    ("hits", Json::Num(ps.hits as f64)),
-                    ("misses", Json::Num(ps.misses as f64)),
-                    ("collisions", Json::Num(ps.collisions as f64)),
-                    ("hit_rate", Json::Num(ps.hit_rate())),
-                    ("insertions", Json::Num(ps.insertions as f64)),
-                    ("evictions", Json::Num(ps.evictions as f64)),
-                    ("size", Json::Num(pc.len() as f64)),
-                    ("capacity", Json::Num(pc.capacity() as f64)),
-                ])
-            }),
             ("latency_ms", m.latency.to_json()),
             ("kernel", Json::str(inner.cfg.kernel.name())),
             ("kernels", kernels_to_json(&m.kernels)),

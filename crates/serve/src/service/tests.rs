@@ -385,6 +385,8 @@ fn job_registry_stays_bounded_over_ten_thousand_queries() {
     // An id never issued stays unknown.
     assert_eq!(svc.status(99_999_999), JobStatus::Unknown);
     assert_eq!(svc.cancel(99_999_999), CancelOutcome::Unknown);
+    // Nor does the engine hold a task of a job that has replied.
+    assert_eq!(svc.inner.pool.lock().master.pool().live(), 0);
     svc.shutdown();
 }
 
@@ -410,10 +412,15 @@ fn engine_events_fold_into_stats_without_being_retained() {
         let reply = svc.search_blocking(query.clone(), 5, 1).unwrap();
         assert!(!reply.cached);
     }
-    assert!(
-        svc.inner.pool.lock().master.events().is_empty(),
-        "the engine retained events although the daemon installed a sink"
-    );
+    {
+        let g = svc.inner.pool.lock();
+        assert!(
+            g.master.events().is_empty(),
+            "the engine retained events although the daemon installed a sink"
+        );
+        // Nor the tasks: 1,000 were issued, none is in flight.
+        assert_eq!((g.master.pool().len(), g.master.pool().live()), (1_000, 0));
+    }
     // The first `stats` call after 1,000 unpolled scans sees all of them.
     let stats = svc.stats();
     let pes = stats.get("pes").unwrap().as_array().unwrap();
@@ -454,7 +461,93 @@ fn retention_age_drains_an_idle_registry() {
     svc.shutdown();
 }
 
-/// The tentpole's law at service level: queries that queue behind a
+/// A query that finds a free group slot is scheduled inside `submit`: no
+/// timer holds it back for companions.
+#[test]
+fn a_lone_submission_is_scheduled_before_submit_returns() {
+    let db = random_db(107, 40, 60);
+    let svc = small_service(&db);
+    let (tx, rx) = std::sync::mpsc::channel();
+    svc.submit(
+        random_query(109, 200),
+        5,
+        None,
+        None,
+        1,
+        Box::new(move |r| tx.send(r).unwrap()),
+    )
+    .unwrap();
+    let stats = svc.stats();
+    let tasks = stats.get("fusion").unwrap().get("tasks").unwrap();
+    assert_eq!(tasks.as_u64(), Some(2), "one task per shard, at once");
+    assert!(!rx.recv().unwrap().cancelled);
+    svc.shutdown();
+}
+
+/// A terminal job keeps what `status` reads and nothing else. Regression:
+/// retired jobs held their database snapshot, so a reload left the
+/// superseded database resident until 256 newer jobs had retired.
+#[test]
+fn retired_jobs_do_not_pin_a_superseded_database() {
+    let db_a = random_db(113, 30, 80);
+    let db_b = random_db(127, 30, 80);
+    let svc = QueryService::with_snapshot(
+        snap(&db_a),
+        scoring(),
+        ServiceConfig {
+            workers: 2,
+            per_client_inflight: 8,
+            // No replicas: when a job replies, no worker is still scanning
+            // a copy of one of its shards.
+            adjustment: false,
+            ..Default::default()
+        },
+    );
+    let old = Arc::downgrade(&svc.inner.pool.lock().owner.db);
+    let repeated = random_query(131, 40);
+    let cold = svc.search_blocking(repeated.clone(), 5, 1).unwrap();
+    let hit = svc.search_blocking(repeated, 5, 1).unwrap();
+    assert!(!cold.cached && hit.cached);
+    // Three more jobs are running or queued when the database is swapped.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let in_flight: Vec<u64> = (0..3)
+        .map(|i| {
+            let tx = tx.clone();
+            svc.submit(
+                random_query(137 + i, 400),
+                5,
+                None,
+                None,
+                1,
+                Box::new(move |r| tx.send(r).unwrap()),
+            )
+            .unwrap()
+        })
+        .collect();
+    svc.swap_snapshot(snap(&db_b));
+    for _ in &in_flight {
+        assert_eq!(rx.recv().unwrap().generation, 0);
+    }
+    assert!(
+        old.upgrade().is_none(),
+        "the replaced snapshot outlived the jobs that scanned it"
+    );
+    for job in in_flight.into_iter().chain([cold.job]) {
+        let done = JobStatus::Done {
+            cancelled: false,
+            cached: false,
+        };
+        assert_eq!(svc.status(job), done);
+    }
+    let done = JobStatus::Done {
+        cancelled: false,
+        cached: true,
+    };
+    assert_eq!(svc.status(hit.job), done);
+    svc.shutdown();
+}
+
+/// The fusion law at service level: queries that queue behind a
 /// running group are fused into shared shard tasks, and every fused
 /// reply is byte-identical to that query's solo cold scan.
 #[test]

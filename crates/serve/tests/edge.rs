@@ -121,6 +121,20 @@ fn oversize_and_non_utf8_lines_cost_only_their_connection() {
     shut_down(addr, daemon);
 }
 
+/// Regression: an empty `query` reached the profile builder and panicked
+/// the connection's thread, so the client saw a hang-up and no reply.
+#[test]
+fn an_empty_query_is_refused_and_the_connection_lives() {
+    let (addr, _, daemon) = start_daemon();
+    let mut client = ServeClient::connect(addr).unwrap();
+    let reply = client.search("", 3).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some("bad_query"));
+    let reply = client.search(QUERY, 3).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    shut_down(addr, daemon);
+}
+
 #[test]
 fn one_connection_over_the_cap_is_refused() {
     let (addr, _slaves, daemon) = start_daemon();

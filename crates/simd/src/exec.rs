@@ -349,15 +349,4 @@ mod tests {
         assert!(chunk_size(Some(16)).is_err());
         assert!(chunk_size(Some(0)).is_err());
     }
-
-    #[test]
-    fn search_config_validate_pins_the_floor() {
-        let mut cfg = SearchConfig::default();
-        assert!(cfg.validate().is_ok(), "the default must validate");
-        cfg.chunk_size = chunk_floor() - 1;
-        assert!(cfg.validate().is_err());
-        cfg.chunk_size = chunk_floor();
-        cfg.threads = 0;
-        assert!(cfg.validate().is_err());
-    }
 }

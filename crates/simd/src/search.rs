@@ -138,24 +138,6 @@ impl Default for SearchConfig {
     }
 }
 
-impl SearchConfig {
-    /// Validate an externally-supplied configuration (CLI flags, daemon
-    /// config, wire payloads). Rejects a chunk size below
-    /// [`crate::exec::chunk_floor`] — small chunks silently degrade every
-    /// `Auto` dispatch to the striped kernel (the PR 5 bug class) — and a
-    /// zero thread count. Internal tests may still construct smaller chunks
-    /// directly; the floor is a boundary contract, not a kernel limit.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.threads == 0 {
-            return Err("threads must be at least 1".into());
-        }
-        if self.top_n == 0 {
-            return Err("top_n must be at least 1".into());
-        }
-        crate::exec::chunk_size(Some(self.chunk_size)).map(|_| ())
-    }
-}
-
 /// Result of a database search.
 #[derive(Debug, Clone)]
 pub struct SearchResult {

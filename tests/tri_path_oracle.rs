@@ -151,7 +151,6 @@ fn serve_daemon_matches_one_shot() {
                 workers: 1,
                 shards: 1,
                 cache_capacity: 0,
-                prepared_capacity: 0,
                 fusion: 1,
                 adjustment: false,
                 policy: Policy::SelfScheduling,
