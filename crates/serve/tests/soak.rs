@@ -84,6 +84,45 @@ fn start_daemon(
     (addr, std::thread::spawn(move || daemon.run()))
 }
 
+/// Submit with `"ack":true` and read up to the ack. Replies are told apart
+/// by `type`, never by line order (`server.rs` module doc): a job that
+/// finishes fast enough puts its result line ahead of its own ack. Returns
+/// the job id and that early result line, if there was one.
+fn submit_acked(client: &mut ServeClient, req: SearchRequest) -> (u64, Option<Json>) {
+    assert!(req.ack, "submit_acked is for acknowledged searches");
+    let mut early = None;
+    let mut reply = client.request(&Request::Search(req)).unwrap();
+    loop {
+        match reply.get("type").and_then(Json::as_str) {
+            Some("ack") => return (reply.get("job").and_then(Json::as_u64).unwrap(), early),
+            Some("result") if early.is_none() => early = Some(reply),
+            other => panic!("unexpected reply {other:?} before the ack: {reply}"),
+        }
+        reply = client.recv().unwrap();
+    }
+}
+
+/// Cancel `job` and collect the two lines the connection is owed: the
+/// cancel verb's reply and the job's single result line, in whichever
+/// order they arrive (`early` is a result that overtook the ack). Returns
+/// `(cancel, result)`.
+fn cancel_and_collect(client: &mut ServeClient, job: u64, early: Option<Json>) -> (Json, Json) {
+    let (mut cancel, mut result) = (None, early);
+    let mut line = client.cancel(job).unwrap();
+    loop {
+        match line.get("type").and_then(Json::as_str) {
+            Some("cancel") if cancel.is_none() => cancel = Some(line),
+            Some("result") if result.is_none() => result = Some(line),
+            other => panic!("unexpected reply type {other:?}: {line}"),
+        }
+        match (cancel, result) {
+            (Some(cancel), Some(result)) => return (cancel, result),
+            pending => (cancel, result) = pending,
+        }
+        line = client.recv().unwrap();
+    }
+}
+
 #[test]
 fn eight_concurrent_clients_match_cold_single_shot_search() {
     const CLIENTS: usize = 8;
@@ -193,7 +232,12 @@ fn four_clients_interleaving_submits_and_cancels_with_fusion_on() {
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 6;
     const TOP_N: usize = 8;
-    let db = random_db(127, 50, 80);
+    // Fusion needs queries waiting together behind both group slots, so
+    // all four clients must be in flight at once. That is held by starting
+    // every round's four submissions together and by size (a scan lasts
+    // many times the spread of four threads starting, optimized or not),
+    // not by the kernel being slow.
+    let db = random_db(127, 50, 600);
     let queries: Vec<String> = (0..CLIENTS * ROUNDS)
         .map(|i| random_query_ascii(700 + i as u64, 24 + (i % 5) * 9))
         .collect();
@@ -214,41 +258,31 @@ fn four_clients_interleaving_submits_and_cancels_with_fusion_on() {
         },
     );
 
-    std::thread::scope(|scope| {
-        for c in 0..CLIENTS {
-            let queries = &queries;
-            let expected = &expected;
-            scope.spawn(move || {
-                let mut client = ServeClient::connect(addr).unwrap();
-                for k in 0..ROUNDS {
+    let mut clients: Vec<ServeClient> = (0..CLIENTS)
+        .map(|_| ServeClient::connect(addr).unwrap())
+        .collect();
+    for k in 0..ROUNDS {
+        std::thread::scope(|scope| {
+            for (c, client) in clients.iter_mut().enumerate() {
+                let queries = &queries;
+                let expected = &expected;
+                scope.spawn(move || {
                     let qi = c * ROUNDS + k;
                     if k % 3 == 2 {
-                        // Interleaved cancel: ack gives the job id; the
+                        // Interleaved cancel: the ack gives the job id; the
                         // cancel reply and the job's single result line
-                        // arrive in either order, both well formed.
-                        let ack = client
-                            .request(&Request::Search(SearchRequest {
+                        // arrive in any order, both well formed.
+                        let (job, early) = submit_acked(
+                            client,
+                            SearchRequest {
                                 query: queries[qi].clone(),
                                 top_n: TOP_N,
                                 deadline_ms: None,
                                 tag: Some(format!("c{c}k{k}")),
                                 ack: true,
-                            }))
-                            .unwrap();
-                        assert_eq!(ack.get("type").and_then(Json::as_str), Some("ack"));
-                        let job = ack.get("job").and_then(Json::as_u64).unwrap();
-                        let first = client.cancel(job).unwrap();
-                        let second = client.recv().unwrap();
-                        let (mut cancel, mut result) = (None, None);
-                        for line in [first, second] {
-                            match line.get("type").and_then(Json::as_str) {
-                                Some("cancel") => cancel = Some(line),
-                                Some("result") => result = Some(line),
-                                other => panic!("client {c}: unexpected reply {other:?}"),
-                            }
-                        }
-                        let cancel = cancel.expect("cancel verb got no reply");
-                        let result = result.expect("job never delivered a result");
+                            },
+                        );
+                        let (cancel, result) = cancel_and_collect(client, job, early);
                         let outcome = cancel.get("outcome").and_then(Json::as_str).unwrap();
                         if outcome == "cancelled" {
                             assert_eq!(result.get("cancelled").and_then(Json::as_bool), Some(true));
@@ -271,10 +305,11 @@ fn four_clients_interleaving_submits_and_cancels_with_fusion_on() {
                             "client {c} round {k}: fused result differs from cold scan"
                         );
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        });
+    }
+    drop(clients);
 
     // Fusion really engaged: shard tasks were shared by multiple queries.
     let mut client = ServeClient::connect(addr).unwrap();
@@ -295,13 +330,15 @@ fn four_clients_interleaving_submits_and_cancels_with_fusion_on() {
 
 #[test]
 fn backpressure_and_cancellation_replies_are_well_formed() {
-    // A single worker, a single admission slot per client, and a scan that
-    // takes long enough that pipelined requests 2..5 arrive while request
-    // 1 is still in flight: their rejections must be immediate, well
-    // formed, and tagged. (Sizes stay modest — these tests run unoptimized,
-    // where the kernel is orders of magnitude slower.)
-    let db = random_db(103, 60, 120);
-    let slow_query = random_query_ascii(301, 600);
+    // A single worker and a single admission slot per client. Requests
+    // 2..5 must arrive while request 1 is in flight, and that is held by
+    // size, not by how slow the kernel happens to be: request 1 is a long
+    // query (a scan of milliseconds even optimized), requests 2..5 are a
+    // few residues (microseconds to parse and turn away), and the whole
+    // burst leaves in one write so the daemon reads all five lines at once.
+    // Their rejections must be immediate, well formed, and tagged.
+    let db = random_db(103, 60, 600);
+    let slow_query = random_query_ascii(301, 1200);
     let (addr, daemon) = start_daemon(
         db,
         ServiceConfig {
@@ -318,16 +355,23 @@ fn backpressure_and_cancellation_replies_are_well_formed() {
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    for i in 0..5 {
-        let req = Request::Search(SearchRequest {
-            query: slow_query.clone(),
-            top_n: 5,
-            deadline_ms: None,
-            tag: Some(format!("q{i}")),
-            ack: false,
-        });
-        writeln!(writer, "{}", request_to_json(&req)).unwrap();
-    }
+    let burst: String = (0..5)
+        .map(|i| {
+            let req = Request::Search(SearchRequest {
+                query: if i == 0 {
+                    slow_query.clone()
+                } else {
+                    random_query_ascii(310 + i, 12)
+                },
+                top_n: 5,
+                deadline_ms: None,
+                tag: Some(format!("q{i}")),
+                ack: false,
+            });
+            format!("{}\n", request_to_json(&req))
+        })
+        .collect();
+    writer.write_all(burst.as_bytes()).unwrap();
     let mut results = 0usize;
     let mut rejections = 0usize;
     for _ in 0..5 {
@@ -363,35 +407,22 @@ fn backpressure_and_cancellation_replies_are_well_formed() {
     assert!(rejections >= 1, "backpressure never triggered");
     assert!(results >= 1, "at least the first search must be admitted");
 
-    // Cancellation: ack gives us the job id, cancel it, and both the
+    // Cancellation: the ack gives us the job id; cancel it, and both the
     // cancel reply and the (possibly already racing) result line must be
     // well formed.
     let mut client = ServeClient::connect(addr).unwrap();
-    let req = Request::Search(SearchRequest {
+    let req = SearchRequest {
         query: slow_query.clone(),
         top_n: 5,
         deadline_ms: None,
         tag: Some("victim".into()),
         ack: true,
-    });
-    let ack = client.request(&req).unwrap();
-    assert_eq!(ack.get("type").and_then(Json::as_str), Some("ack"));
-    let job = ack.get("job").and_then(Json::as_u64).unwrap();
-    // After the cancel verb, exactly two more lines arrive in either
-    // order: the cancel reply and the job's single result line (cancelled
-    // or raced-to-completion).
-    let first = client.cancel(job).unwrap();
-    let second = client.recv().unwrap();
-    let (mut cancel, mut result) = (None, None);
-    for line in [first, second] {
-        match line.get("type").and_then(Json::as_str) {
-            Some("cancel") => cancel = Some(line),
-            Some("result") => result = Some(line),
-            other => panic!("unexpected reply type {other:?}: {line}"),
-        }
-    }
-    let cancel = cancel.expect("cancel verb got no reply");
-    let result = result.expect("the job never delivered its result");
+    };
+    // After the cancel verb the connection is owed exactly two lines in
+    // either order: the cancel reply and the job's single result line
+    // (cancelled or raced-to-completion, possibly ahead of its own ack).
+    let (job, early) = submit_acked(&mut client, req);
+    let (cancel, result) = cancel_and_collect(&mut client, job, early);
     let outcome = cancel.get("outcome").and_then(Json::as_str).unwrap();
     assert!(outcome == "cancelled" || outcome == "already_done");
     if outcome == "cancelled" {
@@ -576,31 +607,31 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
         "doomed slave never joined the pool"
     );
 
-    // First query: the doomed slave takes a shard and dies mid-run; its
-    // shard must requeue to the survivors and the merged hit table must
-    // still be byte-identical to the cold scan.
-    let ack = client
-        .request(&Request::Search(SearchRequest {
-            query: queries[0].clone(),
-            top_n: TOP_N,
-            deadline_ms: None,
-            tag: None,
-            ack: true,
-        }))
-        .unwrap();
-    assert_eq!(ack.get("type").and_then(Json::as_str), Some("ack"));
-    doomed.die_on_first_assignment();
-    let result = client.recv().unwrap();
-    assert_eq!(result.get("type").and_then(Json::as_str), Some("result"));
-    assert_eq!(result.get("cancelled").and_then(Json::as_bool), Some(false));
-    assert_eq!(
-        ServeClient::hits(&result).unwrap(),
-        expected[0],
-        "query 0: hybrid fleet result differs from cold scan after slave death"
-    );
+    // The doomed slave dies on whichever query first hands it a shard (a
+    // fresh one or a replica). That it was handed one is read from its own
+    // thread finishing, never assumed from how long a scan takes: a shard
+    // only goes out while a query is in flight, so the death is mid-query
+    // by construction. A shard it held must requeue to the survivors, and
+    // every merged hit table — before, during and after the death — must
+    // be byte-identical to the cold scan.
+    let doomed = std::thread::spawn(move || doomed.die_on_first_assignment());
+    let mut served = 0usize;
+    while !doomed.is_finished() {
+        assert!(served < 2000, "the doomed slave was never handed a shard");
+        let i = served % queries.len();
+        let reply = client.search(&queries[i], TOP_N).unwrap();
+        assert_eq!(reply.get("cancelled").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            ServeClient::hits(&reply).unwrap(),
+            expected[i],
+            "query {i}: hybrid fleet result differs from cold scan around the slave death"
+        );
+        served += 1;
+    }
+    doomed.join().unwrap();
 
     // The fleet keeps serving: local threads + the surviving remote.
-    for (i, q) in queries.iter().enumerate().skip(1) {
+    for (i, q) in queries.iter().enumerate() {
         let reply = client.search(q, TOP_N).unwrap();
         assert_eq!(
             ServeClient::hits(&reply).unwrap(),
@@ -633,8 +664,10 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
 
 #[test]
 fn shutdown_drains_inflight_queries_before_exit() {
-    let db = random_db(107, 60, 120);
-    let slow_query = random_query_ascii(401, 500);
+    // Sized so the query is still in flight, even optimized, when the
+    // shutdown from a second connection lands.
+    let db = random_db(107, 60, 600);
+    let slow_query = random_query_ascii(401, 1200);
     let expected = cold_hits(&slow_query, &db, 5);
     let (addr, daemon) = start_daemon(
         db,
@@ -646,22 +679,23 @@ fn shutdown_drains_inflight_queries_before_exit() {
 
     // Client A submits and does not read yet; client B orders shutdown.
     let mut a = ServeClient::connect(addr).unwrap();
-    let submitted = a.request(&Request::Search(SearchRequest {
-        query: slow_query.clone(),
-        top_n: 5,
-        deadline_ms: None,
-        tag: None,
-        ack: true,
-    }));
-    let ack = submitted.unwrap();
-    assert_eq!(ack.get("type").and_then(Json::as_str), Some("ack"));
+    let (_, early) = submit_acked(
+        &mut a,
+        SearchRequest {
+            query: slow_query.clone(),
+            top_n: 5,
+            deadline_ms: None,
+            tag: None,
+            ack: true,
+        },
+    );
 
     let mut b = ServeClient::connect(addr).unwrap();
     let bye = b.shutdown().unwrap();
     assert_eq!(bye.get("draining").and_then(Json::as_bool), Some(true));
 
     // The in-flight query still completes and reaches client A.
-    let result = a.recv().unwrap();
+    let result = early.unwrap_or_else(|| a.recv().unwrap());
     assert_eq!(result.get("type").and_then(Json::as_str), Some("result"));
     assert_eq!(result.get("cancelled").and_then(Json::as_bool), Some(false));
     assert_eq!(ServeClient::hits(&result).unwrap(), expected);

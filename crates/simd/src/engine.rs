@@ -1,9 +1,10 @@
 //! Kernel dispatch with the adapted-Farrar saturation-fallback chain.
 //!
-//! A database scan runs the cheapest kernel first (16 lanes of i8); when a
-//! subject's score saturates the 8-bit range the engine recomputes it with
-//! 8 lanes of i16, and — should even that saturate — falls back to the exact
-//! scalar Gotoh kernel (i32). This mirrors the paper's §IV-C: "our version
+//! A database scan runs the cheapest kernel first (i8 lanes: 32 on AVX2, 16
+//! on SSE4.1 and the portable tier); when a subject's score saturates the
+//! 8-bit range the engine recomputes it with i16 lanes (16 / 8), and —
+//! should even that saturate — falls back to the exact scalar Gotoh kernel
+//! (i32). This mirrors the paper's §IV-C: "our version
 //! uses signed integers … augmenting the maximum score to 2⁸−1 (8 bits) and
 //! 2¹⁶−1 (16 bits)"; with two's-complement signed lanes the practical
 //! ceilings are 127 and 32,767, after which the scalar kernel is exact.

@@ -89,21 +89,36 @@ impl ShardPlan {
 
 /// Should `Auto` send this chunk to the inter-sequence kernel?
 ///
-/// The inter-sequence kernel amortises nothing when lanes cannot fill
-/// (`n < 2 × LANES`), thrashes the cache when the query is long (its DP
-/// state is `2 × query × LANES` bytes versus the striped kernel's
-/// `2 × query`), and wastes lanes when one subject dwarfs the chunk (every
-/// other lane idles while it drains — the skew test compares the longest
-/// subject against the chunk's mean length).
+/// Each of the three tests is a measured crossover against the striped
+/// kernel (PR 22 tables in CHANGES.md: AVX2 and SSE4.1, whole-database
+/// scans of a protein-composition database, a fresh query per timed scan):
+///
+/// * **lane fill** — in chunks of fewer than `2 × LANES` subjects the
+///   inter-sequence lanes cannot stay full: on AVX2 it is 4–8× slower than
+///   striped at 4–8 subjects, 1.3–1.5× slower at 32, level at 48–64 and
+///   1.3× faster at 128;
+/// * **query length** — striped throughput grows with the query (longer
+///   stripes amortise the per-column lazy-F visit and the per-subject
+///   setup) while inter-sequence throughput is flat. On a
+///   protein-composition database the two are within ±10 % of each other
+///   from 32 to 192 residues, crossing at ≈ 105 (SSE4.1) and ≈ 170 (AVX2);
+///   above, striped pulls away (+16 % at 256, +30–40 % at 512, ≈ 2× by
+///   2048). The tiers' crossovers are 1.5× apart in residues and would be
+///   3× apart in stripe segments, so the constant is in residues. Only
+///   uniform-composition synthetic subjects (more positive cells, so more
+///   live carries) move the crossover up, to ≈ 165–225;
+/// * **skew** — when one subject dwarfs the chunk every other lane idles
+///   while it drains (the test compares the longest subject against the
+///   chunk's mean length).
 fn auto_picks_interseq(prepared: &PreparedQuery, arena: &DbArena, chunk: Range<usize>) -> bool {
-    /// Above this query length the striped kernel's compact DP state wins.
-    const MAX_INTERSEQ_QUERY: usize = 2048;
+    /// The measured striped/inter-sequence crossover, in query residues.
+    const MAX_INTERSEQ_QUERY: usize = 128;
     /// Minimum lane utilisation (as 1/MAX_SKEW). Lanes refill from the
     /// subject queue, so a long outlier only hurts once the queue drains
     /// and the other lanes idle behind it: the wasted fraction of the
-    /// chunk is bounded by `max_len·lanes / total`. Only when that ratio
-    /// is extreme (one subject dominating the whole chunk) does the
-    /// striped kernel's sequential scan win back the difference.
+    /// chunk is bounded by `max_len·lanes / total`. Past 8 the striped
+    /// kernel's sequential scan is 4–9× faster; the break-even itself
+    /// reads ≈ 2 on both tiers.
     const MAX_SKEW: u64 = 8;
     let lanes = prepared.isa().lanes::<i8>() as u64;
     if (chunk.len() as u64) < 2 * lanes {
@@ -335,6 +350,61 @@ pub fn materialize_hits(scored: &[Scored], mut id_of: impl FnMut(usize) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vec::Isa;
+    use swhybrid_align::scoring::Scoring;
+    use swhybrid_seq::sequence::EncodedSequence;
+    use swhybrid_seq::Alphabet;
+
+    /// The `Auto` dispatcher's three tests, one row each side of every
+    /// boundary, on every tier (the lane-fill and skew bounds scale with
+    /// the tier's i8 lane count; the query cutoff does not).
+    #[test]
+    fn auto_dispatch_table() {
+        let arena_of = |lens: &[usize]| {
+            let db: Vec<EncodedSequence> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| EncodedSequence {
+                    id: format!("s{i}"),
+                    codes: vec![(i % 20) as u8; len],
+                    alphabet: Alphabet::Protein,
+                })
+                .collect();
+            DbArena::from_encoded(&db)
+        };
+        let scoring = Scoring::blosum62_affine();
+        for isa in Isa::available() {
+            let lanes = isa.lanes::<i8>();
+            let picks = |query_len: usize, lens: &[usize]| {
+                let prepared = PreparedQuery::with_isa(&vec![0u8; query_len], &scoring, isa);
+                auto_picks_interseq(&prepared, &arena_of(lens), 0..lens.len())
+            };
+            let full = vec![300usize; chunk_floor()];
+            // Query length: the cutoff itself is inter-sequence, one past it
+            // and everything longer is striped.
+            assert!(picks(32, &full), "{isa:?}");
+            assert!(picks(128, &full), "{isa:?}: at the cutoff");
+            assert!(!picks(129, &full), "{isa:?}: one past the cutoff");
+            assert!(!picks(2048, &full), "{isa:?}");
+            assert!(!picks(4096, &full), "{isa:?}");
+            // Lane fill: a chunk of 2 × lanes fills them, one subject fewer
+            // does not — so the 63-subject tail is striped on AVX2 only.
+            assert!(picks(64, &vec![300; 2 * lanes]), "{isa:?}");
+            assert!(!picks(64, &vec![300; 2 * lanes - 1]), "{isa:?}");
+            assert_eq!(picks(64, &[300; 63]), 63 >= 2 * lanes, "{isa:?}");
+            assert!(!picks(64, &[]), "{isa:?}: empty chunk");
+            // Skew: one subject at MAX_SKEW × the mean lane load is the
+            // last inter-sequence chunk; a residue more tips it to striped.
+            let mut skewed = full.clone();
+            let rest = 300 * (skewed.len() - 1);
+            // max·lanes ≤ 8·(rest + max)  ⇔  max ≤ 8·rest / (lanes − 8)
+            let edge = 8 * rest / (lanes - 8);
+            skewed[7] = edge;
+            assert!(picks(64, &skewed), "{isa:?}: skew at the bound");
+            skewed[7] = edge + 1;
+            assert!(!picks(64, &skewed), "{isa:?}: skew past the bound");
+        }
+    }
 
     /// Pin the floor: 2 × the widest (AVX2 32 × i8) lane count. If a wider
     /// kernel is ever added, this test forces the floor (and every default

@@ -14,10 +14,46 @@
 //! F[q][j] = max(H[q-1][j] - Goe, F[q-1][j] - ext)   (gap along the query)
 //! ```
 //!
-//! `F`'s vertical dependency crosses lanes; the main pass under-approximates
-//! it and a *lazy-F* fixpoint loop repairs the rare columns where the carry
-//! actually matters (Farrar 2007; the repair here also refreshes the stored
-//! `E`, closing the corner case SWPS3 reported in Farrar's original code).
+//! `F`'s vertical dependency crosses lanes; the main pass runs the `F` chain
+//! inside each stripe only, and a *lazy-F* loop repairs the columns where
+//! the carry out of one stripe matters in the next (Farrar 2007; the repair
+//! here also refreshes the stored `E`, closing the corner case SWPS3
+//! reported in Farrar's original code).
+//!
+//! ## Lazy-F exit
+//!
+//! The loop propagates *only* the carry that crossed a stripe: `c` starts as
+//! the main pass's end-of-stripe `F` shifted one lane up, and at each vector
+//! the kernel (1) stops if `c ≤ max(H − goe, 0)` in every lane, (2)
+//! otherwise raises `H`/`E`/`best` where `c > H`, (3) decays `c ← c − ext`.
+//! After the last vector `c` shifts up again, at most `lanes` times. This is
+//! Farrar's exit; the `0` is what his unsigned lanes give for free (both
+//! sides of his comparison saturate at zero) and the paper's signed lanes
+//! have to spell out. The exit at (1) ends the whole loop, not the pass, and
+//! that is exact, lane by lane:
+//!
+//! * `c ≤ 0`: `H ≥ 0` everywhere, so a carry at or below zero raises no
+//!   cell now, and it only decays.
+//! * `0 < c ≤ H − goe`: the main pass already ran the in-stripe chain out
+//!   of every `H` it stored, so one vector on `F_main ≥ H − goe ≥ c ≥
+//!   c − ext`: the carry is under the main chain there, both decay by `ext`
+//!   per vector, so it stays under it to the end of the stripe.
+//! * Either way the lane's end-of-stripe carry is at most
+//!   `max(F_main's, 0)`, i.e. the next pass would start, lane for lane, at
+//!   or under what this pass started from (or under zero) — a carry whose
+//!   effect is already applied. So no later pass has anything left to raise.
+//! * A repaired cell `H = c` opens nothing new: its own chain starts at
+//!   `c − goe ≤ c − ext`, which the decaying carry already covers. So no
+//!   gap-open is ever folded back into `c`. (Folding `H − goe` back in
+//!   turns `c` into the full `F` recurrence, which is live at almost every
+//!   vector: every column then runs all `lanes` passes where this loop
+//!   visits one or two vectors — CI greps for it.)
+//! * The `H` compared at (1) must be the value the vector held *before*
+//!   step (2) of the same visit — the main pass's, or an earlier pass's
+//!   repair, whose continuation that pass applied. Comparing the decayed
+//!   carry against the just-repaired cell (`c − ext` vs `c − goe`) reads
+//!   "dominated" whenever `goe == ext` — linear gaps — one vector before the
+//!   carry has reached the cells it still has to raise.
 
 use crate::lanes::Lane;
 use crate::profile::StripedProfile;
@@ -47,6 +83,10 @@ pub struct Workspace<T: Lane> {
     pub(crate) vh: Vec<T>,
     /// The F carry vector (portable path only).
     pub(crate) vf: Vec<T>,
+    /// Lazy-F vectors visited with a live carry (step 2 ran), summed over
+    /// every call on this workspace: the no-clock measure of the lazy loop's
+    /// cost against the `seg_len × subject` vectors of the main pass.
+    pub(crate) lazy_vectors: u64,
 }
 
 impl<T: Lane> Workspace<T> {
@@ -58,6 +98,7 @@ impl<T: Lane> Workspace<T> {
             e: Vec::new(),
             vh: Vec::new(),
             vf: Vec::new(),
+            lazy_vectors: 0,
         }
     }
 
@@ -97,6 +138,7 @@ pub fn sw_striped_portable<T: Lane>(
         e,
         vh: v_h,
         vf: v_f,
+        lazy_vectors,
     } = ws;
 
     for &r in subject {
@@ -138,22 +180,26 @@ pub fn sw_striped_portable<T: Lane>(
             }
         }
 
-        // Lazy-F fixpoint: carry F across stripes. Each pass shifts the
-        // carry one stripe; `lanes` passes bound the longest cross-stripe
-        // gap run. The pass may legally stop only once the carry is
-        // *dominated* everywhere (≤ H − goe): a carry below every local
-        // gap-open source can never influence any downstream cell, whereas
-        // merely "no H changed this pass" is not sufficient — a still-live
-        // carry can overtake a smaller H one stripe later.
-        'lazy: for _ in 0..lanes {
+        // Lazy-F: carry F across stripes (module doc, "Lazy-F exit"). Each
+        // pass shifts the carry one stripe, so `lanes` passes bound the
+        // longest cross-stripe gap run; the carry only ever decays by `ext`
+        // (no gap-open is folded back in), and the whole loop — not the
+        // pass — ends at the first vector where every lane's carry is dead
+        // (≤ 0) or dominated by the `H` this vector held *before* this
+        // visit repairs it.
+        let mut repaired = lanes * seg_len;
+        'lazy: for pass in 0..lanes {
             for l in (1..lanes).rev() {
                 v_f[l] = v_f[l - 1];
             }
             v_f[0] = T::MIN;
-            let mut alive = false;
             for k in 0..seg_len {
                 let e_row = &mut e[k * lanes..(k + 1) * lanes];
                 let h_row = &mut h_store[k * lanes..(k + 1) * lanes];
+                if (0..lanes).all(|l| v_f[l] <= max(h_row[l].sat_sub(goe), T::ZERO)) {
+                    repaired = pass * seg_len + k;
+                    break 'lazy;
+                }
                 for l in 0..lanes {
                     if v_f[l] > h_row[l] {
                         h_row[l] = v_f[l];
@@ -165,16 +211,11 @@ pub fn sw_striped_portable<T: Lane>(
                             best = v_f[l];
                         }
                     }
-                    if v_f[l] > h_row[l].sat_sub(goe) {
-                        alive = true;
-                    }
-                    v_f[l] = max(v_f[l].sat_sub(ext), h_row[l].sat_sub(goe));
+                    v_f[l] = v_f[l].sat_sub(ext);
                 }
             }
-            if !alive {
-                break 'lazy;
-            }
         }
+        *lazy_vectors += repaired as u64;
 
         std::mem::swap(h_load, h_store);
     }

@@ -11,14 +11,17 @@
 //! families ([`KernelChoice`]):
 //!
 //! * **Striped** — the adapted-Farrar intra-sequence kernel, one subject at
-//!   a time. Wins on long queries (its DP state is `O(query)`) and on tiny
+//!   a time. Its rate grows with the query length (level with InterSeq up
+//!   to ≈ 170 residues, ≈ 2× ahead by 2048), and it wins on tiny or skewed
 //!   chunks.
 //! * **InterSeq** — the SWIPE-style inter-sequence kernel, `LANES` subjects
-//!   per vector. Wins on bulk scans of short-to-medium subjects: no per
-//!   subject setup, no lazy-F loop, near-perfect lane utilisation when
-//!   chunk lengths are homogeneous ([`DbArena::length_sorted`]).
-//! * **Auto** (default) — picks per chunk from the query length and the
-//!   chunk's length skew; the decision counters land in [`KernelStats`].
+//!   per vector. A flat rate whatever the query: no per-subject setup, no
+//!   lazy-F loop, near-perfect lane utilisation when chunk lengths are
+//!   homogeneous ([`DbArena::length_sorted`]) — the kernel for short
+//!   queries, and the one a fused query batch shares a score gather in.
+//! * **Auto** (default) — picks per chunk from the query length, the
+//!   chunk's size and its length skew (measured crossovers, see
+//!   `exec`); the decision counters land in [`KernelStats`].
 //!
 //! Every kernel family resolves every subject to the exact Gotoh score, so
 //! the ranked output is **bit-identical** across kernel choices, thread

@@ -29,6 +29,43 @@ fn scoring_strategy() -> impl Strategy<Value = Scoring> {
     })
 }
 
+/// Pairs on which the striped kernels' lazy-F loop carries far: a 2-, 3-,
+/// 4- or 20-letter alphabet, a subject that is the query with one run cut
+/// out and one run spliced in (gaps across several stripes), and gaps cheap
+/// enough to take — `open` 0..=7, including the linear model, where
+/// `goe == ext`.
+fn lazy_f_case() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, Scoring)> {
+    (
+        prop::sample::select(vec![2u8, 3, 4, 20]),
+        prop::collection::vec(0u8..20, 8..160),
+        prop::collection::vec(0u8..20, 0..40),
+        (0usize..1000, 0usize..40, 0usize..1000),
+        (0i32..=7, 1i32..=3, prop::bool::ANY, prop::bool::ANY),
+    )
+        .prop_map(|(letters, query, insert, (cut_at, cut, ins_at), gaps)| {
+            let (open, extend, linear, blosum) = gaps;
+            let query: Vec<u8> = query.iter().map(|r| r % letters).collect();
+            let cut = cut.min(query.len() - 1);
+            let cut_at = cut_at % (query.len() - cut + 1);
+            let mut subject = [&query[..cut_at], &query[cut_at + cut..]].concat();
+            let ins_at = ins_at % (subject.len() + 1);
+            subject.splice(ins_at..ins_at, insert.iter().map(|r| r % letters));
+            let scoring = Scoring {
+                matrix: if blosum {
+                    SubstMatrix::blosum62()
+                } else {
+                    SubstMatrix::match_mismatch(Alphabet::Protein, 5, -4)
+                },
+                gap: if linear {
+                    GapModel::Linear { penalty: extend }
+                } else {
+                    GapModel::Affine { open, extend }
+                },
+            };
+            (query, subject, scoring)
+        })
+}
+
 fn encode_db(subjects: &[Vec<u8>]) -> Vec<EncodedSequence> {
     subjects
         .iter()
@@ -122,6 +159,26 @@ proptest! {
                         "{:?} striped chain, gap open {}", isa, open
                     );
                 }
+            }
+        }
+    }
+
+    /// Where lazy-F fires — low-complexity alphabets, gapped copies, cheap
+    /// and linear gaps — the striped chain of every tier still returns the
+    /// oracle score, both ways round. (Each width and the vector-vs-portable
+    /// law on these inputs: `simd::striped`'s unit tests.)
+    #[test]
+    fn striped_chain_matches_oracle_where_lazy_f_fires(case in lazy_f_case()) {
+        let (query, subject, scoring) = case;
+        for (q, t) in [(&query, &subject), (&subject, &query)] {
+            let expect = sw_score_affine(q, t, &scoring).score;
+            for isa in Isa::available() {
+                let prepared = Arc::new(PreparedQuery::with_isa(q, &scoring, isa));
+                let mut engine = StripedEngine::with_prepared(prepared);
+                prop_assert_eq!(
+                    engine.score(t, &mut KernelScratch::new()), expect,
+                    "{:?} striped chain, {:?}", isa, scoring.gap
+                );
             }
         }
     }
