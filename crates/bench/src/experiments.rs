@@ -4,18 +4,13 @@
 //! the `run_all` driver calls these by name, and the integration tests
 //! assert the headline shapes on the same code.
 
-use std::sync::Arc;
-
 use crate::{databases, fmt_cell, fmt_gcups, fmt_secs, run_config, workload, Config, Table};
-use swhybrid_core::membership::Membership;
 use swhybrid_core::platform::PlatformBuilder;
 use swhybrid_core::policy::Policy;
 use swhybrid_core::sim::SimPe;
-use swhybrid_device::cpu::CpuSseDevice;
-use swhybrid_device::gpu::GpuDevice;
 use swhybrid_device::load::LoadSchedule;
 use swhybrid_device::perfmodel::PerfModel;
-use swhybrid_device::task::{DeviceModel, TaskSpec};
+use swhybrid_device::task::{Device, DeviceKind, TaskSpec};
 use swhybrid_seq::synth::QueryOrder;
 
 /// Default order of the evaluation (see `DESIGN.md` §2).
@@ -158,25 +153,18 @@ pub fn table5() -> Table {
 /// The Fig. 5 worked-example platform: one GPU exactly 6× faster than three
 /// SSE cores, 20 tasks of 1 s GPU time each.
 pub fn fig5_platform(adjustment: bool) -> PlatformBuilder {
-    let flat = |name: &str, gcups: f64| -> Arc<dyn DeviceModel> {
-        let model = PerfModel {
-            peak_gcups: gcups,
-            startup_seconds: 0.0,
-            transfer_bytes_per_sec: None,
-            query_ramp: 0.0,
-            db_fill: 0.0,
-        };
-        if gcups > 1.0 {
-            Arc::new(GpuDevice::with_model(name, model))
-        } else {
-            Arc::new(CpuSseDevice::with_model(name, model))
-        }
+    let flat = |name: &str, kind, gcups| {
+        SimPe::new(Device {
+            name: name.into(),
+            kind,
+            model: PerfModel::flat(gcups),
+        })
     };
     PlatformBuilder::new()
-        .pe(SimPe::new("GPU1", flat("GPU1", 6.0)))
-        .pe(SimPe::new("SSE1", flat("SSE1", 1.0)))
-        .pe(SimPe::new("SSE2", flat("SSE2", 1.0)))
-        .pe(SimPe::new("SSE3", flat("SSE3", 1.0)))
+        .pe(flat("GPU1", DeviceKind::Gpu, 6.0))
+        .pe(flat("SSE1", DeviceKind::SseCore, 1.0))
+        .pe(flat("SSE2", DeviceKind::SseCore, 1.0))
+        .pe(flat("SSE3", DeviceKind::SseCore, 1.0))
         .policy(Policy::pss_default())
         .adjustment(adjustment)
         .comm_latency(0.0)
@@ -280,7 +268,7 @@ pub fn fig6() -> Table {
 fn fig78_run(load_on_core0: Option<LoadSchedule>) -> swhybrid_core::platform::SimOutcome {
     let dog = databases().into_iter().next().expect("five databases");
     let mut b = PlatformBuilder::new()
-        .sse_cores(4)
+        .add(DeviceKind::SseCore, 4)
         .policy(Policy::pss_default())
         .adjustment(true)
         .notify_interval(5.0);
@@ -427,7 +415,7 @@ pub fn ablation_omega() -> Table {
     );
     for omega in [1usize, 2, 5, 10, 20] {
         let out = PlatformBuilder::new()
-            .sse_cores(4)
+            .add(DeviceKind::SseCore, 4)
             .policy(Policy::Pss { omega })
             .adjustment(true)
             .load_on(0, LoadSchedule::step_at(60.0, 0.45))
@@ -457,16 +445,18 @@ pub fn ablation_gpu_startup() -> Table {
         ],
     );
     for startup in [0.0, 0.25, 0.85, 2.0, 5.0] {
-        let mut model = PerfModel::gtx580_cudasw();
-        model.startup_seconds = startup;
+        let model = PerfModel {
+            startup_seconds: startup,
+            ..PerfModel::of(DeviceKind::Gpu)
+        };
         let run_db = |db: &swhybrid_seq::db::DbStats| {
             let mut b = PlatformBuilder::new();
             for i in 0..4 {
-                let name = format!("gpu{i}");
-                b = b.pe(SimPe::new(
-                    name.clone(),
-                    Arc::new(GpuDevice::with_model(name, model.clone())),
-                ));
+                b = b.pe(SimPe::new(Device {
+                    name: DeviceKind::Gpu.pe_name(i),
+                    kind: DeviceKind::Gpu,
+                    model: model.clone(),
+                }));
             }
             b.policy(Policy::pss_default())
                 .adjustment(true)
@@ -496,7 +486,7 @@ pub fn ablation_notify() -> Table {
     );
     for interval in [1.0, 2.0, 5.0, 15.0, 60.0] {
         let out = PlatformBuilder::new()
-            .sse_cores(4)
+            .add(DeviceKind::SseCore, 4)
             .policy(Policy::pss_default())
             .adjustment(true)
             .notify_interval(interval)
@@ -528,8 +518,8 @@ pub fn ablation_latency() -> Table {
         ("1 s (grid)", 1.0),
     ] {
         let out = PlatformBuilder::new()
-            .gpus(4)
-            .sse_cores(4)
+            .add(DeviceKind::Gpu, 4)
+            .add(DeviceKind::SseCore, 4)
             .policy(Policy::pss_default())
             .adjustment(true)
             .comm_latency(latency)
@@ -561,7 +551,7 @@ pub fn ablation_policy_under_load() -> Table {
     ] {
         let run_with = |load: Option<LoadSchedule>| {
             let mut b = PlatformBuilder::new()
-                .sse_cores(4)
+                .add(DeviceKind::SseCore, 4)
                 .policy(policy)
                 .adjustment(true);
             if let Some(l) = load {
@@ -601,11 +591,14 @@ pub fn ablation_dispatch() -> Table {
     );
     for db in databases() {
         let w = || workload(&db, ORDER);
-        let gpu_only = PlatformBuilder::new().gpus(4).run(w());
-        let fifo = PlatformBuilder::new().gpus(4).sse_cores(4).run(w());
+        let gpu_only = PlatformBuilder::new().add(DeviceKind::Gpu, 4).run(w());
+        let fifo = PlatformBuilder::new()
+            .add(DeviceKind::Gpu, 4)
+            .add(DeviceKind::SseCore, 4)
+            .run(w());
         let aware = PlatformBuilder::new()
-            .gpus(4)
-            .sse_cores(4)
+            .add(DeviceKind::Gpu, 4)
+            .add(DeviceKind::SseCore, 4)
             .dispatch(Dispatch::SizeAware)
             .run(w());
         t.row(
@@ -690,9 +683,9 @@ pub fn ext_fpga() -> Table {
         ("4G+4S+2F", 4, 4, 2),
     ] {
         let out = PlatformBuilder::new()
-            .gpus(g)
-            .sse_cores(s)
-            .fpgas(f)
+            .add(DeviceKind::Gpu, g)
+            .add(DeviceKind::SseCore, s)
+            .add(DeviceKind::Fpga, f)
             .policy(Policy::pss_default())
             .adjustment(true)
             .run(workload(&sw, ORDER));
@@ -711,8 +704,8 @@ pub fn ext_membership() -> Table {
     );
     let base = || {
         PlatformBuilder::new()
-            .gpus(2)
-            .sse_cores(4)
+            .add(DeviceKind::Gpu, 2)
+            .add(DeviceKind::SseCore, 4)
             .policy(Policy::pss_default())
             .adjustment(true)
     };
@@ -723,7 +716,7 @@ pub fn ext_membership() -> Table {
     );
     // gpu1 leaves at t=100 s: its tasks return to ready.
     let leave = base()
-        .membership(1, Membership::leaving_at(100.0))
+        .membership(1, 0.0, Some(100.0))
         .run(workload(&sw, ORDER));
     t.row(
         "gpu1 leaves @100s",
@@ -731,8 +724,8 @@ pub fn ext_membership() -> Table {
     );
     // a third GPU joins at t=100 s.
     let join = base()
-        .gpus(1)
-        .membership(6, Membership::joining_at(100.0))
+        .add(DeviceKind::Gpu, 1)
+        .membership(6, 100.0, None)
         .run(workload(&sw, ORDER));
     t.row(
         "gpu2 joins @100s",

@@ -13,7 +13,7 @@ use swhybrid_json::Json;
 
 use swhybrid_core::platform::{PlatformBuilder, SimOutcome};
 use swhybrid_core::policy::Policy;
-use swhybrid_device::task::TaskSpec;
+use swhybrid_device::task::{DeviceKind, TaskSpec};
 use swhybrid_seq::db::DbStats;
 use swhybrid_seq::synth::{paper_databases, QueryOrder, QuerySetSpec};
 
@@ -70,8 +70,8 @@ pub fn run_config(
     order: QueryOrder,
 ) -> SimOutcome {
     PlatformBuilder::new()
-        .gpus(config.gpus)
-        .sse_cores(config.sse_cores)
+        .add(DeviceKind::Gpu, config.gpus)
+        .add(DeviceKind::SseCore, config.sse_cores)
         .policy(policy)
         .adjustment(adjustment)
         .run(workload(db, order))

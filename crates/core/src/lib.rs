@@ -36,10 +36,9 @@
 //!   idle PEs on (no busy-wait polling),
 //! * [`trace`] — execution traces: per-PE Gantt segments (Fig. 5) and
 //!   notification series (Figs. 7/8),
-//! * [`membership`] — future-work extension: PEs joining/leaving mid-run,
-//! * [`platform`] — the public facade: build a platform, run a workload.
+//! * [`platform`] — the public facade: build a platform (including the
+//!   future-work extension of PEs joining/leaving mid-run), run a workload.
 
-pub mod membership;
 pub mod net;
 pub mod platform;
 pub mod policy;

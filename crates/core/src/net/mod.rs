@@ -110,7 +110,8 @@ pub use server::{query_specs, LocalFleet, MasterServer};
 pub use session::serve_slaves;
 pub use slave::{run_serve_slave, run_slave};
 pub use wire::{
-    kernels_from_json, kernels_to_json, LineReader, MasterMsg, SlaveMsg, MAX_LINE, PROTOCOL_VERSION,
+    kernels_from_json, kernels_to_json, write_line, LineReader, MasterMsg, SlaveMsg, MAX_LINE,
+    PROTOCOL_VERSION,
 };
 
 /// Timing and fault-tolerance knobs of the TCP runtime. The defaults are
@@ -681,8 +682,8 @@ mod tests {
             assert!(registered.iter().any(|r| r == n), "{n} never registered");
         }
         // The modeled PE's completions quote the calibrated model.
-        use swhybrid_device::{DeviceModel, GpuDevice};
-        let device = GpuDevice::gtx580("gpu0");
+        use swhybrid_device::{Device, DeviceKind};
+        let device = Device::new("gpu0", DeviceKind::Gpu);
         let gpu_pe = outcome
             .events
             .iter()
@@ -1502,7 +1503,7 @@ mod tests {
 
     #[test]
     fn hybrid_fleet_matches_solo_and_attributes_modeled_speed() {
-        use swhybrid_device::{DeviceModel, FleetSpec, GpuDevice};
+        use swhybrid_device::{Device, DeviceKind, FleetSpec};
         let out = local_run(
             FleetSpec::parse("gpu:1+sse:2").unwrap().build(),
             MasterConfig::default(),
@@ -1544,7 +1545,7 @@ mod tests {
         assert!(!modeled.is_empty(), "the modeled PE finished no task");
         // The attributed speed is the calibrated model's throughput for
         // exactly that task spec — not a host wall-clock measurement.
-        let device = GpuDevice::gtx580("gpu0");
+        let device = Device::new("gpu0", DeviceKind::Gpu);
         let (_, _, specs) = tiny_workload();
         for (task, gcups) in modeled {
             assert_eq!(

@@ -14,11 +14,11 @@
 use std::io;
 use std::net::TcpStream;
 use std::sync::mpsc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use super::accept::Acceptor;
 use super::wire::{
-    decode, invalid, liveness_quantum, send, LineReader, MasterMsg, SlaveMsg, Wire,
+    decode, invalid, liveness_quantum, send_within, LineReader, MasterMsg, SlaveMsg, Wire,
     PROTOCOL_VERSION,
 };
 use super::NetConfig;
@@ -44,9 +44,10 @@ pub fn serve_slaves<S: PoolOwner>(
 /// Serve one slave connection against `pool` until the slave retires,
 /// fails, or the pool aborts. Blocks for the lifetime of the connection.
 fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &NetConfig) {
-    // A slave that cannot take a write for the liveness deadline is dead
+    // A slave that cannot take a line within the liveness deadline is dead
     // by the same definition as one that sends nothing for it: the failed
     // `deliver` tears the session down.
+    let line_timeout = Some(net.slave_deadline);
     let quantum = liveness_quantum(net.slave_deadline);
     let Ok((mut reader, mut writer)) = LineReader::accepted(stream, quantum, net.slave_deadline)
     else {
@@ -77,18 +78,19 @@ fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &Net
     let (name, gcups, wants_descs) = match first.and_then(|msg| vet(msg, master_digest)) {
         Ok(registration) => registration,
         Err(message) => {
-            let _ = send(&mut writer, &MasterMsg::Error { message });
+            let _ = send_within(&mut writer, &MasterMsg::Error { message }, line_timeout);
             return;
         }
     };
 
     let pe = pool.admit(&name, gcups, true);
-    if send(
+    if send_within(
         &mut writer,
         &MasterMsg::Registered {
             pe_id: pe,
             proto: PROTOCOL_VERSION,
         },
+        line_timeout,
     )
     .is_err()
     {
@@ -106,6 +108,7 @@ fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &Net
         let mut endpoint = RemoteEndpoint {
             rx,
             writer,
+            line_timeout,
             wants_descs,
         };
         drive(pool, pe, &mut endpoint);
@@ -229,6 +232,8 @@ fn reader_loop<S: PoolOwner>(
 struct RemoteEndpoint {
     rx: mpsc::Receiver<PeEvent>,
     writer: TcpStream,
+    /// How long one line to the slave may take.
+    line_timeout: Option<Duration>,
     /// The slave registered serve-mode: every assignment must carry its
     /// self-describing payload.
     wants_descs: bool,
@@ -288,6 +293,6 @@ impl<S: PoolOwner> PeEndpoint<S> for RemoteEndpoint {
             },
             PeCommand::Done => MasterMsg::Done,
         };
-        send(&mut self.writer, &msg)
+        send_within(&mut self.writer, &msg, self.line_timeout)
     }
 }

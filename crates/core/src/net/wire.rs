@@ -6,7 +6,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::pool::{FusedQueryResult, QueryPayload, TaskPayload, TaskResult};
 use crate::task::{PeId, TaskId};
@@ -468,10 +468,56 @@ pub(crate) fn invalid(message: impl Into<String>) -> io::Error {
 }
 
 pub(crate) fn send<W: Write, M: Wire>(writer: &mut W, msg: &M) -> io::Result<()> {
+    send_within(writer, msg, None)
+}
+
+/// [`send`] with the whole line bounded by `timeout` (see [`write_line`]).
+pub(crate) fn send_within<W: Write, M: Wire>(
+    writer: &mut W,
+    msg: &M,
+    timeout: Option<Duration>,
+) -> io::Result<()> {
     let mut line = msg.to_json().to_string();
     line.push('\n');
-    writer.write_all(line.as_bytes())?;
+    write_line(writer, line.as_bytes(), timeout)?;
     writer.flush()
+}
+
+/// THE line writer of every port that answers a peer: the master's
+/// session with a slave and the daemon's replies to a client.
+///
+/// `write_all`, except that once the line has taken `timeout` it fails
+/// with [`io::ErrorKind::TimedOut`]. A socket's write timeout bounds one
+/// `write` only, so under `write_all` a peer that drains a byte every so
+/// often holds the writing thread — a PE worker, on the daemon — for as
+/// long as it likes. Here the line is bounded: one `write` past the
+/// deadline at most. The clock starts at the first short write, so a line
+/// that leaves in one `write`, the usual case, costs nothing extra.
+/// `None`: no bound beyond the writer's own.
+pub fn write_line<W: Write + ?Sized>(
+    writer: &mut W,
+    mut line: &[u8],
+    timeout: Option<Duration>,
+) -> io::Result<()> {
+    let mut deadline = None;
+    while !line.is_empty() {
+        match writer.write(line) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => line = &line[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+        if line.is_empty() {
+            break;
+        }
+        if let Some(timeout) = timeout {
+            let now = Instant::now();
+            if now >= *deadline.get_or_insert(now + timeout) {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+        }
+    }
+    Ok(())
 }
 
 pub(crate) fn decode<M: Wire>(line: &str) -> io::Result<M> {
@@ -651,6 +697,63 @@ mod tests {
         assert_eq!(line(&mut reader).len(), 1 << 20);
         assert_eq!(line(&mut reader), "next");
         assert!(matches!(reader.read_line(), Ok(None)));
+    }
+
+    /// A peer that takes one byte per `write`, `pause` after each.
+    struct Sip {
+        taken: Vec<u8>,
+        writes: usize,
+        pause: Duration,
+    }
+
+    impl Sip {
+        fn new(pause: Duration) -> Sip {
+            Sip {
+                taken: Vec::new(),
+                writes: 0,
+                pause,
+            }
+        }
+    }
+
+    impl Write for Sip {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.taken.push(buf[0]);
+            std::thread::sleep(self.pause);
+            Ok(1)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_bounds_the_whole_line_not_each_write() {
+        // A byte every 2 ms never stalls one `write` for long, so only a
+        // bound on the line stops it: 4 KiB would take 8 s.
+        let timeout = Duration::from_millis(100);
+        let line = vec![b'x'; 4096];
+        let mut peer = Sip::new(Duration::from_millis(2));
+        let started = Instant::now();
+        let err = write_line(&mut peer, &line, Some(timeout)).expect_err("never finishes");
+        let took = started.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(took >= timeout, "gave up early, after {took:?}");
+        assert!(took < 5 * timeout, "gave up late, after {took:?}");
+        assert!(peer.taken.len() < line.len());
+
+        // A writer that keeps up finishes, a byte at a time or in one go.
+        let mut quick = Sip::new(Duration::ZERO);
+        write_line(&mut quick, &line, Some(timeout)).unwrap();
+        assert_eq!(quick.taken, line);
+        let mut whole = Vec::new();
+        write_line(&mut whole, &line, Some(timeout)).unwrap();
+        assert_eq!(whole, line);
+        // No bound: the trickle is waited out.
+        let mut patient = Sip::new(Duration::from_millis(1));
+        write_line(&mut patient, &line[..200], None).unwrap();
+        assert_eq!(patient.writes, 200);
     }
 
     #[test]

@@ -3,29 +3,25 @@
 //! ```
 //! use swhybrid_core::platform::PlatformBuilder;
 //! use swhybrid_core::policy::Policy;
+//! use swhybrid_device::DeviceKind;
 //! use swhybrid_seq::synth::{paper_database, QuerySetSpec};
 //!
 //! let sw = paper_database("swissprot").unwrap().full_scale_stats();
 //! let workload = PlatformBuilder::workload(&sw, &QuerySetSpec::paper(), 0);
 //! let outcome = PlatformBuilder::new()
-//!     .gpus(4)
-//!     .sse_cores(4)
+//!     .add(DeviceKind::Gpu, 4)
+//!     .add(DeviceKind::SseCore, 4)
 //!     .policy(Policy::pss_default())
 //!     .adjustment(true)
 //!     .run(workload);
 //! assert!(outcome.report.makespan > 0.0);
 //! ```
 
-use std::sync::Arc;
-
-use crate::membership::Membership;
 use crate::policy::Policy;
 use crate::sim::{SimConfig, SimPe, SimReport, Simulator};
-use swhybrid_device::cpu::CpuSseDevice;
-use swhybrid_device::fpga::FpgaDevice;
-use swhybrid_device::gpu::GpuDevice;
 use swhybrid_device::load::LoadSchedule;
-use swhybrid_device::task::TaskSpec;
+use swhybrid_device::task::{Device, DeviceKind, TaskSpec};
+use swhybrid_device::FleetSpec;
 use swhybrid_seq::db::DbStats;
 use swhybrid_seq::synth::QuerySetSpec;
 
@@ -56,9 +52,6 @@ impl SimOutcome {
 #[derive(Clone)]
 pub struct PlatformBuilder {
     pes: Vec<SimPe>,
-    n_gpus: usize,
-    n_sse: usize,
-    n_fpga: usize,
     config: SimConfig,
 }
 
@@ -73,48 +66,23 @@ impl PlatformBuilder {
     pub fn new() -> PlatformBuilder {
         PlatformBuilder {
             pes: Vec::new(),
-            n_gpus: 0,
-            n_sse: 0,
-            n_fpga: 0,
             config: SimConfig::default(),
         }
     }
 
-    /// Add `n` GTX 580 GPUs.
-    pub fn gpus(mut self, n: usize) -> Self {
-        for _ in 0..n {
-            let name = format!("gpu{}", self.n_gpus);
-            self.n_gpus += 1;
+    /// Add `n` PEs of `kind` on the kind's calibrated row, numbered after
+    /// the ones already present (`gpu0`, `gpu1`, …).
+    pub fn add(mut self, kind: DeviceKind, n: usize) -> Self {
+        let first = self.count(kind);
+        for i in first..first + n {
             self.pes
-                .push(SimPe::new(name.clone(), Arc::new(GpuDevice::gtx580(name))));
+                .push(SimPe::new(Device::new(kind.pe_name(i), kind)));
         }
         self
     }
 
-    /// Add `n` SSE cores.
-    pub fn sse_cores(mut self, n: usize) -> Self {
-        for _ in 0..n {
-            let name = format!("sse{}", self.n_sse);
-            self.n_sse += 1;
-            self.pes.push(SimPe::new(
-                name.clone(),
-                Arc::new(CpuSseDevice::i7_core(name)),
-            ));
-        }
-        self
-    }
-
-    /// Add `n` FPGA accelerators (future-work extension).
-    pub fn fpgas(mut self, n: usize) -> Self {
-        for _ in 0..n {
-            let name = format!("fpga{}", self.n_fpga);
-            self.n_fpga += 1;
-            self.pes.push(SimPe::new(
-                name.clone(),
-                Arc::new(FpgaDevice::systolic(name)),
-            ));
-        }
-        self
+    fn count(&self, kind: DeviceKind) -> usize {
+        self.pes.iter().filter(|p| p.device.kind == kind).count()
     }
 
     /// Add an arbitrary PE.
@@ -127,14 +95,9 @@ impl PlatformBuilder {
     /// `sse:8+gpu:2` spec the real runtimes (`master --fleet`, `serve
     /// --fleet`) accept, so a simulated platform and a real hybrid run can
     /// be configured from one string.
-    pub fn fleet(mut self, spec: &swhybrid_device::FleetSpec) -> Self {
-        use swhybrid_device::task::DeviceKind;
+    pub fn fleet(mut self, spec: &FleetSpec) -> Self {
         for &(kind, count) in spec.entries() {
-            self = match kind {
-                DeviceKind::SseCore => self.sse_cores(count),
-                DeviceKind::Gpu => self.gpus(count),
-                DeviceKind::Fpga => self.fpgas(count),
-            };
+            self = self.add(kind, count);
         }
         self
     }
@@ -170,25 +133,23 @@ impl PlatformBuilder {
         self
     }
 
-    /// Attach a load schedule to the most recently added PE.
-    pub fn load_on_last(mut self, load: LoadSchedule) -> Self {
-        self.pes
-            .last_mut()
-            .expect("add a PE before attaching load")
-            .load = load;
-        self
-    }
-
     /// Attach a load schedule to PE `index`.
     pub fn load_on(mut self, index: usize, load: LoadSchedule) -> Self {
         self.pes[index].load = load;
         self
     }
 
-    /// Attach a membership plan to PE `index`.
-    pub fn membership(mut self, index: usize, plan: Membership) -> Self {
-        self.pes[index].join_at = plan.join_at;
-        self.pes[index].leave_at = plan.leave_at;
+    /// PE `index` is present from `join_at` (0.0 = from the start) until
+    /// `leave_at`, if it leaves (the paper's §VI future work: nodes joining
+    /// and leaving while an application runs).
+    pub fn membership(mut self, index: usize, join_at: f64, leave_at: Option<f64>) -> Self {
+        assert!(join_at >= 0.0, "join time must be non-negative");
+        assert!(
+            leave_at.is_none_or(|leave| leave > join_at),
+            "leave must follow join"
+        );
+        self.pes[index].join_at = join_at;
+        self.pes[index].leave_at = leave_at;
         self
     }
 
@@ -209,28 +170,22 @@ impl PlatformBuilder {
             .collect()
     }
 
-    /// A short description like `"2 GPUs + 4 SSEs"`.
+    /// A short description like `"2 GPUs + 4 SSEs"`: PE counts by kind,
+    /// always GPU → SSE → FPGA whatever the order they were added in.
     pub fn describe(&self) -> String {
-        let mut parts = Vec::new();
-        if self.n_gpus > 0 {
-            parts.push(format!("{} GPU{}", self.n_gpus, plural(self.n_gpus)));
-        }
-        if self.n_sse > 0 {
-            parts.push(format!("{} SSE{}", self.n_sse, plural(self.n_sse)));
-        }
-        if self.n_fpga > 0 {
-            parts.push(format!("{} FPGA{}", self.n_fpga, plural(self.n_fpga)));
-        }
-        if parts.is_empty() {
-            parts.push(format!("{} custom PE(s)", self.pes.len()));
-        }
-        parts.join(" + ")
+        DeviceKind::ALL
+            .into_iter()
+            .map(|kind| (kind, self.count(kind)))
+            .filter(|&(_, n)| n > 0)
+            .map(|(kind, n)| format!("{n} {kind}{}", if n == 1 { "" } else { "s" }))
+            .collect::<Vec<_>>()
+            .join(" + ")
     }
 
     /// Run the workload to completion under virtual time.
     pub fn run(self, workload: Vec<TaskSpec>) -> SimOutcome {
         let platform = self.describe();
-        let pe_names: Vec<String> = self.pes.iter().map(|p| p.name.clone()).collect();
+        let pe_names: Vec<String> = self.pes.iter().map(|p| p.device.name.clone()).collect();
         // Late joiners must be listed last for the simulator; preserve the
         // user's order otherwise.
         let mut pes = self.pes;
@@ -248,14 +203,6 @@ impl PlatformBuilder {
     }
 }
 
-fn plural(n: usize) -> &'static str {
-    if n == 1 {
-        ""
-    } else {
-        "s"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +210,22 @@ mod tests {
 
     fn swissprot() -> DbStats {
         paper_database("swissprot").unwrap().full_scale_stats()
+    }
+
+    #[test]
+    #[should_panic(expected = "leave must follow join")]
+    fn inverted_membership_window_rejected() {
+        PlatformBuilder::new()
+            .add(DeviceKind::Gpu, 1)
+            .membership(0, 8.0, Some(2.0));
+    }
+
+    #[test]
+    fn membership_sets_the_window() {
+        let b = PlatformBuilder::new()
+            .add(DeviceKind::Gpu, 2)
+            .membership(1, 1.0, Some(4.0));
+        assert_eq!((b.pes[1].join_at, b.pes[1].leave_at), (1.0, Some(4.0)));
     }
 
     #[test]
@@ -279,15 +242,21 @@ mod tests {
     #[test]
     fn describe_platforms() {
         assert_eq!(
-            PlatformBuilder::new().gpus(4).sse_cores(4).describe(),
+            PlatformBuilder::new()
+                .add(DeviceKind::Gpu, 4)
+                .add(DeviceKind::SseCore, 4)
+                .describe(),
             "4 GPUs + 4 SSEs"
         );
-        assert_eq!(PlatformBuilder::new().gpus(1).describe(), "1 GPU");
+        assert_eq!(
+            PlatformBuilder::new().add(DeviceKind::Gpu, 1).describe(),
+            "1 GPU"
+        );
         assert_eq!(
             PlatformBuilder::new()
-                .gpus(1)
-                .sse_cores(2)
-                .fpgas(1)
+                .add(DeviceKind::Gpu, 1)
+                .add(DeviceKind::SseCore, 2)
+                .add(DeviceKind::Fpga, 1)
                 .describe(),
             "1 GPU + 2 SSEs + 1 FPGA"
         );
@@ -296,7 +265,7 @@ mod tests {
     #[test]
     fn gpu_only_platform_runs_swissprot_workload() {
         let w = PlatformBuilder::workload(&swissprot(), &QuerySetSpec::paper(), 0);
-        let out = PlatformBuilder::new().gpus(1).run(w);
+        let out = PlatformBuilder::new().add(DeviceKind::Gpu, 1).run(w);
         // One GTX 580 over the full SwissProt workload: hundreds of seconds.
         assert!(out.seconds() > 300.0, "{}", out.seconds());
         assert!(out.gcups() > 10.0, "{}", out.gcups());
@@ -310,8 +279,11 @@ mod tests {
         // (Asserted at 2 GPUs, where the SSE share is decisive; the 4-GPU
         // wash is covered by the workspace-level shape tests.)
         let w = || PlatformBuilder::workload(&swissprot(), &QuerySetSpec::paper(), 0);
-        let gpu_only = PlatformBuilder::new().gpus(2).run(w());
-        let hybrid = PlatformBuilder::new().gpus(2).sse_cores(4).run(w());
+        let gpu_only = PlatformBuilder::new().add(DeviceKind::Gpu, 2).run(w());
+        let hybrid = PlatformBuilder::new()
+            .add(DeviceKind::Gpu, 2)
+            .add(DeviceKind::SseCore, 4)
+            .run(w());
         assert!(
             hybrid.seconds() < gpu_only.seconds(),
             "hybrid {} vs gpu-only {}",
@@ -327,10 +299,10 @@ mod tests {
         // GPU-only one — the SSE cores grab huge tasks near the end of the
         // queue and everyone waits for them.
         let w = || PlatformBuilder::workload(&swissprot(), &QuerySetSpec::paper(), 0);
-        let gpu_only = PlatformBuilder::new().gpus(4).run(w());
+        let gpu_only = PlatformBuilder::new().add(DeviceKind::Gpu, 4).run(w());
         let hybrid_no_adj = PlatformBuilder::new()
-            .gpus(4)
-            .sse_cores(4)
+            .add(DeviceKind::Gpu, 4)
+            .add(DeviceKind::SseCore, 4)
             .adjustment(false)
             .run(w());
         assert!(
@@ -347,10 +319,13 @@ mod tests {
         // total execution time in 57.2%". Our calibration lands at ~49% for
         // the same 4 GPUs + 4 SSEs SwissProt configuration.
         let w = || PlatformBuilder::workload(&swissprot(), &QuerySetSpec::paper(), 0);
-        let with = PlatformBuilder::new().gpus(4).sse_cores(4).run(w());
+        let with = PlatformBuilder::new()
+            .add(DeviceKind::Gpu, 4)
+            .add(DeviceKind::SseCore, 4)
+            .run(w());
         let without = PlatformBuilder::new()
-            .gpus(4)
-            .sse_cores(4)
+            .add(DeviceKind::Gpu, 4)
+            .add(DeviceKind::SseCore, 4)
             .adjustment(false)
             .run(w());
         let reduction = 1.0 - with.seconds() / without.seconds();

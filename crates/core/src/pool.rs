@@ -41,7 +41,7 @@ use crate::task::{PeId, TaskId, TaskState};
 use crate::trace::EventKind;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_device::fleet::FleetPe;
-use swhybrid_device::task::DeviceModel;
+use swhybrid_device::task::Device;
 use swhybrid_seq::DbSnapshot;
 use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
 use swhybrid_simd::exec::{chunk_floor, materialize_hits, ShardExecutor, ShardPlan};
@@ -285,7 +285,7 @@ struct Member {
     remote: bool,
     /// The device model of a modeled accelerator PE (see
     /// [`PePool::admit_fleet`]); `None` for every PE whose speed is measured.
-    model: Option<Arc<dyn DeviceModel>>,
+    model: Option<Device>,
 }
 
 /// The lock-guarded heart of a pool: the master, the owner, and the
@@ -482,7 +482,7 @@ impl<S: PoolOwner> PePool<S> {
         name: &str,
         static_gcups: f64,
         remote: bool,
-        model: Option<Arc<dyn DeviceModel>>,
+        model: Option<Device>,
     ) -> PeId {
         let gcups = if static_gcups.is_finite() && static_gcups > 0.0 {
             static_gcups

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on 4 × GTX 580 + 2 × quad-core i7; this machine has
 //! neither, so the platform runs under **virtual time**: each PE is a
-//! [`DeviceModel`] whose task durations come from the calibrated models of
+//! [`Device`] whose task durations come from its calibrated row in
 //! `swhybrid-device`, optionally perturbed by a [`LoadSchedule`]
 //! (non-dedicated §V-C runs). The *scheduling logic itself is not
 //! simulated* — this module contains no SS/PSS/Φ sizing and no adjustment
@@ -18,21 +18,18 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 use crate::sched::{Assignment, Clock, MasterConfig, Scheduler, VirtualClock};
 use crate::task::{PeId, TaskId};
 use crate::trace::{NotifySample, SegmentEnd, Trace, TraceSegment};
 use swhybrid_device::load::LoadSchedule;
-use swhybrid_device::task::{DeviceKind, DeviceModel, TaskSpec};
+use swhybrid_device::task::{Device, DeviceKind, TaskSpec};
 
 /// One PE of the simulated platform.
 #[derive(Clone)]
 pub struct SimPe {
-    /// Human-readable name (also registered with the master).
-    pub name: String,
-    /// The performance model.
-    pub device: Arc<dyn DeviceModel>,
+    /// The PE (its name is also the one registered with the master).
+    pub device: Device,
     /// External load (1.0 everywhere for dedicated platforms).
     pub load: LoadSchedule,
     /// When the PE joins the platform (0.0 = from the start).
@@ -43,9 +40,8 @@ pub struct SimPe {
 
 impl SimPe {
     /// A dedicated PE present for the whole run.
-    pub fn new(name: impl Into<String>, device: Arc<dyn DeviceModel>) -> SimPe {
+    pub fn new(device: Device) -> SimPe {
         SimPe {
-            name: name.into(),
             device,
             load: LoadSchedule::dedicated(),
             join_at: 0.0,
@@ -239,7 +235,10 @@ impl Engine {
         for pe in &pes {
             // Every PE (early or late) is registered up front so ids line
             // up; static quotas therefore see the full roster.
-            let id = master.register(pe.name.clone(), pe.device.task_gcups(&TaskSpec::probe()));
+            let id = master.register(
+                pe.device.name.clone(),
+                pe.device.task_gcups(&TaskSpec::probe()),
+            );
             debug_assert_eq!(id, state.len());
             let mut s = PeState {
                 alive: pe.join_at <= 0.0,
@@ -313,8 +312,8 @@ impl Engine {
             .iter()
             .enumerate()
             .map(|(i, s)| PeReport {
-                name: self.pes[i].name.clone(),
-                kind: self.pes[i].device.kind(),
+                name: self.pes[i].device.name.clone(),
+                kind: self.pes[i].device.kind,
                 busy_seconds: s.busy_seconds,
                 tasks_completed: s.tasks_completed,
                 tasks_cancelled: s.tasks_cancelled,
@@ -556,21 +555,15 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::policy::Policy;
-    use swhybrid_device::cpu::CpuSseDevice;
     use swhybrid_device::perfmodel::PerfModel;
 
-    /// A flat-rate device: `gcups` everywhere, no startup, no ramps.
-    pub(crate) fn flat_device(name: &str, gcups: f64) -> Arc<dyn DeviceModel> {
-        Arc::new(CpuSseDevice::with_model(
-            name,
-            PerfModel {
-                peak_gcups: gcups,
-                startup_seconds: 0.0,
-                transfer_bytes_per_sec: None,
-                query_ramp: 0.0,
-                db_fill: 0.0,
-            },
-        ))
+    /// A dedicated flat-rate PE: `gcups` everywhere, no startup, no ramps.
+    fn flat_pe(name: impl Into<String>, gcups: f64) -> SimPe {
+        SimPe::new(Device {
+            name: name.into(),
+            kind: DeviceKind::SseCore,
+            model: PerfModel::flat(gcups),
+        })
     }
 
     fn uniform_tasks(n: usize, cells_each: u64) -> Vec<TaskSpec> {
@@ -600,7 +593,7 @@ mod tests {
     #[test]
     fn single_pe_runs_everything_sequentially() {
         // 10 tasks of 1 Gcell at 1 GCUPS = 10 s.
-        let pes = vec![SimPe::new("solo", flat_device("solo", 1.0))];
+        let pes = vec![flat_pe("solo", 1.0)];
         let report = Simulator::new(
             pes,
             uniform_tasks(10, 1_000_000_000),
@@ -615,10 +608,7 @@ mod tests {
 
     #[test]
     fn two_equal_pes_halve_the_makespan() {
-        let pes = vec![
-            SimPe::new("a", flat_device("a", 1.0)),
-            SimPe::new("b", flat_device("b", 1.0)),
-        ];
+        let pes = vec![flat_pe("a", 1.0), flat_pe("b", 1.0)];
         let report = Simulator::new(
             pes,
             uniform_tasks(10, 1_000_000_000),
@@ -630,7 +620,7 @@ mod tests {
 
     #[test]
     fn empty_workload_finishes_instantly() {
-        let pes = vec![SimPe::new("a", flat_device("a", 1.0))];
+        let pes = vec![flat_pe("a", 1.0)];
         let report = Simulator::new(pes, vec![], config(Policy::SelfScheduling, true)).run();
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.total_cells, 0);
@@ -641,9 +631,9 @@ mod tests {
         // §IV-A-3 / Fig. 5: 4 PEs (1 GPU 6× faster than 3 SSE cores),
         // 20 tasks of 1 s GPU time each, PSS, negligible latency.
         // Equal priors make the first allocation one task per PE.
-        let mut pes = vec![SimPe::new("GPU1", flat_device("GPU1", 6.0))];
+        let mut pes = vec![flat_pe("GPU1", 6.0)];
         for i in 1..=3 {
-            pes.push(SimPe::new(format!("SSE{i}"), flat_device("x", 1.0)));
+            pes.push(flat_pe(format!("SSE{i}"), 1.0));
         }
         // Override priors: register uses a probe task; flat devices report
         // their flat GCUPS for it, so priors are 6 and 1 — but Fig. 5's
@@ -669,9 +659,9 @@ mod tests {
 
     #[test]
     fn fig5_without_adjustment_is_18s() {
-        let mut pes = vec![SimPe::new("GPU1", flat_device("GPU1", 6.0))];
+        let mut pes = vec![flat_pe("GPU1", 6.0)];
         for i in 1..=3 {
-            pes.push(SimPe::new(format!("SSE{i}"), flat_device("x", 1.0)));
+            pes.push(flat_pe(format!("SSE{i}"), 1.0));
         }
         let report = Simulator::new(
             pes,
@@ -692,10 +682,7 @@ mod tests {
         // the makespan worse (beyond numeric noise).
         for (fast, slow, tasks) in [(6.0, 1.0, 20), (10.0, 1.0, 7), (3.0, 2.0, 12)] {
             let mk = |adj: bool| {
-                let pes = vec![
-                    SimPe::new("fast", flat_device("fast", fast)),
-                    SimPe::new("slow", flat_device("slow", slow)),
-                ];
+                let pes = vec![flat_pe("fast", fast), flat_pe("slow", slow)];
                 Simulator::new(
                     pes,
                     uniform_tasks(tasks, 2_000_000_000),
@@ -715,10 +702,7 @@ mod tests {
 
     #[test]
     fn cancelled_replicas_are_counted_as_duplicated_work() {
-        let pes = vec![
-            SimPe::new("fast", flat_device("fast", 10.0)),
-            SimPe::new("slow", flat_device("slow", 1.0)),
-        ];
+        let pes = vec![flat_pe("fast", 10.0), flat_pe("slow", 1.0)];
         let report = Simulator::new(
             pes,
             uniform_tasks(3, 1_000_000_000),
@@ -738,8 +722,7 @@ mod tests {
     fn load_schedule_slows_pe_down() {
         // One PE at 1 GCUPS, 10 Gcells of work, halved after t=5:
         // 5 Gcells by t=5, remaining 5 at 0.5 GCUPS → 10 more s → 15 s.
-        let pes =
-            vec![SimPe::new("a", flat_device("a", 1.0)).with_load(LoadSchedule::step_at(5.0, 0.5))];
+        let pes = vec![flat_pe("a", 1.0).with_load(LoadSchedule::step_at(5.0, 0.5))];
         let report = Simulator::new(
             pes,
             uniform_tasks(10, 1_000_000_000),
@@ -751,9 +734,7 @@ mod tests {
 
     #[test]
     fn notifications_track_load_change() {
-        let pes = vec![
-            SimPe::new("a", flat_device("a", 2.0)).with_load(LoadSchedule::step_at(10.0, 0.5))
-        ];
+        let pes = vec![flat_pe("a", 2.0).with_load(LoadSchedule::step_at(10.0, 0.5))];
         let report = Simulator::new(
             pes,
             uniform_tasks(60, 1_000_000_000),
@@ -784,9 +765,9 @@ mod tests {
 
     #[test]
     fn pe_leaving_returns_its_tasks() {
-        let mut slow = SimPe::new("leaver", flat_device("leaver", 1.0));
+        let mut slow = flat_pe("leaver", 1.0);
         slow.leave_at = Some(2.0);
-        let pes = vec![SimPe::new("stayer", flat_device("stayer", 1.0)), slow];
+        let pes = vec![flat_pe("stayer", 1.0), slow];
         let report = Simulator::new(
             pes,
             uniform_tasks(6, 1_000_000_000),
@@ -802,9 +783,9 @@ mod tests {
 
     #[test]
     fn pe_joining_late_takes_work() {
-        let mut late = SimPe::new("late", flat_device("late", 10.0));
+        let mut late = flat_pe("late", 10.0);
         late.join_at = 3.0;
-        let pes = vec![SimPe::new("early", flat_device("early", 1.0)), late];
+        let pes = vec![flat_pe("early", 1.0), late];
         let report = Simulator::new(
             pes,
             uniform_tasks(10, 1_000_000_000),
@@ -820,10 +801,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let build = || {
-            let pes = vec![
-                SimPe::new("a", flat_device("a", 3.0)),
-                SimPe::new("b", flat_device("b", 1.0)),
-            ];
+            let pes = vec![flat_pe("a", 3.0), flat_pe("b", 1.0)];
             Simulator::new(
                 pes,
                 uniform_tasks(15, 2_000_000_000),
@@ -842,7 +820,7 @@ mod tests {
 
     #[test]
     fn gcups_is_useful_cells_over_makespan() {
-        let pes = vec![SimPe::new("a", flat_device("a", 2.0))];
+        let pes = vec![flat_pe("a", 2.0)];
         let report = Simulator::new(
             pes,
             uniform_tasks(4, 1_000_000_000),

@@ -15,10 +15,16 @@
 //!    flight to saturate the SMs (**occupancy** ramp) — the physical origin
 //!    of the `db_fill` term in the aggregate model.
 //!
-//! The plan's `seconds` estimate and the aggregate [`PerfModel`] are
-//! cross-validated in the tests.
+//! The device's peak and per-invocation startup are the GTX 580 row of
+//! the calibration table ([`PerfModel::of`]); the plan's `seconds`
+//! estimate and that aggregate curve are cross-validated in the tests.
 
-use crate::gpu::INTER_INTRA_THRESHOLD;
+use crate::perfmodel::PerfModel;
+use crate::task::DeviceKind;
+
+/// Subject-length threshold between CUDASW++ 2.0's inter-task and
+/// intra-task kernels (Liu et al. 2010 use 3,072).
+const INTER_INTRA_THRESHOLD: usize = 3072;
 
 /// Configuration of the simulated device/kernels.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,15 +50,17 @@ impl Default for CudaswSim {
 }
 
 impl CudaswSim {
-    /// A GTX 580 (16 SMs, Fermi-class residency).
+    /// A GTX 580 (16 SMs, Fermi-class residency) with the GPU row's peak
+    /// and startup.
     pub fn gtx580() -> CudaswSim {
+        let row = PerfModel::of(DeviceKind::Gpu);
         CudaswSim {
             threshold: INTER_INTRA_THRESHOLD,
             warp: 32,
-            peak_gcups: 32.0,
+            peak_gcups: row.peak_gcups,
             intra_efficiency: 0.55,
             full_occupancy_warps: 16 * 48,
-            startup_seconds: 0.85,
+            startup_seconds: row.startup_seconds,
         }
     }
 
@@ -147,7 +155,6 @@ impl CudaswPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perfmodel::PerfModel;
     use swhybrid_seq::synth::paper_database;
 
     fn dog_lengths() -> Vec<usize> {
@@ -230,7 +237,7 @@ mod tests {
             .map(|s| s.len())
             .collect();
         let plan = sim.plan(2550, &lengths, true);
-        let aggregate = PerfModel::gtx580_cudasw();
+        let aggregate = PerfModel::of(DeviceKind::Gpu);
         let agg_secs = aggregate.startup(plan.actual_cells / 2550)
             + plan.actual_cells as f64 / aggregate.effective_rate(2550, lengths.len());
         let ratio = plan.seconds / agg_secs;

@@ -11,17 +11,15 @@
 //!
 //! * `sse` entries become **real** SIMD PEs (no device model, neutral
 //!   1.0-GCUPS prior — their true speed is measured, not assumed);
-//! * `gpu` / `fpga` entries become **modeled** PEs (the calibrated
-//!   [`GpuDevice::gtx580`] / [`FpgaDevice::systolic`] models): every PE
-//!   computes real scores through the one shard-scan step, and a modeled
-//!   one registers its model's throughput as the prior and has it
-//!   attributed on completion.
+//! * `gpu` / `fpga` entries become **modeled** PEs (a [`Device`] on the
+//!   kind's calibrated row): every PE computes real scores through the one
+//!   shard-scan step, and a modeled one registers its model's throughput
+//!   as the prior and has it attributed on completion.
+//!
+//! Both this builder and the simulator's `PlatformBuilder::fleet` name
+//! PEs by [`DeviceKind::pe_name`], so one spec yields one set of names.
 
-use std::sync::Arc;
-
-use crate::fpga::FpgaDevice;
-use crate::gpu::GpuDevice;
-use crate::task::{DeviceKind, DeviceModel, TaskSpec};
+use crate::task::{Device, DeviceKind, TaskSpec};
 
 /// A parsed fleet: PE kinds with counts, in written order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,15 +28,16 @@ pub struct FleetSpec {
 }
 
 /// One materialised fleet member, ready to admit into a PE pool.
+#[derive(Debug)]
 pub struct FleetPe {
     /// Pool-visible PE name (`gpu0`, `sse3`, …).
     pub name: String,
     /// Registration prior in GCUPS (WFixed weight / PSS seed).
     pub static_gcups: f64,
-    /// The performance model for modeled kinds (`None` for real SIMD PEs,
-    /// whose speed is measured): the driver attributes
-    /// `model.task_gcups(spec)` to each task this PE completes.
-    pub model: Option<Arc<dyn DeviceModel>>,
+    /// The modeled device (`None` for real SIMD PEs, whose speed is
+    /// measured): the driver attributes `model.task_gcups(spec)` to each
+    /// task this PE completes.
+    pub model: Option<Device>,
 }
 
 impl FleetPe {
@@ -54,22 +53,12 @@ impl FleetPe {
 
     /// A modeled accelerator PE, named after its device: the model's
     /// throughput on the probe task is its registration prior.
-    pub fn modeled(device: Arc<dyn DeviceModel>) -> FleetPe {
+    pub fn modeled(device: Device) -> FleetPe {
         FleetPe {
-            name: device.name().to_string(),
+            name: device.name.clone(),
             static_gcups: device.task_gcups(&TaskSpec::probe()),
             model: Some(device),
         }
-    }
-}
-
-impl std::fmt::Debug for FleetPe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetPe")
-            .field("name", &self.name)
-            .field("static_gcups", &self.static_gcups)
-            .field("modeled", &self.model.is_some())
-            .finish()
     }
 }
 
@@ -88,15 +77,10 @@ impl FleetSpec {
                     "fleet segment {segment:?} is not KIND:COUNT (expected e.g. sse:8)"
                 ));
             };
-            let kind = match kind {
-                "sse" => DeviceKind::SseCore,
-                "gpu" => DeviceKind::Gpu,
-                "fpga" => DeviceKind::Fpga,
-                other => {
-                    return Err(format!(
-                        "unknown backend {other:?} in fleet spec (expected sse|gpu|fpga)"
-                    ))
-                }
+            let Some(kind) = DeviceKind::ALL.into_iter().find(|k| k.tag() == kind) else {
+                return Err(format!(
+                    "unknown backend {kind:?} in fleet spec (expected sse|gpu|fpga)"
+                ));
             };
             let count: usize = count
                 .parse()
@@ -149,17 +133,12 @@ impl FleetSpec {
         for &(kind, count) in &self.entries {
             for _ in 0..count {
                 let i = counters.entry(kind).or_insert(0usize);
-                let pe = match kind {
-                    DeviceKind::SseCore => FleetPe::simd(format!("sse{i}"), 1.0),
-                    DeviceKind::Gpu => {
-                        FleetPe::modeled(Arc::new(GpuDevice::gtx580(format!("gpu{i}"))))
-                    }
-                    DeviceKind::Fpga => {
-                        FleetPe::modeled(Arc::new(FpgaDevice::systolic(format!("fpga{i}"))))
-                    }
-                };
+                let name = kind.pe_name(*i);
                 *i += 1;
-                pes.push(pe);
+                pes.push(match kind {
+                    DeviceKind::SseCore => FleetPe::simd(name, 1.0),
+                    _ => FleetPe::modeled(Device::new(name, kind)),
+                });
             }
         }
         pes

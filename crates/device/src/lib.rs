@@ -13,34 +13,28 @@
 //!
 //! Modules:
 //!
-//! * [`task`] — the work unit: one query × one whole database (§IV, "very
-//!   coarse-grained"),
-//! * [`perfmodel`] — throughput curves and the calibration presets,
-//! * [`gpu`] — the CUDASW++-2.0-style accelerator model,
+//! * [`task`] — the work unit, one query × one whole database (§IV, "very
+//!   coarse-grained"), and the PE: a [`Device`] is a name, a kind and
+//!   that kind's throughput curve,
+//! * [`perfmodel`] — the calibration table, one [`PerfModel`] row per
+//!   kind: the GTX 580 running CUDASW++ 2.0, one i7 SSE core (one PE per
+//!   core, as in the paper), and the future-work FPGA with a maximum
+//!   query length and Meng/Chaudhary-style query segmentation,
 //! * [`cudasw`] — a structural simulation of one CUDASW++ invocation
 //!   (length sort, inter/intra-task kernel split, warp divergence,
-//!   occupancy) that grounds the aggregate model,
-//! * [`cpu`] — the SSE-core model (one PE per core, as in the paper),
-//! * [`fpga`] — future-work extension: an FPGA PE with a maximum query
-//!   length and Meng/Chaudhary-style query segmentation,
+//!   occupancy) that grounds the GPU row,
 //! * [`load`] — step-function load schedules for non-dedicated experiments
 //!   (the paper's §V-C `superpi` interference test),
 //! * [`fleet`] — the shared `sse:8+gpu:2` fleet-spec parser and builder
 //!   every hybrid-fleet surface (`master`, `serve`, `simulate`) uses.
 
-pub mod cpu;
 pub mod cudasw;
 pub mod fleet;
-pub mod fpga;
-pub mod gpu;
 pub mod load;
 pub mod perfmodel;
 pub mod task;
 
-pub use cpu::CpuSseDevice;
 pub use fleet::{FleetPe, FleetSpec};
-pub use fpga::FpgaDevice;
-pub use gpu::GpuDevice;
 pub use load::LoadSchedule;
 pub use perfmodel::PerfModel;
-pub use task::{DeviceKind, DeviceModel, TaskSpec};
+pub use task::{Device, DeviceKind, TaskSpec};

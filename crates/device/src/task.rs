@@ -1,9 +1,13 @@
-//! The work unit and the device-model abstraction.
+//! The work unit and the processing element.
 //!
 //! In the paper's system "a task is defined to be the comparison of one
 //! query sequence to one genomic database" (§IV) — the very coarse-grained
 //! decomposition of Fig. 3c. A [`TaskSpec`] carries exactly the metadata a
-//! performance model needs: query length and database size.
+//! performance model needs: query length and database size. A [`Device`]
+//! is one PE as the scheduler sees it: a name, a kind, and the kind's
+//! throughput curve, which turns a task into seconds.
+
+use crate::perfmodel::PerfModel;
 
 /// Immutable description of one task (query × whole database).
 ///
@@ -37,7 +41,7 @@ impl TaskSpec {
     /// Representative task used to derive a device's *static* GCUPS prior
     /// for registration (mid-size query, SwissProt-like database). Both
     /// the simulator and the real fleet builders quote a model's
-    /// [`DeviceModel::task_gcups`] on this probe as its registration
+    /// [`Device::task_gcups`] on this probe as its registration
     /// prior, so simulated and real hybrid fleets start from the same
     /// speed estimates.
     pub fn probe() -> TaskSpec {
@@ -62,6 +66,26 @@ pub enum DeviceKind {
     Fpga,
 }
 
+impl DeviceKind {
+    /// Every kind, in the order platform descriptions list them.
+    pub const ALL: [DeviceKind; 3] = [DeviceKind::Gpu, DeviceKind::SseCore, DeviceKind::Fpga];
+
+    /// The fleet-spec token, which is also the PE-name prefix.
+    pub fn tag(self) -> &'static str {
+        match self {
+            DeviceKind::Gpu => "gpu",
+            DeviceKind::SseCore => "sse",
+            DeviceKind::Fpga => "fpga",
+        }
+    }
+
+    /// The one naming rule for fleet members: the `i`-th PE of a kind is
+    /// `sse0`, `gpu3`, ….
+    pub fn pe_name(self, i: usize) -> String {
+        format!("{}{i}", self.tag())
+    }
+}
+
 impl std::fmt::Display for DeviceKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -72,34 +96,71 @@ impl std::fmt::Display for DeviceKind {
     }
 }
 
-/// A processing element's performance model.
+/// One processing element: a name, a kind and its throughput curve.
 ///
 /// The model answers one question: *how long does this task take on a
-/// dedicated machine?* — decomposed into a fixed startup part (process
-/// launch, database transfer, reconfiguration, …) and a sustained
-/// cell-update rate. Non-dedicated interference is layered on top by the
-/// simulator via [`crate::load::LoadSchedule`].
-pub trait DeviceModel: Send + Sync {
+/// dedicated machine?* — a fixed startup part (process launch, database
+/// transfer, reconfiguration, …) plus the cells at a sustained rate.
+/// Non-dedicated interference is layered on top by the simulator via
+/// [`crate::load::LoadSchedule`].
+///
+/// ```
+/// use swhybrid_device::task::{Device, DeviceKind, TaskSpec};
+///
+/// let gpu = Device::new("gpu0", DeviceKind::Gpu);
+/// let task = TaskSpec {
+///     id: 0,
+///     query_len: 5000,
+///     queries: 1,
+///     db_residues: 190_814_275, // SwissProt
+///     db_sequences: 537_505,
+/// };
+/// // A 5,000-aa query against SwissProt takes ~30 s on one GTX 580.
+/// assert!((25.0..40.0).contains(&gpu.task_seconds(&task)));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Device {
     /// Human-readable PE name, e.g. `"gpu0"`.
-    fn name(&self) -> &str;
-
+    pub name: String,
     /// What kind of PE this is.
-    fn kind(&self) -> DeviceKind;
+    pub kind: DeviceKind,
+    /// Its throughput curve.
+    pub model: PerfModel,
+}
+
+impl Device {
+    /// A PE of `kind` on that kind's calibrated row ([`PerfModel::of`]).
+    pub fn new(name: impl Into<String>, kind: DeviceKind) -> Device {
+        Device {
+            name: name.into(),
+            kind,
+            model: PerfModel::of(kind),
+        }
+    }
 
     /// Fixed per-task setup seconds.
-    fn startup_seconds(&self, task: &TaskSpec) -> f64;
+    pub fn startup_seconds(&self, task: &TaskSpec) -> f64 {
+        self.model.startup(task.db_residues)
+    }
 
     /// Sustained cell-update rate (cells/second) for this task on a
     /// dedicated machine.
-    fn rate(&self, task: &TaskSpec) -> f64;
+    pub fn rate(&self, task: &TaskSpec) -> f64 {
+        let rate = self.model.effective_rate(task.query_len, task.db_sequences);
+        match self.model.segment {
+            // Overlap recomputation shows up as a lower effective rate.
+            Some(_) => rate / self.model.inflation(task.query_len),
+            None => rate,
+        }
+    }
 
     /// Total dedicated-machine seconds for the task.
-    fn task_seconds(&self, task: &TaskSpec) -> f64 {
+    pub fn task_seconds(&self, task: &TaskSpec) -> f64 {
         self.startup_seconds(task) + task.cells() as f64 / self.rate(task)
     }
 
     /// Effective GCUPS achieved on this task (including startup overhead).
-    fn task_gcups(&self, task: &TaskSpec) -> f64 {
+    pub fn task_gcups(&self, task: &TaskSpec) -> f64 {
         let secs = self.task_seconds(task);
         if secs <= 0.0 {
             0.0
@@ -113,19 +174,15 @@ pub trait DeviceModel: Send + Sync {
 mod tests {
     use super::*;
 
-    struct Fixed;
-    impl DeviceModel for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-        fn kind(&self) -> DeviceKind {
-            DeviceKind::SseCore
-        }
-        fn startup_seconds(&self, _t: &TaskSpec) -> f64 {
-            1.0
-        }
-        fn rate(&self, _t: &TaskSpec) -> f64 {
-            1e9
+    /// 1 s of startup, then 1e9 cells/s.
+    fn fixed() -> Device {
+        Device {
+            name: "fixed".into(),
+            kind: DeviceKind::SseCore,
+            model: PerfModel {
+                startup_seconds: 1.0,
+                ..PerfModel::flat(1.0)
+            },
         }
     }
 
@@ -139,6 +196,16 @@ mod tests {
         }
     }
 
+    fn swissprot_task(query_len: usize) -> TaskSpec {
+        TaskSpec {
+            id: 0,
+            query_len,
+            queries: 1,
+            db_residues: 190_814_275,
+            db_sequences: 537_505,
+        }
+    }
+
     #[test]
     fn cells_is_product() {
         assert_eq!(task().cells(), 2_000_000_000);
@@ -146,7 +213,7 @@ mod tests {
 
     #[test]
     fn default_task_seconds_composition() {
-        let d = Fixed;
+        let d = fixed();
         let t = task();
         // 1 s startup + 2e9 cells / 1e9 cells/s = 3 s.
         assert!((d.task_seconds(&t) - 3.0).abs() < 1e-12);
@@ -159,5 +226,94 @@ mod tests {
         assert_eq!(DeviceKind::Gpu.to_string(), "GPU");
         assert_eq!(DeviceKind::SseCore.to_string(), "SSE");
         assert_eq!(DeviceKind::Fpga.to_string(), "FPGA");
+    }
+
+    #[test]
+    fn core_rate_close_to_calibrated_peak_for_long_queries() {
+        let core = Device::new("sse0", DeviceKind::SseCore);
+        let t = swissprot_task(5000);
+        let gcups = core.task_gcups(&t);
+        assert!((2.4..2.8).contains(&gcups), "gcups = {gcups}");
+        // A 5,000-aa query against SwissProt on one core takes ~6 minutes —
+        // this is the "slow node got a big last task" hazard of §IV-A-3.
+        let secs = core.task_seconds(&t);
+        assert!((300.0..420.0).contains(&secs), "secs = {secs}");
+    }
+
+    #[test]
+    fn core_startup_is_negligible() {
+        let core = Device::new("sse0", DeviceKind::SseCore);
+        let t = TaskSpec {
+            id: 0,
+            query_len: 100,
+            queries: 1,
+            db_residues: 12_400_000,
+            db_sequences: 25_160,
+        };
+        assert!(core.startup_seconds(&t) < 0.1);
+        assert_eq!(core.kind, DeviceKind::SseCore);
+    }
+
+    #[test]
+    fn long_query_swissprot_task_time_plausible() {
+        // 5,000-aa query × SwissProt ≈ 9.5e11 cells; at ≈ 30 effective
+        // GCUPS that is ~31 s + startup.
+        let gpu = Device::new("gpu0", DeviceKind::Gpu);
+        let t = swissprot_task(5000);
+        let secs = gpu.task_seconds(&t);
+        assert!((25.0..40.0).contains(&secs), "secs = {secs}");
+        assert!(gpu.task_gcups(&t) > 25.0);
+    }
+
+    #[test]
+    fn short_queries_get_lower_gpu_gcups() {
+        let gpu = Device::new("gpu0", DeviceKind::Gpu);
+        let short = gpu.task_gcups(&swissprot_task(100));
+        let long = gpu.task_gcups(&swissprot_task(5000));
+        assert!(short < long / 2.0, "short {short}, long {long}");
+    }
+
+    #[test]
+    fn startup_dominates_tiny_gpu_tasks() {
+        let gpu = Device::new("gpu0", DeviceKind::Gpu);
+        let tiny = TaskSpec {
+            id: 0,
+            query_len: 100,
+            queries: 1,
+            db_residues: 1_000_000,
+            db_sequences: 2_000,
+        };
+        // 1e8 cells is far less than a second of GPU work; startup rules.
+        let secs = gpu.task_seconds(&tiny);
+        assert!(secs > 0.8, "secs = {secs}");
+        assert!(gpu.task_gcups(&tiny) < 1.0);
+    }
+
+    #[test]
+    fn kind_and_name() {
+        let gpu = Device::new("gpuX", DeviceKind::Gpu);
+        assert_eq!(gpu.kind, DeviceKind::Gpu);
+        assert_eq!(gpu.name, "gpuX");
+        assert_eq!(Device::new("x", DeviceKind::Fpga).kind, DeviceKind::Fpga);
+    }
+
+    #[test]
+    fn fpga_inflation_reduces_effective_rate() {
+        let f = Device::new("fpga0", DeviceKind::Fpga);
+        let short = TaskSpec {
+            id: 0,
+            query_len: 1000,
+            queries: 1,
+            db_residues: 10_000_000,
+            db_sequences: 10_000,
+        };
+        let long = TaskSpec {
+            id: 1,
+            query_len: 5000,
+            queries: 1,
+            ..short.clone()
+        };
+        assert!(f.rate(&long) < f.rate(&short) * 1.01);
+        assert!(f.rate(&long) >= f.rate(&short) / f.model.inflation(5000) * 0.99);
     }
 }

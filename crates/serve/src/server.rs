@@ -9,10 +9,10 @@
 //!
 //! Replies go through a shared, mutex-guarded write half so completion
 //! callbacks (which fire on PE worker threads) and inline replies
-//! (status/stats/cancel) never interleave bytes. Writes are under
-//! [`CLIENT_WRITE_TIMEOUT`]: a client that stops reading costs one worker
-//! one timeout, then its connection is shut down and later replies to it
-//! fail at once.
+//! (status/stats/cancel) never interleave bytes. Each reply line gets
+//! [`CLIENT_WRITE_TIMEOUT`] in all ([`write_line`]): a client that stops
+//! reading, or drains a byte now and then, costs one worker one timeout,
+//! then its connection is shut down and later replies to it fail at once.
 //!
 //! A `search` result is asynchronous with respect to other verbs on the
 //! same connection; `tag`/`job` correlate. Note that a cache-served search
@@ -25,14 +25,14 @@
 //! (sockets stay writable until every completion has fired), then
 //! [`ServeDaemon::run`] returns.
 
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use swhybrid_align::scoring::Scoring;
-use swhybrid_core::net::{Acceptor, LineReader};
+use swhybrid_core::net::{write_line, Acceptor, LineReader};
 use swhybrid_json::Json;
 use swhybrid_seq::DbSnapshot;
 use swhybrid_store::{DbFile, StoreError, Verify};
@@ -42,18 +42,18 @@ use crate::service::{
     CancelOutcome, Completion, JobStatus, QueryService, SearchReply, ServiceConfig,
 };
 
-/// How long a reply may make no progress into a client's socket before
-/// the client counts as gone. Only a client that stopped reading (its
-/// window and our send buffer both full) ever waits, and the waiter is a
-/// PE worker losing scan time: 2 s, the patience a silent slave gets by
-/// default (`NetConfig::slave_deadline`).
+/// How long one reply line may take into a client's socket before the
+/// client counts as gone. Only a client that stopped reading or reads
+/// slowly (its window and our send buffer both full) ever waits, and the
+/// waiter is a PE worker losing scan time: 2 s, the patience a silent
+/// slave gets by default (`NetConfig::slave_deadline`).
 pub const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How often an idle connection looks at the stop flag.
 const READ_QUANTUM: Duration = Duration::from_millis(200);
 
 /// Shared write half of one connection.
-type ConnWriter = Arc<Mutex<BufWriter<TcpStream>>>;
+type ConnWriter = Arc<Mutex<TcpStream>>;
 
 /// A bound-but-not-yet-running daemon.
 pub struct ServeDaemon {
@@ -123,7 +123,7 @@ fn handle_conn(service: &QueryService, stream: TcpStream, client: u64, port: &Ac
     else {
         return;
     };
-    let writer: ConnWriter = Arc::new(Mutex::new(BufWriter::new(writer)));
+    let writer: ConnWriter = Arc::new(Mutex::new(writer));
     while !port.stopped() {
         match reader.read_line() {
             Ok(Some(line)) => {
@@ -354,21 +354,24 @@ pub fn result_to_json(reply: &SearchReply) -> Json {
     Json::Obj(fields)
 }
 
-/// Write one reply line with one `write` (the buffer takes the pieces).
+/// Write one reply line, with one `write` when the socket has room.
 /// IO errors are swallowed (a vanished or stalled client must not take the
 /// daemon down) but end the connection: once shut down, its reader sees
 /// EOF and every later reply fails at once instead of waiting out the
 /// timeout again.
 fn write_json(writer: &ConnWriter, json: &Json) {
+    let mut line = json.to_string();
+    line.push('\n');
     let mut w = writer.lock().expect("connection writer poisoned");
-    if writeln!(w, "{json}").and_then(|()| w.flush()).is_err() {
-        let _ = w.get_ref().shutdown(Shutdown::Both);
+    if write_line(&mut *w, line.as_bytes(), Some(CLIENT_WRITE_TIMEOUT)).is_err() {
+        let _ = w.shutdown(Shutdown::Both);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::TcpListener;
     use std::time::Instant;
     use swhybrid_simd::engine::KernelStats;
@@ -433,12 +436,12 @@ mod tests {
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_write_timeout(Some(timeout)).unwrap();
-        let writer: ConnWriter = Arc::new(Mutex::new(BufWriter::new(stream)));
+        let writer: ConnWriter = Arc::new(Mutex::new(stream));
 
         // Shut down is observable: a raw write fails at once with EPIPE
         // (on a full but live socket it would wait and say `WouldBlock`).
         let dead = || {
-            let probe = writer.lock().unwrap().get_ref().write(b"\n");
+            let probe = writer.lock().unwrap().write(b"\n");
             probe.is_err_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
         };
         let reply = Json::str("x".repeat(64 << 10));

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example hybrid_platform`
 
+use swhybrid::device::DeviceKind;
 use swhybrid::exec::platform::PlatformBuilder;
 use swhybrid::exec::policy::Policy;
 use swhybrid::seq::synth::{paper_database, QuerySetSpec};
@@ -32,15 +33,11 @@ fn main() {
         (4, 4, true, "the paper's biggest platform"),
         (4, 4, false, "same, adjustment disabled"),
     ] {
-        let mut b = PlatformBuilder::new()
+        let b = PlatformBuilder::new()
             .policy(Policy::pss_default())
-            .adjustment(adj);
-        if gpus > 0 {
-            b = b.gpus(gpus);
-        }
-        if sse > 0 {
-            b = b.sse_cores(sse);
-        }
+            .adjustment(adj)
+            .add(DeviceKind::Gpu, gpus)
+            .add(DeviceKind::SseCore, sse);
         let label = b.describe() + if adj { "" } else { " (no adj)" };
         let out = b.run(workload());
         println!(
@@ -72,7 +69,10 @@ fn main() {
     );
 
     // Per-PE breakdown of the best run, showing who did what.
-    let out = PlatformBuilder::new().gpus(4).sse_cores(4).run(workload());
+    let out = PlatformBuilder::new()
+        .add(DeviceKind::Gpu, 4)
+        .add(DeviceKind::SseCore, 4)
+        .run(workload());
     println!("\nper-PE breakdown (4 GPUs + 4 SSEs, with adjustment):");
     println!(
         "{:<6} {:>10} {:>10} {:>10} {:>14}",

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example nondedicated`
 
 use swhybrid::device::load::LoadSchedule;
+use swhybrid::device::DeviceKind;
 use swhybrid::exec::platform::PlatformBuilder;
 use swhybrid::exec::policy::Policy;
 use swhybrid::seq::synth::{paper_database, QuerySetSpec};
@@ -16,11 +17,11 @@ fn main() {
     let workload = || PlatformBuilder::workload(&dog, &queries, 2013);
 
     let dedicated = PlatformBuilder::new()
-        .sse_cores(4)
+        .add(DeviceKind::SseCore, 4)
         .policy(Policy::pss_default())
         .run(workload());
     let loaded = PlatformBuilder::new()
-        .sse_cores(4)
+        .add(DeviceKind::SseCore, 4)
         .policy(Policy::pss_default())
         .load_on(0, LoadSchedule::step_at(60.0, 0.45))
         .run(workload());

@@ -12,9 +12,7 @@ use super::db::{db_file, load_db, load_encoded};
 pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
-        &[
-            "gpus", "sse", "fpgas", "fleet", "db", "policy", "order", "queries", "omega",
-        ],
+        &["fleet", "db", "policy", "order", "queries", "omega"],
         &["no-adjustment"],
     )?;
     if !opts.positional.is_empty() {
@@ -23,32 +21,11 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
             opts.positional[0]
         ));
     }
-    // `--fleet sse:8+gpu:2` is the same spec string the real runtimes
-    // accept; it replaces the per-kind count flags.
-    let fleet = fleet_from_opts(&opts)?;
-    let base = match &fleet {
-        Some(spec) => {
-            if ["gpus", "sse", "fpgas"]
-                .iter()
-                .any(|f| opts.get(f).is_some())
-            {
-                return Err("--fleet replaces --gpus/--sse/--fpgas".into());
-            }
-            PlatformBuilder::new().fleet(spec)
-        }
-        None => {
-            let gpus: usize = opts.get_parsed("gpus", 4)?;
-            let sse: usize = opts.get_parsed("sse", 4)?;
-            let fpgas: usize = opts.get_parsed("fpgas", 0)?;
-            if gpus + sse + fpgas == 0 {
-                return Err("platform needs at least one PE".into());
-            }
-            PlatformBuilder::new()
-                .gpus(gpus)
-                .sse_cores(sse)
-                .fpgas(fpgas)
-        }
-    };
+    // The same `sse:8+gpu:2` spec string the real runtimes accept; the
+    // default is the paper's biggest hybrid, 4 GPUs + 4 SSE cores.
+    let fleet = fleet_from_opts(&opts)?.unwrap_or_else(|| {
+        crate::device::FleetSpec::parse("gpu:4+sse:4").expect("default fleet spec parses")
+    });
     let db = paper_database(opts.get("db").unwrap_or("swissprot"))
         .ok_or_else(|| format!("unknown database {:?}", opts.get("db").unwrap_or("")))?
         .full_scale_stats();
@@ -76,7 +53,10 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
     spec.order = order;
 
     let workload = PlatformBuilder::workload(&db, &spec, 2013);
-    let builder = base.policy(policy).adjustment(!opts.has("no-adjustment"));
+    let builder = PlatformBuilder::new()
+        .fleet(&fleet)
+        .policy(policy)
+        .adjustment(!opts.has("no-adjustment"));
     let label = builder.describe();
     let out = builder.run(workload);
 

@@ -63,13 +63,12 @@ USAGE:
       hit tables byte-identical to the FASTA path. --verify-store
       re-checks the arena checksum and digest before scanning.
 
-  swhybrid simulate [--gpus N] [--sse N] [--fpgas N] [--fleet SPEC]
-                    [--db NAME] [--policy ss|pss|fixed|wfixed]
+  swhybrid simulate [--fleet SPEC] [--db NAME] [--policy ss|pss|fixed|wfixed]
                     [--no-adjustment] [--order asc|desc|shuffle] [--queries N]
       Run the paper's 40-query workload (or --queries N) on a simulated
       hybrid platform under virtual time and report time/GCUPS. --fleet
-      takes the same sse:8+gpu:2 spec as master/serve and replaces the
-      per-kind count flags.
+      takes the same sse:8+gpu:2 spec as master/serve (default
+      gpu:4+sse:4).
 
   swhybrid master <query.fasta> <db.fasta> --listen HOST:PORT --slaves N
                   [--fleet SPEC] [--db-store FILE.swdb] [--verify-store]

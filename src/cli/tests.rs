@@ -80,10 +80,8 @@ fn simulate_smoke_small() {
     // A tiny simulated run exercises the whole path.
     run(&s(&[
         "simulate",
-        "--gpus",
-        "1",
-        "--sse",
-        "1",
+        "--fleet",
+        "gpu:1+sse:1",
         "--db",
         "dog",
         "--queries",

@@ -5,38 +5,29 @@
 //! the application finishes at **14 s with** the workload adjustment
 //! mechanism and **18 s without** it.
 
-use std::sync::Arc;
-
-use swhybrid::device::cpu::CpuSseDevice;
-use swhybrid::device::gpu::GpuDevice;
 use swhybrid::device::perfmodel::PerfModel;
-use swhybrid::device::task::{DeviceModel, TaskSpec};
+use swhybrid::device::task::{Device, DeviceKind, TaskSpec};
 use swhybrid::exec::platform::PlatformBuilder;
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sim::SimPe;
 use swhybrid::exec::trace::SegmentEnd;
 
-fn flat_model(gcups: f64) -> PerfModel {
-    PerfModel {
-        peak_gcups: gcups,
-        startup_seconds: 0.0,
-        transfer_bytes_per_sec: None,
-        query_ramp: 0.0,
-        db_fill: 0.0,
-    }
+fn flat_pe(name: String, kind: DeviceKind, gcups: f64) -> SimPe {
+    SimPe::new(Device {
+        name,
+        kind,
+        model: PerfModel::flat(gcups),
+    })
 }
 
 fn platform(adjustment: bool) -> PlatformBuilder {
-    let gpu: Arc<dyn DeviceModel> = Arc::new(GpuDevice::with_model("GPU1", flat_model(6.0)));
     let mut b = PlatformBuilder::new()
-        .pe(SimPe::new("GPU1", gpu))
+        .pe(flat_pe("GPU1".into(), DeviceKind::Gpu, 6.0))
         .policy(Policy::pss_default())
         .adjustment(adjustment)
         .comm_latency(0.0);
     for i in 1..=3 {
-        let sse: Arc<dyn DeviceModel> =
-            Arc::new(CpuSseDevice::with_model(format!("SSE{i}"), flat_model(1.0)));
-        b = b.pe(SimPe::new(format!("SSE{i}"), sse));
+        b = b.pe(flat_pe(format!("SSE{i}"), DeviceKind::SseCore, 1.0));
     }
     b
 }

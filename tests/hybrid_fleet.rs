@@ -7,8 +7,7 @@
 //! reported to be — never what a query scores.
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid::device::task::DeviceModel;
-use swhybrid::device::{FleetSpec, FpgaDevice, GpuDevice, TaskSpec};
+use swhybrid::device::{Device, DeviceKind, FleetSpec, TaskSpec};
 use swhybrid::exec::net::{merge_hits, DistributedOutcome, LocalFleet, QueryHit};
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::EventKind;
@@ -137,11 +136,11 @@ fn modeled_pes_attribute_model_speed_real_pes_measure() {
 
     // Modeled kinds quote their calibrated device model for exactly the
     // finished task's spec — reproducible across runs.
-    let gpu = GpuDevice::gtx580("gpu0");
+    let gpu = Device::new("gpu0", DeviceKind::Gpu);
     for (task, gcups) in Fixture::finished_speeds(&out, "gpu0") {
         assert_eq!(gcups, gpu.task_gcups(&fx.task_spec(task)));
     }
-    let fpga = FpgaDevice::systolic("fpga0");
+    let fpga = Device::new("fpga0", DeviceKind::Fpga);
     for (task, gcups) in Fixture::finished_speeds(&out, "fpga0") {
         assert_eq!(gcups, fpga.task_gcups(&fx.task_spec(task)));
     }

@@ -1,22 +1,19 @@
 //! Integration tests asserting the evaluation's headline *shapes* (§V):
 //! who wins, by roughly what factor, and where the crossovers fall.
 
+use swhybrid::device::DeviceKind;
 use swhybrid::exec::platform::{PlatformBuilder, SimOutcome};
 use swhybrid::exec::policy::Policy;
 use swhybrid::seq::db::DbStats;
 use swhybrid::seq::synth::{paper_database, paper_databases, QuerySetSpec};
 
 fn run(db: &DbStats, gpus: usize, sse: usize, adjustment: bool) -> SimOutcome {
-    let mut b = PlatformBuilder::new()
+    PlatformBuilder::new()
         .policy(Policy::pss_default())
-        .adjustment(adjustment);
-    if gpus > 0 {
-        b = b.gpus(gpus);
-    }
-    if sse > 0 {
-        b = b.sse_cores(sse);
-    }
-    b.run(PlatformBuilder::workload(db, &QuerySetSpec::paper(), 2013))
+        .adjustment(adjustment)
+        .add(DeviceKind::Gpu, gpus)
+        .add(DeviceKind::SseCore, sse)
+        .run(PlatformBuilder::workload(db, &QuerySetSpec::paper(), 2013))
 }
 
 fn swissprot() -> DbStats {
@@ -93,8 +90,8 @@ fn table5_hybrid_beats_gpu_only_on_swissprot() {
         gpu_only.seconds()
     );
     let size_aware = PlatformBuilder::new()
-        .gpus(4)
-        .sse_cores(4)
+        .add(DeviceKind::Gpu, 4)
+        .add(DeviceKind::SseCore, 4)
         .policy(Policy::pss_default())
         .dispatch(swhybrid::exec::sched::Dispatch::SizeAware)
         .run(PlatformBuilder::workload(&db, &QuerySetSpec::paper(), 2013));
@@ -113,10 +110,10 @@ fn size_aware_dispatch_makes_hybrids_additive_on_small_dbs() {
     for profile in paper_databases() {
         let db = profile.full_scale_stats();
         let w = || PlatformBuilder::workload(&db, &QuerySetSpec::paper(), 2013);
-        let gpu_only = PlatformBuilder::new().gpus(4).run(w());
+        let gpu_only = PlatformBuilder::new().add(DeviceKind::Gpu, 4).run(w());
         let hybrid = PlatformBuilder::new()
-            .gpus(4)
-            .sse_cores(4)
+            .add(DeviceKind::Gpu, 4)
+            .add(DeviceKind::SseCore, 4)
             .dispatch(swhybrid::exec::sched::Dispatch::SizeAware)
             .run(w());
         assert!(

@@ -3,31 +3,20 @@
 //! must be complete, non-duplicative in its results, bounded by the obvious
 //! serial/ideal envelopes, and deterministic.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
-use swhybrid::device::cpu::CpuSseDevice;
 use swhybrid::device::perfmodel::PerfModel;
-use swhybrid::device::task::{DeviceModel, TaskSpec};
+use swhybrid::device::task::{Device, DeviceKind, TaskSpec};
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::sim::{SimConfig, SimPe, SimReport, Simulator};
 use swhybrid::exec::trace::SegmentEnd;
 
 fn flat_pe(name: String, gcups: f64) -> SimPe {
-    SimPe::new(
-        name.clone(),
-        Arc::new(CpuSseDevice::with_model(
-            name,
-            PerfModel {
-                peak_gcups: gcups,
-                startup_seconds: 0.0,
-                transfer_bytes_per_sec: None,
-                query_ramp: 0.0,
-                db_fill: 0.0,
-            },
-        )) as Arc<dyn DeviceModel>,
-    )
+    SimPe::new(Device {
+        name,
+        kind: DeviceKind::SseCore,
+        model: PerfModel::flat(gcups),
+    })
 }
 
 fn platform_strategy() -> impl Strategy<Value = Vec<f64>> {
