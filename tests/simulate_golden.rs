@@ -59,3 +59,44 @@ fn hundred_pe_fleet_report_matches_golden() {
         "simulate_fleet100_q2000",
     );
 }
+
+/// Shuffled file order puts the big tasks anywhere in the run, so the tail
+/// takes several times the steals of the in-order report above.
+#[test]
+fn hundred_pe_fleet_shuffled_report_matches_golden() {
+    assert_golden(
+        &simulate(&[
+            "--fleet",
+            "sse:80+gpu:16+fpga:4",
+            "--queries",
+            "2000",
+            "--policy",
+            "pss",
+            "--order",
+            "shuffle",
+        ]),
+        include_str!("golden/simulate_fleet100_q2000_shuffle.txt"),
+        "simulate_fleet100_q2000_shuffle",
+    );
+}
+
+/// The benchmark's `sched_engine` command, at its full 100,000 tasks.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "100,000 tasks; run with `cargo test --release --test simulate_golden`"
+)]
+fn hundred_pe_fleet_at_benchmark_scale_matches_golden() {
+    assert_golden(
+        &simulate(&[
+            "--fleet",
+            "sse:80+gpu:16+fpga:4",
+            "--queries",
+            "100000",
+            "--policy",
+            "pss",
+        ]),
+        include_str!("golden/simulate_fleet100_q100000.txt"),
+        "simulate_fleet100_q100000",
+    );
+}
