@@ -380,12 +380,7 @@ impl<S> PoolCore<S> {
             self.master
                 .record_event(now, EventKind::PeSuspectedDead { pe });
         }
-        let held: Vec<TaskId> = self
-            .master
-            .pool()
-            .executing_ids()
-            .filter(|&t| self.master.pool().get(t).executors.contains(&pe))
-            .collect();
+        let held: Vec<TaskId> = self.master.pool().held_by(pe).collect();
         self.master.pe_leaves(pe, &held);
     }
 }

@@ -417,8 +417,7 @@ impl Scheduler {
     /// currently holds (running task remainder + unstarted batch entries).
     fn backlog_cells(&self, pe: PeId, now: f64) -> f64 {
         self.pool
-            .executing_ids()
-            .filter(|&t| self.pool.get(t).executors.contains(&pe))
+            .held_by(pe)
             .map(|t| match self.pes[pe].running.get(&t) {
                 Some(&start) => {
                     let speed = self.pes[pe].stats.weighted_mean_gcups() * 1e9;
@@ -596,8 +595,8 @@ impl Scheduler {
             self.run_completed_emitted = true;
             self.emit(EventKind::RunCompleted);
         }
-        // An engine that outlives its workloads must not hold (or walk, in
-        // every adjustment decision) each task it ever finished.
+        // An engine that outlives its workloads must not keep in memory
+        // each task it ever finished.
         if self.keep_alive {
             self.pool.forget_finished_prefix();
         }
@@ -1083,8 +1082,9 @@ mod tests {
     }
 
     /// Regression: a daemon's engine kept every task it had ever finished,
-    /// and each adjustment decision (`steal_candidate`,
-    /// `replication_candidate`, `backlog_cells`) walked all of them.
+    /// so its memory grew with its age. The adjustment decisions read the
+    /// pool's executing and per-PE indexes, which never hold a finished
+    /// task; forgetting the finished prefix is what bounds the memory.
     #[test]
     fn a_keep_alive_engine_holds_only_the_tasks_in_flight() {
         let mut m = engine(0, Policy::SelfScheduling, true);

@@ -338,7 +338,7 @@ impl Engine {
     /// Bring a PE's running-task progress up to `now`, accumulating cell
     /// counters.
     fn touch(&mut self, pe: PeId, now: f64) {
-        let load = self.pes[pe].load.clone();
+        let load = &self.pes[pe].load;
         let st = &mut self.state[pe];
         if let Some(run) = &mut st.current {
             if now <= run.checkpoint {

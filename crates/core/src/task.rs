@@ -6,6 +6,8 @@
 //! state to the idle PE. Note that, in this case, there can be more than
 //! one node executing the same task." (§IV-A-3)
 
+use std::collections::{BTreeSet, VecDeque};
+
 use swhybrid_device::task::TaskSpec;
 
 /// Identifier of a task (index into the pool).
@@ -39,6 +41,13 @@ pub struct Task {
 }
 
 /// The master's pool of tasks.
+///
+/// Beside the tasks it keeps two indexes, so the workload adjustment's
+/// questions ("which tasks are executing?", "what does this PE hold?") cost
+/// what is in flight, not every task of the run. Only the mutators that
+/// change a task's `state` or `executors` touch them. Both are id-ordered,
+/// so they enumerate exactly what a walk over `tasks` would, in the same
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct TaskPool {
     /// The live tasks: ids `forgotten..len()`, in id order.
@@ -47,8 +56,13 @@ pub struct TaskPool {
     /// [`TaskPool::forget_finished_prefix`]; their ids are never reused.
     forgotten: usize,
     /// FIFO of ready task ids (allocation order = query file order).
-    ready: std::collections::VecDeque<TaskId>,
+    ready: VecDeque<TaskId>,
     finished_count: usize,
+    /// The tasks in the executing state.
+    executing: BTreeSet<TaskId>,
+    /// Per PE (grown on demand), the executing tasks whose `executors`
+    /// contain it.
+    held: Vec<BTreeSet<TaskId>>,
 }
 
 impl TaskPool {
@@ -66,9 +80,8 @@ impl TaskPool {
             .collect();
         TaskPool {
             tasks,
-            forgotten: 0,
             ready,
-            finished_count: 0,
+            ..TaskPool::default()
         }
     }
 
@@ -115,6 +128,29 @@ impl TaskPool {
         &mut self.tasks[id - self.forgotten]
     }
 
+    fn hold(&mut self, id: TaskId, pe: PeId) {
+        if self.held.len() <= pe {
+            self.held.resize_with(pe + 1, BTreeSet::new);
+        }
+        self.held[pe].insert(id);
+    }
+
+    fn unhold(&mut self, id: TaskId, pe: PeId) {
+        if let Some(held) = self.held.get_mut(pe) {
+            held.remove(&id);
+        }
+    }
+
+    /// Move a ready task (already off the queue) to executing on `pe`.
+    fn assign(&mut self, id: TaskId, pe: PeId) {
+        let task = self.held_mut(id);
+        debug_assert_eq!(task.state, TaskState::Ready);
+        task.state = TaskState::Executing;
+        task.executors.push(pe);
+        self.executing.insert(id);
+        self.hold(id, pe);
+    }
+
     /// An issued task, or `None` once it has been forgotten.
     pub fn find(&self, id: TaskId) -> Option<&Task> {
         self.tasks.get(id.checked_sub(self.forgotten)?)
@@ -126,9 +162,10 @@ impl TaskPool {
     }
 
     /// Drop the finished tasks at the front of the pool, so an engine that
-    /// outlives its workloads holds (and [`TaskPool::executing_ids`] walks)
-    /// only the tasks still in flight. Ids are not reused: [`TaskPool::len`]
-    /// keeps counting them and [`TaskPool::state`] answers `Finished`.
+    /// outlives its workloads holds in memory only the tasks still in
+    /// flight. Ids are not reused: [`TaskPool::len`] keeps counting them and
+    /// [`TaskPool::state`] answers `Finished`. Finished tasks are in neither
+    /// index, so the indexes are untouched.
     pub fn forget_finished_prefix(&mut self) {
         let finished = self
             .tasks
@@ -154,13 +191,14 @@ impl TaskPool {
         self.finished_count == self.len()
     }
 
-    /// Tasks currently in the executing state.
+    /// Tasks currently in the executing state, in id order.
     pub fn executing_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.state == TaskState::Executing)
-            .map(|(i, _)| self.forgotten + i)
+        self.executing.iter().copied()
+    }
+
+    /// The executing tasks `pe` holds (assigned or running), in id order.
+    pub(crate) fn held_by(&self, pe: PeId) -> impl Iterator<Item = TaskId> + '_ {
+        self.held.get(pe).into_iter().flatten().copied()
     }
 
     /// Pop up to `n` ready tasks (file order) and assign them to `pe`.
@@ -170,10 +208,7 @@ impl TaskPool {
             let Some(id) = self.ready.pop_front() else {
                 break;
             };
-            let task = self.held_mut(id);
-            debug_assert_eq!(task.state, TaskState::Ready);
-            task.state = TaskState::Executing;
-            task.executors.push(pe);
+            self.assign(id, pe);
             out.push(id);
         }
         out
@@ -197,10 +232,7 @@ impl TaskPool {
                 break;
             };
             let id = self.ready.remove(pos).expect("position is in range");
-            let task = self.held_mut(id);
-            debug_assert_eq!(task.state, TaskState::Ready);
-            task.state = TaskState::Executing;
-            task.executors.push(pe);
+            self.assign(id, pe);
             out.push(id);
         }
         out
@@ -220,6 +252,7 @@ impl TaskPool {
             "PE {pe} already executes task {id}"
         );
         task.executors.push(pe);
+        self.hold(id, pe);
     }
 
     /// Move an executing task from one holder to another (work stealing of
@@ -241,6 +274,8 @@ impl TaskPool {
         );
         task.executors.retain(|&p| p != from);
         task.executors.push(to);
+        self.unhold(id, from);
+        self.hold(id, to);
     }
 
     /// Mark a task finished by `pe`. Returns the *other* executors whose
@@ -254,13 +289,12 @@ impl TaskPool {
         let task = self.held_mut(id);
         task.state = TaskState::Finished;
         task.finished_by = Some(pe);
-        let others: Vec<PeId> = task
-            .executors
-            .iter()
-            .copied()
-            .filter(|&p| p != pe)
-            .collect();
-        task.executors.clear();
+        let mut others = std::mem::take(&mut task.executors);
+        self.executing.remove(&id);
+        for &p in &others {
+            self.unhold(id, p);
+        }
+        others.retain(|&p| p != pe);
         others
     }
 
@@ -274,15 +308,18 @@ impl TaskPool {
         task.executors.retain(|&p| p != pe);
         if task.executors.is_empty() {
             task.state = TaskState::Ready;
+            self.executing.remove(&id);
             // Front of the queue: departed work is the most urgent.
             self.ready.push_front(id);
         }
+        self.unhold(id, pe);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn specs(n: usize) -> Vec<TaskSpec> {
         (0..n)
@@ -403,5 +440,124 @@ mod tests {
         pool.finish(0, 0);
         let execs: Vec<TaskId> = pool.executing_ids().collect();
         assert_eq!(execs, vec![1]);
+    }
+
+    const PES: PeId = 5;
+
+    /// The walk the indexes replace: every held task that `keep`s, in id
+    /// order.
+    fn walk(pool: &TaskPool, keep: impl Fn(&Task) -> bool) -> Vec<TaskId> {
+        let held = pool.tasks.iter().enumerate();
+        held.filter(|(_, t)| keep(t))
+            .map(|(i, _)| pool.forgotten + i)
+            .collect()
+    }
+
+    fn executing_walk(pool: &TaskPool) -> Vec<TaskId> {
+        walk(pool, |t| t.state == TaskState::Executing)
+    }
+
+    /// Apply one `(operation, pick, pe)` step, where `pick` chooses among
+    /// the tasks (and holders) the operation is legal on; a step with no
+    /// legal target does nothing.
+    fn apply(pool: &mut TaskPool, (op, pick, pe): (u8, usize, PeId)) {
+        let choose = |ids: Vec<TaskId>| (!ids.is_empty()).then(|| ids[pick % ids.len()]);
+        let executing = executing_walk(pool);
+        let not_held_by_pe: Vec<TaskId> = executing
+            .iter()
+            .copied()
+            .filter(|&t| !pool.get(t).executors.contains(&pe))
+            .collect();
+        let holder_of = |pool: &TaskPool, t: TaskId| {
+            let executors = &pool.get(t).executors;
+            executors[pick % executors.len()]
+        };
+        let with_holders = |n: fn(usize) -> bool| -> Vec<TaskId> {
+            let ids = executing.iter().copied();
+            ids.filter(|&t| n(pool.get(t).executors.len())).collect()
+        };
+        match op {
+            0 => {
+                pool.push(specs(1 + pick % 3).remove(0));
+            }
+            1 => {
+                pool.take_ready(pick % 4, pe);
+            }
+            2 => {
+                pool.take_ready_by_size(pick % 4, pe, pick % 2 == 0);
+            }
+            3 => {
+                if let Some(t) = choose(not_held_by_pe) {
+                    pool.replicate(t, pe);
+                }
+            }
+            4 => {
+                if let Some(t) = choose(not_held_by_pe) {
+                    let from = holder_of(pool, t);
+                    pool.reassign(t, from, pe);
+                }
+            }
+            // The winner: one of its holders crosses the line first.
+            5 => {
+                if let Some(t) = choose(executing) {
+                    let winner = holder_of(pool, t);
+                    pool.finish(t, winner);
+                }
+            }
+            // A late loser, possibly after its task was forgotten.
+            6 => {
+                let finished = (0..pool.len()).filter(|&t| pool.state(t) == TaskState::Finished);
+                if let Some(t) = choose(finished.collect()) {
+                    assert!(pool.finish(t, pe).is_empty());
+                }
+            }
+            7 => {
+                if let Some(t) = choose(with_holders(|n| n == 1)) {
+                    let sole = holder_of(pool, t);
+                    pool.release(t, sole);
+                    assert_eq!(pool.get(t).state, TaskState::Ready);
+                }
+            }
+            8 => {
+                if let Some(t) = choose(with_holders(|n| n > 1)) {
+                    let replica = holder_of(pool, t);
+                    pool.release(t, replica);
+                    assert_eq!(pool.get(t).state, TaskState::Executing);
+                }
+            }
+            _ => pool.forget_finished_prefix(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The indexes answer what the walks they replace would, in the same
+        /// order, after every mutator in any interleaving.
+        #[test]
+        fn indexes_match_the_walks_they_replace(
+            start in 0usize..6,
+            steps in prop::collection::vec((0u8..10, 0usize..64, 0..PES), 1..120),
+        ) {
+            let mut pool = TaskPool::new(specs(start));
+            for step in steps {
+                apply(&mut pool, step);
+                prop_assert_eq!(
+                    pool.executing_ids().collect::<Vec<_>>(),
+                    executing_walk(&pool),
+                    "executing after {:?}",
+                    step
+                );
+                for pe in 0..PES {
+                    prop_assert_eq!(
+                        pool.held_by(pe).collect::<Vec<_>>(),
+                        walk(&pool, |t| t.executors.contains(&pe)),
+                        "held by PE {} after {:?}",
+                        pe,
+                        step
+                    );
+                }
+            }
+        }
     }
 }
