@@ -6,7 +6,10 @@
 //! (Eq. 1) or affine (Gotoh's model, §II-A-3, where opening a gap costs more
 //! than extending one).
 
+use std::fmt;
+
 use swhybrid_seq::alphabet::Alphabet;
+use swhybrid_seq::digest::Fnv1a;
 
 mod matrices;
 pub use matrices::{BLOSUM50, BLOSUM62, PAM250};
@@ -200,6 +203,39 @@ impl Scoring {
     pub fn sub(&self, a: u8, b: u8) -> i32 {
         self.matrix.score(a, b)
     }
+
+    /// Stable digest of the scheme (matrix identity + gap model): the
+    /// scoring half of the daemon's cache key and of the identity a remote
+    /// PE proves at registration.
+    pub fn digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.update_framed(self.matrix.name.as_bytes());
+        h.update_framed(format!("{:?}", self.matrix.alphabet).as_bytes());
+        match self.gap {
+            GapModel::Linear { penalty } => {
+                h.update(&[0]);
+                h.update(&penalty.to_le_bytes());
+            }
+            GapModel::Affine { open, extend } => {
+                h.update(&[1]);
+                h.update(&open.to_le_bytes());
+                h.update(&extend.to_le_bytes());
+            }
+        }
+        h.finish()
+    }
+}
+
+/// `BLOSUM62, gap open 10 extend 2`: how a refusal names a scheme.
+impl fmt::Display for Scoring {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.gap {
+            GapModel::Linear { penalty } => write!(f, "{}, linear gap {penalty}", self.matrix.name),
+            GapModel::Affine { open, extend } => {
+                write!(f, "{}, gap open {open} extend {extend}", self.matrix.name)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -330,6 +366,34 @@ mod tests {
                 assert_eq!(row[b as usize] as i32, m.score(a, b));
             }
         }
+    }
+
+    #[test]
+    fn digest_separates_schemes() {
+        let a = Scoring::blosum62_affine().digest();
+        let b = Scoring {
+            matrix: SubstMatrix::blosum50(),
+            gap: GapModel::Affine {
+                open: 10,
+                extend: 2,
+            },
+        }
+        .digest();
+        let c = Scoring {
+            matrix: SubstMatrix::blosum62(),
+            gap: GapModel::Affine {
+                open: 12,
+                extend: 2,
+            },
+        }
+        .digest();
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_eq!(a, Scoring::blosum62_affine().digest());
+        assert_eq!(
+            Scoring::blosum62_affine().to_string(),
+            "BLOSUM62, gap open 10 extend 2"
+        );
     }
 
     #[test]

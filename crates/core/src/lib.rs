@@ -28,7 +28,7 @@
 //!   [`pool::PePool`] (engine + membership behind the wakeup hub) driven
 //!   through transport-agnostic [`pool::PeEndpoint`]s,
 //! * [`net`] — the batch master: one run on a local fleet of threads
-//!   computing genuine scores ([`net::LocalFleet`]), on slave processes
+//!   computing genuine scores ([`net::Batch`]), on slave processes
 //!   over a TCP protocol with long-polled requests, heartbeats, and
 //!   reconnection ([`net::MasterServer`]), or on both at once — every PE
 //!   an endpoint on the shared loop,

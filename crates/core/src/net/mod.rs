@@ -7,60 +7,70 @@
 //! [`run_slave`], register, request work, and stream results back. The
 //! same [`crate::sched::Scheduler`] as the simulator makes the decisions,
 //! and the same [`crate::pool::drive`] loop runs every PE: a TCP session is
-//! a remote [`crate::pool::PeEndpoint`], a [`LocalFleet`] member a local
-//! one, and one batch may mix both ([`MasterServer::serve_hybrid`]) or use
-//! the fleet alone ([`LocalFleet::run`]).
+//! a remote [`crate::pool::PeEndpoint`], a [`Batch`] fleet member a local
+//! one, and one batch may mix both ([`MasterServer::serve`]) or use the
+//! fleet alone ([`Batch::run`]).
 //!
 //! Submodules: `wire` (THE line framer, [`LineReader`] with its
 //! [`MAX_LINE`] bound, and the messages), `accept` (THE accept loop,
 //! [`Acceptor`] with its [`MAX_SESSIONS`] cap — the serve daemon's client
 //! port runs on both too), `session` (the master side of slave
 //! connections on the shared drive loop, [`serve_slaves`]), `server` (the
-//! batch master: [`MasterServer`], [`LocalFleet`]), `slave` (the slave
-//! process, batch and serve modes).
+//! batch master: [`MasterServer`], [`Batch`]), `slave` (the slave
+//! process, [`run_slave`]).
 //!
-//! ## Wire protocol (v3)
+//! ## Wire protocol (v4)
 //!
 //! Newline-delimited JSON, one message per line (chosen over a binary
 //! format so a session is inspectable with `nc`; at one message per
 //! multi-second task, encoding cost is irrelevant — the paper itself notes
-//! communication is negligible at this granularity). In batch mode both
-//! sides already have the sequence files (exactly as in the paper, where
-//! the flat database files live on each host); only task ids, speeds, and
-//! hit lists travel over the wire. In serve mode (a daemon with
-//! `--listen-slaves`) the slave holds only the database and tasks arrive
-//! self-describing (`descs`/`desc`).
+//! communication is negligible at this granularity). There is one kind of
+//! slave: it holds only the database, and every task arrives
+//! self-describing, whether a batch master or a daemon with
+//! `--listen-slaves` ships it. A batch task is query *t* over the whole
+//! database at [`crate::pool::BATCH_TOP_N`]; a daemon task is a fused query
+//! batch over one shard.
 //!
 //! Slave → master:
 //!
 //! | message | shape |
 //! |---|---|
-//! | register | `{"type":"register","name":"host-a","gcups":2.5,"proto":3}` (+ optional `"db_digest":"<16 hex>"` in serve mode) |
+//! | register | `{"type":"register","name":"host-a","gcups":2.5,"proto":4,"digest":"<16 hex>"}` |
 //! | request | `{"type":"request"}` |
 //! | started | `{"type":"started","task":3}` |
-//! | finished | `{"type":"finished","task":3,"gcups":2.4,"hits":[…]}` (+ optional per-query `"fused":[…]` for fused tasks) |
+//! | finished | `{"type":"finished","task":3,"gcups":2.4,"queries":[{"hits":[…],"kernels":{…}},…]}` |
 //! | heartbeat | `{"type":"heartbeat"}` |
 //!
 //! Master → slave:
 //!
 //! | message | shape |
 //! |---|---|
-//! | registered | `{"type":"registered","pe_id":1,"proto":3}` |
-//! | tasks | `{"type":"tasks","tasks":[4,5]}` (+ optional `"descs":[…]` in serve mode) |
-//! | execute | `{"type":"execute","task":2}` (a steal or a replica; + optional `"desc":…`) |
+//! | registered | `{"type":"registered","pe_id":1,"proto":4}` |
+//! | tasks | `{"type":"tasks","tasks":[4,5],"descs":[…,…]}` |
+//! | execute | `{"type":"execute","task":2,"desc":…}` (a steal or a replica) |
 //! | done | `{"type":"done"}` |
 //! | error | `{"type":"error","message":"…"}` |
 //!
-//! The payloads are the pool's own types: a hit (`simd::search::Hit`) is
-//! `{"db_index":0,"id":"seq1","score":42,"subject_len":99}`, a task desc
+//! The payloads are the pool's own types: a task desc
 //! ([`crate::pool::TaskPayload`]) is
-//! `{"queries":[{"query":[…],"top_n":10},…],"shard":[s,e]}` — a *fused
-//! query batch*, length 1 for the paper's grain — and `finished` carries a
-//! [`crate::pool::TaskResult`]. Both halves of the handshake carry
-//! [`PROTOCOL_VERSION`]; a mismatched pair fails with a clear error at
-//! registration instead of a parse failure mid-run. A line over
-//! [`MAX_LINE`] or not UTF-8 drops the session (told why, during the
-//! handshake), as does being one connection over [`MAX_SESSIONS`].
+//! `{"queries":[{"query":[…],"top_n":10},…],"shard":[s,e]}`, and
+//! `finished` carries a [`crate::pool::TaskResult`]: one
+//! [`crate::pool::QueryResult`] per desc query, in order, each with its
+//! hits (`simd::search::Hit`:
+//! `{"db_index":0,"id":"seq1","score":42,"subject_len":99}`) and kernel
+//! counters. The task's own counters are the merge of its queries'.
+//! Every field is mandatory.
+//!
+//! Both halves of the handshake carry [`PROTOCOL_VERSION`], checked before
+//! anything else, so a mismatched pair fails with an error naming both
+//! versions. The register `digest` is the slave's
+//! [`crate::pool::Identity`]: its database and its scoring scheme. A slave
+//! on another database, or with another `--matrix` or `--gap-*`, is
+//! refused with a `database or scoring mismatch` error that names the
+//! master's scoring. A `finished` whose list does not pair with what was
+//! shipped drops the session, told why. So does a line over [`MAX_LINE`]
+//! or not UTF-8 (told why during the handshake), as does being one
+//! connection over [`MAX_SESSIONS`].
 //!
 //! ## Long-polled requests (no busy-waiting)
 //!
@@ -106,9 +116,9 @@ use swhybrid_simd::engine::KernelStats;
 use swhybrid_simd::search::{merge_top_n, Hit};
 
 pub use accept::{Acceptor, MAX_SESSIONS};
-pub use server::{query_specs, LocalFleet, MasterServer};
+pub use server::{query_specs, Batch, MasterServer};
 pub use session::serve_slaves;
-pub use slave::{run_serve_slave, run_slave};
+pub use slave::run_slave;
 pub use wire::{
     kernels_from_json, kernels_to_json, write_line, LineReader, MasterMsg, SlaveMsg, MAX_LINE,
     PROTOCOL_VERSION,
@@ -117,8 +127,8 @@ pub use wire::{
 /// Timing and fault-tolerance knobs of the TCP runtime. The defaults are
 /// conservative LAN values; every test that injects faults tightens them.
 /// Consistency is checked by [`NetConfig::validate`] wherever a config
-/// enters the runtime ([`MasterServer::bind_with`], the slave entry
-/// points, `serve --listen-slaves`).
+/// enters the runtime ([`MasterServer::bind_with`], [`run_slave`],
+/// `serve --listen-slaves`).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// How often a slave sends a heartbeat line while connected.
@@ -266,7 +276,8 @@ mod tests {
     use super::wire::{decode, send, Wire};
     use super::*;
     use crate::policy::Policy;
-    use crate::pool::{PeExecutor, QueryPayload, TaskPayload, TaskResult};
+    use crate::pool::BATCH_TOP_N;
+    use crate::pool::{Identity, PeExecutor, QueryPayload, QueryResult, TaskPayload, TaskResult};
     use crate::sched::MasterConfig;
     use crate::trace::EventKind;
     use swhybrid_align::scoring::Scoring;
@@ -275,7 +286,7 @@ mod tests {
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::synth::{paper_database, QueryOrder, QuerySetSpec};
     use swhybrid_seq::{Alphabet, DbSnapshot};
-    use swhybrid_simd::search::KernelChoice;
+    use swhybrid_simd::search::{search_db, KernelChoice, SearchConfig};
 
     fn scoring() -> Scoring {
         Scoring {
@@ -308,16 +319,93 @@ mod tests {
         (queries, db, specs)
     }
 
+    /// A batch that only slaves compute.
+    fn batch<'a>(
+        queries: &'a [EncodedSequence],
+        db: &'a DbSnapshot,
+        scoring: &'a Scoring,
+    ) -> Batch<'a> {
+        Batch {
+            queries,
+            db,
+            scoring,
+            fleet: Vec::new(),
+        }
+    }
+
+    /// What the batch master must merge for `queries`: each query's
+    /// one-shot table at the one batch depth, keyed for comparison.
+    fn one_shot_key(queries: &[EncodedSequence], db: &DbSnapshot) -> Vec<(usize, usize, i32)> {
+        let config = SearchConfig {
+            top_n: BATCH_TOP_N,
+            ..SearchConfig::default()
+        };
+        let mut v: Vec<(usize, usize, i32)> = queries
+            .iter()
+            .enumerate()
+            .flat_map(|(qi, q)| {
+                search_db(&q.codes, db, &scoring(), &config)
+                    .hits
+                    .into_iter()
+                    .map(move |h| (qi, h.db_index, h.score))
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn key(hits: &[QueryHit]) -> Vec<(usize, usize, i32)> {
+        let mut v: Vec<(usize, usize, i32)> = hits
+            .iter()
+            .map(|h| (h.query_index, h.hit.db_index, h.hit.score))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn hit() -> Hit {
+        Hit {
+            db_index: 1,
+            id: "s1".into(),
+            score: -7, // scores can be negative; as_i64, not as_u64
+            subject_len: 99,
+        }
+    }
+
+    fn payload() -> TaskPayload {
+        TaskPayload {
+            queries: vec![
+                QueryPayload {
+                    query: vec![0, 3, 19, 2],
+                    top_n: 10,
+                },
+                QueryPayload {
+                    query: vec![5, 7],
+                    top_n: 3,
+                },
+            ],
+            shard: (128, 256),
+        }
+    }
+
     #[test]
     fn wire_messages_round_trip() {
+        let kernels = swhybrid_simd::engine::KernelStats {
+            resolved_i8: 5,
+            interseq_i8: 40,
+            interseq_i16: 2,
+            chunks_striped: 1,
+            chunks_interseq: 3,
+            cells_computed: 12_345,
+            ..Default::default()
+        };
         let slave_msgs = vec![
             SlaveMsg::Register {
                 name: "host-a/core0".into(),
                 gcups: 2.7,
-                proto: PROTOCOL_VERSION,
                 // Deliberately above 2^53: must survive the trip exactly
                 // (hence the hex-string encoding, not a JSON number).
-                db_digest: Some(0xdead_beef_cafe_f00d),
+                digest: 0xdead_beef_cafe_f00d,
             },
             SlaveMsg::Request,
             SlaveMsg::Started { task: 3 },
@@ -325,23 +413,13 @@ mod tests {
                 task: 3,
                 result: TaskResult {
                     gcups: Some(2.5),
-                    hits: vec![Hit {
-                        db_index: 1,
-                        id: "s1".into(),
-                        score: -7, // scores can be negative; as_i64, not as_u64
-                        subject_len: 99,
-                    }],
-                    cells: 12_345,
-                    kernels: Some(swhybrid_simd::engine::KernelStats {
-                        resolved_i8: 5,
-                        interseq_i8: 40,
-                        interseq_i16: 2,
-                        chunks_striped: 1,
-                        chunks_interseq: 3,
-                        cells_computed: 12_345,
-                        ..Default::default()
-                    }),
-                    fused: None,
+                    queries: vec![
+                        QueryResult {
+                            hits: vec![hit()],
+                            kernels,
+                        },
+                        QueryResult::default(),
+                    ],
                 },
             },
             SlaveMsg::Heartbeat,
@@ -357,33 +435,13 @@ mod tests {
         assert!(reader.next_msg::<SlaveMsg>().unwrap().is_none());
 
         let master_msgs = vec![
-            MasterMsg::Registered {
-                pe_id: 1,
-                proto: PROTOCOL_VERSION,
-            },
+            MasterMsg::Registered { pe_id: 1 },
             MasterMsg::Tasks {
-                tasks: vec![4, 5],
-                descs: None,
-            },
-            MasterMsg::Tasks {
-                tasks: vec![7],
-                descs: Some(vec![TaskPayload {
-                    queries: vec![
-                        QueryPayload {
-                            query: vec![0, 3, 19, 2],
-                            top_n: 10,
-                        },
-                        QueryPayload {
-                            query: vec![5, 7],
-                            top_n: 3,
-                        },
-                    ],
-                    shard: (128, 256),
-                }]),
+                tasks: vec![(7, payload()), (4, payload())],
             },
             MasterMsg::Execute {
                 task: 2,
-                desc: None,
+                desc: payload(),
             },
             MasterMsg::Done,
             MasterMsg::Error {
@@ -398,79 +456,58 @@ mod tests {
         for _ in 0..master_msgs.len() {
             assert!(reader.next_msg::<MasterMsg>().unwrap().is_some());
         }
-        // The register round-trip preserves version and digest verbatim.
+        // The register round-trip preserves the digest verbatim.
         match decode::<SlaveMsg>(&slave_msgs[0].to_json().to_string()).unwrap() {
-            SlaveMsg::Register {
-                proto, db_digest, ..
-            } => {
-                assert_eq!(proto, PROTOCOL_VERSION);
-                assert_eq!(db_digest, Some(0xdead_beef_cafe_f00d));
-            }
+            SlaveMsg::Register { digest, .. } => assert_eq!(digest, 0xdead_beef_cafe_f00d),
             other => panic!("wrong decode: {other:?}"),
         }
-        // The finished round-trip preserves the hit verbatim.
+        // The finished round-trip preserves every per-query entry, in
+        // order, and the task's counters are their merge.
         let msg = decode::<SlaveMsg>(&slave_msgs[3].to_json().to_string()).unwrap();
         match msg {
             SlaveMsg::Finished { task, result } => {
                 assert_eq!(task, 3);
                 assert!((result.gcups.unwrap() - 2.5).abs() < 1e-12);
-                assert_eq!(
-                    result.hits,
-                    vec![Hit {
-                        db_index: 1,
-                        id: "s1".into(),
-                        score: -7,
-                        subject_len: 99,
-                    }]
-                );
-                let k = result.kernels.expect("kernels field must round-trip");
-                assert_eq!(k.interseq_i8, 40);
-                assert_eq!(k.cells_computed, 12_345);
-                // `cells` does not travel; it is the kernels' count.
-                assert_eq!(result.cells, 12_345);
-                assert!(result.fused.is_none());
+                assert_eq!(result.queries.len(), 2);
+                assert_eq!(result.queries[0].hits, vec![hit()]);
+                assert_eq!(result.queries[0].kernels, kernels);
+                assert_eq!(result.queries[1], QueryResult::default());
+                assert_eq!(result.kernels(), kernels);
             }
             other => panic!("wrong decode: {other:?}"),
         }
-        // Self-describing tasks round-trip the fused query batch and shard
-        // bounds, preserving batch order.
+        // Tasks round-trip the fused query batch and shard bounds of each
+        // task, preserving task and batch order.
+        match decode::<MasterMsg>(&master_msgs[1].to_json().to_string()).unwrap() {
+            MasterMsg::Tasks { tasks } => {
+                assert_eq!(tasks, vec![(7, payload()), (4, payload())]);
+                let desc = &tasks[0].1;
+                assert_eq!(desc.queries[0].query, vec![0, 3, 19, 2]);
+                assert_eq!(desc.queries[0].top_n, 10);
+                assert_eq!(desc.queries[1].query, vec![5, 7]);
+                assert_eq!(desc.queries[1].top_n, 3);
+                assert_eq!(desc.shard, (128, 256));
+            }
+            other => panic!("wrong decode: {other:?}"),
+        }
         match decode::<MasterMsg>(&master_msgs[2].to_json().to_string()).unwrap() {
-            MasterMsg::Tasks { tasks, descs } => {
-                assert_eq!(tasks, vec![7]);
-                let descs = descs.expect("descs must round-trip");
-                assert_eq!(descs[0].queries.len(), 2);
-                assert_eq!(descs[0].queries[0].query, vec![0, 3, 19, 2]);
-                assert_eq!(descs[0].queries[0].top_n, 10);
-                assert_eq!(descs[0].queries[1].query, vec![5, 7]);
-                assert_eq!(descs[0].queries[1].top_n, 3);
-                assert_eq!(descs[0].shard, (128, 256));
-            }
+            MasterMsg::Execute { task, desc } => assert_eq!((task, desc), (2, payload())),
             other => panic!("wrong decode: {other:?}"),
         }
-        // A finished line without the kernels field (an older slave) still
-        // decodes, with the counters absent.
-        let legacy = r#"{"type":"finished","task":1,"gcups":1.0,"hits":[]}"#;
-        match decode::<SlaveMsg>(legacy).unwrap() {
-            SlaveMsg::Finished { result, .. } => assert!(result.kernels.is_none()),
-            other => panic!("wrong decode: {other:?}"),
-        }
-        // A v1 register (no proto, no digest) decodes as version 1 — the
-        // handshake then rejects it with a clear error, not a parse error.
+        // A v1 handshake (no proto, no digest) is a clear version error,
+        // not a complaint about a field v1 never had.
         let v1 = r#"{"type":"register","name":"old","gcups":1.0}"#;
-        match decode::<SlaveMsg>(v1).unwrap() {
-            SlaveMsg::Register {
-                proto, db_digest, ..
-            } => {
-                assert_eq!(proto, 1);
-                assert_eq!(db_digest, None);
-            }
-            other => panic!("wrong decode: {other:?}"),
-        }
+        let err = decode::<SlaveMsg>(v1).unwrap_err().to_string();
+        assert!(
+            err.contains("protocol version mismatch") && err.contains("v1"),
+            "{err}"
+        );
         let v1 = r#"{"type":"registered","pe_id":0}"#;
-        match decode::<MasterMsg>(v1).unwrap() {
-            MasterMsg::Registered { proto, .. } => assert_eq!(proto, 1),
-            other => panic!("wrong decode: {other:?}"),
-        }
+        let err = decode::<MasterMsg>(v1).unwrap_err().to_string();
+        assert!(
+            err.contains("protocol version mismatch") && err.contains("v1"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -534,10 +571,8 @@ mod tests {
             "127.0.0.1:1", // never reached: validation fails first
             "bad",
             1.0,
-            &[],
             &DbSnapshot::from_encoded("", &[]),
             &scoring(),
-            3,
             KernelChoice::Auto,
             &cases[0],
         )
@@ -547,7 +582,8 @@ mod tests {
 
     #[test]
     fn distributed_run_two_slaves_over_tcp() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -561,7 +597,6 @@ mod tests {
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             for name in ["host-a", "host-b"] {
                 scope.spawn(move || {
@@ -569,17 +604,17 @@ mod tests {
                         addr,
                         name,
                         1.0,
-                        q,
                         s,
                         &scoring(),
-                        3,
                         KernelChoice::Auto,
                         &NetConfig::default(),
                     )
                     .expect("slave runs clean")
                 });
             }
-            server.serve(specs).expect("server completes")
+            server
+                .serve(batch(&queries, &db, &sc))
+                .expect("server completes")
         });
 
         assert_eq!(outcome.completed_by.len(), 6);
@@ -621,7 +656,7 @@ mod tests {
     #[test]
     fn hybrid_fleet_and_remote_slave_share_one_pool() {
         use swhybrid_device::FleetSpec;
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
         let sc = scoring();
         let server = MasterServer::bind(
             "127.0.0.1:0",
@@ -634,32 +669,26 @@ mod tests {
         )
         .unwrap();
         let addr = server.local_addr().unwrap();
-        let fleet = LocalFleet {
-            pes: FleetSpec::parse("gpu:1+sse:1").unwrap().build(),
-            queries: &queries,
-            db: &db,
-            scoring: &sc,
-            top_n: 3,
+        let batch = Batch {
+            fleet: FleetSpec::parse("gpu:1+sse:1").unwrap().build(),
+            ..batch(&queries, &db, &sc)
         };
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "remote-a",
                     1.0,
-                    q,
                     s,
                     &scoring(),
-                    3,
                     KernelChoice::Auto,
                     &NetConfig::default(),
                 )
                 .expect("slave runs clean")
             });
-            server.serve_hybrid(specs, fleet).expect("server completes")
+            server.serve(batch).expect("server completes")
         });
 
         // All three PE kinds — modeled GPU, local SIMD, remote slave —
@@ -722,17 +751,14 @@ mod tests {
     #[test]
     fn hybrid_serve_with_zero_slaves_is_a_local_run() {
         use swhybrid_device::FleetSpec;
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
         let sc = scoring();
         let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 0).unwrap();
-        let fleet = LocalFleet {
-            pes: FleetSpec::parse("sse:2").unwrap().build(),
-            queries: &queries,
-            db: &db,
-            scoring: &sc,
-            top_n: 3,
+        let batch = Batch {
+            fleet: FleetSpec::parse("sse:2").unwrap().build(),
+            ..batch(&queries, &db, &sc)
         };
-        let outcome = server.serve_hybrid(specs, fleet).expect("local-only run");
+        let outcome = server.serve(batch).expect("local-only run");
         assert_eq!(outcome.completed_by.len(), 6);
         assert!(outcome
             .completed_by
@@ -749,7 +775,8 @@ mod tests {
     /// the server. It must instead get an error and cost nothing.
     #[test]
     fn garbage_first_message_does_not_consume_a_registration_slot() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -763,7 +790,6 @@ mod tests {
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             scope.spawn(move || {
                 // Not a slave at all: say something wrong, expect an error.
@@ -786,10 +812,8 @@ mod tests {
                         addr,
                         name,
                         1.0,
-                        q,
                         s,
                         &scoring(),
-                        3,
                         KernelChoice::Auto,
                         &NetConfig::default(),
                     )
@@ -797,7 +821,7 @@ mod tests {
                 });
             }
             server
-                .serve(specs)
+                .serve(batch(&queries, &db, &sc))
                 .expect("server completes despite garbage")
         });
         assert!(outcome.completed_by.iter().all(|n| !n.is_empty()));
@@ -807,12 +831,12 @@ mod tests {
     /// as soon as the limit is crossed, and costs the run nothing.
     #[test]
     fn oversize_line_drops_that_session_only() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 1).unwrap();
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             scope.spawn(move || {
                 let mut stream = TcpStream::connect(addr).unwrap();
@@ -835,16 +859,16 @@ mod tests {
                     addr,
                     "real",
                     1.0,
-                    q,
                     s,
                     &scoring(),
-                    3,
                     KernelChoice::Auto,
                     &NetConfig::default(),
                 )
                 .expect("real slave ok")
             });
-            server.serve(specs).expect("server unaffected")
+            server
+                .serve(batch(&queries, &db, &sc))
+                .expect("server unaffected")
         });
         assert!(outcome.completed_by.iter().all(|n| n == "real"));
     }
@@ -854,7 +878,8 @@ mod tests {
     /// not consume a registration slot.
     #[test]
     fn version_mismatch_is_refused_with_a_clear_error() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -868,7 +893,6 @@ mod tests {
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             scope.spawn(move || {
                 // A v1 slave: its register line has no proto field.
@@ -897,53 +921,266 @@ mod tests {
                     addr,
                     "current",
                     1.0,
-                    q,
                     s,
                     &scoring(),
-                    3,
                     KernelChoice::Auto,
                     &NetConfig::default(),
                 )
                 .expect("current-version slave ok")
             });
             server
-                .serve(specs)
+                .serve(batch(&queries, &db, &sc))
                 .expect("server completes despite the v1 visitor")
         });
         assert!(outcome.completed_by.iter().all(|n| n == "current"));
     }
 
-    /// A slave that earns a big batch, then drops the connection (FIN)
-    /// mid-batch — simulating a process crash.
-    fn run_flaky_slave(addr: std::net::SocketAddr, queries: &[EncodedSequence], db: &DbSnapshot) {
+    /// The silent failure a batch slave used to have: one that loaded
+    /// another database (or runs another scoring) returned its own
+    /// subjects' hits under the master's query ids. Now its registration
+    /// is refused, naming the master's scoring, and the run completes on
+    /// the slave that holds the master's database — with the one-shot
+    /// tables.
+    #[test]
+    fn a_slave_on_another_database_or_scoring_is_refused() {
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
+        let other_db = DbSnapshot::from_encoded(
+            "rat",
+            &paper_database("rat")
+                .unwrap()
+                .generate_scaled(5, 0.001)
+                .encode_all()
+                .unwrap(),
+        );
+        let blosum50 = Scoring {
+            matrix: swhybrid_align::scoring::SubstMatrix::blosum50(),
+            ..scoring()
+        };
+        let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 1).unwrap();
+        let addr = server.local_addr().unwrap();
+        let (outcome, refusals) = std::thread::scope(|scope| {
+            let refused = |db: &DbSnapshot, scoring: &Scoring| {
+                let net = NetConfig::default();
+                run_slave(addr, "wrong", 1.0, db, scoring, KernelChoice::Auto, &net)
+                    .expect_err("a slave on another identity must be refused")
+            };
+            let (other_db, blosum50) = (&other_db, &blosum50);
+            let wrong = [
+                scope.spawn(move || refused(other_db, &scoring())),
+                scope.spawn(move || refused(&tiny_workload().1, blosum50)),
+            ];
+            // Neither refusal takes the slot: the right slave, connecting
+            // last, opens the barrier.
+            let s = &db;
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(200));
+                run_slave(
+                    addr,
+                    "right",
+                    1.0,
+                    s,
+                    &scoring(),
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
+                )
+                .expect("the master's database and scoring are admitted")
+            });
+            let outcome = server
+                .serve(batch(&queries, &db, &sc))
+                .expect("run completes");
+            (outcome, wrong.map(|h| h.join().unwrap()))
+        });
+        for err in refusals {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(
+                message.contains("database or scoring mismatch")
+                    && message.contains("BLOSUM62, gap open 10 extend 2"),
+                "unhelpful refusal: {message}"
+            );
+        }
+        assert!(outcome.completed_by.iter().all(|n| n == "right"));
+        assert_eq!(key(&outcome.hits), one_shot_key(&queries, &db));
+    }
+
+    /// v4 made the digest mandatory: a register without one is refused
+    /// with a typed error and costs no registration slot.
+    #[test]
+    fn a_register_without_its_digest_is_refused() {
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
+        let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 1).unwrap();
+        let addr = server.local_addr().unwrap();
+        let outcome = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let stream = TcpStream::connect(addr).unwrap();
+                let mut reader = LineReader::new(stream.try_clone().unwrap());
+                let mut writer = BufWriter::new(stream);
+                let line = format!(
+                    "{{\"type\":\"register\",\"name\":\"x\",\"gcups\":1,\"proto\":{PROTOCOL_VERSION}}}\n"
+                );
+                writer.write_all(line.as_bytes()).unwrap();
+                writer.flush().unwrap();
+                match reader.next_msg::<MasterMsg>().unwrap() {
+                    Some(MasterMsg::Error { message }) => {
+                        assert!(message.contains("'digest'"), "unhelpful: {message}")
+                    }
+                    other => panic!("expected an error reply, got {other:?}"),
+                }
+                assert!(matches!(reader.read_line(), Ok(None)), "not closed");
+            });
+            let s = &db;
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(100));
+                run_slave(
+                    addr,
+                    "real",
+                    1.0,
+                    s,
+                    &scoring(),
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
+                )
+                .expect("real slave ok")
+            });
+            server
+                .serve(batch(&queries, &db, &sc))
+                .expect("run completes")
+        });
+        assert!(outcome.completed_by.iter().all(|n| n == "real"));
+    }
+
+    /// A `finished` whose per-query list does not pair with the payload it
+    /// answers is refused before it reaches the merge: the slave is told
+    /// why and dropped, and its task requeues to the slave that remains.
+    #[test]
+    fn a_finished_that_does_not_pair_with_its_payload_drops_the_session() {
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
+        let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 1).unwrap();
+        let addr = server.local_addr().unwrap();
+        let outcome = std::thread::scope(|scope| {
+            let s = &db;
+            scope.spawn(move || {
+                let digest = Identity::of(s, &scoring()).digest;
+                let (mut reader, mut writer, reply) = raw_session(addr, "liar", 1.0, digest);
+                assert!(matches!(reply, MasterMsg::Registered { .. }));
+                send(&mut writer, &SlaveMsg::Request).unwrap();
+                let (task, desc) = match reader.next_msg::<MasterMsg>().unwrap() {
+                    Some(MasterMsg::Tasks { mut tasks }) => tasks.remove(0),
+                    other => panic!("expected tasks, got {other:?}"),
+                };
+                assert_eq!(desc.queries.len(), 1);
+                send(&mut writer, &SlaveMsg::Started { task }).unwrap();
+                let mut result = PeExecutor::new(s, &scoring(), KernelChoice::Auto)
+                    .scan(&desc)
+                    .unwrap();
+                result.queries.push(QueryResult::default());
+                send(&mut writer, &SlaveMsg::Finished { task, result }).unwrap();
+                match reader.next_msg::<MasterMsg>().unwrap() {
+                    Some(MasterMsg::Error { message }) => assert!(
+                        message.contains("2 per-query results for 1 queries"),
+                        "unhelpful: {message}"
+                    ),
+                    other => panic!("expected an error reply, got {other:?}"),
+                }
+                assert!(matches!(reader.read_line(), Ok(None)), "not closed");
+            });
+            scope.spawn(move || {
+                // Joins late, so the liar provably holds the first batch.
+                std::thread::sleep(Duration::from_millis(200));
+                run_slave(
+                    addr,
+                    "steady",
+                    1.0,
+                    s,
+                    &scoring(),
+                    KernelChoice::Auto,
+                    &NetConfig::default(),
+                )
+                .expect("steady slave completes the run")
+            });
+            server
+                .serve(batch(&queries, &db, &sc))
+                .expect("run completes")
+        });
+        assert!(outcome.completed_by.iter().all(|n| n == "steady"));
+        assert_eq!(key(&outcome.hits), one_shot_key(&queries, &db));
+    }
+
+    /// The slave side of v4: a master that ships a task without its
+    /// payload ends the slave with a typed error, not a guess.
+    #[test]
+    fn an_assignment_without_its_payload_is_a_typed_error() {
+        let (_, db, _) = tiny_workload();
+        for line in [
+            r#"{"type":"tasks","tasks":[0]}"#,
+            r#"{"type":"execute","task":0}"#,
+        ] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let err = std::thread::scope(|scope| {
+                let s = &db;
+                let slave = scope.spawn(move || {
+                    let net = NetConfig::default();
+                    run_slave(addr, "s", 1.0, s, &scoring(), KernelChoice::Auto, &net)
+                });
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = LineReader::new(stream.try_clone().unwrap());
+                let mut writer = BufWriter::new(stream);
+                assert!(matches!(
+                    reader.next_msg::<SlaveMsg>().unwrap(),
+                    Some(SlaveMsg::Register { .. })
+                ));
+                send(&mut writer, &MasterMsg::Registered { pe_id: 0 }).unwrap();
+                writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+                writer.flush().unwrap();
+                slave.join().unwrap().expect_err("a payload-less task")
+            });
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}: {err}");
+        }
+    }
+
+    /// A hand-rolled slave session: registered under `digest`, or the
+    /// master's error line when refused.
+    fn raw_session(
+        addr: std::net::SocketAddr,
+        name: &str,
+        gcups: f64,
+        digest: u64,
+    ) -> (LineReader<TcpStream>, BufWriter<TcpStream>, MasterMsg) {
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = LineReader::new(stream.try_clone().unwrap());
         let mut writer = BufWriter::new(stream);
-        send(
-            &mut writer,
-            &SlaveMsg::Register {
-                name: "flaky".into(),
-                gcups: 100.0,
-                proto: PROTOCOL_VERSION,
-                db_digest: None,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            reader.next_msg::<MasterMsg>().unwrap(),
-            Some(MasterMsg::Registered { .. })
-        ));
+        let register = SlaveMsg::Register {
+            name: name.into(),
+            gcups,
+            digest,
+        };
+        send(&mut writer, &register).unwrap();
+        let reply = reader.next_msg::<MasterMsg>().unwrap().expect("a reply");
+        (reader, writer, reply)
+    }
+
+    /// A slave that earns a big batch, then drops the connection (FIN)
+    /// mid-batch — simulating a process crash.
+    fn run_flaky_slave(addr: std::net::SocketAddr, db: &DbSnapshot) {
+        let sc = scoring();
+        let digest = Identity::of(db, &sc).digest;
+        let (mut reader, mut writer, reply) = raw_session(addr, "flaky", 100.0, digest);
+        assert!(matches!(reply, MasterMsg::Registered { .. }));
         // First allocation is one task; complete it honestly but report an
         // absurd speed so Φ hands us a huge batch next time.
         send(&mut writer, &SlaveMsg::Request).unwrap();
-        let first = match reader.next_msg::<MasterMsg>().unwrap() {
-            Some(MasterMsg::Tasks { tasks, .. }) => tasks[0],
+        let (first, desc) = match reader.next_msg::<MasterMsg>().unwrap() {
+            Some(MasterMsg::Tasks { mut tasks }) => tasks.remove(0),
             other => panic!("expected first allocation, got {other:?}"),
         };
         send(&mut writer, &SlaveMsg::Started { task: first }).unwrap();
-        let sc = scoring();
-        let result =
-            PeExecutor::new(db, &sc, KernelChoice::Auto).scan_query(&queries[first].codes, 3);
+        let result = PeExecutor::new(db, &sc, KernelChoice::Auto)
+            .scan(&desc)
+            .unwrap();
         send(
             &mut writer,
             &SlaveMsg::Finished {
@@ -957,9 +1194,9 @@ mod tests {
         .unwrap();
         send(&mut writer, &SlaveMsg::Request).unwrap();
         match reader.next_msg::<MasterMsg>().unwrap() {
-            Some(MasterMsg::Tasks { tasks, .. }) => {
+            Some(MasterMsg::Tasks { tasks }) => {
                 // Start the first batch entry, then vanish holding them all.
-                send(&mut writer, &SlaveMsg::Started { task: tasks[0] }).unwrap();
+                send(&mut writer, &SlaveMsg::Started { task: tasks[0].0 }).unwrap();
             }
             Some(MasterMsg::Execute { .. }) | Some(MasterMsg::Done) => {
                 // The steady slave was too fast this run; dropping here
@@ -973,8 +1210,9 @@ mod tests {
 
     #[test]
     fn slave_crash_mid_run_is_recovered() {
-        let (queries, db, specs) = tiny_workload();
-        let n_tasks = specs.len();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
+        let n_tasks = queries.len();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -988,24 +1226,23 @@ mod tests {
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
-            scope.spawn(move || run_flaky_slave(addr, q, s));
+            scope.spawn(move || run_flaky_slave(addr, s));
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "steady",
                     1.0,
-                    q,
                     s,
                     &scoring(),
-                    3,
                     KernelChoice::Auto,
                     &NetConfig::default(),
                 )
                 .expect("steady slave survives")
             });
-            server.serve(specs).expect("server completes despite crash")
+            server
+                .serve(batch(&queries, &db, &sc))
+                .expect("server completes despite crash")
         });
 
         // Every task completed, by someone.
@@ -1031,7 +1268,8 @@ mod tests {
     /// slave pick it up without any poll-interval delay.
     #[test]
     fn silently_dead_slave_is_detected_and_its_task_requeued() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let net = NetConfig {
             heartbeat_interval: Duration::from_millis(100),
             slave_deadline: Duration::from_secs(1),
@@ -1051,35 +1289,26 @@ mod tests {
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             let net = &net;
             scope.spawn(move || {
                 // Mute slave: alone it satisfies the barrier, takes a task,
                 // reports it started, then goes silent with the socket open.
-                let stream = TcpStream::connect(addr).unwrap();
-                let mut reader = LineReader::new(stream.try_clone().unwrap());
-                let mut writer = BufWriter::new(stream.try_clone().unwrap());
+                let digest = Identity::of(s, &scoring()).digest;
+                let (mut reader, mut writer, reply) = raw_session(addr, "mute", 1.0, digest);
+                assert!(matches!(reply, MasterMsg::Registered { .. }));
+                send(&mut writer, &SlaveMsg::Request).unwrap();
+                let assigned = match reader.next_msg::<MasterMsg>().unwrap() {
+                    Some(MasterMsg::Tasks { tasks }) => tasks,
+                    other => panic!("expected tasks, got {other:?}"),
+                };
                 send(
                     &mut writer,
-                    &SlaveMsg::Register {
-                        name: "mute".into(),
-                        gcups: 1.0,
-                        proto: PROTOCOL_VERSION,
-                        db_digest: None,
+                    &SlaveMsg::Started {
+                        task: assigned[0].0,
                     },
                 )
                 .unwrap();
-                assert!(matches!(
-                    reader.next_msg::<MasterMsg>().unwrap(),
-                    Some(MasterMsg::Registered { .. })
-                ));
-                send(&mut writer, &SlaveMsg::Request).unwrap();
-                let assigned = match reader.next_msg::<MasterMsg>().unwrap() {
-                    Some(MasterMsg::Tasks { tasks, .. }) => tasks,
-                    other => panic!("expected tasks, got {other:?}"),
-                };
-                send(&mut writer, &SlaveMsg::Started { task: assigned[0] }).unwrap();
                 // Silence. No heartbeat, no FIN — block until the master,
                 // having declared this PE dead, closes the connection.
                 while matches!(reader.read_line(), Ok(Some(_))) {}
@@ -1088,21 +1317,11 @@ mod tests {
                 // The real slave joins late (pe_joins path) so the mute one
                 // is guaranteed to have been assigned its task first.
                 std::thread::sleep(Duration::from_millis(200));
-                run_slave(
-                    addr,
-                    "steady",
-                    1.0,
-                    q,
-                    s,
-                    &scoring(),
-                    3,
-                    KernelChoice::Auto,
-                    net,
-                )
-                .expect("steady slave completes the run")
+                run_slave(addr, "steady", 1.0, s, &scoring(), KernelChoice::Auto, net)
+                    .expect("steady slave completes the run")
             });
             server
-                .serve(specs)
+                .serve(batch(&queries, &db, &sc))
                 .expect("server completes despite silent death")
         });
 
@@ -1156,7 +1375,8 @@ mod tests {
     /// the handshake deadline frees it without consuming a slot.
     #[test]
     fn silent_probe_connection_is_dropped_at_handshake_deadline() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let net = NetConfig {
             heartbeat_interval: Duration::from_millis(100),
             slave_deadline: Duration::from_secs(1),
@@ -1176,7 +1396,6 @@ mod tests {
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             let net = &net;
             scope.spawn(move || {
@@ -1190,21 +1409,11 @@ mod tests {
             });
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
-                run_slave(
-                    addr,
-                    "real",
-                    1.0,
-                    q,
-                    s,
-                    &scoring(),
-                    3,
-                    KernelChoice::Auto,
-                    net,
-                )
-                .expect("real slave ok")
+                run_slave(addr, "real", 1.0, s, &scoring(), KernelChoice::Auto, net)
+                    .expect("real slave ok")
             });
             server
-                .serve(specs)
+                .serve(batch(&queries, &db, &sc))
                 .expect("server unaffected by silent probe")
         });
         assert!(outcome.completed_by.iter().all(|n| n == "real"));
@@ -1214,7 +1423,8 @@ mod tests {
     /// server: the barrier opens with whoever did register.
     #[test]
     fn register_timeout_proceeds_with_fewer_slaves() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let net = NetConfig {
             register_timeout: Some(Duration::from_millis(300)),
             ..NetConfig::default()
@@ -1233,23 +1443,22 @@ mod tests {
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "only",
                     1.0,
-                    q,
                     s,
                     &scoring(),
-                    3,
                     KernelChoice::Auto,
                     &NetConfig::default(),
                 )
                 .expect("lone slave completes everything")
             });
-            server.serve(specs).expect("server proceeds degraded")
+            server
+                .serve(batch(&queries, &db, &sc))
+                .expect("server proceeds degraded")
         });
         assert!(outcome.completed_by.iter().all(|n| n == "only"));
     }
@@ -1258,14 +1467,15 @@ mod tests {
     /// in accept.
     #[test]
     fn register_timeout_with_no_slaves_errors_out() {
-        let (_queries, _db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let net = NetConfig {
             register_timeout: Some(Duration::from_millis(200)),
             ..NetConfig::default()
         };
         let server =
             MasterServer::bind_with("127.0.0.1:0", MasterConfig::default(), 1, net).unwrap();
-        let err = server.serve(specs).unwrap_err();
+        let err = server.serve(batch(&queries, &db, &sc)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 
@@ -1273,7 +1483,7 @@ mod tests {
     /// with backoff, and the second session completes the work.
     #[test]
     fn slave_reconnects_after_connection_drop() {
-        let (queries, db, _specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let net = NetConfig {
@@ -1284,21 +1494,10 @@ mod tests {
         };
 
         let executed = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             let net = &net;
             let slave = scope.spawn(move || {
-                run_slave(
-                    addr,
-                    "phoenix",
-                    1.0,
-                    q,
-                    s,
-                    &scoring(),
-                    3,
-                    KernelChoice::Auto,
-                    net,
-                )
+                run_slave(addr, "phoenix", 1.0, s, &scoring(), KernelChoice::Auto, net)
             });
             // Session 1: take the registration, then drop the connection.
             {
@@ -1317,14 +1516,7 @@ mod tests {
                 reader.next_msg::<SlaveMsg>().unwrap(),
                 Some(SlaveMsg::Register { .. })
             ));
-            send(
-                &mut writer,
-                &MasterMsg::Registered {
-                    pe_id: 0,
-                    proto: PROTOCOL_VERSION,
-                },
-            )
-            .unwrap();
+            send(&mut writer, &MasterMsg::Registered { pe_id: 0 }).unwrap();
             loop {
                 match reader.next_msg::<SlaveMsg>().unwrap() {
                     Some(SlaveMsg::Request) => break,
@@ -1332,14 +1524,14 @@ mod tests {
                     other => panic!("unexpected {other:?}"),
                 }
             }
-            send(
-                &mut writer,
-                &MasterMsg::Execute {
-                    task: 0,
-                    desc: None,
-                },
-            )
-            .unwrap();
+            let desc = TaskPayload {
+                queries: vec![QueryPayload {
+                    query: queries[0].codes.clone(),
+                    top_n: BATCH_TOP_N,
+                }],
+                shard: (0, db.len()),
+            };
+            send(&mut writer, &MasterMsg::Execute { task: 0, desc }).unwrap();
             let mut finished = false;
             loop {
                 match reader.next_msg::<SlaveMsg>().unwrap() {
@@ -1363,7 +1555,8 @@ mod tests {
 
     #[test]
     fn distributed_equals_local_runtime_results() {
-        let (queries, db, specs) = tiny_workload();
+        let (queries, db, _) = tiny_workload();
+        let sc = scoring();
         let server = MasterServer::bind(
             "127.0.0.1:0",
             MasterConfig {
@@ -1376,62 +1569,52 @@ mod tests {
         .unwrap();
         let addr = server.local_addr().unwrap();
         let outcome = std::thread::scope(|scope| {
-            let q = &queries;
             let s = &db;
             scope.spawn(move || {
                 run_slave(
                     addr,
                     "solo",
                     1.0,
-                    q,
                     s,
                     &scoring(),
-                    3,
                     KernelChoice::Auto,
                     &NetConfig::default(),
                 )
                 .expect("slave ok")
             });
-            server.serve(specs).expect("server ok")
+            server.serve(batch(&queries, &db, &sc)).expect("server ok")
         });
 
-        let sc = scoring();
-        let local = LocalFleet {
-            pes: vec![FleetPe::simd("solo", 1.0)],
-            queries: &queries,
-            db: &db,
-            scoring: &sc,
-            top_n: 3,
+        let local = Batch {
+            fleet: vec![FleetPe::simd("solo", 1.0)],
+            ..batch(&queries, &db, &sc)
         }
         .run(MasterConfig {
             policy: Policy::SelfScheduling,
             adjustment: false,
             dispatch: Default::default(),
         });
-        let key = |hits: &[QueryHit]| {
-            let mut v: Vec<(usize, usize, i32)> = hits
-                .iter()
-                .map(|h| (h.query_index, h.hit.db_index, h.hit.score))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(key(&outcome.hits), key(&local.hits));
+        // A fleet thread and a slave run the same payload: identical
+        // per-query lists, each the one-shot table of the master's query at
+        // the one batch depth.
+        assert_eq!(outcome.hits, local.hits);
+        assert_eq!(key(&local.hits), one_shot_key(&queries, &db));
+        for qi in 0..queries.len() {
+            let depth = local.hits.iter().filter(|h| h.query_index == qi).count();
+            assert_eq!(depth, BATCH_TOP_N.min(db.len()), "query {qi}");
+        }
     }
 
     // The batch function on a local fleet alone — no listener, no remote
     // slave: the same pool, engine and drive loop with only local-thread
     // endpoints on it.
 
-    fn local_run(pes: Vec<FleetPe>, config: MasterConfig, top_n: usize) -> DistributedOutcome {
+    fn local_run(fleet: Vec<FleetPe>, config: MasterConfig) -> DistributedOutcome {
         let (queries, db, _) = tiny_workload();
         let sc = scoring();
-        LocalFleet {
-            pes,
-            queries: &queries,
-            db: &db,
-            scoring: &sc,
-            top_n,
+        Batch {
+            fleet,
+            ..batch(&queries, &db, &sc)
         }
         .run(config)
     }
@@ -1446,11 +1629,7 @@ mod tests {
 
     #[test]
     fn local_run_completes_all_tasks_single_pe() {
-        let out = local_run(
-            vec![FleetPe::simd("solo", 1.0)],
-            MasterConfig::default(),
-            10,
-        );
+        let out = local_run(vec![FleetPe::simd("solo", 1.0)], MasterConfig::default());
         assert_eq!(out.completed_by.len(), 6);
         assert!(out.completed_by.iter().all(|n| n == "solo"));
         assert!(!out.hits.is_empty());
@@ -1471,19 +1650,10 @@ mod tests {
                 FleetPe::simd("c", 1.0),
             ],
             ss_with_adjustment(),
-            5,
         );
         assert!(out.completed_by.iter().all(|n| !n.is_empty()));
         // Results identical to a single-PE run (scores are deterministic).
-        let solo = local_run(vec![FleetPe::simd("solo", 1.0)], ss_with_adjustment(), 5);
-        let key = |hits: &[QueryHit]| {
-            let mut v: Vec<(usize, usize, i32)> = hits
-                .iter()
-                .map(|h| (h.query_index, h.hit.db_index, h.hit.score))
-                .collect();
-            v.sort_unstable();
-            v
-        };
+        let solo = local_run(vec![FleetPe::simd("solo", 1.0)], ss_with_adjustment());
         assert_eq!(key(&out.hits), key(&solo.hits));
     }
 
@@ -1496,7 +1666,6 @@ mod tests {
                 adjustment: false,
                 dispatch: Default::default(),
             },
-            5,
         );
         assert!(out.completed_by.iter().all(|n| !n.is_empty()));
     }
@@ -1507,14 +1676,9 @@ mod tests {
         let out = local_run(
             FleetSpec::parse("gpu:1+sse:2").unwrap().build(),
             MasterConfig::default(),
-            10,
         );
         // Bit-identical hit table vs a single real PE.
-        let solo = local_run(
-            vec![FleetPe::simd("solo", 1.0)],
-            MasterConfig::default(),
-            10,
-        );
+        let solo = local_run(vec![FleetPe::simd("solo", 1.0)], MasterConfig::default());
         assert_eq!(
             out.hits, solo.hits,
             "hybrid fleet must score bit-identically"
@@ -1561,7 +1725,6 @@ mod tests {
         let out = local_run(
             vec![FleetPe::simd("a", 1.0), FleetPe::simd("b", 1.0)],
             MasterConfig::default(),
-            10,
         );
         let finishes = out
             .events

@@ -24,34 +24,32 @@ use swhybrid_simd::search::KernelChoice;
 /// A live event consumer, as accepted by [`MasterServer::with_event_sink`].
 type EventCallback = Box<dyn FnMut(&RuntimeEvent) + Send>;
 
-/// The master's own PEs: a hybrid fleet computing in-process, sharing the
-/// pool (and thus the scheduler) with whatever slaves connect over TCP.
-/// This is the paper's Fig. 1 in one process — the master is not only a
-/// dispatcher but may *itself* host real SIMD cores and modeled
-/// accelerators.
-pub struct LocalFleet<'a> {
-    /// The fleet members (e.g. from `FleetSpec::build()`).
-    pub pes: Vec<FleetPe>,
+/// One batch run: the paper's task set — one task per query, each against
+/// the whole database under one scoring scheme ([`BatchOwner`]) — and the
+/// PEs the master hosts itself. With a fleet this is the paper's Fig. 1 in
+/// one process: the master is not only a dispatcher but may *itself* host
+/// real SIMD cores and modeled accelerators, sharing the pool (and thus
+/// the scheduler) with whatever slaves connect over TCP.
+pub struct Batch<'a> {
     /// The encoded query set (task id = query index, as everywhere).
     pub queries: &'a [EncodedSequence],
     /// The loaded database.
     pub db: &'a DbSnapshot,
     /// Alignment scoring.
     pub scoring: &'a Scoring,
-    /// Hits retained per task.
-    pub top_n: usize,
+    /// The master's own PEs (e.g. from `FleetSpec::build()`); empty when
+    /// only slaves compute.
+    pub fleet: Vec<FleetPe>,
 }
 
-impl LocalFleet<'_> {
-    /// Run the fleet's queries as one batch (one task per query, see
-    /// [`query_specs`]) on the fleet alone: no listener, no remote slaves
-    /// — the same pool, scheduler and drive loop as a distributed run,
-    /// with only local-thread endpoints on it.
+impl Batch<'_> {
+    /// Run the batch on its fleet alone: no listener, no remote slaves —
+    /// the same pool, scheduler and drive loop as a distributed run, with
+    /// only local-thread endpoints on it.
     pub fn run(self, config: MasterConfig) -> DistributedOutcome {
-        let specs = query_specs(self.queries, self.db);
         // Every way a batch fails is a transport failure: no slave
         // registered, every slave lost, the listener broke.
-        run_batch(specs, config, None, Some(self), None)
+        run_batch(self, config, None, None)
             .expect("a batch without a listener has no transport to fail")
     }
 }
@@ -104,7 +102,7 @@ impl MasterServer {
         net: NetConfig,
     ) -> io::Result<MasterServer> {
         // Zero slaves is legal — the run can be carried entirely by a
-        // local fleet (see [`MasterServer::serve_hybrid`]); the PE-count
+        // local fleet (see [`Batch::fleet`]); the PE-count
         // requirement is checked at serve time, when the fleet is known.
         net.validate()?;
         Ok(MasterServer {
@@ -134,62 +132,42 @@ impl MasterServer {
         self.listener.local_addr()
     }
 
-    /// Serve until every task is finished and every slave has disconnected.
+    /// Run `batch` until every task is finished and every slave has
+    /// disconnected: the batch's fleet on threads of this process (real
+    /// SIMD speed measured, a modeled accelerator's attributed from its
+    /// device model), slaves over TCP as they come and go.
     ///
-    /// Registration is a barrier: work is only handed out once
-    /// `expected_slaves` have *registered* (required for static policies
-    /// and matching the paper's "waits for the slaves to register") — or
-    /// [`NetConfig::register_timeout`] expires, whichever is first. The
-    /// listener keeps accepting throughout the run, so a connection that
-    /// fails its handshake never consumes a slave's place and late or
-    /// reconnecting slaves can always get in.
-    pub fn serve(self, specs: Vec<TaskSpec>) -> io::Result<DistributedOutcome> {
-        self.run(specs, None)
-    }
-
-    /// Serve with a hybrid in-process fleet *and* (optionally) remote
-    /// slaves, all on the same pool: the fleet's PEs are admitted before
-    /// the accept loop starts, count toward the registration barrier, and
-    /// compute on threads of this process (real SIMD speed measured, a
-    /// modeled accelerator's attributed from its device model) while slave
-    /// sessions come and go over TCP.
-    pub fn serve_hybrid(
-        self,
-        specs: Vec<TaskSpec>,
-        fleet: LocalFleet<'_>,
-    ) -> io::Result<DistributedOutcome> {
-        self.run(specs, Some(fleet))
-    }
-
-    fn run(
-        self,
-        specs: Vec<TaskSpec>,
-        fleet: Option<LocalFleet<'_>>,
-    ) -> io::Result<DistributedOutcome> {
+    /// Registration is a barrier: work is only handed out once the fleet
+    /// and `expected_slaves` have *registered* (required for static
+    /// policies and matching the paper's "waits for the slaves to
+    /// register") — or [`NetConfig::register_timeout`] expires, whichever
+    /// is first. The listener keeps accepting throughout the run, so a
+    /// connection that fails its handshake never consumes a slave's place
+    /// and late or reconnecting slaves can always get in.
+    pub fn serve(self, batch: Batch<'_>) -> io::Result<DistributedOutcome> {
         let slaves = (self.listener, self.expected_slaves, self.net);
-        run_batch(specs, self.config, self.sink, fleet, Some(slaves))
+        run_batch(batch, self.config, self.sink, Some(slaves))
     }
 }
 
-/// Run one batch of tasks to completion on one pool: `fleet`'s PEs as
-/// local threads, plus whatever slaves connect to the `slaves` listener
-/// (with the number the registration barrier waits for and the liveness
+/// Run one batch to completion on one pool: its fleet's PEs as local
+/// threads, plus whatever slaves connect to the `slaves` listener (with
+/// the number the registration barrier waits for and the liveness
 /// timings). Either half may be absent (not both); every PE — local or
 /// remote — is an endpoint on the same [`drive`] loop under the same
-/// [`Scheduler`].
+/// [`Scheduler`], and runs the same payload.
 ///
 /// One deliberate difference from the simulator: real replicas are not
 /// preempted — a replica that loses the race runs to completion and its
 /// result is discarded (cooperative cancellation would complicate the
 /// kernels for no behavioural gain at this scale).
 fn run_batch(
-    specs: Vec<TaskSpec>,
+    batch: Batch<'_>,
     config: MasterConfig,
     sink: Option<EventCallback>,
-    fleet: Option<LocalFleet<'_>>,
     slaves: Option<(Acceptor, usize, NetConfig)>,
 ) -> io::Result<DistributedOutcome> {
-    let fleet_size = fleet.as_ref().map_or(0, |f| f.pes.len());
+    let fleet_size = batch.fleet.len();
     let (listener, expected_slaves, net) = match slaves {
         Some((listener, expected, net)) => (Some(listener), expected, net),
         None => (None, 0, NetConfig::default()),
@@ -198,7 +176,7 @@ fn run_batch(
         expected_slaves + fleet_size >= 1,
         "need at least one PE (slave or fleet member)"
     );
-    let n_tasks = specs.len();
+    let specs = query_specs(batch.queries, batch.db);
     let total_cells: u64 = specs.iter().map(|s| s.cells()).sum();
     let mut master = Scheduler::new(specs, config);
     if let Some(sink) = sink {
@@ -206,7 +184,7 @@ fn run_batch(
     }
     let pool = PePool::new(
         master,
-        BatchOwner::new(n_tasks),
+        BatchOwner::new(batch.queries, batch.db, batch.scoring),
         expected_slaves + fleet_size,
     );
     let start = Instant::now();
@@ -216,18 +194,18 @@ fn run_batch(
         // Admit the whole local fleet before any of its threads runs, so
         // the event stream opens with the complete registration block
         // (the paper's barrier) and PE ids follow the fleet's order.
-        if let Some(fleet) = &fleet {
-            let ids: Vec<_> = fleet.pes.iter().map(|pe| pool.admit_fleet(pe)).collect();
-            for pe_id in ids {
-                let pool = &pool;
-                let (queries, top_n) = (fleet.queries, fleet.top_n);
-                let mut executor = PeExecutor::new(fleet.db, fleet.scoring, KernelChoice::Auto);
-                scope.spawn(move || {
-                    let mut endpoint =
-                        LocalEndpoint::new(|task| executor.scan_query(&queries[task].codes, top_n));
-                    drive(pool, pe_id, &mut endpoint);
+        let ids: Vec<_> = batch.fleet.iter().map(|pe| pool.admit_fleet(pe)).collect();
+        for pe_id in ids {
+            let pool = &pool;
+            let mut executor = PeExecutor::new(batch.db, batch.scoring, KernelChoice::Auto);
+            scope.spawn(move || {
+                // A fleet thread runs the very payload a slave is shipped.
+                let mut endpoint = LocalEndpoint::new(|task| {
+                    let scan = |payload| executor.scan(&payload).expect("a batch shard fits");
+                    pool.payload(task).map(scan).unwrap_or_default()
                 });
-            }
+                drive(pool, pe_id, &mut endpoint);
+            });
         }
         if let Some(listener) = &listener {
             let (pool, net) = (&pool, &net);

@@ -2,15 +2,16 @@
 //! pool-drive loop.
 //!
 //! [`serve_slaves`] turns every connection an [`Acceptor`] hands it into
-//! one session: `serve_connection` performs the versioned handshake
-//! (protocol and — for serve-mode slaves — database digest), admits the
-//! slave into the [`PePool`], then splits the socket: a reader thread
-//! turns incoming lines into [`PeEvent`]s and watches the liveness
+//! one session: `serve_connection` performs the versioned handshake (the
+//! protocol, then the slave's [`Identity`] digest — database and scoring),
+//! admits the slave into the [`PePool`], then splits the socket: a reader
+//! thread turns incoming lines into [`PeEvent`]s and watches the liveness
 //! deadline, while the calling thread runs [`drive`] with a
 //! [`RemoteEndpoint`] that writes scheduling decisions back out. The drive
 //! loop is *the same function* a local fleet thread runs — the transport
 //! is the only difference.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -19,11 +20,12 @@ use std::time::{Duration, Instant};
 use super::accept::Acceptor;
 use super::wire::{
     decode, invalid, liveness_quantum, send_within, LineReader, MasterMsg, SlaveMsg, Wire,
-    PROTOCOL_VERSION,
 };
 use super::NetConfig;
-use crate::pool::{drive, PeCommand, PeEndpoint, PeEvent, PePool, PoolOwner, TaskPayload};
-use crate::task::PeId;
+use crate::pool::{
+    drive, Identity, PeCommand, PeEndpoint, PeEvent, PePool, PoolOwner, TaskPayload,
+};
+use crate::task::{PeId, TaskId};
 
 /// Accept slaves on `acceptor` and serve each against `pool` until
 /// [`Acceptor::stop`]; returns once every session has ended. A connection
@@ -58,10 +60,12 @@ fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &Net
     // be an acceptable registration. Anything else is told why and frees
     // the socket WITHOUT consuming any server state — a connection that
     // fails its handshake never counts against the registration barrier.
+    // A register of another protocol version fails to decode with an error
+    // naming both versions.
     let opened = Instant::now();
     let first = loop {
         match reader.read_line() {
-            Ok(Some(l)) => break decode::<SlaveMsg>(l).map_err(|_| NOT_A_REGISTER.to_string()),
+            Ok(Some(l)) => break decode::<SlaveMsg>(l).map_err(|e| e.to_string()),
             Err(e) if e.kind() == io::ErrorKind::TimedOut => {
                 if pool.lock().abort().is_some() || opened.elapsed() > net.slave_deadline {
                     return;
@@ -72,10 +76,10 @@ fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &Net
             Ok(None) | Err(_) => return,
         }
     };
-    // The digest is snapshotted, not matched on under the guard: the
+    // The identity is snapshotted, not matched on under the guard: the
     // refusal below blocks on a socket write.
-    let master_digest = pool.lock().owner.db_digest();
-    let (name, gcups, wants_descs) = match first.and_then(|msg| vet(msg, master_digest)) {
+    let want = pool.lock().owner.identity().clone();
+    let (name, gcups) = match first.and_then(|msg| vet(msg, &want)) {
         Ok(registration) => registration,
         Err(message) => {
             let _ = send_within(&mut writer, &MasterMsg::Error { message }, line_timeout);
@@ -86,10 +90,7 @@ fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &Net
     let pe = pool.admit(&name, gcups, true);
     if send_within(
         &mut writer,
-        &MasterMsg::Registered {
-            pe_id: pe,
-            proto: PROTOCOL_VERSION,
-        },
+        &MasterMsg::Registered { pe_id: pe },
         line_timeout,
     )
     .is_err()
@@ -109,57 +110,29 @@ fn serve_connection<S: PoolOwner>(stream: TcpStream, pool: &PePool<S>, net: &Net
             rx,
             writer,
             line_timeout,
-            wants_descs,
+            shipped: HashMap::new(),
         };
         drive(pool, pe, &mut endpoint);
     });
 }
 
-const NOT_A_REGISTER: &str = "expected a register message first";
-
-/// Whether the opening message may join a pool whose owner has
-/// `master_digest`: its name, its speed prior and whether it is a
-/// serve-mode slave (every assignment carries its payload) — or why not.
-fn vet(msg: SlaveMsg, master_digest: Option<u64>) -> Result<(String, f64, bool), String> {
-    let SlaveMsg::Register {
-        name,
-        gcups,
-        proto,
-        db_digest,
-    } = msg
-    else {
-        return Err(NOT_A_REGISTER.to_string());
-    };
-    if proto != PROTOCOL_VERSION {
-        return Err(format!(
-            "protocol version mismatch: master speaks v{PROTOCOL_VERSION}, slave speaks v{proto}"
-        ));
+/// Whether the opening message may join a pool that wants the PEs to hold
+/// `want`: its name and speed prior — or why not.
+fn vet(msg: SlaveMsg, want: &Identity) -> Result<(String, f64), String> {
+    match msg {
+        SlaveMsg::Register {
+            name,
+            gcups,
+            digest,
+        } if digest == want.digest => Ok((name, gcups)),
+        SlaveMsg::Register { digest, .. } => Err(format!(
+            "database or scoring mismatch: master digest {:016x} ({}), slave digest \
+             {digest:016x}; a slave must load the master's database with its \
+             --matrix and --gap-* options",
+            want.digest, want.scoring
+        )),
+        _ => Err("expected a register message first".to_string()),
     }
-    // Digest discipline: a serve-mode master ships self-describing tasks
-    // and requires proof the slave scans the same database; a batch master
-    // schedules by task id and has nothing to check a digest against.
-    let wants_descs = match (master_digest, db_digest) {
-        (None, None) => false,
-        (None, Some(_)) => {
-            return Err(
-                "this master schedules tasks by id; register without a database digest".to_string(),
-            )
-        }
-        (Some(_), None) => {
-            return Err(
-                "this master ships self-describing tasks; register with a database \
-                        digest (serve-mode slave)"
-                    .to_string(),
-            )
-        }
-        (Some(want), Some(got)) if want != got => {
-            return Err(format!(
-                "database mismatch: master digest {want:016x}, slave digest {got:016x}"
-            ))
-        }
-        (Some(_), Some(_)) => true,
-    };
-    Ok((name, gcups, wants_descs))
 }
 
 /// Reader half of one slave connection: turns wire messages into
@@ -234,63 +207,87 @@ struct RemoteEndpoint {
     writer: TcpStream,
     /// How long one line to the slave may take.
     line_timeout: Option<Duration>,
-    /// The slave registered serve-mode: every assignment must carry its
-    /// self-describing payload.
-    wants_descs: bool,
+    /// Query count of every payload delivered and not yet reported
+    /// finished: a report must carry exactly one entry per query.
+    shipped: HashMap<TaskId, usize>,
 }
 
 impl RemoteEndpoint {
-    /// Fetch the wire payloads for `tasks` from the owner. `Err` when any
-    /// task is no longer shippable (e.g. its database generation was
+    /// `(task, payload)` pairs for `tasks`, recorded as shipped. `Err` when
+    /// a task is no longer worth running (e.g. its database generation was
     /// swapped out) — the drive loop then tears the session down and the
     /// tasks requeue to PEs that can still run them.
-    fn describe<S: PoolOwner>(
-        &self,
+    fn ship<S: PoolOwner>(
+        &mut self,
         pool: &PePool<S>,
-        tasks: &[crate::task::TaskId],
-    ) -> io::Result<Vec<TaskPayload>> {
-        let g = pool.lock();
+        tasks: &[TaskId],
+    ) -> io::Result<Vec<(TaskId, TaskPayload)>> {
         tasks
             .iter()
             .map(|&t| {
-                g.owner
-                    .task_payload(&g.master, t)
-                    .ok_or_else(|| invalid(format!("task {t} has no shippable payload")))
+                let payload = pool
+                    .payload(t)
+                    .ok_or_else(|| invalid(format!("task {t} has no payload to ship")))?;
+                self.shipped.insert(t, payload.queries.len());
+                Ok((t, payload))
             })
             .collect()
+    }
+
+    /// Why a `finished` report does not answer what was shipped, if it
+    /// does not.
+    fn misreport(&mut self, event: &PeEvent) -> Option<String> {
+        let PeEvent::Finished { task, result } = event else {
+            return None;
+        };
+        let got = result.queries.len();
+        match self.shipped.remove(task) {
+            Some(want) if want == got => None,
+            Some(want) => Some(format!(
+                "task {task} finished with {got} per-query results for {want} queries"
+            )),
+            None => Some(format!("task {task} finished but was not assigned")),
+        }
     }
 }
 
 impl<S: PoolOwner> PeEndpoint<S> for RemoteEndpoint {
     fn next_event(&mut self, _pool: &PePool<S>, _pe: PeId) -> PeEvent {
-        match self.rx.recv() {
+        let event = match self.rx.recv() {
             Ok(event) => event,
             // Reader hung up; it has already torn the member down (the
             // disconnect is idempotent).
-            Err(_) => PeEvent::Gone {
-                suspected_dead: false,
-            },
+            Err(_) => {
+                return PeEvent::Gone {
+                    suspected_dead: false,
+                }
+            }
+        };
+        match self.misreport(&event) {
+            None => event,
+            Some(message) => {
+                // Told why, then dropped: its held tasks requeue.
+                let _ = send_within(
+                    &mut self.writer,
+                    &MasterMsg::Error { message },
+                    self.line_timeout,
+                );
+                PeEvent::Gone {
+                    suspected_dead: false,
+                }
+            }
         }
     }
 
     fn deliver(&mut self, pool: &PePool<S>, _pe: PeId, cmd: &PeCommand) -> io::Result<()> {
         let msg = match cmd {
             PeCommand::Tasks(tasks) => MasterMsg::Tasks {
-                tasks: tasks.clone(),
-                descs: if self.wants_descs {
-                    Some(self.describe(pool, tasks)?)
-                } else {
-                    None
-                },
+                tasks: self.ship(pool, tasks)?,
             },
-            PeCommand::Execute(task) => MasterMsg::Execute {
-                task: *task,
-                desc: if self.wants_descs {
-                    Some(self.describe(pool, &[*task])?.remove(0))
-                } else {
-                    None
-                },
-            },
+            PeCommand::Execute(task) => {
+                let (task, desc) = self.ship(pool, &[*task])?.remove(0);
+                MasterMsg::Execute { task, desc }
+            }
             PeCommand::Done => MasterMsg::Done,
         };
         send_within(&mut self.writer, &msg, self.line_timeout)

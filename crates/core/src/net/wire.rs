@@ -8,15 +8,16 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::pool::{FusedQueryResult, QueryPayload, TaskPayload, TaskResult};
+use crate::pool::{QueryPayload, QueryResult, TaskPayload, TaskResult};
 use crate::task::{PeId, TaskId};
 use swhybrid_json::Json;
 use swhybrid_simd::engine::KernelStats;
 use swhybrid_simd::search::Hit;
 
 /// Version of the wire protocol spoken by this build. Carried by both
-/// halves of the `register` handshake; a mismatched pair fails with a
-/// clear error instead of a parse failure mid-run. History:
+/// halves of the `register` handshake and checked before anything else in
+/// them, so a mismatched pair fails with an error naming both versions
+/// instead of a parse failure. History:
 ///
 /// * v1 — original protocol (no version field; absent parses as 1),
 /// * v2 — `register` gained `proto` + optional `db_digest`, `registered`
@@ -26,8 +27,13 @@ use swhybrid_simd::search::Hit;
 ///   (`queries`: `[{query, top_n}, …]`) instead of a single query, and
 ///   `finished` gained the matching optional per-query result list
 ///   (`fused`: `[{hits, kernels?}, …]`, paired positionally with the
-///   batch).
-pub const PROTOCOL_VERSION: u32 = 3;
+///   batch),
+/// * v4 — one slave kind: every assignment carries its payload (`descs`,
+///   `desc`), every `register` its `digest` (database and scoring), and
+///   `finished` carries only the per-query list (`queries`:
+///   `[{hits, kernels}, …]`); the task-level hits and counters are
+///   derived from it.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Socket read quantum: deadlines are checked at this granularity.
 pub(crate) fn liveness_quantum(deadline: Duration) -> Duration {
@@ -37,18 +43,15 @@ pub(crate) fn liveness_quantum(deadline: Duration) -> Duration {
 /// Messages from slave to master.
 #[derive(Debug, Clone)]
 pub enum SlaveMsg {
-    /// First message on a connection.
+    /// First message on a connection (sent as [`PROTOCOL_VERSION`]).
     Register {
         /// Slave name.
         name: String,
         /// Theoretical GCUPS prior.
         gcups: f64,
-        /// Protocol version the slave speaks (absent on the wire = v1).
-        proto: u32,
-        /// FNV-1a digest of the slave's local database, sent by serve-mode
-        /// slaves so the master can verify both sides scan the same data.
-        /// Batch slaves omit it.
-        db_digest: Option<u64>,
+        /// The slave's [`crate::pool::Identity`] digest: its database and
+        /// scoring, which must be the master's.
+        digest: u64,
     },
     /// Ask for work. The master holds the request open until it has an
     /// assignment (or the run is done) — there is no "ask again" reply.
@@ -58,13 +61,12 @@ pub enum SlaveMsg {
         /// The task.
         task: TaskId,
     },
-    /// Report a completed task with its hits and observed speed.
+    /// Report a completed task with its per-query hits and observed speed.
     Finished {
         /// The task.
         task: TaskId,
         /// What the slave produced. On the wire `gcups` is mandatory (a slave
-        /// always measures), `kernels` and `fused` are optional, and `cells`
-        /// does not travel: it decodes as `kernels.cells_computed`.
+        /// always measures).
         result: TaskResult,
     },
     /// Periodic liveness signal; carries no state.
@@ -74,27 +76,23 @@ pub enum SlaveMsg {
 /// Messages from master to slave.
 #[derive(Debug, Clone)]
 pub enum MasterMsg {
-    /// Registration accepted.
+    /// Registration accepted (sent as [`PROTOCOL_VERSION`]).
     Registered {
         /// The PE id assigned to this slave.
         pe_id: PeId,
-        /// Protocol version the master speaks (absent on the wire = v1).
-        proto: u32,
     },
-    /// A batch of fresh tasks.
+    /// A batch of fresh tasks, in execution order, each with its payload
+    /// (on the wire: parallel `tasks` and `descs` arrays).
     Tasks {
-        /// Task ids, in execution order.
-        tasks: Vec<TaskId>,
-        /// Self-describing payloads, paired positionally with `tasks`.
-        /// Present only for serve-mode slaves.
-        descs: Option<Vec<TaskPayload>>,
+        /// `(task id, payload)` pairs.
+        tasks: Vec<(TaskId, TaskPayload)>,
     },
     /// Execute this task even though another PE also holds it.
     Execute {
         /// The task (a steal or a replica — the slave does not care).
         task: TaskId,
-        /// Self-describing payload (serve-mode slaves only).
-        desc: Option<TaskPayload>,
+        /// Its payload.
+        desc: TaskPayload,
     },
     /// Everything is finished; disconnect.
     Done,
@@ -143,24 +141,26 @@ fn list_from_json<T: Wire>(v: &Json, key: &str) -> Result<Vec<T>, String> {
     field_array(v, key)?.iter().map(T::from_json).collect()
 }
 
-/// An optional list field: absent is `None`, present must decode.
-fn opt_list_from_json<T: Wire>(v: &Json, key: &str) -> Result<Option<Vec<T>>, String> {
-    v.get(key).map(|_| list_from_json(v, key)).transpose()
-}
-
-/// The `proto` field of either handshake half; pre-versioning peers omit
-/// it and are v1.
-fn proto_from_json(v: &Json) -> Result<u32, String> {
-    match v.get("proto") {
-        None => Ok(1),
+/// Check the `proto` field of a handshake half sent by `peer` to `me`
+/// (pre-versioning peers omit it and are v1). It is read before any other
+/// field, so an old peer is told about versions, not about a field its
+/// protocol never had.
+fn check_proto(v: &Json, me: &str, peer: &str) -> Result<(), String> {
+    let proto = match v.get("proto") {
+        None => 1,
         Some(p) => p
             .as_u64()
-            .map(|n| n as u32)
-            .ok_or_else(|| "field 'proto' is not a non-negative integer".to_string()),
+            .ok_or("field 'proto' is not a non-negative integer")?,
+    };
+    if proto != u64::from(PROTOCOL_VERSION) {
+        return Err(format!(
+            "protocol version mismatch: {me} speaks v{PROTOCOL_VERSION}, {peer} speaks v{proto}"
+        ));
     }
+    Ok(())
 }
 
-/// Kernel counters as a JSON object (the optional `kernels` field of a
+/// Kernel counters as a JSON object (the per-query `kernels` of a
 /// `finished` message, and the serve daemon's `stats` reply).
 pub fn kernels_to_json(k: &KernelStats) -> Json {
     Json::obj([
@@ -252,9 +252,9 @@ impl Wire for QueryPayload {
     }
 }
 
-/// The `descs`/`desc` payload of a serve-mode assignment: since v3 a
-/// *batch* of queries (length 1 for an unfused task), all scored against
-/// the shard in one fused pass.
+/// The `descs`/`desc` payload of every assignment: a *batch* of queries
+/// (length 1 for an unfused task), all scored against the shard in one
+/// fused pass.
 impl Wire for TaskPayload {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -289,23 +289,19 @@ impl Wire for TaskPayload {
     }
 }
 
-/// One query's slice of a fused `finished` message; `cells` decodes as
-/// `kernels.cells_computed`, like the top-level one.
-impl Wire for FusedQueryResult {
+/// One query's entry of a `finished` message.
+impl Wire for QueryResult {
     fn to_json(&self) -> Json {
-        let mut fields = vec![("hits", list_to_json(&self.hits))];
-        if let Some(k) = &self.kernels {
-            fields.push(("kernels", kernels_to_json(k)));
-        }
-        Json::obj(fields)
+        Json::obj([
+            ("hits", list_to_json(&self.hits)),
+            ("kernels", kernels_to_json(&self.kernels)),
+        ])
     }
 
-    fn from_json(v: &Json) -> Result<FusedQueryResult, String> {
-        let kernels = v.get("kernels").map(kernels_from_json).transpose()?;
-        Ok(FusedQueryResult {
+    fn from_json(v: &Json) -> Result<QueryResult, String> {
+        Ok(QueryResult {
             hits: list_from_json(v, "hits")?,
-            cells: kernels.map_or(0, |k| k.cells_computed),
-            kernels,
+            kernels: kernels_from_json(field(v, "kernels")?)?,
         })
     }
 }
@@ -316,78 +312,53 @@ impl Wire for SlaveMsg {
             SlaveMsg::Register {
                 name,
                 gcups,
-                proto,
-                db_digest,
-            } => {
-                let mut fields = vec![
-                    ("type", Json::str("register")),
-                    ("name", Json::str(name.clone())),
-                    ("gcups", Json::Num(*gcups)),
-                    ("proto", Json::Num(*proto as f64)),
-                ];
-                if let Some(d) = db_digest {
-                    // A u64 does not survive a JSON number (53-bit f64
-                    // mantissa): the digest travels as 16 hex digits.
-                    fields.push(("db_digest", Json::str(format!("{d:016x}"))));
-                }
-                Json::obj(fields)
-            }
+                digest,
+            } => Json::obj([
+                ("type", Json::str("register")),
+                ("name", Json::str(name.clone())),
+                ("gcups", Json::Num(*gcups)),
+                ("proto", Json::Num(PROTOCOL_VERSION as f64)),
+                // A u64 does not survive a JSON number (53-bit f64
+                // mantissa): the digest travels as 16 hex digits.
+                ("digest", Json::str(format!("{digest:016x}"))),
+            ]),
             SlaveMsg::Request => Json::obj([("type", Json::str("request"))]),
             SlaveMsg::Started { task } => Json::obj([
                 ("type", Json::str("started")),
                 ("task", Json::Num(*task as f64)),
             ]),
-            SlaveMsg::Finished { task, result } => {
-                let mut fields = vec![
-                    ("type", Json::str("finished")),
-                    ("task", Json::Num(*task as f64)),
-                    ("gcups", Json::Num(result.gcups.unwrap_or(0.0))),
-                    ("hits", list_to_json(&result.hits)),
-                ];
-                if let Some(k) = &result.kernels {
-                    fields.push(("kernels", kernels_to_json(k)));
-                }
-                if let Some(fused) = &result.fused {
-                    fields.push(("fused", list_to_json(fused)));
-                }
-                Json::obj(fields)
-            }
+            SlaveMsg::Finished { task, result } => Json::obj([
+                ("type", Json::str("finished")),
+                ("task", Json::Num(*task as f64)),
+                ("gcups", Json::Num(result.gcups.unwrap_or(0.0))),
+                ("queries", list_to_json(&result.queries)),
+            ]),
             SlaveMsg::Heartbeat => Json::obj([("type", Json::str("heartbeat"))]),
         }
     }
 
     fn from_json(v: &Json) -> Result<SlaveMsg, String> {
         match field_str(v, "type")?.as_str() {
-            "register" => Ok(SlaveMsg::Register {
-                name: field_str(v, "name")?,
-                gcups: field_f64(v, "gcups")?,
-                proto: proto_from_json(v)?,
-                db_digest: v
-                    .get("db_digest")
-                    .map(|d| {
-                        d.as_str()
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or("field 'db_digest' is not a hex digest string")
-                    })
-                    .transpose()?,
-            }),
+            "register" => {
+                check_proto(v, "master", "slave")?;
+                Ok(SlaveMsg::Register {
+                    name: field_str(v, "name")?,
+                    gcups: field_f64(v, "gcups")?,
+                    digest: u64::from_str_radix(&field_str(v, "digest")?, 16)
+                        .map_err(|_| "field 'digest' is not a hex digest string")?,
+                })
+            }
             "request" => Ok(SlaveMsg::Request),
             "started" => Ok(SlaveMsg::Started {
                 task: field_usize(v, "task")?,
             }),
-            "finished" => {
-                let kernels = v.get("kernels").map(kernels_from_json).transpose()?;
-                Ok(SlaveMsg::Finished {
-                    task: field_usize(v, "task")?,
-                    result: TaskResult {
-                        gcups: Some(field_f64(v, "gcups")?),
-                        hits: list_from_json(v, "hits")?,
-                        cells: kernels.map_or(0, |k| k.cells_computed),
-                        kernels,
-                        fused: opt_list_from_json(v, "fused")?,
-                    },
-                })
-            }
+            "finished" => Ok(SlaveMsg::Finished {
+                task: field_usize(v, "task")?,
+                result: TaskResult {
+                    gcups: Some(field_f64(v, "gcups")?),
+                    queries: list_from_json(v, "queries")?,
+                },
+            }),
             "heartbeat" => Ok(SlaveMsg::Heartbeat),
             other => Err(format!("unknown slave message type '{other}'")),
         }
@@ -397,34 +368,27 @@ impl Wire for SlaveMsg {
 impl Wire for MasterMsg {
     fn to_json(&self) -> Json {
         match self {
-            MasterMsg::Registered { pe_id, proto } => Json::obj([
+            MasterMsg::Registered { pe_id } => Json::obj([
                 ("type", Json::str("registered")),
                 ("pe_id", Json::Num(*pe_id as f64)),
-                ("proto", Json::Num(*proto as f64)),
+                ("proto", Json::Num(PROTOCOL_VERSION as f64)),
             ]),
-            MasterMsg::Tasks { tasks, descs } => {
-                let mut fields = vec![
-                    ("type", Json::str("tasks")),
-                    (
-                        "tasks",
-                        Json::Arr(tasks.iter().map(|&t| Json::Num(t as f64)).collect()),
-                    ),
-                ];
-                if let Some(descs) = descs {
-                    fields.push(("descs", list_to_json(descs)));
-                }
-                Json::obj(fields)
-            }
-            MasterMsg::Execute { task, desc } => {
-                let mut fields = vec![
-                    ("type", Json::str("execute")),
-                    ("task", Json::Num(*task as f64)),
-                ];
-                if let Some(desc) = desc {
-                    fields.push(("desc", desc.to_json()));
-                }
-                Json::obj(fields)
-            }
+            MasterMsg::Tasks { tasks } => Json::obj([
+                ("type", Json::str("tasks")),
+                (
+                    "tasks",
+                    Json::Arr(tasks.iter().map(|&(t, _)| Json::Num(t as f64)).collect()),
+                ),
+                (
+                    "descs",
+                    Json::Arr(tasks.iter().map(|(_, desc)| desc.to_json()).collect()),
+                ),
+            ]),
+            MasterMsg::Execute { task, desc } => Json::obj([
+                ("type", Json::str("execute")),
+                ("task", Json::Num(*task as f64)),
+                ("desc", desc.to_json()),
+            ]),
             MasterMsg::Done => Json::obj([("type", Json::str("done"))]),
             MasterMsg::Error { message } => Json::obj([
                 ("type", Json::str("error")),
@@ -435,24 +399,33 @@ impl Wire for MasterMsg {
 
     fn from_json(v: &Json) -> Result<MasterMsg, String> {
         match field_str(v, "type")?.as_str() {
-            "registered" => Ok(MasterMsg::Registered {
-                pe_id: field_usize(v, "pe_id")?,
-                proto: proto_from_json(v)?,
-            }),
-            "tasks" => Ok(MasterMsg::Tasks {
-                tasks: field_array(v, "tasks")?
-                    .iter()
-                    .map(|t| {
-                        t.as_u64()
-                            .map(|n| n as usize)
-                            .ok_or_else(|| "task id is not a non-negative integer".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-                descs: opt_list_from_json(v, "descs")?,
-            }),
+            "registered" => {
+                check_proto(v, "slave", "master")?;
+                Ok(MasterMsg::Registered {
+                    pe_id: field_usize(v, "pe_id")?,
+                })
+            }
+            "tasks" => {
+                let ids = field_array(v, "tasks")?;
+                let descs: Vec<TaskPayload> = list_from_json(v, "descs")?;
+                if descs.len() != ids.len() {
+                    return Err(format!(
+                        "task batch carries {} payloads for {} tasks",
+                        descs.len(),
+                        ids.len()
+                    ));
+                }
+                let tasks = ids.iter().zip(descs).map(|(t, desc)| {
+                    let t = t.as_u64().ok_or("task id is not a non-negative integer")?;
+                    Ok::<_, String>((t as TaskId, desc))
+                });
+                Ok(MasterMsg::Tasks {
+                    tasks: tasks.collect::<Result<_, _>>()?,
+                })
+            }
             "execute" => Ok(MasterMsg::Execute {
                 task: field_usize(v, "task")?,
-                desc: v.get("desc").map(TaskPayload::from_json).transpose()?,
+                desc: TaskPayload::from_json(field(v, "desc")?)?,
             }),
             "done" => Ok(MasterMsg::Done),
             "error" => Ok(MasterMsg::Error {
@@ -527,8 +500,8 @@ pub(crate) fn decode<M: Wire>(line: &str) -> io::Result<M> {
 
 /// Longest line any port accepts, newline excluded; a longer one is an
 /// [`io::ErrorKind::InvalidData`] error and the connection is dropped.
-/// The largest legitimate line is a serve-mode `tasks` message: tasks ×
-/// fused queries × ≈ 4 bytes per residue (a code ≤ 24 and its comma).
+/// The largest legitimate line is a `tasks` message: tasks × fused
+/// queries × ≈ 4 bytes per residue (a code ≤ 24 and its comma).
 /// The longest known protein (titin, ≈ 35,000 aa) is 140 KB that way, so
 /// a batch of 8 tasks each fusing 4 of it is 4.5 MB; the usual ≤ 5,000-aa
 /// queries make 0.6 MB. A `search` line is 1 byte per residue and a
@@ -858,28 +831,20 @@ mod tests {
     const HIT: &str = r#"{"db_index":1,"id":"s\"1","score":-7,"subject_len":99}"#;
     const DESC: &str = r#"{"queries":[{"query":[0,3,19,2],"top_n":10},{"query":[5,7],"top_n":3}],"shard":[128,256]}"#;
 
-    /// Every message variant, with and without its optional parts, beside
-    /// the exact line the parent commit (mirror structs `WireHit`,
-    /// `QueryDesc`, `TaskDesc`, `FusedResultDesc`) wrote for it.
+    const ZERO: &str = r#"{"striped_i8":0,"striped_i16":0,"striped_scalar":0,"interseq_i8":0,"interseq_i16":0,"interseq_scalar":0,"chunks_striped":0,"chunks_interseq":0,"cells_computed":0}"#;
+
+    /// Every message variant beside the exact line protocol v4 writes for
+    /// it (regenerated once, when v4 made every payload, the digest and the
+    /// per-query list mandatory).
     fn golden() -> Vec<(Json, String)> {
         let slave = [
             (
                 SlaveMsg::Register {
                     name: "host-a/core0".into(),
                     gcups: 2.7,
-                    proto: PROTOCOL_VERSION,
-                    db_digest: Some(0xdead_beef_cafe_f00d),
+                    digest: 0xdead_beef_cafe_f00d,
                 },
-                r#"{"type":"register","name":"host-a/core0","gcups":2.7,"proto":3,"db_digest":"deadbeefcafef00d"}"#.to_string(),
-            ),
-            (
-                SlaveMsg::Register {
-                    name: "b".into(),
-                    gcups: 1.0,
-                    proto: PROTOCOL_VERSION,
-                    db_digest: None,
-                },
-                r#"{"type":"register","name":"b","gcups":1,"proto":3}"#.to_string(),
+                r#"{"type":"register","name":"host-a/core0","gcups":2.7,"proto":4,"digest":"deadbeefcafef00d"}"#.to_string(),
             ),
             (SlaveMsg::Request, r#"{"type":"request"}"#.to_string()),
             (
@@ -891,75 +856,61 @@ mod tests {
                     3,
                     2.5,
                     TaskResult {
-                        hits: vec![hit()],
-                        cells: 12_345,
-                        kernels: Some(kernels()),
+                        queries: vec![QueryResult {
+                            hits: vec![hit()],
+                            kernels: kernels(),
+                        }],
                         ..TaskResult::default()
                     },
                 ),
-                format!(r#"{{"type":"finished","task":3,"gcups":2.5,"hits":[{HIT}],"kernels":{KERNELS}}}"#),
+                format!(r#"{{"type":"finished","task":3,"gcups":2.5,"queries":[{{"hits":[{HIT}],"kernels":{KERNELS}}}]}}"#),
             ),
             (
                 finished(1, 1.0, TaskResult::default()),
-                r#"{"type":"finished","task":1,"gcups":1,"hits":[]}"#.to_string(),
+                r#"{"type":"finished","task":1,"gcups":1,"queries":[]}"#.to_string(),
             ),
             (
                 finished(
                     9,
                     0.75,
                     TaskResult {
-                        cells: 12_345,
-                        kernels: Some(kernels()),
-                        fused: Some(vec![
-                            FusedQueryResult {
+                        queries: vec![
+                            QueryResult {
                                 hits: vec![hit()],
-                                cells: 12_345,
-                                kernels: Some(kernels()),
+                                kernels: kernels(),
                             },
-                            FusedQueryResult::default(),
-                        ]),
+                            QueryResult::default(),
+                        ],
                         ..TaskResult::default()
                     },
                 ),
                 format!(
-                    r#"{{"type":"finished","task":9,"gcups":0.75,"hits":[],"kernels":{KERNELS},"fused":[{{"hits":[{HIT}],"kernels":{KERNELS}}},{{"hits":[]}}]}}"#
+                    r#"{{"type":"finished","task":9,"gcups":0.75,"queries":[{{"hits":[{HIT}],"kernels":{KERNELS}}},{{"hits":[],"kernels":{ZERO}}}]}}"#
                 ),
             ),
             (SlaveMsg::Heartbeat, r#"{"type":"heartbeat"}"#.to_string()),
         ];
         let master = [
             (
-                MasterMsg::Registered {
-                    pe_id: 1,
-                    proto: PROTOCOL_VERSION,
-                },
-                r#"{"type":"registered","pe_id":1,"proto":3}"#.to_string(),
+                MasterMsg::Registered { pe_id: 1 },
+                r#"{"type":"registered","pe_id":1,"proto":4}"#.to_string(),
             ),
             (
                 MasterMsg::Tasks {
-                    tasks: vec![4, 5],
-                    descs: None,
-                },
-                r#"{"type":"tasks","tasks":[4,5]}"#.to_string(),
-            ),
-            (
-                MasterMsg::Tasks {
-                    tasks: vec![7],
-                    descs: Some(vec![payload()]),
+                    tasks: vec![(7, payload())],
                 },
                 format!(r#"{{"type":"tasks","tasks":[7],"descs":[{DESC}]}}"#),
             ),
             (
-                MasterMsg::Execute {
-                    task: 2,
-                    desc: None,
+                MasterMsg::Tasks {
+                    tasks: vec![(4, payload()), (5, payload())],
                 },
-                r#"{"type":"execute","task":2}"#.to_string(),
+                format!(r#"{{"type":"tasks","tasks":[4,5],"descs":[{DESC},{DESC}]}}"#),
             ),
             (
                 MasterMsg::Execute {
                     task: 8,
-                    desc: Some(payload()),
+                    desc: payload(),
                 },
                 format!(r#"{{"type":"execute","task":8,"desc":{DESC}}}"#),
             ),
@@ -977,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn every_message_encodes_to_the_bytes_the_parent_wrote() {
+    fn every_message_encodes_to_its_v4_bytes() {
         for (json, line) in golden() {
             assert_eq!(json.to_string(), line);
         }
@@ -991,6 +942,53 @@ mod tests {
             };
             assert_eq!(again.to_string(), line);
         }
+    }
+
+    /// What v4 made mandatory, missing or inconsistent, and a v3 handshake:
+    /// each a typed error (the session that reads it is dropped), never a
+    /// panic or a default.
+    #[test]
+    fn v4_lines_missing_a_mandatory_part_are_typed_errors() {
+        let slave_lines = [
+            // `register` without the digest, or with a malformed one.
+            r#"{"type":"register","name":"b","gcups":1,"proto":4}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":4,"digest":12}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":4,"digest":"xyz"}"#.to_string(),
+            // `finished` without the per-query list (the v3 task-level form),
+            // or with an entry missing its counters.
+            format!(
+                r#"{{"type":"finished","task":3,"gcups":2.5,"hits":[{HIT}],"kernels":{KERNELS}}}"#
+            ),
+            format!(r#"{{"type":"finished","task":3,"gcups":2.5,"queries":[{{"hits":[{HIT}]}}]}}"#),
+        ];
+        let master_lines = [
+            // `tasks` without `descs`, or with one payload too few.
+            r#"{"type":"tasks","tasks":[4,5]}"#.to_string(),
+            format!(r#"{{"type":"tasks","tasks":[4,5],"descs":[{DESC}]}}"#),
+            // `execute` without `desc`.
+            r#"{"type":"execute","task":2}"#.to_string(),
+        ];
+        for line in &slave_lines {
+            let err = decode::<SlaveMsg>(line).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
+        }
+        for line in &master_lines {
+            let err = decode::<MasterMsg>(line).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
+        }
+        // A v3 handshake — which had no digest — is told about versions.
+        let v3 = r#"{"type":"register","name":"b","gcups":1,"proto":3}"#;
+        let err = decode::<SlaveMsg>(v3).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "protocol version mismatch: master speaks v4, slave speaks v3"
+        );
+        let v3 = r#"{"type":"registered","pe_id":1,"proto":3}"#;
+        let err = decode::<MasterMsg>(v3).unwrap_err().to_string();
+        assert_eq!(
+            err,
+            "protocol version mismatch: slave speaks v4, master speaks v3"
+        );
     }
 
     /// Through the framer and both decoders: decodes or is the typed

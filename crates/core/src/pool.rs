@@ -12,15 +12,16 @@
 //! liveness-driven requeue.
 //!
 //! Beside the one drive loop sits the one compute step, [`scan_shard`]:
-//! what every PE — daemon worker, serve-mode slave, batch slave,
-//! local-fleet thread — does with a task.
+//! what every PE — daemon worker, slave, local-fleet thread — does with a
+//! task.
 //!
 //! What a runtime still chooses is what happens to a finished task's
 //! result: that is the [`PoolOwner`] — batch runs collect hits per task
 //! ([`BatchOwner`]), the persistent daemon shards queries and fires
-//! completions. The owner also decides whether tasks have a wire payload
-//! ([`PoolOwner::task_payload`]) so self-describing tasks can be shipped
-//! to remote slaves that never saw the query.
+//! completions. Every owner describes each of its tasks the same way, as a
+//! [`TaskPayload`] (query residues, shard, depth), and names the one
+//! [`Identity`] (database and scoring) a PE must hold to run them — so a
+//! slave needs nothing but the database, whichever driver it serves.
 //!
 //! Locking discipline: the pool's [`WaitHub`] guards the master *and* the
 //! owner. Any mutation that can unblock a parked PE notifies the hub;
@@ -30,7 +31,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,22 +42,28 @@ use crate::trace::EventKind;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_device::fleet::FleetPe;
 use swhybrid_device::task::Device;
+use swhybrid_seq::digest::Fnv1a;
+use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbSnapshot;
 use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
 use swhybrid_simd::exec::{chunk_floor, materialize_hits, ShardExecutor, ShardPlan};
 use swhybrid_simd::search::{Hit, KernelChoice};
 
-/// One query's slice of a fused task's result: what the serve owner
-/// demuxes back to the individual job (paired positionally with the
-/// payload's query batch).
-#[derive(Debug, Clone, Default)]
-pub struct FusedQueryResult {
+/// Hits kept per query by every batch PE, local or remote — the one depth
+/// of the paper's grain. Batch payloads carry it, so a slave answers at
+/// this depth whatever it was started with; `master --top` only sets how
+/// many merged rows are printed.
+pub const BATCH_TOP_N: usize = 10;
+
+/// One query's share of a task's result, paired positionally with the
+/// payload's [`TaskPayload::queries`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct QueryResult {
     /// This query's ranked hits over the task's shard.
     pub hits: Vec<Hit>,
-    /// DP cells this query's passes actually computed.
-    pub cells: u64,
-    /// This query's kernel counters (per-query attribution).
-    pub kernels: Option<KernelStats>,
+    /// This query's kernel counters; `cells_computed` is the DP cells its
+    /// passes computed.
+    pub kernels: KernelStats,
 }
 
 /// What one PE produced for one task.
@@ -67,28 +73,29 @@ pub struct TaskResult {
     /// or cancelled and carries no speed information — it must *not* enter
     /// the Ω-window mean (reporting `0.0` would poison PSS).
     pub gcups: Option<f64>,
-    /// The task's ranked hits (the first finisher's hits win). Empty for
-    /// fused tasks, whose hits live per query in `fused`.
-    pub hits: Vec<Hit>,
-    /// DP cells actually computed (summed over the batch when fused).
-    pub cells: u64,
-    /// Kernel-family counters of the scan, when the backend reports them
-    /// (merged over the batch when fused).
-    pub kernels: Option<KernelStats>,
-    /// Per-query results of a fused task, paired positionally with the
-    /// [`TaskPayload::queries`] batch. `None` for the paper's
-    /// one-query-per-task grain.
-    pub fused: Option<Vec<FusedQueryResult>>,
+    /// One entry per payload query, in payload order (the first
+    /// finisher's entries win).
+    pub queries: Vec<QueryResult>,
+}
+
+impl TaskResult {
+    /// The task's kernel counters: its queries' merged.
+    pub fn kernels(&self) -> KernelStats {
+        let mut total = KernelStats::default();
+        for q in &self.queries {
+            total.merge(&q.kernels);
+        }
+        total
+    }
 }
 
 /// THE compute step of every PE: score every `(prepared query, top_n)`
 /// entry of `batch` against the `plan.range` shard of `db` in one pass of
 /// `executor` (which owns the PE's kernel scratch and lives as long as
-/// the PE). The result is fused — per-query hits (ids from `db`, indices
-/// global), cells and [`KernelStats`], positionally paired with `batch`,
-/// plus their totals — and carries the measured wall-clock GCUPS (for a
-/// modeled PE, [`PePool::task_finished`] replaces it with the device
-/// model's figure).
+/// the PE). The result holds per-query hits (ids from `db`, indices
+/// global) and [`KernelStats`], positionally paired with `batch`, and the
+/// measured wall-clock GCUPS (for a modeled PE, [`PePool::task_finished`]
+/// replaces it with the device model's figure).
 pub fn scan_shard(
     executor: &mut ShardExecutor,
     batch: &[(Arc<PreparedQuery>, usize)],
@@ -96,35 +103,26 @@ pub fn scan_shard(
     plan: &ShardPlan,
 ) -> TaskResult {
     let t0 = Instant::now();
-    let outputs = executor.execute(batch, db.arena(), plan);
-    let mut cells = 0u64;
-    let mut kernels = KernelStats::default();
-    let fused: Vec<FusedQueryResult> = outputs
+    let queries: Vec<QueryResult> = executor
+        .execute(batch, db.arena(), plan)
         .into_iter()
-        .map(|out| {
-            cells += out.cells;
-            kernels.merge(&out.stats);
-            FusedQueryResult {
-                hits: materialize_hits(&out.scored, |i| db.id(i).to_string()),
-                cells: out.cells,
-                kernels: Some(out.stats),
-            }
+        .map(|out| QueryResult {
+            hits: materialize_hits(&out.scored, |i| db.id(i).to_string()),
+            kernels: out.stats,
         })
         .collect();
+    let cells = queries.iter().map(|q| q.kernels.cells_computed).sum();
     TaskResult {
         gcups: Some(observed_gcups(cells, t0.elapsed().as_secs_f64())),
-        hits: Vec::new(),
-        cells,
-        kernels: Some(kernels),
-        fused: Some(fused),
+        queries,
     }
 }
 
 /// The compute state of a PE that holds one database for its lifetime (a
-/// batch slave, a serve-mode slave, a local-fleet thread): the database,
-/// the scoring and the PE's [`ShardExecutor`]. Both grains run through
-/// [`scan_shard`], each on profiles built for the task and dropped with it
-/// (a profile costs microseconds against a scan's milliseconds).
+/// slave, a local-fleet thread): the database, the scoring and the PE's
+/// [`ShardExecutor`]. Every task runs through [`scan_shard`] on profiles
+/// built for the task and dropped with it (a profile costs microseconds
+/// against a scan's milliseconds).
 pub struct PeExecutor<'a> {
     db: &'a DbSnapshot,
     scoring: &'a Scoring,
@@ -143,42 +141,37 @@ impl<'a> PeExecutor<'a> {
         }
     }
 
-    /// The serve grain: a fused query batch against the `shard` range of
-    /// the database (which the caller has checked lies inside it).
-    pub fn scan(&mut self, queries: &[QueryPayload], shard: Range<usize>) -> TaskResult {
-        let batch: Vec<(Arc<PreparedQuery>, usize)> = queries
+    /// Run one task: every payload query against the payload's shard. A
+    /// shard outside the database is [`io::ErrorKind::InvalidData`].
+    pub fn scan(&mut self, task: &TaskPayload) -> io::Result<TaskResult> {
+        let (start, end) = task.shard;
+        if start > end || end > self.db.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "shard {start}..{end} exceeds the database ({} subjects)",
+                    self.db.len()
+                ),
+            ));
+        }
+        let batch: Vec<(Arc<PreparedQuery>, usize)> = task
+            .queries
             .iter()
-            .map(|q| (prepare(&q.query, self.scoring), q.top_n))
+            .map(|q| {
+                let prepared = PreparedQuery::new(&q.query, self.scoring, EnginePreference::Auto);
+                (Arc::new(prepared), q.top_n)
+            })
             .collect();
-        self.run(&batch, shard)
-    }
-
-    /// The paper's grain: one query against the whole database — the
-    /// `0..db.len()` shard with a batch of one, its hits reported at the
-    /// task level (`TaskResult::hits`) rather than as a fused list.
-    pub fn scan_query(&mut self, query: &[u8], top_n: usize) -> TaskResult {
-        let batch = [(prepare(query, self.scoring), top_n)];
-        let mut result = self.run(&batch, 0..self.db.len());
-        let only = result.fused.take().and_then(|mut fused| fused.pop());
-        result.hits = only.map(|q| q.hits).unwrap_or_default();
-        result
-    }
-
-    fn run(&mut self, batch: &[(Arc<PreparedQuery>, usize)], range: Range<usize>) -> TaskResult {
         let plan = ShardPlan {
-            range,
+            range: start..end,
             // The floor keeps Auto dispatch able to fill the
             // inter-sequence lanes.
             chunk_size: chunk_floor(),
             kernel: self.kernel,
             prefetch: true,
         };
-        scan_shard(&mut self.shards, batch, self.db, &plan)
+        Ok(scan_shard(&mut self.shards, &batch, self.db, &plan))
     }
-}
-
-fn prepare(query: &[u8], scoring: &Scoring) -> Arc<PreparedQuery> {
-    Arc::new(PreparedQuery::new(query, scoring, EnginePreference::Auto))
 }
 
 /// A scheduling decision delivered to an endpoint.
@@ -229,16 +222,42 @@ pub struct QueryPayload {
     pub top_n: usize,
 }
 
-/// A self-describing task for remote execution: everything a slave that
-/// has only the database needs in order to run the scan. A fused task
-/// carries the whole co-resident query batch; the shard is scanned once
-/// and every query scored against it.
+/// A task as every PE receives it: everything a PE that has only the
+/// database needs in order to run the scan. A fused task carries the whole
+/// co-resident query batch; the shard is scanned once and every query
+/// scored against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskPayload {
     /// The query batch (length 1 for the paper's one-query grain).
     pub queries: Vec<QueryPayload>,
     /// Database shard `[start, end)` in global subject indices.
     pub shard: (usize, usize),
+}
+
+/// What a PE must hold to take a pool's tasks: the database and the
+/// scoring scheme, as one digest over both. A slave on another database,
+/// or with another `--matrix` or `--gap-*`, would return hits the merge
+/// must not see. The scheme is named too, so a refusal can say what the
+/// pool scores with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Identity {
+    /// FNV-1a over the database digest and [`Scoring::digest`].
+    pub digest: u64,
+    /// The scoring scheme, as its `Display` names it.
+    pub scoring: String,
+}
+
+impl Identity {
+    /// The identity of `db` scored under `scoring`.
+    pub fn of(db: &DbSnapshot, scoring: &Scoring) -> Identity {
+        let mut h = Fnv1a::new();
+        h.update(&db.digest().to_le_bytes());
+        h.update(&scoring.digest().to_le_bytes());
+        Identity {
+            digest: h.finish(),
+            scoring: scoring.to_string(),
+        }
+    }
 }
 
 /// What a runtime does with results — the policy half the shared loop
@@ -258,20 +277,14 @@ pub trait PoolOwner: Send {
         now: f64,
     ) -> Option<Deferred>;
 
-    /// The wire payload of a task, for owners whose tasks are
-    /// self-describing (the daemon's query shards). `None` means the task
-    /// is identified by id alone (batch runs, where both sides hold the
-    /// same files) — or, for a payload-bearing owner, that the task is no
-    /// longer shippable (e.g. its database generation was swapped out).
-    fn task_payload(&self, _master: &Scheduler, _task: TaskId) -> Option<TaskPayload> {
-        None
-    }
+    /// What `task` asks of a PE: its queries, shard and depth. `None` when
+    /// the task is no longer worth running (every query of it cancelled, or
+    /// its database generation swapped out).
+    fn task_payload(&self, master: &Scheduler, task: TaskId) -> Option<TaskPayload>;
 
-    /// FNV-1a digest of the owner's database, when remote slaves must
-    /// prove they hold the same one before being admitted.
-    fn db_digest(&self) -> Option<u64> {
-        None
-    }
+    /// The database and scoring a remote PE must prove it holds before it
+    /// is admitted.
+    fn identity(&self) -> &Identity;
 }
 
 /// Membership record of one admitted PE.
@@ -521,6 +534,12 @@ impl<S: PoolOwner> PePool<S> {
         self.notify_all();
     }
 
+    /// What `task` asks of a PE (see [`PoolOwner::task_payload`]).
+    pub fn payload(&self, task: TaskId) -> Option<TaskPayload> {
+        let g = self.lock();
+        g.owner.task_payload(&g.master, task)
+    }
+
     /// Whether `task` is still worth executing on `pe`: batch entries may
     /// have been stolen from this PE or finished by a replica elsewhere
     /// while queued.
@@ -573,11 +592,10 @@ impl<S: PoolOwner> PePool<S> {
             let now = self.now();
             let was_first = g.master.pool().state(task) != TaskState::Finished;
             g.master.task_finished(pe, task, now, result.gcups);
-            if was_first {
-                if let Some(kernels) = result.kernels {
-                    g.master
-                        .record_event(now, EventKind::TaskKernels { pe, task, kernels });
-                }
+            if was_first && result.gcups.is_some() {
+                let kernels = result.kernels();
+                g.master
+                    .record_event(now, EventKind::TaskKernels { pe, task, kernels });
             }
             // Split the borrow so the owner can see the master.
             let core = &mut *g;
@@ -733,10 +751,12 @@ impl<S: PoolOwner, F: FnMut(TaskId) -> TaskResult> PeEndpoint<S> for LocalEndpoi
     }
 }
 
-/// The batch-run owner: per-task winning hits, winner names, and merged
-/// kernel counters (losing replicas' counters are merged too — they are
-/// work the platform really did).
-#[derive(Debug, Default)]
+/// The batch-run owner: the paper's grain, task *t* being query *t*
+/// against the whole database at [`BATCH_TOP_N`]. Collects per-task
+/// winning hits, winner names, and merged kernel counters (losing
+/// replicas' counters are merged too — they are work the platform really
+/// did).
+#[derive(Debug)]
 pub struct BatchOwner {
     /// For each task, the first finisher's hits.
     pub results: Vec<Option<Vec<Hit>>>,
@@ -746,16 +766,28 @@ pub struct BatchOwner {
     pub kernels: KernelStats,
     /// Kernel counters per PE (indexed by [`PeId`]).
     pub kernels_by_pe: Vec<KernelStats>,
+    tasks: Vec<TaskPayload>,
+    identity: Identity,
 }
 
 impl BatchOwner {
-    /// New owner for a batch of `n_tasks`.
-    pub fn new(n_tasks: usize) -> BatchOwner {
+    /// The owner of one batch: every query of `queries` against the whole
+    /// of `db` under `scoring`.
+    pub fn new(queries: &[EncodedSequence], db: &DbSnapshot, scoring: &Scoring) -> BatchOwner {
+        let task = |q: &EncodedSequence| TaskPayload {
+            queries: vec![QueryPayload {
+                query: q.codes.clone(),
+                top_n: BATCH_TOP_N,
+            }],
+            shard: (0, db.len()),
+        };
         BatchOwner {
-            results: vec![None; n_tasks],
-            completed_by: vec![String::new(); n_tasks],
+            results: vec![None; queries.len()],
+            completed_by: vec![String::new(); queries.len()],
             kernels: KernelStats::default(),
             kernels_by_pe: Vec::new(),
+            tasks: queries.iter().map(task).collect(),
+            identity: Identity::of(db, scoring),
         }
     }
 }
@@ -770,22 +802,26 @@ impl PoolOwner for BatchOwner {
         was_first: bool,
         _now: f64,
     ) -> Option<Deferred> {
-        if let Some(kernels) = &result.kernels {
-            self.kernels.merge(kernels);
-            if self.kernels_by_pe.len() <= pe {
-                self.kernels_by_pe.resize(pe + 1, KernelStats::default());
-            }
-            self.kernels_by_pe[pe].merge(kernels);
+        let kernels = result.kernels();
+        self.kernels.merge(&kernels);
+        if self.kernels_by_pe.len() <= pe {
+            self.kernels_by_pe.resize(pe + 1, KernelStats::default());
         }
-        if was_first {
-            if self.results.len() <= task {
-                self.results.resize(task + 1, None);
-                self.completed_by.resize(task + 1, String::new());
-            }
-            self.results[task] = Some(result.hits);
+        self.kernels_by_pe[pe].merge(&kernels);
+        if was_first && task < self.results.len() {
+            let hits = result.queries.into_iter().next().map(|q| q.hits);
+            self.results[task] = Some(hits.unwrap_or_default());
             self.completed_by[task] = master.pe_name(pe).to_string();
         }
         None
+    }
+
+    fn task_payload(&self, _master: &Scheduler, task: TaskId) -> Option<TaskPayload> {
+        self.tasks.get(task).cloned()
+    }
+
+    fn identity(&self) -> &Identity {
+        &self.identity
     }
 }
 
@@ -832,27 +868,50 @@ mod tests {
         DbSnapshot::from_encoded("", &encoded)
     }
 
+    fn task(queries: Vec<QueryPayload>, shard: (usize, usize)) -> TaskPayload {
+        TaskPayload { queries, shard }
+    }
+
+    fn whole(db: &DbSnapshot, query: Vec<u8>, top_n: usize) -> TaskPayload {
+        task(vec![QueryPayload { query, top_n }], (0, db.len()))
+    }
+
     #[test]
-    fn scan_query_finds_planted_hit_and_reports_at_task_level() {
+    fn scan_finds_planted_hit_and_reports_per_query() {
         let query = b"MKVLAWCDEFGHIKLMNPQRST";
         let db = protein_db(&[("a", b"PPPPPPPPPP"), ("b", query), ("c", b"GGGGGGGG")]);
         let sc = scoring();
         let codes = swhybrid_seq::Alphabet::Protein.encode(query).unwrap();
-        let result = PeExecutor::new(&db, &sc, KernelChoice::Auto).scan_query(&codes, 3);
-        assert_eq!(result.hits[0].id, "b");
-        assert!(result.hits[0].score > result.hits[1].score);
-        assert!(result.fused.is_none(), "the paper's grain is not fused");
-        let kernels = result.kernels.expect("every scan reports its kernels");
-        assert_eq!(kernels.total(), 3);
-        assert_eq!(result.cells, kernels.cells_computed);
+        let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
+        let result = pe.scan(&whole(&db, codes.clone(), 3)).unwrap();
+        let [only] = result.queries.as_slice() else {
+            panic!("one entry per payload query");
+        };
+        assert_eq!(only.hits[0].id, "b");
+        assert!(only.hits[0].score > only.hits[1].score);
+        assert_eq!(only.kernels.total(), 3);
+        assert_eq!(result.kernels(), only.kernels);
         assert!(result.gcups.is_some_and(|g| g > 0.0 && g.is_finite()));
+        // A shard past the database is a typed error, not a panic.
+        for shard in [(0, db.len() + 1), (2, 1)] {
+            let err = pe
+                .scan(&task(
+                    vec![QueryPayload {
+                        query: codes.clone(),
+                        top_n: 3,
+                    }],
+                    shard,
+                ))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]
-    fn both_grains_are_one_scan() {
-        // A fused batch over the whole database is, per query, exactly the
-        // one-query task: same hits, cells and counters, paired
-        // positionally, with the task-level figures their sums.
+    fn a_query_batch_is_each_query_scanned_alone() {
+        // A fused batch is, per query, exactly the one-query task: same
+        // hits and counters, paired positionally, with the task-level
+        // counters their merge.
         let db = protein_db(&[
             ("a", b"MKVLAWCDEFGHIKLMNPQRST"),
             ("b", b"WCDEFGHIKL"),
@@ -869,23 +928,19 @@ mod tests {
             })
             .collect();
         let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
-        let fused = pe.scan(&queries, 0..db.len());
-        let per_query = fused.fused.as_ref().expect("a shard task is fused");
-        assert!(fused.hits.is_empty());
-        assert_eq!(per_query.len(), 2);
-        let mut cells = 0;
-        for (q, got) in queries.iter().zip(per_query) {
-            let solo = pe.scan_query(&q.query, q.top_n);
-            assert_eq!(got.hits, solo.hits);
+        let fused = pe.scan(&task(queries.clone(), (0, db.len()))).unwrap();
+        assert_eq!(fused.queries.len(), 2);
+        let mut kernels = KernelStats::default();
+        for (q, got) in queries.iter().zip(&fused.queries) {
+            let solo = pe.scan(&whole(&db, q.query.clone(), q.top_n)).unwrap();
+            assert_eq!(solo.queries, std::slice::from_ref(got));
             assert_eq!(got.hits.len(), q.top_n);
-            assert_eq!(got.cells, solo.cells);
-            assert_eq!(got.kernels, solo.kernels);
-            cells += got.cells;
+            kernels.merge(&got.kernels);
         }
-        assert_eq!(fused.cells, cells);
+        assert_eq!(fused.kernels(), kernels);
         // A sub-shard reports global database indices.
-        let tail = pe.scan(&queries[..1], 2..4);
-        let tail_hits = &tail.fused.as_ref().unwrap()[0].hits;
+        let tail = pe.scan(&task(queries[..1].to_vec(), (2, 4))).unwrap();
+        let tail_hits = &tail.queries[0].hits;
         assert!(tail_hits.iter().all(|h| h.db_index >= 2));
         assert_eq!(tail_hits[0].id, db.id(tail_hits[0].db_index));
     }
@@ -906,24 +961,62 @@ mod tests {
             let query: Vec<u8> = (0..12)
                 .map(|j| ((i >> j) & 1) as u8 * 3 + (j % 5) as u8)
                 .collect();
-            let payload = [QueryPayload { query, top_n: 3 }];
-            let first = pe.scan(&payload, 0..db.len()).fused.unwrap();
-            let again = pe.scan(&payload, 0..db.len()).fused.unwrap();
+            let payload = whole(&db, query, 3);
+            let first = pe.scan(&payload).unwrap().queries;
+            let again = pe.scan(&payload).unwrap().queries;
             let fresh = PeExecutor::new(&db, &sc, KernelChoice::Auto)
-                .scan(&payload, 0..db.len())
-                .fused
-                .unwrap();
-            for got in [&first[0], &again[0]] {
-                assert_eq!(got.hits, fresh[0].hits);
-                assert_eq!(got.kernels, fresh[0].kernels);
-            }
+                .scan(&payload)
+                .unwrap()
+                .queries;
+            assert_eq!(first, fresh);
+            assert_eq!(again, fresh);
         }
     }
 
+    #[test]
+    fn batch_task_t_is_query_t_over_the_whole_database_at_one_depth() {
+        let db = protein_db(&[("a", b"MKVLAWCDEF"), ("b", b"WCDEFGHIKL")]);
+        let queries = queries(&[&b"AWCDEF"[..], &b"MKVL"[..]]);
+        let p = batch_pool(&queries, &db);
+        for (t, q) in queries.iter().enumerate() {
+            assert_eq!(p.payload(t), Some(whole(&db, q.codes.clone(), BATCH_TOP_N)));
+        }
+        assert_eq!(p.payload(queries.len()), None);
+        // The identity covers the database and the scoring alike.
+        let mine = p.lock().owner.identity().clone();
+        assert_eq!(mine, Identity::of(&db, &scoring()));
+        let other_db = protein_db(&[("a", b"MKVLAWCDEF")]);
+        assert_ne!(Identity::of(&other_db, &scoring()).digest, mine.digest);
+        let mut blosum50 = scoring();
+        blosum50.matrix = swhybrid_align::scoring::SubstMatrix::blosum50();
+        assert_ne!(Identity::of(&db, &blosum50).digest, mine.digest);
+        assert_eq!(mine.scoring, "BLOSUM62, gap open 10 extend 2");
+    }
+
+    fn queries(residues: &[&[u8]]) -> Vec<EncodedSequence> {
+        residues
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                EncodedSequence::from_residues(format!("q{i}"), q, swhybrid_seq::Alphabet::Protein)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn batch_pool(queries: &[EncodedSequence], db: &DbSnapshot) -> PePool<BatchOwner> {
+        let master = Scheduler::new(specs(queries.len()), MasterConfig::default());
+        PePool::new(master, BatchOwner::new(queries, db, &scoring()), 1)
+    }
+
+    /// A pool over `n_tasks` dummy specs (one-residue queries against a
+    /// one-subject database).
     fn pool(n_tasks: usize, expected: usize) -> PePool<BatchOwner> {
+        let db = protein_db(&[("s", b"MKVL")]);
+        let owner = BatchOwner::new(&queries(&vec![&b"M"[..]; n_tasks]), &db, &scoring());
         PePool::new(
             Scheduler::new(specs(n_tasks), MasterConfig::default()),
-            BatchOwner::new(n_tasks),
+            owner,
             expected,
         )
     }
@@ -963,13 +1056,14 @@ mod tests {
         let pe = p.admit("solo", 1.0, false);
         let mut ep = LocalEndpoint::new(|task| TaskResult {
             gcups: Some(1.0),
-            hits: Vec::new(),
-            cells: 100 * (task as u64 + 1),
-            kernels: Some(KernelStats {
-                resolved_i8: 1,
-                ..KernelStats::default()
-            }),
-            fused: None,
+            queries: vec![QueryResult {
+                hits: Vec::new(),
+                kernels: KernelStats {
+                    resolved_i8: 1,
+                    cells_computed: 100 * (task as u64 + 1),
+                    ..KernelStats::default()
+                },
+            }],
         });
         drive(&p, pe, &mut ep);
         let core = p.into_inner();

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid_core::pool::PeExecutor;
+use swhybrid_core::pool::{PeExecutor, QueryPayload, TaskPayload};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_simd::search::KernelChoice;
@@ -82,18 +82,25 @@ fn later_batch_tasks_allocate_less_than_the_database_holds() {
             extend: 2,
         },
     };
-    let queries: Vec<Vec<u8>> = (0..5)
-        .map(|i| residues(9000 + i, 60 + 7 * i as usize))
+    // The paper's grain: each query against the whole database.
+    let tasks: Vec<TaskPayload> = (0..5)
+        .map(|i| TaskPayload {
+            queries: vec![QueryPayload {
+                query: residues(9000 + i, 60 + 7 * i as usize),
+                top_n: 10,
+            }],
+            shard: (0, db.len()),
+        })
         .collect();
 
     let mut pe = PeExecutor::new(&db, &scoring, KernelChoice::Auto);
     // The first task sizes the PE's scratch high-water.
-    let first = bytes_allocated_during(|| pe.scan_query(&queries[0], 10));
+    let first = bytes_allocated_during(|| pe.scan(&tasks[0]).unwrap());
     assert!(first > 0);
-    for (task, query) in queries.iter().enumerate().skip(1) {
+    for (task, payload) in tasks.iter().enumerate().skip(1) {
         let bytes = bytes_allocated_during(|| {
-            let result = pe.scan_query(query, 10);
-            assert_eq!(result.hits.len(), 10);
+            let result = pe.scan(payload).unwrap();
+            assert_eq!(result.queries[0].hits.len(), 10);
             result
         });
         assert!(

@@ -23,9 +23,10 @@
 //! global database indices and merged with `merge_top_n`, which makes the
 //! served ranking bit-identical to a cold single-process scan. Remote
 //! slaves receive shards as self-describing payloads (query batch + shard
-//! bounds) and must prove at registration — by database digest — that they
-//! hold the exact database the daemon serves; a
-//! [`QueryService::swap_snapshot`] disconnects every remote slave, because their copy is now stale.
+//! bounds) and must prove at registration — by their identity digest —
+//! that they hold the exact database the daemon serves and score with its
+//! scheme; a [`QueryService::swap_snapshot`] disconnects every remote
+//! slave, because their copy is now stale.
 //!
 //! ## Cross-query fusion
 //!
@@ -58,7 +59,7 @@
 //! (queue pumping and fused-group scheduling), `execution` (the local PE
 //! path driving the shared shard executor plus shard-result accounting),
 //! `reload` (hot database swaps, drain, shutdown), and `stats` (the
-//! `stats` reply body and the scoring digest).
+//! `stats` reply body).
 
 mod admit;
 mod execution;
@@ -68,8 +69,6 @@ mod stats;
 #[cfg(test)]
 mod tests;
 
-pub use stats::scoring_digest;
-
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::ToSocketAddrs;
@@ -78,7 +77,7 @@ use std::sync::{Arc, Mutex};
 use swhybrid_align::scoring::Scoring;
 use swhybrid_core::net::{serve_slaves, Acceptor, NetConfig};
 use swhybrid_core::policy::Policy;
-use swhybrid_core::pool::{drive, LocalEndpoint, PePool};
+use swhybrid_core::pool::{drive, Identity, LocalEndpoint, PePool};
 use swhybrid_core::sched::{MasterConfig, Scheduler};
 use swhybrid_core::task::{PeId, TaskId};
 use swhybrid_device::{FleetPe, FleetSpec};
@@ -322,6 +321,9 @@ struct ServeOwner {
     /// their own `Arc` and finish on the snapshot they were admitted under.
     db: Arc<DbSnapshot>,
     db_generation: u64,
+    /// What a remote slave must hold: the current database under the
+    /// service's scoring.
+    identity: Identity,
     active_jobs: usize,
     /// Fused groups currently in the pool — the unit [`ServiceConfig::
     /// max_active`] bounds. A group frees its slot only when its last
@@ -406,6 +408,7 @@ impl QueryService {
             fold_event(&mut pes.lock().expect("per-PE series lock"), e);
         });
 
+        let identity = Identity::of(&db, &scoring);
         let db = Arc::new(db);
         let owner = ServeOwner {
             cfg: cfg.clone(),
@@ -419,6 +422,7 @@ impl QueryService {
             metrics,
             db,
             db_generation: 0,
+            identity,
             active_jobs: 0,
             active_groups: 0,
             draining: false,
@@ -426,7 +430,7 @@ impl QueryService {
         let pool = PePool::new(master, owner, cfg.workers);
         let inner = Arc::new(Inner {
             pool,
-            scoring_digest: scoring_digest(&scoring),
+            scoring_digest: scoring.digest(),
             scoring,
             cfg,
         });
@@ -479,8 +483,8 @@ impl QueryService {
     /// threads: slaves join mid-lifetime (`pe_joins`), receive
     /// self-describing shard payloads, and may disconnect at any time —
     /// their in-flight shards requeue to the remaining fleet. A slave must
-    /// register with the digest of the daemon's current database
-    /// ([`swhybrid_core::net::run_serve_slave`] does); anything else is
+    /// register with the identity of the daemon's current database and
+    /// scoring ([`swhybrid_core::net::run_slave`] does); anything else is
     /// refused at the handshake. Returns the bound address. Fails with
     /// [`io::ErrorKind::InvalidInput`] when `net` is inconsistent.
     pub fn listen_slaves(

@@ -1,19 +1,18 @@
 //! The execution path: the pool-owner callbacks (result demux, payload
 //! assembly) and the local PE worker's shard scan, which is the ONE
-//! compute step every PE runs ([`scan_shard`]) — the same call a batch
-//! slave, a serve-mode slave and a local-fleet thread make, so served hit
-//! tables and kernel counters are byte-identical to theirs by
-//! construction.
+//! compute step every PE runs ([`scan_shard`]) — the same call a slave and
+//! a local-fleet thread make, so served hit tables and kernel counters are
+//! byte-identical to theirs by construction.
 
 use std::sync::Arc;
 
 use swhybrid_core::pool::{
-    scan_shard, Deferred, FusedQueryResult, PoolOwner, QueryPayload, TaskPayload, TaskResult,
+    scan_shard, Deferred, Identity, PoolOwner, QueryPayload, QueryResult, TaskPayload, TaskResult,
 };
 use swhybrid_core::sched::Scheduler;
 use swhybrid_core::task::{PeId, TaskId};
-use swhybrid_simd::engine::{KernelStats, PreparedQuery};
-use swhybrid_simd::search::{merge_top_n, Hit};
+use swhybrid_simd::engine::PreparedQuery;
+use swhybrid_simd::search::merge_top_n;
 use swhybrid_simd::{ShardExecutor, ShardPlan};
 
 use super::admit::retire;
@@ -33,31 +32,18 @@ impl PoolOwner for ServeOwner {
         // Every shard scan counts, winner or not: the counters report
         // kernel work the platform actually performed (remote slaves
         // report theirs over the wire).
-        if let Some(k) = &result.kernels {
-            self.metrics.kernels.merge(k);
-        }
+        self.metrics.kernels.merge(&result.kernels());
         if !was_first {
             return None;
         }
         let ft = self.task_map.get(&task)?.clone();
-        // Demux the fused result: entry k belongs to batch member k. A
-        // result without the fused list (a skipped scan) counts every
-        // member's shard as done with nothing to contribute.
-        let per_query = result
-            .fused
-            .unwrap_or_else(|| vec![FusedQueryResult::default(); ft.jobs.len()]);
-        debug_assert_eq!(per_query.len(), ft.jobs.len());
+        // Demux the result: entry k belongs to batch member k (a remote's
+        // list was checked against its payload on arrival). A skipped
+        // scan's entries are empty: the member's shard is done with
+        // nothing to contribute.
         let mut done = Vec::new();
-        for (&job_id, fq) in ft.jobs.iter().zip(per_query) {
-            if let Some(d) = record_shard(
-                self,
-                now,
-                job_id,
-                ft.shard_idx,
-                fq.hits,
-                fq.cells,
-                fq.kernels,
-            ) {
+        for (&job_id, q) in ft.jobs.iter().zip(result.queries) {
+            if let Some(d) = record_shard(self, now, job_id, ft.shard_idx, q) {
                 done.push(d);
             }
         }
@@ -119,8 +105,8 @@ impl PoolOwner for ServeOwner {
         })
     }
 
-    fn db_digest(&self) -> Option<u64> {
-        Some(self.db.digest())
+    fn identity(&self) -> &Identity {
+        &self.identity
     }
 }
 
@@ -160,7 +146,7 @@ pub(super) fn execute_task(
             // burning kernels and without a speed report (a 0.0 would
             // poison the PSS window).
             return TaskResult {
-                fused: Some(vec![FusedQueryResult::default(); entries.len()]),
+                queries: vec![QueryResult::default(); entries.len()],
                 ..TaskResult::default()
             };
         };
@@ -176,30 +162,26 @@ pub(super) fn execute_task(
     };
     let mut result = scan_shard(executor, &live, &db, &plan);
     // Back to batch positions: a cancelled member contributes nothing.
-    let mut scanned = result.fused.take().unwrap_or_default().into_iter();
-    let fused = entries
+    let mut scanned = std::mem::take(&mut result.queries).into_iter();
+    result.queries = entries
         .iter()
         .map(|entry| match entry {
             Some(_) => scanned.next().expect("one output per live batch member"),
-            None => FusedQueryResult::default(),
+            None => QueryResult::default(),
         })
         .collect();
-    result.fused = Some(fused);
     result
 }
 
 /// Fold a winning shard result into its job; on the last shard, finalize:
 /// merge, cache, meter, release the admission slot, pump the queue.
 /// Returns the completion to invoke off the lock.
-#[allow(clippy::too_many_arguments)]
 fn record_shard(
     o: &mut ServeOwner,
     now: f64,
     job_id: u64,
     shard_idx: usize,
-    hits: Vec<Hit>,
-    cells: u64,
-    kernels: Option<KernelStats>,
+    shard: QueryResult,
 ) -> Option<(Option<Completion>, SearchReply)> {
     {
         let job = o.jobs.get_mut(&job_id)?;
@@ -215,11 +197,9 @@ fn record_shard(
         if shard_hits[shard_idx].is_some() {
             return None;
         }
-        shard_hits[shard_idx] = Some(hits);
-        *acc += cells;
-        if let Some(k) = &kernels {
-            kacc.merge(k);
-        }
+        *acc += shard.kernels.cells_computed;
+        kacc.merge(&shard.kernels);
+        shard_hits[shard_idx] = Some(shard.hits);
         *pending -= 1;
         if *pending > 0 {
             return None;

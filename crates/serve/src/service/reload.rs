@@ -3,6 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use swhybrid_core::pool::Identity;
 use swhybrid_seq::DbSnapshot;
 
 use super::QueryService;
@@ -16,12 +17,14 @@ impl QueryService {
     /// unreachable (the cache is also cleared outright to release the
     /// memory). Remote slaves are disconnected — their database copy is
     /// now stale — and their in-flight shards requeue to the local
-    /// workers; a slave holding the new database can immediately rejoin
-    /// under its digest. Returns the new generation.
+    /// workers; a slave holding the new database (under the same scoring)
+    /// can immediately rejoin under its identity. Returns the new
+    /// generation.
     pub fn swap_snapshot(&self, snapshot: DbSnapshot) -> u64 {
         let (generation, remote) = {
             let mut g = self.inner.pool.lock();
             let o = &mut g.owner;
+            o.identity = Identity::of(&snapshot, &self.inner.scoring);
             o.db = Arc::new(snapshot);
             o.db_generation += 1;
             o.cache.clear();

@@ -1,32 +1,10 @@
-//! Observability: the `stats` reply body and the scoring-scheme digest.
+//! Observability: the `stats` reply body.
 
-use swhybrid_align::scoring::{GapModel, Scoring};
 use swhybrid_core::net::kernels_to_json;
 use swhybrid_json::Json;
-use swhybrid_seq::digest::Fnv1a;
 
 use super::admit::sweep_retired;
 use super::QueryService;
-
-/// Stable digest of a scoring scheme (matrix identity + gap model), the
-/// scoring component of [`crate::cache::CacheKey`].
-pub fn scoring_digest(scoring: &Scoring) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update_framed(scoring.matrix.name.as_bytes());
-    h.update_framed(format!("{:?}", scoring.matrix.alphabet).as_bytes());
-    match scoring.gap {
-        GapModel::Linear { penalty } => {
-            h.update(&[0]);
-            h.update(&penalty.to_le_bytes());
-        }
-        GapModel::Affine { open, extend } => {
-            h.update(&[1]);
-            h.update(&open.to_le_bytes());
-            h.update(&extend.to_le_bytes());
-        }
-    }
-    h.finish()
-}
 
 impl QueryService {
     /// Snapshot the daemon's metrics as the `stats` reply body.

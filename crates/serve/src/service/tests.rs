@@ -635,28 +635,6 @@ fn fused_queries_match_cold_scans_and_share_tasks() {
     svc.shutdown();
 }
 
-#[test]
-fn scoring_digest_separates_schemes() {
-    let a = scoring_digest(&scoring());
-    let b = scoring_digest(&Scoring {
-        matrix: SubstMatrix::blosum50(),
-        gap: GapModel::Affine {
-            open: 10,
-            extend: 2,
-        },
-    });
-    let c = scoring_digest(&Scoring {
-        matrix: SubstMatrix::blosum62(),
-        gap: GapModel::Affine {
-            open: 12,
-            extend: 2,
-        },
-    });
-    assert_ne!(a, b);
-    assert_ne!(a, c);
-    assert_eq!(a, scoring_digest(&scoring()));
-}
-
 /// An explicit undersized chunk must be rejected at construction, not
 /// silently normalised into the PR 5 degradation bug.
 #[test]

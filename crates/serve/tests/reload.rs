@@ -3,7 +3,8 @@
 //! an oracle over — the old database; new-generation jobs match the new
 //! one; no reply ever mixes the two. Every pre-reload cache entry is
 //! unreachable after the swap, and a remote serve-slave is disconnected
-//! by the reload and can only rejoin under the new database digest.
+//! by the reload and can only rejoin under the new database's identity
+//! (database and scoring digest).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -13,7 +14,8 @@ use std::time::Duration;
 
 use rand::{RngExt, SeedableRng};
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid_core::net::{run_serve_slave, NetConfig, PROTOCOL_VERSION};
+use swhybrid_core::net::{run_slave, NetConfig, PROTOCOL_VERSION};
+use swhybrid_core::pool::Identity;
 use swhybrid_json::Json;
 use swhybrid_seq::digest::db_digest;
 use swhybrid_seq::sequence::EncodedSequence;
@@ -259,7 +261,7 @@ fn raw_register(addr: std::net::SocketAddr, digest: u64) -> String {
     writeln!(
         writer,
         "{{\"type\":\"register\",\"name\":\"probe\",\"gcups\":1.0,\
-         \"proto\":{PROTOCOL_VERSION},\"db_digest\":\"{digest:016x}\"}}"
+         \"proto\":{PROTOCOL_VERSION},\"digest\":\"{digest:016x}\"}}"
     )
     .unwrap();
     let mut line = String::new();
@@ -306,7 +308,7 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
             reconnect_max_retries: 0,
             ..NetConfig::default()
         };
-        run_serve_slave(
+        run_slave(
             slave_addr,
             "remote-old",
             1.0,
@@ -356,17 +358,41 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
     assert_eq!(reload.get("generation").and_then(Json::as_u64), Some(1));
     let _ = slave_a.join().unwrap();
 
-    // The wire proves the gate: the old digest is refused at registration,
-    // the new digest is admitted.
-    let refusal = raw_register(slave_addr, db_digest(&db_a));
+    // The wire proves the gate: the old identity is refused at
+    // registration, the new one is admitted.
+    let identity = |db: &[EncodedSequence]| Identity::of(&snap(db), &scoring()).digest;
+    let refusal = raw_register(slave_addr, identity(&db_a));
     assert!(
         !refusal.contains("\"registered\""),
         "stale-digest slave was re-admitted: {refusal}"
     );
-    let admitted = raw_register(slave_addr, db_digest(&db_b));
+    let admitted = raw_register(slave_addr, identity(&db_b));
     assert!(
         admitted.contains("\"registered\""),
         "new-digest slave was refused: {admitted}"
+    );
+    // The new database under another scoring is refused too, and told the
+    // daemon's scheme.
+    let blosum50 = Scoring {
+        matrix: SubstMatrix::blosum50(),
+        ..scoring()
+    };
+    let net = NetConfig::default();
+    let err = run_slave(
+        slave_addr,
+        "b50",
+        1.0,
+        &snap(&db_b),
+        &blosum50,
+        KernelChoice::Auto,
+        &net,
+    )
+    .expect_err("a slave with another scoring must be refused");
+    let message = err.to_string();
+    assert!(
+        message.contains("database or scoring mismatch")
+            && message.contains("BLOSUM62, gap open 10 extend 2"),
+        "unhelpful refusal: {message}"
     );
 
     // A real generation-1 slave rejoins under the new digest and serves.
@@ -376,7 +402,7 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
             reconnect_max_retries: 0,
             ..NetConfig::default()
         };
-        run_serve_slave(
+        run_slave(
             slave_addr,
             "remote-new",
             1.0,

@@ -9,9 +9,9 @@ use std::time::Duration;
 
 use rand::{RngExt, SeedableRng};
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid_core::net::{run_serve_slave, NetConfig, PROTOCOL_VERSION};
+use swhybrid_core::net::{run_slave, NetConfig, PROTOCOL_VERSION};
+use swhybrid_core::pool::Identity;
 use swhybrid_json::Json;
-use swhybrid_seq::digest::db_digest;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::protocol::{request_to_json, Request, SearchRequest};
@@ -474,7 +474,7 @@ impl DoomedSlave {
         writeln!(
             &mut slave.writer,
             "{{\"type\":\"register\",\"name\":\"doomed\",\"gcups\":1.0,\
-             \"proto\":{PROTOCOL_VERSION},\"db_digest\":\"{digest:016x}\"}}"
+             \"proto\":{PROTOCOL_VERSION},\"digest\":\"{digest:016x}\"}}"
         )
         .unwrap();
         let line = slave.read_line().expect("handshake reply");
@@ -555,7 +555,7 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
         .unwrap();
     let daemon = std::thread::spawn(move || daemon.run());
 
-    // A real serve-mode slave: full protocol, heartbeats, shard scans over
+    // A real slave: full protocol, heartbeats, shard scans over
     // its own copy of the database. No reconnect budget — when the daemon
     // shuts down, the slave exits instead of retrying.
     let slave_db = db.clone();
@@ -564,7 +564,7 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
             reconnect_max_retries: 0,
             ..NetConfig::default()
         };
-        run_serve_slave(
+        run_slave(
             slave_addr,
             "remote-a",
             1.0,
@@ -595,7 +595,7 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
     );
 
     // A second remote that will crash the moment it is handed a shard.
-    let doomed = DoomedSlave::register(slave_addr, db_digest(&db));
+    let doomed = DoomedSlave::register(slave_addr, Identity::of(&snap(&db), &scoring()).digest);
     for _ in 0..200 {
         if pe_count(&client.stats().unwrap()) >= 4 {
             break;

@@ -7,7 +7,7 @@
 //!
 //! * the one-shot `search` scan workers ([`crate::search::search_arena`]),
 //! * the one compute step of every PE (`core::pool::scan_shard`: daemon
-//!   worker threads, serve-mode slaves, batch slaves, local-fleet threads).
+//!   worker threads, slaves, local-fleet threads).
 //!
 //! Each owner builds a [`ShardPlan`] (which arena positions to scan, the
 //! chunk size, the kernel preference, prefetch) and drives a

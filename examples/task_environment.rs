@@ -9,7 +9,7 @@
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
-use swhybrid::exec::net::LocalFleet;
+use swhybrid::exec::net::Batch;
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::fasta;
@@ -72,16 +72,15 @@ fn main() {
             extend: 2,
         },
     };
-    let outcome = LocalFleet {
-        pes: vec![
+    let outcome = Batch {
+        queries: &encoded_queries,
+        db: &db,
+        scoring: &scoring,
+        fleet: vec![
             FleetPe::simd("slave-0", 1.0),
             FleetPe::simd("slave-1", 1.0),
             FleetPe::simd("slave-2", 1.0),
         ],
-        queries: &encoded_queries,
-        db: &db,
-        scoring: &scoring,
-        top_n: 3,
     }
     .run(MasterConfig {
         policy: Policy::pss_default(),

@@ -1,6 +1,7 @@
 //! The distributed pair — `master` (task distribution over TCP) and
-//! `slave` (batch or serve mode) — plus the virtual-time `simulate` verb
-//! that reproduces the paper's platform experiments without hardware.
+//! `slave` (a PE for a master or a daemon) — plus the virtual-time
+//! `simulate` verb that reproduces the paper's platform experiments
+//! without hardware.
 
 use crate::exec::platform::PlatformBuilder;
 use crate::exec::policy::Policy;
@@ -86,7 +87,7 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
-    use crate::exec::net::{query_specs, LocalFleet, MasterServer, NetConfig};
+    use crate::exec::net::{Batch, MasterServer, NetConfig};
     use crate::exec::sched::MasterConfig;
 
     let opts = Opts::parse(
@@ -124,7 +125,9 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
     if queries.is_empty() {
         return Err(format!("{qpath}: no query sequences"));
     }
-    let specs = query_specs(&queries, &db);
+    // How many merged rows to print; every PE keeps `BATCH_TOP_N` hits
+    // per query whatever this says.
+    let top: usize = opts.get_parsed("top", 10)?;
 
     let mut net = NetConfig::default();
     if let Some(secs) = opts.get("register-timeout") {
@@ -180,26 +183,19 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
         slaves,
         queries.len()
     );
-    let outcome = match &fleet {
-        Some(spec) => {
-            // The hybrid path: the master hosts its own fleet — real SIMD
-            // PEs plus modeled accelerators — on the same pool the TCP
-            // slaves feed from.
-            println!("local fleet: {}", spec.describe());
-            server.serve_hybrid(
-                specs,
-                LocalFleet {
-                    pes: spec.build(),
-                    queries: &queries,
-                    db: &db,
-                    scoring: &scoring,
-                    top_n: opts.get_parsed("top", 10usize)?,
-                },
-            )
-        }
-        None => server.serve(specs),
+    if let Some(spec) = &fleet {
+        // The hybrid path: the master hosts its own fleet — real SIMD PEs
+        // plus modeled accelerators — on the same pool the TCP slaves feed
+        // from.
+        println!("local fleet: {}", spec.describe());
     }
-    .map_err(|e| e.to_string())?;
+    let batch = Batch {
+        queries: &queries,
+        db: &db,
+        scoring: &scoring,
+        fleet: fleet.map(|spec| spec.build()).unwrap_or_default(),
+    };
+    let outcome = server.serve(batch).map_err(|e| e.to_string())?;
     if let Some((written, path)) = events_streamed {
         println!(
             "streamed {} events to {path}",
@@ -244,13 +240,8 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    println!("\nmerged hits (top {}):", opts.get_parsed("top", 10usize)?);
-    for (rank, qh) in outcome
-        .hits
-        .iter()
-        .take(opts.get_parsed("top", 10usize)?)
-        .enumerate()
-    {
+    println!("\nmerged hits (top {top}):");
+    for (rank, qh) in outcome.hits.iter().take(top).enumerate() {
         println!(
             "{:>4}  score {:>5}  q{}  {}",
             rank + 1,
@@ -263,7 +254,7 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
 }
 
 pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
-    use crate::exec::net::{run_serve_slave, run_slave, NetConfig};
+    use crate::exec::net::{run_slave, NetConfig};
     use crate::store::DbFile;
 
     let opts = Opts::parse(
@@ -272,7 +263,6 @@ pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
             "connect",
             "name",
             "gcups",
-            "top",
             "heartbeat",
             "reconnect-retries",
             "kernel",
@@ -280,7 +270,7 @@ pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
             "gap-open",
             "gap-extend",
         ],
-        &["serve"],
+        &[],
     )?;
     let connect = opts
         .get("connect")
@@ -300,42 +290,20 @@ pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
     }
     net.reconnect_max_retries = opts.get_parsed("reconnect-retries", net.reconnect_max_retries)?;
 
-    if opts.has("serve") {
-        // Serve-mode: only the database is loaded locally; queries and
-        // shard bounds arrive over the wire from the daemon.
-        let [dbpath] = opts.positional.as_slice() else {
-            return Err("slave --serve takes <db.fasta>".into());
-        };
-        let db = load_db(DbFile::Fasta(dbpath), &scoring)?;
-        println!("{name}: connecting to daemon at {connect} (serve mode)");
-        let executed = run_serve_slave(
-            connect,
-            &name,
-            gcups,
-            &db,
-            &scoring,
-            kernel_from_opts(&opts)?,
-            &net,
-        )
-        .map_err(|e| e.to_string())?;
-        println!("{name}: done, executed {executed} shard(s)");
-        return Ok(());
-    }
-
-    let [qpath, dbpath] = opts.positional.as_slice() else {
-        return Err("slave takes <query.fasta> <db.fasta>".into());
+    // Every task arrives with its queries, so only the database is loaded.
+    // A leading query file (the form slaves once took) is accepted and
+    // never opened.
+    let ([_, dbpath] | [dbpath]) = opts.positional.as_slice() else {
+        return Err("slave takes <db.fasta> (a leading <query.fasta> is ignored)".into());
     };
-    let queries = load_encoded(qpath)?;
     let db = load_db(DbFile::Fasta(dbpath), &scoring)?;
     println!("{name}: connecting to {connect}");
     let executed = run_slave(
         connect,
         &name,
         gcups,
-        &queries,
         &db,
         &scoring,
-        opts.get_parsed("top", 10usize)?,
         kernel_from_opts(&opts)?,
         &net,
     )

@@ -78,8 +78,10 @@ USAGE:
                   [--gap-extend N]
       Start the distributed master: waits for N slaves to register (at most
       --register-timeout seconds; 0 waits forever), then distributes one
-      task per query and prints the merged hits. A slave silent for
-      --slave-deadline seconds is declared dead and its tasks requeued.
+      task per query, each shipped with its query and scored against the
+      whole database at a fixed depth of 10 hits per query, and prints the
+      top --top merged hits. A slave silent for --slave-deadline seconds is
+      declared dead and its tasks requeued.
       --events streams the structured run-event log as JSON lines (one
       event per line, written as the run progresses).
       --fleet sse:2+gpu:1 additionally hosts a local hybrid fleet in the
@@ -109,7 +111,7 @@ USAGE:
       overrides the scan chunk size (subjects per claimed unit; rejected
       below the kernel floor).
       --listen-slaves additionally accepts remote slave processes
-      (`swhybrid slave --serve`) on a second port: they join the same
+      (`swhybrid slave`) on a second port: they join the same
       scheduling pool as the local workers, take database shards, and may
       connect or disconnect at any time while the daemon keeps serving.
       --fleet sse:2+gpu:1 replaces --workers with a hybrid worker fleet:
@@ -135,24 +137,20 @@ USAGE:
       remote slaves are disconnected for re-admission under the new
       digest. --verify makes the daemon fully checksum the store first.
 
-  swhybrid slave <query.fasta> <db.fasta> --connect HOST:PORT
-                 [--name NAME] [--gcups X] [--threads N]
-                 [--heartbeat SECS] [--reconnect-retries N]
+  swhybrid slave <db.fasta> --connect HOST:PORT [--name NAME] [--gcups X]
+                 [--matrix ...] [--gap-open N] [--gap-extend N]
                  [--kernel striped|interseq|auto]
-      Join a running master as a slave PE. Both sides must have the same
-      sequence files (the paper's shared-files model). The slave heartbeats
+                 [--heartbeat SECS] [--reconnect-retries N]
+      Join a master (`swhybrid master --listen`) or a daemon's slave port
+      (`swhybrid serve --listen-slaves`) as a PE. Only the database is
+      loaded: every task arrives with its query and shard. At registration
+      the slave proves, by one digest, that it loaded exactly the
+      master's database and scores with the master's --matrix and --gap-*;
+      otherwise it is refused with a `database or scoring mismatch` error.
+      A leading <query.fasta> (the older `slave <query.fasta> <db.fasta>`
+      form) is accepted and ignored, not opened. The slave heartbeats
       every --heartbeat seconds and reconnects with exponential backoff up
       to --reconnect-retries times if the connection drops.
-
-  swhybrid slave --serve <db.fasta> --connect HOST:PORT
-                 [--name NAME] [--gcups X] [--matrix ...] [--gap-open N]
-                 [--gap-extend N] [--kernel striped|interseq|auto]
-                 [--heartbeat SECS] [--reconnect-retries N]
-      Join a daemon's slave port (`swhybrid serve --listen-slaves`) as a
-      serve-mode slave: no query file — the daemon ships each query and
-      shard over the wire. The slave proves at registration (by database
-      digest) that it loaded exactly the database the daemon serves, and
-      scans shards until the daemon shuts down.
 
   swhybrid help
       Show this message.

@@ -108,7 +108,7 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
         let bound = daemon
             .listen_slaves(slave_addr, crate::exec::net::NetConfig::default())
             .map_err(|e| format!("bind slave port {slave_addr}: {e}"))?;
-        println!("accepting remote slaves on {bound} (swhybrid slave --serve {dbpath} --connect {bound})");
+        println!("accepting remote slaves on {bound} (swhybrid slave {dbpath} --connect {bound})");
     }
     daemon.run().map_err(|e| e.to_string())
 }

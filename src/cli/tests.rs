@@ -182,6 +182,76 @@ fn distributed_master_slave_via_cli_paths() {
 }
 
 #[test]
+fn slave_loads_only_its_database_and_is_refused_on_another() {
+    // One slave form: `slave <db.fasta>`. An older leading query file is
+    // ignored — this one does not exist — and a slave on another database
+    // is refused at registration while the run completes on the right one.
+    let dir = std::env::temp_dir().join(format!("swhybrid_cli_slave_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("db.fasta");
+    let other = dir.join("other.fasta");
+    run(&s(&["generate", "rat", "0.0003", db.to_str().unwrap()])).unwrap();
+    run(&s(&["generate", "rat", "0.0002", other.to_str().unwrap()])).unwrap();
+    let first = FastaReader::open(&db)
+        .unwrap()
+        .next_record()
+        .unwrap()
+        .unwrap();
+    let q = dir.join("q.fasta");
+    std::fs::write(&q, crate::seq::fasta::to_string(std::iter::once(&first))).unwrap();
+    let db_s = db.to_str().unwrap().to_string();
+    for gone in [&["--serve"][..], &["--top", "5"]] {
+        let mut args = vec!["slave", &db_s, "--connect", "127.0.0.1:1"];
+        args.extend(gone);
+        let err = run(&s(&args)).unwrap_err();
+        assert!(err.contains("unknown flag"), "{gone:?}: {err}");
+    }
+
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = probe.local_addr().unwrap().to_string();
+    drop(probe);
+    let (addr2, other2, db2) = (addr.clone(), other.clone(), db_s.clone());
+    let slaves = std::thread::spawn(move || {
+        let slave = |args: &[&str]| {
+            let mut all = vec!["--connect", &addr2, "--reconnect-retries", "0"];
+            all.splice(0..0, args.iter().copied());
+            run(&s(&all))
+        };
+        // Retry until the master is listening: a refusal is the answer.
+        let refusal = (0..200)
+            .find_map(|_| match slave(&["slave", other2.to_str().unwrap()]) {
+                Err(e) if e.contains("mismatch") => Some(e),
+                _ => {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    None
+                }
+            })
+            .expect("the other-database slave was never refused");
+        slave(&["slave", "/nonexistent/q.fasta", &db2, "--name", "right"])
+            .expect("the legacy query file is ignored");
+        refusal
+    });
+    run(&s(&[
+        "master",
+        q.to_str().unwrap(),
+        &db_s,
+        "--listen",
+        &addr,
+        "--slaves",
+        "1",
+        "--register-timeout",
+        "30",
+    ]))
+    .unwrap();
+    let refusal = slaves.join().unwrap();
+    assert!(
+        refusal.contains("database or scoring mismatch"),
+        "{refusal}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_query_daemon_round_trip() {
     // Exercise cmd_serve + cmd_query end-to-end: serve a synthetic
     // database, query it twice (second hit must come from the cache),
@@ -252,7 +322,7 @@ fn serve_query_daemon_round_trip() {
 
 #[test]
 fn serve_hybrid_fleet_with_remote_slave_round_trip() {
-    // `serve --listen-slaves` + `slave --serve`: a daemon scheduling a
+    // `serve --listen-slaves` + `slave`: a daemon scheduling a
     // mixed fleet (local worker threads + one remote TCP slave) must
     // answer queries and shut down cleanly, with the remote exiting too.
     let dir = std::env::temp_dir().join(format!("swhybrid_cli_hybrid_{}", std::process::id()));
@@ -310,7 +380,6 @@ fn serve_hybrid_fleet_with_remote_slave_round_trip() {
         assert!(up, "daemon slave port never opened");
         let _ = run(&s(&[
             "slave",
-            "--serve",
             db3.to_str().unwrap(),
             "--connect",
             &slave_addr,

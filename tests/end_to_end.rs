@@ -3,7 +3,7 @@
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
-use swhybrid::exec::net::{DistributedOutcome, LocalFleet};
+use swhybrid::exec::net::{Batch, DistributedOutcome};
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::fasta::{self, FastaReader};
@@ -28,18 +28,16 @@ fn pe(name: &str) -> FleetPe {
 
 /// One batch on a local fleet alone: the batch function with no listener.
 fn run_local(
-    pes: Vec<FleetPe>,
+    fleet: Vec<FleetPe>,
     queries: &[EncodedSequence],
     db: &DbSnapshot,
     master: MasterConfig,
-    top_n: usize,
 ) -> DistributedOutcome {
-    LocalFleet {
-        pes,
+    Batch {
         queries,
         db,
         scoring: &scoring(),
-        top_n,
+        fleet,
     }
     .run(master)
 }
@@ -104,7 +102,6 @@ fn real_runtime_hits_match_direct_kernel_scores() {
             adjustment: true,
             dispatch: Default::default(),
         },
-        3,
     );
     assert_eq!(out.completed_by.len(), 5);
     assert!(out.completed_by.iter().all(|n| n == "a" || n == "b"));
@@ -150,7 +147,6 @@ fn runtime_results_are_identical_across_policies_and_pe_counts() {
                 adjustment,
                 dispatch: Default::default(),
             },
-            4,
         );
         let mut v: Vec<(usize, usize, i32)> = out
             .hits

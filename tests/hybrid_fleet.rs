@@ -8,15 +8,14 @@
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::{Device, DeviceKind, FleetSpec, TaskSpec};
-use swhybrid::exec::net::{merge_hits, DistributedOutcome, LocalFleet, QueryHit};
+use swhybrid::exec::net::{merge_hits, Batch, DistributedOutcome, QueryHit};
+use swhybrid::exec::pool::BATCH_TOP_N;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::EventKind;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
 use swhybrid::simd::search::{search_db, SearchConfig};
-
-const TOP_N: usize = 5;
 
 fn scoring() -> Scoring {
     Scoring {
@@ -63,23 +62,22 @@ impl Fixture {
     }
 
     fn run_fleet(&self, spec: &str) -> DistributedOutcome {
-        LocalFleet {
-            pes: FleetSpec::parse(spec).unwrap().build(),
+        Batch {
             queries: &self.queries,
             db: &self.db,
             scoring: &scoring(),
-            top_n: TOP_N,
+            fleet: FleetSpec::parse(spec).unwrap().build(),
         }
         .run(MasterConfig::default())
     }
 
-    /// The one-shot oracle: per-query kernel scans merged through the same
-    /// canonical ranking rule the runtime uses.
+    /// The one-shot oracle: per-query kernel scans at the batch depth,
+    /// merged through the same canonical ranking rule the runtime uses.
     fn one_shot(&self) -> Vec<QueryHit> {
         let scoring = scoring();
         merge_hits(self.queries.iter().enumerate().map(|(i, q)| {
             let cfg = SearchConfig {
-                top_n: TOP_N,
+                top_n: BATCH_TOP_N,
                 ..SearchConfig::default()
             };
             (i, search_db(&q.codes, &self.db, &scoring, &cfg).hits)

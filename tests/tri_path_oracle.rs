@@ -1,6 +1,6 @@
 //! Tri-path differential oracle: one database, one query batch, three
 //! transports — the `search` one-shot scan, the persistent serve daemon,
-//! and the batch master (a TCP slave, and a `LocalFleet` thread) — must
+//! and the batch master (a TCP slave, and a local fleet thread) — must
 //! produce byte-identical hit tables and identical per-query kernel
 //! counters.
 //!
@@ -16,10 +16,9 @@
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
-use swhybrid::exec::net::{
-    query_specs, run_slave, DistributedOutcome, LocalFleet, MasterServer, NetConfig,
-};
+use swhybrid::exec::net::{run_slave, Batch, DistributedOutcome, MasterServer, NetConfig};
 use swhybrid::exec::policy::Policy;
+use swhybrid::exec::pool::BATCH_TOP_N;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::EventKind;
 use swhybrid::seq::sequence::EncodedSequence;
@@ -30,7 +29,8 @@ use swhybrid::simd::search::{search_db, Hit, KernelChoice, SearchConfig};
 use swhybrid::simd::KernelStats;
 use swhybrid::store::{build_store, Store};
 
-const TOP_N: usize = 8;
+/// Every path at the batch master's one depth.
+const TOP_N: usize = BATCH_TOP_N;
 
 fn scoring() -> Scoring {
     Scoring {
@@ -103,12 +103,16 @@ type Tables = Vec<(Vec<Hit>, KernelStats)>;
 /// Path A: the one-shot scan with the default config (1 worker, chunk
 /// floor, `Auto` dispatch).
 fn one_shot(fx: &Fixture, db: &DbSnapshot) -> Tables {
+    one_shot_of(&fx.queries, db)
+}
+
+fn one_shot_of(queries: &[EncodedSequence], db: &DbSnapshot) -> Tables {
     let scoring = scoring();
     let cfg = SearchConfig {
         top_n: TOP_N,
         ..SearchConfig::default()
     };
-    fx.queries
+    queries
         .iter()
         .map(|q| {
             let out = search_db(&q.codes, db, &scoring, &cfg);
@@ -224,54 +228,84 @@ fn assert_batch_matches(outcome: &DistributedOutcome, oracle: &Tables, label: &s
     );
 }
 
-/// Path C: the batch master — once with a slave process' worth of code
-/// behind a TCP session (counters travel over the wire), once with a
-/// `LocalFleet` thread on the same pool.
-#[test]
-fn master_slave_pair_matches_one_shot() {
-    let fx = Fixture::build("net");
-    let oracle = oracle(&fx);
+/// Run `queries` against `db` on the batch master with one TCP slave —
+/// which holds only the database — and return the outcome and the number
+/// of tasks the slave executed.
+fn tcp_run(queries: &[EncodedSequence], db: &DbSnapshot) -> (DistributedOutcome, usize) {
     let scoring = scoring();
     let net = NetConfig {
         register_timeout: Some(std::time::Duration::from_secs(30)),
         ..NetConfig::default()
     };
+    let server = MasterServer::bind_with("127.0.0.1:0", exactly_once(), 1, net.clone())
+        .expect("bind master");
+    let addr = server.local_addr().expect("local addr");
+    std::thread::scope(|scope| {
+        let slave = scope.spawn(|| {
+            run_slave(
+                addr,
+                "oracle-slave",
+                1.0,
+                db,
+                &scoring,
+                KernelChoice::Auto,
+                &net,
+            )
+            .expect("slave runs clean")
+        });
+        let outcome = server
+            .serve(Batch {
+                queries,
+                db,
+                scoring: &scoring,
+                fleet: Vec::new(),
+            })
+            .expect("master serve");
+        (outcome, slave.join().expect("slave thread"))
+    })
+}
+
+/// Path C: the batch master — once with a slave process' worth of code
+/// behind a TCP session (counters travel over the wire), once with a
+/// local fleet thread on the same pool. Both run the same payload, so
+/// their per-query lists are identical, each at the one batch depth.
+#[test]
+fn master_slave_pair_matches_one_shot() {
+    let fx = Fixture::build("net");
+    let oracle = oracle(&fx);
+    let scoring = scoring();
 
     for (provenance, db) in fx.provenances() {
-        let server = MasterServer::bind_with("127.0.0.1:0", exactly_once(), 1, net.clone())
-            .expect("bind master");
-        let addr = server.local_addr().expect("local addr");
-        let (outcome, executed) = std::thread::scope(|scope| {
-            let slave = scope.spawn(|| {
-                run_slave(
-                    addr,
-                    "oracle-slave",
-                    1.0,
-                    &fx.queries,
-                    db,
-                    &scoring,
-                    TOP_N,
-                    KernelChoice::Auto,
-                    &net,
-                )
-                .expect("slave runs clean")
-            });
-            let outcome = server
-                .serve(query_specs(&fx.queries, db))
-                .expect("master serve");
-            (outcome, slave.join().expect("slave thread"))
-        });
+        let (tcp, executed) = tcp_run(&fx.queries, db);
         assert_eq!(executed, fx.queries.len());
-        assert_batch_matches(&outcome, &oracle, &format!("tcp slave, {provenance}"));
+        assert_batch_matches(&tcp, &oracle, &format!("tcp slave, {provenance}"));
 
-        let outcome = LocalFleet {
-            pes: vec![FleetPe::simd("oracle-pe", 1.0)],
+        let local = Batch {
             queries: &fx.queries,
             db,
             scoring: &scoring,
-            top_n: TOP_N,
+            fleet: vec![FleetPe::simd("oracle-pe", 1.0)],
         }
         .run(exactly_once());
-        assert_batch_matches(&outcome, &oracle, &format!("local fleet, {provenance}"));
+        assert_batch_matches(&local, &oracle, &format!("local fleet, {provenance}"));
+        assert_eq!(tcp.hits, local.hits, "{provenance}");
+        for (qi, (hits, _)) in oracle.iter().enumerate() {
+            assert_eq!(hits.len(), TOP_N.min(db.len()), "query {qi}");
+        }
     }
+}
+
+/// A slave holds no query file: task *t* is whatever query *t* the master
+/// ships. The same slave code answers a master whose query file is in the
+/// opposite order with that master's tables — where a slave that looked
+/// its queries up locally answered task *t* with its own query *t*.
+#[test]
+fn a_slave_answers_the_masters_queries_not_its_own() {
+    let fx = Fixture::build("order");
+    let reversed: Vec<EncodedSequence> = fx.queries.iter().rev().cloned().collect();
+    let (outcome, _) = tcp_run(&reversed, &fx.packed);
+    assert_batch_matches(&outcome, &one_shot_of(&reversed, &fx.packed), "reversed");
+    // And the tables really differ from the forward file's, so the check
+    // could have failed.
+    assert_ne!(one_shot_of(&reversed, &fx.packed), oracle(&fx));
 }
