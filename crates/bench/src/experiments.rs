@@ -203,7 +203,8 @@ pub fn fig5() -> (Table, String) {
         let out = fig5_platform(adj).run(fig5_workload());
         t.row(label, vec![fmt_secs(out.seconds()), fmt_secs(paper)]);
         gantts.push_str(&format!("--- {label} ---\n"));
-        gantts.push_str(&out.report.trace.render_gantt(&out.pe_names, 72));
+        let names: Vec<String> = out.report.per_pe.iter().map(|p| p.name.clone()).collect();
+        gantts.push_str(&out.report.trace.render_gantt(&names, 72));
         gantts.push('\n');
     }
     (t, gantts)

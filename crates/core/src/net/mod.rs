@@ -286,7 +286,7 @@ mod tests {
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::synth::{paper_database, QueryOrder, QuerySetSpec};
     use swhybrid_seq::{Alphabet, DbSnapshot};
-    use swhybrid_simd::search::{search_db, KernelChoice, SearchConfig};
+    use swhybrid_simd::search::{search_db, SearchConfig};
 
     fn scoring() -> Scoring {
         Scoring {
@@ -573,7 +573,6 @@ mod tests {
             1.0,
             &DbSnapshot::from_encoded("", &[]),
             &scoring(),
-            KernelChoice::Auto,
             &cases[0],
         )
         .unwrap_err();
@@ -600,16 +599,8 @@ mod tests {
             let s = &db;
             for name in ["host-a", "host-b"] {
                 scope.spawn(move || {
-                    run_slave(
-                        addr,
-                        name,
-                        1.0,
-                        s,
-                        &scoring(),
-                        KernelChoice::Auto,
-                        &NetConfig::default(),
-                    )
-                    .expect("slave runs clean")
+                    run_slave(addr, name, 1.0, s, &scoring(), &NetConfig::default())
+                        .expect("slave runs clean")
                 });
             }
             server
@@ -677,16 +668,8 @@ mod tests {
         let outcome = std::thread::scope(|scope| {
             let s = &db;
             scope.spawn(move || {
-                run_slave(
-                    addr,
-                    "remote-a",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("slave runs clean")
+                run_slave(addr, "remote-a", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("slave runs clean")
             });
             server.serve(batch).expect("server completes")
         });
@@ -808,16 +791,8 @@ mod tests {
                     // Give the garbage client a head start so it provably
                     // connects before both real slaves.
                     std::thread::sleep(Duration::from_millis(100));
-                    run_slave(
-                        addr,
-                        name,
-                        1.0,
-                        s,
-                        &scoring(),
-                        KernelChoice::Auto,
-                        &NetConfig::default(),
-                    )
-                    .expect("real slave ok")
+                    run_slave(addr, name, 1.0, s, &scoring(), &NetConfig::default())
+                        .expect("real slave ok")
                 });
             }
             server
@@ -855,16 +830,8 @@ mod tests {
             });
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
-                run_slave(
-                    addr,
-                    "real",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("real slave ok")
+                run_slave(addr, "real", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("real slave ok")
             });
             server
                 .serve(batch(&queries, &db, &sc))
@@ -917,16 +884,8 @@ mod tests {
             });
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
-                run_slave(
-                    addr,
-                    "current",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("current-version slave ok")
+                run_slave(addr, "current", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("current-version slave ok")
             });
             server
                 .serve(batch(&queries, &db, &sc))
@@ -962,7 +921,7 @@ mod tests {
         let (outcome, refusals) = std::thread::scope(|scope| {
             let refused = |db: &DbSnapshot, scoring: &Scoring| {
                 let net = NetConfig::default();
-                run_slave(addr, "wrong", 1.0, db, scoring, KernelChoice::Auto, &net)
+                run_slave(addr, "wrong", 1.0, db, scoring, &net)
                     .expect_err("a slave on another identity must be refused")
             };
             let (other_db, blosum50) = (&other_db, &blosum50);
@@ -975,16 +934,8 @@ mod tests {
             let s = &db;
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(200));
-                run_slave(
-                    addr,
-                    "right",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("the master's database and scoring are admitted")
+                run_slave(addr, "right", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("the master's database and scoring are admitted")
             });
             let outcome = server
                 .serve(batch(&queries, &db, &sc))
@@ -1033,16 +984,8 @@ mod tests {
             let s = &db;
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
-                run_slave(
-                    addr,
-                    "real",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("real slave ok")
+                run_slave(addr, "real", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("real slave ok")
             });
             server
                 .serve(batch(&queries, &db, &sc))
@@ -1073,9 +1016,7 @@ mod tests {
                 };
                 assert_eq!(desc.queries.len(), 1);
                 send(&mut writer, &SlaveMsg::Started { task }).unwrap();
-                let mut result = PeExecutor::new(s, &scoring(), KernelChoice::Auto)
-                    .scan(&desc)
-                    .unwrap();
+                let mut result = PeExecutor::new(&scoring()).scan(s, &desc).unwrap();
                 result.queries.push(QueryResult::default());
                 send(&mut writer, &SlaveMsg::Finished { task, result }).unwrap();
                 match reader.next_msg::<MasterMsg>().unwrap() {
@@ -1090,16 +1031,8 @@ mod tests {
             scope.spawn(move || {
                 // Joins late, so the liar provably holds the first batch.
                 std::thread::sleep(Duration::from_millis(200));
-                run_slave(
-                    addr,
-                    "steady",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("steady slave completes the run")
+                run_slave(addr, "steady", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("steady slave completes the run")
             });
             server
                 .serve(batch(&queries, &db, &sc))
@@ -1124,7 +1057,7 @@ mod tests {
                 let s = &db;
                 let slave = scope.spawn(move || {
                     let net = NetConfig::default();
-                    run_slave(addr, "s", 1.0, s, &scoring(), KernelChoice::Auto, &net)
+                    run_slave(addr, "s", 1.0, s, &scoring(), &net)
                 });
                 let (stream, _) = listener.accept().unwrap();
                 let mut reader = LineReader::new(stream.try_clone().unwrap());
@@ -1178,9 +1111,7 @@ mod tests {
             other => panic!("expected first allocation, got {other:?}"),
         };
         send(&mut writer, &SlaveMsg::Started { task: first }).unwrap();
-        let result = PeExecutor::new(db, &sc, KernelChoice::Auto)
-            .scan(&desc)
-            .unwrap();
+        let result = PeExecutor::new(&sc).scan(db, &desc).unwrap();
         send(
             &mut writer,
             &SlaveMsg::Finished {
@@ -1229,16 +1160,8 @@ mod tests {
             let s = &db;
             scope.spawn(move || run_flaky_slave(addr, s));
             scope.spawn(move || {
-                run_slave(
-                    addr,
-                    "steady",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("steady slave survives")
+                run_slave(addr, "steady", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("steady slave survives")
             });
             server
                 .serve(batch(&queries, &db, &sc))
@@ -1317,7 +1240,7 @@ mod tests {
                 // The real slave joins late (pe_joins path) so the mute one
                 // is guaranteed to have been assigned its task first.
                 std::thread::sleep(Duration::from_millis(200));
-                run_slave(addr, "steady", 1.0, s, &scoring(), KernelChoice::Auto, net)
+                run_slave(addr, "steady", 1.0, s, &scoring(), net)
                     .expect("steady slave completes the run")
             });
             server
@@ -1409,8 +1332,7 @@ mod tests {
             });
             scope.spawn(move || {
                 std::thread::sleep(Duration::from_millis(100));
-                run_slave(addr, "real", 1.0, s, &scoring(), KernelChoice::Auto, net)
-                    .expect("real slave ok")
+                run_slave(addr, "real", 1.0, s, &scoring(), net).expect("real slave ok")
             });
             server
                 .serve(batch(&queries, &db, &sc))
@@ -1445,16 +1367,8 @@ mod tests {
         let outcome = std::thread::scope(|scope| {
             let s = &db;
             scope.spawn(move || {
-                run_slave(
-                    addr,
-                    "only",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("lone slave completes everything")
+                run_slave(addr, "only", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("lone slave completes everything")
             });
             server
                 .serve(batch(&queries, &db, &sc))
@@ -1496,9 +1410,7 @@ mod tests {
         let executed = std::thread::scope(|scope| {
             let s = &db;
             let net = &net;
-            let slave = scope.spawn(move || {
-                run_slave(addr, "phoenix", 1.0, s, &scoring(), KernelChoice::Auto, net)
-            });
+            let slave = scope.spawn(move || run_slave(addr, "phoenix", 1.0, s, &scoring(), net));
             // Session 1: take the registration, then drop the connection.
             {
                 let (stream, _) = listener.accept().unwrap();
@@ -1571,16 +1483,8 @@ mod tests {
         let outcome = std::thread::scope(|scope| {
             let s = &db;
             scope.spawn(move || {
-                run_slave(
-                    addr,
-                    "solo",
-                    1.0,
-                    s,
-                    &scoring(),
-                    KernelChoice::Auto,
-                    &NetConfig::default(),
-                )
-                .expect("slave ok")
+                run_slave(addr, "solo", 1.0, s, &scoring(), &NetConfig::default())
+                    .expect("slave ok")
             });
             server.serve(batch(&queries, &db, &sc)).expect("server ok")
         });

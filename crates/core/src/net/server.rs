@@ -19,7 +19,6 @@ use swhybrid_device::task::TaskSpec;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbSnapshot;
 use swhybrid_simd::engine::KernelStats;
-use swhybrid_simd::search::KernelChoice;
 
 /// A live event consumer, as accepted by [`MasterServer::with_event_sink`].
 type EventCallback = Box<dyn FnMut(&RuntimeEvent) + Send>;
@@ -197,11 +196,15 @@ fn run_batch(
         let ids: Vec<_> = batch.fleet.iter().map(|pe| pool.admit_fleet(pe)).collect();
         for pe_id in ids {
             let pool = &pool;
-            let mut executor = PeExecutor::new(batch.db, batch.scoring, KernelChoice::Auto);
+            let mut executor = PeExecutor::new(batch.scoring);
             scope.spawn(move || {
                 // A fleet thread runs the very payload a slave is shipped.
                 let mut endpoint = LocalEndpoint::new(|task| {
-                    let scan = |payload| executor.scan(&payload).expect("a batch shard fits");
+                    let scan = |payload| {
+                        executor
+                            .scan(batch.db, &payload)
+                            .expect("a batch shard fits")
+                    };
                     pool.payload(task).map(scan).unwrap_or_default()
                 });
                 drive(pool, pe_id, &mut endpoint);

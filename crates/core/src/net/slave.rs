@@ -19,7 +19,6 @@ use crate::shared::WaitHub;
 use crate::task::TaskId;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_seq::DbSnapshot;
-use swhybrid_simd::search::KernelChoice;
 
 /// How a slave session over one connection ended.
 enum SessionEnd {
@@ -55,18 +54,17 @@ pub fn run_slave(
     static_gcups: f64,
     db: &DbSnapshot,
     scoring: &Scoring,
-    kernel: KernelChoice,
     net: &NetConfig,
 ) -> io::Result<usize> {
     net.validate()?;
     // The PE's compute state lives across tasks *and* reconnects.
-    let mut pe = PeExecutor::new(db, scoring, kernel);
+    let mut pe = PeExecutor::new(scoring);
     let digest = Identity::of(db, scoring).digest;
     let mut total = 0usize;
     let mut retries_left = net.reconnect_max_retries;
     let mut backoff = net.reconnect_backoff_initial;
     loop {
-        match slave_session(&addr, name, static_gcups, digest, &mut pe, net) {
+        match slave_session(&addr, name, static_gcups, digest, db, &mut pe, net) {
             Ok(SessionEnd::Done(n)) => return Ok(total + n),
             Ok(SessionEnd::Lost(n)) => {
                 total += n;
@@ -127,6 +125,7 @@ fn slave_session(
     name: &str,
     static_gcups: f64,
     digest: u64,
+    db: &DbSnapshot,
     pe: &mut PeExecutor<'_>,
     net: &NetConfig,
 ) -> io::Result<SessionEnd> {
@@ -154,7 +153,7 @@ fn slave_session(
     let stop = WaitHub::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| heartbeat(&writer, &stop, net.heartbeat_interval));
-        let outcome = slave_work_loop(&mut reader, &writer, pe);
+        let outcome = slave_work_loop(&mut reader, &writer, db, pe);
         *stop.lock() = true;
         stop.notify_all();
         outcome
@@ -164,6 +163,7 @@ fn slave_session(
 fn slave_work_loop(
     reader: &mut LineReader<TcpStream>,
     writer: &Mutex<TcpStream>,
+    db: &DbSnapshot,
     pe: &mut PeExecutor<'_>,
 ) -> io::Result<SessionEnd> {
     let send_msg = |msg: &SlaveMsg| send(&mut *writer.lock().expect("slave writer poisoned"), msg);
@@ -190,7 +190,7 @@ fn slave_work_loop(
             if send_msg(&SlaveMsg::Started { task }).is_err() {
                 return Ok(SessionEnd::Lost(executed));
             }
-            let result = pe.scan(&desc)?;
+            let result = pe.scan(db, &desc)?;
             if send_msg(&SlaveMsg::Finished { task, result }).is_err() {
                 return Ok(SessionEnd::Lost(executed));
             }

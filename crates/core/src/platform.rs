@@ -30,9 +30,7 @@ use swhybrid_seq::synth::QuerySetSpec;
 pub struct SimOutcome {
     /// A short human-readable description, e.g. `"4 GPUs + 4 SSEs"`.
     pub platform: String,
-    /// PE names, in id order.
-    pub pe_names: Vec<String>,
-    /// The simulation report.
+    /// The simulation report (PE ids are the order PEs were added in).
     pub report: SimReport,
 }
 
@@ -184,21 +182,9 @@ impl PlatformBuilder {
 
     /// Run the workload to completion under virtual time.
     pub fn run(self, workload: Vec<TaskSpec>) -> SimOutcome {
-        let platform = self.describe();
-        let pe_names: Vec<String> = self.pes.iter().map(|p| p.device.name.clone()).collect();
-        // Late joiners must be listed last for the simulator; preserve the
-        // user's order otherwise.
-        let mut pes = self.pes;
-        pes.sort_by(|a, b| {
-            let ka = a.join_at > 0.0;
-            let kb = b.join_at > 0.0;
-            ka.cmp(&kb)
-        });
-        let report = Simulator::new(pes, workload, self.config).run();
         SimOutcome {
-            platform,
-            pe_names,
-            report,
+            platform: self.describe(),
+            report: Simulator::new(self.pes, workload, self.config).run(),
         }
     }
 }
@@ -269,7 +255,26 @@ mod tests {
         // One GTX 580 over the full SwissProt workload: hundreds of seconds.
         assert!(out.seconds() > 300.0, "{}", out.seconds());
         assert!(out.gcups() > 10.0, "{}", out.gcups());
-        assert_eq!(out.pe_names, vec!["gpu0"]);
+        assert_eq!(out.report.per_pe[0].name, "gpu0");
+    }
+
+    #[test]
+    fn a_late_joiner_listed_first_keeps_its_id_and_name() {
+        // PE ids are list positions, late joiners included: row 0 of the
+        // report (and of a Gantt drawn from it) is the GPU, which runs
+        // nothing before it joins.
+        let w = PlatformBuilder::workload(&swissprot(), &QuerySetSpec::paper(), 0);
+        let out = PlatformBuilder::new()
+            .add(DeviceKind::Gpu, 1)
+            .add(DeviceKind::SseCore, 1)
+            .membership(0, 100.0, None)
+            .run(w);
+        let names: Vec<&str> = out.report.per_pe.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["gpu0", "sse0"]);
+        assert_eq!(out.report.per_pe[0].kind, DeviceKind::Gpu);
+        let on = |pe| out.report.trace.segments.iter().filter(move |s| s.pe == pe);
+        assert!(on(0).count() > 0 && on(0).all(|s| s.start >= 100.0));
+        assert!(on(1).any(|s| s.start < 100.0));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! `KernelStats`, PSS progress notifications, replication/steal, and
 //! liveness-driven requeue.
 //!
-//! Beside the one drive loop sits the one compute step, [`scan_shard`]:
-//! what every PE — daemon worker, slave, local-fleet thread — does with a
-//! task.
+//! Beside the one drive loop sits the one compute step,
+//! [`PeExecutor::scan`]: what every PE — daemon worker, slave, local-fleet
+//! thread — does with a task's payload.
 //!
 //! What a runtime still chooses is what happens to a finished task's
 //! result: that is the [`PoolOwner`] — batch runs collect hits per task
@@ -70,8 +70,9 @@ pub struct QueryResult {
 #[derive(Debug, Clone, Default)]
 pub struct TaskResult {
     /// Observed speed of the completion. `None` means the scan was skipped
-    /// or cancelled and carries no speed information — it must *not* enter
-    /// the Ω-window mean (reporting `0.0` would poison PSS).
+    /// (its owner no longer tracks the task) and carries no speed
+    /// information — it must *not* enter the Ω-window mean (reporting `0.0`
+    /// would poison PSS).
     pub gcups: Option<f64>,
     /// One entry per payload query, in payload order (the first
     /// finisher's entries win).
@@ -89,68 +90,41 @@ impl TaskResult {
     }
 }
 
-/// THE compute step of every PE: score every `(prepared query, top_n)`
-/// entry of `batch` against the `plan.range` shard of `db` in one pass of
-/// `executor` (which owns the PE's kernel scratch and lives as long as
-/// the PE). The result holds per-query hits (ids from `db`, indices
-/// global) and [`KernelStats`], positionally paired with `batch`, and the
-/// measured wall-clock GCUPS (for a modeled PE, [`PePool::task_finished`]
-/// replaces it with the device model's figure).
-pub fn scan_shard(
-    executor: &mut ShardExecutor,
-    batch: &[(Arc<PreparedQuery>, usize)],
-    db: &DbSnapshot,
-    plan: &ShardPlan,
-) -> TaskResult {
-    let t0 = Instant::now();
-    let queries: Vec<QueryResult> = executor
-        .execute(batch, db.arena(), plan)
-        .into_iter()
-        .map(|out| QueryResult {
-            hits: materialize_hits(&out.scored, |i| db.id(i).to_string()),
-            kernels: out.stats,
-        })
-        .collect();
-    let cells = queries.iter().map(|q| q.kernels.cells_computed).sum();
-    TaskResult {
-        gcups: Some(observed_gcups(cells, t0.elapsed().as_secs_f64())),
-        queries,
-    }
-}
-
-/// The compute state of a PE that holds one database for its lifetime (a
-/// slave, a local-fleet thread): the database, the scoring and the PE's
-/// [`ShardExecutor`]. Every task runs through [`scan_shard`] on profiles
-/// built for the task and dropped with it (a profile costs microseconds
-/// against a scan's milliseconds).
+/// THE compute state of every PE — daemon worker, slave, local-fleet
+/// thread: the scoring and the PE's [`ShardExecutor`] (its kernel scratch,
+/// warm for the PE's lifetime). Every task runs through
+/// [`PeExecutor::scan`] on profiles built for the task and dropped with it
+/// (a profile costs microseconds against a scan's milliseconds).
 pub struct PeExecutor<'a> {
-    db: &'a DbSnapshot,
     scoring: &'a Scoring,
-    kernel: KernelChoice,
     shards: ShardExecutor,
 }
 
 impl<'a> PeExecutor<'a> {
-    /// A PE over `db`, dispatching chunks per `kernel`.
-    pub fn new(db: &'a DbSnapshot, scoring: &'a Scoring, kernel: KernelChoice) -> Self {
+    /// A PE scoring under `scoring`.
+    pub fn new(scoring: &'a Scoring) -> Self {
         PeExecutor {
-            db,
             scoring,
-            kernel,
             shards: ShardExecutor::new(),
         }
     }
 
-    /// Run one task: every payload query against the payload's shard. A
-    /// shard outside the database is [`io::ErrorKind::InvalidData`].
-    pub fn scan(&mut self, task: &TaskPayload) -> io::Result<TaskResult> {
+    /// THE compute step: every payload query against the payload's shard
+    /// of `db`, in one pass at [`chunk_floor`] with `Auto` dispatch (the
+    /// floor keeps it able to fill the inter-sequence lanes). The result
+    /// holds per-query hits (ids from `db`, indices global) and
+    /// [`KernelStats`], positionally paired with the payload, and the
+    /// measured wall-clock GCUPS (for a modeled PE,
+    /// [`PePool::task_finished`] replaces it with the device model's
+    /// figure). A shard outside `db` is [`io::ErrorKind::InvalidData`].
+    pub fn scan(&mut self, db: &DbSnapshot, task: &TaskPayload) -> io::Result<TaskResult> {
         let (start, end) = task.shard;
-        if start > end || end > self.db.len() {
+        if start > end || end > db.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
                     "shard {start}..{end} exceeds the database ({} subjects)",
-                    self.db.len()
+                    db.len()
                 ),
             ));
         }
@@ -162,15 +136,27 @@ impl<'a> PeExecutor<'a> {
                 (Arc::new(prepared), q.top_n)
             })
             .collect();
+        let t0 = Instant::now();
         let plan = ShardPlan {
             range: start..end,
-            // The floor keeps Auto dispatch able to fill the
-            // inter-sequence lanes.
             chunk_size: chunk_floor(),
-            kernel: self.kernel,
+            kernel: KernelChoice::Auto,
             prefetch: true,
         };
-        Ok(scan_shard(&mut self.shards, &batch, self.db, &plan))
+        let queries: Vec<QueryResult> = self
+            .shards
+            .execute(&batch, db.arena(), &plan)
+            .into_iter()
+            .map(|out| QueryResult {
+                hits: materialize_hits(&out.scored, |i| db.id(i).to_string()),
+                kernels: out.stats,
+            })
+            .collect();
+        let cells = queries.iter().map(|q| q.kernels.cells_computed).sum();
+        Ok(TaskResult {
+            gcups: Some(observed_gcups(cells, t0.elapsed().as_secs_f64())),
+            queries,
+        })
     }
 }
 
@@ -277,9 +263,10 @@ pub trait PoolOwner: Send {
         now: f64,
     ) -> Option<Deferred>;
 
-    /// What `task` asks of a PE: its queries, shard and depth. `None` when
-    /// the task is no longer worth running (every query of it cancelled, or
-    /// its database generation swapped out).
+    /// What `task` asks of a PE that holds the pool's current database (a
+    /// slave, a batch fleet thread): its queries, shard and depth. `None`
+    /// when such a PE cannot run it (the owner no longer tracks it, or it
+    /// scans a database a reload has since replaced).
     fn task_payload(&self, master: &Scheduler, task: TaskId) -> Option<TaskPayload>;
 
     /// The database and scoring a remote PE must prove it holds before it
@@ -882,8 +869,8 @@ mod tests {
         let db = protein_db(&[("a", b"PPPPPPPPPP"), ("b", query), ("c", b"GGGGGGGG")]);
         let sc = scoring();
         let codes = swhybrid_seq::Alphabet::Protein.encode(query).unwrap();
-        let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
-        let result = pe.scan(&whole(&db, codes.clone(), 3)).unwrap();
+        let mut pe = PeExecutor::new(&sc);
+        let result = pe.scan(&db, &whole(&db, codes.clone(), 3)).unwrap();
         let [only] = result.queries.as_slice() else {
             panic!("one entry per payload query");
         };
@@ -895,13 +882,16 @@ mod tests {
         // A shard past the database is a typed error, not a panic.
         for shard in [(0, db.len() + 1), (2, 1)] {
             let err = pe
-                .scan(&task(
-                    vec![QueryPayload {
-                        query: codes.clone(),
-                        top_n: 3,
-                    }],
-                    shard,
-                ))
+                .scan(
+                    &db,
+                    &task(
+                        vec![QueryPayload {
+                            query: codes.clone(),
+                            top_n: 3,
+                        }],
+                        shard,
+                    ),
+                )
                 .unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
@@ -927,19 +917,19 @@ mod tests {
                 top_n,
             })
             .collect();
-        let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
-        let fused = pe.scan(&task(queries.clone(), (0, db.len()))).unwrap();
+        let mut pe = PeExecutor::new(&sc);
+        let fused = pe.scan(&db, &task(queries.clone(), (0, db.len()))).unwrap();
         assert_eq!(fused.queries.len(), 2);
         let mut kernels = KernelStats::default();
         for (q, got) in queries.iter().zip(&fused.queries) {
-            let solo = pe.scan(&whole(&db, q.query.clone(), q.top_n)).unwrap();
+            let solo = pe.scan(&db, &whole(&db, q.query.clone(), q.top_n)).unwrap();
             assert_eq!(solo.queries, std::slice::from_ref(got));
             assert_eq!(got.hits.len(), q.top_n);
             kernels.merge(&got.kernels);
         }
         assert_eq!(fused.kernels(), kernels);
         // A sub-shard reports global database indices.
-        let tail = pe.scan(&task(queries[..1].to_vec(), (2, 4))).unwrap();
+        let tail = pe.scan(&db, &task(queries[..1].to_vec(), (2, 4))).unwrap();
         let tail_hits = &tail.queries[0].hits;
         assert!(tail_hits.iter().all(|h| h.db_index >= 2));
         assert_eq!(tail_hits[0].id, db.id(tail_hits[0].db_index));
@@ -953,7 +943,7 @@ mod tests {
             ("c", b"GGGGGGGGAWCDEF"),
         ]);
         let sc = scoring();
-        let mut pe = PeExecutor::new(&db, &sc, KernelChoice::Auto);
+        let mut pe = PeExecutor::new(&sc);
         // Distinct queries interleaved with repeats, as a daemon ships them
         // (once per shard, again for replicas): a long-lived PE answers
         // each exactly as a fresh one does.
@@ -962,12 +952,9 @@ mod tests {
                 .map(|j| ((i >> j) & 1) as u8 * 3 + (j % 5) as u8)
                 .collect();
             let payload = whole(&db, query, 3);
-            let first = pe.scan(&payload).unwrap().queries;
-            let again = pe.scan(&payload).unwrap().queries;
-            let fresh = PeExecutor::new(&db, &sc, KernelChoice::Auto)
-                .scan(&payload)
-                .unwrap()
-                .queries;
+            let first = pe.scan(&db, &payload).unwrap().queries;
+            let again = pe.scan(&db, &payload).unwrap().queries;
+            let fresh = PeExecutor::new(&sc).scan(&db, &payload).unwrap().queries;
             assert_eq!(first, fresh);
             assert_eq!(again, fresh);
         }

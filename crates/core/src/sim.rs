@@ -188,15 +188,6 @@ impl Simulator {
             config.notify_interval > 0.0,
             "notification interval must be positive"
         );
-        // Late joiners must come last so master PE ids equal sim indices.
-        let mut seen_late = false;
-        for pe in &pes {
-            if pe.join_at > 0.0 {
-                seen_late = true;
-            } else {
-                assert!(!seen_late, "late-joining PEs must be listed last");
-            }
-        }
         Simulator { pes, specs, config }
     }
 

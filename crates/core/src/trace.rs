@@ -60,32 +60,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Segments of one PE, in time order.
-    pub fn pe_segments(&self, pe: PeId) -> Vec<&TraceSegment> {
-        let mut segs: Vec<&TraceSegment> = self.segments.iter().filter(|s| s.pe == pe).collect();
-        segs.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("finite times"));
-        segs
-    }
-
-    /// Busy seconds of one PE (sum of its segment durations).
-    pub fn busy_seconds(&self, pe: PeId) -> f64 {
-        self.segments
-            .iter()
-            .filter(|s| s.pe == pe)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
-
-    /// Seconds spent on replicas that were eventually cancelled — the cost
-    /// side of the workload adjustment mechanism.
-    pub fn cancelled_seconds(&self) -> f64 {
-        self.segments
-            .iter()
-            .filter(|s| s.end_kind == SegmentEnd::Cancelled)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
-
     /// Notification series of one PE as `(time, gcups)` pairs (Figs. 7/8).
     pub fn pe_notifications(&self, pe: PeId) -> Vec<(f64, f64)> {
         self.notifications
@@ -403,22 +377,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn busy_and_cancelled_seconds() {
-        let t = trace();
-        assert!((t.busy_seconds(0) - 2.5).abs() < 1e-12);
-        assert!((t.busy_seconds(1) - 6.0).abs() < 1e-12);
-        assert!((t.cancelled_seconds() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pe_segments_sorted_by_start() {
-        let t = trace();
-        let segs = t.pe_segments(0);
-        assert_eq!(segs.len(), 2);
-        assert!(segs[0].start <= segs[1].start);
     }
 
     #[test]

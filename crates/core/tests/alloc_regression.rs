@@ -16,7 +16,6 @@ use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_core::pool::{PeExecutor, QueryPayload, TaskPayload};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbSnapshot};
-use swhybrid_simd::search::KernelChoice;
 
 struct CountingAlloc;
 
@@ -93,13 +92,13 @@ fn later_batch_tasks_allocate_less_than_the_database_holds() {
         })
         .collect();
 
-    let mut pe = PeExecutor::new(&db, &scoring, KernelChoice::Auto);
+    let mut pe = PeExecutor::new(&scoring);
     // The first task sizes the PE's scratch high-water.
-    let first = bytes_allocated_during(|| pe.scan(&tasks[0]).unwrap());
+    let first = bytes_allocated_during(|| pe.scan(&db, &tasks[0]).unwrap());
     assert!(first > 0);
     for (task, payload) in tasks.iter().enumerate().skip(1) {
         let bytes = bytes_allocated_during(|| {
-            let result = pe.scan(payload).unwrap();
+            let result = pe.scan(&db, payload).unwrap();
             assert_eq!(result.queries[0].hits.len(), 10);
             result
         });

@@ -56,8 +56,8 @@
 //! This file holds the configuration, the reply/job data model, and
 //! service construction; each operational concern lives in a submodule:
 //! `admit` (submission, cache fast path, status, cancellation), `fusion`
-//! (queue pumping and fused-group scheduling), `execution` (the local PE
-//! path driving the shared shard executor plus shard-result accounting),
+//! (queue pumping and fused-group scheduling), `execution` (the one task
+//! payload builder every PE scans from, plus shard-result accounting),
 //! `reload` (hot database swaps, drain, shutdown), and `stats` (the
 //! `stats` reply body).
 
@@ -77,14 +77,13 @@ use std::sync::{Arc, Mutex};
 use swhybrid_align::scoring::Scoring;
 use swhybrid_core::net::{serve_slaves, Acceptor, NetConfig};
 use swhybrid_core::policy::Policy;
-use swhybrid_core::pool::{drive, Identity, LocalEndpoint, PePool};
+use swhybrid_core::pool::{drive, Identity, LocalEndpoint, PeExecutor, PePool, TaskResult};
 use swhybrid_core::sched::{MasterConfig, Scheduler};
 use swhybrid_core::task::{PeId, TaskId};
 use swhybrid_device::{FleetPe, FleetSpec};
 use swhybrid_seq::DbSnapshot;
-use swhybrid_simd::engine::{KernelStats, PreparedQuery};
-use swhybrid_simd::search::{Hit, KernelChoice};
-use swhybrid_simd::ShardExecutor;
+use swhybrid_simd::engine::KernelStats;
+use swhybrid_simd::search::Hit;
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{CacheKey, ResultCache};
@@ -111,15 +110,6 @@ pub struct ServiceConfig {
     pub per_client_inflight: usize,
     /// Result cache capacity (entries); 0 disables caching.
     pub cache_capacity: usize,
-    /// Subjects claimed per cursor step inside a shard scan. `0` means the
-    /// validated default ([`swhybrid_simd::chunk_floor`]); any explicit
-    /// value is checked against that floor by
-    /// [`swhybrid_simd::chunk_size`] — undersized chunks silently degrade
-    /// every `Auto` scan to the striped kernel, so they are rejected
-    /// rather than normalised.
-    pub chunk_size: usize,
-    /// Chunk dispatch: striped, inter-sequence, or adaptive.
-    pub kernel: KernelChoice,
     /// Task allocation policy (must be dynamic: SS or PSS).
     pub policy: Policy,
     /// Whether the workload adjustment mechanism is active.
@@ -153,8 +143,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             per_client_inflight: 4,
             cache_capacity: 128,
-            chunk_size: swhybrid_simd::chunk_floor(),
-            kernel: KernelChoice::Auto,
             policy: Policy::pss_default(),
             adjustment: true,
             fusion: 4,
@@ -180,18 +168,19 @@ pub struct SearchReply {
     /// spanning a hot reload can tell old-snapshot replies from
     /// new-snapshot ones by this number.
     pub generation: u64,
-    /// Kernel cells actually computed for this reply. Counts only cells
-    /// the daemon's own workers scanned — shards completed by remote
-    /// slaves burned their cells elsewhere.
+    /// Kernel cells computed for this reply: the sum over its winning
+    /// shard scans, local or remote (a slave reports each query's cells
+    /// with its result). Zero for a cache hit, and for a cancellation,
+    /// which replies at once; the shards of a cancelled running job still
+    /// scan, and count only in the daemon's `stats` counters.
     pub cells: u64,
     /// Admission-to-reply latency.
     pub elapsed_ms: f64,
-    /// Per-query kernel counters, merged across this query's winning
-    /// shard scans (local or remote — slaves report theirs over the
-    /// wire). Zero for cache hits and cancellations: no kernel ran for
-    /// this reply. Because every transport drives the same shard
-    /// executor, these counters are identical to the one-shot scan's for
-    /// the same query, database, and shard decomposition.
+    /// Per-query kernel counters, merged across the same winning shard
+    /// scans as `cells` (zero where it is). Because every PE runs the
+    /// same compute call on the same payload, these counters are
+    /// identical to the one-shot scan's for the same query, database, and
+    /// shard decomposition.
     pub kernels: KernelStats,
     /// The ranked hits (global database indices).
     pub hits: Vec<Hit>,
@@ -256,11 +245,8 @@ enum Phase {
 struct Job {
     client: u64,
     tag: Option<String>,
-    /// The raw encoded query, shipped to remote slaves as the task payload.
+    /// The raw encoded query, shipped in every payload of the job's tasks.
     codes: Vec<u8>,
-    /// The query's profiles, built once at submission and shared by every
-    /// shard scan of the job.
-    prepared: Arc<PreparedQuery>,
     /// The database snapshot this job scans (survives a concurrent
     /// [`QueryService::swap_snapshot`]): ids plus the database-order
     /// arena, so shard scan positions are global database indices.
@@ -336,7 +322,6 @@ struct ServeOwner {
 
 struct Inner {
     pool: PePool<ServeOwner>,
-    cfg: ServiceConfig,
     scoring: Scoring,
     scoring_digest: u64,
 }
@@ -375,14 +360,6 @@ impl QueryService {
             cfg.shards = cfg.workers;
         }
         cfg.max_active = cfg.max_active.max(1);
-        // The one chunk-size decision for every scan path lives in
-        // `simd::exec`: 0 means the default, anything else must clear the
-        // floor (the PR 5 silent-degradation bug class).
-        cfg.chunk_size = swhybrid_simd::chunk_size(match cfg.chunk_size {
-            0 => None,
-            c => Some(c),
-        })
-        .expect("invalid ServiceConfig::chunk_size");
         cfg.fusion = cfg.fusion.max(1);
         assert!(
             !cfg.policy.is_static(),
@@ -410,8 +387,8 @@ impl QueryService {
 
         let identity = Identity::of(&db, &scoring);
         let db = Arc::new(db);
+        let worker_count = cfg.workers;
         let owner = ServeOwner {
-            cfg: cfg.clone(),
             jobs: HashMap::new(),
             next_job_id: 0,
             finished: HashMap::new(),
@@ -426,19 +403,19 @@ impl QueryService {
             active_jobs: 0,
             active_groups: 0,
             draining: false,
+            cfg,
         };
-        let pool = PePool::new(master, owner, cfg.workers);
+        let pool = PePool::new(master, owner, worker_count);
         let inner = Arc::new(Inner {
             pool,
             scoring_digest: scoring.digest(),
             scoring,
-            cfg,
         });
         // The worker roster: a hybrid fleet when configured (a modeled
         // kind has its device model's speed attributed by the pool), else
         // the historical homogeneous SIMD pool.
         let members = fleet_pes.unwrap_or_else(|| {
-            (0..inner.cfg.workers)
+            (0..worker_count)
                 .map(|w| FleetPe::simd(format!("serve{w}"), 1.0))
                 .collect()
         });
@@ -455,13 +432,19 @@ impl QueryService {
                 std::thread::Builder::new()
                     .name(format!("serve-pe{pe}"))
                     .spawn(move || {
-                        // One ShardExecutor (and so one KernelScratch) per
-                        // PE thread, living for the daemon's lifetime:
-                        // every shard this worker scans reuses the same
-                        // warm, high-water-sized buffers.
-                        let mut executor = ShardExecutor::new();
+                        // One executor (and so one KernelScratch) per PE
+                        // thread, living for the daemon's lifetime: every
+                        // shard this worker scans reuses the same warm,
+                        // high-water-sized buffers. It scans the payload a
+                        // slave would be shipped, on the job's own snapshot.
+                        let mut executor = PeExecutor::new(&inner.scoring);
                         let mut endpoint = LocalEndpoint::new(|task| {
-                            execution::execute_task(&inner, task, &mut executor)
+                            let work = inner.pool.lock().owner.payload(task);
+                            work.map_or_else(TaskResult::default, |(payload, db)| {
+                                executor
+                                    .scan(&db, &payload)
+                                    .expect("a shard fits its snapshot")
+                            })
                         });
                         drive(&inner.pool, pe, &mut endpoint);
                     })

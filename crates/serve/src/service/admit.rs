@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use swhybrid_seq::digest::query_digest;
-use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
+use swhybrid_simd::engine::KernelStats;
 
 use super::fusion::pump;
 use super::{
@@ -54,58 +54,6 @@ impl QueryService {
         let pool = &inner.pool;
         let top_n = top_n.max(1);
         let qdigest = query_digest(&codes);
-
-        // Fast path: serve from cache without building profiles.
-        {
-            let mut g = pool.lock();
-            let o = &mut g.owner;
-            if o.draining {
-                o.metrics.rejected_draining += 1;
-                return Err(SubmitError::Draining);
-            }
-            let key = CacheKey {
-                query_digest: qdigest,
-                db_generation: o.db_generation,
-                db_digest: o.db.digest(),
-                scoring_digest: inner.scoring_digest,
-                top_n,
-            };
-            if let Some(hits) = o.cache.get(&key, &codes) {
-                let now = pool.now();
-                let job_id = o.next_job_id;
-                o.next_job_id += 1;
-                let generation = o.db_generation;
-                let record = Finished {
-                    cancelled: false,
-                    cached: true,
-                };
-                retire(o, job_id, record, now);
-                o.metrics.completed += 1;
-                o.metrics.served_from_cache += 1;
-                let elapsed_ms = (pool.now() - now) * 1000.0;
-                o.metrics.latency.observe(elapsed_ms);
-                drop(g);
-                completion(SearchReply {
-                    job: job_id,
-                    tag,
-                    cached: true,
-                    cancelled: false,
-                    generation,
-                    cells: 0,
-                    elapsed_ms,
-                    kernels: KernelStats::default(),
-                    hits,
-                });
-                return Ok(job_id);
-            }
-        }
-
-        // Cold path: build the query's profiles off the lock, then admit.
-        let prepared = Arc::new(PreparedQuery::new(
-            &codes,
-            &inner.scoring,
-            EnginePreference::Auto,
-        ));
         let mut g = pool.lock();
         let core = &mut *g;
         let o = &mut core.owner;
@@ -115,6 +63,43 @@ impl QueryService {
         }
         let now = pool.now();
         let job_id = o.next_job_id;
+        let key = CacheKey {
+            query_digest: qdigest,
+            db_generation: o.db_generation,
+            db_digest: o.db.digest(),
+            scoring_digest: inner.scoring_digest,
+            top_n,
+        };
+
+        // Fast path: serve from cache.
+        if let Some(hits) = o.cache.get(&key, &codes) {
+            o.next_job_id += 1;
+            let generation = o.db_generation;
+            let record = Finished {
+                cancelled: false,
+                cached: true,
+            };
+            retire(o, job_id, record, now);
+            o.metrics.completed += 1;
+            o.metrics.served_from_cache += 1;
+            let elapsed_ms = (pool.now() - now) * 1000.0;
+            o.metrics.latency.observe(elapsed_ms);
+            drop(g);
+            completion(SearchReply {
+                job: job_id,
+                tag,
+                cached: true,
+                cancelled: false,
+                generation,
+                cells: 0,
+                elapsed_ms,
+                kernels: KernelStats::default(),
+                hits,
+            });
+            return Ok(job_id);
+        }
+
+        // Cold path: admit. Each shard task builds the profiles it scans.
         let deadline = deadline_ms
             .map(|ms| now + ms as f64 / 1000.0)
             .unwrap_or(f64::INFINITY);
@@ -127,13 +112,6 @@ impl QueryService {
             return Err(e);
         }
         o.next_job_id += 1;
-        let key = CacheKey {
-            query_digest: qdigest,
-            db_generation: o.db_generation,
-            db_digest: o.db.digest(),
-            scoring_digest: inner.scoring_digest,
-            top_n,
-        };
         let db = Arc::clone(&o.db);
         let generation = o.db_generation;
         o.jobs.insert(
@@ -142,7 +120,6 @@ impl QueryService {
                 client,
                 tag,
                 codes,
-                prepared,
                 db,
                 generation,
                 top_n,
@@ -212,9 +189,10 @@ impl QueryService {
     }
 
     /// Cancel a job. Queued jobs are withdrawn before any kernel runs;
-    /// running jobs finish their in-flight shards but their hits are
-    /// discarded and never cached. Either way the submitter's completion
-    /// fires promptly with `cancelled: true`.
+    /// running jobs scan their remaining shards (at most `shards` tasks,
+    /// run like any other so a remote holding one is never dropped) but
+    /// their hits are discarded and never cached. Either way the
+    /// submitter's completion fires promptly with `cancelled: true`.
     pub fn cancel(&self, job: u64) -> CancelOutcome {
         let pool = &self.inner.pool;
         let mut g = pool.lock();

@@ -55,7 +55,7 @@ fn schedule_group(master: &mut Scheduler, o: &mut ServeOwner, group: &[u64]) {
         // A fused task computes every member's matrix against the shard,
         // so its spec charges the batch's summed query length — PSS cell
         // accounting then counts K× cells per task automatically.
-        let qlen: usize = group.iter().map(|id| o.jobs[id].prepared.query_len()).sum();
+        let qlen: usize = group.iter().map(|id| o.jobs[id].codes.len()).sum();
         let specs: Vec<TaskSpec> = shards
             .iter()
             .map(|&(s, e)| TaskSpec {

@@ -62,7 +62,7 @@ impl QueryService {
             (
                 "fusion",
                 Json::obj(vec![
-                    ("max", Json::Num(inner.cfg.fusion as f64)),
+                    ("max", Json::Num(o.cfg.fusion as f64)),
                     ("tasks", Json::Num(m.fused_tasks as f64)),
                     ("queries", Json::Num(m.fused_queries as f64)),
                     (
@@ -90,7 +90,6 @@ impl QueryService {
                 ]),
             ),
             ("latency_ms", m.latency.to_json()),
-            ("kernel", Json::str(inner.cfg.kernel.name())),
             ("kernels", kernels_to_json(&m.kernels)),
             (
                 "pes",

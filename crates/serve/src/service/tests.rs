@@ -224,8 +224,7 @@ fn repeat_query_hits_cache_with_zero_cells() {
     let cache = stats.get("cache").unwrap();
     assert_eq!(cache.get("hits").unwrap().as_u64().unwrap(), 1);
     // The kernel counters cover the cold scan's subjects (the warm
-    // query never ran a kernel) and name the configured dispatch.
-    assert_eq!(stats.get("kernel").unwrap().as_str(), Some("auto"));
+    // query never ran a kernel).
     let kernels = stats.get("kernels").unwrap();
     let count = |key: &str| kernels.get(key).unwrap().as_u64().unwrap();
     let resolved = count("striped_i8")
@@ -635,19 +634,62 @@ fn fused_queries_match_cold_scans_and_share_tasks() {
     svc.shutdown();
 }
 
-/// An explicit undersized chunk must be rejected at construction, not
-/// silently normalised into the PR 5 degradation bug.
+/// A cancel while a job runs leaves its unstarted shard tasks shippable:
+/// a remote that is handed one scans it and its result is discarded,
+/// instead of the session being torn down for a task without a payload.
+/// Only a superseded snapshot makes a task unshippable — and a local
+/// worker still scans it, on the job's own snapshot.
 #[test]
-#[should_panic(expected = "chunk_size")]
-fn undersized_chunk_size_is_rejected() {
-    let db = random_db(95, 5, 30);
-    let _ = QueryService::with_snapshot(
+fn a_cancelled_running_job_still_ships_until_its_snapshot_is_replaced() {
+    let db = random_db(151, 60, 100);
+    let svc = QueryService::with_snapshot(
         snap(&db),
         scoring(),
         ServiceConfig {
             workers: 1,
-            chunk_size: 16,
+            shards: 4,
             ..Default::default()
         },
     );
+    // Completions run on the worker that finished the last shard: parking
+    // the lone worker in one keeps every task of the next job unstarted.
+    let (entered, parked) = std::sync::mpsc::channel();
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let blocker = Box::new(move |_| {
+        entered.send(()).unwrap();
+        // A failed assertion drops `release`, which lets the worker go.
+        let _ = gate.recv();
+    });
+    svc.submit(random_query(153, 40), 5, None, None, 1, blocker)
+        .unwrap();
+    parked.recv().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reply = Box::new(move |r| tx.send(r).unwrap());
+    let job = svc
+        .submit(random_query(157, 60), 5, None, None, 2, reply)
+        .unwrap();
+    assert!(matches!(svc.status(job), JobStatus::Running { .. }));
+    assert_eq!(svc.cancel(job), CancelOutcome::Cancelled);
+    assert!(rx.recv().unwrap().cancelled);
+    let tasks = |o: &ServeOwner| -> Vec<TaskId> {
+        let mut t: Vec<TaskId> = o.task_map.keys().copied().collect();
+        t.sort_unstable();
+        t
+    };
+    let victim = tasks(&svc.inner.pool.lock().owner);
+    assert_eq!(victim.len(), 4);
+    for &t in &victim {
+        let payload = svc.inner.pool.payload(t);
+        let payload = payload.expect("a cancelled job's task still ships");
+        assert_eq!(payload.queries.len(), 1);
+        assert_eq!(payload.queries[0].top_n, 5);
+    }
+    svc.swap_snapshot(snap(&random_db(163, 40, 60)));
+    for &t in &victim {
+        assert_eq!(svc.inner.pool.payload(t), None, "task {t}");
+        let local = svc.inner.pool.lock().owner.payload(t);
+        assert!(local.is_some(), "a local worker still scans task {t}");
+    }
+    release.send(()).unwrap();
+    svc.shutdown();
 }

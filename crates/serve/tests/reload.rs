@@ -22,7 +22,7 @@ use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::service::ServiceConfig;
 use swhybrid_serve::{ServeClient, ServeDaemon};
-use swhybrid_simd::search::{search_db, Hit, KernelChoice, SearchConfig};
+use swhybrid_simd::search::{search_db, Hit, SearchConfig};
 use swhybrid_store::{build_store, Store};
 
 /// The database as every driver holds it.
@@ -314,7 +314,6 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
             1.0,
             &snap(&slave_db),
             &scoring(),
-            KernelChoice::Auto,
             &net,
         )
     });
@@ -378,16 +377,8 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
         ..scoring()
     };
     let net = NetConfig::default();
-    let err = run_slave(
-        slave_addr,
-        "b50",
-        1.0,
-        &snap(&db_b),
-        &blosum50,
-        KernelChoice::Auto,
-        &net,
-    )
-    .expect_err("a slave with another scoring must be refused");
+    let err = run_slave(slave_addr, "b50", 1.0, &snap(&db_b), &blosum50, &net)
+        .expect_err("a slave with another scoring must be refused");
     let message = err.to_string();
     assert!(
         message.contains("database or scoring mismatch")
@@ -408,7 +399,6 @@ fn reload_disconnects_remote_slaves_until_they_hold_the_new_digest() {
             1.0,
             &snap(&slave_db),
             &scoring(),
-            KernelChoice::Auto,
             &net,
         )
     });

@@ -17,7 +17,7 @@ use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::protocol::{request_to_json, Request, SearchRequest};
 use swhybrid_serve::service::ServiceConfig;
 use swhybrid_serve::{ServeClient, ServeDaemon};
-use swhybrid_simd::search::{search_db, Hit, KernelChoice, SearchConfig};
+use swhybrid_simd::search::{search_db, Hit, SearchConfig};
 
 /// The database as every driver holds it.
 fn snap(db: &[EncodedSequence]) -> DbSnapshot {
@@ -570,7 +570,6 @@ fn hybrid_fleet_survives_a_remote_slave_dying_mid_query() {
             1.0,
             &snap(&slave_db),
             &scoring(),
-            KernelChoice::Auto,
             &net,
         )
     });

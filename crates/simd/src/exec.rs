@@ -6,8 +6,8 @@
 //! Two owners drive it:
 //!
 //! * the one-shot `search` scan workers ([`crate::search::search_arena`]),
-//! * the one compute step of every PE (`core::pool::scan_shard`: daemon
-//!   worker threads, slaves, local-fleet threads).
+//! * the one compute step of every PE (`core::pool::PeExecutor::scan`:
+//!   daemon worker threads, slaves, local-fleet threads).
 //!
 //! Each owner builds a [`ShardPlan`] (which arena positions to scan, the
 //! chunk size, the kernel preference, prefetch) and drives a
@@ -19,11 +19,10 @@
 //! across the transports by construction — the tri-path oracle test
 //! pins this.
 //!
-//! Chunk sizing is centralized here too: [`chunk_size`] enforces a floor of
-//! [`chunk_floor`] = 2 × the widest kernel lane count. Below that floor the
-//! `Auto` dispatcher can never fill the inter-sequence lanes, so every chunk
-//! silently degrades to the striped kernel — the exact bug class PR 5 fixed
-//! twice (serve default 16, slave hardcoded 16).
+//! The chunk size every PE scans at is [`chunk_floor`] = 2 × the widest
+//! kernel lane count. Below that floor the `Auto` dispatcher can never fill
+//! the inter-sequence lanes, so every chunk silently degrades to the
+//! striped kernel.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,21 +41,6 @@ use swhybrid_seq::arena::DbArena;
 /// answers to catch it.
 pub const fn chunk_floor() -> usize {
     2 * crate::vec::MAX_LANES
-}
-
-/// The ONE chunk-size decision for every scan path. `None` yields the
-/// default (the floor itself); `Some(c)` validates a caller override
-/// against [`chunk_floor`] and rejects it rather than silently degrading.
-pub fn chunk_size(requested: Option<usize>) -> Result<usize, String> {
-    let floor = chunk_floor();
-    match requested {
-        None => Ok(floor),
-        Some(c) if c >= floor => Ok(c),
-        Some(c) => Err(format!(
-            "chunk size {c} is below the floor {floor} (2 x the widest kernel \
-             lane count): Auto dispatch could never fill the inter-sequence lanes"
-        )),
-    }
 }
 
 /// Everything an owner decides about scanning one shard: the arena slice,
@@ -286,9 +270,10 @@ impl ShardExecutor {
     }
 
     /// Scan one whole shard with this (single) worker: the entry point of
-    /// the long-lived owners — every PE, through `core::pool::scan_shard` —
-    /// that execute one shard task at a time. Drives the chunk
-    /// loop over a private cursor and demuxes into per-query outputs.
+    /// the long-lived owners — every PE, through
+    /// `core::pool::PeExecutor::scan` — that execute one shard task at a
+    /// time. Drives the chunk loop over a private cursor and demuxes into
+    /// per-query outputs.
     pub fn execute(
         &mut self,
         batch: &[(Arc<PreparedQuery>, usize)],
@@ -412,11 +397,5 @@ mod tests {
     #[test]
     fn chunk_floor_is_twice_the_widest_lane_count() {
         assert_eq!(chunk_floor(), 64);
-        assert_eq!(chunk_size(None).unwrap(), 64);
-        assert_eq!(chunk_size(Some(64)).unwrap(), 64);
-        assert_eq!(chunk_size(Some(4096)).unwrap(), 4096);
-        assert!(chunk_size(Some(63)).is_err());
-        assert!(chunk_size(Some(16)).is_err());
-        assert!(chunk_size(Some(0)).is_err());
     }
 }

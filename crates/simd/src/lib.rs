@@ -47,7 +47,7 @@ mod striped;
 pub(crate) mod vec;
 
 pub use engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
-pub use exec::{chunk_floor, chunk_size, materialize_hits, ShardExecutor, ShardPlan};
+pub use exec::{chunk_floor, materialize_hits, ShardExecutor, ShardPlan};
 pub use profile::StripedProfile;
 pub use scratch::KernelScratch;
 pub use search::{search_db, Hit, KernelChoice, SearchConfig};

@@ -4,16 +4,15 @@
 //! without hardware.
 
 use crate::exec::platform::PlatformBuilder;
-use crate::exec::policy::Policy;
 use crate::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 
-use super::args::{fleet_from_opts, kernel_from_opts, policy_from_opts, scoring_from_opts, Opts};
+use super::args::{fleet_from_opts, policy_from_opts, scoring_from_opts, Opts};
 use super::db::{db_file, load_db, load_encoded};
 
 pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
-        &["fleet", "db", "policy", "order", "queries", "omega"],
+        &["fleet", "db", "policy", "order", "queries"],
         &["no-adjustment"],
     )?;
     if !opts.positional.is_empty() {
@@ -30,16 +29,7 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let db = paper_database(opts.get("db").unwrap_or("swissprot"))
         .ok_or_else(|| format!("unknown database {:?}", opts.get("db").unwrap_or("")))?
         .full_scale_stats();
-    let omega: usize = opts.get_parsed("omega", 5)?;
-    let policy = match opts.get("policy").unwrap_or("pss") {
-        "ss" => Policy::SelfScheduling,
-        "pss" => Policy::Pss {
-            omega: omega.max(1),
-        },
-        "fixed" => Policy::Fixed,
-        "wfixed" => Policy::WFixed,
-        other => return Err(format!("unknown policy {other:?}")),
-    };
+    let policy = policy_from_opts(&opts)?;
     let order = match opts.get("order").unwrap_or("asc") {
         "asc" => QueryOrder::Ascending,
         "desc" => QueryOrder::Descending,
@@ -265,7 +255,6 @@ pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
             "gcups",
             "heartbeat",
             "reconnect-retries",
-            "kernel",
             "matrix",
             "gap-open",
             "gap-extend",
@@ -298,16 +287,8 @@ pub(super) fn cmd_slave(args: &[String]) -> Result<(), String> {
     };
     let db = load_db(DbFile::Fasta(dbpath), &scoring)?;
     println!("{name}: connecting to {connect}");
-    let executed = run_slave(
-        connect,
-        &name,
-        gcups,
-        &db,
-        &scoring,
-        kernel_from_opts(&opts)?,
-        &net,
-    )
-    .map_err(|e| e.to_string())?;
+    let executed =
+        run_slave(connect, &name, gcups, &db, &scoring, &net).map_err(|e| e.to_string())?;
     println!("{name}: done, executed {executed} task(s)");
     Ok(())
 }

@@ -97,7 +97,6 @@ USAGE:
                  [--queue-depth N] [--client-inflight N] [--cache N]
                  [--retain N] [--policy ss|pss] [--no-adjustment]
                  [--matrix ...] [--gap-open N] [--gap-extend N]
-                 [--kernel striped|interseq|auto] [--chunk N]
       Start the persistent query daemon: the database stays resident and
       the master/slave scheduler stays warm between queries. Speaks
       newline-delimited JSON (verbs: search, status, cancel, stats,
@@ -107,9 +106,7 @@ USAGE:
       Queries that queue behind a running group are fused — up to
       --fusion of them share each database pass (1 disables fusion);
       results stay byte-identical to per-query scans. --retain bounds how
-      many finished jobs keep answering status before eviction. --chunk
-      overrides the scan chunk size (subjects per claimed unit; rejected
-      below the kernel floor).
+      many finished jobs keep answering status before eviction.
       --listen-slaves additionally accepts remote slave processes
       (`swhybrid slave`) on a second port: they join the same
       scheduling pool as the local workers, take database shards, and may
@@ -139,7 +136,6 @@ USAGE:
 
   swhybrid slave <db.fasta> --connect HOST:PORT [--name NAME] [--gcups X]
                  [--matrix ...] [--gap-open N] [--gap-extend N]
-                 [--kernel striped|interseq|auto]
                  [--heartbeat SECS] [--reconnect-retries N]
       Join a master (`swhybrid master --listen`) or a daemon's slave port
       (`swhybrid serve --listen-slaves`) as a PE. Only the database is

@@ -2,9 +2,8 @@
 //! or a `.swdb` store), `query` (client: search / stats / shutdown), and
 //! `reload` (client: atomic hot-swap onto a new database).
 
-use super::args::{kernel_from_opts, scoring_from_opts, Opts};
+use super::args::{fleet_from_opts, policy_from_opts, scoring_from_opts, Opts};
 use super::db::{db_file, load_db};
-use crate::exec::policy::Policy;
 use crate::json::Json;
 use crate::seq::fasta::FastaReader;
 
@@ -22,12 +21,10 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
             "queue-depth",
             "client-inflight",
             "cache",
-            "chunk",
             "policy",
             "matrix",
             "gap-open",
             "gap-extend",
-            "kernel",
             "fusion",
             "retain",
             "db-store",
@@ -36,16 +33,6 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
         &["no-adjustment", "verify-store"],
     )?;
     let scoring = scoring_from_opts(&opts)?;
-    // The chunk floor is a service-boot panic (`ServiceConfig` is validated
-    // in `with_snapshot`); reject it here first so the CLI reports a clean
-    // error instead of a panic trace. 0 asks for the validated default.
-    if let Some(c) = opts.get("chunk") {
-        let c: usize = c
-            .parse()
-            .map_err(|_| format!("--chunk: cannot parse {c:?}"))?;
-        crate::simd::chunk_size(if c == 0 { None } else { Some(c) })
-            .map_err(|e| format!("--chunk: {e}"))?;
-    }
     // The daemon boots either from FASTA (parse + encode + digest on every
     // start) or from a `.swdb` store (memory-mapped arena, stored digest —
     // no O(db) re-hash unless --verify-store asks for it).
@@ -53,16 +40,14 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
     let dbpath = file.path();
     let snapshot = load_db(file, &scoring)?;
     let listen = opts.get("listen").unwrap_or("127.0.0.1:7979");
-    let policy = match opts.get("policy").unwrap_or("pss") {
-        "ss" => Policy::SelfScheduling,
-        "pss" => Policy::pss_default(),
-        other => {
-            return Err(format!(
-                "serve needs a dynamic policy (ss|pss), got {other:?}"
-            ))
-        }
-    };
-    let fleet = super::args::fleet_from_opts(&opts)?;
+    let policy = policy_from_opts(&opts)?;
+    if policy.is_static() {
+        return Err(format!(
+            "serve needs a dynamic policy (ss|pss), got {:?}",
+            opts.get("policy").unwrap_or_default()
+        ));
+    }
+    let fleet = fleet_from_opts(&opts)?;
     if fleet.is_some() && opts.get("workers").is_some() {
         return Err("--fleet replaces --workers (one PE thread per fleet member)".into());
     }
@@ -75,10 +60,8 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
         queue_depth: opts.get_parsed("queue-depth", default.queue_depth)?,
         per_client_inflight: opts.get_parsed("client-inflight", default.per_client_inflight)?,
         cache_capacity: opts.get_parsed("cache", default.cache_capacity)?,
-        chunk_size: opts.get_parsed("chunk", default.chunk_size)?,
         policy,
         adjustment: !opts.has("no-adjustment"),
-        kernel: kernel_from_opts(&opts)?,
         fusion: opts.get_parsed("fusion", default.fusion)?,
         retained_jobs: opts.get_parsed("retain", default.retained_jobs)?,
         ..default

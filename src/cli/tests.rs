@@ -91,18 +91,18 @@ fn simulate_smoke_small() {
 }
 
 #[test]
-fn serve_rejects_undersized_chunk_cleanly() {
-    // The chunk floor surfaces as a CLI error (not a service panic),
-    // before the daemon even loads a database.
-    let err = run(&s(&[
-        "serve",
-        "--db-store",
-        "nonexistent.swdb",
-        "--chunk",
-        "16",
-    ]))
-    .unwrap_err();
-    assert!(err.contains("--chunk"), "error names the flag: {err}");
+fn retired_scan_knobs_are_unknown_flags() {
+    // Every PE scans at the one chunk size with adaptive dispatch, and
+    // `simulate` takes Ω from its policy: the knobs are refused as flags.
+    for args in [
+        &["serve", "--chunk", "64"],
+        &["serve", "--kernel", "auto"],
+        &["slave", "--kernel", "auto"],
+        &["simulate", "--omega", "5"],
+    ] {
+        let err = run(&s(args)).unwrap_err();
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+    }
 }
 
 #[test]

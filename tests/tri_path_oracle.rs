@@ -25,7 +25,7 @@ use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
 use swhybrid::serve::{QueryService, ServiceConfig};
-use swhybrid::simd::search::{search_db, Hit, KernelChoice, SearchConfig};
+use swhybrid::simd::search::{search_db, Hit, SearchConfig};
 use swhybrid::simd::KernelStats;
 use swhybrid::store::{build_store, Store};
 
@@ -242,16 +242,7 @@ fn tcp_run(queries: &[EncodedSequence], db: &DbSnapshot) -> (DistributedOutcome,
     let addr = server.local_addr().expect("local addr");
     std::thread::scope(|scope| {
         let slave = scope.spawn(|| {
-            run_slave(
-                addr,
-                "oracle-slave",
-                1.0,
-                db,
-                &scoring,
-                KernelChoice::Auto,
-                &net,
-            )
-            .expect("slave runs clean")
+            run_slave(addr, "oracle-slave", 1.0, db, &scoring, &net).expect("slave runs clean")
         });
         let outcome = server
             .serve(Batch {
