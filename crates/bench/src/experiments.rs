@@ -5,9 +5,10 @@
 //! assert the headline shapes on the same code.
 
 use crate::{databases, fmt_cell, fmt_gcups, fmt_secs, run_config, workload, Config, Table};
-use swhybrid_core::platform::PlatformBuilder;
+use swhybrid_core::platform::{PlatformBuilder, SimOutcome};
 use swhybrid_core::policy::Policy;
 use swhybrid_core::sim::SimPe;
+use swhybrid_core::trace::Trace;
 use swhybrid_device::load::LoadSchedule;
 use swhybrid_device::perfmodel::PerfModel;
 use swhybrid_device::task::{Device, DeviceKind, TaskSpec};
@@ -200,11 +201,11 @@ pub fn fig5() -> (Table, String) {
         ("with adjustment", true, 14.0),
         ("without adjustment", false, 18.0),
     ] {
-        let out = fig5_platform(adj).run(fig5_workload());
+        let (out, trace) = fig5_platform(adj).run_traced(fig5_workload());
         t.row(label, vec![fmt_secs(out.seconds()), fmt_secs(paper)]);
         gantts.push_str(&format!("--- {label} ---\n"));
         let names: Vec<String> = out.report.per_pe.iter().map(|p| p.name.clone()).collect();
-        gantts.push_str(&out.report.trace.render_gantt(&names, 72));
+        gantts.push_str(&trace.render_gantt(&names, 72));
         gantts.push('\n');
     }
     (t, gantts)
@@ -265,25 +266,37 @@ pub fn fig6() -> Table {
     t
 }
 
-/// Shared platform for Figs. 7/8: 4 SSE cores on the Ensembl Dog workload.
-fn fig78_run(load_on_core0: Option<LoadSchedule>) -> swhybrid_core::platform::SimOutcome {
+/// The number of SSE cores in the Figs. 7/8 platform.
+const FIG78_CORES: usize = 4;
+
+/// Shared platform for Figs. 7/8: 4 SSE cores on the Ensembl Dog workload,
+/// traced for its notification series.
+fn fig78_run(load_on_core0: Option<LoadSchedule>) -> (SimOutcome, Trace) {
     let dog = databases().into_iter().next().expect("five databases");
     let mut b = PlatformBuilder::new()
-        .add(DeviceKind::SseCore, 4)
+        .add(DeviceKind::SseCore, FIG78_CORES)
         .policy(Policy::pss_default())
         .adjustment(true)
         .notify_interval(5.0);
     if let Some(load) = load_on_core0 {
         b = b.load_on(0, load);
     }
-    b.run(workload(&dog, ORDER))
+    b.run_traced(workload(&dog, ORDER))
+}
+
+/// Each core's `(time, gcups)` notification series, in core order.
+fn fig78_series(trace: &Trace) -> Vec<Vec<(f64, f64)>> {
+    (0..FIG78_CORES)
+        .map(|core| trace.pe_notifications(core))
+        .collect()
 }
 
 /// Figs. 7 & 8 — per-core GCUPS series, dedicated vs. local load on core 0
 /// after 60 s. Returns `(series table, summary table)`.
 pub fn fig7_fig8() -> (Table, Table) {
-    let dedicated = fig78_run(None);
-    let loaded = fig78_run(Some(LoadSchedule::step_at(60.0, 0.45)));
+    let (dedicated, dedicated_trace) = fig78_run(None);
+    let (loaded, loaded_trace) = fig78_run(Some(LoadSchedule::step_at(60.0, 0.45)));
+    let runs = [fig78_series(&dedicated_trace), fig78_series(&loaded_trace)];
 
     let mut series = Table::new(
         "fig7_fig8_series",
@@ -303,13 +316,10 @@ pub fn fig7_fig8() -> (Table, Table) {
     let horizon = dedicated.seconds().max(loaded.seconds());
     let mut t = 5.0;
     while t <= horizon {
-        let mut row = Vec::with_capacity(8);
-        for out in [&dedicated, &loaded] {
-            for core in 0..4 {
-                let v = out
-                    .report
-                    .trace
-                    .pe_notifications(core)
+        let mut row = Vec::with_capacity(2 * FIG78_CORES);
+        for run in &runs {
+            for core in run {
+                let v = core
                     .iter()
                     .filter(|&&(time, _)| (time - t).abs() < 2.5)
                     .map(|&(_, g)| g)
@@ -777,9 +787,9 @@ mod tests {
         );
         let speedup = t1.seconds() / t8.seconds();
         assert!((6.0..8.5).contains(&speedup), "speedup {speedup}");
-        // Headline: ~7,190 s on one SSE core for SwissProt.
+        // §I: "7,190 seconds (one SSE core)" for SwissProt, within 1 %.
         assert!(
-            (6500.0..8000.0).contains(&t1.seconds()),
+            (t1.seconds() / 7190.0 - 1.0).abs() <= 0.01,
             "1-core SwissProt time {}",
             t1.seconds()
         );
@@ -823,6 +833,33 @@ mod tests {
         // Paper: +12.1%. Capacity lost is ~14% of the platform from t=60;
         // PSS + adjustment keep the damage in the same band.
         assert!((2.0..30.0).contains(&inc), "increase {inc}%");
+    }
+
+    #[test]
+    fn fig8_loaded_core_halves_while_the_others_keep_their_speed() {
+        // §V-C: after the local load starts at 60 s, core 0's notifications
+        // report "less than a half" of its dedicated GCUPS; the other three
+        // cores are untouched.
+        let (_, trace) = fig78_run(Some(LoadSchedule::step_at(60.0, 0.45)));
+        let mean = |series: &[(f64, f64)], after: bool| {
+            let g: Vec<f64> = series
+                .iter()
+                .filter(|&&(t, _)| (t > 60.0) == after)
+                .map(|&(_, g)| g)
+                .collect();
+            assert!(!g.is_empty(), "a traced run records notifications");
+            g.iter().sum::<f64>() / g.len() as f64
+        };
+        let series = fig78_series(&trace);
+        let (before, after) = (mean(&series[0], false), mean(&series[0], true));
+        assert!(after < 0.5 * before, "core 0: {before:.2} -> {after:.2}");
+        for (core, s) in series.iter().enumerate().skip(1) {
+            let (before, after) = (mean(s, false), mean(s, true));
+            assert!(
+                (after / before - 1.0).abs() <= 0.05,
+                "core {core}: {before:.2} -> {after:.2}"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::policy::Policy;
 use crate::sim::{SimConfig, SimPe, SimReport, Simulator};
+use crate::trace::Trace;
 use swhybrid_device::load::LoadSchedule;
 use swhybrid_device::task::{Device, DeviceKind, TaskSpec};
 use swhybrid_device::FleetSpec;
@@ -182,10 +183,17 @@ impl PlatformBuilder {
 
     /// Run the workload to completion under virtual time.
     pub fn run(self, workload: Vec<TaskSpec>) -> SimOutcome {
-        SimOutcome {
-            platform: self.describe(),
-            report: Simulator::new(self.pes, workload, self.config).run(),
-        }
+        let platform = self.describe();
+        let report = Simulator::new(self.pes, workload, self.config).run();
+        SimOutcome { platform, report }
+    }
+
+    /// [`PlatformBuilder::run`], also returning the run's Gantt segments and
+    /// notification series ([`Simulator::run_traced`]).
+    pub fn run_traced(self, workload: Vec<TaskSpec>) -> (SimOutcome, Trace) {
+        let platform = self.describe();
+        let (report, trace) = Simulator::new(self.pes, workload, self.config).run_traced();
+        (SimOutcome { platform, report }, trace)
     }
 }
 
@@ -264,15 +272,15 @@ mod tests {
         // report (and of a Gantt drawn from it) is the GPU, which runs
         // nothing before it joins.
         let w = PlatformBuilder::workload(&swissprot(), &QuerySetSpec::paper(), 0);
-        let out = PlatformBuilder::new()
+        let (out, trace) = PlatformBuilder::new()
             .add(DeviceKind::Gpu, 1)
             .add(DeviceKind::SseCore, 1)
             .membership(0, 100.0, None)
-            .run(w);
+            .run_traced(w);
         let names: Vec<&str> = out.report.per_pe.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["gpu0", "sse0"]);
         assert_eq!(out.report.per_pe[0].kind, DeviceKind::Gpu);
-        let on = |pe| out.report.trace.segments.iter().filter(move |s| s.pe == pe);
+        let on = |pe| trace.segments.iter().filter(move |s| s.pe == pe);
         assert!(on(0).count() > 0 && on(0).all(|s| s.start >= 100.0));
         assert!(on(1).any(|s| s.start < 100.0));
     }

@@ -544,7 +544,7 @@ impl Scheduler {
     /// the previous notification).
     pub fn notify_progress(&mut self, pe: PeId, now: f64, gcups: f64) {
         self.clock = self.clock.max(now);
-        self.pes[pe].stats.observe(now, gcups);
+        self.pes[pe].stats.observe(gcups);
     }
 
     /// A PE reports task completion. `measured_gcups` is the implicit speed
@@ -562,7 +562,7 @@ impl Scheduler {
         self.clock = self.clock.max(now);
         self.pes[pe].running.remove(&task);
         if let Some(g) = measured_gcups {
-            self.pes[pe].stats.observe(now, g);
+            self.pes[pe].stats.observe(g);
         }
         let winner = self.pool.state(task) != TaskState::Finished;
         let cancels = self.pool.finish(task, pe);

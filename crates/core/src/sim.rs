@@ -15,6 +15,12 @@
 //! Determinism: events are ordered by `(time, insertion sequence)`, PEs are
 //! always iterated in id order, and no wall-clock or RNG enters the loop —
 //! a run is a pure function of its inputs.
+//!
+//! Memory: a run keeps what its [`SimReport`] reads — per-PE counters and
+//! the scheduler's own state, whose Ω windows hold the last Ω notifications
+//! of each PE. Every Gantt segment and every notification sample (one per
+//! PE per `notify_interval` of virtual time) is kept only by
+//! [`Simulator::run_traced`], for the figures drawn from them.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -79,7 +85,7 @@ impl Default for SimConfig {
 }
 
 /// Per-PE summary of a run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeReport {
     /// PE name.
     pub name: String,
@@ -106,8 +112,6 @@ pub struct SimReport {
     pub gcups: f64,
     /// Per-PE summaries, in PE id order.
     pub per_pe: Vec<PeReport>,
-    /// Full execution trace.
-    pub trace: Trace,
     /// Cells computed by replicas that lost the race (overhead of the
     /// adjustment mechanism).
     pub duplicated_cells: f64,
@@ -191,9 +195,20 @@ impl Simulator {
         Simulator { pes, specs, config }
     }
 
-    /// Run to completion and report.
+    /// Run to completion and report. Nothing beyond the report is kept:
+    /// progress notifications still reach the scheduler's Ω windows, but
+    /// no Gantt segment or notification sample is stored.
     pub fn run(self) -> SimReport {
-        Engine::new(self.pes, self.specs, self.config).run()
+        Engine::new(self.pes, self.specs, self.config, None).run().0
+    }
+
+    /// Run to completion, also recording the [`Trace`] the paper's figures
+    /// are drawn from. The schedule is the one [`Simulator::run`] makes:
+    /// recording only stores what the run's events already carry.
+    pub fn run_traced(self) -> (SimReport, Trace) {
+        let (report, trace) =
+            Engine::new(self.pes, self.specs, self.config, Some(Trace::default())).run();
+        (report, trace.expect("a traced engine keeps its trace"))
     }
 }
 
@@ -206,7 +221,8 @@ struct Engine {
     clock: VirtualClock,
     heap: BinaryHeap<Reverse<Event>>,
     seq: u64,
-    trace: Trace,
+    /// Gantt segments and notification samples, for a caller that asked.
+    trace: Option<Trace>,
     total_cells: u64,
     makespan: f64,
     duplicated_cells: f64,
@@ -216,11 +232,16 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(pes: Vec<SimPe>, specs: Vec<TaskSpec>, config: SimConfig) -> Engine {
+    fn new(
+        pes: Vec<SimPe>,
+        specs: Vec<TaskSpec>,
+        config: SimConfig,
+        trace: Option<Trace>,
+    ) -> Engine {
         let total_cells = specs.iter().map(|s| s.cells()).sum();
         let mut master = Scheduler::new(specs, config.master);
-        // The report is built from the simulator's own trace; nothing reads
-        // the engine's event stream, so it is not kept.
+        // The report is built from the simulator's own counters; nothing
+        // reads the engine's event stream, so it is not kept.
         master.set_event_sink(|_| {});
         let mut state = Vec::with_capacity(pes.len());
         for pe in &pes {
@@ -245,7 +266,7 @@ impl Engine {
             clock: VirtualClock::new(),
             heap: BinaryHeap::new(),
             seq: 0,
-            trace: Trace::default(),
+            trace,
             total_cells,
             makespan: 0.0,
             duplicated_cells: 0.0,
@@ -264,7 +285,7 @@ impl Engine {
         }));
     }
 
-    fn run(mut self) -> SimReport {
+    fn run(mut self) -> (SimReport, Option<Trace>) {
         // Bootstrap: present PEs request work; absent ones get Join events.
         for pe in 0..self.pes.len() {
             if self.state[pe].alive {
@@ -316,13 +337,26 @@ impl Engine {
         } else {
             0.0
         };
-        SimReport {
+        let report = SimReport {
             makespan: self.makespan,
             total_cells: self.total_cells,
             gcups,
             per_pe,
-            trace: self.trace,
             duplicated_cells: self.duplicated_cells,
+        };
+        (report, self.trace)
+    }
+
+    /// Record one Gantt segment, if this run is traced.
+    fn segment(&mut self, pe: PeId, run: &Running, end: f64, end_kind: SegmentEnd) {
+        if let Some(trace) = &mut self.trace {
+            trace.segments.push(TraceSegment {
+                pe,
+                task: run.task,
+                start: run.start,
+                end,
+                end_kind,
+            });
         }
     }
 
@@ -428,13 +462,7 @@ impl Engine {
         } else {
             f64::INFINITY
         };
-        self.trace.segments.push(TraceSegment {
-            pe,
-            task: run.task,
-            start: run.start,
-            end: now,
-            end_kind: SegmentEnd::Completed,
-        });
+        self.segment(pe, &run, now, SegmentEnd::Completed);
         self.state[pe].tasks_completed += 1;
         self.makespan = self.makespan.max(now);
 
@@ -468,13 +496,7 @@ impl Engine {
             self.duplicated_cells += wasted;
             self.state[pe].tasks_cancelled += 1;
             self.state[pe].epoch += 1; // invalidate the pending Finish
-            self.trace.segments.push(TraceSegment {
-                pe,
-                task,
-                start: run.start,
-                end: now,
-                end_kind: SegmentEnd::Cancelled,
-            });
+            self.segment(pe, &run, now, SegmentEnd::Cancelled);
             self.advance(pe, now);
         } else {
             self.state[pe].queue.retain(|&t| t != task);
@@ -498,11 +520,13 @@ impl Engine {
         };
         st.cells_since_notify = 0.0;
         st.last_notify = now;
-        self.trace.notifications.push(NotifySample {
-            pe,
-            time: now,
-            gcups,
-        });
+        if let Some(trace) = &mut self.trace {
+            trace.notifications.push(NotifySample {
+                pe,
+                time: now,
+                gcups,
+            });
+        }
         self.master.notify_progress(pe, now, gcups);
         self.push(now + self.notify_interval, EventKind::Notify { pe });
     }
@@ -525,13 +549,7 @@ impl Engine {
         let mut held: Vec<TaskId> = self.state[pe].queue.drain(..).collect();
         if let Some(run) = self.state[pe].current.take() {
             self.state[pe].busy_seconds += (now - run.start).max(0.0);
-            self.trace.segments.push(TraceSegment {
-                pe,
-                task: run.task,
-                start: run.start,
-                end: now,
-                end_kind: SegmentEnd::Abandoned,
-            });
+            self.segment(pe, &run, now, SegmentEnd::Abandoned);
             held.push(run.task);
             self.state[pe].epoch += 1;
         }
@@ -726,13 +744,13 @@ mod tests {
     #[test]
     fn notifications_track_load_change() {
         let pes = vec![flat_pe("a", 2.0).with_load(LoadSchedule::step_at(10.0, 0.5))];
-        let report = Simulator::new(
+        let (_, trace) = Simulator::new(
             pes,
             uniform_tasks(60, 1_000_000_000),
             config(Policy::pss_default(), true),
         )
-        .run();
-        let series = report.trace.pe_notifications(0);
+        .run_traced();
+        let series = trace.pe_notifications(0);
         assert!(series.len() >= 3);
         let before: Vec<f64> = series
             .iter()
@@ -798,15 +816,13 @@ mod tests {
                 uniform_tasks(15, 2_000_000_000),
                 config(Policy::pss_default(), true),
             )
-            .run()
+            .run_traced()
         };
-        let r1 = build();
-        let r2 = build();
+        let (r1, t1) = build();
+        let (r2, t2) = build();
         assert_eq!(r1.makespan, r2.makespan);
-        assert_eq!(r1.trace.segments.len(), r2.trace.segments.len());
-        for (a, b) in r1.trace.segments.iter().zip(&r2.trace.segments) {
-            assert_eq!(a, b);
-        }
+        assert_eq!(t1.segments, t2.segments);
+        assert_eq!(t1.notifications, t2.notifications);
     }
 
     #[test]

@@ -40,8 +40,12 @@ pub struct PeSpeedStats {
     /// first observation arrives.
     pub static_gcups: f64,
     omega: usize,
-    /// `(time, gcups)` samples, oldest first, at most `omega` retained.
-    samples: VecDeque<(f64, f64)>,
+    /// GCUPS samples, oldest first, at most `omega` retained.
+    samples: VecDeque<f64>,
+    /// The weighted mean of `samples`, recomputed on every observation:
+    /// the scheduler reads it for every PE on every decision, far more
+    /// often than a notification arrives.
+    mean: f64,
 }
 
 impl PeSpeedStats {
@@ -53,19 +57,28 @@ impl PeSpeedStats {
             static_gcups,
             omega,
             samples: VecDeque::with_capacity(omega),
+            mean: static_gcups,
         }
     }
 
     /// Record an observation (a progress notification or a completed task's
     /// implicit speed report).
-    pub fn observe(&mut self, time: f64, gcups: f64) {
+    pub fn observe(&mut self, gcups: f64) {
         if !(gcups.is_finite() && gcups >= 0.0) {
             return; // ignore degenerate observations
         }
         if self.samples.len() == self.omega {
             self.samples.pop_front();
         }
-        self.samples.push_back((time, gcups));
+        self.samples.push_back(gcups);
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (i, &g) in self.samples.iter().enumerate() {
+            let w = (i + 1) as f64; // oldest weight 1, newest weight len
+            num += w * g;
+            den += w;
+        }
+        self.mean = num / den;
     }
 
     /// Number of retained samples.
@@ -81,22 +94,7 @@ impl PeSpeedStats {
     /// The Ω-window linearly-weighted mean speed, or the static prior when
     /// no observation exists yet.
     pub fn weighted_mean_gcups(&self) -> f64 {
-        if self.samples.is_empty() {
-            return self.static_gcups;
-        }
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (i, &(_, g)) in self.samples.iter().enumerate() {
-            let w = (i + 1) as f64; // oldest weight 1, newest weight len
-            num += w * g;
-            den += w;
-        }
-        num / den
-    }
-
-    /// Raw samples (oldest first) — used by the Fig. 7/8 trace exports.
-    pub fn samples(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.samples.iter().copied()
+        self.mean
     }
 }
 
@@ -114,27 +112,28 @@ mod tests {
     #[test]
     fn single_observation_replaces_prior() {
         let mut s = PeSpeedStats::new(30.0, 4);
-        s.observe(1.0, 2.0);
+        s.observe(2.0);
         assert_eq!(s.weighted_mean_gcups(), 2.0);
     }
 
     #[test]
     fn recent_samples_weigh_more() {
         let mut s = PeSpeedStats::new(1.0, 3);
-        s.observe(1.0, 10.0);
-        s.observe(2.0, 10.0);
-        s.observe(3.0, 1.0); // speed collapsed
-                             // Weighted mean (1*10 + 2*10 + 3*1) / 6 = 33/6 = 5.5 — well below
-                             // the plain mean 7.0: the collapse is noticed quickly.
+        s.observe(10.0);
+        s.observe(10.0);
+        // Speed collapses. Weighted mean (1*10 + 2*10 + 3*1) / 6 = 33/6 =
+        // 5.5 — well below the plain mean 7.0: the collapse is noticed
+        // quickly.
+        s.observe(1.0);
         assert!((s.weighted_mean_gcups() - 5.5).abs() < 1e-12);
     }
 
     #[test]
     fn window_evicts_oldest() {
         let mut s = PeSpeedStats::new(1.0, 2);
-        s.observe(1.0, 100.0);
-        s.observe(2.0, 4.0);
-        s.observe(3.0, 4.0);
+        s.observe(100.0);
+        s.observe(4.0);
+        s.observe(4.0);
         assert_eq!(s.sample_count(), 2);
         // The 100.0 sample fell out of the window entirely.
         assert!((s.weighted_mean_gcups() - 4.0).abs() < 1e-12);
@@ -144,21 +143,21 @@ mod tests {
     fn small_omega_adapts_faster_than_large() {
         let mut fast = PeSpeedStats::new(1.0, 2);
         let mut slow = PeSpeedStats::new(1.0, 10);
-        for t in 0..10 {
-            fast.observe(t as f64, 10.0);
-            slow.observe(t as f64, 10.0);
+        for _ in 0..10 {
+            fast.observe(10.0);
+            slow.observe(10.0);
         }
-        fast.observe(10.0, 1.0);
-        slow.observe(10.0, 1.0);
+        fast.observe(1.0);
+        slow.observe(1.0);
         assert!(fast.weighted_mean_gcups() < slow.weighted_mean_gcups());
     }
 
     #[test]
     fn degenerate_observations_ignored() {
         let mut s = PeSpeedStats::new(5.0, 3);
-        s.observe(1.0, f64::NAN);
-        s.observe(2.0, -3.0);
-        s.observe(3.0, f64::INFINITY);
+        s.observe(f64::NAN);
+        s.observe(-3.0);
+        s.observe(f64::INFINITY);
         assert!(!s.has_observations());
         assert_eq!(s.weighted_mean_gcups(), 5.0);
     }
@@ -175,11 +174,11 @@ mod tests {
         // less than the timer resolution must raise (or leave) the speed
         // estimate, never drag it towards zero.
         let mut s = PeSpeedStats::new(30.0, 4);
-        s.observe(1.0, 25.0);
+        s.observe(25.0);
         let before = s.weighted_mean_gcups();
         let g = observed_gcups(1_000_000, 0.0);
         assert!(g.is_finite() && g > 0.0);
-        s.observe(2.0, g);
+        s.observe(g);
         assert!(
             s.weighted_mean_gcups() >= before,
             "zero-duration completion lowered the estimate: {} -> {}",

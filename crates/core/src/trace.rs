@@ -1,8 +1,10 @@
 //! Execution traces: per-PE Gantt segments and notification series.
 //!
-//! These back the paper's figures: Fig. 5 (the task allocation timelines
-//! with and without the adjustment mechanism) and Figs. 7/8 (per-core GCUPS
-//! over time in dedicated and non-dedicated runs).
+//! A simulation records them only when asked
+//! ([`crate::sim::Simulator::run_traced`]). They back the paper's figures:
+//! Fig. 5 (the task allocation timelines with and without the adjustment
+//! mechanism) and Figs. 7/8 (per-core GCUPS over time in dedicated and
+//! non-dedicated runs).
 //!
 //! The real runtimes additionally emit a structured [`RuntimeEvent`] stream
 //! — every scheduling decision (assignment, steal, replication, requeue) and
@@ -50,7 +52,9 @@ pub struct NotifySample {
     pub gcups: f64,
 }
 
-/// Full execution trace of a run.
+/// What a traced simulation records for the figures: every Gantt segment
+/// and every progress notification. Only [`crate::sim::Simulator::run_traced`]
+/// builds one; a plain run keeps neither.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Gantt segments in completion order.
@@ -79,23 +83,28 @@ impl Trace {
             .fold(0.0f64, f64::max)
             .max(1e-9);
         let scale = width as f64 / makespan;
-        let mut out = String::new();
-        for (pe, name) in pe_names.iter().enumerate() {
-            let mut row = vec![b' '; width + 1];
-            for seg in self.segments.iter().filter(|s| s.pe == pe) {
-                let a = (seg.start * scale).floor() as usize;
-                let b = ((seg.end * scale).ceil() as usize).min(width);
-                let label = match seg.end_kind {
-                    SegmentEnd::Cancelled => format!("x{}", seg.task),
-                    _ => format!("t{}", seg.task),
-                };
-                let bytes = label.as_bytes();
-                for (i, slot) in row[a..b.max(a + 1)].iter_mut().enumerate() {
-                    *slot = if i < bytes.len() { bytes[i] } else { b'-' };
-                }
+        // One pass over the segments paints every PE's row; a PE's segments
+        // land in trace order, so a later span overdraws an earlier one.
+        let mut rows = vec![vec![b' '; width + 1]; pe_names.len()];
+        for seg in &self.segments {
+            let Some(row) = rows.get_mut(seg.pe) else {
+                continue;
+            };
+            let a = (seg.start * scale).floor() as usize;
+            let b = ((seg.end * scale).ceil() as usize).min(width);
+            let label = match seg.end_kind {
+                SegmentEnd::Cancelled => format!("x{}", seg.task),
+                _ => format!("t{}", seg.task),
+            };
+            let bytes = label.as_bytes();
+            for (i, slot) in row[a..b.max(a + 1)].iter_mut().enumerate() {
+                *slot = if i < bytes.len() { bytes[i] } else { b'-' };
             }
+        }
+        let mut out = String::new();
+        for (name, row) in pe_names.iter().zip(&rows) {
             out.push_str(&format!("{name:>8} |"));
-            out.push_str(std::str::from_utf8(&row).expect("ascii"));
+            out.push_str(std::str::from_utf8(row).expect("ascii"));
             out.push('\n');
         }
         out.push_str(&format!(

@@ -20,11 +20,11 @@ fn main() {
         .add(DeviceKind::SseCore, 4)
         .policy(Policy::pss_default())
         .run(workload());
-    let loaded = PlatformBuilder::new()
+    let (loaded, trace) = PlatformBuilder::new()
         .add(DeviceKind::SseCore, 4)
         .policy(Policy::pss_default())
         .load_on(0, LoadSchedule::step_at(60.0, 0.45))
-        .run(workload());
+        .run_traced(workload());
 
     println!("4 SSE cores × Ensembl Dog, PSS + workload adjustment\n");
     println!(
@@ -47,18 +47,13 @@ fn main() {
         "{:>6}  {:>8} {:>8} {:>8} {:>8}",
         "t (s)", "core0", "core1", "core2", "core3"
     );
-    for &(t, g0) in loaded
-        .report
-        .trace
-        .pe_notifications(0)
+    let series: Vec<Vec<(f64, f64)>> = (0..4).map(|pe| trace.pe_notifications(pe)).collect();
+    for &(t, g0) in series[0]
         .iter()
         .filter(|&&(t, _)| (40.0..=90.0).contains(&t))
     {
         let at = |pe: usize| -> String {
-            loaded
-                .report
-                .trace
-                .pe_notifications(pe)
+            series[pe]
                 .iter()
                 .find(|&&(tt, _)| (tt - t).abs() < 0.1)
                 .map(|&(_, g)| format!("{g:.2}"))

@@ -46,7 +46,7 @@ fn tasks() -> Vec<TaskSpec> {
 
 #[test]
 fn with_adjustment_total_time_is_14s() {
-    let out = platform(true).run(tasks());
+    let (out, trace) = platform(true).run_traced(tasks());
     assert!(
         (out.seconds() - 14.0).abs() < 0.01,
         "expected 14 s, got {}",
@@ -56,19 +56,17 @@ fn with_adjustment_total_time_is_14s() {
     let completed: usize = out.report.per_pe.iter().map(|p| p.tasks_completed).sum();
     assert_eq!(completed, 20);
     // The mechanism produced at least one cancelled replica (t20's losers).
-    let cancelled = out
-        .report
-        .trace
+    let cancelled = trace
         .segments
         .iter()
         .filter(|s| s.end_kind == SegmentEnd::Cancelled)
         .count();
-    assert!(cancelled >= 1, "trace: {:?}", out.report.trace.segments);
+    assert!(cancelled >= 1, "trace: {:?}", trace.segments);
 }
 
 #[test]
 fn without_adjustment_total_time_is_18s() {
-    let out = platform(false).run(tasks());
+    let (out, trace) = platform(false).run_traced(tasks());
     assert!(
         (out.seconds() - 18.0).abs() < 0.01,
         "expected 18 s, got {}",
@@ -76,9 +74,7 @@ fn without_adjustment_total_time_is_18s() {
     );
     // No replication ever happens without the mechanism.
     assert_eq!(out.report.duplicated_cells, 0.0);
-    assert!(out
-        .report
-        .trace
+    assert!(trace
         .segments
         .iter()
         .all(|s| s.end_kind == SegmentEnd::Completed));

@@ -9,7 +9,7 @@ use swhybrid::device::task::{Device, DeviceKind, TaskSpec};
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::sim::{SimConfig, SimPe, SimReport, Simulator};
-use swhybrid::exec::trace::SegmentEnd;
+use swhybrid::exec::trace::{SegmentEnd, Trace};
 
 fn flat_pe(name: String, gcups: f64) -> SimPe {
     SimPe::new(Device {
@@ -37,7 +37,7 @@ fn policy_strategy() -> impl Strategy<Value = Policy> {
     ]
 }
 
-fn run(speeds: &[f64], sizes: &[u64], policy: Policy, adjustment: bool) -> SimReport {
+fn simulator(speeds: &[f64], sizes: &[u64], policy: Policy, adjustment: bool) -> Simulator {
     let pes: Vec<SimPe> = speeds
         .iter()
         .enumerate()
@@ -67,7 +67,19 @@ fn run(speeds: &[f64], sizes: &[u64], policy: Policy, adjustment: bool) -> SimRe
             comm_latency: 0.0,
         },
     )
-    .run()
+}
+
+fn run(speeds: &[f64], sizes: &[u64], policy: Policy, adjustment: bool) -> SimReport {
+    simulator(speeds, sizes, policy, adjustment).run()
+}
+
+fn run_traced(
+    speeds: &[f64],
+    sizes: &[u64],
+    policy: Policy,
+    adjustment: bool,
+) -> (SimReport, Trace) {
+    simulator(speeds, sizes, policy, adjustment).run_traced()
 }
 
 proptest! {
@@ -80,13 +92,12 @@ proptest! {
         policy in policy_strategy(),
         adjustment in prop::bool::ANY,
     ) {
-        let report = run(&speeds, &sizes, policy, adjustment);
+        let (report, trace) = run_traced(&speeds, &sizes, policy, adjustment);
         let completed: usize = report.per_pe.iter().map(|p| p.tasks_completed).sum();
         prop_assert_eq!(completed, sizes.len());
         // Each task has exactly one Completed trace segment.
         for task in 0..sizes.len() {
-            let wins = report
-                .trace
+            let wins = trace
                 .segments
                 .iter()
                 .filter(|s| s.task == task && s.end_kind == SegmentEnd::Completed)
@@ -146,13 +157,10 @@ proptest! {
         policy in policy_strategy(),
         adjustment in prop::bool::ANY,
     ) {
-        let a = run(&speeds, &sizes, policy, adjustment);
-        let b = run(&speeds, &sizes, policy, adjustment);
+        let (a, a_trace) = run_traced(&speeds, &sizes, policy, adjustment);
+        let (b, b_trace) = run_traced(&speeds, &sizes, policy, adjustment);
         prop_assert_eq!(a.makespan, b.makespan);
-        prop_assert_eq!(a.trace.segments.len(), b.trace.segments.len());
-        for (x, y) in a.trace.segments.iter().zip(&b.trace.segments) {
-            prop_assert_eq!(x, y);
-        }
+        prop_assert_eq!(a_trace.segments, b_trace.segments);
     }
 
     #[test]
