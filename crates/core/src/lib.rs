@@ -1,8 +1,9 @@
 //! The SW task execution environment for hybrid platforms — the paper's
 //! primary contribution (§IV).
 //!
-//! A master process acquires the query and database files, converts them to
-//! the indexed format, and distributes *very coarse-grained* tasks (one
+//! A master process acquires the query and database files (the database
+//! as the indexed `.swdb` store or as FASTA packed once into the same
+//! in-memory layout), and distributes *very coarse-grained* tasks (one
 //! query × the whole database) to registered slave PEs under a
 //! user-selectable allocation policy. Idle PEs re-execute tasks still in
 //! the `executing` state once the ready queue drains — the **dynamic

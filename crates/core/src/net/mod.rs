@@ -46,7 +46,7 @@
 //! | message | shape |
 //! |---|---|
 //! | registered | `{"type":"registered","pe_id":1,"proto":4}` |
-//! | tasks | `{"type":"tasks","tasks":[4,5],"descs":[…,…]}` |
+//! | tasks | `{"type":"tasks","tasks":[4,5],"descs":[…,…]}` (empty when what was assigned finished elsewhere first: ask again) |
 //! | execute | `{"type":"execute","task":2,"desc":…}` (a steal or a replica) |
 //! | done | `{"type":"done"}` |
 //! | error | `{"type":"error","message":"…"}` |
@@ -111,7 +111,6 @@ mod wire;
 use std::io;
 use std::time::Duration;
 
-use crate::trace::RuntimeEvent;
 use swhybrid_simd::engine::KernelStats;
 use swhybrid_simd::search::{merge_top_n, Hit};
 
@@ -218,11 +217,6 @@ pub struct DistributedOutcome {
     /// Kernel counters per PE, `(name, counters)`, for PEs that reported
     /// any.
     pub kernels_by_pe: Vec<(String, KernelStats)>,
-    /// Structured event stream of the run (see [`crate::trace`]). Empty
-    /// when the run streamed its events to a sink instead
-    /// ([`MasterServer::with_event_sink`]; `master --events` counts what it
-    /// streams and never reads this).
-    pub events: Vec<RuntimeEvent>,
 }
 
 /// One merged hit of a batch run, tagged with its query index.
@@ -271,6 +265,7 @@ pub fn merge_hits(per_task: impl IntoIterator<Item = (usize, Vec<Hit>)>) -> Vec<
 mod tests {
     use std::io::{BufRead, BufReader, BufWriter, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     use super::wire::{decode, send, Wire};
@@ -279,7 +274,7 @@ mod tests {
     use crate::pool::BATCH_TOP_N;
     use crate::pool::{Identity, PeExecutor, QueryPayload, QueryResult, TaskPayload, TaskResult};
     use crate::sched::MasterConfig;
-    use crate::trace::EventKind;
+    use crate::trace::{EventKind, RuntimeEvent};
     use swhybrid_align::scoring::Scoring;
     use swhybrid_device::fleet::FleetPe;
     use swhybrid_device::task::TaskSpec;
@@ -331,6 +326,16 @@ mod tests {
             scoring,
             fleet: Vec::new(),
         }
+    }
+
+    type Events = Arc<Mutex<Vec<RuntimeEvent>>>;
+
+    /// `server`, with its event stream collected for the test to read.
+    fn tap(server: MasterServer) -> (MasterServer, Events) {
+        let seen = Events::default();
+        let sink = Arc::clone(&seen);
+        let server = server.with_event_sink(move |e| sink.lock().unwrap().push(e.clone()));
+        (server, seen)
     }
 
     /// What the batch master must merge for `queries`: each query's
@@ -593,6 +598,7 @@ mod tests {
             2,
         )
         .unwrap();
+        let (server, events) = tap(server);
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
@@ -615,8 +621,9 @@ mod tests {
             .all(|n| n == "host-a" || n == "host-b"));
         assert!(outcome.gcups > 0.0);
         // The run produced an event stream ending in completion.
-        assert!(outcome
-            .events
+        assert!(events
+            .lock()
+            .unwrap()
             .iter()
             .any(|e| e.kind == EventKind::RunCompleted));
         // Slaves reported kernel counters and the server aggregated them:
@@ -659,6 +666,7 @@ mod tests {
             1,
         )
         .unwrap();
+        let (server, events) = tap(server);
         let addr = server.local_addr().unwrap();
         let batch = Batch {
             fleet: FleetSpec::parse("gpu:1+sse:1").unwrap().build(),
@@ -682,8 +690,8 @@ mod tests {
             .completed_by
             .iter()
             .all(|n| names.contains(&n.as_str())));
-        let registered: Vec<String> = outcome
-            .events
+        let events = events.lock().unwrap();
+        let registered: Vec<String> = events
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::PeRegistered { name, .. } => Some(name.clone()),
@@ -696,8 +704,7 @@ mod tests {
         // The modeled PE's completions quote the calibrated model.
         use swhybrid_device::{Device, DeviceKind};
         let device = Device::new("gpu0", DeviceKind::Gpu);
-        let gpu_pe = outcome
-            .events
+        let gpu_pe = events
             .iter()
             .find_map(|e| match &e.kind {
                 EventKind::PeRegistered { pe, name, .. } if name == "gpu0" => Some(*pe),
@@ -705,7 +712,7 @@ mod tests {
             })
             .unwrap();
         let (_, _, wl_specs) = tiny_workload();
-        for e in &outcome.events {
+        for e in events.iter() {
             if let EventKind::TaskFinished {
                 pe,
                 task,
@@ -737,6 +744,7 @@ mod tests {
         let (queries, db, _) = tiny_workload();
         let sc = scoring();
         let server = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 0).unwrap();
+        let (server, events) = tap(server);
         let batch = Batch {
             fleet: FleetSpec::parse("sse:2").unwrap().build(),
             ..batch(&queries, &db, &sc)
@@ -747,8 +755,9 @@ mod tests {
             .completed_by
             .iter()
             .all(|n| n == "sse0" || n == "sse1"));
-        assert!(outcome
-            .events
+        assert!(events
+            .lock()
+            .unwrap()
             .iter()
             .any(|e| e.kind == EventKind::RunCompleted));
     }
@@ -1209,6 +1218,7 @@ mod tests {
             net.clone(),
         )
         .unwrap();
+        let (server, events) = tap(server);
         let addr = server.local_addr().unwrap();
 
         let outcome = std::thread::scope(|scope| {
@@ -1251,7 +1261,7 @@ mod tests {
         // All tasks completed, all by the surviving slave.
         assert!(outcome.completed_by.iter().all(|n| n == "steady"));
         // The liveness verdict and the requeue are in the event stream.
-        let ev = &outcome.events;
+        let ev = events.lock().unwrap();
         assert!(
             ev.iter()
                 .any(|e| matches!(e.kind, EventKind::PeSuspectedDead { .. })),
@@ -1509,18 +1519,24 @@ mod tests {
         }
     }
 
-    // The batch function on a local fleet alone — no listener, no remote
+    // The batch on a local fleet alone — a master that waits for no
     // slave: the same pool, engine and drive loop with only local-thread
-    // endpoints on it.
+    // endpoints on it, and its event stream.
 
-    fn local_run(fleet: Vec<FleetPe>, config: MasterConfig) -> DistributedOutcome {
+    fn local_run(
+        fleet: Vec<FleetPe>,
+        config: MasterConfig,
+    ) -> (DistributedOutcome, Vec<RuntimeEvent>) {
         let (queries, db, _) = tiny_workload();
         let sc = scoring();
-        Batch {
+        let (server, events) = tap(MasterServer::bind("127.0.0.1:0", config, 0).unwrap());
+        let batch = Batch {
             fleet,
             ..batch(&queries, &db, &sc)
-        }
-        .run(config)
+        };
+        let outcome = server.serve(batch).expect("local-only run");
+        let events = std::mem::take(&mut *events.lock().unwrap());
+        (outcome, events)
     }
 
     fn ss_with_adjustment() -> MasterConfig {
@@ -1533,7 +1549,7 @@ mod tests {
 
     #[test]
     fn local_run_completes_all_tasks_single_pe() {
-        let out = local_run(vec![FleetPe::simd("solo", 1.0)], MasterConfig::default());
+        let (out, _) = local_run(vec![FleetPe::simd("solo", 1.0)], MasterConfig::default());
         assert_eq!(out.completed_by.len(), 6);
         assert!(out.completed_by.iter().all(|n| n == "solo"));
         assert!(!out.hits.is_empty());
@@ -1547,7 +1563,7 @@ mod tests {
 
     #[test]
     fn local_run_multi_pe_covers_all_tasks() {
-        let out = local_run(
+        let (out, _) = local_run(
             vec![
                 FleetPe::simd("a", 1.0),
                 FleetPe::simd("b", 1.0),
@@ -1557,13 +1573,13 @@ mod tests {
         );
         assert!(out.completed_by.iter().all(|n| !n.is_empty()));
         // Results identical to a single-PE run (scores are deterministic).
-        let solo = local_run(vec![FleetPe::simd("solo", 1.0)], ss_with_adjustment());
+        let (solo, _) = local_run(vec![FleetPe::simd("solo", 1.0)], ss_with_adjustment());
         assert_eq!(key(&out.hits), key(&solo.hits));
     }
 
     #[test]
     fn static_wfixed_policy_also_completes() {
-        let out = local_run(
+        let (out, _) = local_run(
             vec![FleetPe::simd("fast", 4.0), FleetPe::simd("slow", 1.0)],
             MasterConfig {
                 policy: Policy::WFixed,
@@ -1577,28 +1593,26 @@ mod tests {
     #[test]
     fn hybrid_fleet_matches_solo_and_attributes_modeled_speed() {
         use swhybrid_device::{Device, DeviceKind, FleetSpec};
-        let out = local_run(
+        let (out, events) = local_run(
             FleetSpec::parse("gpu:1+sse:2").unwrap().build(),
             MasterConfig::default(),
         );
         // Bit-identical hit table vs a single real PE.
-        let solo = local_run(vec![FleetPe::simd("solo", 1.0)], MasterConfig::default());
+        let (solo, _) = local_run(vec![FleetPe::simd("solo", 1.0)], MasterConfig::default());
         assert_eq!(
             out.hits, solo.hits,
             "hybrid fleet must score bit-identically"
         );
         // The modeled GPU attributes its calibrated model speed, which is
         // far beyond what one host thread really measures on this workload.
-        let gpu_pe = out
-            .events
+        let gpu_pe = events
             .iter()
             .find_map(|e| match &e.kind {
                 EventKind::PeRegistered { pe, name, .. } if name == "gpu0" => Some(*pe),
                 _ => None,
             })
             .expect("gpu0 registered");
-        let modeled: Vec<(usize, f64)> = out
-            .events
+        let modeled: Vec<(usize, f64)> = events
             .iter()
             .filter_map(|e| match e.kind {
                 EventKind::TaskFinished {
@@ -1626,20 +1640,19 @@ mod tests {
 
     #[test]
     fn event_stream_covers_the_run_and_never_reports_zero_speed() {
-        let out = local_run(
+        let (_, events) = local_run(
             vec![FleetPe::simd("a", 1.0), FleetPe::simd("b", 1.0)],
             MasterConfig::default(),
         );
-        let finishes = out
-            .events
+        let finishes = events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::TaskFinished { .. }))
             .count();
         assert!(finishes >= 6, "at least one finish per task: {finishes}");
-        assert!(out.events.iter().any(|e| e.kind == EventKind::RunCompleted));
+        assert!(events.iter().any(|e| e.kind == EventKind::RunCompleted));
         // The PSS-poisoning regression: real completions must never report
         // a zero speed, however fast the timer said the task was.
-        for e in &out.events {
+        for e in &events {
             if let EventKind::TaskFinished { measured_gcups, .. } = e.kind {
                 assert!(
                     measured_gcups > 0.0 && measured_gcups.is_finite(),
@@ -1649,7 +1662,7 @@ mod tests {
         }
         // Times are monotonically plausible and start at registration.
         assert!(matches!(
-            out.events[0].kind,
+            events[0].kind,
             EventKind::PeRegistered { pe: 0, .. }
         ));
     }

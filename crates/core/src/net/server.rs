@@ -115,9 +115,8 @@ impl MasterServer {
 
     /// Stream every [`RuntimeEvent`] to `sink` as it is emitted (e.g. a
     /// JSONL file flushed per line, so a crashed run still leaves a usable
-    /// trace) instead of collecting them into
-    /// [`DistributedOutcome::events`]. Called with the master's lock held
-    /// — keep it short.
+    /// trace). Without a sink the run keeps no events. Called with the
+    /// master's lock held — keep it short.
     pub fn with_event_sink(
         mut self,
         sink: impl FnMut(&RuntimeEvent) + Send + 'static,
@@ -286,7 +285,6 @@ fn run_batch(
         .filter(|(_, k)| **k != KernelStats::default())
         .map(|(pe, k)| (core.master.pe_name(pe).to_string(), *k))
         .collect();
-    let events = core.master.take_events();
     let hits = merge_hits(
         core.owner
             .results
@@ -302,6 +300,5 @@ fn run_batch(
         completed_by: core.owner.completed_by,
         kernels: core.owner.kernels,
         kernels_by_pe,
-        events,
     })
 }

@@ -213,25 +213,31 @@ struct RemoteEndpoint {
 }
 
 impl RemoteEndpoint {
-    /// `(task, payload)` pairs for `tasks`, recorded as shipped. `Err` when
-    /// a task is no longer worth running (e.g. its database generation was
-    /// swapped out) — the drive loop then tears the session down and the
-    /// tasks requeue to PEs that can still run them.
+    /// `(task, payload)` pairs for `tasks`, recorded as shipped. A task
+    /// finished or taken elsewhere since it was assigned to `pe` is
+    /// skipped, as a local PE skips it: its owner may already have
+    /// replied and forgotten it. `Err` when a task `pe` still holds is no
+    /// longer worth running (e.g. its database generation was swapped
+    /// out) — the drive loop then tears the session down and the tasks
+    /// requeue to PEs that can still run them.
     fn ship<S: PoolOwner>(
         &mut self,
         pool: &PePool<S>,
+        pe: PeId,
         tasks: &[TaskId],
     ) -> io::Result<Vec<(TaskId, TaskPayload)>> {
-        tasks
-            .iter()
-            .map(|&t| {
-                let payload = pool
-                    .payload(t)
-                    .ok_or_else(|| invalid(format!("task {t} has no payload to ship")))?;
-                self.shipped.insert(t, payload.queries.len());
-                Ok((t, payload))
-            })
-            .collect()
+        let mut shipped = Vec::with_capacity(tasks.len());
+        for &t in tasks {
+            match pool.payload(t) {
+                Some(payload) => {
+                    self.shipped.insert(t, payload.queries.len());
+                    shipped.push((t, payload));
+                }
+                None if !pool.still_runnable(pe, t) => {}
+                None => return Err(invalid(format!("task {t} has no payload to ship"))),
+            }
+        }
+        Ok(shipped)
     }
 
     /// Why a `finished` report does not answer what was shipped, if it
@@ -279,17 +285,169 @@ impl<S: PoolOwner> PeEndpoint<S> for RemoteEndpoint {
         }
     }
 
-    fn deliver(&mut self, pool: &PePool<S>, _pe: PeId, cmd: &PeCommand) -> io::Result<()> {
+    fn deliver(&mut self, pool: &PePool<S>, pe: PeId, cmd: &PeCommand) -> io::Result<()> {
+        // An assignment whose every task was skipped goes out as an empty
+        // batch: the slave asks again and the drive loop long-polls anew.
         let msg = match cmd {
             PeCommand::Tasks(tasks) => MasterMsg::Tasks {
-                tasks: self.ship(pool, tasks)?,
+                tasks: self.ship(pool, pe, tasks)?,
             },
-            PeCommand::Execute(task) => {
-                let (task, desc) = self.ship(pool, &[*task])?.remove(0);
-                MasterMsg::Execute { task, desc }
-            }
+            PeCommand::Execute(task) => match self.ship(pool, pe, &[*task])?.pop() {
+                Some((task, desc)) => MasterMsg::Execute { task, desc },
+                None => MasterMsg::Tasks { tasks: Vec::new() },
+            },
             PeCommand::Done => MasterMsg::Done,
         };
         send_within(&mut self.writer, &msg, self.line_timeout)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+
+    use super::*;
+    use crate::policy::Policy;
+    use crate::pool::{Deferred, QueryPayload, TaskResult};
+    use crate::sched::{MasterConfig, Scheduler};
+    use swhybrid_device::task::TaskSpec;
+
+    /// An owner that forgets a task once it finishes, as the daemon does
+    /// once the task's group has replied.
+    struct Forgetful {
+        payloads: HashMap<TaskId, TaskPayload>,
+        identity: Identity,
+    }
+
+    impl PoolOwner for Forgetful {
+        fn on_finished(
+            &mut self,
+            _master: &mut Scheduler,
+            _pe: PeId,
+            task: TaskId,
+            _result: TaskResult,
+            _was_first: bool,
+            _now: f64,
+        ) -> Option<Deferred> {
+            self.payloads.remove(&task);
+            None
+        }
+
+        fn task_payload(&self, _master: &Scheduler, task: TaskId) -> Option<TaskPayload> {
+            self.payloads.get(&task).cloned()
+        }
+
+        fn identity(&self) -> &Identity {
+            &self.identity
+        }
+    }
+
+    /// A two-task pool under self-scheduling with adjustment, a local PE
+    /// and a remote one admitted. A task takes its PE minutes, so an
+    /// executing one is always worth a replica.
+    fn pool() -> (PePool<Forgetful>, PeId, PeId) {
+        let specs = (0..2)
+            .map(|id| TaskSpec {
+                id,
+                query_len: 1_000,
+                queries: 1,
+                db_residues: 1_000_000_000,
+                db_sequences: 1,
+            })
+            .collect();
+        let config = MasterConfig {
+            policy: Policy::SelfScheduling,
+            adjustment: true,
+            dispatch: Default::default(),
+        };
+        let payload = |t: usize| TaskPayload {
+            queries: vec![QueryPayload {
+                query: vec![t as u8; 4],
+                top_n: 3,
+            }],
+            shard: (0, 1),
+        };
+        let owner = Forgetful {
+            payloads: (0..2).map(|t| (t, payload(t))).collect(),
+            identity: Identity {
+                digest: 0,
+                scoring: String::new(),
+            },
+        };
+        let pool = PePool::new(Scheduler::new(specs, config), owner, 2);
+        let local = pool.admit("local", 1.0, false);
+        let remote = pool.admit("remote", 1.0, true);
+        (pool, local, remote)
+    }
+
+    /// A remote endpoint writing to a socket, and the slave's end of it.
+    fn endpoint() -> (RemoteEndpoint, BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let slave = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (writer, _) = listener.accept().unwrap();
+        let endpoint = RemoteEndpoint {
+            rx: mpsc::channel().1,
+            writer,
+            line_timeout: Some(Duration::from_secs(5)),
+            shipped: HashMap::new(),
+        };
+        (endpoint, BufReader::new(slave))
+    }
+
+    fn next_line(slave: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        slave.read_line(&mut line).unwrap();
+        line
+    }
+
+    /// Regression: a replica assigned to a slave whose task finished on
+    /// another PE before the assignment was written had no payload left,
+    /// and the session of a healthy slave was torn down for it. The slave
+    /// now gets an empty batch and asks again.
+    #[test]
+    fn a_task_finished_before_it_is_shipped_is_skipped() {
+        let (pool, local, remote) = pool();
+        let (mut endpoint, mut slave) = endpoint();
+        assert_eq!(pool.next_assignment(local), Some(PeCommand::Tasks(vec![0])));
+        assert_eq!(
+            pool.next_assignment(remote),
+            Some(PeCommand::Tasks(vec![1]))
+        );
+        assert!(pool.task_started(remote, 1));
+        assert!(pool.task_started(local, 0));
+        // The remote's request: nothing ready, so it replicates task 0 …
+        let replica = pool.next_assignment(remote).unwrap();
+        assert_eq!(replica, PeCommand::Execute(0));
+        // … which the local PE finishes before the replica goes out.
+        assert!(pool.task_finished(local, 0, TaskResult::default()));
+        assert!(pool.payload(0).is_none());
+        endpoint.deliver(&pool, remote, &replica).unwrap();
+        assert_eq!(
+            next_line(&mut slave).trim_end(),
+            r#"{"type":"tasks","tasks":[],"descs":[]}"#
+        );
+        assert!(endpoint.shipped.is_empty());
+        // A batch ships what is still runnable and skips the rest.
+        endpoint
+            .deliver(&pool, remote, &PeCommand::Tasks(vec![0, 1]))
+            .unwrap();
+        let line = next_line(&mut slave);
+        assert!(line.contains(r#""tasks":[1]"#), "{line}");
+        assert_eq!(endpoint.shipped.keys().copied().collect::<Vec<_>>(), [1]);
+    }
+
+    /// A task the slave still holds but cannot run (its database was
+    /// replaced) still tears the session down, so the task requeues.
+    #[test]
+    fn a_held_task_without_a_payload_is_an_error() {
+        let (pool, local, remote) = pool();
+        let (mut endpoint, _slave) = endpoint();
+        assert_eq!(pool.next_assignment(local), Some(PeCommand::Tasks(vec![0])));
+        let batch = pool.next_assignment(remote).unwrap();
+        assert_eq!(batch, PeCommand::Tasks(vec![1]));
+        pool.lock().owner.payloads.remove(&1);
+        let err = endpoint.deliver(&pool, remote, &batch).unwrap_err();
+        assert!(err.to_string().contains("task 1 has no payload"), "{err}");
     }
 }

@@ -816,6 +816,8 @@ impl PoolOwner for BatchOwner {
 mod tests {
     use super::*;
     use crate::sched::MasterConfig;
+    use crate::trace::RuntimeEvent;
+    use std::sync::Mutex;
     use swhybrid_device::task::TaskSpec;
 
     fn specs(n: usize) -> Vec<TaskSpec> {
@@ -1008,9 +1010,20 @@ mod tests {
         )
     }
 
+    /// Collect `p`'s event stream from here on.
+    fn tap(p: &PePool<BatchOwner>) -> Arc<Mutex<Vec<RuntimeEvent>>> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        p.lock()
+            .master
+            .set_event_sink(move |e| sink.lock().unwrap().push(e.clone()));
+        seen
+    }
+
     #[test]
     fn barrier_opens_at_expected_and_latecomers_join() {
         let p = pool(2, 2);
+        let events = tap(&p);
         let a = p.admit("a", 1.0, false);
         assert!(!p.lock().barrier_open());
         let b = p.admit("b", 1.0, false);
@@ -1020,9 +1033,9 @@ mod tests {
         let g = p.lock();
         assert_eq!(g.alive(), 3);
         assert_eq!(g.remote_members(), vec![2]);
-        assert!(g
-            .master
-            .events()
+        assert!(events
+            .lock()
+            .unwrap()
             .iter()
             .any(|e| matches!(e.kind, EventKind::PeJoined { pe: 2, .. })));
     }
@@ -1040,6 +1053,7 @@ mod tests {
     #[test]
     fn drive_runs_a_batch_to_completion_on_one_local_endpoint() {
         let p = pool(3, 1);
+        let events = tap(&p);
         let pe = p.admit("solo", 1.0, false);
         let mut ep = LocalEndpoint::new(|task| TaskResult {
             gcups: Some(1.0),
@@ -1058,9 +1072,9 @@ mod tests {
         assert!(core.owner.completed_by.iter().all(|n| n == "solo"));
         assert_eq!(core.owner.kernels.resolved_i8, 3);
         assert_eq!(core.owner.kernels_by_pe[pe].resolved_i8, 3);
-        assert!(core
-            .master
-            .events()
+        assert!(events
+            .lock()
+            .unwrap()
             .iter()
             .any(|e| e.kind == EventKind::RunCompleted));
     }
@@ -1068,6 +1082,7 @@ mod tests {
     #[test]
     fn disconnect_requeues_held_tasks_and_is_idempotent() {
         let p = pool(2, 2);
+        let events = tap(&p);
         let a = p.admit("a", 1.0, false);
         let _b = p.admit("b", 1.0, false);
         let cmd = p.next_assignment(a).expect("assignment");
@@ -1077,9 +1092,8 @@ mod tests {
         p.task_started(a, tasks[0]);
         p.disconnect(a, true);
         p.disconnect(a, true); // second teardown is a no-op
-        let g = p.lock();
-        assert_eq!(g.alive(), 1);
-        let events = g.master.events();
+        assert_eq!(p.lock().alive(), 1);
+        let events = events.lock().unwrap();
         assert_eq!(
             events
                 .iter()

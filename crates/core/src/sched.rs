@@ -162,10 +162,10 @@ pub enum Assignment {
 
 /// Where the engine's event stream goes when someone consumes it live:
 /// called once per event, in emission order, while the driver's lock is
-/// held — keep callbacks short (fold a counter, write a line). An engine
-/// with a sink forwards and does **not** retain: [`Scheduler::events`]
-/// stays empty, so a long-lived engine's memory does not grow with the
-/// number of tasks it has scheduled.
+/// held — keep callbacks short (fold a counter, write a line). The engine
+/// forwards and never retains: without a sink an event is dropped, so a
+/// long-lived engine's memory does not grow with the number of tasks it
+/// has scheduled.
 pub struct EventSink(pub(crate) Box<dyn FnMut(&RuntimeEvent) + Send>);
 
 impl std::fmt::Debug for EventSink {
@@ -201,10 +201,6 @@ pub struct Scheduler {
     /// Remaining up-front quotas for static policies, computed on the
     /// first request (all PEs must register before that point).
     quotas: Option<Vec<usize>>,
-    /// Structured event stream (every scheduling decision and membership
-    /// change, in emission order) — retained only while no sink is
-    /// installed.
-    events: Vec<RuntimeEvent>,
     /// Latest time any driver call reported; events from calls without a
     /// `now` parameter are stamped with this.
     clock: f64,
@@ -213,7 +209,8 @@ pub struct Scheduler {
     /// [`Assignment::Done`]: the engine outlives its current workload and
     /// expects more batches via [`Scheduler::submit_tasks`].
     keep_alive: bool,
-    /// Where events go instead of `events` (see [`EventSink`]).
+    /// Where the structured event stream goes (every scheduling decision
+    /// and membership change, in emission order; see [`EventSink`]).
     sink: Option<EventSink>,
 }
 
@@ -225,7 +222,6 @@ impl Scheduler {
             config,
             pes: Vec::new(),
             quotas: None,
-            events: Vec::new(),
             clock: 0.0,
             run_completed_emitted: false,
             keep_alive: false,
@@ -233,11 +229,10 @@ impl Scheduler {
         }
     }
 
-    /// Divert the event stream: `sink` is called for every event from now
-    /// on, in emission order, and the engine stops retaining them (events
-    /// already in the stream are not replayed). Used by the CLI to stream
-    /// JSONL incrementally and by the query service to fold per-PE
-    /// metrics as they happen.
+    /// Consume the event stream: `sink` is called for every event from now
+    /// on, in emission order (events emitted before it was installed were
+    /// dropped). Used by the CLI to stream JSONL incrementally and by the
+    /// query service to fold per-PE metrics as they happen.
     pub fn set_event_sink(&mut self, sink: impl FnMut(&RuntimeEvent) + Send + 'static) {
         self.sink = Some(EventSink(Box::new(sink)));
     }
@@ -288,20 +283,9 @@ impl Scheduler {
     }
 
     fn push_event(&mut self, event: RuntimeEvent) {
-        match &mut self.sink {
-            Some(EventSink(sink)) => sink(&event),
-            None => self.events.push(event),
+        if let Some(EventSink(sink)) = &mut self.sink {
+            sink(&event);
         }
-    }
-
-    /// The retained event stream so far (empty once a sink is installed).
-    pub fn events(&self) -> &[RuntimeEvent] {
-        &self.events
-    }
-
-    /// Take ownership of the event stream (leaves it empty).
-    pub fn take_events(&mut self) -> Vec<RuntimeEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Register a slave PE; `static_gcups` is its theoretical speed (used
@@ -714,6 +698,14 @@ mod tests {
         )
     }
 
+    /// Collect `m`'s event stream from here on.
+    fn tap(m: &mut Scheduler) -> std::sync::Arc<std::sync::Mutex<Vec<RuntimeEvent>>> {
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = std::sync::Arc::clone(&seen);
+        m.set_event_sink(move |e| sink.lock().unwrap().push(e.clone()));
+        seen
+    }
+
     #[test]
     fn ss_hands_one_task_per_request() {
         let mut m = engine(3, Policy::SelfScheduling, true);
@@ -1009,6 +1001,7 @@ mod tests {
     fn event_stream_records_the_full_run() {
         use crate::trace::EventKind as E;
         let mut m = engine(2, Policy::SelfScheduling, true);
+        let events = tap(&mut m);
         let a = m.register("a", 1.0);
         let b = m.register("b", 1.0);
         m.request(a, 0.0);
@@ -1019,7 +1012,8 @@ mod tests {
         assert_eq!(m.request(a, 5.0), Assignment::Replicate(1));
         m.task_started(a, 1, 5.0);
         m.task_finished(b, 1, 6.0, Some(1.0));
-        let names: Vec<&str> = m.events().iter().map(|e| e.kind.name()).collect();
+        let events = events.lock().unwrap();
+        let names: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
         assert_eq!(
             names,
             vec![
@@ -1038,20 +1032,18 @@ mod tests {
             ]
         );
         // The replica a ran for 1 s at ~1 GCUPS: its wasted work is counted.
-        let wasted = m.events().iter().find_map(|e| match e.kind {
+        let wasted = events.iter().find_map(|e| match e.kind {
             E::ReplicaCancelled { wasted_cells, .. } => Some(wasted_cells),
             _ => None,
         });
         assert!(wasted.unwrap() > 0);
-        // take_events drains.
-        assert_eq!(m.take_events().len(), 12);
-        assert!(m.events().is_empty());
     }
 
     #[test]
     fn keep_alive_waits_across_batches_and_replays_completion() {
         use crate::trace::EventKind as E;
         let mut m = engine(1, Policy::SelfScheduling, true);
+        let events = tap(&mut m);
         m.set_keep_alive(true);
         let a = m.register("a", 1.0);
         assert_eq!(m.request(a, 0.0), Assignment::Tasks(vec![0]));
@@ -1070,8 +1062,9 @@ mod tests {
         m.task_started(a, 2, 3.0);
         m.task_finished(a, 2, 4.0, Some(1.0));
         // Each drain emits its own run_completed.
-        let completions = m
-            .events()
+        let completions = events
+            .lock()
+            .unwrap()
             .iter()
             .filter(|e| matches!(e.kind, E::RunCompleted))
             .count();
@@ -1089,7 +1082,6 @@ mod tests {
     fn a_keep_alive_engine_holds_only_the_tasks_in_flight() {
         let mut m = engine(0, Policy::SelfScheduling, true);
         m.set_keep_alive(true);
-        m.set_event_sink(|_| {});
         let a = m.register("a", 1.0);
         let b = m.register("b", 1.0);
         for round in 0..10_000 {
@@ -1117,36 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn a_sink_receives_the_stream_and_the_engine_retains_nothing() {
-        use std::sync::{Arc, Mutex};
-        // The daemon's shape: a kept-alive engine fed one batch per round.
-        fn rounds(m: &mut Scheduler) {
-            m.set_keep_alive(true);
-            let a = m.register("a", 1.0);
-            for round in 0..50 {
-                let now = round as f64;
-                let task = m.submit_tasks(specs(1))[0];
-                assert_eq!(m.request(a, now), Assignment::Tasks(vec![task]));
-                m.task_started(a, task, now);
-                m.task_finished(a, task, now + 0.5, Some(1.0));
-            }
-        }
-        // Without a sink the engine retains the stream, as ever.
-        let mut retaining = engine(0, Policy::SelfScheduling, true);
-        rounds(&mut retaining);
-        assert_eq!(retaining.events().len(), 1 + 50 * 5);
-        // With one, every event is forwarded in order and none is kept.
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut forwarding = engine(0, Policy::SelfScheduling, true);
-        let tap = Arc::clone(&seen);
-        forwarding.set_event_sink(move |e| tap.lock().unwrap().push(e.clone()));
-        rounds(&mut forwarding);
-        assert!(forwarding.events().is_empty());
-        assert!(forwarding.take_events().is_empty());
-        assert_eq!(*seen.lock().unwrap(), retaining.events());
-    }
-
-    #[test]
     #[should_panic(expected = "dynamic policy")]
     fn static_policy_rejects_multi_batch() {
         let mut m = engine(2, Policy::Fixed, false);
@@ -1158,6 +1120,7 @@ mod tests {
     fn leave_emits_requeue_only_for_returned_tasks() {
         use crate::trace::EventKind as E;
         let mut m = engine(2, Policy::Pss { omega: 3 }, true);
+        let events = tap(&mut m);
         // Φ(a) = round(1.8/1.0) = 2, so a takes both tasks — yet b would
         // still finish the unstarted one before a's two-task backlog drains,
         // so the takeover is beneficial.
@@ -1170,8 +1133,9 @@ mod tests {
         m.task_started(b, 1, 0.1);
         // a dies holding task 0 (task 1 was stolen away already).
         m.pe_leaves(a, &[0]);
-        let requeued: Vec<_> = m
-            .events()
+        let requeued: Vec<_> = events
+            .lock()
+            .unwrap()
             .iter()
             .filter_map(|e| match e.kind {
                 E::TaskRequeued { task, from } => Some((task, from)),

@@ -9,7 +9,7 @@
 //! The real runtimes additionally emit a structured [`RuntimeEvent`] stream
 //! — every scheduling decision (assignment, steal, replication, requeue) and
 //! every membership change (join, leave, suspected death) as a timestamped
-//! record, exportable as JSON via [`events_to_json`].
+//! record, one JSON object each via [`RuntimeEvent::to_json`].
 
 use crate::task::{PeId, TaskId};
 use swhybrid_json::Json;
@@ -334,11 +334,6 @@ impl RuntimeEvent {
     }
 }
 
-/// An event stream as a JSON array, in emission order.
-pub fn events_to_json(events: &[RuntimeEvent]) -> Json {
-    Json::Arr(events.iter().map(RuntimeEvent::to_json).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,8 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn events_export_as_json_array() {
-        let events = vec![
+    fn events_export_as_json_objects() {
+        let events = [
             RuntimeEvent {
                 time: 0.0,
                 kind: EventKind::PeRegistered {
@@ -445,9 +440,7 @@ mod tests {
                 kind: EventKind::RunCompleted,
             },
         ];
-        let json = events_to_json(&events);
-        let arr = json.as_array().unwrap();
-        assert_eq!(arr.len(), 4);
+        let arr: Vec<Json> = events.iter().map(RuntimeEvent::to_json).collect();
         assert_eq!(
             arr[0].get("event").unwrap().as_str().unwrap(),
             "pe_registered"
@@ -455,9 +448,16 @@ mod tests {
         assert_eq!(arr[0].get("name").unwrap().as_str().unwrap(), "gpu0");
         assert_eq!(arr[1].get("tasks").unwrap().as_array().unwrap().len(), 2);
         assert!(arr[2].get("winner").unwrap().as_bool().unwrap());
-        // Round-trips through the textual form.
-        let back = Json::parse(&json.to_string()).unwrap();
-        assert_eq!(back.as_array().unwrap().len(), 4);
+        assert_eq!(
+            arr[3].get("event").unwrap().as_str().unwrap(),
+            "run_completed"
+        );
+        // Each round-trips through the textual form, one JSON line each.
+        for json in &arr {
+            let line = json.to_string();
+            assert!(!line.contains('\n'));
+            assert_eq!(&Json::parse(&line).unwrap(), json);
+        }
     }
 
     #[test]

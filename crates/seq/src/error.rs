@@ -3,7 +3,7 @@
 use std::fmt;
 use std::io;
 
-/// Errors produced while parsing, encoding, or indexing sequence data.
+/// Errors produced while reading, encoding, or packing sequence data.
 #[derive(Debug)]
 pub enum SeqError {
     /// Underlying I/O failure.
@@ -17,21 +17,8 @@ pub enum SeqError {
     },
     /// The input is not syntactically valid FASTA.
     MalformedFasta(String),
-    /// The index file is corrupt or was written by an incompatible version.
-    BadIndex(String),
     /// An arena's geometry (window, spans, permutation) is inconsistent.
     BadArena(String),
-    /// A sequence identifier was requested that does not exist.
-    UnknownSequence(String),
-    /// A sequence ordinal was requested that is out of range.
-    IndexOutOfRange {
-        /// Requested ordinal.
-        requested: usize,
-        /// Number of sequences actually present.
-        available: usize,
-    },
-    /// An empty sequence or database where one is not allowed.
-    Empty(String),
 }
 
 impl fmt::Display for SeqError {
@@ -44,17 +31,7 @@ impl fmt::Display for SeqError {
                 *byte as char
             ),
             SeqError::MalformedFasta(msg) => write!(f, "malformed FASTA: {msg}"),
-            SeqError::BadIndex(msg) => write!(f, "bad index file: {msg}"),
             SeqError::BadArena(msg) => write!(f, "bad arena: {msg}"),
-            SeqError::UnknownSequence(id) => write!(f, "unknown sequence {id:?}"),
-            SeqError::IndexOutOfRange {
-                requested,
-                available,
-            } => write!(
-                f,
-                "sequence index {requested} out of range (database holds {available})"
-            ),
-            SeqError::Empty(what) => write!(f, "empty {what}"),
         }
     }
 }
@@ -90,15 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn display_index_out_of_range() {
-        let e = SeqError::IndexOutOfRange {
-            requested: 10,
-            available: 2,
-        };
-        assert_eq!(
-            e.to_string(),
-            "sequence index 10 out of range (database holds 2)"
-        );
+    fn display_malformed_fasta() {
+        let e = SeqError::MalformedFasta("expected '>' header".into());
+        assert_eq!(e.to_string(), "malformed FASTA: expected '>' header");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Streaming FASTA reader and writer.
 //!
 //! Biological "databases" are in fact huge flat FASTA files (paper §IV-B);
-//! this module parses them streamingly so that indexing (see [`crate::index`])
-//! never needs the whole file in memory.
+//! this module parses them one record at a time, so building a database
+//! store never holds the raw text of more than one record.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -64,7 +64,7 @@ impl<R: BufRead> FastaReader<R> {
                     }
                     return Err(SeqError::MalformedFasta(format!(
                         "expected '>' header, found {:?}",
-                        &trimmed[..trimmed.len().min(40)]
+                        preview(trimmed)
                     )));
                 }
             }
@@ -105,6 +105,13 @@ impl<R: BufRead> Iterator for FastaReader<R> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
     }
+}
+
+/// The first 40 characters of `line`, for an error message.
+fn preview(line: &str) -> &str {
+    line.char_indices()
+        .nth(40)
+        .map_or(line, |(end, _)| &line[..end])
 }
 
 /// Split a FASTA header into `(id, description)` at the first whitespace.

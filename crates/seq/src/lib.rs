@@ -8,10 +8,9 @@
 //! * [`arena`] — a flat database arena (contiguous residues + spans) with an
 //!   optional length-sorted scan order, the memory layout the scan kernels
 //!   stream through,
-//! * [`fasta`] — a streaming FASTA reader/writer,
-//! * [`index`] — the paper's indexed sequence-file format (§IV-B): sequence
-//!   count, longest-sequence size, and per-sequence byte offsets for fast
-//!   random access into a flat file,
+//! * [`fasta`] — a streaming FASTA reader/writer (queries are read whole;
+//!   the paper's indexed sequence file of §IV-B is the `.swdb` database
+//!   store of the `swhybrid-store` crate),
 //! * [`db`] — an in-memory database with summary statistics,
 //! * [`snapshot`] — an immutable, shareable view of one database generation
 //!   (ids + database-order arena + digest), the unit a serve daemon
@@ -32,7 +31,6 @@ pub mod db;
 pub mod digest;
 pub mod error;
 pub mod fasta;
-pub mod index;
 pub mod sequence;
 pub mod snapshot;
 pub mod synth;

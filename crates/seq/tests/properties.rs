@@ -1,10 +1,9 @@
 //! Property-based tests of the sequence substrate: FASTA round-trips,
-//! index correctness on arbitrary inputs, encoding laws.
+//! encoding laws, database chunking.
 
 use proptest::prelude::*;
 use swhybrid_seq::alphabet::Alphabet;
 use swhybrid_seq::fasta;
-use swhybrid_seq::index::SeqIndex;
 use swhybrid_seq::sequence::Sequence;
 
 /// Characters legal in generated identifiers and description words.
@@ -51,33 +50,6 @@ proptest! {
         let text = fasta::to_string(&recs);
         let parsed = fasta::parse_str(&text).unwrap();
         prop_assert_eq!(parsed, recs);
-    }
-
-    #[test]
-    fn index_counts_and_offsets_are_exact(recs in records()) {
-        let text = fasta::to_string(&recs);
-        let idx = SeqIndex::build(text.as_bytes()).unwrap();
-        prop_assert_eq!(idx.count(), recs.len());
-        let max_len = recs.iter().map(|r| r.len()).max().unwrap_or(0);
-        prop_assert_eq!(idx.max_len, max_len as u64);
-        // Every offset points at the '>' of the right record.
-        for (i, &off) in idx.offsets.iter().enumerate() {
-            prop_assert_eq!(text.as_bytes()[off as usize], b'>');
-            let rest = &text[off as usize..];
-            let mut reader = swhybrid_seq::fasta::FastaReader::new(rest.as_bytes());
-            let rec = reader.next_record().unwrap().unwrap();
-            prop_assert_eq!(&rec, &recs[i]);
-        }
-    }
-
-    #[test]
-    fn index_binary_serialisation_round_trips(recs in records()) {
-        let text = fasta::to_string(&recs);
-        let idx = SeqIndex::build(text.as_bytes()).unwrap();
-        let mut buf = Vec::new();
-        idx.write_to(&mut buf).unwrap();
-        let back = SeqIndex::read_from(&mut buf.as_slice()).unwrap();
-        prop_assert_eq!(idx, back);
     }
 
     #[test]

@@ -392,7 +392,8 @@ fn job_registry_stays_bounded_over_ten_thousand_queries() {
 /// Regression: every scanned query used to leave its scheduling events
 /// behind twice — in the engine's retained stream, which the daemon never
 /// read, and in a channel only a `stats` call drained. Events now fold
-/// into the per-PE series as they are emitted and are kept nowhere.
+/// into the per-PE series as they are emitted and are kept nowhere (the
+/// engine has no stream to retain them in).
 #[test]
 fn engine_events_fold_into_stats_without_being_retained() {
     let db = random_db(83, 20, 50);
@@ -413,10 +414,6 @@ fn engine_events_fold_into_stats_without_being_retained() {
     }
     {
         let g = svc.inner.pool.lock();
-        assert!(
-            g.master.events().is_empty(),
-            "the engine retained events although the daemon installed a sink"
-        );
         // Nor the tasks: 1,000 were issued, none is in flight.
         assert_eq!((g.master.pool().len(), g.master.pool().live()), (1_000, 0));
     }
@@ -548,7 +545,9 @@ fn retired_jobs_do_not_pin_a_superseded_database() {
 
 /// The fusion law at service level: queries that queue behind a
 /// running group are fused into shared shard tasks, and every fused
-/// reply is byte-identical to that query's solo cold scan.
+/// reply is byte-identical to that query's solo cold scan. The group
+/// forms at a gate, not by timing: the lone worker is parked in a
+/// completion while the queue fills.
 #[test]
 fn fused_queries_match_cold_scans_and_share_tasks() {
     let db = random_db(97, 50, 70);
@@ -564,55 +563,51 @@ fn fused_queries_match_cold_scans_and_share_tasks() {
             ..Default::default()
         },
     );
-    // A slow head query occupies the single group slot; the four short
-    // queries behind it queue and must dispatch as one fused group.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let head = random_query(101, 700);
-    let tx0 = tx.clone();
-    svc.submit(
-        head.clone(),
-        5,
-        None,
-        None,
-        1,
-        Box::new(move |r| tx0.send(r).unwrap()),
-    )
-    .unwrap();
-    let queries: Vec<(Vec<u8>, usize)> = (0..4u64)
-        .map(|i| (random_query(103 + i, 25 + 5 * i as usize), 4 + i as usize))
-        .collect();
-    for (q, top_n) in &queries {
-        let tx = tx.clone();
-        svc.submit(
-            q.clone(),
-            *top_n,
-            None,
-            None,
-            1,
-            Box::new(move |r| tx.send(r).unwrap()),
-        )
+    // Completions run on the worker that finished the last shard: job
+    // A's parks the lone worker.
+    let (entered, parked) = std::sync::mpsc::channel();
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    let blocker = Box::new(move |_| {
+        entered.send(()).unwrap();
+        // A failed assertion drops `release`, which lets the worker go.
+        let _ = gate.recv();
+    });
+    svc.submit(random_query(99, 40), 5, None, None, 1, blocker)
         .unwrap();
+    parked.recv().unwrap();
+    // Head job B takes the free group slot; its tasks stay unstarted.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut asked = HashMap::new();
+    let mut submit = |q: Vec<u8>, top_n: usize| {
+        let tx = tx.clone();
+        let reply = Box::new(move |r| tx.send(r).unwrap());
+        let job = svc.submit(q.clone(), top_n, None, None, 1, reply).unwrap();
+        asked.insert(job, (q, top_n));
+        job
+    };
+    let head = submit(random_query(101, 700), 5);
+    assert!(matches!(svc.status(head), JobStatus::Running { .. }));
+    // The four short queries queue behind B.
+    for i in 0..4u64 {
+        let job = submit(random_query(103 + i, 25 + 5 * i as usize), 4 + i as usize);
+        assert!(
+            matches!(svc.status(job), JobStatus::Queued { .. }),
+            "job {job}"
+        );
     }
+    release.send(()).unwrap();
     let replies: Vec<SearchReply> = (0..5).map(|_| rx.recv().unwrap()).collect();
-    let oracle = |q: &[u8], top_n: usize| {
-        search_db(
+    for reply in &replies {
+        let (q, top_n) = &asked[&reply.job];
+        let cold = search_db(
             q,
             &snap(&db),
             &scoring(),
             &swhybrid_simd::search::SearchConfig {
-                top_n,
+                top_n: *top_n,
                 ..Default::default()
             },
-        )
-    };
-    for reply in &replies {
-        let (q, top_n) = if reply.job == 0 {
-            (&head, 5usize)
-        } else {
-            let (q, n) = &queries[reply.job as usize - 1];
-            (q, *n)
-        };
-        let cold = oracle(q, top_n);
+        );
         assert_eq!(
             reply.hits, cold.hits,
             "job {} differs from cold scan",

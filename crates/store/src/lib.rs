@@ -1,9 +1,11 @@
 //! Persistent memory-mapped database store for `swhybrid`.
 //!
 //! The paper's §IV-B introduces an indexed sequence-file format so the
-//! master can retrieve sequences without re-parsing flat FASTA;
-//! `seq::index` reproduces it for *queries*. This crate is the *database*
-//! side: a versioned, checksummed `.swdb` file holding everything the
+//! master can retrieve sequences without re-parsing flat FASTA: the
+//! sequence count, the longest sequence's size and each sequence's offset.
+//! This crate's `.swdb` file is that format (header `num_seqs` and
+//! `max_len`, the spans section), carried to its conclusion for the
+//! database: a versioned, checksummed file holding everything the
 //! runtime previously reconstructed per boot — the encoded flat residue
 //! arena, per-sequence spans and ids, the length-sorted scan permutation,
 //! per-chunk residue counts for shard balancing, and the FNV db digest —

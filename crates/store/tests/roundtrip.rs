@@ -44,6 +44,11 @@ fn build_open_snapshot_round_trip() {
     assert_eq!(store.alphabet(), Alphabet::Protein);
     assert_eq!(store.db_digest(), db_digest(&db));
     assert_eq!(store.ids()[3], "subject-003");
+    // The paper's index fields (§IV-B): count and longest sequence.
+    let header = store.header();
+    assert_eq!(header.num_seqs, 6);
+    assert_eq!(header.min_len, 0);
+    assert_eq!(header.max_len, 123);
 
     // The stored scan permutation matches DbArena::length_sorted.
     let sorted = DbArena::length_sorted(&db);

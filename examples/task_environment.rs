@@ -3,8 +3,6 @@
 //! reduced-scale synthetic database, the master allocates tasks under PSS,
 //! and the merged hit list comes back exactly as Fig. 4 describes.
 //!
-//! Also demonstrates the indexed query-file format of §IV-B.
-//!
 //! Run with: `cargo run --release --example task_environment`
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
@@ -12,42 +10,29 @@ use swhybrid::device::FleetPe;
 use swhybrid::exec::net::Batch;
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
-use swhybrid::seq::fasta;
-use swhybrid::seq::index::IndexedFasta;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
 
 fn main() {
-    // --- Build the inputs: a query FASTA file + its index (§IV-B) --------
-    let queries = QuerySetSpec {
+    // --- The queries: eight synthetic proteins, encoded once ------------
+    let encoded_queries: Vec<EncodedSequence> = QuerySetSpec {
         count: 8,
         min_len: 60,
         max_len: 400,
         order: QueryOrder::Ascending,
     }
-    .generate(5);
-    let dir = std::env::temp_dir().join("swhybrid_example");
-    std::fs::create_dir_all(&dir).expect("temp dir is writable");
-    let qpath = dir.join("queries.fasta");
-    std::fs::write(&qpath, fasta::to_string(&queries)).expect("write queries");
-
-    let mut indexed = IndexedFasta::open(&qpath).expect("index builds");
+    .generate(5)
+    .iter()
+    .map(|q| {
+        EncodedSequence::from_sequence(q, Alphabet::Protein).expect("synthetic residues are valid")
+    })
+    .collect();
     println!(
-        "indexed query file: {} sequences, longest {} aa, index at {}",
-        indexed.count(),
-        indexed.index().max_len,
-        swhybrid::seq::index::index_path_for(&qpath).display()
+        "queries: {} sequences, longest {} aa",
+        encoded_queries.len(),
+        encoded_queries.iter().map(|q| q.len()).max().unwrap_or(0)
     );
-    // Random access through the index, exactly like the master's
-    // "acquire sequences" step.
-    let encoded_queries: Vec<EncodedSequence> = (0..indexed.count())
-        .map(|i| {
-            let record = indexed.fetch(i).expect("offset is valid");
-            EncodedSequence::from_sequence(&record, Alphabet::Protein)
-                .expect("synthetic residues are valid")
-        })
-        .collect();
 
     // --- The database: scaled-down Ensembl Dog ---------------------------
     // The master converts it once; every PE scans that form in place.
@@ -114,5 +99,4 @@ fn main() {
             qh.hit.id
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,7 @@
 //! `swhybrid` — command-line front end to the hybrid SW task environment.
 //!
 //! ```text
-//! swhybrid index    <file.fasta>                      build the §IV-B index
+//! swhybrid db build <db.fasta> <out.swdb>            build the §IV-B store
 //! swhybrid generate <db-name> <scale> <out.fasta>     synthetic database
 //! swhybrid search   <query.fasta> <db.fasta> [opts]   real striped search
 //! swhybrid simulate [opts]                            platform simulation

@@ -1,11 +1,10 @@
 //! Database plumbing: query-set loading, [`load_db`] — the one call by
 //! which every verb turns the database it was given into a
-//! [`DbSnapshot`] — and the `index` / `db build` / `db inspect` /
-//! `generate` verbs.
+//! [`DbSnapshot`] — and the `db build` / `db inspect` / `generate`
+//! verbs.
 
 use crate::align::scoring::Scoring;
 use crate::seq::fasta::read_encoded;
-use crate::seq::index::SeqIndex;
 use crate::seq::sequence::EncodedSequence;
 use crate::seq::synth::paper_database;
 use crate::seq::{Alphabet, DbSnapshot};
@@ -50,23 +49,6 @@ pub(super) fn db_file<'a>(
 pub(super) fn load_db(file: DbFile<'_>, scoring: &Scoring) -> Result<DbSnapshot, String> {
     file.load(scoring.matrix.alphabet)
         .map_err(|e| format!("{}: {e}", file.path()))
-}
-
-pub(super) fn cmd_index(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[], &[])?;
-    let [path] = opts.positional.as_slice() else {
-        return Err("index takes exactly one FASTA path".into());
-    };
-    let index = SeqIndex::build_for_file(path).map_err(|e| e.to_string())?;
-    let out = index.save_alongside(path).map_err(|e| e.to_string())?;
-    println!(
-        "indexed {}: {} sequences, longest {} residues → {}",
-        path,
-        index.count(),
-        index.max_len,
-        out.display()
-    );
-    Ok(())
 }
 
 pub(super) fn cmd_db(args: &[String]) -> Result<(), String> {

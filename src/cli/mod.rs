@@ -6,7 +6,7 @@
 //!
 //! * [`args`] — the shared flag parser plus the scoring / kernel / policy
 //!   option decoders every verb reuses,
-//! * [`db`] — database plumbing: `index`, `db build|inspect`, `generate`,
+//! * [`db`] — database plumbing: `db build|inspect`, `generate`,
 //!   and [`db::load_db`], by which every verb loads its database (FASTA
 //!   or a memory-mapped `.swdb` store) into the one `DbSnapshot`,
 //! * [`search`] — the one-shot `search` verb,
@@ -27,17 +27,14 @@ const USAGE: &str = "\
 swhybrid — biological sequence comparison on hybrid platforms
 
 USAGE:
-  swhybrid index <file.fasta>
-      Build the indexed-format sidecar (<file>.swhidx): sequence count,
-      longest-sequence size, per-sequence byte offsets.
-
   swhybrid db build <db.fasta> <out.swdb> [--name NAME]
-      Compile a FASTA database into a persistent `.swdb` store: the
-      encoded residue arena (64-byte aligned, memory-mappable), ids,
-      spans, the length-sorted scan permutation, per-chunk residue
-      counts, and the FNV database digest — everything the runtime
-      otherwise reconstructs on every boot. Written atomically
-      (temp file + fsync + rename).
+      Compile a FASTA database into a persistent `.swdb` store, the
+      paper's indexed sequence file: sequence count and length extrema in
+      the header, the encoded residue arena (64-byte aligned,
+      memory-mappable), ids, per-sequence spans, the length-sorted scan
+      permutation, per-chunk residue counts, and the FNV database digest
+      — everything the runtime otherwise reconstructs on every boot.
+      Written atomically (temp file + fsync + rename).
 
   swhybrid db inspect <store.swdb> [--verify]
       Print a store's header: name, alphabet, sequence/residue counts,
@@ -159,7 +156,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             print!("{USAGE}");
             Ok(())
         }
-        Some("index") => db::cmd_index(&args[1..]),
         Some("db") => db::cmd_db(&args[1..]),
         Some("generate") => db::cmd_generate(&args[1..]),
         Some("search") => search::cmd_search(&args[1..]),

@@ -103,6 +103,10 @@ fn retired_scan_knobs_are_unknown_flags() {
         let err = run(&s(args)).unwrap_err();
         assert!(err.contains("unknown flag"), "{args:?}: {err}");
     }
+    // The index is the `.swdb` store (`db build`); no sidecar verb is left.
+    let err = run(&s(&["index", "x.fasta"])).unwrap_err();
+    assert_eq!(err, r#"unknown command "index""#);
+    assert!(!super::USAGE.contains("swhybrid index"), "help names index");
 }
 
 #[test]
@@ -600,12 +604,15 @@ fn serve_from_store_and_reload_via_cli() {
 
 #[test]
 fn generate_index_search_round_trip() {
+    // The index is the `.swdb` store: generate → db build → search on it.
     let dir = std::env::temp_dir().join(format!("swhybrid_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let db = dir.join("db.fasta");
     let db_s = db.to_str().unwrap().to_string();
     run(&s(&["generate", "dog", "0.0005", &db_s])).unwrap();
-    run(&s(&["index", &db_s])).unwrap();
+    let store = dir.join("db.swdb");
+    let store_s = store.to_str().unwrap().to_string();
+    run(&s(&["db", "build", &db_s, &store_s])).unwrap();
     // Use the database's own first record as the query: it must be hit.
     let first = FastaReader::open(&db)
         .unwrap()
@@ -617,7 +624,8 @@ fn generate_index_search_round_trip() {
     run(&s(&[
         "search",
         q.to_str().unwrap(),
-        &db_s,
+        "--db-store",
+        &store_s,
         "--top",
         "3",
         "--align",

@@ -1,5 +1,5 @@
-//! End-to-end integration: indexed files on disk → master/slave runtime on
-//! real threads → merged hit lists, across crates.
+//! End-to-end integration: the indexed database store on disk →
+//! master/slave runtime on real threads → merged hit lists, across crates.
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
@@ -7,10 +7,10 @@ use swhybrid::exec::net::{Batch, DistributedOutcome};
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::fasta::{self, FastaReader};
-use swhybrid::seq::index::{index_path_for, IndexedFasta, SeqIndex};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
+use swhybrid::store::{build_store, Store};
 
 fn scoring() -> Scoring {
     Scoring {
@@ -48,6 +48,10 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The paper's indexed sequence file (§IV-B) is the `.swdb` store: its
+/// header holds the sequence count and the longest sequence's size, and
+/// its spans section locates every sequence, so any record is reached
+/// without re-parsing the flat file.
 #[test]
 fn indexed_fasta_random_access_equals_sequential_parse() {
     let dir = temp_dir("index");
@@ -55,26 +59,25 @@ fn indexed_fasta_random_access_equals_sequential_parse() {
     let path = dir.join("db.fasta");
     std::fs::write(&path, fasta::to_string(&db.sequences)).unwrap();
 
-    // Index built from the file matches the records parsed sequentially.
+    // A store built from the file matches the records parsed sequentially.
     let sequential = FastaReader::open(&path).unwrap().read_all().unwrap();
-    let mut indexed = IndexedFasta::open(&path).unwrap();
-    assert_eq!(indexed.count(), sequential.len());
+    let encoded = fasta::read_encoded(&path, Alphabet::Protein).unwrap();
+    let store_path = dir.join("db.swdb");
+    build_store(&store_path, "rat", &encoded).unwrap();
+    let store = Store::open_verified(&store_path).unwrap();
+    let header = store.header();
+    assert_eq!(header.num_seqs, sequential.len() as u64);
     assert_eq!(
-        indexed.index().max_len,
+        header.max_len,
         sequential.iter().map(|s| s.len()).max().unwrap() as u64
     );
-    // Reverse-order access through the offsets.
+    // Reverse-order access through the spans.
+    let snapshot = store.into_snapshot().unwrap();
     for i in (0..sequential.len()).rev() {
-        assert_eq!(indexed.fetch(i).unwrap(), sequential[i]);
+        let record = EncodedSequence::from_sequence(&sequential[i], Alphabet::Protein).unwrap();
+        assert_eq!(snapshot.ids()[i], record.id);
+        assert_eq!(snapshot.residues(i), &record.codes[..]);
     }
-    // The saved index file round-trips.
-    let idx_path = index_path_for(&path);
-    assert!(idx_path.exists());
-    let loaded = SeqIndex::read_from(&mut std::io::BufReader::new(
-        std::fs::File::open(idx_path).unwrap(),
-    ))
-    .unwrap();
-    assert_eq!(&loaded, indexed.index());
     std::fs::remove_dir_all(&dir).ok();
 }
 

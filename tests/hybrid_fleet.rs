@@ -6,12 +6,14 @@
 //! heterogeneity may change who computes what and how fast the run is
 //! reported to be — never what a query scores.
 
+use std::sync::{Arc, Mutex};
+
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::{Device, DeviceKind, FleetSpec, TaskSpec};
-use swhybrid::exec::net::{merge_hits, Batch, DistributedOutcome, QueryHit};
+use swhybrid::exec::net::{merge_hits, Batch, DistributedOutcome, MasterServer, QueryHit};
 use swhybrid::exec::pool::BATCH_TOP_N;
 use swhybrid::exec::sched::MasterConfig;
-use swhybrid::exec::trace::EventKind;
+use swhybrid::exec::trace::{EventKind, RuntimeEvent};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
@@ -61,14 +63,23 @@ impl Fixture {
         }
     }
 
-    fn run_fleet(&self, spec: &str) -> DistributedOutcome {
-        Batch {
-            queries: &self.queries,
-            db: &self.db,
-            scoring: &scoring(),
-            fleet: FleetSpec::parse(spec).unwrap().build(),
-        }
-        .run(MasterConfig::default())
+    /// Run the batch on the fleet `spec` alone — a master that waits for
+    /// no slave — and return the outcome with the run's event stream.
+    fn run_fleet(&self, spec: &str) -> (DistributedOutcome, Vec<RuntimeEvent>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let outcome = MasterServer::bind("127.0.0.1:0", MasterConfig::default(), 0)
+            .unwrap()
+            .with_event_sink(move |e| sink.lock().unwrap().push(e.clone()))
+            .serve(Batch {
+                queries: &self.queries,
+                db: &self.db,
+                scoring: &scoring(),
+                fleet: FleetSpec::parse(spec).unwrap().build(),
+            })
+            .unwrap();
+        let events = std::mem::take(&mut *seen.lock().unwrap());
+        (outcome, events)
     }
 
     /// The one-shot oracle: per-query kernel scans at the batch depth,
@@ -85,16 +96,15 @@ impl Fixture {
     }
 
     /// Per-task `TaskFinished` speeds of every PE named `name` in the run.
-    fn finished_speeds(out: &DistributedOutcome, name: &str) -> Vec<(usize, f64)> {
-        let pe_id = out
-            .events
+    fn finished_speeds(events: &[RuntimeEvent], name: &str) -> Vec<(usize, f64)> {
+        let pe_id = events
             .iter()
             .find_map(|e| match &e.kind {
                 EventKind::PeRegistered { pe, name: n } if n == name => Some(*pe),
                 _ => None,
             })
             .unwrap_or_else(|| panic!("{name} never registered"));
-        out.events
+        events
             .iter()
             .filter_map(|e| match e.kind {
                 EventKind::TaskFinished {
@@ -112,7 +122,7 @@ impl Fixture {
 #[test]
 fn gpu_and_sse_fleet_matches_one_shot_search() {
     let fx = Fixture::build();
-    let out = fx.run_fleet("gpu:1+sse:2");
+    let (out, _) = fx.run_fleet("gpu:1+sse:2");
     assert_eq!(
         out.hits,
         fx.one_shot(),
@@ -129,22 +139,22 @@ fn gpu_and_sse_fleet_matches_one_shot_search() {
 #[test]
 fn modeled_pes_attribute_model_speed_real_pes_measure() {
     let fx = Fixture::build();
-    let out = fx.run_fleet("gpu:1+sse:1+fpga:1");
+    let (out, events) = fx.run_fleet("gpu:1+sse:1+fpga:1");
     assert_eq!(out.hits, fx.one_shot());
 
     // Modeled kinds quote their calibrated device model for exactly the
     // finished task's spec — reproducible across runs.
     let gpu = Device::new("gpu0", DeviceKind::Gpu);
-    for (task, gcups) in Fixture::finished_speeds(&out, "gpu0") {
+    for (task, gcups) in Fixture::finished_speeds(&events, "gpu0") {
         assert_eq!(gcups, gpu.task_gcups(&fx.task_spec(task)));
     }
     let fpga = Device::new("fpga0", DeviceKind::Fpga);
-    for (task, gcups) in Fixture::finished_speeds(&out, "fpga0") {
+    for (task, gcups) in Fixture::finished_speeds(&events, "fpga0") {
         assert_eq!(gcups, fpga.task_gcups(&fx.task_spec(task)));
     }
     // The real SIMD PE reports a wall-clock measurement: positive, finite,
     // and (on a tiny test workload) nowhere near the accelerators' curves.
-    for (_, gcups) in Fixture::finished_speeds(&out, "sse0") {
+    for (_, gcups) in Fixture::finished_speeds(&events, "sse0") {
         assert!(gcups.is_finite() && gcups > 0.0);
     }
 }
@@ -154,7 +164,7 @@ fn all_modeled_fleet_still_scores_exactly() {
     // Even with no real-measurement PE in the fleet at all, every score
     // comes from the repo kernels: the model only shapes scheduling.
     let fx = Fixture::build();
-    let out = fx.run_fleet("gpu:2");
+    let (out, _) = fx.run_fleet("gpu:2");
     assert_eq!(out.hits, fx.one_shot());
     assert!(out.completed_by.iter().all(|n| n == "gpu0" || n == "gpu1"));
 }

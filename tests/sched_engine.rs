@@ -7,6 +7,7 @@
 //! [`VirtualClock`], exactly as a new driver would hold it.
 
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use swhybrid::device::task::TaskSpec;
@@ -14,7 +15,7 @@ use swhybrid::exec::policy::Policy;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::sched::{Assignment, Clock, Dispatch, Scheduler, VirtualClock};
 use swhybrid::exec::stats::PeSpeedStats;
-use swhybrid::exec::trace::EventKind;
+use swhybrid::exec::trace::{EventKind, RuntimeEvent};
 
 /// §IV-A-2, transcribed independently of `PeSpeedStats`: the linearly
 /// weighted mean of the last Ω retained samples (newest weight Ω-slot,
@@ -53,6 +54,14 @@ fn reference_phi(pe: usize, means: &[f64]) -> usize {
         return 1;
     }
     ((means[pe] / min_alive).round() as usize).max(1)
+}
+
+/// Collect `s`'s event stream from here on.
+fn tap(s: &mut Scheduler) -> Arc<Mutex<Vec<RuntimeEvent>>> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    s.set_event_sink(move |e| sink.lock().unwrap().push(e.clone()));
+    seen
 }
 
 fn spec(id: usize, tenth_gcells: u64) -> TaskSpec {
@@ -256,6 +265,7 @@ fn drive_to_completion(speeds: &[f64], sizes: &[u64], omega: usize) -> Vec<Kind>
             dispatch: Dispatch::FileOrder,
         },
     );
+    let events = tap(&mut s);
     let clock = VirtualClock::new();
     let n = speeds.len();
     for (pe, g) in speeds.iter().enumerate() {
@@ -312,7 +322,8 @@ fn drive_to_completion(speeds: &[f64], sizes: &[u64], omega: usize) -> Vec<Kind>
             }
         }
     }
-    s.take_events().into_iter().map(|e| strip(e.kind)).collect()
+    let events = std::mem::take(&mut *events.lock().unwrap());
+    events.into_iter().map(|e| strip(e.kind)).collect()
 }
 
 /// Event kinds with run-specific measurements removed, so matching is
@@ -357,6 +368,7 @@ fn fast_pe_wins_replica_of_straggler_task() {
             dispatch: Dispatch::FileOrder,
         },
     );
+    let events = tap(&mut s);
     let clock = VirtualClock::new();
     let fast = s.register("fast", 30.0);
     let slow = s.register("slow", 1.0);
@@ -377,7 +389,7 @@ fn fast_pe_wins_replica_of_straggler_task() {
     assert_eq!(cancels, vec![slow]);
     assert!(s.all_finished());
     assert_eq!(s.request(fast, clock.now()), Assignment::Done);
-    let events = s.take_events();
+    let events = events.lock().unwrap();
     assert!(events.iter().any(|e| matches!(
         e.kind,
         EventKind::TaskReplicated { pe, task: 1 } if pe == fast

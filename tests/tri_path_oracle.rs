@@ -14,13 +14,15 @@
 //! `into_snapshot`), six runs held to one oracle. A divergence here means
 //! a path grew a private executor, or a private database, again.
 
+use std::sync::{Arc, Mutex};
+
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
 use swhybrid::exec::net::{run_slave, Batch, DistributedOutcome, MasterServer, NetConfig};
 use swhybrid::exec::policy::Policy;
 use swhybrid::exec::pool::BATCH_TOP_N;
 use swhybrid::exec::sched::MasterConfig;
-use swhybrid::exec::trace::EventKind;
+use swhybrid::exec::trace::{EventKind, RuntimeEvent};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
@@ -196,7 +198,11 @@ fn exactly_once() -> MasterConfig {
 /// per-query counters are the `TaskKernels` events (task id = query
 /// index), and with every task run exactly once the merged counters are
 /// their sum.
-fn assert_batch_matches(outcome: &DistributedOutcome, oracle: &Tables, label: &str) {
+fn assert_batch_matches(
+    (outcome, events): &(DistributedOutcome, Vec<RuntimeEvent>),
+    oracle: &Tables,
+    label: &str,
+) {
     assert_eq!(outcome.completed_by.len(), oracle.len(), "{label}");
     let mut expected_total = KernelStats::default();
     for (qi, (hits, stats)) in oracle.iter().enumerate() {
@@ -207,8 +213,7 @@ fn assert_batch_matches(outcome: &DistributedOutcome, oracle: &Tables, label: &s
             .map(|qh| qh.hit.clone())
             .collect();
         assert_eq!(&table, hits, "{label}: hits diverged for query {qi}");
-        let reported: Vec<&KernelStats> = outcome
-            .events
+        let reported: Vec<&KernelStats> = events
             .iter()
             .filter_map(|e| match &e.kind {
                 EventKind::TaskKernels { task, kernels, .. } if *task == qi => Some(kernels),
@@ -228,10 +233,29 @@ fn assert_batch_matches(outcome: &DistributedOutcome, oracle: &Tables, label: &s
     );
 }
 
+/// Run `batch` on `server` and return the outcome with the run's event
+/// stream.
+fn serve_recorded(
+    server: MasterServer,
+    batch: Batch<'_>,
+) -> (DistributedOutcome, Vec<RuntimeEvent>) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let outcome = server
+        .with_event_sink(move |e| sink.lock().unwrap().push(e.clone()))
+        .serve(batch)
+        .expect("master serve");
+    let events = std::mem::take(&mut *seen.lock().unwrap());
+    (outcome, events)
+}
+
 /// Run `queries` against `db` on the batch master with one TCP slave —
-/// which holds only the database — and return the outcome and the number
-/// of tasks the slave executed.
-fn tcp_run(queries: &[EncodedSequence], db: &DbSnapshot) -> (DistributedOutcome, usize) {
+/// which holds only the database — and return the outcome with its event
+/// stream, and the number of tasks the slave executed.
+fn tcp_run(
+    queries: &[EncodedSequence],
+    db: &DbSnapshot,
+) -> ((DistributedOutcome, Vec<RuntimeEvent>), usize) {
     let scoring = scoring();
     let net = NetConfig {
         register_timeout: Some(std::time::Duration::from_secs(30)),
@@ -244,15 +268,16 @@ fn tcp_run(queries: &[EncodedSequence], db: &DbSnapshot) -> (DistributedOutcome,
         let slave = scope.spawn(|| {
             run_slave(addr, "oracle-slave", 1.0, db, &scoring, &net).expect("slave runs clean")
         });
-        let outcome = server
-            .serve(Batch {
+        let run = serve_recorded(
+            server,
+            Batch {
                 queries,
                 db,
                 scoring: &scoring,
                 fleet: Vec::new(),
-            })
-            .expect("master serve");
-        (outcome, slave.join().expect("slave thread"))
+            },
+        );
+        (run, slave.join().expect("slave thread"))
     })
 }
 
@@ -271,15 +296,18 @@ fn master_slave_pair_matches_one_shot() {
         assert_eq!(executed, fx.queries.len());
         assert_batch_matches(&tcp, &oracle, &format!("tcp slave, {provenance}"));
 
-        let local = Batch {
-            queries: &fx.queries,
-            db,
-            scoring: &scoring,
-            fleet: vec![FleetPe::simd("oracle-pe", 1.0)],
-        }
-        .run(exactly_once());
+        // The same master waiting for no slave: a local fleet alone.
+        let local = serve_recorded(
+            MasterServer::bind("127.0.0.1:0", exactly_once(), 0).expect("bind master"),
+            Batch {
+                queries: &fx.queries,
+                db,
+                scoring: &scoring,
+                fleet: vec![FleetPe::simd("oracle-pe", 1.0)],
+            },
+        );
         assert_batch_matches(&local, &oracle, &format!("local fleet, {provenance}"));
-        assert_eq!(tcp.hits, local.hits, "{provenance}");
+        assert_eq!(tcp.0.hits, local.0.hits, "{provenance}");
         for (qi, (hits, _)) in oracle.iter().enumerate() {
             assert_eq!(hits.len(), TOP_N.min(db.len()), "query {qi}");
         }
