@@ -108,11 +108,6 @@ impl KarlinAltschul {
         (self.lambda * s as f64 - self.k.ln()) / std::f64::consts::LN_2
     }
 
-    /// Raw score needed to reach a given bit score (rounded up).
-    pub fn raw_score_for_bits(&self, bits: f64) -> i32 {
-        ((bits * std::f64::consts::LN_2 + self.k.ln()) / self.lambda).ceil() as i32
-    }
-
     /// Expected alignment length for a raw score (edge correction):
     /// `l ≈ λS / H` with `H` converted from bits to nats.
     fn expected_length(&self, s: i32) -> f64 {
@@ -126,26 +121,6 @@ impl KarlinAltschul {
         let m_eff = (query_len as f64 - l).max(1.0);
         let n_eff = (db_residues as f64 - db_sequences as f64 * l).max(db_sequences.max(1) as f64);
         self.k * m_eff * n_eff * (-self.lambda * s as f64).exp()
-    }
-
-    /// The raw score at which the E-value crosses `threshold` for the given
-    /// search space (useful for score cutoffs).
-    pub fn score_threshold(
-        &self,
-        threshold: f64,
-        query_len: usize,
-        db_residues: u64,
-        db_sequences: usize,
-    ) -> i32 {
-        assert!(threshold > 0.0, "threshold must be positive");
-        let mut s = 1;
-        while self.evalue(s, query_len, db_residues, db_sequences) > threshold {
-            s += 1;
-            if s > 1_000_000 {
-                break; // degenerate parameters
-            }
-        }
-        s
     }
 }
 
@@ -199,16 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_bit_scores_round_trip() {
-        let p = default_params();
-        for s in [20, 50, 100, 500] {
-            let bits = p.bit_score(s);
-            let back = p.raw_score_for_bits(bits);
-            assert!((back - s).abs() <= 1, "{s} → {bits} → {back}");
-        }
-    }
-
-    #[test]
     fn evalue_decreases_exponentially_with_score() {
         let p = default_params();
         let e = |s| p.evalue(s, 350, 190_000_000, 500_000);
@@ -239,14 +204,6 @@ mod tests {
         assert!(e < 1e-100, "E = {e}");
         // While a random-noise score (~50) is not.
         assert!(p.evalue(50, 400, 190_000_000, 537_505) > 1e-3);
-    }
-
-    #[test]
-    fn score_threshold_crosses_at_the_right_point() {
-        let p = default_params();
-        let s = p.score_threshold(0.001, 350, 190_000_000, 537_505);
-        assert!(p.evalue(s, 350, 190_000_000, 537_505) <= 0.001);
-        assert!(p.evalue(s - 1, 350, 190_000_000, 537_505) > 0.001);
     }
 
     #[test]

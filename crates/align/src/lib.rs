@@ -13,9 +13,7 @@
 //! * [`gotoh`] — the affine-gap variant with the three DP matrices H/E/F
 //!   (§II-A-3),
 //! * [`score_only`] — linear-space score-only kernels; these are the
-//!   reference implementations the SIMD kernels are validated against,
-//! * [`stats`] — GCUPS and cell-count helpers (the paper's performance
-//!   metric: Billions of Cell Updates Per Second).
+//!   reference implementations the SIMD kernels are validated against.
 //!
 //! All kernels operate on *encoded* sequences (`&[u8]` alphabet codes, see
 //! `swhybrid_seq::alphabet`) so that a substitution score is a single table
@@ -26,7 +24,6 @@ pub mod evalue;
 pub mod gotoh;
 pub mod score_only;
 pub mod scoring;
-pub mod stats;
 pub mod sw;
 
 pub use alignment::{AlignOp, Alignment};

@@ -14,6 +14,15 @@ use swhybrid_seq::digest::Fnv1a;
 mod matrices;
 pub use matrices::{BLOSUM50, BLOSUM62, PAM250};
 
+/// The largest gap penalty (open or extend) a scoring scheme may carry.
+/// The scalar kernels subtract `extend` from their `i32::MIN / 4` sentinel
+/// and at most `open + 2 × extend` from a zero cell; the vector kernels
+/// form `open + extend` in `i32` before clamping it to their lane width.
+/// Under this bound none of that can overflow, and it is far above any
+/// penalty that changes an alignment (no substitution score comes near
+/// it).
+pub const MAX_GAP_PENALTY: i32 = 1_000_000;
+
 /// Gap penalty model. Penalties are stored as **positive magnitudes** and
 /// subtracted by the kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,24 +55,6 @@ impl GapModel {
                     open as i64 + extend as i64 * len as i64
                 }
             }
-        }
-    }
-
-    /// Cost of opening a new gap (first column).
-    #[inline]
-    pub fn open_cost(self) -> i32 {
-        match self {
-            GapModel::Linear { penalty } => penalty,
-            GapModel::Affine { open, extend } => open + extend,
-        }
-    }
-
-    /// Cost of extending an existing gap by one column.
-    #[inline]
-    pub fn extend_cost(self) -> i32 {
-        match self {
-            GapModel::Linear { penalty } => penalty,
-            GapModel::Affine { extend, .. } => extend,
         }
     }
 }
@@ -145,26 +136,9 @@ impl SubstMatrix {
         &self.scores[a as usize * self.dim..(a as usize + 1) * self.dim]
     }
 
-    /// Minimum entry of the matrix.
-    pub fn min_score(&self) -> i32 {
-        self.scores.iter().copied().min().unwrap_or(0) as i32
-    }
-
     /// Maximum entry of the matrix.
     pub fn max_score(&self) -> i32 {
         self.scores.iter().copied().max().unwrap_or(0) as i32
-    }
-
-    /// Whether the matrix is symmetric (all standard matrices are).
-    pub fn is_symmetric(&self) -> bool {
-        for i in 0..self.dim {
-            for j in 0..i {
-                if self.scores[i * self.dim + j] != self.scores[j * self.dim + i] {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -276,6 +250,14 @@ mod tests {
         assert_eq!(m.score(code(b'A'), code(b'A')), 2);
     }
 
+    fn assert_symmetric(m: &SubstMatrix) {
+        for a in 0..m.dim() as u8 {
+            for b in 0..a {
+                assert_eq!(m.score(a, b), m.score(b, a), "{} is not symmetric", m.name);
+            }
+        }
+    }
+
     #[test]
     fn standard_matrices_are_symmetric() {
         for m in [
@@ -283,7 +265,7 @@ mod tests {
             SubstMatrix::blosum50(),
             SubstMatrix::pam250(),
         ] {
-            assert!(m.is_symmetric(), "{} is not symmetric", m.name);
+            assert_symmetric(&m);
         }
     }
 
@@ -316,14 +298,12 @@ mod tests {
         // Unknown (N) never matches, not even itself.
         let n = Alphabet::Dna.unknown_code();
         assert_eq!(m.score(n, n), -1);
-        assert!(m.is_symmetric());
+        assert_symmetric(&m);
     }
 
     #[test]
-    fn min_max_scores() {
-        let m = SubstMatrix::blosum62();
-        assert_eq!(m.max_score(), 11);
-        assert_eq!(m.min_score(), -4);
+    fn max_score() {
+        assert_eq!(SubstMatrix::blosum62().max_score(), 11);
     }
 
     #[test]
@@ -331,8 +311,6 @@ mod tests {
         let g = GapModel::Linear { penalty: 2 };
         assert_eq!(g.cost(0), 0);
         assert_eq!(g.cost(3), 6);
-        assert_eq!(g.open_cost(), 2);
-        assert_eq!(g.extend_cost(), 2);
     }
 
     #[test]
@@ -344,8 +322,6 @@ mod tests {
         assert_eq!(g.cost(0), 0);
         assert_eq!(g.cost(1), 12);
         assert_eq!(g.cost(5), 20);
-        assert_eq!(g.open_cost(), 12);
-        assert_eq!(g.extend_cost(), 2);
     }
 
     #[test]

@@ -281,7 +281,6 @@ mod tests {
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::synth::{paper_database, QueryOrder, QuerySetSpec};
     use swhybrid_seq::{Alphabet, DbSnapshot};
-    use swhybrid_simd::search::{search_db, SearchConfig};
 
     fn scoring() -> Scoring {
         Scoring {
@@ -341,18 +340,21 @@ mod tests {
     /// What the batch master must merge for `queries`: each query's
     /// one-shot table at the one batch depth, keyed for comparison.
     fn one_shot_key(queries: &[EncodedSequence], db: &DbSnapshot) -> Vec<(usize, usize, i32)> {
-        let config = SearchConfig {
-            top_n: BATCH_TOP_N,
-            ..SearchConfig::default()
-        };
+        let scoring = scoring();
+        let mut pe = PeExecutor::new(&scoring);
         let mut v: Vec<(usize, usize, i32)> = queries
             .iter()
             .enumerate()
             .flat_map(|(qi, q)| {
-                search_db(&q.codes, db, &scoring(), &config)
-                    .hits
-                    .into_iter()
-                    .map(move |h| (qi, h.db_index, h.score))
+                let payload = TaskPayload {
+                    queries: vec![QueryPayload {
+                        query: q.codes.clone(),
+                        top_n: BATCH_TOP_N,
+                    }],
+                    shard: (0, db.len()),
+                };
+                let hits = pe.scan(db, &payload).unwrap().queries.remove(0).hits;
+                hits.into_iter().map(move |h| (qi, h.db_index, h.score))
             })
             .collect();
         v.sort_unstable();

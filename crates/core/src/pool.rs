@@ -8,12 +8,12 @@
 //! ([`LocalEndpoint`]) and a remote TCP slave session
 //! (`net::serve_slaves`) are two endpoint implementations feeding the
 //! same engine with identical event/stat flow: `RuntimeEvent`s,
-//! `KernelStats`, PSS progress notifications, replication/steal, and
-//! liveness-driven requeue.
+//! `KernelStats`, each finished task's observed speed, replication/steal,
+//! and liveness-driven requeue.
 //!
 //! Beside the one drive loop sits the one compute step,
 //! [`PeExecutor::scan`]: what every PE — daemon worker, slave, local-fleet
-//! thread — does with a task's payload.
+//! thread, the one-shot `search`'s shard PEs — does with a task's payload.
 //!
 //! What a runtime still chooses is what happens to a finished task's
 //! result: that is the [`PoolOwner`] — batch runs collect hits per task
@@ -91,8 +91,8 @@ impl TaskResult {
 }
 
 /// THE compute state of every PE — daemon worker, slave, local-fleet
-/// thread: the scoring and the PE's [`ShardExecutor`] (its kernel scratch,
-/// warm for the PE's lifetime). Every task runs through
+/// thread, `search` shard: the scoring and the PE's [`ShardExecutor`] (its
+/// kernel scratch, warm for the PE's lifetime). Every task runs through
 /// [`PeExecutor::scan`] on profiles built for the task and dropped with it
 /// (a profile costs microseconds against a scan's milliseconds).
 pub struct PeExecutor<'a> {
@@ -147,9 +147,9 @@ impl<'a> PeExecutor<'a> {
             .shards
             .execute(&batch, db.arena(), &plan)
             .into_iter()
-            .map(|out| QueryResult {
-                hits: materialize_hits(&out.scored, |i| db.id(i).to_string()),
-                kernels: out.stats,
+            .map(|(scored, kernels)| QueryResult {
+                hits: materialize_hits(&scored, |i| db.id(i).to_string()),
+                kernels,
             })
             .collect();
         let cells = queries.iter().map(|q| q.kernels.cells_computed).sum();
@@ -184,8 +184,6 @@ pub enum PeEvent {
         /// What it produced.
         result: TaskResult,
     },
-    /// A periodic PSS progress notification (observed GCUPS).
-    Progress(f64),
     /// The PE is gone (hang-up, fatal transport error, or — with
     /// `suspected_dead` — a missed liveness deadline).
     Gone {
@@ -596,13 +594,6 @@ impl<S: PoolOwner> PePool<S> {
         true
     }
 
-    /// Record a PSS progress notification.
-    pub fn notify_progress(&self, pe: PeId, gcups: f64) {
-        let now = self.now();
-        let mut g = self.lock();
-        g.master.notify_progress(pe, now, gcups);
-    }
-
     /// Long-poll the master for `pe`'s next command: parks on the hub
     /// through `Wait`, returns `None` when the pool aborted or the member
     /// was torn down concurrently. `Done` retires the member cleanly (no
@@ -683,7 +674,6 @@ pub fn drive<S: PoolOwner, E: PeEndpoint<S>>(pool: &PePool<S>, pe: PeId, endpoin
                     return;
                 }
             }
-            PeEvent::Progress(gcups) => pool.notify_progress(pe, gcups),
             PeEvent::Gone { suspected_dead } => {
                 pool.disconnect(pe, suspected_dead);
                 return;

@@ -54,12 +54,6 @@ impl SimPe {
             leave_at: None,
         }
     }
-
-    /// Attach a load schedule.
-    pub fn with_load(mut self, load: LoadSchedule) -> SimPe {
-        self.load = load;
-        self
-    }
 }
 
 /// Simulation parameters.
@@ -728,7 +722,10 @@ mod tests {
     fn load_schedule_slows_pe_down() {
         // One PE at 1 GCUPS, 10 Gcells of work, halved after t=5:
         // 5 Gcells by t=5, remaining 5 at 0.5 GCUPS → 10 more s → 15 s.
-        let pes = vec![flat_pe("a", 1.0).with_load(LoadSchedule::step_at(5.0, 0.5))];
+        let pes = vec![SimPe {
+            load: LoadSchedule::step_at(5.0, 0.5),
+            ..flat_pe("a", 1.0)
+        }];
         let report = Simulator::new(
             pes,
             uniform_tasks(10, 1_000_000_000),
@@ -740,7 +737,10 @@ mod tests {
 
     #[test]
     fn notifications_track_load_change() {
-        let pes = vec![flat_pe("a", 2.0).with_load(LoadSchedule::step_at(10.0, 0.5))];
+        let pes = vec![SimPe {
+            load: LoadSchedule::step_at(10.0, 0.5),
+            ..flat_pe("a", 2.0)
+        }];
         let (_, trace) = Simulator::new(
             pes,
             uniform_tasks(60, 1_000_000_000),

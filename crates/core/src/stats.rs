@@ -81,11 +81,6 @@ impl PeSpeedStats {
         self.mean = num / den;
     }
 
-    /// Number of retained samples.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Whether any observation has been recorded.
     pub fn has_observations(&self) -> bool {
         !self.samples.is_empty()
@@ -134,7 +129,7 @@ mod tests {
         s.observe(100.0);
         s.observe(4.0);
         s.observe(4.0);
-        assert_eq!(s.sample_count(), 2);
+        assert_eq!(s.samples.len(), 2);
         // The 100.0 sample fell out of the window entirely.
         assert!((s.weighted_mean_gcups() - 4.0).abs() < 1e-12);
     }

@@ -105,15 +105,6 @@ impl FleetSpec {
         self.entries.iter().map(|&(_, n)| n).sum()
     }
 
-    /// Count of PEs of one kind across all entries.
-    pub fn count_of(&self, kind: DeviceKind) -> usize {
-        self.entries
-            .iter()
-            .filter(|&&(k, _)| k == kind)
-            .map(|&(_, n)| n)
-            .sum()
-    }
-
     /// Human-readable description, e.g. `"8 SSE + 2 GPU"`.
     pub fn describe(&self) -> String {
         self.entries
@@ -143,14 +134,6 @@ impl FleetSpec {
         }
         pes
     }
-
-    /// A homogeneous all-SSE fleet (the historical `--workers N` shape).
-    pub fn all_sse(n: usize) -> FleetSpec {
-        assert!(n >= 1, "fleet needs at least one PE");
-        FleetSpec {
-            entries: vec![(DeviceKind::SseCore, n)],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +152,6 @@ mod tests {
             ]
         );
         assert_eq!(f.total(), 11);
-        assert_eq!(f.count_of(DeviceKind::Gpu), 2);
         assert_eq!(f.describe(), "8 SSE + 2 GPU + 1 FPGA");
     }
 
@@ -221,10 +203,5 @@ mod tests {
         let sse = &pes[1];
         assert!(sse.model.is_none());
         assert_eq!(sse.static_gcups, 1.0);
-    }
-
-    #[test]
-    fn all_sse_matches_parsed_form() {
-        assert_eq!(FleetSpec::all_sse(4), FleetSpec::parse("sse:4").unwrap());
     }
 }

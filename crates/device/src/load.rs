@@ -62,15 +62,6 @@ impl LoadSchedule {
         m
     }
 
-    /// Times at which the multiplier changes within `(from, to]`.
-    pub fn changes_within(&self, from: f64, to: f64) -> Vec<f64> {
-        self.steps
-            .iter()
-            .map(|&(t, _)| t)
-            .filter(|&t| t > from && t <= to)
-            .collect()
-    }
-
     /// The next change strictly after `t`, if any.
     pub fn next_change_after(&self, t: f64) -> Option<f64> {
         self.steps.iter().map(|&(s, _)| s).find(|&s| s > t)
@@ -164,11 +155,8 @@ mod tests {
     }
 
     #[test]
-    fn changes_within_window() {
+    fn next_change_after_steps() {
         let l = LoadSchedule::from_steps(vec![(5.0, 0.5), (15.0, 1.0)]);
-        assert_eq!(l.changes_within(0.0, 10.0), vec![5.0]);
-        assert_eq!(l.changes_within(5.0, 20.0), vec![15.0]);
-        assert!(l.changes_within(16.0, 30.0).is_empty());
         assert_eq!(l.next_change_after(5.0), Some(15.0));
         assert_eq!(l.next_change_after(15.0), None);
     }

@@ -39,12 +39,6 @@ impl DbStats {
             self.total_residues as f64 / self.num_sequences as f64
         }
     }
-
-    /// DP cells updated when a query of `query_len` residues is compared to
-    /// the whole database.
-    pub fn cells_for_query(&self, query_len: usize) -> u64 {
-        query_len as u64 * self.total_residues
-    }
 }
 
 /// An in-memory sequence database.
@@ -113,33 +107,6 @@ impl Database {
     pub fn get(&self, id: &str) -> Option<&Sequence> {
         self.sequences.iter().find(|s| s.id == id)
     }
-
-    /// Split the database into `n` chunks of near-equal *residue* counts
-    /// (coarse-grained parallelisation, Fig. 3b): chunk boundaries never
-    /// split a sequence.
-    pub fn chunks_by_residues(&self, n: usize) -> Vec<&[Sequence]> {
-        assert!(n > 0, "chunk count must be positive");
-        let total: u64 = self.sequences.iter().map(|s| s.len() as u64).sum();
-        let target = total.div_ceil(n as u64).max(1);
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0usize;
-        let mut acc = 0u64;
-        for (i, s) in self.sequences.iter().enumerate() {
-            acc += s.len() as u64;
-            if acc >= target && out.len() + 1 < n {
-                out.push(&self.sequences[start..=i]);
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start <= self.sequences.len() {
-            out.push(&self.sequences[start..]);
-        }
-        while out.len() < n {
-            out.push(&self.sequences[self.sequences.len()..]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,13 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn cells_for_query_is_product() {
-        let s = db().stats();
-        assert_eq!(s.cells_for_query(100), 1600);
-        assert_eq!(s.cells_for_query(0), 0);
-    }
-
-    #[test]
     fn get_by_id() {
         let d = db();
         assert_eq!(d.get("b").unwrap().residues, b"AW");
@@ -198,35 +158,5 @@ mod tests {
         let enc = db().encode_all().unwrap();
         assert_eq!(enc.len(), 3);
         assert_eq!(enc[2].len(), 10);
-    }
-
-    #[test]
-    fn chunks_cover_all_sequences_without_overlap() {
-        let d = db();
-        for n in 1..=5 {
-            let chunks = d.chunks_by_residues(n);
-            assert_eq!(chunks.len(), n);
-            let reassembled: Vec<_> = chunks.iter().flat_map(|c| c.iter()).collect();
-            assert_eq!(reassembled.len(), d.len());
-            for (orig, got) in d.sequences.iter().zip(reassembled) {
-                assert_eq!(orig, got);
-            }
-        }
-    }
-
-    #[test]
-    fn chunks_balance_residues() {
-        let seqs: Vec<Sequence> = (0..100)
-            .map(|i| Sequence::of(format!("s{i}"), &[b'A'; 50]))
-            .collect();
-        let d = Database::new("uniform", Alphabet::Protein, seqs);
-        let chunks = d.chunks_by_residues(4);
-        let counts: Vec<u64> = chunks
-            .iter()
-            .map(|c| c.iter().map(|s| s.len() as u64).sum())
-            .collect();
-        let max = *counts.iter().max().unwrap();
-        let min = *counts.iter().min().unwrap();
-        assert!(max - min <= 50, "imbalanced: {counts:?}");
     }
 }

@@ -4,7 +4,7 @@
 //! this module parses them one record at a time, so building a database
 //! store never holds the raw text of more than one record.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 use crate::alphabet::Alphabet;
@@ -131,11 +131,6 @@ fn split_header(header: &str) -> (String, String) {
 /// ```
 pub fn parse_str(input: &str) -> Result<Vec<Sequence>, SeqError> {
     FastaReader::new(input.as_bytes()).read_all()
-}
-
-/// Parse every record of a reader.
-pub fn parse_reader<R: Read>(reader: R) -> Result<Vec<Sequence>, SeqError> {
-    FastaReader::new(BufReader::new(reader)).read_all()
 }
 
 /// Read a FASTA file and encode every record under `alphabet`, one record

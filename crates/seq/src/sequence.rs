@@ -51,11 +51,6 @@ impl Sequence {
         alphabet.encode(&self.residues)
     }
 
-    /// The residues as a `&str` (FASTA residues are always ASCII).
-    pub fn residues_str(&self) -> &str {
-        std::str::from_utf8(&self.residues).expect("residues are ASCII")
-    }
-
     /// Full FASTA header line content (without the leading `>`).
     pub fn header(&self) -> String {
         if self.description.is_empty() {
@@ -130,7 +125,7 @@ mod tests {
         let s = Sequence::new("sp|P1", "test protein", b"MKV".to_vec());
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
-        assert_eq!(s.residues_str(), "MKV");
+        assert_eq!(s.residues, b"MKV");
         assert_eq!(s.header(), "sp|P1 test protein");
     }
 

@@ -275,11 +275,6 @@ impl QuerySetSpec {
         lens
     }
 
-    /// Total residues across all queries.
-    pub fn total_query_residues(&self, seed: u64) -> u64 {
-        self.lengths(seed).iter().map(|&l| l as u64).sum()
-    }
-
     /// Materialise the queries with random SwissProt-composition residues.
     pub fn generate(&self, seed: u64) -> Vec<Sequence> {
         let mut r = rng(seed);
@@ -427,7 +422,7 @@ mod tests {
             .iter()
             .all(|q| Alphabet::Protein.validates(&q.residues)));
         // Total residues ≈ 40 × 2550 = 102,000 (the DESIGN.md §2 workload size).
-        let total = spec.total_query_residues(11);
+        let total: usize = lens.iter().sum();
         assert!((101_000..=103_000).contains(&total), "total {total}");
     }
 }

@@ -66,17 +66,4 @@ proptest! {
             Alphabet::Protein.encode(&lower).unwrap()
         );
     }
-
-    #[test]
-    fn chunking_partitions_any_database(recs in records(), n in 1usize..6) {
-        let db = swhybrid_seq::Database::new("p", Alphabet::Protein, recs.clone());
-        let chunks = db.chunks_by_residues(n);
-        prop_assert_eq!(chunks.len(), n);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(total, recs.len());
-        let flattened: Vec<&Sequence> = chunks.iter().flat_map(|c| c.iter()).collect();
-        for (orig, got) in recs.iter().zip(flattened) {
-            prop_assert_eq!(orig, got);
-        }
-    }
 }

@@ -2,9 +2,9 @@ use super::*;
 use rand::{RngExt, SeedableRng};
 use std::time::Duration;
 use swhybrid_align::scoring::{GapModel, SubstMatrix};
+use swhybrid_core::pool::{PeExecutor, QueryPayload, QueryResult, TaskPayload};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::Alphabet;
-use swhybrid_simd::search::search_db;
 
 /// The database as every driver holds it.
 fn snap(db: &[EncodedSequence]) -> DbSnapshot {
@@ -33,6 +33,21 @@ fn random_db(seed: u64, n: usize, max_len: usize) -> Vec<EncodedSequence> {
             }
         })
         .collect()
+}
+
+/// The one-shot scan of the whole database (`search --threads 1`).
+fn cold_scan(query: &[u8], db: &[EncodedSequence], top_n: usize) -> QueryResult {
+    let payload = TaskPayload {
+        queries: vec![QueryPayload {
+            query: query.to_vec(),
+            top_n,
+        }],
+        shard: (0, db.len()),
+    };
+    let mut result = PeExecutor::new(&scoring())
+        .scan(&snap(db), &payload)
+        .unwrap();
+    result.queries.remove(0)
 }
 
 fn random_query(seed: u64, len: usize) -> Vec<u8> {
@@ -75,18 +90,10 @@ fn served_result_matches_cold_scan() {
     let query = random_query(29, 60);
     let svc = small_service(&db);
     let reply = svc.search_blocking(query.clone(), 12, 1).unwrap();
-    let cold = search_db(
-        &query,
-        &snap(&db),
-        &scoring(),
-        &swhybrid_simd::search::SearchConfig {
-            top_n: 12,
-            ..Default::default()
-        },
-    );
+    let cold = cold_scan(&query, &db, 12);
     assert_eq!(reply.hits, cold.hits);
     assert!(!reply.cached);
-    assert_eq!(reply.cells, cold.cells);
+    assert_eq!(reply.cells, cold.kernels.cells_computed);
     svc.shutdown();
 }
 
@@ -108,18 +115,10 @@ fn served_kernel_stats_match_cold_scan_with_one_shard() {
         },
     );
     let reply = svc.search_blocking(query.clone(), 8, 1).unwrap();
-    let cold = search_db(
-        &query,
-        &snap(&db),
-        &scoring(),
-        &swhybrid_simd::search::SearchConfig {
-            top_n: 8,
-            ..Default::default()
-        },
-    );
+    let cold = cold_scan(&query, &db, 8);
     assert_eq!(reply.hits, cold.hits);
     assert_eq!(
-        reply.kernels, cold.stats,
+        reply.kernels, cold.kernels,
         "per-query kernel counters drifted"
     );
     // A cache hit never runs a kernel, so its counters are zero.
@@ -180,15 +179,7 @@ fn hybrid_fleet_service_matches_cold_scan_and_names_both_kinds() {
         },
     );
     let reply = svc.search_blocking(query.clone(), 10, 1).unwrap();
-    let cold = search_db(
-        &query,
-        &snap(&db),
-        &scoring(),
-        &swhybrid_simd::search::SearchConfig {
-            top_n: 10,
-            ..Default::default()
-        },
-    );
+    let cold = cold_scan(&query, &db, 10);
     assert_eq!(
         reply.hits, cold.hits,
         "hybrid fleet must score bit-identically"
@@ -259,15 +250,7 @@ fn swap_db_invalidates_cache_and_changes_results() {
     svc.swap_snapshot(snap(&db_b));
     let b = svc.search_blocking(query.clone(), 5, 1).unwrap();
     assert!(!b.cached, "generation bump must bypass the cache");
-    let cold_b = search_db(
-        &query,
-        &snap(&db_b),
-        &scoring(),
-        &swhybrid_simd::search::SearchConfig {
-            top_n: 5,
-            ..Default::default()
-        },
-    );
+    let cold_b = cold_scan(&query, &db_b, 5);
     assert_eq!(b.hits, cold_b.hits);
     // Old-generation result is still byte-identical to its own scan.
     assert_ne!(a.hits, b.hits);
@@ -599,22 +582,14 @@ fn fused_queries_match_cold_scans_and_share_tasks() {
     let replies: Vec<SearchReply> = (0..5).map(|_| rx.recv().unwrap()).collect();
     for reply in &replies {
         let (q, top_n) = &asked[&reply.job];
-        let cold = search_db(
-            q,
-            &snap(&db),
-            &scoring(),
-            &swhybrid_simd::search::SearchConfig {
-                top_n: *top_n,
-                ..Default::default()
-            },
-        );
+        let cold = cold_scan(q, &db, *top_n);
         assert_eq!(
             reply.hits, cold.hits,
             "job {} differs from cold scan",
             reply.job
         );
         assert_eq!(
-            reply.cells, cold.cells,
+            reply.cells, cold.kernels.cells_computed,
             "job {} cell count drifted",
             reply.job
         );

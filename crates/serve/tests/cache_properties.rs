@@ -4,11 +4,12 @@
 
 use proptest::prelude::*;
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
+use swhybrid_core::pool::{PeExecutor, QueryPayload, TaskPayload};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::protocol::hits_to_json;
 use swhybrid_serve::service::{QueryService, ServiceConfig};
-use swhybrid_simd::search::{search_db, SearchConfig};
+use swhybrid_simd::search::Hit;
 
 /// The database as every driver holds it.
 fn snap(db: &[EncodedSequence]) -> DbSnapshot {
@@ -43,21 +44,19 @@ fn database(max_seqs: usize) -> impl Strategy<Value = Vec<EncodedSequence>> {
     })
 }
 
-fn cold_hits(
-    query: &[u8],
-    db: &[EncodedSequence],
-    top_n: usize,
-) -> Vec<swhybrid_simd::search::Hit> {
-    search_db(
-        query,
-        &snap(db),
-        &scoring(),
-        &SearchConfig {
+/// The one-shot scan of the whole database (`search --threads 1`).
+fn cold_hits(query: &[u8], db: &[EncodedSequence], top_n: usize) -> Vec<Hit> {
+    let payload = TaskPayload {
+        queries: vec![QueryPayload {
+            query: query.to_vec(),
             top_n,
-            ..Default::default()
-        },
-    )
-    .hits
+        }],
+        shard: (0, db.len()),
+    };
+    let mut result = PeExecutor::new(&scoring())
+        .scan(&snap(db), &payload)
+        .unwrap();
+    result.queries.remove(0).hits
 }
 
 proptest! {

@@ -12,9 +12,8 @@ use proptest::prelude::*;
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbArena};
-use swhybrid_simd::engine::PreparedQuery;
-use swhybrid_simd::search::{search_arena, SearchConfig};
-use swhybrid_simd::{ShardExecutor, ShardPlan};
+use swhybrid_simd::engine::{EnginePreference, PreparedQuery};
+use swhybrid_simd::{KernelChoice, ShardExecutor, ShardPlan};
 
 fn scoring() -> Scoring {
     Scoring {
@@ -56,14 +55,16 @@ proptest! {
     ) {
         let s = scoring();
         let arena = DbArena::from_encoded(&db);
-        let cfg = SearchConfig {
+        let plan = ShardPlan {
+            range: 0..arena.len(),
             chunk_size: 5,
-            ..Default::default()
+            kernel: KernelChoice::Auto,
+            prefetch: true,
         };
         let batch: Vec<(Arc<PreparedQuery>, usize)> = queries
             .iter()
             .map(|(q, top_n)| {
-                (Arc::new(PreparedQuery::new(q, &s, cfg.preference)), *top_n)
+                (Arc::new(PreparedQuery::new(q, &s, EnginePreference::Auto)), *top_n)
             })
             .collect();
 
@@ -82,25 +83,20 @@ proptest! {
         }
 
         // The serve PE's entry point: one executor, one shard, one batch.
-        let plan = ShardPlan::from_config(0..arena.len(), &cfg);
         let base = ShardExecutor::new().execute(&batch, &arena, &plan);
         let perm = ShardExecutor::new().execute(&permuted, &arena, &plan);
         prop_assert_eq!(base.len(), batch.len());
         for (slot, &orig) in index.iter().enumerate() {
             prop_assert_eq!(
-                &perm[slot].scored, &base[orig].scored,
-                "query {} ranked differently at batch slot {}", orig, slot
+                &perm[slot], &base[orig],
+                "query {} ranked or counted differently at batch slot {}", orig, slot
             );
-            prop_assert_eq!(perm[slot].cells, base[orig].cells);
-            prop_assert_eq!(perm[slot].stats.total(), base[orig].stats.total());
         }
 
         // And each batch slot equals the query's solo scan outright.
-        for (k, (prepared, top_n)) in batch.iter().enumerate() {
-            let solo_cfg = SearchConfig { top_n: *top_n, ..cfg };
-            let solo = search_arena(prepared, &arena, 0..arena.len(), &solo_cfg);
-            prop_assert_eq!(&base[k].scored, &solo.scored);
-            prop_assert_eq!(base[k].cells, solo.cells);
+        for (k, entry) in batch.iter().enumerate() {
+            let solo = ShardExecutor::new().execute(std::slice::from_ref(entry), &arena, &plan);
+            prop_assert_eq!(&base[k], &solo[0]);
         }
     }
 }

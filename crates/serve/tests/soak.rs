@@ -10,14 +10,14 @@ use std::time::Duration;
 use rand::{RngExt, SeedableRng};
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_core::net::{run_slave, NetConfig, PROTOCOL_VERSION};
-use swhybrid_core::pool::Identity;
+use swhybrid_core::pool::{Identity, PeExecutor, QueryPayload, TaskPayload};
 use swhybrid_json::Json;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbSnapshot};
 use swhybrid_serve::protocol::{request_to_json, Request, SearchRequest};
 use swhybrid_serve::service::ServiceConfig;
 use swhybrid_serve::{ServeClient, ServeDaemon};
-use swhybrid_simd::search::{search_db, Hit, SearchConfig};
+use swhybrid_simd::search::Hit;
 
 /// The database as every driver holds it.
 fn snap(db: &[EncodedSequence]) -> DbSnapshot {
@@ -57,18 +57,19 @@ fn random_query_ascii(seed: u64, len: usize) -> String {
         .collect()
 }
 
+/// The one-shot scan of the whole database (`search --threads 1`).
 fn cold_hits(query_ascii: &str, db: &[EncodedSequence], top_n: usize) -> Vec<Hit> {
-    let codes = Alphabet::Protein.encode(query_ascii.as_bytes()).unwrap();
-    search_db(
-        &codes,
-        &snap(db),
-        &scoring(),
-        &SearchConfig {
+    let payload = TaskPayload {
+        queries: vec![QueryPayload {
+            query: Alphabet::Protein.encode(query_ascii.as_bytes()).unwrap(),
             top_n,
-            ..Default::default()
-        },
-    )
-    .hits
+        }],
+        shard: (0, db.len()),
+    };
+    let mut result = PeExecutor::new(&scoring())
+        .scan(&snap(db), &payload)
+        .unwrap();
+    result.queries.remove(0).hits
 }
 
 fn start_daemon(

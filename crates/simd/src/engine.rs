@@ -19,15 +19,14 @@ use swhybrid_align::gotoh::gap_params;
 use swhybrid_align::score_only::sw_score_affine;
 use swhybrid_align::scoring::Scoring;
 
-/// Which implementation family to use.
+/// Which implementation family to use. Every caller takes the widest
+/// tier; tests reach the narrower ones through [`PreparedQuery::with_isa`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EnginePreference {
     /// The widest vector tier the CPU supports ([`Isa::available`]),
     /// portable when it supports none.
     #[default]
     Auto,
-    /// Force the portable (array) kernels.
-    Portable,
 }
 
 /// Counters describing which kernels actually ran.
@@ -252,11 +251,6 @@ impl StripedEngine {
         self.stats
     }
 
-    /// Reset the kernel-usage counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = KernelStats::default();
-    }
-
     /// Score one encoded subject, with the 8→16→scalar fallback chain.
     /// Every pass that runs is charged to `cells_computed`, so reported
     /// GCUPS reflect work actually done on saturated workloads. `scratch`
@@ -319,15 +313,16 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(113);
         let s = scoring();
         let query = random_seq(&mut rng, 90);
-        for pref in [EnginePreference::Auto, EnginePreference::Portable] {
+        for isa in Isa::available() {
             let mut scratch = KernelScratch::new();
-            let mut engine = StripedEngine::new(&query, &s, pref);
+            let prepared = PreparedQuery::with_isa(&query, &s, isa);
+            let mut engine = StripedEngine::with_prepared(Arc::new(prepared));
             for _ in 0..30 {
                 let len = rng.random_range(1..200);
                 let subject = random_seq(&mut rng, len);
                 let got = engine.score(&subject, &mut scratch);
                 let expect = sw_score_affine(&query, &subject, &s).score;
-                assert_eq!(got, expect, "pref {pref:?}");
+                assert_eq!(got, expect, "{isa:?}");
             }
             assert_eq!(engine.stats().total(), 30);
         }
@@ -370,16 +365,5 @@ mod tests {
         let query = vec![0u8, 1, 2];
         let mut engine = StripedEngine::new(&query, &s, EnginePreference::Auto);
         assert_eq!(engine.score(&[], &mut KernelScratch::new()), 0);
-    }
-
-    #[test]
-    fn stats_reset() {
-        let s = scoring();
-        let query = vec![0u8, 1, 2];
-        let mut engine = StripedEngine::new(&query, &s, EnginePreference::Auto);
-        engine.score(&[0, 1, 2], &mut KernelScratch::new());
-        assert_eq!(engine.stats().total(), 1);
-        engine.reset_stats();
-        assert_eq!(engine.stats().total(), 0);
     }
 }

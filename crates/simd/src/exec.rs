@@ -1,21 +1,19 @@
 //! The shard-execution layer: ONE implementation of the chunked database
-//! scan, shared by every owner of a shard.
+//! scan.
 //!
 //! The paper's architecture (Fig. 1) is a single task-execution environment
 //! driving heterogeneous PEs; this module is that environment's inner loop.
-//! Two owners drive it:
+//! One owner drives it: the one compute step of every PE
+//! (`core::pool::PeExecutor::scan`: daemon worker threads, slaves,
+//! local-fleet threads, and the one-shot `search`'s shard PEs).
 //!
-//! * the one-shot `search` scan workers ([`crate::search::search_arena`]),
-//! * the one compute step of every PE (`core::pool::PeExecutor::scan`:
-//!   daemon worker threads, slaves, local-fleet threads).
-//!
-//! Each owner builds a [`ShardPlan`] (which arena positions to scan, the
-//! chunk size, the kernel preference, prefetch) and drives a
+//! The owner builds a [`ShardPlan`] (which arena positions to scan, the
+//! chunk size, the kernel choice, prefetch) and drives a
 //! [`ShardExecutor`], which owns the per-worker [`KernelScratch`] for its
 //! lifetime and implements chunk claiming, per-chunk [`KernelChoice`]
 //! dispatch, multi-query DP driving (a lone query is the batch of one),
-//! [`KernelStats`] accumulation, and the per-query top-N demux. Because the
-//! loop exists once, hit tables and kernel counters are byte-identical
+//! [`KernelStats`] accumulation, and the per-query top-N ranking. Because
+//! the loop exists once, hit tables and kernel counters are byte-identical
 //! across the transports by construction — the tri-path oracle test
 //! pins this.
 //!
@@ -30,8 +28,7 @@ use std::sync::Arc;
 
 use crate::engine::{KernelStats, PreparedQuery, StripedEngine};
 use crate::scratch::KernelScratch;
-use crate::search::{rank_scored, Hit, KernelChoice, ScanOutput, Scored, SearchConfig};
-use swhybrid_align::stats::cells;
+use crate::search::{rank_scored, Hit, KernelChoice, Scored};
 use swhybrid_seq::arena::DbArena;
 
 /// The minimum chunk size any scan path may use: 2 × the widest
@@ -57,18 +54,6 @@ pub struct ShardPlan {
     pub kernel: KernelChoice,
     /// Software-prefetch the next subject's residues ahead of use.
     pub prefetch: bool,
-}
-
-impl ShardPlan {
-    /// Derive a plan from a [`SearchConfig`] (the search-path spelling).
-    pub fn from_config(range: Range<usize>, config: &SearchConfig) -> ShardPlan {
-        ShardPlan {
-            range,
-            chunk_size: config.chunk_size,
-            kernel: config.kernel,
-            prefetch: config.prefetch,
-        }
-    }
 }
 
 /// Should `Auto` send this chunk to the inter-sequence kernel?
@@ -270,50 +255,27 @@ impl ShardExecutor {
     }
 
     /// Scan one whole shard with this (single) worker: the entry point of
-    /// the long-lived owners — every PE, through
-    /// `core::pool::PeExecutor::scan` — that execute one shard task at a
-    /// time. Drives the chunk loop over a private cursor and demuxes into
-    /// per-query outputs.
+    /// every PE, through `core::pool::PeExecutor::scan`, which executes one
+    /// shard task at a time. Drives the chunk loop over a private cursor
+    /// and returns, per batch entry, its scored subjects ranked by
+    /// [`rank_scored`] and cut to that entry's `top_n`, with its kernel
+    /// counters.
     pub fn execute(
         &mut self,
         batch: &[(Arc<PreparedQuery>, usize)],
         arena: &DbArena,
         plan: &ShardPlan,
-    ) -> Vec<ScanOutput> {
+    ) -> Vec<(Vec<Scored>, KernelStats)> {
         if batch.is_empty() {
             return Vec::new();
         }
-        let cursor = AtomicUsize::new(0);
-        let per_query = self.fused(batch, arena, plan, &cursor);
-        demux_top_n(per_query, batch, arena, plan.range.clone())
-    }
-}
-
-/// THE per-query top-N demux: rank each query's merged scored list by
-/// [`rank_scored`]'s total order, truncate to that query's depth, and
-/// attach the cell accounting. Every multi-query path (fused search,
-/// serve PE, slave) ends here, so per-query outputs are identical across
-/// decompositions.
-pub(crate) fn demux_top_n(
-    merged: Vec<(Vec<Scored>, KernelStats)>,
-    batch: &[(Arc<PreparedQuery>, usize)],
-    arena: &DbArena,
-    range: Range<usize>,
-) -> Vec<ScanOutput> {
-    merged
-        .into_iter()
-        .zip(batch)
-        .map(|((mut scored, stats), (prepared, top_n))| {
-            rank_scored(&mut scored);
+        let mut per_query = self.fused(batch, arena, plan, &AtomicUsize::new(0));
+        for ((scored, _), (_, top_n)) in per_query.iter_mut().zip(batch) {
+            rank_scored(scored);
             scored.truncate(*top_n);
-            ScanOutput {
-                scored,
-                cells: stats.cells_computed,
-                cells_nominal: cells(prepared.query_len(), 1) * arena.range_residues(range.clone()),
-                stats,
-            }
-        })
-        .collect()
+        }
+        per_query
+    }
 }
 
 /// Materialise ranked [`Hit`]s from internal [`Scored`] records: the one
@@ -335,10 +297,291 @@ pub fn materialize_hits(scored: &[Scored], mut id_of: impl FnMut(usize) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EnginePreference;
     use crate::vec::Isa;
+    use rand::{RngExt, SeedableRng};
+    use swhybrid_align::score_only::sw_score_affine;
     use swhybrid_align::scoring::Scoring;
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::Alphabet;
+
+    fn random_db(seed: u64, n: usize, max_len: usize) -> Vec<EncodedSequence> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let len = rng.random_range(1..max_len);
+                EncodedSequence {
+                    id: format!("s{i}"),
+                    codes: (0..len).map(|_| rng.random_range(0..20u8)).collect(),
+                    alphabet: Alphabet::Protein,
+                }
+            })
+            .collect()
+    }
+
+    fn random_query(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..len).map(|_| rng.random_range(0..20u8)).collect()
+    }
+
+    fn prepared(query: &[u8]) -> Arc<PreparedQuery> {
+        let scoring = Scoring::blosum62_affine();
+        Arc::new(PreparedQuery::new(query, &scoring, EnginePreference::Auto))
+    }
+
+    /// A PE's plan (chunk floor, prefetch on) over `range`, with `kernel`.
+    fn plan(range: Range<usize>, kernel: KernelChoice) -> ShardPlan {
+        ShardPlan {
+            range,
+            chunk_size: chunk_floor(),
+            kernel,
+            prefetch: true,
+        }
+    }
+
+    /// One worker's scan of `plan` for one query: its ranked top-`top_n`
+    /// hits (ids from `db`) and its kernel counters.
+    fn scan(
+        query: &[u8],
+        db: &[EncodedSequence],
+        arena: &DbArena,
+        plan: &ShardPlan,
+        top_n: usize,
+    ) -> (Vec<Hit>, KernelStats) {
+        let batch = [(prepared(query), top_n)];
+        let (scored, stats) = ShardExecutor::new()
+            .execute(&batch, arena, plan)
+            .pop()
+            .expect("one output per batch entry");
+        (materialize_hits(&scored, |i| db[i].id.clone()), stats)
+    }
+
+    /// [`scan`] over the whole of `db`, packed in database order.
+    fn scan_all(
+        query: &[u8],
+        db: &[EncodedSequence],
+        kernel: KernelChoice,
+        top_n: usize,
+    ) -> (Vec<Hit>, KernelStats) {
+        let arena = DbArena::from_encoded(db);
+        scan(query, db, &arena, &plan(0..db.len(), kernel), top_n)
+    }
+
+    #[test]
+    fn hits_match_scalar_scores_and_are_sorted() {
+        let query = random_query(131, 60);
+        let db = random_db(133, 50, 120);
+        let (hits, stats) = scan_all(&query, &db, KernelChoice::Auto, 50);
+        assert_eq!(hits.len(), 50);
+        for pair in hits.windows(2) {
+            assert!(pair[0].score >= pair[1].score);
+        }
+        let s = Scoring::blosum62_affine();
+        for hit in &hits {
+            let expect = sw_score_affine(&query, &db[hit.db_index].codes, &s).score;
+            assert_eq!(hit.score, expect, "hit {}", hit.id);
+        }
+        assert_eq!(stats.total(), 50);
+    }
+
+    #[test]
+    fn every_kernel_choice_yields_identical_hits() {
+        let query = random_query(171, 70);
+        let db = random_db(173, 160, 140);
+        let (baseline, _) = scan_all(&query, &db, KernelChoice::Striped, 25);
+        for kernel in [KernelChoice::InterSeq, KernelChoice::Auto] {
+            // Scan order is the arena's: database order, or ascending
+            // length (hits are keyed by database index either way).
+            for (order, arena) in [
+                ("db", DbArena::from_encoded(&db)),
+                ("sorted", DbArena::length_sorted(&db)),
+            ] {
+                let plan = ShardPlan {
+                    chunk_size: 33,
+                    ..plan(0..arena.len(), kernel)
+                };
+                let (hits, _) = scan(&query, &db, &arena, &plan, 25);
+                assert_eq!(hits, baseline, "kernel {kernel:?} order {order}");
+            }
+        }
+    }
+
+    #[test]
+    fn interseq_choice_populates_its_counters() {
+        let query = random_query(177, 50);
+        let db = random_db(179, 100, 60);
+        let (_, stats) = scan_all(&query, &db, KernelChoice::InterSeq, 20);
+        assert_eq!(stats.interseq_total(), 100);
+        assert_eq!(stats.total(), 100);
+        assert!(stats.chunks_interseq >= 1);
+        assert_eq!(stats.chunks_striped, 0);
+        assert!(stats.cells_computed > 0);
+    }
+
+    #[test]
+    fn auto_prefers_interseq_on_homogeneous_chunks_and_striped_on_tiny_ones() {
+        let query = random_query(181, 60);
+        // 128 similar-length subjects in one big chunk: inter-sequence.
+        let db = random_db(183, 128, 60);
+        let arena = DbArena::from_encoded(&db);
+        let bulk = ShardPlan {
+            chunk_size: 128,
+            ..plan(0..db.len(), KernelChoice::Auto)
+        };
+        let (_, stats) = scan(&query, &db, &arena, &bulk, 20);
+        assert!(stats.chunks_interseq >= 1, "{stats:?}");
+        // 5 subjects: lanes can't fill, Auto must stay striped.
+        let (_, tiny) = scan_all(&query, &db[..5], KernelChoice::Auto, 20);
+        assert_eq!(tiny.chunks_interseq, 0);
+        assert!(tiny.chunks_striped >= 1);
+    }
+
+    #[test]
+    fn top_n_truncates() {
+        let db = random_db(141, 30, 60);
+        let query: Vec<u8> = (0..40).map(|i| (i % 20) as u8).collect();
+        assert_eq!(scan_all(&query, &db, KernelChoice::Auto, 5).0.len(), 5);
+    }
+
+    #[test]
+    fn planted_homolog_ranks_first() {
+        let query = random_query(149, 100);
+        let mut db = random_db(151, 40, 120);
+        // Plant a copy of the query in the middle of the database.
+        db[17] = EncodedSequence {
+            id: "planted".into(),
+            codes: query.clone(),
+            alphabet: Alphabet::Protein,
+        };
+        let (hits, _) = scan_all(&query, &db, KernelChoice::Auto, 20);
+        assert_eq!(hits[0].id, "planted");
+        let s = Scoring::blosum62_affine();
+        assert_eq!(hits[0].score, sw_score_affine(&query, &query, &s).score);
+    }
+
+    #[test]
+    fn cells_accounting() {
+        let db = random_db(157, 10, 50);
+        let total: u64 = db.iter().map(|d| d.len() as u64).sum();
+        let query: Vec<u8> = (0..25).map(|i| (i % 20) as u8).collect();
+        let (_, stats) = scan_all(&query, &db, KernelChoice::Auto, 20);
+        // No subject here saturates i8, so every cell is computed once.
+        assert_eq!(stats.cells_computed, 25 * total);
+    }
+
+    #[test]
+    fn saturating_subjects_cost_extra_cells() {
+        let query: Vec<u8> = (0..200).map(|i| (i % 20) as u8).collect();
+        let db = vec![EncodedSequence {
+            id: "self".into(),
+            codes: query.clone(),
+            alphabet: Alphabet::Protein,
+        }];
+        for kernel in [KernelChoice::Striped, KernelChoice::InterSeq] {
+            let (_, stats) = scan_all(&query, &db, kernel, 20);
+            assert!(
+                stats.cells_computed > 200 * 200,
+                "kernel {kernel:?}: self-match must saturate i8 and recompute"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_database_yields_no_hits() {
+        let (hits, stats) = scan_all(&[0, 1, 2], &[], KernelChoice::Auto, 20);
+        assert!(hits.is_empty());
+        assert_eq!(stats, KernelStats::default());
+    }
+
+    /// Shard the database arbitrarily, scan each shard, merge the per-shard
+    /// top-N lists: the ranking must be bit-identical to one scan of the
+    /// whole database. The query service and `search --threads N` rely on
+    /// this when they split one query across shard tasks.
+    #[test]
+    fn merge_top_n_matches_whole_db_scan() {
+        let query = random_query(167, 70);
+        let db = random_db(169, 120, 100);
+        let arena = DbArena::from_encoded(&db);
+        let (whole, _) = scan_all(&query, &db, KernelChoice::Auto, 15);
+        let bounds = [0usize, 13, 50, 51, 120];
+        let shard_lists = bounds.windows(2).map(|w| {
+            scan(
+                &query,
+                &db,
+                &arena,
+                &plan(w[0]..w[1], KernelChoice::Auto),
+                15,
+            )
+            .0
+        });
+        assert_eq!(crate::search::merge_top_n(shard_lists, 15), whole);
+    }
+
+    #[test]
+    fn subrange_matches_subject_slice() {
+        let query = random_query(191, 60);
+        let db = random_db(193, 80, 90);
+        let arena = DbArena::from_encoded(&db);
+        let (sub, sub_stats) = scan(&query, &db, &arena, &plan(20..55, KernelChoice::Auto), 10);
+        let (slice, slice_stats) = scan_all(&query, &db[20..55], KernelChoice::Auto, 10);
+        let rebased: Vec<(usize, i32)> = slice.iter().map(|h| (h.db_index + 20, h.score)).collect();
+        let got: Vec<(usize, i32)> = sub.iter().map(|h| (h.db_index, h.score)).collect();
+        assert_eq!(got, rebased);
+        assert_eq!(sub_stats, slice_stats);
+    }
+
+    /// The fused-scan law: each output of a batched scan is byte-identical
+    /// to scanning that query alone with the same plan — scored list and
+    /// kernel counters both match, across kernel choices, chunk sizes and
+    /// per-entry depths.
+    #[test]
+    fn fused_batch_matches_solo_scans() {
+        let db = random_db(197, 120, 110);
+        let arena = DbArena::from_encoded(&db);
+        let batch: Vec<(Arc<PreparedQuery>, usize)> =
+            [(199u64, 40), (211, 80), (223, 17), (227, 60)]
+                .iter()
+                .enumerate()
+                // Distinct per-entry depths.
+                .map(|(i, &(seed, len))| (prepared(&random_query(seed, len)), 5 + 3 * i))
+                .collect();
+        for kernel in [
+            KernelChoice::Auto,
+            KernelChoice::Striped,
+            KernelChoice::InterSeq,
+        ] {
+            for chunk_size in [9, chunk_floor()] {
+                let plan = ShardPlan {
+                    chunk_size,
+                    ..plan(0..arena.len(), kernel)
+                };
+                let fused = ShardExecutor::new().execute(&batch, &arena, &plan);
+                assert_eq!(fused.len(), batch.len());
+                for (entry, out) in batch.iter().zip(&fused) {
+                    let solo =
+                        ShardExecutor::new().execute(std::slice::from_ref(entry), &arena, &plan);
+                    assert_eq!(out, &solo[0], "{kernel:?} chunk {chunk_size}");
+                }
+            }
+        }
+    }
+
+    /// `execute` is `solo` on a private cursor, ranked and cut to depth;
+    /// an empty batch returns nothing without touching the arena.
+    #[test]
+    fn fused_batch_edge_sizes() {
+        let db = random_db(229, 40, 70);
+        let arena = DbArena::from_encoded(&db);
+        let query = prepared(&random_query(233, 30));
+        let plan = plan(10..35, KernelChoice::Auto);
+        let executed = ShardExecutor::new().execute(&[(Arc::clone(&query), 7)], &arena, &plan);
+        let (mut scored, stats) =
+            ShardExecutor::new().solo(&query, &arena, &plan, &AtomicUsize::new(0), 7);
+        rank_scored(&mut scored);
+        scored.truncate(7);
+        assert_eq!(executed, vec![(scored, stats)]);
+        assert!(ShardExecutor::new().execute(&[], &arena, &plan).is_empty());
+    }
 
     /// The `Auto` dispatcher's three tests, one row each side of every
     /// boundary, on every tier (the lane-fill and skew bounds scale with

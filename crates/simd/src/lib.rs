@@ -25,12 +25,11 @@
 //!   queue, for a whole query *batch* per pass (a lone query is the batch
 //!   of one); one vector pass over `SimdVec`, one portable pass, and their
 //!   i8 → i16 → scalar saturation chain,
-//! * [`exec`] — the shard executor: THE chunk-claim loop every scan owner
-//!   drives, with adaptive per-chunk kernel dispatch,
-//! * [`search`] — [`search_db`], the one-shot search of a `DbSnapshot`,
-//!   over a multi-threaded arena scan with self-scheduled chunks (the
-//!   intra-node parallelisation of Rognes' SWIPE-style tools,
-//!   [`search::KernelChoice`]), producing a ranked hit list.
+//! * [`exec`] — the shard executor: THE chunk-claim loop every PE drives
+//!   (through `core::pool::PeExecutor::scan`), with adaptive per-chunk
+//!   kernel dispatch,
+//! * [`search`] — what a scan reports ([`Hit`], [`KernelChoice`]) and the
+//!   one ranking and top-N merge every decomposition goes through.
 //!
 //! Every kernel computes the **Gotoh affine-gap local alignment score** and
 //! is validated against `swhybrid_align::score_only::sw_score_affine`.
@@ -50,5 +49,5 @@ pub use engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
 pub use exec::{chunk_floor, materialize_hits, ShardExecutor, ShardPlan};
 pub use profile::StripedProfile;
 pub use scratch::KernelScratch;
-pub use search::{search_db, Hit, KernelChoice, SearchConfig};
+pub use search::{Hit, KernelChoice};
 pub use vec::Isa;

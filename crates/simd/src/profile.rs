@@ -98,11 +98,6 @@ impl<T: Lane> StripedProfile<T> {
         let j = lane * self.seg_len + k;
         (j < self.query_len).then_some(j)
     }
-
-    /// Total number of vector slots (including padding).
-    pub fn padded_len(&self) -> usize {
-        self.seg_len * self.lanes
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +115,7 @@ mod tests {
         let p = profile_i8("MKVLAWCDEFGHIKLMN"); // 17 residues
         assert_eq!(p.lanes, 16);
         assert_eq!(p.seg_len, 2); // ceil(17/16)
-        assert_eq!(p.padded_len(), 32);
+        assert_eq!(p.seg_len * p.lanes, 32); // slots, padding included
         assert_eq!(p.query_len, 17);
     }
 

@@ -13,9 +13,9 @@
 //! first chunk a worker claims, the steady-state scan performs **zero** heap
 //! allocations per chunk (enforced by `tests/alloc_regression.rs`).
 //!
-//! Ownership: one `KernelScratch` per worker thread, created when the
-//! worker starts (scan workers in [`crate::search`], serve PE threads, the
-//! remote slave executor) and living for the worker's lifetime — per-PE,
+//! Ownership: one `KernelScratch` per PE, inside its [`crate::ShardExecutor`]
+//! (every PE's `core::pool::PeExecutor`: serve workers, slaves, fleet
+//! threads, `search` shards) and living for the PE's lifetime — per-PE,
 //! not per-chunk, because the whole point is that chunk N+1 finds chunk N's
 //! buffers still warm in cache.
 
@@ -140,7 +140,7 @@ impl Default for KernelScratch {
 
 /// Hint the CPU to pull the head of `data` (up to four cache lines) into
 /// L1 ahead of use. Purely advisory: results never depend on it, which is
-/// why [`crate::search::SearchConfig::prefetch`] may toggle it freely.
+/// why [`crate::exec::ShardPlan::prefetch`] may toggle it freely.
 #[inline(always)]
 pub(crate) fn prefetch_read(data: &[u8]) {
     #[cfg(target_arch = "x86_64")]

@@ -70,11 +70,9 @@ impl Isa {
         Isa::ALL.into_iter().filter(|isa| isa.is_available())
     }
 
-    /// THE tier decision: the widest available tier, or the portable
-    /// kernels when the caller forces them.
+    /// THE tier decision: the widest available tier.
     pub(crate) fn resolve(preference: EnginePreference) -> Isa {
         match preference {
-            EnginePreference::Portable => Isa::Portable,
             EnginePreference::Auto => Isa::available()
                 .next()
                 .expect("the portable tier is always available"),
@@ -540,7 +538,6 @@ mod tests {
         let tiers: Vec<Isa> = Isa::available().collect();
         assert_eq!(tiers.last(), Some(&Isa::Portable));
         assert_eq!(Isa::resolve(EnginePreference::Auto), tiers[0]);
-        assert_eq!(Isa::resolve(EnginePreference::Portable), Isa::Portable);
         assert_eq!(Isa::Portable.lanes::<i8>(), 16);
         assert_eq!(Isa::Portable.lanes::<i16>(), 8);
         assert!(tiers.iter().all(|t| t.lanes::<i8>() <= MAX_LANES));

@@ -12,13 +12,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbArena};
 use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
 use swhybrid_simd::interseq::scores_batch;
-use swhybrid_simd::KernelScratch;
+use swhybrid_simd::{Isa, KernelScratch};
 
 struct CountingAlloc;
 
@@ -117,9 +118,9 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
         "need several chunks to measure steady state"
     );
 
-    for pref in [EnginePreference::Auto, EnginePreference::Portable] {
+    for isa in Isa::available() {
         let query = residues(99, 120);
-        let prepared = PreparedQuery::new(&query, &scoring, pref);
+        let prepared = PreparedQuery::with_isa(&query, &scoring, isa);
 
         // Inter-sequence chain at K = 1: chunk 0 warms the scratch high-water;
         // every later chunk must be allocation-free.
@@ -139,13 +140,14 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
             });
             assert_eq!(
                 n, 0,
-                "interseq chunk {c:?} allocated {n} times after warmup ({pref:?})"
+                "interseq chunk {c:?} allocated {n} times after warmup ({isa:?})"
             );
         }
 
         // Striped engine: one warming call sizes both width workspaces.
         let mut scratch = KernelScratch::new();
-        let mut engine = StripedEngine::new(&query, &scoring, pref);
+        let mut engine =
+            StripedEngine::with_prepared(Arc::new(PreparedQuery::with_isa(&query, &scoring, isa)));
         engine.score(arena.residues(0), &mut scratch);
         let n = allocations_during(|| {
             for pos in 0..arena.len() {
@@ -154,7 +156,7 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
         });
         assert_eq!(
             n, 0,
-            "striped scan allocated {n} times after warmup ({pref:?})"
+            "striped scan allocated {n} times after warmup ({isa:?})"
         );
     }
 

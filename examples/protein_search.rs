@@ -2,19 +2,20 @@
 //!
 //! Generates a reduced-scale synthetic SwissProt (same length distribution
 //! and residue composition as the paper's biggest database), plants one
-//! distant homolog of the query, and scans the database with the
-//! multithreaded striped search, reporting the ranked hits and the measured
-//! GCUPS (compare with Table III's per-core rate).
+//! distant homolog of the query, and scans the whole database as one PE's
+//! task (`PeExecutor::scan`, the compute call of every driver), reporting
+//! the ranked hits and the measured GCUPS (compare with Table III's
+//! per-core rate).
 //!
 //! Run with: `cargo run --release --example protein_search`
 
 use std::time::Instant;
 
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
+use swhybrid::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, random_protein, rng};
 use swhybrid::seq::{Alphabet, DbSnapshot, Sequence};
-use swhybrid::simd::search::{search_db, SearchConfig};
 
 fn main() {
     let scoring = Scoring {
@@ -56,28 +57,31 @@ fn main() {
         &db.encode_all().expect("synthetic residues are valid"),
     );
 
-    let start = Instant::now();
-    let result = search_db(
-        &query.codes,
-        &subjects,
-        &scoring,
-        &SearchConfig {
-            threads: 2,
+    // One task: the query at depth 10 against the whole database.
+    let task = TaskPayload {
+        queries: vec![QueryPayload {
+            query: query.codes.clone(),
             top_n: 10,
-            ..Default::default()
-        },
-    );
+        }],
+        shard: (0, subjects.len()),
+    };
+    let start = Instant::now();
+    let mut result = PeExecutor::new(&scoring)
+        .scan(&subjects, &task)
+        .expect("the shard is the whole database");
     let secs = start.elapsed().as_secs_f64();
+    let result = result.queries.remove(0);
+    let stats = result.kernels;
 
     println!(
         "\nscanned {} cells in {:.3} s  →  {:.2} GCUPS (paper's SSE core: ~2.7)",
-        result.cells,
+        stats.cells_computed,
         secs,
-        result.cells as f64 / secs / 1e9
+        stats.cells_computed as f64 / secs / 1e9
     );
     println!(
         "kernel usage: {} × 8-bit, {} × 16-bit, {} × scalar",
-        result.stats.resolved_i8, result.stats.resolved_i16, result.stats.resolved_scalar
+        stats.resolved_i8, stats.resolved_i16, stats.resolved_scalar
     );
     println!("\ntop hits:");
     println!("{:>4}  {:>6}  {:>6}  id", "rank", "score", "len");

@@ -1,10 +1,9 @@
 //! The shared option surface: the minimal `--key value` flag parser and
-//! the decoders (scoring scheme, kernel choice, allocation policy, store
+//! the decoders (scoring scheme, allocation policy, fleet, store
 //! verification level) that multiple verbs accept identically.
 
-use crate::align::scoring::{GapModel, Scoring, SubstMatrix};
+use crate::align::scoring::{GapModel, Scoring, SubstMatrix, MAX_GAP_PENALTY};
 use crate::exec::policy::Policy;
-use crate::simd::search::KernelChoice;
 use crate::store::Verify;
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
@@ -67,13 +66,6 @@ impl Opts {
     }
 }
 
-pub(super) fn kernel_from_opts(opts: &Opts) -> Result<KernelChoice, String> {
-    match opts.get("kernel") {
-        None => Ok(KernelChoice::Auto),
-        Some(v) => KernelChoice::parse(v).ok_or_else(|| format!("unknown kernel {v:?}")),
-    }
-}
-
 pub(super) fn scoring_from_opts(opts: &Opts) -> Result<Scoring, String> {
     let matrix = match opts.get("matrix").unwrap_or("blosum62") {
         "blosum62" => SubstMatrix::blosum62(),
@@ -85,6 +77,11 @@ pub(super) fn scoring_from_opts(opts: &Opts) -> Result<Scoring, String> {
     let extend = opts.get_parsed("gap-extend", 2i32)?;
     if open < 0 || extend <= 0 {
         return Err("gap penalties must be positive".into());
+    }
+    if open.max(extend) > MAX_GAP_PENALTY {
+        return Err(format!(
+            "gap penalties must be at most {MAX_GAP_PENALTY} (--gap-open {open} --gap-extend {extend})"
+        ));
     }
     Ok(Scoring {
         matrix,

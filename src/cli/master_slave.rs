@@ -8,6 +8,7 @@ use crate::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 
 use super::args::{fleet_from_opts, policy_from_opts, scoring_from_opts, Opts};
 use super::db::{db_file, load_db, load_encoded};
+use super::kernel_counts;
 
 pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -202,32 +203,9 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
     // aggregated over the wire from every slave's reports.
     let k = &outcome.kernels;
     if k.total() > 0 {
-        println!(
-            "kernel (all slaves): {} striped / {} inter-sequence chunks, \
-             subjects i8/i16/scalar striped {}+{}+{} interseq {}+{}+{}",
-            k.chunks_striped,
-            k.chunks_interseq,
-            k.resolved_i8,
-            k.resolved_i16,
-            k.resolved_scalar,
-            k.interseq_i8,
-            k.interseq_i16,
-            k.interseq_scalar,
-        );
+        println!("kernel (all slaves): {}", kernel_counts(k));
         for (name, k) in &outcome.kernels_by_pe {
-            println!(
-                "  {name}: {} cells, {} striped / {} inter-sequence chunks, \
-                 subjects i8/i16/scalar striped {}+{}+{} interseq {}+{}+{}",
-                k.cells_computed,
-                k.chunks_striped,
-                k.chunks_interseq,
-                k.resolved_i8,
-                k.resolved_i16,
-                k.resolved_scalar,
-                k.interseq_i8,
-                k.interseq_i16,
-                k.interseq_scalar,
-            );
+            println!("  {name}: {} cells, {}", k.cells_computed, kernel_counts(k));
         }
     }
     println!("\nmerged hits (top {top}):");

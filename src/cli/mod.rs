@@ -4,12 +4,12 @@
 //! verb lives here in the library so the whole CLI surface is testable
 //! in-process (no subprocess spawning, no argv plumbing):
 //!
-//! * [`args`] — the shared flag parser plus the scoring / kernel / policy
+//! * [`args`] — the shared flag parser plus the scoring / policy / fleet
 //!   option decoders every verb reuses,
 //! * [`db`] — database plumbing: `db build|inspect`, `generate`,
 //!   and [`db::load_db`], by which every verb loads its database (FASTA
 //!   or a memory-mapped `.swdb` store) into the one `DbSnapshot`,
-//! * [`search`] — the one-shot `search` verb,
+//! * [`search`] — the one-shot `search` verb, a run of shard PEs,
 //! * [`master_slave`] — the distributed `master` / `slave` pair and the
 //!   virtual-time `simulate` verb,
 //! * [`serve`] — the persistent daemon (`serve`) and its clients
@@ -49,12 +49,16 @@ USAGE:
   swhybrid search <query.fasta> <db.fasta> [--top N] [--threads N]
                   [--matrix blosum62|blosum50|pam250]
                   [--gap-open N] [--gap-extend N] [--align]
-                  [--kernel striped|interseq|auto]
                   [--db-store FILE.swdb] [--verify-store]
       Compare every query against the database with the adapted-Farrar
       striped engine; print ranked hits (and alignments with --align).
-      --kernel selects the scan kernel per chunk: the striped engine, the
-      SWIPE-style inter-sequence engine, or adaptive dispatch (default).
+      Each chunk goes to the striped or the SWIPE-style inter-sequence
+      kernel, whichever suits the query length and the chunk.
+      --threads N splits the database into N residue-balanced shards, one
+      PE each (the shards `serve --workers N` makes): hit tables do not
+      depend on N. Queries are scanned longest first; tables print in
+      input order once every query is scanned. Gap penalties (--gap-open, --gap-extend; every verb)
+      must be at most 1000000.
       --db-store replaces <db.fasta> with a `.swdb` store: the arena is
       memory-mapped and scanned in place (no parse, no re-encode), with
       hit tables byte-identical to the FASTA path. --verify-store
@@ -148,6 +152,24 @@ USAGE:
   swhybrid help
       Show this message.
 ";
+
+/// The kernel counters as `search` and `master` print them:
+/// `N striped / M inter-sequence chunks, subjects i8/i16/scalar striped
+/// a+b+c interseq d+e+f`.
+fn kernel_counts(k: &crate::simd::engine::KernelStats) -> String {
+    format!(
+        "{} striped / {} inter-sequence chunks, \
+         subjects i8/i16/scalar striped {}+{}+{} interseq {}+{}+{}",
+        k.chunks_striped,
+        k.chunks_interseq,
+        k.resolved_i8,
+        k.resolved_i16,
+        k.resolved_scalar,
+        k.interseq_i8,
+        k.interseq_i16,
+        k.interseq_scalar,
+    )
+}
 
 /// Dispatch one invocation: `args` is `argv` without the program name.
 pub fn run(args: &[String]) -> Result<(), String> {

@@ -1,9 +1,20 @@
-//! The one-shot `search` verb: load the queries and the database, scan,
-//! rank, and (optionally) print Gotoh alignments for the reported hits.
+//! The one-shot `search` verb: load the queries and the database, scan
+//! every query on `--threads` shard PEs, rank, and (optionally) print
+//! Gotoh alignments for the reported hits.
 
-use super::args::{kernel_from_opts, scoring_from_opts, Opts};
+use std::io::{self, Write};
+
+use super::args::{scoring_from_opts, Opts};
 use super::db::{db_file, load_db, load_encoded};
-use crate::simd::search::{search_db, SearchConfig};
+use super::kernel_counts;
+use crate::align::alignment::Alignment;
+use crate::align::evalue::KarlinAltschul;
+use crate::align::gotoh::gotoh_align;
+use crate::align::scoring::Scoring;
+use crate::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
+use crate::seq::DbSnapshot;
+use crate::simd::engine::KernelStats;
+use crate::simd::search::{merge_top_n, Hit};
 
 pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -14,13 +25,11 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
             "matrix",
             "gap-open",
             "gap-extend",
-            "kernel",
             "db-store",
         ],
         &["align", "verify-store"],
     )?;
     let scoring = scoring_from_opts(&opts)?;
-    let kernel = kernel_from_opts(&opts)?;
     let top_n: usize = opts.get_parsed("top", 10)?;
     let threads: usize = opts.get_parsed("threads", 1)?;
     if threads == 0 {
@@ -42,52 +51,26 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     );
 
     let start = std::time::Instant::now();
-    let mut total_cells = 0u64;
-    let mut kernel_stats = crate::simd::engine::KernelStats::default();
-    for query in &queries {
-        let result = search_db(
-            &query.codes,
-            &db,
-            &scoring,
-            &SearchConfig {
-                threads,
-                top_n,
-                kernel,
-                ..Default::default()
-            },
-        );
-        total_cells += result.cells;
-        kernel_stats.merge(&result.stats);
-        let stats_params = crate::align::evalue::KarlinAltschul::for_scoring(&scoring);
-        let db_residues: u64 = db.total_residues();
-        println!("\n# query {} ({} aa)", query.id, query.len());
-        println!(
-            "{:>4}  {:>6}  {:>8}  {:>9}  {:>6}  subject",
-            "rank", "score", "bits", "E-value", "len"
-        );
-        for (rank, hit) in result.hits.iter().enumerate() {
-            let (bits, evalue) = match &stats_params {
-                Some(p) => (
-                    format!("{:.1}", p.bit_score(hit.score)),
-                    format!(
-                        "{:.1e}",
-                        p.evalue(hit.score, query.len(), db_residues, db.len())
-                    ),
-                ),
-                None => ("-".into(), "-".into()),
-            };
-            println!(
-                "{:>4}  {:>6}  {:>8}  {:>9}  {:>6}  {}",
-                rank + 1,
-                hit.score,
-                bits,
-                evalue,
-                hit.subject_len,
-                hit.id
-            );
-        }
+    let mut pes = ShardPes::new(&db, &scoring, threads);
+    // Longest query first: the PEs' scratch reaches its high-water mark on
+    // the first scan and every later query's profiles fit where a longer
+    // one's were freed, so the heap does not grow query by query. Tables
+    // still print in input order.
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(queries[i].len()));
+    let mut results = vec![None; queries.len()];
+    for i in order {
+        results[i] = Some(pes.search(&queries[i].codes, top_n)?);
+    }
+    let mut kernel_stats = KernelStats::default();
+    let mut out = std::io::stdout().lock();
+    for (query, result) in queries.iter().zip(results) {
+        let (hits, kernels) = result.expect("every query was scanned");
+        kernel_stats.merge(&kernels);
+        write_hit_table(&mut out, &query.id, query.len(), &hits, &db, &scoring)
+            .map_err(|e| format!("stdout: {e}"))?;
         if opts.has("align") {
-            for (hit, alignment) in result.align_hits(&query.codes, &db, &scoring) {
+            for (hit, alignment) in align_hits(&hits, &query.codes, &db, &scoring) {
                 println!(
                     "\n>{} score {} cigar {} identity {:.0}%",
                     hit.id,
@@ -102,22 +85,134 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
         }
     }
     let secs = start.elapsed().as_secs_f64();
+    let total_cells = kernel_stats.cells_computed;
     println!(
         "\n{total_cells} cells in {secs:.3} s = {:.2} GCUPS",
         total_cells as f64 / secs / 1e9
     );
-    println!(
-        "kernel {}: {} striped / {} inter-sequence chunks, \
-         subjects i8/i16/scalar striped {}+{}+{} interseq {}+{}+{}",
-        kernel.name(),
-        kernel_stats.chunks_striped,
-        kernel_stats.chunks_interseq,
-        kernel_stats.resolved_i8,
-        kernel_stats.resolved_i16,
-        kernel_stats.resolved_scalar,
-        kernel_stats.interseq_i8,
-        kernel_stats.interseq_i16,
-        kernel_stats.interseq_scalar,
-    );
+    println!("kernel auto: {}", kernel_counts(&kernel_stats));
     Ok(())
+}
+
+/// The PEs of one `search` run: one [`PeExecutor`] per residue-balanced
+/// shard of the database ([`DbSnapshot::shard_ranges`], the split
+/// `serve --workers N` makes), kept warm for the whole run.
+pub(super) struct ShardPes<'a> {
+    db: &'a DbSnapshot,
+    shards: Vec<(usize, usize)>,
+    pes: Vec<PeExecutor<'a>>,
+}
+
+impl<'a> ShardPes<'a> {
+    pub(super) fn new(db: &'a DbSnapshot, scoring: &'a Scoring, threads: usize) -> ShardPes<'a> {
+        let shards = db.shard_ranges(threads);
+        let pes = shards.iter().map(|_| PeExecutor::new(scoring)).collect();
+        ShardPes { db, shards, pes }
+    }
+
+    /// One query as one payload per shard — scanned on the calling thread
+    /// when there is one shard, on scoped threads otherwise — merged: the
+    /// ranked top `top_n` hits and the shards' summed kernel counters.
+    pub(super) fn search(
+        &mut self,
+        query: &[u8],
+        top_n: usize,
+    ) -> Result<(Vec<Hit>, KernelStats), String> {
+        let db = self.db;
+        let payload = |shard| TaskPayload {
+            queries: vec![QueryPayload {
+                query: query.to_vec(),
+                top_n,
+            }],
+            shard,
+        };
+        let results = match &mut self.pes[..] {
+            [pe] => vec![pe.scan(db, &payload(self.shards[0]))],
+            pes => std::thread::scope(|scope| {
+                let handles: Vec<_> = pes
+                    .iter_mut()
+                    .zip(&self.shards)
+                    .map(|(pe, &shard)| {
+                        let task = payload(shard);
+                        scope.spawn(move || pe.scan(db, &task))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard PE panicked"))
+                    .collect()
+            }),
+        };
+        let mut kernels = KernelStats::default();
+        let mut lists = Vec::with_capacity(results.len());
+        for result in results {
+            let mut result = result.map_err(|e| e.to_string())?;
+            let q = result.queries.pop().expect("one result per payload query");
+            kernels.merge(&q.kernels);
+            lists.push(q.hits);
+        }
+        Ok((merge_top_n(lists, top_n), kernels))
+    }
+}
+
+/// Write one query's hit table to `out`: its header, then one row per hit
+/// with bit score and E-value where the scheme has Karlin-Altschul
+/// parameters.
+pub(super) fn write_hit_table(
+    out: &mut impl Write,
+    id: &str,
+    query_len: usize,
+    hits: &[Hit],
+    db: &DbSnapshot,
+    scoring: &Scoring,
+) -> io::Result<()> {
+    let stats_params = KarlinAltschul::for_scoring(scoring);
+    writeln!(out, "\n# query {id} ({query_len} aa)")?;
+    writeln!(
+        out,
+        "{:>4}  {:>6}  {:>8}  {:>9}  {:>6}  subject",
+        "rank", "score", "bits", "E-value", "len"
+    )?;
+    for (rank, hit) in hits.iter().enumerate() {
+        let (bits, evalue) = match &stats_params {
+            Some(p) => (
+                format!("{:.1}", p.bit_score(hit.score)),
+                format!(
+                    "{:.1e}",
+                    p.evalue(hit.score, query_len, db.total_residues(), db.len())
+                ),
+            ),
+            None => ("-".into(), "-".into()),
+        };
+        writeln!(
+            out,
+            "{:>4}  {:>6}  {:>8}  {:>9}  {:>6}  {}",
+            rank + 1,
+            hit.score,
+            bits,
+            evalue,
+            hit.subject_len,
+            hit.id
+        )?;
+    }
+    Ok(())
+}
+
+/// Recover the optimal local alignments of the reported hits: the scan is
+/// score-only, so only the top-N pay the quadratic traceback (the standard
+/// database-search trade-off). Each alignment's score equals its hit's by
+/// construction (asserted in debug builds).
+pub(super) fn align_hits<'h>(
+    hits: &'h [Hit],
+    query: &[u8],
+    db: &DbSnapshot,
+    scoring: &Scoring,
+) -> Vec<(&'h Hit, Alignment)> {
+    hits.iter()
+        .map(|hit| {
+            let alignment = gotoh_align(query, db.residues(hit.db_index), scoring);
+            debug_assert_eq!(alignment.score, hit.score, "hit {}", hit.id);
+            (hit, alignment)
+        })
+        .collect()
 }

@@ -1,12 +1,13 @@
 use super::args::{scoring_from_opts, Opts};
-use super::db::load_db;
+use super::db::{load_db, load_encoded};
 use super::run;
+use super::search::{align_hits, write_hit_table, ShardPes};
 
-use crate::align::scoring::{GapModel, Scoring, SubstMatrix};
+use crate::align::scoring::{GapModel, Scoring, SubstMatrix, MAX_GAP_PENALTY};
 use crate::seq::fasta::FastaReader;
 use crate::seq::sequence::EncodedSequence;
 use crate::seq::Alphabet;
-use crate::simd::search::{search_db, SearchConfig};
+use crate::serve::{QueryService, ServiceConfig};
 use crate::store::{build_store, DbFile, Verify};
 
 fn s(v: &[&str]) -> Vec<String> {
@@ -98,6 +99,7 @@ fn retired_scan_knobs_are_unknown_flags() {
         &["serve", "--chunk", "64"],
         &["serve", "--kernel", "auto"],
         &["slave", "--kernel", "auto"],
+        &["search", "--kernel", "auto"],
         &["simulate", "--omega", "5"],
     ] {
         let err = run(&s(args)).unwrap_err();
@@ -471,17 +473,13 @@ fn db_build_inspect_and_store_search_round_trip() {
             extend: 2,
         },
     };
-    let config = || SearchConfig {
-        top_n: 5,
-        ..Default::default()
-    };
     let from_fasta = load_db(DbFile::Fasta(&db_s), &scoring).unwrap();
-    let via_fasta = search_db(&query.codes, &from_fasta, &scoring, &config());
+    let via_fasta = ShardPes::new(&from_fasta, &scoring, 1).search(&query.codes, 5);
     let from_store = load_db(DbFile::Store(&store_s, Verify::Full), &scoring).unwrap();
     assert!(from_store.arena().is_shared(), "store arena is not mapped");
     assert_eq!(from_store.digest(), from_fasta.digest());
-    let via_store = search_db(&query.codes, &from_store, &scoring, &config());
-    assert_eq!(via_fasta.hits, via_store.hits);
+    let via_store = ShardPes::new(&from_store, &scoring, 1).search(&query.codes, 5);
+    assert_eq!(via_fasta.unwrap(), via_store.unwrap());
 
     // Mismatched usage is rejected, not silently accepted.
     assert!(run(&s(&[
@@ -708,5 +706,135 @@ fn non_protein_store_is_refused_by_every_verb_with_one_error() {
     ]))
     .unwrap();
     daemon.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A generated database and a query file of its first `n_queries`
+/// records, in a fresh temp dir named by `tag`.
+fn search_fixture(tag: &str, n_queries: usize) -> (std::path::PathBuf, String, String) {
+    let dir = std::env::temp_dir().join(format!("swhybrid_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("db.fasta").to_str().unwrap().to_string();
+    run(&s(&["generate", "rat", "0.002", &db])).unwrap();
+    let mut reader = FastaReader::open(&db).unwrap();
+    let records: Vec<_> = (0..n_queries)
+        .map(|_| reader.next_record().unwrap().unwrap())
+        .collect();
+    let q = dir.join("q.fasta").to_str().unwrap().to_string();
+    std::fs::write(&q, crate::seq::fasta::to_string(records.iter())).unwrap();
+    (dir, q, db)
+}
+
+#[test]
+fn gap_penalties_past_the_bound_are_refused_by_name() {
+    let (dir, q, db) = search_fixture("gaps", 1);
+    // The first would overflow `open + extend` in the profile build; the
+    // second, the scalar kernels' gap recurrence.
+    for gaps in [["2147483647", "1"], ["10", "1000000000"]] {
+        let args = [
+            "search",
+            &q,
+            &db,
+            "--gap-open",
+            gaps[0],
+            "--gap-extend",
+            gaps[1],
+        ];
+        let err = run(&s(&args)).unwrap_err();
+        assert!(err.contains("at most 1000000"), "{gaps:?}: {err}");
+    }
+    // The bound itself scans, and USAGE names it.
+    let at_bound = MAX_GAP_PENALTY.to_string();
+    let args = [
+        "search",
+        &q,
+        &db,
+        "--gap-open",
+        &at_bound,
+        "--gap-extend",
+        &at_bound,
+    ];
+    run(&s(&args)).unwrap();
+    assert!(super::USAGE.contains(&format!("must be at most {at_bound}")));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn search_threads_do_not_change_the_hit_tables() {
+    let (dir, q, db) = search_fixture("threads", 4);
+    run(&s(&["search", &q, &db, "--threads", "3", "--top", "6"])).unwrap();
+    let scoring = Scoring::blosum62_affine();
+    let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
+    let queries = load_encoded(&q).unwrap();
+    let tables = |threads: usize| {
+        let mut pes = ShardPes::new(&snapshot, &scoring, threads);
+        let mut printed = Vec::new();
+        for query in &queries {
+            let (hits, _) = pes.search(&query.codes, 6).unwrap();
+            write_hit_table(
+                &mut printed,
+                &query.id,
+                query.len(),
+                &hits,
+                &snapshot,
+                &scoring,
+            )
+            .unwrap();
+        }
+        String::from_utf8(printed).unwrap()
+    };
+    let one = tables(1);
+    assert_eq!(one.matches("# query").count(), 4);
+    assert_eq!(tables(3), one);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `search --threads 2` is the daemon's 2-shard decomposition: the same
+/// per-query hits, and the same kernel counters summed over the shards.
+#[test]
+fn search_threads_match_a_two_worker_daemon() {
+    let (dir, q, db) = search_fixture("daemon", 3);
+    let scoring = Scoring::blosum62_affine();
+    let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
+    let svc = QueryService::with_snapshot(
+        snapshot.clone(),
+        scoring.clone(),
+        ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    );
+    let mut pes = ShardPes::new(&snapshot, &scoring, 2);
+    for query in load_encoded(&q).unwrap() {
+        let (hits, kernels) = pes.search(&query.codes, 7).unwrap();
+        let reply = svc.search_blocking(query.codes.clone(), 7, 1).unwrap();
+        assert!(!reply.cached);
+        assert_eq!(reply.hits, hits, "{}", query.id);
+        assert_eq!(reply.kernels, kernels, "{}", query.id);
+        assert_eq!(reply.cells, kernels.cells_computed);
+    }
+    svc.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn align_hits_rescore_to_their_hits() {
+    let (dir, q, db) = search_fixture("align", 2);
+    let scoring = Scoring::blosum62_affine();
+    let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
+    let mut pes = ShardPes::new(&snapshot, &scoring, 1);
+    for query in load_encoded(&q).unwrap() {
+        let (hits, _) = pes.search(&query.codes, 5).unwrap();
+        let aligned = align_hits(&hits, &query.codes, &snapshot, &scoring);
+        assert_eq!(aligned.len(), 5);
+        for (hit, alignment) in &aligned {
+            assert_eq!(alignment.score, hit.score);
+            let subject = snapshot.residues(hit.db_index);
+            assert_eq!(
+                alignment.rescore(&query.codes, subject, &scoring),
+                hit.score
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,8 +8,8 @@
 //! * [`seq`] — sequences, alphabets, FASTA, the indexed file format, and the
 //!   synthetic stand-ins for the paper's five databases,
 //! * [`align`] — Smith-Waterman / Gotoh kernels (the scalar oracles),
-//! * [`simd`] — the adapted-Farrar striped SIMD kernel and the multithreaded
-//!   database search built on it,
+//! * [`simd`] — the adapted-Farrar striped SIMD kernel, the SWIPE-style
+//!   inter-sequence kernel, and the one shard executor every PE scans with,
 //! * [`device`] — processing-element models (simulated CUDASW++ GPU, SSE
 //!   core, FPGA) with calibrated performance models,
 //! * [`exec`] — the paper's contribution: the master/slave task execution

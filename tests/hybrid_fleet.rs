@@ -11,13 +11,12 @@ use std::sync::{Arc, Mutex};
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::{Device, DeviceKind, FleetSpec, TaskSpec};
 use swhybrid::exec::net::{merge_hits, Batch, DistributedOutcome, MasterServer, QueryHit};
-use swhybrid::exec::pool::BATCH_TOP_N;
+use swhybrid::exec::pool::{PeExecutor, QueryPayload, TaskPayload, BATCH_TOP_N};
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::{EventKind, RuntimeEvent};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
-use swhybrid::simd::search::{search_db, SearchConfig};
 
 fn scoring() -> Scoring {
     Scoring {
@@ -82,16 +81,24 @@ impl Fixture {
         (outcome, events)
     }
 
-    /// The one-shot oracle: per-query kernel scans at the batch depth,
-    /// merged through the same canonical ranking rule the runtime uses.
+    /// The one-shot oracle: per-query whole-database scans at the batch
+    /// depth (what `search --threads 1` runs), merged through the same
+    /// canonical ranking rule the runtime uses.
     fn one_shot(&self) -> Vec<QueryHit> {
         let scoring = scoring();
+        let mut pe = PeExecutor::new(&scoring);
         merge_hits(self.queries.iter().enumerate().map(|(i, q)| {
-            let cfg = SearchConfig {
-                top_n: BATCH_TOP_N,
-                ..SearchConfig::default()
+            let payload = TaskPayload {
+                queries: vec![QueryPayload {
+                    query: q.codes.clone(),
+                    top_n: BATCH_TOP_N,
+                }],
+                shard: (0, self.db.len()),
             };
-            (i, search_db(&q.codes, &self.db, &scoring, &cfg).hits)
+            (
+                i,
+                pe.scan(&self.db, &payload).unwrap().queries.remove(0).hits,
+            )
         }))
     }
 

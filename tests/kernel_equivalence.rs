@@ -1,18 +1,20 @@
 //! Cross-kernel equivalence: every kernel tier the CPU has (`Isa::available`:
 //! AVX2, SSE4.1, portable) at every lane width (i8 and i16) must agree with
-//! the scalar Gotoh oracle, and a
-//! database search must return bit-identical rankings under every
-//! `KernelChoice`, thread count, and scan order.
+//! the scalar Gotoh oracle, and a database scan must return bit-identical
+//! rankings under every `KernelChoice`, chunk size, and scan order.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use swhybrid::align::score_only::sw_score_affine;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
+use swhybrid::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::{Alphabet, DbArena, DbSnapshot};
 use swhybrid::simd::engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
-use swhybrid::simd::search::{search_arena, search_db, KernelChoice, SearchConfig};
-use swhybrid::simd::{interseq, materialize_hits, Isa, KernelScratch};
+use swhybrid::simd::{
+    chunk_floor, interseq, materialize_hits, Hit, Isa, KernelChoice, KernelScratch, ShardExecutor,
+    ShardPlan,
+};
 
 fn protein_codes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..20, 1..max_len)
@@ -66,6 +68,28 @@ fn lazy_f_case() -> impl Strategy<Value = (Vec<u8>, Vec<u8>, Scoring)> {
         })
 }
 
+/// The one compute call over the whole database, as `search --threads 1`
+/// runs it: ranked top-`top_n` hits and the query's kernel counters.
+fn pe_scan(
+    query: &[u8],
+    db: &DbSnapshot,
+    scoring: &Scoring,
+    top_n: usize,
+) -> (Vec<Hit>, KernelStats) {
+    let payload = TaskPayload {
+        queries: vec![QueryPayload {
+            query: query.to_vec(),
+            top_n,
+        }],
+        shard: (0, db.len()),
+    };
+    let mut result = PeExecutor::new(scoring)
+        .scan(db, &payload)
+        .expect("shard in range");
+    let q = result.queries.remove(0);
+    (q.hits, q.kernels)
+}
+
 fn encode_db(subjects: &[Vec<u8>]) -> Vec<EncodedSequence> {
     subjects
         .iter()
@@ -95,11 +119,11 @@ proptest! {
             .iter()
             .map(|s| sw_score_affine(&query, s, &scoring).score)
             .collect();
-        for pref in [EnginePreference::Auto, EnginePreference::Portable] {
-            let prepared = PreparedQuery::new(&query, &scoring, pref);
+        for isa in Isa::available() {
+            let prepared = PreparedQuery::with_isa(&query, &scoring, isa);
             let mut stats = KernelStats::default();
             let got = interseq::scores_arena(&prepared, &arena, 0..arena.len(), &mut stats);
-            prop_assert_eq!(&got, &expect, "preference {:?}", pref);
+            prop_assert_eq!(&got, &expect, "{:?}", isa);
             prop_assert_eq!(stats.interseq_total(), subjects.len() as u64);
         }
     }
@@ -183,51 +207,40 @@ proptest! {
         }
     }
 
-    /// A database search returns bit-identical hits under every kernel
-    /// choice × thread count × scan order × engine family.
+    /// A database scan returns bit-identical hits under every kernel
+    /// choice × chunk size × scan order × tier × prefetch setting.
     #[test]
     fn database_search_identical_across_kernel_choices(
         query in protein_codes(80),
         subjects in prop::collection::vec(protein_codes(150), 1..60),
         scoring in scoring_strategy(),
-        threads in 1usize..4,
         chunk_size in 1usize..40,
     ) {
         let db = encode_db(&subjects);
-        let baseline = search_db(
-            &query,
-            &DbSnapshot::from_encoded("", &db),
-            &scoring,
-            &SearchConfig {
-                top_n: db.len(),
-                kernel: KernelChoice::Striped,
-                ..Default::default()
-            },
-        );
+        let baseline = pe_scan(&query, &DbSnapshot::from_encoded("", &db), &scoring, db.len()).0;
         // Scan order is the arena's: database order or ascending length.
         let orders = [
             ("db", DbArena::from_encoded(&db)),
             ("sorted", DbArena::length_sorted(&db)),
         ];
-        for pref in [EnginePreference::Auto, EnginePreference::Portable] {
-            let prepared = Arc::new(PreparedQuery::new(&query, &scoring, pref));
+        for isa in Isa::available() {
+            let prepared = Arc::new(PreparedQuery::with_isa(&query, &scoring, isa));
             for kernel in [KernelChoice::Striped, KernelChoice::InterSeq, KernelChoice::Auto] {
                 for (order, arena) in &orders {
                     for prefetch in [false, true] {
-                        let config = SearchConfig {
-                            threads,
-                            top_n: db.len(),
+                        let plan = ShardPlan {
+                            range: 0..arena.len(),
                             chunk_size,
-                            preference: pref,
                             kernel,
                             prefetch,
                         };
-                        let out = search_arena(&prepared, arena, 0..arena.len(), &config);
-                        let hits = materialize_hits(&out.scored, |i| db[i].id.clone());
+                        let batch = [(Arc::clone(&prepared), db.len())];
+                        let (scored, _) = ShardExecutor::new().execute(&batch, arena, &plan).remove(0);
+                        let hits = materialize_hits(&scored, |i| db[i].id.clone());
                         prop_assert_eq!(
-                            &hits, &baseline.hits,
-                            "kernel {:?} pref {:?} order {} threads {} prefetch {}",
-                            kernel, pref, order, threads, prefetch
+                            &hits, &baseline,
+                            "kernel {:?} {:?} order {} chunk {} prefetch {}",
+                            kernel, isa, order, chunk_size, prefetch
                         );
                     }
                 }
@@ -257,11 +270,11 @@ fn i8_exact_boundary_saturates_and_retries_exactly() {
 
     let db = encode_db(&[subject]);
     let arena = DbArena::from_encoded(&db);
-    for pref in [EnginePreference::Auto, EnginePreference::Portable] {
-        let prepared = PreparedQuery::new(&query, &scoring, pref);
+    for isa in Isa::available() {
+        let prepared = PreparedQuery::with_isa(&query, &scoring, isa);
         let mut stats = KernelStats::default();
         let got = interseq::scores_arena(&prepared, &arena, 0..1, &mut stats);
-        assert_eq!(got, vec![127], "preference {pref:?}");
+        assert_eq!(got, vec![127], "{isa:?}");
         assert_eq!(
             stats.interseq_i8, 0,
             "a best of exactly i8::MAX must not resolve in the i8 pass"
@@ -290,11 +303,11 @@ fn i16_exact_boundary_falls_through_to_scalar() {
 
     let db = encode_db(&[subject]);
     let arena = DbArena::from_encoded(&db);
-    for pref in [EnginePreference::Auto, EnginePreference::Portable] {
-        let prepared = PreparedQuery::new(&query, &scoring, pref);
+    for isa in Isa::available() {
+        let prepared = PreparedQuery::with_isa(&query, &scoring, isa);
         let mut stats = KernelStats::default();
         let got = interseq::scores_arena(&prepared, &arena, 0..1, &mut stats);
-        assert_eq!(got, vec![32767], "preference {pref:?}");
+        assert_eq!(got, vec![32767], "{isa:?}");
         assert_eq!(stats.interseq_i8, 0);
         assert_eq!(stats.interseq_i16, 0);
         assert_eq!(stats.interseq_scalar, 1);
@@ -318,6 +331,9 @@ fn saturation_accounting_identical_across_kernels() {
     subjects.push(query.clone());
     let db = encode_db(&subjects);
 
+    let nominal = (query.len() * subjects.iter().map(Vec::len).sum::<usize>()) as u64;
+    let arena = DbArena::from_encoded(&db);
+    let prepared = Arc::new(PreparedQuery::new(&query, &scoring, EnginePreference::Auto));
     let mut cells = Vec::new();
     let mut hits = Vec::new();
     for kernel in [
@@ -325,22 +341,22 @@ fn saturation_accounting_identical_across_kernels() {
         KernelChoice::InterSeq,
         KernelChoice::Auto,
     ] {
-        let r = search_db(
-            &query,
-            &DbSnapshot::from_encoded("", &db),
-            &scoring,
-            &SearchConfig {
-                top_n: db.len(),
-                kernel,
-                ..Default::default()
-            },
-        );
+        let plan = ShardPlan {
+            range: 0..db.len(),
+            chunk_size: chunk_floor(),
+            kernel,
+            prefetch: true,
+        };
+        let batch = [(Arc::clone(&prepared), db.len())];
+        let (scored, stats) = ShardExecutor::new()
+            .execute(&batch, &arena, &plan)
+            .remove(0);
         assert!(
-            r.cells > r.cells_nominal,
+            stats.cells_computed > nominal,
             "saturation retries must be charged ({kernel:?})"
         );
-        cells.push((r.cells, r.cells_nominal));
-        hits.push(r.hits);
+        cells.push(stats.cells_computed);
+        hits.push(scored);
     }
     // Saturation is a property of the subject, not of the kernel: the
     // actual-cells accounting agrees across all three dispatch modes.

@@ -1,5 +1,6 @@
 //! Tri-path differential oracle: one database, one query batch, three
-//! transports — the `search` one-shot scan, the persistent serve daemon,
+//! transports — the `search` one-shot scan (`search --threads 1`: one
+//! `PeExecutor::scan` of the whole database), the persistent serve daemon,
 //! and the batch master (a TCP slave, and a local fleet thread) — must
 //! produce byte-identical hit tables and identical per-query kernel
 //! counters.
@@ -20,14 +21,14 @@ use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
 use swhybrid::exec::net::{run_slave, Batch, DistributedOutcome, MasterServer, NetConfig};
 use swhybrid::exec::policy::Policy;
-use swhybrid::exec::pool::BATCH_TOP_N;
+use swhybrid::exec::pool::{PeExecutor, QueryPayload, TaskPayload, BATCH_TOP_N};
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::{EventKind, RuntimeEvent};
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
 use swhybrid::seq::{Alphabet, DbSnapshot};
 use swhybrid::serve::{QueryService, ServiceConfig};
-use swhybrid::simd::search::{search_db, Hit, SearchConfig};
+use swhybrid::simd::search::Hit;
 use swhybrid::simd::KernelStats;
 use swhybrid::store::{build_store, Store};
 
@@ -102,7 +103,8 @@ impl Drop for Fixture {
 /// Per-query hit table and kernel counters.
 type Tables = Vec<(Vec<Hit>, KernelStats)>;
 
-/// Path A: the one-shot scan with the default config (1 worker, chunk
+/// Path A: the one-shot scan, as `search --threads 1` runs it — one
+/// `PeExecutor::scan` of the whole database per query (one worker, chunk
 /// floor, `Auto` dispatch).
 fn one_shot(fx: &Fixture, db: &DbSnapshot) -> Tables {
     one_shot_of(&fx.queries, db)
@@ -110,15 +112,19 @@ fn one_shot(fx: &Fixture, db: &DbSnapshot) -> Tables {
 
 fn one_shot_of(queries: &[EncodedSequence], db: &DbSnapshot) -> Tables {
     let scoring = scoring();
-    let cfg = SearchConfig {
-        top_n: TOP_N,
-        ..SearchConfig::default()
-    };
+    let mut pe = PeExecutor::new(&scoring);
     queries
         .iter()
         .map(|q| {
-            let out = search_db(&q.codes, db, &scoring, &cfg);
-            (out.hits, out.stats)
+            let payload = TaskPayload {
+                queries: vec![QueryPayload {
+                    query: q.codes.clone(),
+                    top_n: TOP_N,
+                }],
+                shard: (0, db.len()),
+            };
+            let out = pe.scan(db, &payload).unwrap().queries.remove(0);
+            (out.hits, out.kernels)
         })
         .collect()
 }
