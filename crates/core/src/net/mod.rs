@@ -61,6 +61,13 @@
 //! counters. The task's own counters are the merge of its queries'.
 //! Every field is mandatory.
 //!
+//! A slave works through a `tasks` package by the pool's package rule
+//! ([`crate::pool::package_groups`]): consecutive tasks of one shard whose
+//! queries are all short enough for the inter-sequence kernel share one
+//! database pass. It sends `started` for every task of a pass, scans once,
+//! then sends each task's `finished`; a pass of one task is the plain
+//! `started`, scan, `finished`. The messages do not change.
+//!
 //! Both halves of the handshake carry [`PROTOCOL_VERSION`], checked before
 //! anything else, so a mismatched pair fails with an error naming both
 //! versions. The register `digest` is the slave's
@@ -119,8 +126,8 @@ pub use server::{query_specs, Batch, MasterServer};
 pub use session::serve_slaves;
 pub use slave::run_slave;
 pub use wire::{
-    kernels_from_json, kernels_to_json, write_line, LineReader, MasterMsg, SlaveMsg, MAX_LINE,
-    PROTOCOL_VERSION,
+    decode, kernels_from_json, kernels_to_json, write_line, LineReader, MasterMsg, SlaveMsg, Wire,
+    MAX_LINE, PROTOCOL_VERSION,
 };
 
 /// Timing and fault-tolerance knobs of the TCP runtime. The defaults are
@@ -212,7 +219,7 @@ pub struct DistributedOutcome {
     pub completed_by: Vec<String>,
     /// Kernel-family counters merged across every slave completion
     /// (losing replicas included — they are work the platform really did),
-    /// so distributed runs report the same counters as `search --kernel`.
+    /// in the shape `search` prints on its `kernel auto:` line.
     pub kernels: KernelStats,
     /// Kernel counters per PE, `(name, counters)`, for PEs that reported
     /// any.
@@ -263,6 +270,7 @@ pub fn merge_hits(per_task: impl IntoIterator<Item = (usize, Vec<Hit>)>) -> Vec<
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
     use std::io::{BufRead, BufReader, BufWriter, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::{Arc, Mutex};
@@ -274,6 +282,7 @@ mod tests {
     use crate::pool::BATCH_TOP_N;
     use crate::pool::{Identity, PeExecutor, QueryPayload, QueryResult, TaskPayload, TaskResult};
     use crate::sched::MasterConfig;
+    use crate::task::TaskId;
     use crate::trace::{EventKind, RuntimeEvent};
     use swhybrid_align::scoring::Scoring;
     use swhybrid_device::fleet::FleetPe;
@@ -1083,6 +1092,100 @@ mod tests {
                 slave.join().unwrap().expect_err("a payload-less task")
             });
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}: {err}");
+        }
+    }
+
+    /// A slave applies the pool's package rule to a `tasks` message: the
+    /// three short tasks share one pass (all started, then all finished,
+    /// one speed), the long one runs alone after them, and every task's
+    /// hits and counters are its solo scan's.
+    #[test]
+    fn a_slave_scans_a_package_of_short_tasks_in_one_pass() {
+        let (queries, db, _) = tiny_workload();
+        let whole = |query: Vec<u8>| TaskPayload {
+            queries: vec![QueryPayload {
+                query,
+                top_n: BATCH_TOP_N,
+            }],
+            shard: (0, db.len()),
+        };
+        let long: Vec<u8> = queries.iter().flat_map(|q| q.codes.clone()).collect();
+        assert!(long.len() > swhybrid_simd::exec::MAX_INTERSEQ_QUERY);
+        let mut package: Vec<(TaskId, TaskPayload)> = queries[..3]
+            .iter()
+            .zip(10..)
+            .map(|(q, id)| (id, whole(q.codes.clone())))
+            .collect();
+        package.push((13, whole(long)));
+        assert!(package[..3]
+            .iter()
+            .all(|(_, p)| p.queries[0].query.len() <= swhybrid_simd::exec::MAX_INTERSEQ_QUERY));
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (order, finished) = std::thread::scope(|scope| {
+            let s = &db;
+            let slave = scope.spawn(move || {
+                run_slave(addr, "packer", 1.0, s, &scoring(), &NetConfig::default())
+            });
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = LineReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            let mut next = || loop {
+                match reader
+                    .next_msg::<SlaveMsg>()
+                    .unwrap()
+                    .expect("slave hung up")
+                {
+                    SlaveMsg::Heartbeat => continue,
+                    msg => return msg,
+                }
+            };
+            assert!(matches!(next(), SlaveMsg::Register { .. }));
+            send(&mut writer, &MasterMsg::Registered { pe_id: 0 }).unwrap();
+            assert!(matches!(next(), SlaveMsg::Request));
+            let tasks = package.clone();
+            send(&mut writer, &MasterMsg::Tasks { tasks }).unwrap();
+            let mut order = Vec::new();
+            let mut finished = HashMap::new();
+            while finished.len() < package.len() {
+                match next() {
+                    SlaveMsg::Started { task } => order.push(("started", task)),
+                    SlaveMsg::Finished { task, result } => {
+                        order.push(("finished", task));
+                        finished.insert(task, result);
+                    }
+                    other => panic!("unexpected {other:?} mid-package"),
+                }
+            }
+            assert!(matches!(next(), SlaveMsg::Request));
+            send(&mut writer, &MasterMsg::Done).unwrap();
+            assert_eq!(slave.join().unwrap().unwrap(), package.len());
+            (order, finished)
+        });
+        let started = |t| ("started", t);
+        let done = |t| ("finished", t);
+        assert_eq!(
+            order,
+            [
+                started(10),
+                started(11),
+                started(12),
+                done(10),
+                done(11),
+                done(12),
+                started(13),
+                done(13),
+            ]
+        );
+        // One pass, one measured speed for the three.
+        assert_eq!(finished[&10].gcups, finished[&11].gcups);
+        assert_eq!(finished[&10].gcups, finished[&12].gcups);
+        let sc = scoring();
+        for (task, payload) in &package {
+            let solo = PeExecutor::new(&sc).scan(&db, payload).unwrap();
+            assert_eq!(finished[task].queries, solo.queries, "task {task}");
+            assert_eq!(finished[task].kernels(), solo.kernels(), "task {task}");
         }
     }
 

@@ -197,8 +197,10 @@ pub fn kernels_from_json(v: &Json) -> Result<KernelStats, String> {
 }
 
 /// One wire message: a single JSON line in each direction.
-pub(crate) trait Wire: Sized {
+pub trait Wire: Sized {
+    /// The message as its JSON value.
     fn to_json(&self) -> Json;
+    /// The message a JSON value holds, or why it holds none.
     fn from_json(v: &Json) -> Result<Self, String>;
 }
 
@@ -493,7 +495,9 @@ pub fn write_line<W: Write + ?Sized>(
     Ok(())
 }
 
-pub(crate) fn decode<M: Wire>(line: &str) -> io::Result<M> {
+/// THE decoder of a peer's line: the message it holds, or an
+/// [`io::ErrorKind::InvalidData`] error saying why it holds none.
+pub fn decode<M: Wire>(line: &str) -> io::Result<M> {
     let v = Json::parse(line.trim()).map_err(|e| invalid(e.to_string()))?;
     M::from_json(&v).map_err(invalid)
 }

@@ -12,6 +12,7 @@ use crate::align::evalue::KarlinAltschul;
 use crate::align::gotoh::gotoh_align;
 use crate::align::scoring::Scoring;
 use crate::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
+use crate::seq::sequence::EncodedSequence;
 use crate::seq::DbSnapshot;
 use crate::simd::engine::KernelStats;
 use crate::simd::search::{merge_top_n, Hit};
@@ -51,21 +52,10 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     );
 
     let start = std::time::Instant::now();
-    let mut pes = ShardPes::new(&db, &scoring, threads);
-    // Longest query first: the PEs' scratch reaches its high-water mark on
-    // the first scan and every later query's profiles fit where a longer
-    // one's were freed, so the heap does not grow query by query. Tables
-    // still print in input order.
-    let mut order: Vec<usize> = (0..queries.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(queries[i].len()));
-    let mut results = vec![None; queries.len()];
-    for i in order {
-        results[i] = Some(pes.search(&queries[i].codes, top_n)?);
-    }
+    let results = ShardPes::new(&db, &scoring, threads).search(&queries, top_n)?;
     let mut kernel_stats = KernelStats::default();
     let mut out = std::io::stdout().lock();
-    for (query, result) in queries.iter().zip(results) {
-        let (hits, kernels) = result.expect("every query was scanned");
+    for (query, (hits, kernels)) in queries.iter().zip(results) {
         kernel_stats.merge(&kernels);
         write_hit_table(&mut out, &query.id, query.len(), &hits, &db, &scoring)
             .map_err(|e| format!("stdout: {e}"))?;
@@ -96,7 +86,7 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
 
 /// The PEs of one `search` run: one [`PeExecutor`] per residue-balanced
 /// shard of the database ([`DbSnapshot::shard_ranges`], the split
-/// `serve --workers N` makes), kept warm for the whole run.
+/// `serve --workers N` makes).
 pub(super) struct ShardPes<'a> {
     db: &'a DbSnapshot,
     shards: Vec<(usize, usize)>,
@@ -110,31 +100,46 @@ impl<'a> ShardPes<'a> {
         ShardPes { db, shards, pes }
     }
 
-    /// One query as one payload per shard — scanned on the calling thread
-    /// when there is one shard, on scoped threads otherwise — merged: the
-    /// ranked top `top_n` hits and the shards' summed kernel counters.
+    /// Every query against the database, merged per query, in input
+    /// order: its ranked top `top_n` hits and the shards' summed kernel
+    /// counters. Each shard PE takes the whole run as one package (a task
+    /// per query, [`PeExecutor::scan_package`]: short queries share a
+    /// pass), on the calling thread when there is one shard and on one
+    /// scoped thread per shard otherwise.
+    ///
+    /// The package runs longest query first: a PE's scratch reaches its
+    /// high-water mark on the first pass, and every later pass's profiles
+    /// fit where a longer one's were freed, so the heap does not grow pass
+    /// by pass.
     pub(super) fn search(
         &mut self,
-        query: &[u8],
+        queries: &[EncodedSequence],
         top_n: usize,
-    ) -> Result<(Vec<Hit>, KernelStats), String> {
+    ) -> Result<Vec<(Vec<Hit>, KernelStats)>, String> {
         let db = self.db;
-        let payload = |shard| TaskPayload {
-            queries: vec![QueryPayload {
-                query: query.to_vec(),
-                top_n,
-            }],
-            shard,
+        let mut order: Vec<usize> = (0..queries.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(queries[i].len()));
+        let package = |shard| -> Vec<TaskPayload> {
+            order
+                .iter()
+                .map(|&i| TaskPayload {
+                    queries: vec![QueryPayload {
+                        query: queries[i].codes.clone(),
+                        top_n,
+                    }],
+                    shard,
+                })
+                .collect()
         };
-        let results = match &mut self.pes[..] {
-            [pe] => vec![pe.scan(db, &payload(self.shards[0]))],
+        let per_shard = match &mut self.pes[..] {
+            [pe] => vec![pe.scan_package(db, &package(self.shards[0]))],
             pes => std::thread::scope(|scope| {
                 let handles: Vec<_> = pes
                     .iter_mut()
                     .zip(&self.shards)
                     .map(|(pe, &shard)| {
-                        let task = payload(shard);
-                        scope.spawn(move || pe.scan(db, &task))
+                        let tasks = package(shard);
+                        scope.spawn(move || pe.scan_package(db, &tasks))
                     })
                     .collect();
                 handles
@@ -143,15 +148,21 @@ impl<'a> ShardPes<'a> {
                     .collect()
             }),
         };
-        let mut kernels = KernelStats::default();
-        let mut lists = Vec::with_capacity(results.len());
-        for result in results {
-            let mut result = result.map_err(|e| e.to_string())?;
-            let q = result.queries.pop().expect("one result per payload query");
-            kernels.merge(&q.kernels);
-            lists.push(q.hits);
+        let mut lists: Vec<Vec<Vec<Hit>>> = vec![Vec::new(); queries.len()];
+        let mut kernels = vec![KernelStats::default(); queries.len()];
+        for results in per_shard {
+            let results = results.map_err(|e| e.to_string())?;
+            for (&i, mut result) in order.iter().zip(results) {
+                let q = result.queries.pop().expect("one result per payload query");
+                kernels[i].merge(&q.kernels);
+                lists[i].push(q.hits);
+            }
         }
-        Ok((merge_top_n(lists, top_n), kernels))
+        Ok(lists
+            .into_iter()
+            .zip(kernels)
+            .map(|(lists, kernels)| (merge_top_n(lists, top_n), kernels))
+            .collect())
     }
 }
 

@@ -1,13 +1,17 @@
 use super::args::{scoring_from_opts, Opts};
 use super::db::{load_db, load_encoded};
+use super::kernel_counts;
 use super::run;
 use super::search::{align_hits, write_hit_table, ShardPes};
 
 use crate::align::scoring::{GapModel, Scoring, SubstMatrix, MAX_GAP_PENALTY};
+use crate::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
 use crate::seq::fasta::FastaReader;
 use crate::seq::sequence::EncodedSequence;
 use crate::seq::Alphabet;
 use crate::serve::{QueryService, ServiceConfig};
+use crate::simd::engine::KernelStats;
+use crate::simd::search::{merge_top_n, Hit};
 use crate::store::{build_store, DbFile, Verify};
 
 fn s(v: &[&str]) -> Vec<String> {
@@ -474,11 +478,12 @@ fn db_build_inspect_and_store_search_round_trip() {
         },
     };
     let from_fasta = load_db(DbFile::Fasta(&db_s), &scoring).unwrap();
-    let via_fasta = ShardPes::new(&from_fasta, &scoring, 1).search(&query.codes, 5);
+    let query = std::slice::from_ref(&query);
+    let via_fasta = ShardPes::new(&from_fasta, &scoring, 1).search(query, 5);
     let from_store = load_db(DbFile::Store(&store_s, Verify::Full), &scoring).unwrap();
     assert!(from_store.arena().is_shared(), "store arena is not mapped");
     assert_eq!(from_store.digest(), from_fasta.digest());
-    let via_store = ShardPes::new(&from_store, &scoring, 1).search(&query.codes, 5);
+    let via_store = ShardPes::new(&from_store, &scoring, 1).search(query, 5);
     assert_eq!(via_fasta.unwrap(), via_store.unwrap());
 
     // Mismatched usage is rejected, not silently accepted.
@@ -767,15 +772,16 @@ fn search_threads_do_not_change_the_hit_tables() {
     let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
     let queries = load_encoded(&q).unwrap();
     let tables = |threads: usize| {
-        let mut pes = ShardPes::new(&snapshot, &scoring, threads);
+        let results = ShardPes::new(&snapshot, &scoring, threads)
+            .search(&queries, 6)
+            .unwrap();
         let mut printed = Vec::new();
-        for query in &queries {
-            let (hits, _) = pes.search(&query.codes, 6).unwrap();
+        for (query, (hits, _)) in queries.iter().zip(&results) {
             write_hit_table(
                 &mut printed,
                 &query.id,
                 query.len(),
-                &hits,
+                hits,
                 &snapshot,
                 &scoring,
             )
@@ -804,9 +810,11 @@ fn search_threads_match_a_two_worker_daemon() {
             ..Default::default()
         },
     );
-    let mut pes = ShardPes::new(&snapshot, &scoring, 2);
-    for query in load_encoded(&q).unwrap() {
-        let (hits, kernels) = pes.search(&query.codes, 7).unwrap();
+    let queries = load_encoded(&q).unwrap();
+    let results = ShardPes::new(&snapshot, &scoring, 2)
+        .search(&queries, 7)
+        .unwrap();
+    for (query, (hits, kernels)) in queries.iter().zip(results) {
         let reply = svc.search_blocking(query.codes.clone(), 7, 1).unwrap();
         assert!(!reply.cached);
         assert_eq!(reply.hits, hits, "{}", query.id);
@@ -817,15 +825,108 @@ fn search_threads_match_a_two_worker_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `search` packages short queries into shared passes; what it prints must
+/// be the per-query scan's. Ten queries ≤ 128 aa (a full package of 8 and
+/// a tail of 2 once the long ones are scanned) and two past it (solo
+/// passes), interleaved: at `--threads 1` and 3 every hit table and the
+/// `kernel auto:` line equal those merged from one `PeExecutor::scan` per
+/// query and shard.
+#[test]
+fn packaged_search_prints_the_per_query_scans() {
+    let dir = std::env::temp_dir().join(format!("swhybrid_cli_package_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("db.fasta").to_str().unwrap().to_string();
+    run(&s(&["generate", "rat", "0.002", &db])).unwrap();
+    let records = FastaReader::open(&db).unwrap().read_all().unwrap();
+    let long: Vec<_> = records.iter().filter(|r| r.residues.len() > 300).collect();
+    let mut chosen = Vec::new();
+    for i in 0..10 {
+        // A window of a subject, so every query has real hits.
+        let record = &records[i * 3 % records.len()];
+        let len = (24 + 10 * i).min(record.residues.len());
+        let mut query = record.clone();
+        query.id = format!("short{i}");
+        query.residues.truncate(len);
+        chosen.push(query);
+        if i == 3 || i == 7 {
+            chosen.push(long[i % long.len()].clone());
+        }
+    }
+    let short = chosen.iter().filter(|q| q.residues.len() <= 128).count();
+    assert!(
+        short > 8 && short < chosen.len(),
+        "{short} of {}",
+        chosen.len()
+    );
+    let q = dir.join("q.fasta").to_str().unwrap().to_string();
+    std::fs::write(&q, crate::seq::fasta::to_string(chosen.iter())).unwrap();
+    run(&s(&["search", &q, &db, "--threads", "3"])).unwrap();
+
+    let scoring = Scoring::blosum62_affine();
+    let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
+    let queries = load_encoded(&q).unwrap();
+    let print = |results: &[(Vec<Hit>, KernelStats)]| {
+        let mut printed = Vec::new();
+        let mut total = KernelStats::default();
+        for (query, (hits, kernels)) in queries.iter().zip(results) {
+            write_hit_table(
+                &mut printed,
+                &query.id,
+                query.len(),
+                hits,
+                &snapshot,
+                &scoring,
+            )
+            .unwrap();
+            total.merge(kernels);
+        }
+        let tables = String::from_utf8(printed).unwrap();
+        (tables, kernel_counts(&total))
+    };
+    for threads in [1, 3] {
+        let shards = snapshot.shard_ranges(threads);
+        let mut pe = PeExecutor::new(&scoring);
+        let reference: Vec<(Vec<Hit>, KernelStats)> = queries
+            .iter()
+            .map(|query| {
+                let mut kernels = KernelStats::default();
+                let lists = shards.iter().map(|&shard| {
+                    let payload = TaskPayload {
+                        queries: vec![QueryPayload {
+                            query: query.codes.clone(),
+                            top_n: 10,
+                        }],
+                        shard,
+                    };
+                    let result = pe.scan(&snapshot, &payload).unwrap().queries.remove(0);
+                    kernels.merge(&result.kernels);
+                    result.hits
+                });
+                let hits = merge_top_n(lists.collect::<Vec<_>>(), 10);
+                (hits, kernels)
+            })
+            .collect();
+        let packaged = ShardPes::new(&snapshot, &scoring, threads)
+            .search(&queries, 10)
+            .unwrap();
+        let (tables, counts) = print(&packaged);
+        assert_eq!(tables.matches("# query").count(), queries.len());
+        assert_eq!((tables, counts), print(&reference), "--threads {threads}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn align_hits_rescore_to_their_hits() {
     let (dir, q, db) = search_fixture("align", 2);
     let scoring = Scoring::blosum62_affine();
     let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
-    let mut pes = ShardPes::new(&snapshot, &scoring, 1);
-    for query in load_encoded(&q).unwrap() {
-        let (hits, _) = pes.search(&query.codes, 5).unwrap();
-        let aligned = align_hits(&hits, &query.codes, &snapshot, &scoring);
+    let queries = load_encoded(&q).unwrap();
+    let results = ShardPes::new(&snapshot, &scoring, 1)
+        .search(&queries, 5)
+        .unwrap();
+    for (query, (hits, _)) in queries.iter().zip(&results) {
+        let aligned = align_hits(hits, &query.codes, &snapshot, &scoring);
         assert_eq!(aligned.len(), 5);
         for (hit, alignment) in &aligned {
             assert_eq!(alignment.score, hit.score);

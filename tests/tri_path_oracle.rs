@@ -1,9 +1,9 @@
 //! Tri-path differential oracle: one database, one query batch, three
-//! transports — the `search` one-shot scan (`search --threads 1`: one
-//! `PeExecutor::scan` of the whole database), the persistent serve daemon,
-//! and the batch master (a TCP slave, and a local fleet thread) — must
-//! produce byte-identical hit tables and identical per-query kernel
-//! counters.
+//! transports — the one-shot scan (one `PeExecutor::scan` of the whole
+//! database per query: the unfused reference `search` is held to), the
+//! persistent serve daemon, and the batch master (a TCP slave, and a local
+//! fleet thread) — must produce byte-identical hit tables and identical
+//! per-query kernel counters.
 //!
 //! Every path holds the database as a [`DbSnapshot`] and runs the one
 //! compute step over it with the same plan (full range, chunk floor 64,
@@ -103,9 +103,12 @@ impl Drop for Fixture {
 /// Per-query hit table and kernel counters.
 type Tables = Vec<(Vec<Hit>, KernelStats)>;
 
-/// Path A: the one-shot scan, as `search --threads 1` runs it — one
-/// `PeExecutor::scan` of the whole database per query (one worker, chunk
-/// floor, `Auto` dispatch).
+/// Path A: the unfused per-query reference — one `PeExecutor::scan` of
+/// the whole database per query (one worker, chunk floor, `Auto`
+/// dispatch). `search --threads 1` makes the same call for a package of
+/// the run's queries (`PeExecutor::scan_package`, short ones sharing a
+/// pass); this path keeps each query in a pass of its own, so a package
+/// rule that changed a result would show here.
 fn one_shot(fx: &Fixture, db: &DbSnapshot) -> Tables {
     one_shot_of(&fx.queries, db)
 }
