@@ -1110,7 +1110,7 @@ mod tests {
             shard: (0, db.len()),
         };
         let long: Vec<u8> = queries.iter().flat_map(|q| q.codes.clone()).collect();
-        assert!(long.len() > swhybrid_simd::exec::MAX_INTERSEQ_QUERY);
+        assert!(!crate::pool::fusable(&long));
         let mut package: Vec<(TaskId, TaskPayload)> = queries[..3]
             .iter()
             .zip(10..)
@@ -1119,7 +1119,7 @@ mod tests {
         package.push((13, whole(long)));
         assert!(package[..3]
             .iter()
-            .all(|(_, p)| p.queries[0].query.len() <= swhybrid_simd::exec::MAX_INTERSEQ_QUERY));
+            .all(|(_, p)| crate::pool::fusable(&p.queries[0].query)));
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

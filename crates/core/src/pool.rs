@@ -94,13 +94,20 @@ impl TaskResult {
     }
 }
 
-/// Most queries one package pass scores together: where a package of
-/// short-query tasks is cut into passes ([`PeExecutor::scan_package`]).
+/// Most queries one database pass scores together, in a package
+/// ([`PeExecutor::scan_package`]) or a daemon admission group.
 /// On `scan_short`'s shape (64 queries of 24–96 aa, `search --threads 1`,
 /// 2-vCPU AVX2 Xeon) one query per pass took 1.93 s, 4 per pass 1.29 s,
 /// 8 1.15 s, 16 1.09 s and 64 1.07 s, but 64 raised peak RSS from 4.74 to
 /// 5.42 MB: each query of a pass holds its profiles for the pass.
 pub const FUSE_MAX: usize = 8;
+
+/// Whether `query` may share a database pass: `Auto` sends it to the
+/// inter-sequence kernel ([`MAX_INTERSEQ_QUERY`]), whose per-column gather
+/// a pass shares. The one rule for batch packages and daemon groups alike.
+pub fn fusable(query: &[u8]) -> bool {
+    query.len() <= MAX_INTERSEQ_QUERY
+}
 
 /// THE compute state of every PE — daemon worker, slave, local-fleet
 /// thread, `search` shard: the scoring and the PE's [`ShardExecutor`] (its
@@ -209,26 +216,20 @@ impl<'a> PeExecutor<'a> {
 /// How [`PeExecutor::scan_package`] cuts a package into passes: the index
 /// ranges of `tasks`, in order, that run as one pass each. Consecutive
 /// tasks share a pass when they scan the same shard and every query of
-/// theirs is at most [`MAX_INTERSEQ_QUERY`] residues — the queries `Auto`
-/// sends to the inter-sequence kernel, whose per-column gather a pass
-/// shares — up to [`FUSE_MAX`] queries in all. Every other task is a pass
-/// of its own, as it was shipped.
+/// theirs is [`fusable`], up to [`FUSE_MAX`] queries in all. Every other
+/// task is a pass of its own, as it was shipped.
 pub fn package_groups(tasks: &[TaskPayload]) -> Vec<Range<usize>> {
-    let fusable = |task: &TaskPayload| {
-        !task.queries.is_empty()
-            && task
-                .queries
-                .iter()
-                .all(|q| q.query.len() <= MAX_INTERSEQ_QUERY)
+    let fusable_task = |task: &TaskPayload| {
+        !task.queries.is_empty() && task.queries.iter().all(|q| fusable(&q.query))
     };
     let mut groups = Vec::new();
     let mut start = 0;
     while start < tasks.len() {
         let mut end = start + 1;
-        if fusable(&tasks[start]) {
+        if fusable_task(&tasks[start]) {
             let mut fused = tasks[start].queries.len();
             while let Some(next) = tasks.get(end) {
-                if !fusable(next)
+                if !fusable_task(next)
                     || next.shard != tasks[start].shard
                     || fused + next.queries.len() > FUSE_MAX
                 {

@@ -116,9 +116,10 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Pop the most urgent queued job: smallest deadline, ties by arrival.
+    /// Pop the most urgent queued job — smallest deadline, ties by arrival
+    /// — if `accept` takes it; a refused job stays queued at the head.
     /// Does NOT release the client slot — the job is now running.
-    pub fn pop_next(&mut self) -> Option<u64> {
+    pub fn pop_next_if(&mut self, accept: impl FnOnce(u64) -> bool) -> Option<u64> {
         let best = self
             .queue
             .iter()
@@ -130,7 +131,7 @@ impl AdmissionQueue {
                     .then(a.seq.cmp(&b.seq))
             })
             .map(|(i, _)| i)?;
-        Some(self.queue.swap_remove(best).job)
+        accept(self.queue[best].job).then(|| self.queue.swap_remove(best).job)
     }
 
     /// Remove a still-queued job (cancellation). Returns whether it was
@@ -196,11 +197,14 @@ mod tests {
         q.admit(3, 1, 1.0).unwrap();
         assert_eq!(q.position(3), Some(0));
         assert_eq!(q.position(1), Some(1));
-        assert_eq!(q.pop_next(), Some(3));
-        assert_eq!(q.pop_next(), Some(1));
-        assert_eq!(q.pop_next(), Some(2));
-        assert_eq!(q.pop_next(), Some(0));
-        assert_eq!(q.pop_next(), None);
+        // A refused head stays queued, still first.
+        assert_eq!(q.pop_next_if(|job| job != 3), None);
+        assert_eq!(q.position(3), Some(0));
+        assert_eq!(q.pop_next_if(|_| true), Some(3));
+        assert_eq!(q.pop_next_if(|_| true), Some(1));
+        assert_eq!(q.pop_next_if(|_| true), Some(2));
+        assert_eq!(q.pop_next_if(|_| true), Some(0));
+        assert_eq!(q.pop_next_if(|_| true), None);
     }
 
     #[test]
@@ -225,7 +229,7 @@ mod tests {
             AdmitError::ClientLimit { limit: 2 }
         );
         // Popping (job starts running) does not free the slot…
-        assert_eq!(q.pop_next(), Some(0));
+        assert_eq!(q.pop_next_if(|_| true), Some(0));
         assert!(q.admit(2, 7, 1.0).is_err());
         // …completion does. Other clients were never blocked.
         q.release(7);
@@ -241,7 +245,7 @@ mod tests {
         assert!(q.remove(0));
         assert!(!q.remove(0));
         q.release(1);
-        assert_eq!(q.pop_next(), Some(1));
+        assert_eq!(q.pop_next_if(|_| true), Some(1));
         assert_eq!(q.depth(), 0);
     }
 }

@@ -34,9 +34,9 @@
 //! each one separately is *streaming the database again*: the arena is
 //! typically far larger than any cache, so K solo scans read it K times.
 //! The dispatcher therefore **fuses** the queries that queued behind the
-//! running groups (up to [`ServiceConfig::fusion`], same database
-//! generation) into shared shard tasks: one task scores the whole query
-//! batch against its shard while the chunk is hot in cache. Per-query work
+//! running groups, by the pool's one pass-sharing rule (`fusion`), into
+//! shared shard tasks: one task scores the whole query batch against its
+//! shard while the chunk is hot in cache. Per-query work
 //! inside a chunk is exactly what a solo scan would do — the fused and solo
 //! paths share one implementation,
 //! [`ShardExecutor`](swhybrid_simd::ShardExecutor) — so
@@ -101,7 +101,7 @@ pub struct ServiceConfig {
     /// Database shards per query (tasks per query); 0 means one per worker.
     pub shards: usize,
     /// Fused query groups scheduled into the pool at once (each group
-    /// carries up to [`ServiceConfig::fusion`] queries); further
+    /// carries up to [`swhybrid_core::pool::FUSE_MAX`] queries); further
     /// admissions queue.
     pub max_active: usize,
     /// Admission queue depth bound (excess is rejected with backpressure).
@@ -114,11 +114,6 @@ pub struct ServiceConfig {
     pub policy: Policy,
     /// Whether the workload adjustment mechanism is active.
     pub adjustment: bool,
-    /// Maximum queries fused into one shard task (1 disables fusion).
-    /// Only queries waiting together when a group slot frees fuse, and only
-    /// against the same database generation; a query that finds a free
-    /// slot is scheduled at once.
-    pub fusion: usize,
     /// Terminal jobs kept answering `status` before eviction (count bound;
     /// see also [`ServiceConfig::retention_secs`]).
     pub retained_jobs: usize,
@@ -145,7 +140,6 @@ impl Default for ServiceConfig {
             cache_capacity: 128,
             policy: Policy::pss_default(),
             adjustment: true,
-            fusion: 4,
             retained_jobs: 256,
             retention_secs: 300.0,
             fleet: None,
@@ -313,7 +307,7 @@ struct ServeOwner {
     active_jobs: usize,
     /// Fused groups currently in the pool — the unit [`ServiceConfig::
     /// max_active`] bounds. A group frees its slot only when its last
-    /// member finishes, so up to `fusion` queued queries can take the
+    /// member finishes, so several queued queries can take the
     /// freed slot together (that is what lets fusion bootstrap: slots
     /// freeing one *job* at a time would only ever re-admit singletons).
     active_groups: usize,
@@ -360,7 +354,6 @@ impl QueryService {
             cfg.shards = cfg.workers;
         }
         cfg.max_active = cfg.max_active.max(1);
-        cfg.fusion = cfg.fusion.max(1);
         assert!(
             !cfg.policy.is_static(),
             "the query service needs a dynamic policy (ss or pss): \

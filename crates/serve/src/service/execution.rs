@@ -49,7 +49,7 @@ impl PoolOwner for ServeOwner {
         // shard set, so the last task completes them all): drop its task
         // entries so the map stays bounded over the daemon's lifetime,
         // free its scheduling slot, and refill from the queue — a freed
-        // slot admits up to `fusion` queued queries as the next group.
+        // slot admits the next group of queued queries.
         if ft.jobs.iter().all(|id| !self.jobs.contains_key(id)) {
             for t in &ft.group_tasks {
                 self.task_map.remove(t);

@@ -1,39 +1,36 @@
 //! Scheduling and cross-query fusion: draining the admission queue into
-//! fused shard-task groups.
+//! fused shard-task groups by the rule a batch package is cut by
+//! (`pool::package_groups`). The daemon still groups at admission: PSS
+//! hands equal PEs one task per request, and a group's tasks are on
+//! different shards, so no PE's package ever holds two tasks to fuse.
 
+use swhybrid_core::pool::{fusable, FUSE_MAX};
 use swhybrid_core::sched::Scheduler;
 use swhybrid_device::task::TaskSpec;
 
 use super::{FusedTask, Phase, ServeOwner};
 
-/// Admit queued jobs into the task pool up to the active-group bound,
-/// fusing co-queued same-generation queries into shared shard tasks (up
-/// to [`super::ServiceConfig::fusion`] queries per group). A free slot
-/// never waits for companions: what fuses is what queued while every slot
-/// was busy.
+/// Admit queued jobs into the task pool up to the active-group bound. A
+/// group takes jobs in dispatch order while each is [`fusable`] and of the
+/// head's database generation, up to [`FUSE_MAX`]; any other job is a
+/// group of its own, and a job that cannot join stays queued for the next
+/// group. A free slot never waits for companions: what fuses is what
+/// queued while every slot was busy.
 pub(super) fn pump(master: &mut Scheduler, o: &mut ServeOwner) {
-    // A popped job whose snapshot generation differs from the group being
-    // formed starts the next group instead (it cannot be pushed back into
-    // the admission queue). In the rare swap-db race this can transiently
-    // overshoot `max_active` by the carried group; it never loses a job.
-    let mut carry: Option<u64> = None;
-    while carry.is_some() || o.active_groups < o.cfg.max_active {
-        let mut group: Vec<u64> = carry.take().into_iter().collect();
-        while group.len() < o.cfg.fusion {
-            let Some(job_id) = o.queue.pop_next() else {
-                break;
-            };
-            if o.jobs.get(&job_id).is_none_or(|j| j.cancelled) {
-                continue;
-            }
-            if group
-                .first()
-                .is_some_and(|head| o.jobs[head].generation != o.jobs[&job_id].generation)
-            {
-                carry = Some(job_id);
-                break;
-            }
-            group.push(job_id);
+    while o.active_groups < o.cfg.max_active {
+        let mut group = Vec::new();
+        // Every queued job is live: a cancel withdraws a queued job from
+        // the queue and the registry together.
+        while let Some(job) = o.queue.pop_next_if(|next| {
+            group.first().is_none_or(|head| {
+                let (head, next) = (&o.jobs[head], &o.jobs[&next]);
+                group.len() < FUSE_MAX
+                    && fusable(&head.codes)
+                    && fusable(&next.codes)
+                    && head.generation == next.generation
+            })
+        }) {
+            group.push(job);
         }
         if group.is_empty() {
             break;
@@ -42,9 +39,9 @@ pub(super) fn pump(master: &mut Scheduler, o: &mut ServeOwner) {
     }
 }
 
-/// Submit one fused group (1..=fusion jobs sharing a database snapshot
-/// generation) as a set of shard tasks, one task per shard scoring the
-/// whole batch.
+/// Submit one fused group (1..=[`FUSE_MAX`] jobs sharing a database
+/// snapshot generation) as a set of shard tasks, one task per shard
+/// scoring the whole batch.
 fn schedule_group(master: &mut Scheduler, o: &mut ServeOwner, group: &[u64]) {
     let Some(&head) = group.first() else {
         return;

@@ -1,6 +1,7 @@
 //! Observability: the `stats` reply body.
 
 use swhybrid_core::net::kernels_to_json;
+use swhybrid_core::pool::FUSE_MAX;
 use swhybrid_json::Json;
 
 use super::admit::sweep_retired;
@@ -62,7 +63,7 @@ impl QueryService {
             (
                 "fusion",
                 Json::obj(vec![
-                    ("max", Json::Num(o.cfg.fusion as f64)),
+                    ("max", Json::Num(FUSE_MAX as f64)),
                     ("tasks", Json::Num(m.fused_tasks as f64)),
                     ("queries", Json::Num(m.fused_queries as f64)),
                     (

@@ -1,5 +1,6 @@
 use super::*;
 use rand::{RngExt, SeedableRng};
+use std::sync::mpsc;
 use std::time::Duration;
 use swhybrid_align::scoring::{GapModel, SubstMatrix};
 use swhybrid_core::pool::{PeExecutor, QueryPayload, QueryResult, TaskPayload};
@@ -387,7 +388,6 @@ fn engine_events_fold_into_stats_without_being_retained() {
         ServiceConfig {
             workers: 1,
             cache_capacity: 0, // every search must really scan
-            fusion: 1,
             ..Default::default()
         },
     );
@@ -526,82 +526,201 @@ fn retired_jobs_do_not_pin_a_superseded_database() {
     svc.shutdown();
 }
 
-/// The fusion law at service level: queries that queue behind a
-/// running group are fused into shared shard tasks, and every fused
-/// reply is byte-identical to that query's solo cold scan. The group
-/// forms at a gate, not by timing: the lone worker is parked in a
-/// completion while the queue fills.
+/// A one-worker, one-slot daemon whose lone worker is parked in a
+/// completion, with job `head` (the query given to [`Parked::new`])
+/// holding the group slot and its task unstarted: whatever is submitted
+/// next queues. Every completion sends its
+/// reply, then parks the worker until [`Parked::step`]. The pool refills a
+/// freed group slot before the freeing job's completion runs, so while a
+/// completion is parked the next group is in the pool and unstarted —
+/// readable with [`Parked::groups`], with no timing involved. Fields drop
+/// in order: a failed assertion drops `go` first, which lets the worker
+/// go before the service joins it.
+struct Parked {
+    go: mpsc::Sender<()>,
+    parked: Arc<Mutex<mpsc::Receiver<()>>>,
+    replies: (mpsc::Sender<SearchReply>, mpsc::Receiver<SearchReply>),
+    svc: QueryService,
+    head: u64,
+    /// Each submitted query and its depth, by job.
+    asked: HashMap<u64, (Vec<u8>, usize)>,
+}
+
+impl Parked {
+    fn new(db: &[EncodedSequence], head: Vec<u8>) -> Parked {
+        let (go, parked) = mpsc::channel();
+        let svc = QueryService::with_snapshot(
+            snap(db),
+            scoring(),
+            ServiceConfig {
+                workers: 1,
+                max_active: 1,
+                cache_capacity: 0,
+                per_client_inflight: 16,
+                ..Default::default()
+            },
+        );
+        let mut p = Parked {
+            go,
+            parked: Arc::new(Mutex::new(parked)),
+            replies: mpsc::channel(),
+            svc,
+            head: 0,
+            asked: HashMap::new(),
+        };
+        p.submit(random_query(171, 40), 5);
+        p.replies.1.recv().unwrap(); // its completion parks the worker
+        p.head = p.submit(head, 5);
+        assert!(matches!(p.svc.status(p.head), JobStatus::Running { .. }));
+        p
+    }
+
+    fn submit(&mut self, query: Vec<u8>, top_n: usize) -> u64 {
+        let tx = self.replies.0.clone();
+        let parked = Arc::clone(&self.parked);
+        let reply = Box::new(move |reply| {
+            let _ = tx.send(reply);
+            let _ = parked.lock().unwrap().recv();
+        });
+        let job = self
+            .svc
+            .submit(query.clone(), top_n, None, None, 1, reply)
+            .unwrap();
+        self.asked.insert(job, (query, top_n));
+        job
+    }
+
+    /// Let the parked worker go, and take the next reply; its completion
+    /// parks the worker again.
+    fn step(&self) -> SearchReply {
+        self.go.send(()).unwrap();
+        self.replies.1.recv().unwrap()
+    }
+
+    /// The jobs of each group in the pool.
+    fn groups(&self) -> Vec<Vec<u64>> {
+        let g = self.svc.inner.pool.lock();
+        let mut groups: Vec<Vec<u64>> = g.owner.task_map.values().map(|t| t.jobs.clone()).collect();
+        groups.sort_unstable();
+        groups.dedup();
+        groups
+    }
+
+    /// The `stats` fusion counters: (tasks, queries).
+    fn fusion_counts(&self) -> (u64, u64) {
+        let stats = self.svc.stats();
+        let fusion = stats.get("fusion").unwrap();
+        let count = |key: &str| fusion.get(key).unwrap().as_u64().unwrap();
+        (count("tasks"), count("queries"))
+    }
+
+    /// Every reply equals its query's cold scan in hits and cells.
+    fn assert_cold(&self, db: &[EncodedSequence], replies: &[SearchReply]) {
+        for reply in replies {
+            let (q, top_n) = &self.asked[&reply.job];
+            let cold = cold_scan(q, db, *top_n);
+            assert_eq!(reply.hits, cold.hits, "job {} hits", reply.job);
+            assert_eq!(
+                reply.cells, cold.kernels.cells_computed,
+                "job {} cells",
+                reply.job
+            );
+        }
+    }
+
+    /// Release the last parked completion and drain.
+    fn finish(self) {
+        self.go.send(()).unwrap();
+        self.svc.shutdown();
+    }
+}
+
+/// The fusion law at service level: queries that queue behind a running
+/// group, here a 700-aa head, are fused into shared shard tasks, and every
+/// reply, the head's too, equals that query's solo cold scan.
 #[test]
 fn fused_queries_match_cold_scans_and_share_tasks() {
     let db = random_db(97, 50, 70);
-    let svc = QueryService::with_snapshot(
-        snap(&db),
-        scoring(),
-        ServiceConfig {
-            workers: 1,
-            max_active: 1,
-            fusion: 4,
-            cache_capacity: 0,
-            per_client_inflight: 16,
-            ..Default::default()
-        },
-    );
-    // Completions run on the worker that finished the last shard: job
-    // A's parks the lone worker.
-    let (entered, parked) = std::sync::mpsc::channel();
-    let (release, gate) = std::sync::mpsc::channel::<()>();
-    let blocker = Box::new(move |_| {
-        entered.send(()).unwrap();
-        // A failed assertion drops `release`, which lets the worker go.
-        let _ = gate.recv();
-    });
-    svc.submit(random_query(99, 40), 5, None, None, 1, blocker)
-        .unwrap();
-    parked.recv().unwrap();
-    // Head job B takes the free group slot; its tasks stay unstarted.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut asked = HashMap::new();
-    let mut submit = |q: Vec<u8>, top_n: usize| {
-        let tx = tx.clone();
-        let reply = Box::new(move |r| tx.send(r).unwrap());
-        let job = svc.submit(q.clone(), top_n, None, None, 1, reply).unwrap();
-        asked.insert(job, (q, top_n));
-        job
-    };
-    let head = submit(random_query(101, 700), 5);
-    assert!(matches!(svc.status(head), JobStatus::Running { .. }));
-    // The four short queries queue behind B.
+    let mut p = Parked::new(&db, random_query(101, 700));
     for i in 0..4u64 {
-        let job = submit(random_query(103 + i, 25 + 5 * i as usize), 4 + i as usize);
+        let job = p.submit(random_query(103 + i, 25 + 5 * i as usize), 4 + i as usize);
         assert!(
-            matches!(svc.status(job), JobStatus::Queued { .. }),
+            matches!(p.svc.status(job), JobStatus::Queued { .. }),
             "job {job}"
         );
     }
-    release.send(()).unwrap();
-    let replies: Vec<SearchReply> = (0..5).map(|_| rx.recv().unwrap()).collect();
-    for reply in &replies {
-        let (q, top_n) = &asked[&reply.job];
-        let cold = cold_scan(q, &db, *top_n);
-        assert_eq!(
-            reply.hits, cold.hits,
-            "job {} differs from cold scan",
-            reply.job
-        );
-        assert_eq!(
-            reply.cells, cold.kernels.cells_computed,
-            "job {} cell count drifted",
-            reply.job
-        );
-    }
-    let stats = svc.stats();
+    let replies: Vec<SearchReply> = (0..5).map(|_| p.step()).collect();
+    assert_eq!(replies[0].job, p.head);
+    p.assert_cold(&db, &replies);
+    let stats = p.svc.stats();
     let fusion = stats.get("fusion").unwrap();
     let factor = fusion.get("factor").unwrap().as_f64().unwrap();
     assert!(
         factor > 1.0,
         "the queued queries never fused (factor {factor})"
     );
-    svc.shutdown();
+    p.finish();
+}
+
+/// Admission groups follow the pool's package rule: eight queued queries
+/// of at most 128 aa share one group, and the stats factor over its
+/// tasks reads eight.
+#[test]
+fn eight_short_queued_queries_share_one_group() {
+    let db = random_db(167, 50, 70);
+    let mut p = Parked::new(&db, random_query(173, 50));
+    let queued: Vec<u64> = (0..8u64)
+        .map(|i| p.submit(random_query(181 + i, 20 + 13 * i as usize), 3 + i as usize))
+        .collect();
+    for &job in &queued {
+        assert!(matches!(p.svc.status(job), JobStatus::Queued { .. }));
+    }
+    let before = p.fusion_counts();
+    assert_eq!(p.step().job, p.head);
+    assert_eq!(p.groups(), vec![queued.clone()]);
+    let replies: Vec<SearchReply> = (0..8).map(|_| p.step()).collect();
+    assert_eq!(replies.iter().map(|r| r.job).collect::<Vec<_>>(), queued);
+    p.assert_cold(&db, &replies);
+    let after = p.fusion_counts();
+    let (tasks, queries) = (after.0 - before.0, after.1 - before.1);
+    assert_eq!((tasks, queries), (1, 8), "one task of eight queries");
+    let stats = p.svc.stats();
+    let max = stats.get("fusion").unwrap().get("max").unwrap().as_u64();
+    assert_eq!(max, Some(8));
+    p.finish();
+}
+
+/// A query too long to share a pass (300 aa) queued between short ones
+/// runs in a group of its own; the short queries before and after it
+/// still fuse.
+#[test]
+fn a_long_queued_query_runs_alone_between_fused_short_groups() {
+    let db = random_db(191, 50, 70);
+    let mut p = Parked::new(&db, random_query(173, 50));
+    let s1 = p.submit(random_query(193, 30), 4);
+    let s2 = p.submit(random_query(197, 90), 6);
+    let long = p.submit(random_query(199, 300), 5);
+    let s3 = p.submit(random_query(211, 128), 7);
+    let s4 = p.submit(random_query(223, 24), 3);
+    assert_eq!(p.step().job, p.head);
+    // While each reply's completion is parked, the group scheduled into
+    // the slot it freed is in the pool.
+    let mut seen = vec![p.groups()];
+    let mut replies = Vec::new();
+    for _ in 0..5 {
+        replies.push(p.step());
+        seen.push(p.groups());
+    }
+    seen.dedup();
+    let expected = vec![
+        vec![vec![s1, s2]],
+        vec![vec![long]],
+        vec![vec![s3, s4]],
+        vec![],
+    ];
+    assert_eq!(seen, expected);
+    p.assert_cold(&db, &replies);
+    p.finish();
 }
 
 /// A cancel while a job runs leaves its unstarted shard tasks shippable:

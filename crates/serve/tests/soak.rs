@@ -251,7 +251,6 @@ fn four_clients_interleaving_submits_and_cancels_with_fusion_on() {
         ServiceConfig {
             workers: 2,
             max_active: 2,
-            fusion: 4,
             cache_capacity: 0,
             queue_depth: 64,
             per_client_inflight: 8,

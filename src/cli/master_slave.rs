@@ -79,6 +79,7 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
 pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
     use crate::exec::net::{Batch, MasterServer, NetConfig};
+    use crate::exec::pool::BATCH_TOP_N;
     use crate::exec::sched::MasterConfig;
 
     let opts = Opts::parse(
@@ -208,7 +209,7 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
             println!("  {name}: {} cells, {}", k.cells_computed, kernel_counts(k));
         }
     }
-    println!("\nmerged hits (top {top}):");
+    println!("\nmerged hits (top {top} of each query's best {BATCH_TOP_N}):");
     for (rank, qh) in outcome.hits.iter().take(top).enumerate() {
         println!(
             "{:>4}  score {:>5}  q{}  {}",

@@ -81,8 +81,9 @@ USAGE:
       --register-timeout seconds; 0 waits forever), then distributes one
       task per query, each shipped with its query and scored against the
       whole database at a fixed depth of 10 hits per query, and prints the
-      top --top merged hits. A slave silent for --slave-deadline seconds is
-      declared dead and its tasks requeued.
+      best --top rows of those merged hits (so at most 10 per query). A
+      slave silent for --slave-deadline seconds is declared dead and its
+      tasks requeued.
       --events streams the structured run-event log as JSON lines (one
       event per line, written as the run progresses).
       --fleet sse:2+gpu:1 additionally hosts a local hybrid fleet in the
@@ -94,7 +95,7 @@ USAGE:
 
   swhybrid serve <db.fasta> --listen HOST:PORT [--workers N] [--fleet SPEC]
                  [--shards N] [--db-store FILE.swdb] [--verify-store]
-                 [--listen-slaves HOST:PORT] [--max-active N] [--fusion N]
+                 [--listen-slaves HOST:PORT] [--max-active N]
                  [--queue-depth N] [--client-inflight N] [--cache N]
                  [--retain N] [--policy ss|pss] [--no-adjustment]
                  [--matrix ...] [--gap-open N] [--gap-extend N]
@@ -104,10 +105,11 @@ USAGE:
       shutdown) with bounded admission, per-client in-flight limits, an
       LRU result cache, and live metrics. Runs until a client sends
       shutdown, then drains in-flight queries and exits.
-      Queries that queue behind a running group are fused — up to
-      --fusion of them share each database pass (1 disables fusion);
-      results stay byte-identical to per-query scans. --retain bounds how
-      many finished jobs keep answering status before eviction.
+      Queries that queue behind a running group are fused: up to 8
+      queries of at most 128 aa share each database pass, and a longer
+      query scans alone (the rule a slave cuts its packages by); results
+      stay byte-identical to per-query scans. --retain bounds how many
+      finished jobs keep answering status before eviction.
       --listen-slaves additionally accepts remote slave processes
       (`swhybrid slave`) on a second port: they join the same
       scheduling pool as the local workers, take database shards, and may

@@ -25,7 +25,6 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
             "matrix",
             "gap-open",
             "gap-extend",
-            "fusion",
             "retain",
             "db-store",
             "fleet",
@@ -62,15 +61,11 @@ pub(super) fn cmd_serve(args: &[String]) -> Result<(), String> {
         cache_capacity: opts.get_parsed("cache", default.cache_capacity)?,
         policy,
         adjustment: !opts.has("no-adjustment"),
-        fusion: opts.get_parsed("fusion", default.fusion)?,
         retained_jobs: opts.get_parsed("retain", default.retained_jobs)?,
         ..default
     };
     if config.queue_depth == 0 || config.per_client_inflight == 0 {
         return Err("--queue-depth and --client-inflight must be at least 1".into());
-    }
-    if config.fusion == 0 {
-        return Err("--fusion must be at least 1 (1 disables fusion)".into());
     }
     let residues = snapshot.total_residues();
     let digest = snapshot.digest();

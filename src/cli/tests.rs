@@ -97,11 +97,13 @@ fn simulate_smoke_small() {
 
 #[test]
 fn retired_scan_knobs_are_unknown_flags() {
-    // Every PE scans at the one chunk size with adaptive dispatch, and
+    // Every PE scans at the one chunk size with adaptive dispatch, the
+    // daemon groups queries by the pool's one pass-sharing rule, and
     // `simulate` takes Ω from its policy: the knobs are refused as flags.
     for args in [
         &["serve", "--chunk", "64"],
         &["serve", "--kernel", "auto"],
+        &["serve", "--fusion", "4"],
         &["slave", "--kernel", "auto"],
         &["search", "--kernel", "auto"],
         &["simulate", "--omega", "5"],

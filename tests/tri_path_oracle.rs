@@ -151,7 +151,7 @@ fn store_arena_scan_matches_one_shot() {
 }
 
 /// Path B: the serve daemon's local PE execution. One worker, one shard,
-/// no fusion, no caches — the shard plan is then exactly the one-shot's
+/// one query at a time, no caches — the shard plan is then exactly the one-shot's
 /// (full range, chunk floor), so hits AND per-query [`KernelStats`] must
 /// be identical.
 #[test]
@@ -166,7 +166,6 @@ fn serve_daemon_matches_one_shot() {
                 workers: 1,
                 shards: 1,
                 cache_capacity: 0,
-                fusion: 1,
                 adjustment: false,
                 policy: Policy::SelfScheduling,
                 ..ServiceConfig::default()
