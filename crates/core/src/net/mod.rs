@@ -19,7 +19,7 @@
 //! batch master: [`MasterServer`], [`Batch`]), `slave` (the slave
 //! process, [`run_slave`]).
 //!
-//! ## Wire protocol (v4)
+//! ## Wire protocol (v5)
 //!
 //! Newline-delimited JSON, one message per line (chosen over a binary
 //! format so a session is inspectable with `nc`; at one message per
@@ -35,7 +35,7 @@
 //!
 //! | message | shape |
 //! |---|---|
-//! | register | `{"type":"register","name":"host-a","gcups":2.5,"proto":4,"digest":"<16 hex>"}` |
+//! | register | `{"type":"register","name":"host-a","gcups":2.5,"proto":5,"digest":"<16 hex>"}` |
 //! | request | `{"type":"request"}` |
 //! | started | `{"type":"started","task":3}` |
 //! | finished | `{"type":"finished","task":3,"gcups":2.4,"queries":[{"hits":[…],"kernels":{…}},…]}` |
@@ -45,7 +45,7 @@
 //!
 //! | message | shape |
 //! |---|---|
-//! | registered | `{"type":"registered","pe_id":1,"proto":4}` |
+//! | registered | `{"type":"registered","pe_id":1,"proto":5}` |
 //! | tasks | `{"type":"tasks","tasks":[4,5],"descs":[…,…]}` (empty when what was assigned finished elsewhere first: ask again) |
 //! | execute | `{"type":"execute","task":2,"desc":…}` (a steal or a replica) |
 //! | done | `{"type":"done"}` |
@@ -53,7 +53,10 @@
 //!
 //! The payloads are the pool's own types: a task desc
 //! ([`crate::pool::TaskPayload`]) is
-//! `{"queries":[{"query":[…],"top_n":10},…],"shard":[s,e]}`, and
+//! `{"queries":[{"query":[…],"top_n":10},…],"shard":[s,e]}`, where
+//! `[s,e)` are scan positions of the database's stable length order
+//! (`seq::DbSnapshot`: ascending length, ties in database order — the same
+//! subjects on every peer that holds the database), and
 //! `finished` carries a [`crate::pool::TaskResult`]: one
 //! [`crate::pool::QueryResult`] per desc query, in order, each with its
 //! hits (`simd::search::Hit`:

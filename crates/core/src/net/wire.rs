@@ -32,8 +32,11 @@ use swhybrid_simd::search::Hit;
 ///   `desc`), every `register` its `digest` (database and scoring), and
 ///   `finished` carries only the per-query list (`queries`:
 ///   `[{hits, kernels}, …]`); the task-level hits and counters are
-///   derived from it.
-pub const PROTOCOL_VERSION: u32 = 4;
+///   derived from it,
+/// * v5 — a payload's `shard` names scan positions of the database's
+///   stable length order (ascending length, ties in database order), no
+///   longer database indices; the lines are v4's.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Socket read quantum: deadlines are checked at this granularity.
 pub(crate) fn liveness_quantum(deadline: Duration) -> Duration {
@@ -837,9 +840,9 @@ mod tests {
 
     const ZERO: &str = r#"{"striped_i8":0,"striped_i16":0,"striped_scalar":0,"interseq_i8":0,"interseq_i16":0,"interseq_scalar":0,"chunks_striped":0,"chunks_interseq":0,"cells_computed":0}"#;
 
-    /// Every message variant beside the exact line protocol v4 writes for
-    /// it (regenerated once, when v4 made every payload, the digest and the
-    /// per-query list mandatory).
+    /// Every message variant beside the exact line protocol v5 writes for
+    /// it (regenerated when v4 made every payload, the digest and the
+    /// per-query list mandatory, and for v5's version number).
     fn golden() -> Vec<(Json, String)> {
         let slave = [
             (
@@ -848,7 +851,7 @@ mod tests {
                     gcups: 2.7,
                     digest: 0xdead_beef_cafe_f00d,
                 },
-                r#"{"type":"register","name":"host-a/core0","gcups":2.7,"proto":4,"digest":"deadbeefcafef00d"}"#.to_string(),
+                r#"{"type":"register","name":"host-a/core0","gcups":2.7,"proto":5,"digest":"deadbeefcafef00d"}"#.to_string(),
             ),
             (SlaveMsg::Request, r#"{"type":"request"}"#.to_string()),
             (
@@ -897,7 +900,7 @@ mod tests {
         let master = [
             (
                 MasterMsg::Registered { pe_id: 1 },
-                r#"{"type":"registered","pe_id":1,"proto":4}"#.to_string(),
+                r#"{"type":"registered","pe_id":1,"proto":5}"#.to_string(),
             ),
             (
                 MasterMsg::Tasks {
@@ -932,7 +935,7 @@ mod tests {
     }
 
     #[test]
-    fn every_message_encodes_to_its_v4_bytes() {
+    fn every_message_encodes_to_its_v5_bytes() {
         for (json, line) in golden() {
             assert_eq!(json.to_string(), line);
         }
@@ -955,9 +958,9 @@ mod tests {
     fn v4_lines_missing_a_mandatory_part_are_typed_errors() {
         let slave_lines = [
             // `register` without the digest, or with a malformed one.
-            r#"{"type":"register","name":"b","gcups":1,"proto":4}"#.to_string(),
-            r#"{"type":"register","name":"b","gcups":1,"proto":4,"digest":12}"#.to_string(),
-            r#"{"type":"register","name":"b","gcups":1,"proto":4,"digest":"xyz"}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":5}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":5,"digest":12}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":5,"digest":"xyz"}"#.to_string(),
             // `finished` without the per-query list (the v3 task-level form),
             // or with an entry missing its counters.
             format!(
@@ -985,13 +988,33 @@ mod tests {
         let err = decode::<SlaveMsg>(v3).unwrap_err().to_string();
         assert_eq!(
             err,
-            "protocol version mismatch: master speaks v4, slave speaks v3"
+            "protocol version mismatch: master speaks v5, slave speaks v3"
         );
         let v3 = r#"{"type":"registered","pe_id":1,"proto":3}"#;
         let err = decode::<MasterMsg>(v3).unwrap_err().to_string();
         assert_eq!(
             err,
-            "protocol version mismatch: slave speaks v4, master speaks v3"
+            "protocol version mismatch: slave speaks v5, master speaks v3"
+        );
+    }
+
+    /// A v4 peer would cut a shard range into database indices where v5
+    /// means scan positions, so the whole v4 handshake is refused, with
+    /// both versions named, before any task could be misread.
+    #[test]
+    fn v4_register_is_refused_naming_both_versions() {
+        let v4 =
+            r#"{"type":"register","name":"b","gcups":1,"proto":4,"digest":"deadbeefcafef00d"}"#;
+        let err = decode::<SlaveMsg>(v4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "protocol version mismatch: master speaks v5, slave speaks v4"
+        );
+        let v4 = r#"{"type":"registered","pe_id":1,"proto":4}"#;
+        assert_eq!(
+            decode::<MasterMsg>(v4).unwrap_err().to_string(),
+            "protocol version mismatch: slave speaks v5, master speaks v4"
         );
     }
 

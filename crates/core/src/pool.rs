@@ -299,7 +299,9 @@ pub struct QueryPayload {
 pub struct TaskPayload {
     /// The query batch (length 1 for the paper's one-query grain).
     pub queries: Vec<QueryPayload>,
-    /// Database shard `[start, end)` in global subject indices.
+    /// Database shard `[start, end)` in scan positions of the database's
+    /// stable length order (`DbSnapshot::shard_ranges` cuts them); hits
+    /// still report database indices.
     pub shard: (usize, usize),
 }
 
@@ -1005,10 +1007,12 @@ mod tests {
             kernels.merge(&got.kernels);
         }
         assert_eq!(fused.kernels(), kernels);
-        // A sub-shard reports global database indices.
+        // A sub-shard names scan positions and reports the database
+        // indices scanned there.
         let tail = pe.scan(&db, &task(queries[..1].to_vec(), (2, 4))).unwrap();
         let tail_hits = &tail.queries[0].hits;
-        assert!(tail_hits.iter().all(|h| h.db_index >= 2));
+        let scanned: Vec<usize> = (2..4).map(|pos| db.arena().db_index(pos)).collect();
+        assert!(tail_hits.iter().all(|h| scanned.contains(&h.db_index)));
         assert_eq!(tail_hits[0].id, db.id(tail_hits[0].db_index));
     }
 

@@ -77,22 +77,20 @@ pub fn db_digest(subjects: &[EncodedSequence]) -> u64 {
     h.finish()
 }
 
-/// [`db_digest`] computed from a database's parts — ids plus a
-/// database-order arena — instead of `EncodedSequence`s. Bit-identical to
-/// [`db_digest`] over the sequences the parts were built from, so a store
-/// file's recorded digest and a FASTA-loaded daemon's recomputed one agree.
+/// [`db_digest`] computed from a database's parts — ids plus an arena —
+/// instead of `EncodedSequence`s. Bit-identical to [`db_digest`] over the
+/// sequences the parts were built from, so a store file's recorded digest
+/// and a FASTA-loaded daemon's recomputed one agree.
 ///
-/// The arena must be in database order (unpermuted): the digest covers
-/// sequences in database order, and `arena.residues(i)` must be sequence
-/// `i`'s codes.
+/// The walk is in database order whatever the arena's scan order: sequence
+/// `i` is read at its scan position.
 pub fn db_digest_parts(ids: &[String], arena: &crate::arena::DbArena) -> u64 {
-    debug_assert!(!arena.is_permuted(), "digest arena must be in db order");
     debug_assert_eq!(ids.len(), arena.len());
     let mut h = Fnv1a::new();
     h.update(&(ids.len() as u64).to_le_bytes());
     for (i, id) in ids.iter().enumerate() {
         h.update_framed(id.as_bytes());
-        h.update_framed(arena.residues(i));
+        h.update_framed(arena.residues(arena.scan_pos(i)));
     }
     h.finish()
 }
@@ -146,6 +144,10 @@ mod tests {
         let ids: Vec<String> = db.iter().map(|s| s.id.clone()).collect();
         let arena = crate::arena::DbArena::from_encoded(&db);
         assert_eq!(db_digest_parts(&ids, &arena), db_digest(&db));
+        // A length-ordered arena scans c, a, b but digests a, b, c.
+        let sorted = crate::arena::DbArena::length_sorted(&db);
+        assert_eq!(sorted.db_index(0), 2);
+        assert_eq!(db_digest_parts(&ids, &sorted), db_digest(&db));
         assert_eq!(
             db_digest_parts(&[], &crate::arena::DbArena::from_encoded(&[])),
             db_digest(&[])

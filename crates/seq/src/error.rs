@@ -19,6 +19,14 @@ pub enum SeqError {
     MalformedFasta(String),
     /// An arena's geometry (window, spans, permutation) is inconsistent.
     BadArena(String),
+    /// A snapshot's scan order is not the stable length order of its
+    /// sequences (ascending length, equal lengths in database order), so
+    /// one shard range would name different subjects than on a peer that
+    /// loaded the same database another way.
+    ScanOrder {
+        /// First scan position that breaks the order.
+        position: usize,
+    },
 }
 
 impl fmt::Display for SeqError {
@@ -32,6 +40,10 @@ impl fmt::Display for SeqError {
             ),
             SeqError::MalformedFasta(msg) => write!(f, "malformed FASTA: {msg}"),
             SeqError::BadArena(msg) => write!(f, "bad arena: {msg}"),
+            SeqError::ScanOrder { position } => write!(
+                f,
+                "scan order is not the stable length order (breaks at scan position {position})"
+            ),
         }
     }
 }

@@ -13,7 +13,7 @@
 //!   store of the `swhybrid-store` crate),
 //! * [`db`] — an in-memory database with summary statistics,
 //! * [`snapshot`] — an immutable, shareable view of one database generation
-//!   (ids + database-order arena + digest), the unit a serve daemon
+//!   (ids + length-ordered arena + digest), the unit a serve daemon
 //!   hot-swaps atomically,
 //! * [`digest`] — stable content digests for queries and databases (the
 //!   cache keys of the persistent query service),

@@ -1,17 +1,30 @@
 //! An immutable, shareable view of one database generation.
 //!
 //! The serve daemon holds exactly one of these per generation: the subject
-//! ids, the database-order residue arena the scan kernels stream through,
-//! the FNV db digest (cache key + remote-slave handshake), and per-chunk
-//! residue counts for shard balancing. A query captures an
-//! `Arc<DbSnapshot>` at admission and scans that snapshot to completion —
-//! a concurrent hot-reload swaps the daemon's pointer but never mutates a
-//! snapshot, so no query can observe a mixed-generation database.
+//! ids, the residue arena the scan kernels stream through, the FNV db
+//! digest (cache key + remote-slave handshake), and per-chunk residue
+//! counts for shard balancing. A query captures an `Arc<DbSnapshot>` at
+//! admission and scans that snapshot to completion — a concurrent
+//! hot-reload swaps the daemon's pointer but never mutates a snapshot, so
+//! no query can observe a mixed-generation database.
+//!
+//! Every snapshot has one scan order: the stable length order
+//! ([`crate::arena::length_order`]: ascending length, equal lengths in
+//! database order), so each inter-sequence chunk holds subjects of like
+//! length and its lanes finish together. Scan positions are what the
+//! kernels, [`DbSnapshot::shard_ranges`] and a task's shard name; the
+//! arena reports each hit's database index. Everything else a snapshot
+//! answers — ids, [`DbSnapshot::residues`], [`DbSnapshot::seq_len`],
+//! [`DbSnapshot::to_encoded`], the digest — is in database order. Because
+//! the order is a function of the sequence lengths alone, two peers that
+//! load one database, from FASTA or from a store, cut one shard range into
+//! the same subjects.
 //!
 //! Snapshots come from two places: packed out of freshly parsed FASTA
 //! ([`DbSnapshot::from_encoded`]), or borrowed zero-copy out of a
 //! memory-mapped `.swdb` store file ([`DbSnapshot::from_parts`] over a
-//! shared-window [`DbArena`]). Both are indistinguishable to consumers.
+//! shared-window [`DbArena`] in the store's scan permutation). Both are
+//! indistinguishable to consumers.
 
 use crate::alphabet::Alphabet;
 use crate::arena::DbArena;
@@ -22,7 +35,7 @@ use crate::sequence::EncodedSequence;
 /// Sequences per entry of the chunked residue-count table.
 pub const CHUNK_STRIDE: usize = 1024;
 
-/// One immutable database generation: ids + database-order arena + digest.
+/// One immutable database generation: ids + length-ordered arena + digest.
 #[derive(Debug, Clone)]
 pub struct DbSnapshot {
     /// Human-readable database name ("" when unnamed).
@@ -31,15 +44,14 @@ pub struct DbSnapshot {
     alphabet: Alphabet,
     /// Subject ids, in database order.
     ids: Vec<String>,
-    /// Residues in database order (never permuted — scan position is the
-    /// database index, which the serve shard scheduler relies on).
+    /// Residues in database order, scanned in the stable length order.
     arena: DbArena,
     /// FNV-1a digest over ids + codes (see [`crate::digest::db_digest`]).
     digest: u64,
-    /// Weighted prefix sums over [`CHUNK_STRIDE`]-sequence chunks:
-    /// `weighted_prefix[j]` = Σ (len+1) of sequences `[0, j·STRIDE)`.
-    /// Lets shard balancing skip whole chunks instead of walking every
-    /// span (the per-chunk residue counts a `.swdb` store persists).
+    /// Weighted prefix sums over [`CHUNK_STRIDE`]-position chunks of the
+    /// scan order: `weighted_prefix[j]` = Σ (len+1) of scan positions
+    /// `[0, j·STRIDE)`. Lets shard balancing skip whole chunks instead of
+    /// walking every span.
     weighted_prefix: Vec<u64>,
 }
 
@@ -51,7 +63,7 @@ impl DbSnapshot {
             .first()
             .map(|s| s.alphabet)
             .unwrap_or(Alphabet::Protein);
-        let arena = DbArena::from_encoded(subjects);
+        let arena = DbArena::length_sorted(subjects);
         let ids = subjects.iter().map(|s| s.id.clone()).collect();
         let digest = db_digest(subjects);
         let weighted_prefix = weighted_chunk_prefix(&arena);
@@ -70,10 +82,12 @@ impl DbSnapshot {
     /// start stays O(1) in database size; callers wanting paranoia re-hash
     /// with [`DbSnapshot::verify_digest`].
     ///
-    /// `chunk_residues`, when given, are per-[`CHUNK_STRIDE`] *residue*
-    /// sums (unweighted, as a store persists them); they are verified
-    /// against the arena spans, so a store whose chunk table disagrees
-    /// with its spans is rejected instead of silently mis-balancing.
+    /// The arena must scan in the stable length order; any other order is
+    /// refused with [`SeqError::ScanOrder`]. `chunk_residues`, when given, are
+    /// per-[`CHUNK_STRIDE`] *residue* sums over database order (unweighted,
+    /// as a store persists them); they are verified against the arena
+    /// spans, so a store whose chunk table disagrees with its spans is
+    /// rejected.
     pub fn from_parts(
         name: impl Into<String>,
         alphabet: Alphabet,
@@ -82,11 +96,6 @@ impl DbSnapshot {
         digest: u64,
         chunk_residues: Option<&[u64]>,
     ) -> Result<DbSnapshot, SeqError> {
-        if arena.is_permuted() {
-            return Err(SeqError::BadArena(
-                "snapshot arena must be in database order".into(),
-            ));
-        }
         if ids.len() != arena.len() {
             return Err(SeqError::BadArena(format!(
                 "{} ids for {} sequences",
@@ -94,7 +103,7 @@ impl DbSnapshot {
                 arena.len()
             )));
         }
-        let weighted_prefix = weighted_chunk_prefix(&arena);
+        arena.check_length_order()?;
         if let Some(stored) = chunk_residues {
             let chunks = arena.len().div_ceil(CHUNK_STRIDE);
             if stored.len() != chunks {
@@ -103,9 +112,11 @@ impl DbSnapshot {
                     stored.len()
                 )));
             }
-            for (j, &res) in stored.iter().enumerate() {
-                let seqs_in_chunk = (arena.len() - j * CHUNK_STRIDE).min(CHUNK_STRIDE) as u64;
-                let expect = weighted_prefix[j + 1] - weighted_prefix[j] - seqs_in_chunk;
+            let mut spans_sum = vec![0u64; chunks];
+            for pos in 0..arena.len() {
+                spans_sum[arena.db_index(pos) / CHUNK_STRIDE] += arena.seq_len(pos) as u64;
+            }
+            for (j, (&res, &expect)) in stored.iter().zip(&spans_sum).enumerate() {
                 if res != expect {
                     return Err(SeqError::BadArena(format!(
                         "chunk {j} records {res} residues but spans sum to {expect}"
@@ -113,6 +124,7 @@ impl DbSnapshot {
                 }
             }
         }
+        let weighted_prefix = weighted_chunk_prefix(&arena);
         Ok(DbSnapshot {
             name: name.into(),
             alphabet,
@@ -173,15 +185,15 @@ impl DbSnapshot {
 
     /// Residues of sequence `i` (database order).
     pub fn residues(&self, i: usize) -> &[u8] {
-        self.arena.residues(i)
+        self.arena.residues(self.arena.scan_pos(i))
     }
 
-    /// Length in residues of sequence `i`.
+    /// Length in residues of sequence `i` (database order).
     pub fn seq_len(&self, i: usize) -> usize {
-        self.arena.seq_len(i)
+        self.arena.seq_len(self.arena.scan_pos(i))
     }
 
-    /// The database-order arena the kernels scan.
+    /// The length-ordered arena the kernels scan.
     pub fn arena(&self) -> &DbArena {
         &self.arena
     }
@@ -191,38 +203,26 @@ impl DbSnapshot {
         self.digest
     }
 
-    /// Total residues of sequences in `range` (database order).
+    /// Total residues of the scan positions in `range`.
     pub fn range_residues(&self, range: std::ops::Range<usize>) -> u64 {
         self.arena.range_residues(range)
     }
 
-    /// Materialise owned `EncodedSequence`s (test/oracle convenience —
-    /// copies every residue).
+    /// Materialise owned `EncodedSequence`s in database order
+    /// (test/oracle convenience — copies every residue).
     pub fn to_encoded(&self) -> Vec<EncodedSequence> {
         (0..self.len())
             .map(|i| EncodedSequence {
                 id: self.ids[i].clone(),
-                codes: self.arena.residues(i).to_vec(),
+                codes: self.residues(i).to_vec(),
                 alphabet: self.alphabet,
             })
             .collect()
     }
 
-    /// Per-chunk residue counts as a store persists them:
-    /// entry `j` = Σ residues of sequences `[j·STRIDE, (j+1)·STRIDE)`.
-    pub fn chunk_residues(&self) -> Vec<u64> {
-        let chunks = self.len().div_ceil(CHUNK_STRIDE);
-        (0..chunks)
-            .map(|j| {
-                let seqs = (self.len() - j * CHUNK_STRIDE).min(CHUNK_STRIDE) as u64;
-                self.weighted_prefix[j + 1] - self.weighted_prefix[j] - seqs
-            })
-            .collect()
-    }
-
-    /// Split the database into `shards` contiguous index ranges of roughly
-    /// equal residue weight (each sequence weighs `len + 1`, so runs of
-    /// empty sequences still advance the split).
+    /// Split the scan order into `shards` contiguous ranges of scan
+    /// positions of roughly equal residue weight (each sequence weighs
+    /// `len + 1`, so runs of empty sequences still advance the split).
     ///
     /// Produces exactly the ranges of a sequential weighted walk, but uses
     /// the chunked prefix sums to skip whole chunks — O(shards · (log c +
@@ -236,10 +236,10 @@ impl DbSnapshot {
         let total = *self.weighted_prefix.last().expect("prefix never empty");
         let mut out = Vec::with_capacity(n as usize);
         let mut start = 0usize;
-        let mut i_floor = 0usize; // first index eligible to end the next shard
+        let mut i_floor = 0usize; // first position eligible to end the next shard
         for k in 1..n {
             // Smallest i in [i_floor, count-1) with A(i)·n ≥ k·total, where
-            // A(i) is the weighted prefix through sequence i inclusive.
+            // A(i) is the weighted prefix through scan position i inclusive.
             let target = k * total;
             // First chunk whose end-of-chunk prefix crosses the target.
             let mut lo = i_floor / CHUNK_STRIDE;
@@ -281,7 +281,7 @@ impl DbSnapshot {
 }
 
 /// Weighted (`len + 1`) prefix sums at chunk granularity; entry `j` covers
-/// sequences `[0, j·STRIDE)`, final entry covers the whole database.
+/// scan positions `[0, j·STRIDE)`, final entry covers the whole database.
 fn weighted_chunk_prefix(arena: &DbArena) -> Vec<u64> {
     let count = arena.len();
     let chunks = count.div_ceil(CHUNK_STRIDE);
@@ -334,6 +334,14 @@ mod tests {
         out
     }
 
+    /// The store's chunk table for `lens` (database order): residues per
+    /// [`CHUNK_STRIDE`] sequences.
+    fn db_chunks(lens: &[usize]) -> Vec<u64> {
+        lens.chunks(CHUNK_STRIDE)
+            .map(|c| c.iter().map(|&l| l as u64).sum())
+            .collect()
+    }
+
     #[test]
     fn from_encoded_matches_db_digest_and_ids() {
         let db = seqs(&[5, 0, 9, 3]);
@@ -343,15 +351,19 @@ mod tests {
         assert_eq!(snap.digest(), db_digest(&db));
         assert_eq!(snap.id(2), "s2");
         assert_eq!(snap.residues(2), &db[2].codes[..]);
+        assert_eq!(snap.seq_len(2), 9);
         assert_eq!(snap.to_encoded(), db);
         snap.verify_digest().unwrap();
+        // The kernels scan by length: 0, 3, 5, 9.
+        let order: Vec<usize> = (0..4).map(|p| snap.arena().db_index(p)).collect();
+        assert_eq!(order, vec![1, 3, 0, 2]);
     }
 
     #[test]
     fn from_parts_validates_geometry_and_chunks() {
         let db = seqs(&[4, 2]);
         let good = DbSnapshot::from_encoded("", &db);
-        let arena = DbArena::from_encoded(&db);
+        let arena = DbArena::length_sorted(&db);
         // id count mismatch
         assert!(DbSnapshot::from_parts(
             "",
@@ -362,16 +374,19 @@ mod tests {
             None
         )
         .is_err());
-        // permuted arena rejected
-        assert!(DbSnapshot::from_parts(
-            "",
-            Alphabet::Protein,
-            vec!["a".into(), "b".into()],
-            DbArena::length_sorted(&db),
-            good.digest(),
-            None
-        )
-        .is_err());
+        // an arena scanned in any order but the stable length order
+        // (here database order) rejected by name
+        assert!(matches!(
+            DbSnapshot::from_parts(
+                "",
+                Alphabet::Protein,
+                vec!["a".into(), "b".into()],
+                DbArena::from_encoded(&db),
+                good.digest(),
+                None
+            ),
+            Err(SeqError::ScanOrder { position: 1 })
+        ));
         // chunk table disagreeing with spans rejected
         assert!(DbSnapshot::from_parts(
             "",
@@ -389,7 +404,7 @@ mod tests {
             vec!["s0".into(), "s1".into()],
             arena,
             good.digest(),
-            Some(&good.chunk_residues()),
+            Some(&db_chunks(&[4, 2])),
         )
         .unwrap();
         assert_eq!(snap.digest(), good.digest());
@@ -399,7 +414,7 @@ mod tests {
             "x",
             Alphabet::Protein,
             vec!["s0".into(), "s1".into()],
-            DbArena::from_encoded(&db),
+            DbArena::length_sorted(&db),
             good.digest() ^ 1,
             None,
         )
@@ -418,12 +433,18 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             lens.push((state >> 33) as usize % 50);
         }
+        // Shards cut the scan order, which is the lengths sorted.
+        let scan_lens = |lens: &[usize]| {
+            let mut sorted = lens.to_vec();
+            sorted.sort_unstable();
+            sorted
+        };
         let db = seqs(&lens);
         let snap = DbSnapshot::from_encoded("", &db);
         for shards in [1, 2, 3, 7, 16, 64, 1000, lens.len(), lens.len() * 2] {
             assert_eq!(
                 snap.shard_ranges(shards),
-                naive_shard_ranges(&lens, shards),
+                naive_shard_ranges(&scan_lens(&lens), shards),
                 "shards={shards}"
             );
         }
@@ -432,17 +453,22 @@ mod tests {
             let db = seqs(&lens);
             let snap = DbSnapshot::from_encoded("", &db);
             for shards in 1..6 {
-                assert_eq!(snap.shard_ranges(shards), naive_shard_ranges(&lens, shards));
+                assert_eq!(
+                    snap.shard_ranges(shards),
+                    naive_shard_ranges(&scan_lens(&lens), shards)
+                );
             }
         }
     }
 
     #[test]
     fn chunk_residues_round_trip() {
-        let lens: Vec<usize> = (0..CHUNK_STRIDE + 10).map(|i| i % 7).collect();
+        // Lengths descend chunk by chunk, so the scan order moves sequences
+        // across chunk boundaries: the table is checked in database order.
+        let lens: Vec<usize> = (0..CHUNK_STRIDE + 10).map(|i| 9 - i / 128 % 10).collect();
         let db = seqs(&lens);
         let snap = DbSnapshot::from_encoded("", &db);
-        let chunks = snap.chunk_residues();
+        let chunks = db_chunks(&lens);
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks.iter().sum::<u64>(), snap.total_residues());
         // Feeding them back through from_parts re-verifies them.
@@ -455,5 +481,19 @@ mod tests {
             Some(&chunks),
         )
         .unwrap();
+        // The same sums over scan positions disagree, and are refused.
+        let scan_chunks: Vec<u64> = (0..2)
+            .map(|j| snap.range_residues(j * CHUNK_STRIDE..((j + 1) * CHUNK_STRIDE).min(db.len())))
+            .collect();
+        assert_ne!(scan_chunks, chunks);
+        assert!(DbSnapshot::from_parts(
+            "",
+            Alphabet::Protein,
+            snap.ids().to_vec(),
+            snap.arena().clone(),
+            snap.digest(),
+            Some(&scan_chunks),
+        )
+        .is_err());
     }
 }

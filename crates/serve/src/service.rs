@@ -19,8 +19,9 @@
 //! Every admitted query is split into contiguous, residue-balanced
 //! **database shards**, one task per shard, so a single query exercises
 //! the whole platform (and the adjustment mechanism can replicate a
-//! straggling shard near the tail). Per-shard top-N lists are rebased to
-//! global database indices and merged with `merge_top_n`, which makes the
+//! straggling shard near the tail). A shard is a range of the database's
+//! length-ordered scan positions; per-shard top-N lists report database
+//! indices and are merged with `merge_top_n`, which makes the
 //! served ranking bit-identical to a cold single-process scan. Remote
 //! slaves receive shards as self-describing payloads (query batch + shard
 //! bounds) and must prove at registration — by their identity digest —
@@ -242,8 +243,8 @@ struct Job {
     /// The raw encoded query, shipped in every payload of the job's tasks.
     codes: Vec<u8>,
     /// The database snapshot this job scans (survives a concurrent
-    /// [`QueryService::swap_snapshot`]): ids plus the database-order
-    /// arena, so shard scan positions are global database indices.
+    /// [`QueryService::swap_snapshot`]): ids plus the length-ordered
+    /// arena its shards are ranges of.
     db: Arc<DbSnapshot>,
     /// The database generation the job was admitted under. Remote slaves
     /// only ever see current-generation payloads (a swap disconnects them).
@@ -296,7 +297,7 @@ struct ServeOwner {
     queue: AdmissionQueue,
     cache: ResultCache,
     metrics: Metrics,
-    /// The current database generation: ids, database-order arena, digest.
+    /// The current database generation: ids, length-ordered arena, digest.
     /// Replaced wholesale by a reload, never mutated — in-flight jobs hold
     /// their own `Arc` and finish on the snapshot they were admitted under.
     db: Arc<DbSnapshot>,

@@ -11,8 +11,10 @@
 //! * **InterSeq** — the SWIPE-style inter-sequence kernel, `LANES` subjects
 //!   per vector. A flat rate whatever the query: no per-subject setup, no
 //!   lazy-F loop, near-perfect lane utilisation when chunk lengths are
-//!   homogeneous ([`DbArena::length_sorted`]) — the kernel for short
-//!   queries, and the one a fused query batch shares a score gather in.
+//!   homogeneous — which every database snapshot's scan order makes them
+//!   (the stable length order, [`DbArena::length_sorted`]) — the kernel
+//!   for short queries, and the one a fused query batch shares a score
+//!   gather in.
 //! * **Auto** (every PE's choice) — picks per chunk from the query length,
 //!   the chunk's size and its length skew (measured crossovers, see
 //!   `exec`); the decision counters land in [`KernelStats`].
@@ -20,8 +22,10 @@
 //! Every kernel family resolves every subject to the exact Gotoh score, so
 //! the ranked output is **bit-identical** across kernel choices, shard
 //! decompositions, and scan orders: hits are keyed by *database* index
-//! (the arena un-permutes length-sorted scan positions) and ranked by
-//! [`rank_hits`]'s total order.
+//! (the arena un-permutes length-ordered scan positions) and ranked by
+//! [`rank_hits`]'s total order. Kernel counters do depend on the scan
+//! order (which chunks `Auto` sends where), which is why every snapshot
+//! has exactly one.
 //!
 //! Workers carry plain [`Scored`] records (`Copy`, no strings); subject
 //! identifiers are attached as [`Hit`]s only for a shard's top-N.

@@ -33,10 +33,13 @@
 //! ```
 //!
 //! The arena holds every sequence's codes concatenated **in database
-//! order** — a scan position over it *is* the database index, the
-//! invariant the serve shard scheduler depends on. The length-sorted scan
-//! permutation is carried as metadata for consumers that re-pack a
-//! sorted arena. `meta_checksum` is always verified on open (it is tiny);
+//! order**, and the spans describe it in that order. The scan permutation
+//! (scan position → database index) is the stable length order of the
+//! spans — ascending length, equal lengths in database order — and is the
+//! order every snapshot scans and every shard range names; a reader
+//! reorders only its spans table through it, and refuses any other order.
+//! A store without the section is scanned in that order too, computed at
+//! open. `meta_checksum` is always verified on open (it is tiny);
 //! `arena_checksum` and the db digest re-hash are opt-in
 //! ([`crate::Verify::Full`]) so cold start stays O(metadata), with an
 //! always-on code-bound scan guaranteeing corrupt arena bytes can never

@@ -10,12 +10,13 @@
 //!
 //! [`Store::into_snapshot`] hands the daemon a [`DbSnapshot`] whose arena
 //! **borrows the mapping** — residues are never copied; the kernels scan
-//! the page cache directly.
+//! the page cache directly, in the stored length-sorted scan permutation
+//! (computed at open for a store written without one).
 
 use std::path::Path;
 use std::sync::Arc;
 
-use swhybrid_seq::arena::DbArena;
+use swhybrid_seq::arena::{length_order, DbArena};
 use swhybrid_seq::digest::db_digest_parts;
 use swhybrid_seq::snapshot::DbSnapshot;
 use swhybrid_seq::{Alphabet, SharedBytes};
@@ -40,7 +41,7 @@ pub struct Store {
     name: String,
     ids: Vec<String>,
     spans: Vec<(usize, usize)>,
-    perm: Option<Vec<usize>>,
+    perm: Vec<usize>,
     chunks: Vec<u64>,
 }
 
@@ -141,15 +142,13 @@ impl Store {
             }
         }
 
-        let perm = if header.has_perm() {
-            Some(
-                u64s(header.perm_off, header.num_seqs)
-                    .into_iter()
-                    .map(|v| v as usize)
-                    .collect::<Vec<usize>>(),
-            )
+        let perm: Vec<usize> = if header.has_perm() {
+            u64s(header.perm_off, header.num_seqs)
+                .into_iter()
+                .map(|v| v as usize)
+                .collect()
         } else {
-            None
+            length_order(spans.iter().map(|&(_, len)| len))
         };
         let chunks = u64s(header.chunks_off, header.num_chunks());
 
@@ -245,11 +244,6 @@ impl Store {
         &self.ids
     }
 
-    /// The length-sorted scan permutation, if stored.
-    pub fn scan_permutation(&self) -> Option<&[usize]> {
-        self.perm.as_deref()
-    }
-
     /// Per-chunk residue counts ([`swhybrid_seq::snapshot::CHUNK_STRIDE`]
     /// sequences per entry).
     pub fn chunk_residues(&self) -> &[u64] {
@@ -262,7 +256,8 @@ impl Store {
         self.bytes.is_mapped()
     }
 
-    /// A database-order arena borrowing the mapped bytes (zero-copy).
+    /// An arena borrowing the mapped bytes (zero-copy), scanned in the
+    /// store's permutation.
     fn arena(&self) -> Result<DbArena, StoreError> {
         let shared: SharedBytes = self.bytes.clone();
         Ok(DbArena::from_shared(
@@ -270,12 +265,14 @@ impl Store {
             self.header.arena_off as usize,
             self.header.arena_len as usize,
             self.spans.clone(),
-            None,
+            self.perm.clone(),
         )?)
     }
 
     /// Turn the store into a [`DbSnapshot`] whose arena borrows the
-    /// mapping. The stored chunk table is cross-checked against the spans.
+    /// mapping. The stored chunk table is cross-checked against the spans,
+    /// and a permutation that is not the stable length order of the spans
+    /// is refused ([`swhybrid_seq::SeqError::ScanOrder`]).
     pub fn into_snapshot(self) -> Result<DbSnapshot, StoreError> {
         let arena = self.arena()?;
         Ok(DbSnapshot::from_parts(

@@ -10,6 +10,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use swhybrid_seq::arena::length_order;
 use swhybrid_seq::digest::{db_digest, Fnv1a};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::snapshot::CHUNK_STRIDE;
@@ -74,8 +75,10 @@ pub fn build_store(
         spans.push((cursor, s.len() as u64));
         cursor += s.len() as u64;
     }
-    let mut perm: Vec<u64> = (0..num_seqs).collect();
-    perm.sort_by_key(|&i| subjects[i as usize].len());
+    let perm: Vec<u64> = length_order(subjects.iter().map(|s| s.len()))
+        .into_iter()
+        .map(|i| i as u64)
+        .collect();
     let chunks: Vec<u64> = (0..subjects.len().div_ceil(CHUNK_STRIDE))
         .map(|j| {
             subjects[j * CHUNK_STRIDE..((j + 1) * CHUNK_STRIDE).min(subjects.len())]

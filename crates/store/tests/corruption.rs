@@ -2,7 +2,7 @@
 //! typed [`StoreError`] — never a panic, never a silently wrong snapshot.
 
 use swhybrid_seq::sequence::EncodedSequence;
-use swhybrid_seq::Alphabet;
+use swhybrid_seq::{Alphabet, SeqError};
 use swhybrid_store::format::{ARENA_ALIGN, HEADER_LEN};
 use swhybrid_store::{build_store, Store, StoreBytes, StoreError, Verify};
 
@@ -267,6 +267,42 @@ fn inconsistent_chunk_table_rejected() {
         Err(other) => panic!("expected Seq error, got {other:?}"),
         Ok(_) => panic!("corrupt chunk table produced a snapshot"),
     }
+}
+
+#[test]
+fn permutation_other_than_the_stable_length_order_refused_by_name() {
+    // The healthy store's lengths ascend, so its scan order is 0, 1, 2, ….
+    // Swapping two entries keeps a permutation but not the length order:
+    // a slave mapping this store would cut shard ranges into different
+    // subjects than a master that parsed the FASTA.
+    let mut bytes = healthy_store_bytes();
+    let perm_off = u64_at(&bytes, 112) as usize;
+    assert_eq!(u64_at(&bytes, perm_off), 0);
+    put_u64(&mut bytes, perm_off, 1);
+    put_u64(&mut bytes, perm_off + 8, 0);
+    refresh_meta_checksum(&mut bytes);
+    match open(bytes, Verify::Quick).and_then(Store::into_snapshot) {
+        Err(StoreError::Seq(SeqError::ScanOrder { position: 1 })) => {}
+        Err(other) => panic!("expected ScanOrder, got {other:?}"),
+        Ok(_) => panic!("a permutation out of length order produced a snapshot"),
+    }
+}
+
+#[test]
+fn store_without_permutation_scans_in_length_order() {
+    // Clear the section flag: the reader computes the stable length order
+    // and the snapshot is the one the stored section gives.
+    let healthy = open(healthy_store_bytes(), Verify::Full)
+        .and_then(Store::into_snapshot)
+        .unwrap();
+    let mut bytes = healthy_store_bytes();
+    bytes[12] &= !1;
+    refresh_meta_checksum(&mut bytes);
+    let store = open(bytes, Verify::Full).unwrap();
+    assert!(!store.header().has_perm());
+    let snap = store.into_snapshot().unwrap();
+    assert_eq!(snap.arena(), healthy.arena());
+    assert_eq!(snap.to_encoded(), healthy.to_encoded());
 }
 
 #[test]

@@ -8,7 +8,7 @@ use swhybrid_seq::digest::db_digest;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::snapshot::DbSnapshot;
 use swhybrid_seq::{Alphabet, DbArena};
-use swhybrid_store::{build_store, Store};
+use swhybrid_store::{build_store, DbFile, Store, Verify};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swdb_rt_{tag}_{}", std::process::id()));
@@ -50,17 +50,14 @@ fn build_open_snapshot_round_trip() {
     assert_eq!(header.min_len, 0);
     assert_eq!(header.max_len, 123);
 
-    // The stored scan permutation matches DbArena::length_sorted.
-    let sorted = DbArena::length_sorted(&db);
-    let expect: Vec<usize> = (0..db.len()).map(|p| sorted.db_index(p)).collect();
-    assert_eq!(store.scan_permutation().unwrap(), &expect[..]);
-
-    // The snapshot is indistinguishable from a FASTA-packed one.
+    // The snapshot is indistinguishable from a FASTA-packed one, scan
+    // order (the stored permutation) included.
     let snap = store.into_snapshot().unwrap();
     let packed = DbSnapshot::from_encoded("toy-db", &db);
     assert_eq!(snap.digest(), packed.digest());
     assert_eq!(snap.ids(), packed.ids());
     assert_eq!(snap.arena(), packed.arena());
+    assert_eq!(snap.arena(), &DbArena::length_sorted(&db));
     assert!(snap.arena().is_shared());
     assert_eq!(snap.to_encoded(), db);
     snap.verify_digest().unwrap();
@@ -149,5 +146,56 @@ fn snapshot_outlives_store_handle() {
     std::fs::remove_file(&path).unwrap();
     assert_eq!(snap.residues(0), &db[0].codes[..]);
     assert_eq!(snap.to_encoded(), db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fasta_and_store_loads_share_one_scan_order() {
+    // Ties (5, 5 and 17, 17) and an empty sequence, out of length order.
+    let dir = tmp_dir("order");
+    let lens = [40, 0, 17, 5, 5, 123, 17, 1];
+    let letters = b"ARNDCQEGHILKMFPSTWYV";
+    let fasta: String = lens
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let residues: String = (0..len)
+                .map(|j| letters[(i * 7 + j) % 20] as char)
+                .collect();
+            format!(">subject-{i:03}\n{residues}\n")
+        })
+        .collect();
+    let fasta_path = dir.join("db.fasta");
+    std::fs::write(&fasta_path, fasta).unwrap();
+    let fasta_path = fasta_path.to_str().unwrap();
+    let from_fasta = DbFile::Fasta(fasta_path).load(Alphabet::Protein).unwrap();
+    let store_path = dir.join("db.swdb");
+    build_store(&store_path, "db", &from_fasta.to_encoded()).unwrap();
+    let store_path = store_path.to_str().unwrap();
+    for verify in [Verify::Quick, Verify::Full] {
+        let from_store = DbFile::Store(store_path, verify)
+            .load(Alphabet::Protein)
+            .unwrap();
+        let order = |snap: &DbSnapshot| -> Vec<usize> {
+            (0..snap.len()).map(|p| snap.arena().db_index(p)).collect()
+        };
+        assert_eq!(order(&from_fasta), order(&from_store));
+        // Non-decreasing in length, ties in database order.
+        assert_eq!(order(&from_store), vec![1, 7, 3, 4, 2, 6, 0, 5]);
+        let arena = from_store.arena();
+        for pos in 1..arena.len() {
+            let key = |p: usize| (arena.seq_len(p), arena.db_index(p));
+            assert!(key(pos - 1) < key(pos), "scan position {pos}");
+        }
+        for shards in 1..6 {
+            assert_eq!(
+                from_fasta.shard_ranges(shards),
+                from_store.shard_ranges(shards)
+            );
+        }
+        // Database-order views are unchanged by the scan order.
+        assert_eq!(from_store.to_encoded(), from_fasta.to_encoded());
+        assert_eq!(from_store.seq_len(5), 123);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -43,9 +43,9 @@ pub(super) fn db_file<'a>(
 }
 
 /// Load a verb's database — a FASTA file, or a `.swdb` store whose arena
-/// is scanned in place — for scoring under `scoring`. Hit tables are
-/// identical either way: the scan is keyed by database index, independent
-/// of the arena's provenance.
+/// is scanned in place — for scoring under `scoring`. The report is
+/// identical either way, kernel counters included: both scan the one
+/// stable length order, and hits are keyed by database index.
 pub(super) fn load_db(file: DbFile<'_>, scoring: &Scoring) -> Result<DbSnapshot, String> {
     file.load(scoring.matrix.alphabet)
         .map_err(|e| format!("{}: {e}", file.path()))
@@ -120,10 +120,10 @@ fn cmd_db_inspect(args: &[String]) -> Result<(), String> {
     );
     println!(
         "scan perm:  {}",
-        if store.scan_permutation().is_some() {
+        if h.has_perm() {
             "length-sorted (present)"
         } else {
-            "absent"
+            "absent (length order computed at open)"
         }
     );
     println!("mapped:     {}", store.is_mapped());
