@@ -385,8 +385,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             if self.pos > start {
-                // The input is valid UTF-8 and we only stopped on ASCII
-                // delimiters, so this slice is valid UTF-8 too.
+                // Invariant: a `&str` cut at ASCII bytes is valid UTF-8.
                 out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
             }
             match self.peek() {
@@ -485,6 +484,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
+        // Invariant: the span holds only ASCII signs, digits, '.' and 'e'/'E'.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
             .map(Json::Num)

@@ -170,10 +170,10 @@ impl PreparedQuery {
         (self.goe, self.ext)
     }
 
-    /// Transposed substitution scores for the inter-sequence kernels' score
-    /// gather, padded to `TABLE_DIM` rows of `TABLE_DIM` bytes: row `c` (a
-    /// database residue) holds `score(q, c)` at byte `q` for every query
-    /// symbol `q`; rows and bytes past the alphabet are zero.
+    /// Substitution scores for the inter-sequence kernels' score gather,
+    /// symbol-major and padded to `TABLE_DIM` rows of `TABLE_DIM` bytes:
+    /// row `s` (a query symbol) holds `score(s, c)` at byte `c` for every
+    /// database code `c`; rows and bytes past the alphabet are zero.
     pub(crate) fn score_table(&self) -> &[i8; TABLE_DIM * TABLE_DIM] {
         &self.score_table
     }
@@ -189,9 +189,9 @@ fn build_score_table(
         "alphabet of {dim} codes exceeds {TABLE_DIM}"
     );
     let mut table = Box::new([0i8; TABLE_DIM * TABLE_DIM]);
-    for c in 0..dim {
-        for q in 0..dim {
-            table[c * TABLE_DIM + q] = matrix.score(q as u8, c as u8) as i8;
+    for s in 0..dim {
+        for c in 0..dim {
+            table[s * TABLE_DIM + c] = matrix.score(s as u8, c as u8) as i8;
         }
     }
     table

@@ -13,14 +13,20 @@
 //!
 //! The per-step substitution gather — each lane needs
 //! `score(query[j], c_lane)` for its own residue `c_lane` — is the crux.
-//! `SimdVec::gather` loads each lane's row of the padded, transposed
-//! score table (`PreparedQuery::score_table`) and byte-transposes them
-//! into one vector per *query symbol*; the DP loop then indexes this
+//! `SimdVec::gather` builds one vector per *query symbol* by looking the
+//! lanes' residue codes up in that symbol's row of the symbol-major score
+//! table (`PreparedQuery::score_table`): two byte shuffles, one per
+//! 16-code half of the row, and an add. The DP loop then indexes this
 //! `dprofile` by `query[j]`, a single load per cell, exactly like SWIPE's
 //! score profile. The gather depends only on the lanes' residues, never on
 //! the query, so a pass takes a query **batch**: the gather is built once
 //! per column and every query of the batch runs its own DP column over it.
 //! A lone query is the batch of one — there is no separate solo kernel.
+//!
+//! Lanes are stepped in *runs*: after each retire and refill, every lane
+//! can take as many columns as the live lane with the fewest residues
+//! left, so those columns run with no per-lane retire test and the lane
+//! cursors move once per run.
 //!
 //! Two implementations share one contract (`Some(score)` exact, `None`
 //! saturated — recompute wider):
@@ -288,7 +294,6 @@ struct LaneCursors {
     /// Absolute end offset of the lane's sequence.
     end: [usize; MAX_LANES],
     next: usize,
-    active: usize,
 }
 
 impl LaneCursors {
@@ -298,7 +303,6 @@ impl LaneCursors {
             cur: [0; MAX_LANES],
             end: [0; MAX_LANES],
             next: 0,
-            active: 0,
         };
         for lane in 0..lanes {
             cursors.assign(lane, arena, jobs, prefetch);
@@ -308,16 +312,12 @@ impl LaneCursors {
 
     /// Give `lane` the next queued job (or mark it idle).
     fn assign(&mut self, lane: usize, arena: &DbArena, jobs: &[usize], prefetch: bool) {
-        let was_live = self.job[lane] != IDLE;
         if self.next < jobs.len() {
             let (offset, len) = arena.span(jobs[self.next]);
             self.job[lane] = self.next;
             self.cur[lane] = offset;
             self.end[lane] = offset + len;
             self.next += 1;
-            if !was_live {
-                self.active += 1;
-            }
             // Hide the NEXT refill's residue fetch behind the columns
             // about to run: whichever lane retires first will start
             // reading this span at its head.
@@ -325,11 +325,21 @@ impl LaneCursors {
                 crate::scratch::prefetch_read(arena.residues(jobs[self.next]));
             }
         } else {
+            // An idle lane reads from the buffer's head, in bounds for
+            // any run (a run fits in a live lane's span).
             self.job[lane] = IDLE;
-            if was_live {
-                self.active -= 1;
-            }
+            self.cur[lane] = 0;
         }
+    }
+
+    /// Columns every lane can take before a live one retires: the fewest
+    /// residues a live lane has left (≥ 1 once retired lanes are refilled),
+    /// or `None` when every lane is idle.
+    fn run(&self, lanes: usize) -> Option<usize> {
+        (0..lanes)
+            .filter(|&lane| self.job[lane] != IDLE)
+            .map(|lane| self.end[lane] - self.cur[lane])
+            .min()
     }
 }
 
@@ -358,7 +368,7 @@ unsafe fn pass_body<V: SimdVec>(
     let (zero, min, max) = (V::Elem::ZERO, V::Elem::MIN, V::Elem::MAX);
     let first = batch[0];
     let table = first.score_table();
-    let halves = first.scoring().matrix.dim().div_ceil(16);
+    let symbols = first.scoring().matrix.dim();
     let (goe, ext) = first.gap_penalties();
     let v_goe = V::splat(V::Elem::from_i32_sat(goe));
     let v_ext = V::splat(V::Elem::from_i32_sat(ext));
@@ -392,12 +402,14 @@ unsafe fn pass_body<V: SimdVec>(
     // Per-query per-lane best, flattened `q * lanes + lane`.
     best.clear();
     best.resize(batch.len() * lanes, zero);
-    // One vector of lane scores per query symbol.
+    // One vector of lane scores per query symbol, and the lane codes they
+    // are looked up by.
     let mut dprofile = [zero; TABLE_DIM * MAX_LANES];
+    let mut codes = [0u8; MAX_LANES];
     let (v_zero, v_min) = (V::splat(zero), V::splat(min));
     let mut cursors = LaneCursors::new(lanes, arena, jobs, prefetch);
 
-    while cursors.active > 0 {
+    loop {
         // Retire finished lanes for EVERY query (the traversal is shared,
         // so all queries finish a subject together; empty subjects retire
         // a whole run at once) and refill from the queue.
@@ -416,57 +428,60 @@ unsafe fn pass_body<V: SimdVec>(
                 cursors.assign(lane, arena, jobs, prefetch);
             }
         }
-        if cursors.active == 0 {
+        // Step every lane `run` columns with no retire test, then move the
+        // cursors once.
+        let Some(run) = cursors.run(lanes) else {
             break;
-        }
+        };
+        for t in 0..run {
+            // One residue per lane, masked to five bits (a byte of the
+            // padded table's rows); idle lanes read the buffer's head
+            // (their results are never used).
+            for (code, &cur) in codes.iter_mut().zip(&cursors.cur[..lanes]) {
+                // SAFETY: a live lane's `cur + t` is below its `end`, an
+                // idle lane's `cur` is 0 and `t` is below a live lane's
+                // remaining span; both are inside `residues`.
+                *code = *residues.get_unchecked(cur + t) % TABLE_DIM as u8;
+            }
+            // SAFETY: `table` is TABLE_DIM rows of TABLE_DIM bytes, every
+            // code was just masked below TABLE_DIM, `symbols` ≤ TABLE_DIM,
+            // and `dprofile` holds TABLE_DIM × MAX_LANES elements.
+            V::gather(table.as_ptr(), &codes, symbols, dprofile.as_mut_ptr());
 
-        // One residue per live lane, masked to a row of the padded table;
-        // idle lanes read row 0 (their results are never used).
-        let mut codes = [0usize; MAX_LANES];
-        for lane in 0..lanes {
-            if cursors.job[lane] != IDLE {
-                codes[lane] = residues[cursors.cur[lane]] as usize % TABLE_DIM;
+            // Each query advances one DP column over the already-gathered
+            // lane scores. The chains are independent, so the CPU overlaps
+            // their latencies.
+            for (q, p) in batch.iter().enumerate() {
+                // SAFETY: rows `0..=m` of `lanes` elements were sized above;
+                // query codes are below the matrix dimension (`symbols`;
+                // `PreparedQuery` checks them), so every dprofile row read
+                // was written by this column's gather.
+                let (h, e) = (h[q].as_mut_ptr(), e[q].as_mut_ptr());
+                let best = best[q * lanes..][..lanes].as_mut_ptr();
+                let mut v_f = v_min;
+                let mut v_diag = v_zero;
+                let mut v_best = V::load(best);
+                for (j, &symbol) in p.query().iter().enumerate() {
+                    let off = (j + 1) * lanes;
+                    let v_h_old = V::load(h.add(off));
+                    let v_e = v_h_old.subs(v_goe).max(V::load(e.add(off)).subs(v_ext));
+                    let v_h = v_diag
+                        .adds(V::load(dprofile.as_ptr().add(symbol as usize * lanes)))
+                        .max(v_e)
+                        .max(v_f)
+                        .max(v_zero);
+                    v_h.store(h.add(off));
+                    v_e.store(e.add(off));
+                    v_best = v_best.max(v_h);
+                    v_f = v_h.subs(v_goe).max(v_f.subs(v_ext));
+                    v_diag = v_h_old;
+                }
+                v_best.store(best);
             }
         }
-        // SAFETY: `table` is TABLE_DIM rows of TABLE_DIM bytes, every code
-        // was just reduced below TABLE_DIM, `halves` ≤ TABLE_DIM / 16, and
-        // `dprofile` holds TABLE_DIM × MAX_LANES elements.
-        V::gather(table.as_ptr(), &codes, halves, dprofile.as_mut_ptr());
-
-        // Each query advances one DP column over the already-gathered lane
-        // scores. The chains are independent, so the CPU overlaps their
-        // latencies.
-        for (q, p) in batch.iter().enumerate() {
-            // SAFETY: rows `0..=m` of `lanes` elements were sized above;
-            // query codes are below the matrix dimension ≤ TABLE_DIM
-            // (`PreparedQuery` checks them), so every dprofile row read is
-            // in bounds.
-            let (h, e) = (h[q].as_mut_ptr(), e[q].as_mut_ptr());
-            let best = best[q * lanes..][..lanes].as_mut_ptr();
-            let mut v_f = v_min;
-            let mut v_diag = v_zero;
-            let mut v_best = V::load(best);
-            for (j, &symbol) in p.query().iter().enumerate() {
-                let off = (j + 1) * lanes;
-                let v_h_old = V::load(h.add(off));
-                let v_e = v_h_old.subs(v_goe).max(V::load(e.add(off)).subs(v_ext));
-                let v_h = v_diag
-                    .adds(V::load(dprofile.as_ptr().add(symbol as usize * lanes)))
-                    .max(v_e)
-                    .max(v_f)
-                    .max(v_zero);
-                v_h.store(h.add(off));
-                v_e.store(e.add(off));
-                v_best = v_best.max(v_h);
-                v_f = v_h.subs(v_goe).max(v_f.subs(v_ext));
-                v_diag = v_h_old;
-            }
-            v_best.store(best);
-        }
-
         for lane in 0..lanes {
             if cursors.job[lane] != IDLE {
-                cursors.cur[lane] += 1;
+                cursors.cur[lane] += run;
             }
         }
     }
@@ -513,7 +528,7 @@ fn pass_portable_buf<T: Lane>(
     let (results, h, e) = (&mut results[slot], &mut h[slot], &mut e[slot]);
 
     // Query-major score columns: colprof[c * m + j] = score(query[j], c),
-    // the portable analogue of the vectorized kernels' transposed gather.
+    // the portable analogue of the vector kernels' score gather.
     let dim = scoring.matrix.dim();
     colprof.clear();
     colprof.resize(dim * m, T::ZERO);
@@ -851,6 +866,131 @@ mod tests {
             }
             assert_eq!(stats.interseq_total(), subjects.len() as u64);
         }
+    }
+
+    /// Eight queries from 1 to 128 residues: a full fused package, up to
+    /// the longest query the inter-sequence kernel takes.
+    fn run_queries() -> Vec<Vec<u8>> {
+        [1usize, 5, 20, 33, 57, 64, 100, 128]
+            .iter()
+            .enumerate()
+            .map(|(k, &m)| random_query(240 + k as u64, m))
+            .collect()
+    }
+
+    /// The vector pass at width `T` on every tier, for the eight queries in
+    /// one pass (K = 8) and each alone (K = 1), result for result against
+    /// the portable pass; the portable pass's exact results against the
+    /// scalar kernel. Returns the portable results, one list per query.
+    fn width_matches_portable<T: crate::vec::Width>(
+        queries: &[Vec<u8>],
+        arena: &DbArena,
+    ) -> Vec<Vec<Option<i32>>> {
+        let s = scoring();
+        let jobs: Vec<usize> = (0..arena.len()).collect();
+        let oracle: Vec<Vec<Option<i32>>> = queries
+            .iter()
+            .map(|q| {
+                let p = PreparedQuery::with_isa(q, &s, Isa::Portable);
+                pass_results::<T>(&[&p], arena, &jobs).unwrap().remove(0)
+            })
+            .collect();
+        for (q, results) in queries.iter().zip(&oracle) {
+            for (&job, r) in jobs.iter().zip(results) {
+                if let Some(score) = *r {
+                    assert_eq!(score, sw_score_affine(q, arena.residues(job), &s).score);
+                }
+            }
+        }
+        for isa in Isa::available() {
+            let tier: Vec<PreparedQuery> = queries
+                .iter()
+                .map(|q| PreparedQuery::with_isa(q, &s, isa))
+                .collect();
+            let batch: Vec<&PreparedQuery> = tier.iter().collect();
+            let fused = pass_results::<T>(&batch, arena, &jobs).unwrap();
+            assert_eq!(fused, oracle, "{isa:?} K = 8");
+            for (q, p) in batch.iter().enumerate() {
+                let solo = pass_results::<T>(&[p], arena, &jobs).unwrap();
+                assert_eq!(solo[0], oracle[q], "{isa:?} K = 1, query {q}");
+            }
+        }
+        oracle
+    }
+
+    /// Both widths in database and in length order; returns the i8
+    /// portable results in database order.
+    fn runs_match_portable(subjects: &[EncodedSequence]) -> Vec<Vec<Option<i32>>> {
+        let queries = run_queries();
+        let sorted = DbArena::length_sorted(subjects);
+        width_matches_portable::<i8>(&queries, &sorted);
+        width_matches_portable::<i16>(&queries, &sorted);
+        let arena = DbArena::from_encoded(subjects);
+        width_matches_portable::<i16>(&queries, &arena);
+        width_matches_portable::<i8>(&queries, &arena)
+    }
+
+    fn of_lengths(seed: u64, lengths: &[usize]) -> Vec<EncodedSequence> {
+        lengths
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| subject(&format!("s{i}"), random_query(seed + i as u64, len)))
+            .collect()
+    }
+
+    #[test]
+    fn runs_where_several_lanes_retire_on_one_column() {
+        // Groups of equal lengths, so a column retires many lanes at once
+        // and the refills start the next run together.
+        let lengths: Vec<usize> = (0..100).map(|i| [7, 7, 7, 12, 3, 3, 19][i % 7]).collect();
+        runs_match_portable(&of_lengths(500, &lengths));
+    }
+
+    #[test]
+    fn runs_across_empty_subjects_between_long_ones() {
+        let mut lengths = vec![150];
+        lengths.extend([0; 40]);
+        lengths.push(120);
+        lengths.extend([0; 5]);
+        lengths.extend([90, 0, 0, 45]);
+        lengths.extend([0; 33]);
+        let results = runs_match_portable(&of_lengths(600, &lengths));
+        assert!(results.iter().all(|r| r[1] == Some(0)), "empty scores zero");
+    }
+
+    #[test]
+    fn runs_while_the_queue_drains_and_lanes_idle() {
+        // The long subject comes first in the buffer, the short ones after
+        // it: lanes go idle at the buffer's end while it runs on, and must
+        // read in-bounds codes. Then a queue shorter than any lane count.
+        let mut lengths = vec![200];
+        lengths.extend([2; 50]);
+        runs_match_portable(&of_lengths(700, &lengths));
+        runs_match_portable(&of_lengths(750, &[9, 40, 1]));
+    }
+
+    #[test]
+    fn runs_of_one_residue_subjects() {
+        runs_match_portable(&of_lengths(800, &[1; 75]));
+    }
+
+    #[test]
+    fn runs_of_all_equal_lengths_end_together() {
+        // The length-sorted case: every lane's run ends on one column.
+        runs_match_portable(&of_lengths(900, &[23; 70]));
+    }
+
+    #[test]
+    fn a_subject_saturates_i8_in_the_middle_of_a_run() {
+        // Equal lengths, so one run spans every lane's subject; subject 20
+        // holds query 7 as a self-match from residue 6 on, which saturates
+        // the i8 lane partway through the run.
+        let queries = run_queries();
+        let mut subjects = of_lengths(1000, &[140; 40]);
+        subjects[20].codes[6..6 + queries[7].len()].copy_from_slice(&queries[7]);
+        let results = runs_match_portable(&subjects);
+        assert_eq!(results[7][20], None, "the planted self-match saturates i8");
+        assert!(results[7].iter().filter(|r| r.is_none()).count() < 4);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! `#[inline(always)]` body generic over `V: SimdVec`; a `#[target_feature]`
 //! stub per ISA tier instantiates it, so the body is compiled with the
 //! tier's instructions enabled and every trait method inlines down to its
-//! single intrinsic. A new tier (AVX-512BW, NEON) is one more set of impls
-//! here plus one match arm per algorithm.
+//! single intrinsic — except [`SimdVec::gather`], the inter-sequence score
+//! build, which is two byte shuffles (`pshufb`) and an add per query
+//! symbol, SWIPE's score-profile construction. A new tier (AVX-512BW, NEON)
+//! is one more set of impls here plus one match arm per algorithm.
 //!
 //! [`Isa`] names the tiers. The tier is resolved **once**, when a
 //! [`crate::engine::PreparedQuery`] is built, and every kernel dispatch
@@ -27,8 +29,9 @@ pub(crate) const MAX_LANES: usize = 32;
 
 /// Rows and row stride of the padded score table the inter-sequence gather
 /// reads ([`crate::engine::PreparedQuery::score_table`]): one 32-byte row
-/// per database residue code, 32 rows, so any residue masked to five bits
-/// addresses a whole row.
+/// per query symbol, one byte per database residue code, so any residue
+/// masked to five bits indexes a row, and the row's two 16-byte halves are
+/// the two shuffle tables of [`SimdVec::gather`].
 pub(crate) const TABLE_DIM: usize = 32;
 
 /// An instruction-set tier of the vector kernels.
@@ -125,15 +128,18 @@ pub trait SimdVec: Copy {
     /// for the `H` boundary, `MIN` for the `F` carry.
     unsafe fn shift_in(self, fill: Self) -> Self;
     /// The inter-sequence score gather. For each query symbol `s` below
-    /// `16 × halves`, write to `dprofile[s × LANES..][..LANES]` the score of
-    /// `s` against every lane's current residue: `table[codes[lane]][s]`.
-    /// `table` is the `TABLE_DIM × TABLE_DIM` padded score table, every
-    /// `codes[lane]` is below `TABLE_DIM`, and `dprofile` has room for
-    /// `TABLE_DIM × LANES` elements.
+    /// `symbols` (≤ `TABLE_DIM`), write to `dprofile[s × LANES..][..LANES]`
+    /// the score of `s` against every lane's current residue:
+    /// `table[s][codes[lane]]`, the lane's code looked up in the symbol's
+    /// row with two byte shuffles (one per 16-code half of the row) and an
+    /// add. `table` is the `TABLE_DIM × TABLE_DIM` symbol-major score
+    /// table, every `codes[lane]` is below `TABLE_DIM` (the shuffles read
+    /// registers, not memory, so a code past it is wrong, never unsafe),
+    /// and `dprofile` has room for `TABLE_DIM × LANES` elements.
     unsafe fn gather(
         table: *const i8,
-        codes: &[usize; MAX_LANES],
-        halves: usize,
+        codes: &[u8; MAX_LANES],
+        symbols: usize,
         dprofile: *mut Self::Elem,
     );
 
@@ -181,51 +187,28 @@ mod x86 {
     use super::{SimdVec, MAX_LANES, TABLE_DIM};
     use std::arch::x86_64::*;
 
-    /// Transpose a 16 × 16 byte matrix: `out[s]` byte `l` = `rows[l]` byte
-    /// `s`. A 4-stage unpack network (8 → 16 → 32 → 64 bit granularity);
-    /// all intrinsics are baseline SSE2.
+    /// Shuffle indices for the first 16 lane codes (each below
+    /// `TABLE_DIM`): `+ 0x70` keeps a code below 16 a valid index into a
+    /// row's first 16 bytes and sets the sign bit of a code of 16 or more;
+    /// `- 16` does the reverse for the row's second 16 bytes. `pshufb`
+    /// writes zero where the sign bit is set, so adding the two lookups
+    /// reads each lane's byte from the half that holds it.
     #[inline(always)]
-    unsafe fn transpose_16x16(rows: [__m128i; 16]) -> [__m128i; 16] {
-        let z = _mm_setzero_si128();
-        let mut u = [z; 16]; // u[2g], u[2g+1]: rows (2g, 2g+1), cols 0-7 / 8-15
-        for g in 0..8 {
-            u[2 * g] = _mm_unpacklo_epi8(rows[2 * g], rows[2 * g + 1]);
-            u[2 * g + 1] = _mm_unpackhi_epi8(rows[2 * g], rows[2 * g + 1]);
-        }
-        let mut v = [z; 16]; // row quads × col quads
-        for g in 0..4 {
-            v[4 * g] = _mm_unpacklo_epi16(u[4 * g], u[4 * g + 2]);
-            v[4 * g + 1] = _mm_unpackhi_epi16(u[4 * g], u[4 * g + 2]);
-            v[4 * g + 2] = _mm_unpacklo_epi16(u[4 * g + 1], u[4 * g + 3]);
-            v[4 * g + 3] = _mm_unpackhi_epi16(u[4 * g + 1], u[4 * g + 3]);
-        }
-        let mut w = [z; 16]; // row octets × col pairs
-        for g in 0..2 {
-            for k in 0..4 {
-                w[8 * g + 2 * k] = _mm_unpacklo_epi32(v[8 * g + k], v[8 * g + 4 + k]);
-                w[8 * g + 2 * k + 1] = _mm_unpackhi_epi32(v[8 * g + k], v[8 * g + 4 + k]);
-            }
-        }
-        let mut out = [z; 16];
-        for k in 0..8 {
-            out[2 * k] = _mm_unpacklo_epi64(w[k], w[8 + k]);
-            out[2 * k + 1] = _mm_unpackhi_epi64(w[k], w[8 + k]);
-        }
-        out
+    unsafe fn split_codes(codes: &[u8; MAX_LANES]) -> (__m128i, __m128i) {
+        let codes = _mm_loadu_si128(codes.as_ptr() as *const __m128i);
+        (
+            _mm_add_epi8(codes, _mm_set1_epi8(0x70)),
+            _mm_sub_epi8(codes, _mm_set1_epi8(16)),
+        )
     }
 
-    /// The gather's shared half: load the table rows of up to 16 lanes'
-    /// residues (absent lanes read as zero rows) for query symbols
-    /// `16 × half ..`, and transpose them so `out[s]` holds symbol
-    /// `16 × half + s`'s score against each lane.
+    /// One symbol's scores against 16 lanes: its table row looked up by
+    /// the [`split_codes`] pair.
     #[inline(always)]
-    unsafe fn symbol_scores(table: *const i8, codes: &[usize], half: usize) -> [__m128i; 16] {
-        let mut rows = [_mm_setzero_si128(); 16];
-        for (row, &code) in rows.iter_mut().zip(codes) {
-            debug_assert!(code < TABLE_DIM);
-            *row = _mm_loadu_si128(table.add(code * TABLE_DIM + half * 16) as *const __m128i);
-        }
-        transpose_16x16(rows)
+    unsafe fn lookup16(row: *const i8, (lo, hi): (__m128i, __m128i)) -> __m128i {
+        let row = row as *const __m128i;
+        let (row_lo, row_hi) = (_mm_loadu_si128(row), _mm_loadu_si128(row.add(1)));
+        _mm_add_epi8(_mm_shuffle_epi8(row_lo, lo), _mm_shuffle_epi8(row_hi, hi))
     }
 
     /// 16 × i8 in a 128-bit register.
@@ -271,15 +254,14 @@ mod x86 {
         #[inline(always)]
         unsafe fn gather(
             table: *const i8,
-            codes: &[usize; MAX_LANES],
-            halves: usize,
+            codes: &[u8; MAX_LANES],
+            symbols: usize,
             dprofile: *mut i8,
         ) {
-            for half in 0..halves {
-                let scores = symbol_scores(table, &codes[..16], half);
-                for (s, v) in scores.iter().enumerate() {
-                    _mm_storeu_si128(dprofile.add((half * 16 + s) * 16) as *mut __m128i, *v);
-                }
+            let idx = split_codes(codes);
+            for s in 0..symbols {
+                let v = lookup16(table.add(s * TABLE_DIM), idx);
+                _mm_storeu_si128(dprofile.add(s * 16) as *mut __m128i, v);
             }
         }
     }
@@ -327,18 +309,15 @@ mod x86 {
         #[inline(always)]
         unsafe fn gather(
             table: *const i8,
-            codes: &[usize; MAX_LANES],
-            halves: usize,
+            codes: &[u8; MAX_LANES],
+            symbols: usize,
             dprofile: *mut i16,
         ) {
-            // 8 live rows (+ 8 zero rows) through the byte transpose, then
-            // sign-extend each output's low 8 bytes.
-            for half in 0..halves {
-                let scores = symbol_scores(table, &codes[..8], half);
-                for (s, v) in scores.iter().enumerate() {
-                    let wide = _mm_cvtepi8_epi16(*v);
-                    _mm_storeu_si128(dprofile.add((half * 16 + s) * 8) as *mut __m128i, wide);
-                }
+            // Look up 16 lanes, sign-extend the low 8.
+            let idx = split_codes(codes);
+            for s in 0..symbols {
+                let wide = _mm_cvtepi8_epi16(lookup16(table.add(s * TABLE_DIM), idx));
+                _mm_storeu_si128(dprofile.add(s * 8) as *mut __m128i, wide);
             }
         }
     }
@@ -396,20 +375,26 @@ mod x86 {
         #[inline(always)]
         unsafe fn gather(
             table: *const i8,
-            codes: &[usize; MAX_LANES],
-            halves: usize,
+            codes: &[u8; MAX_LANES],
+            symbols: usize,
             dprofile: *mut i8,
         ) {
-            // Two 16-lane transposes per half; each output is a 128-bit
-            // half of that symbol's 32-byte dprofile row.
-            for half in 0..halves {
-                for group in 0..2 {
-                    let scores = symbol_scores(table, &codes[group * 16..][..16], half);
-                    for (s, v) in scores.iter().enumerate() {
-                        let at = dprofile.add((half * 16 + s) * 32 + group * 16);
-                        _mm_storeu_si128(at as *mut __m128i, *v);
-                    }
-                }
+            // `split_codes` for 32 lanes; `vpshufb` looks up within each
+            // 128-bit half, so each half of a row is broadcast to both.
+            let codes = _mm256_loadu_si256(codes.as_ptr() as *const __m256i);
+            let lo = _mm256_add_epi8(codes, _mm256_set1_epi8(0x70));
+            let hi = _mm256_sub_epi8(codes, _mm256_set1_epi8(16));
+            for s in 0..symbols {
+                let row = table.add(s * TABLE_DIM) as *const __m128i;
+                let (row_lo, row_hi) = (
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(row)),
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(row.add(1))),
+                );
+                let v = _mm256_add_epi8(
+                    _mm256_shuffle_epi8(row_lo, lo),
+                    _mm256_shuffle_epi8(row_hi, hi),
+                );
+                _mm256_storeu_si256(dprofile.add(s * 32) as *mut __m256i, v);
             }
         }
     }
@@ -457,17 +442,15 @@ mod x86 {
         #[inline(always)]
         unsafe fn gather(
             table: *const i8,
-            codes: &[usize; MAX_LANES],
-            halves: usize,
+            codes: &[u8; MAX_LANES],
+            symbols: usize,
             dprofile: *mut i16,
         ) {
-            // One 16-lane transpose per half, sign-extended with vpmovsxbw.
-            for half in 0..halves {
-                let scores = symbol_scores(table, &codes[..16], half);
-                for (s, v) in scores.iter().enumerate() {
-                    let wide = _mm256_cvtepi8_epi16(*v);
-                    _mm256_storeu_si256(dprofile.add((half * 16 + s) * 16) as *mut __m256i, wide);
-                }
+            // Look up 16 lanes, sign-extend with vpmovsxbw.
+            let idx = split_codes(codes);
+            for s in 0..symbols {
+                let wide = _mm256_cvtepi8_epi16(lookup16(table.add(s * TABLE_DIM), idx));
+                _mm256_storeu_si256(dprofile.add(s * 16) as *mut __m256i, wide);
             }
         }
     }
@@ -730,25 +713,34 @@ mod tests {
             assert_eq!(out[0], V::Elem::MIN);
             assert_eq!(out[1..], ramp[..V::LANES - 1]);
 
+            // Every byte distinct mod 251, half of them negative.
             let table: Vec<i8> = (0..TABLE_DIM * TABLE_DIM)
                 .map(|i| (i % 251) as i8)
                 .collect();
-            let mut lane_codes = [0usize; MAX_LANES];
+            let mut lane_codes = [0u8; MAX_LANES];
             for (lane, code) in lane_codes.iter_mut().enumerate() {
-                *code = (lane * 7 + 3) % TABLE_DIM;
+                *code = ((lane * 7 + 3) % TABLE_DIM) as u8;
             }
+            // One column holds codes from both 16-code halves of a row.
+            let live = &lane_codes[..V::LANES];
+            assert!(live.iter().any(|&c| c < 16) && live.iter().any(|&c| c >= 16));
             let mut dprofile = vec![V::Elem::ZERO; TABLE_DIM * V::LANES];
-            V::gather(table.as_ptr(), &lane_codes, 2, dprofile.as_mut_ptr());
+            V::gather(
+                table.as_ptr(),
+                &lane_codes,
+                TABLE_DIM,
+                dprofile.as_mut_ptr(),
+            );
+            let mut negative = 0;
             for symbol in 0..TABLE_DIM {
                 for lane in 0..V::LANES {
-                    let expect = table[lane_codes[lane] * TABLE_DIM + symbol];
-                    assert_eq!(
-                        dprofile[symbol * V::LANES + lane].to_i32(),
-                        expect as i32,
-                        "symbol {symbol} lane {lane}"
-                    );
+                    let expect = table[symbol * TABLE_DIM + lane_codes[lane] as usize];
+                    let got = dprofile[symbol * V::LANES + lane].to_i32();
+                    assert_eq!(got, expect as i32, "symbol {symbol} lane {lane}");
+                    negative += usize::from(got < 0);
                 }
             }
+            assert!(negative > 0, "negative scores must sign-extend");
         }
     }
 

@@ -85,6 +85,7 @@ impl Store {
 
         let section = |off: u64, len: u64| &data[off as usize..(off + len) as usize];
         let u64s = |off: u64, count: u64| -> Vec<u64> {
+            // Invariant: `chunks_exact(8)` yields 8-byte slices only.
             section(off, count * 8)
                 .chunks_exact(8)
                 .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
@@ -117,6 +118,7 @@ impl Store {
             ids.push(id.to_string());
         }
 
+        // Invariant: a 16-byte chunk splits into two 8-byte halves.
         let spans: Vec<(usize, usize)> = section(header.spans_off, header.spans_len())
             .chunks_exact(16)
             .map(|b| {
@@ -160,6 +162,7 @@ impl Store {
         let bound = header.alphabet.size() as u8;
         let max_code = arena.iter().fold(0u8, |m, &b| m.max(b));
         if max_code >= bound {
+            // Invariant: a maximum at or past `bound` is some byte's value.
             let pos = arena
                 .iter()
                 .position(|&b| b >= bound)
