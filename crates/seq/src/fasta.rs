@@ -176,7 +176,10 @@ pub fn write_fasta<'a, W: Write>(
 pub fn to_string<'a>(records: impl IntoIterator<Item = &'a Sequence>) -> String {
     let mut buf = Vec::new();
     write_fasta(&mut buf, records).expect("writing to Vec cannot fail");
-    String::from_utf8(buf).expect("FASTA output is ASCII")
+    // Invariant: ids and descriptions are `String`s and residues are read
+    // from text or drawn from an alphabet, so the output is UTF-8 — not
+    // necessarily ASCII (an id may hold any character).
+    String::from_utf8(buf).expect("FASTA records are UTF-8 text")
 }
 
 #[cfg(test)]

@@ -125,12 +125,13 @@ impl PreparedQuery {
     /// tier the CPU has, not just the widest.
     ///
     /// # Panics
-    /// Panics if `isa` is not available on this CPU, if the query is empty
-    /// or holds codes outside the matrix, or if the matrix has more than
-    /// 32 codes.
+    /// Panics if `isa` is not available on this CPU, if a gap penalty is
+    /// negative (they are magnitudes), if the query is empty or holds codes
+    /// outside the matrix, or if the matrix has more than 32 codes.
     pub fn with_isa(query: &[u8], scoring: &Scoring, isa: Isa) -> PreparedQuery {
         assert!(isa.is_available(), "{isa:?} kernels cannot run on this CPU");
         let (open, ext) = gap_params(scoring.gap);
+        assert!(open >= 0 && ext >= 0, "negative gap penalty {open}/{ext}");
         let matrix = &scoring.matrix;
         PreparedQuery {
             query: query.to_vec(),

@@ -28,6 +28,17 @@
 //! left, so those columns run with no per-lane retire test and the lane
 //! cursors move once per run.
 //!
+//! Inside a run each query's DP *sweeps* `SWEEP` (4) columns per pass over
+//! its rows: per query row, `H` and `E` are loaded once, the sweep's cells
+//! are computed in registers — a column's `H` and `E` feed the next
+//! column's — and stored once, and the columns' `F` chains run side by
+//! side. The sweep is written once, generic over its column count, and
+//! instantiated at `SWEEP` and at 1 for a run's odd tail. A cell's four gap
+//! subtractions use the wrapping `SimdVec::sub`, which issues on one more
+//! vector port than the saturating ops: `vec::GapTerms` clamps the
+//! penalties once and sets the floor `E` and `F` start at, which keeps
+//! every lane in range (DESIGN.md §5h).
+//!
 //! Two implementations share one contract (`Some(score)` exact, `None`
 //! saturated — recompute wider):
 //!
@@ -50,7 +61,7 @@ use std::ops::Range;
 use crate::engine::{KernelStats, PreparedQuery};
 use crate::lanes::Lane;
 use crate::scratch::{InterSeqScratch, KernelScratch, WidthBuf};
-use crate::vec::{Isa, SimdVec, Width, MAX_LANES, TABLE_DIM};
+use crate::vec::{GapTerms, Isa, SimdVec, Width, MAX_LANES, TABLE_DIM};
 use swhybrid_align::gotoh::gap_params;
 use swhybrid_align::score_only::sw_score_affine;
 use swhybrid_align::scoring::Scoring;
@@ -343,14 +354,22 @@ impl LaneCursors {
     }
 }
 
+/// Database columns one DP sweep advances: per query row, `H` and `E` are
+/// loaded and stored once for this many cells. One constant, chosen by
+/// measurement on `scan_short` (4 beat 2 and 3; DESIGN.md §5h), never an
+/// option.
+const SWEEP: usize = 4;
+
 /// THE vector inter-sequence pass: every query of `batch` scored against
 /// `jobs` in one lane traversal. Lanes hold different database sequences
 /// and refill from the job queue as sequences finish; each column gathers
-/// the lanes' scores once and advances every query's DP column over them.
-/// Per query the instruction sequence does not depend on the rest of the
-/// batch, which is what keeps a shared pass byte-identical to passes of
-/// one. Gap penalties are clamped into the lane type exactly as the
-/// portable pass clamps them, so every tier saturates identically.
+/// the lanes' scores once and every query's DP advances over them,
+/// [`SWEEP`] columns per row pass ([`Sweep::columns`]). Per query the
+/// instruction sequence does not depend on the rest of the batch, which is
+/// what keeps a shared pass byte-identical to passes of one. Gap penalties
+/// come clamped from [`GapTerms`], so every tier saturates exactly where
+/// the portable pass does, and `E`/`F` start at its floor, so the gap
+/// terms subtract with wrapping `sub`.
 ///
 /// # Safety
 /// The CPU must support `V`'s instructions. `batch` must be non-empty and
@@ -365,14 +384,21 @@ unsafe fn pass_body<V: SimdVec>(
     buf: &mut WidthBuf<V::Elem>,
 ) {
     let lanes = V::LANES;
-    let (zero, min, max) = (V::Elem::ZERO, V::Elem::MIN, V::Elem::MAX);
+    let (zero, max) = (V::Elem::ZERO, V::Elem::MAX);
     let first = batch[0];
-    let table = first.score_table();
-    let symbols = first.scoring().matrix.dim();
     let (goe, ext) = first.gap_penalties();
-    let v_goe = V::splat(V::Elem::from_i32_sat(goe));
-    let v_ext = V::splat(V::Elem::from_i32_sat(ext));
-    let residues = arena.buffer();
+    let gaps = GapTerms::<V::Elem>::new(goe, ext);
+    debug_assert!(gaps.cannot_wrap(), "{gaps:?}");
+    let mut sweep = Sweep::<V> {
+        table: first.score_table(),
+        symbols: first.scoring().matrix.dim(),
+        residues: arena.buffer(),
+        goe: V::splat(gaps.goe),
+        ext: V::splat(gaps.ext),
+        floor: V::splat(gaps.floor),
+        zero: V::splat(zero),
+        dprofile: [[zero; TABLE_DIM * MAX_LANES]; SWEEP],
+    };
 
     // Per-query DP state over the SHARED lane assignment: query q's
     // `j * lanes + lane` is its prefix j against that lane's subject.
@@ -397,16 +423,11 @@ unsafe fn pass_body<V: SimdVec>(
         h.clear();
         h.resize(rows, zero);
         e.clear();
-        e.resize(rows, min);
+        e.resize(rows, gaps.floor);
     }
     // Per-query per-lane best, flattened `q * lanes + lane`.
     best.clear();
     best.resize(batch.len() * lanes, zero);
-    // One vector of lane scores per query symbol, and the lane codes they
-    // are looked up by.
-    let mut dprofile = [zero; TABLE_DIM * MAX_LANES];
-    let mut codes = [0u8; MAX_LANES];
-    let (v_zero, v_min) = (V::splat(zero), V::splat(min));
     let mut cursors = LaneCursors::new(lanes, arena, jobs, prefetch);
 
     loop {
@@ -421,68 +442,128 @@ unsafe fn pass_body<V: SimdVec>(
                     results[q][job] = (b != max).then(|| b.to_i32());
                     for j in 0..=p.query_len() {
                         h[q][j * lanes + lane] = zero;
-                        e[q][j * lanes + lane] = min;
+                        e[q][j * lanes + lane] = gaps.floor;
                     }
                     best[q * lanes + lane] = zero;
                 }
                 cursors.assign(lane, arena, jobs, prefetch);
             }
         }
-        // Step every lane `run` columns with no retire test, then move the
-        // cursors once.
+        // Step every lane `run` columns with no retire test, SWEEP at a
+        // time and the odd tail one at a time, then move the cursors once.
         let Some(run) = cursors.run(lanes) else {
             break;
         };
-        for t in 0..run {
-            // One residue per lane, masked to five bits (a byte of the
-            // padded table's rows); idle lanes read the buffer's head
-            // (their results are never used).
-            for (code, &cur) in codes.iter_mut().zip(&cursors.cur[..lanes]) {
-                // SAFETY: a live lane's `cur + t` is below its `end`, an
-                // idle lane's `cur` is 0 and `t` is below a live lane's
-                // remaining span; both are inside `residues`.
-                *code = *residues.get_unchecked(cur + t) % TABLE_DIM as u8;
-            }
-            // SAFETY: `table` is TABLE_DIM rows of TABLE_DIM bytes, every
-            // code was just masked below TABLE_DIM, `symbols` ≤ TABLE_DIM,
-            // and `dprofile` holds TABLE_DIM × MAX_LANES elements.
-            V::gather(table.as_ptr(), &codes, symbols, dprofile.as_mut_ptr());
-
-            // Each query advances one DP column over the already-gathered
-            // lane scores. The chains are independent, so the CPU overlaps
-            // their latencies.
-            for (q, p) in batch.iter().enumerate() {
-                // SAFETY: rows `0..=m` of `lanes` elements were sized above;
-                // query codes are below the matrix dimension (`symbols`;
-                // `PreparedQuery` checks them), so every dprofile row read
-                // was written by this column's gather.
-                let (h, e) = (h[q].as_mut_ptr(), e[q].as_mut_ptr());
-                let best = best[q * lanes..][..lanes].as_mut_ptr();
-                let mut v_f = v_min;
-                let mut v_diag = v_zero;
-                let mut v_best = V::load(best);
-                for (j, &symbol) in p.query().iter().enumerate() {
-                    let off = (j + 1) * lanes;
-                    let v_h_old = V::load(h.add(off));
-                    let v_e = v_h_old.subs(v_goe).max(V::load(e.add(off)).subs(v_ext));
-                    let v_h = v_diag
-                        .adds(V::load(dprofile.as_ptr().add(symbol as usize * lanes)))
-                        .max(v_e)
-                        .max(v_f)
-                        .max(v_zero);
-                    v_h.store(h.add(off));
-                    v_e.store(e.add(off));
-                    v_best = v_best.max(v_h);
-                    v_f = v_h.subs(v_goe).max(v_f.subs(v_ext));
-                    v_diag = v_h_old;
-                }
-                v_best.store(best);
-            }
+        let swept = run - run % SWEEP;
+        for t in (0..swept).step_by(SWEEP) {
+            sweep.columns::<SWEEP>(batch, &cursors.cur, t, h, e, best);
+        }
+        for t in swept..run {
+            sweep.columns::<1>(batch, &cursors.cur, t, h, e, best);
         }
         for lane in 0..lanes {
             if cursors.job[lane] != IDLE {
                 cursors.cur[lane] += run;
             }
+        }
+    }
+}
+
+/// What every sweep of one vector pass shares: the score table and the
+/// residues it gathers from, the gap vectors, and one vector of lane scores
+/// per query symbol for each of up to [`SWEEP`] columns (on the stack).
+#[cfg(target_arch = "x86_64")]
+struct Sweep<'a, V: SimdVec> {
+    table: &'a [i8; TABLE_DIM * TABLE_DIM],
+    symbols: usize,
+    residues: &'a [u8],
+    goe: V,
+    ext: V,
+    floor: V,
+    zero: V,
+    dprofile: [[V::Elem; TABLE_DIM * MAX_LANES]; SWEEP],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<V: SimdVec> Sweep<'_, V> {
+    /// Columns `t..t + N` of the current run, for every query of `batch`:
+    /// gather each column's lane scores, then sweep each query's DP over
+    /// them row by row — `H`/`E` loaded once per row, the `N` cells computed
+    /// in registers (a column's `H` and `E` feed the next column's), stored
+    /// once. Written once; instantiated at [`SWEEP`] and at 1.
+    ///
+    /// # Safety
+    /// As [`pass_body`]'s, inside its run loop: `t + N` is at most the
+    /// run's length, and `h`, `e`, `best` are sized for `batch`.
+    #[inline(always)]
+    unsafe fn columns<const N: usize>(
+        &mut self,
+        batch: &[&PreparedQuery],
+        cur: &[usize; MAX_LANES],
+        t: usize,
+        h: &mut [Vec<V::Elem>],
+        e: &mut [Vec<V::Elem>],
+        best: &mut [V::Elem],
+    ) {
+        let lanes = V::LANES;
+        let mut codes = [0u8; MAX_LANES];
+        for (c, dprofile) in self.dprofile[..N].iter_mut().enumerate() {
+            // One residue per lane, masked to five bits (a byte of the
+            // padded table's rows); idle lanes read the buffer's head
+            // (their results are never used).
+            for (code, &cur) in codes.iter_mut().zip(&cur[..lanes]) {
+                // SAFETY: a live lane's `cur + t + c` is below its `end`,
+                // an idle lane's `cur` is 0 and `t + c` is below a live
+                // lane's remaining span; both are inside `residues`.
+                *code = *self.residues.get_unchecked(cur + t + c) % TABLE_DIM as u8;
+            }
+            // SAFETY: `table` is TABLE_DIM rows of TABLE_DIM bytes, every
+            // code was just masked below TABLE_DIM, `symbols` ≤ TABLE_DIM,
+            // and `dprofile` holds TABLE_DIM × MAX_LANES elements.
+            V::gather(
+                self.table.as_ptr(),
+                &codes,
+                self.symbols,
+                dprofile.as_mut_ptr(),
+            );
+        }
+        let profile: [*const V::Elem; N] = std::array::from_fn(|c| self.dprofile[c].as_ptr());
+
+        // Each query sweeps its own DP over the already-gathered lane
+        // scores. The chains are independent, so the CPU overlaps their
+        // latencies — and, within a query, the N columns' `F` chains.
+        for (q, p) in batch.iter().enumerate() {
+            // SAFETY: rows `0..=m` of `lanes` elements were sized by the
+            // pass; query codes are below the matrix dimension (`symbols`;
+            // `PreparedQuery` checks them), so every dprofile row read was
+            // written by this sweep's gather.
+            let (h, e) = (h[q].as_mut_ptr(), e[q].as_mut_ptr());
+            let best = best[q * lanes..][..lanes].as_mut_ptr();
+            let mut f = [self.floor; N];
+            let mut diag = [self.zero; N];
+            let mut v_best = V::load(best);
+            for (j, &symbol) in p.query().iter().enumerate() {
+                let off = (j + 1) * lanes;
+                // The previous column's `H` and `E` at this row; each cell
+                // replaces them with its own for the next column.
+                let mut v_left = V::load(h.add(off));
+                let mut v_e = V::load(e.add(off));
+                for c in 0..N {
+                    v_e = v_left.sub(self.goe).max(v_e.sub(self.ext));
+                    let v_h = diag[c]
+                        .adds(V::load(profile[c].add(symbol as usize * lanes)))
+                        .max(v_e)
+                        .max(f[c])
+                        .max(self.zero);
+                    v_best = v_best.max(v_h);
+                    f[c] = v_h.sub(self.goe).max(f[c].sub(self.ext));
+                    diag[c] = v_left;
+                    v_left = v_h;
+                }
+                v_left.store(h.add(off));
+                v_e.store(e.add(off));
+            }
+            v_best.store(best);
         }
     }
 }
@@ -991,6 +1072,40 @@ mod tests {
         let results = runs_match_portable(&subjects);
         assert_eq!(results[7][20], None, "the planted self-match saturates i8");
         assert!(results[7].iter().filter(|r| r.is_none()).count() < 4);
+    }
+
+    #[test]
+    fn runs_of_every_length_around_the_sweep() {
+        // Equal lengths, so every run is exactly one subject long and every
+        // lane retires right after the run's last column: runs of 1, 2 and
+        // 3 columns, one and two whole sweeps, and every odd tail after
+        // them.
+        for len in 1..=2 * SWEEP + 3 {
+            runs_match_portable(&of_lengths(1100 + len as u64, &[len; 40]));
+        }
+        // Staggered lengths: lanes retire one or two at a time, so runs of
+        // every length follow each other, each tail followed by a retire.
+        let lengths: Vec<usize> = (0..90).map(|i| 1 + (i * 7) % (3 * SWEEP + 2)).collect();
+        runs_match_portable(&of_lengths(1200, &lengths));
+    }
+
+    #[test]
+    fn an_i8_saturation_on_every_column_of_a_sweep() {
+        // Equal lengths, so runs start on each subject's first residue and
+        // every sweep covers residues `k × SWEEP..`. Query 7 planted as a
+        // self-match at SWEEP consecutive offsets saturates the i8 lane on
+        // columns of every residue class mod SWEEP — on the second column
+        // of a sweep among them.
+        let queries = run_queries();
+        let mut subjects = of_lengths(1300, &[150; 40]);
+        for c in 0..SWEEP {
+            let at = 9 + c;
+            subjects[10 + 5 * c].codes[at..at + queries[7].len()].copy_from_slice(&queries[7]);
+        }
+        let results = runs_match_portable(&subjects);
+        for c in 0..SWEEP {
+            assert_eq!(results[7][10 + 5 * c], None, "planted at offset class {c}");
+        }
     }
 
     #[test]

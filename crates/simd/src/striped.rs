@@ -11,13 +11,19 @@
 //! crossed a stripe and leaves at the first vector where that carry is
 //! dead or dominated — one or two vectors a column on protein data, where
 //! a loop that re-folds `H − goe` into the carry runs `lanes` full passes.
+//!
+//! The main loop's gap terms subtract with the wrapping `SimdVec::sub`,
+//! not the saturating `subs`: the penalties come clamped from
+//! `vec::GapTerms`, whose floor `E` and `F` start at keeps every lane in
+//! range, and a cell then issues its subtractions on one more vector port.
+//! The lazy-F loop keeps `subs`, since its carry shifts `MIN` into lane 0.
 
 #![allow(unsafe_code)]
 
 use crate::lanes::Lane;
 use crate::portable::{sw_striped_portable, StripedOutcome, Workspace};
 use crate::profile::StripedProfile;
-use crate::vec::{Isa, SimdVec, Width};
+use crate::vec::{GapTerms, Isa, SimdVec, Width};
 
 /// Score `subject` against the striped `profile` on tier `isa`. The
 /// profile must have been built with `isa.lanes::<T>()` lanes; `ws` holds
@@ -82,9 +88,10 @@ unsafe fn striped_sse41<V: SimdVec>(
 /// THE vector striped recurrence (see [`crate::portable`] for the
 /// recurrence itself and for why the lazy-F loop carries only what crossed
 /// a stripe and may leave at the first vector where that carry is dead or
-/// dominated by the pre-repair `H`). Gap penalties are clamped into the lane
-/// type exactly as the portable kernel clamps them, so every tier saturates
-/// identically.
+/// dominated by the pre-repair `H`). Gap penalties and the `E`/`F` floor
+/// come from [`GapTerms`] (see the module docs for why the main loop may
+/// then wrap), so every tier saturates exactly where the portable kernel
+/// does.
 ///
 /// # Safety
 /// The CPU must support `V`'s instructions and `profile.lanes` must equal
@@ -101,7 +108,11 @@ unsafe fn striped_body<V: SimdVec>(
 ) -> StripedOutcome {
     let lanes = V::LANES;
     let seg_len = profile.seg_len;
+    let gaps = GapTerms::<V::Elem>::new(goe, ext);
+    debug_assert!(gaps.cannot_wrap(), "{gaps:?}");
     ws.reset(seg_len * lanes);
+    // `E` starts at the floor, not at `MIN`, so its gap terms cannot wrap.
+    ws.e.fill(gaps.floor);
     // Raw pointers hoisted out of the DP loop: going through the
     // workspace's Vec headers each iteration would force the compiler to
     // re-load the data pointers after every store.
@@ -109,15 +120,16 @@ unsafe fn striped_body<V: SimdVec>(
     let mut h_store = ws.h_store.as_mut_ptr();
     let e_arr = ws.e.as_mut_ptr();
 
-    let v_goe = V::splat(V::Elem::from_i32_sat(goe));
-    let v_ext = V::splat(V::Elem::from_i32_sat(ext));
+    let v_goe = V::splat(gaps.goe);
+    let v_ext = V::splat(gaps.ext);
+    let v_floor = V::splat(gaps.floor);
     let v_zero = V::splat(V::Elem::ZERO);
     let v_min = V::splat(V::Elem::MIN);
     let mut v_best = v_zero;
     let mut lazy_vectors = 0u64;
 
     for &r in subject {
-        let mut v_f = v_min;
+        let mut v_f = v_floor;
         // vH = previous column's last vector shifted one lane up (lane 0
         // receives the zero boundary).
         let mut v_h = V::load(h_load.add((seg_len - 1) * lanes)).shift_in(v_zero);
@@ -131,9 +143,9 @@ unsafe fn striped_body<V: SimdVec>(
                 .max(v_zero);
             v_best = v_best.max(v_h);
             v_h.store(h_store.add(k * lanes));
-            let h_open = v_h.subs(v_goe);
-            h_open.max(v_e.subs(v_ext)).store(e_arr.add(k * lanes));
-            v_f = h_open.max(v_f.subs(v_ext));
+            let h_open = v_h.sub(v_goe);
+            h_open.max(v_e.sub(v_ext)).store(e_arr.add(k * lanes));
+            v_f = h_open.max(v_f.sub(v_ext));
             v_h = V::load(h_load.add(k * lanes));
         }
 

@@ -13,6 +13,12 @@
 //! symbol, SWIPE's score-profile construction. A new tier (AVX-512BW, NEON)
 //! is one more set of impls here plus one match arm per algorithm.
 //!
+//! [`GapTerms`] is the one place gap penalties are clamped into a lane: both
+//! bodies take `goe`, `ext` and the `E`/`F` floor from it, and its range
+//! argument is what lets their main loops subtract gaps with the wrapping
+//! [`SimdVec::sub`] (three vector ports on current Intel cores) instead of
+//! the saturating [`SimdVec::subs`] (two), with bit-identical scores.
+//!
 //! [`Isa`] names the tiers. The tier is resolved **once**, when a
 //! [`crate::engine::PreparedQuery`] is built, and every kernel dispatch
 //! afterwards is a single `match` on the stored value.
@@ -115,8 +121,12 @@ pub trait SimdVec: Copy {
     unsafe fn store(self, p: *mut Self::Elem);
     /// Lane-wise saturating add (`H_diag + score`).
     unsafe fn adds(self, o: Self) -> Self;
-    /// Lane-wise saturating subtract (gap open / extend).
+    /// Lane-wise saturating subtract (the striped lazy-F loop's gap terms).
     unsafe fn subs(self, o: Self) -> Self;
+    /// Lane-wise wrapping subtract: the DP main loops' gap terms, which
+    /// [`GapTerms`] keeps in range. On current Intel cores it issues on
+    /// three vector ports, where the saturating ops and `max` take two.
+    unsafe fn sub(self, o: Self) -> Self;
     /// Lane-wise signed max (the recurrence's `max` and the zero floor).
     unsafe fn max(self, o: Self) -> Self;
     /// Whether any lane of `self` exceeds `o` (striped lazy-F: is the carry
@@ -182,6 +192,46 @@ impl Width for i16 {
     type Avx2 = x86::Avx2I16;
 }
 
+/// The gap terms of both vector DP bodies, clamped **once**, here, so that
+/// their main loops subtract with the wrapping [`SimdVec::sub`]:
+///
+/// * `goe` — `open + extend` clamped into `[0, MAX]`, as the portable
+///   kernels clamp it;
+/// * `ext` — `extend` clamped to `MAX` and then to `−MIN − goe`;
+/// * `floor` — `−goe`, where every `E` and `F` starts instead of `MIN`.
+///
+/// No lane wraps: `H ∈ [0, MAX]`, so `H − goe ≥ −MAX`; an `E` or `F` is
+/// `max(H − goe, …) ≥ floor` after every update, so `E − ext ≥ −goe − ext
+/// ≥ MIN`. Scores are those of saturating arithmetic: a negative `E`/`F`
+/// never reaches `H` (the zero floor), and `ext` is cut only where
+/// `goe + extend > −MIN`, and then every extension is already negative
+/// (`E ≤ MAX − goe`, so `E − ext ≤ MAX + MIN < 0` either way).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GapTerms<T> {
+    pub(crate) goe: T,
+    pub(crate) ext: T,
+    pub(crate) floor: T,
+}
+
+impl<T: Lane> GapTerms<T> {
+    /// The clamped terms for `goe = open + extend` and `ext = extend`.
+    pub(crate) fn new(goe: i32, ext: i32) -> Self {
+        let goe = T::from_i32_sat(goe.max(0));
+        let room = -T::MIN.to_i32() - goe.to_i32();
+        GapTerms {
+            goe,
+            ext: T::from_i32_sat(ext.clamp(0, room)),
+            floor: T::from_i32_sat(-goe.to_i32()),
+        }
+    }
+
+    /// The no-wrap precondition of the wrapping gap subtractions.
+    pub(crate) fn cannot_wrap(self) -> bool {
+        let (goe, ext) = (self.goe.to_i32(), self.ext.to_i32());
+        goe >= 0 && ext >= 0 && goe + ext <= -T::MIN.to_i32() && self.floor.to_i32() == -goe
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{SimdVec, MAX_LANES, TABLE_DIM};
@@ -240,6 +290,10 @@ mod x86 {
             Self(_mm_subs_epi8(self.0, o.0))
         }
         #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Self(_mm_sub_epi8(self.0, o.0))
+        }
+        #[inline(always)]
         unsafe fn max(self, o: Self) -> Self {
             Self(_mm_max_epi8(self.0, o.0))
         }
@@ -293,6 +347,10 @@ mod x86 {
         #[inline(always)]
         unsafe fn subs(self, o: Self) -> Self {
             Self(_mm_subs_epi16(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Self(_mm_sub_epi16(self.0, o.0))
         }
         #[inline(always)]
         unsafe fn max(self, o: Self) -> Self {
@@ -359,6 +417,10 @@ mod x86 {
         #[inline(always)]
         unsafe fn subs(self, o: Self) -> Self {
             Self(_mm256_subs_epi8(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Self(_mm256_sub_epi8(self.0, o.0))
         }
         #[inline(always)]
         unsafe fn max(self, o: Self) -> Self {
@@ -428,6 +490,10 @@ mod x86 {
             Self(_mm256_subs_epi16(self.0, o.0))
         }
         #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Self(_mm256_sub_epi16(self.0, o.0))
+        }
+        #[inline(always)]
         unsafe fn max(self, o: Self) -> Self {
             Self(_mm256_max_epi16(self.0, o.0))
         }
@@ -457,9 +523,10 @@ mod x86 {
 }
 
 /// The kernel-equivalence table: every tier this CPU has × {i8, i16} ×
-/// {striped, inter-sequence at K = 1 and K = 4}, each cell compared with
-/// the portable kernels (scores and saturation flags) and, where it
-/// resolves, with the scalar oracle.
+/// {striped, inter-sequence at K = 1, 4 and 8}, each cell compared with
+/// the portable kernels (scores, saturation flags and lazy-F vectors) and,
+/// where it resolves, with the scalar oracle — at every gap pair of the
+/// "clamped once" table, including those where [`GapTerms`] cuts `ext`.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,20 +537,39 @@ mod tests {
     use crate::striped::sw_striped;
     use rand::{RngExt, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use swhybrid_align::gotoh::gap_params;
     use swhybrid_align::score_only::sw_score_affine;
     use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
     use swhybrid_seq::arena::DbArena;
     use swhybrid_seq::sequence::EncodedSequence;
     use swhybrid_seq::Alphabet;
 
-    /// Gap-open penalties of the table: the default, the last value an i8
-    /// lane holds, the first it must clamp, and one an i16 lane must clamp.
-    const GAP_OPENS: [i32; 4] = [10, 127, 128, 40_000];
+    /// The "clamped once" table of (open, extend) pairs. First the default
+    /// open, the last an i8 lane holds, the first it must clamp, and one an
+    /// i16 lane must clamp. Then pairs around `−MIN`, where `open + extend`
+    /// meets the lane ceiling and [`GapTerms`] cuts `ext` to `−MIN − goe`
+    /// and puts the `E`/`F` floor at `−MAX`: i8 pairs, then i16 pairs.
+    const GAPS: [(i32, i32); 14] = [
+        (10, 2),
+        (127, 2),
+        (128, 2),
+        (40_000, 2),
+        (0, 127),
+        (1, 127),
+        (63, 64),
+        (64, 64),
+        (120, 10),
+        (126, 1),
+        (127, 1),
+        (0, 32_767),
+        (16_384, 16_384),
+        (32_000, 1_000),
+    ];
 
-    fn scoring(open: i32) -> Scoring {
+    fn scoring((open, extend): (i32, i32)) -> Scoring {
         Scoring {
             matrix: SubstMatrix::blosum62(),
-            gap: GapModel::Affine { open, extend: 2 },
+            gap: GapModel::Affine { open, extend },
         }
     }
 
@@ -529,9 +615,9 @@ mod tests {
     fn striped_case<T: Width>(isa: Isa) {
         let mut rng = ChaCha8Rng::seed_from_u64(101 + isa.lanes::<T>() as u64);
         let (mut ws, mut ws_portable) = (Workspace::<T>::new(), Workspace::<T>::new());
-        for open in GAP_OPENS {
-            let s = scoring(open);
-            let (goe, ext) = (open + 2, 2);
+        for (open, extend) in GAPS {
+            let s = scoring((open, extend));
+            let (goe, ext) = (open + extend, extend);
             for round in 0..25 {
                 let query_len = rng.random_range(1..200);
                 let q = codes(&mut rng, query_len);
@@ -545,7 +631,7 @@ mod tests {
                     let got = sw_striped(isa, &profile, t, goe, ext, &mut ws);
                     let portable = sw_striped_portable(&profile, t, goe, ext, &mut ws_portable);
                     let case = format!(
-                        "{isa:?} open {open} round {round} q={} t={}",
+                        "{isa:?} gaps {open}/{extend} round {round} q={} t={}",
                         q.len(),
                         t.len()
                     );
@@ -567,7 +653,7 @@ mod tests {
     fn striped_i8_flags_saturation_where_i16_resolves() {
         let mut rng = ChaCha8Rng::seed_from_u64(107);
         let q = codes(&mut rng, 300);
-        let s = scoring(10);
+        let s = scoring((10, 2));
         for isa in Isa::available() {
             let p8 = StripedProfile::<i8>::build_with_lanes(&q, &s.matrix, isa.lanes::<i8>());
             let out8 = sw_striped(isa, &p8, &q, 12, 2, &mut Workspace::new());
@@ -620,8 +706,8 @@ mod tests {
         let arena = DbArena::from_encoded(&subjects);
         let all: Vec<usize> = (0..arena.len()).collect();
 
-        for open in GAP_OPENS {
-            let s = scoring(open);
+        for (open, extend) in GAPS {
+            let s = scoring((open, extend));
             let tier: Vec<PreparedQuery> = queries
                 .iter()
                 .map(|q| PreparedQuery::with_isa(q, &s, isa))
@@ -632,7 +718,8 @@ mod tests {
                 let fused = pass_results::<T>(&batch, &arena, jobs).expect("one scoring");
                 assert_eq!(fused.len(), batch.len());
                 for (q, query) in queries.iter().enumerate() {
-                    let case = format!("{isa:?} open {open} query {q} jobs {}", jobs.len());
+                    let case =
+                        format!("{isa:?} gaps {open}/{extend} query {q} jobs {}", jobs.len());
                     let oracle = PreparedQuery::with_isa(query, &s, Isa::Portable);
                     let portable = pass_results::<T>(&[&oracle], &arena, jobs).unwrap();
                     let solo = pass_results::<T>(&[batch[q]], &arena, jobs).unwrap();
@@ -663,7 +750,7 @@ mod tests {
     fn interseq_i16_pass_flags_saturation_like_portable() {
         // 3,100 tryptophans self-align to 34,100 > i16::MAX.
         let query = vec![17u8; 3100];
-        let s = scoring(10);
+        let s = scoring((10, 2));
         let arena = DbArena::from_encoded(&[subject("self", query.clone())]);
         for isa in Isa::available() {
             let prepared = PreparedQuery::with_isa(&query, &s, isa);
@@ -680,17 +767,252 @@ mod tests {
         let jobs: Vec<usize> = (0..arena.len()).collect();
         let tiers: Vec<Isa> = Isa::available().collect();
         for &isa in &tiers {
-            let a = PreparedQuery::with_isa(&query, &scoring(10), isa);
-            let b = PreparedQuery::with_isa(&query, &scoring(4), isa);
+            let a = PreparedQuery::with_isa(&query, &scoring((10, 2)), isa);
+            let b = PreparedQuery::with_isa(&query, &scoring((4, 2)), isa);
             assert!(
                 pass_results::<i8>(&[&a, &b], &arena, &jobs).is_none(),
                 "mixed gap penalties must refuse to share a pass ({isa:?})"
             );
-            let c = PreparedQuery::with_isa(&query, &scoring(10), tiers[0]);
+            let c = PreparedQuery::with_isa(&query, &scoring((10, 2)), tiers[0]);
             assert_eq!(
                 pass_results::<i8>(&[&a, &c], &arena, &jobs).is_some(),
                 isa == tiers[0]
             );
+        }
+    }
+
+    #[test]
+    fn gap_terms_clamp_once_and_cannot_wrap() {
+        // (goe, ext) in, (goe', ext', floor) out.
+        let i8_table = [
+            ((12, 2), (12, 2, -12)),
+            ((0, 127), (0, 127, 0)),
+            ((1, 127), (1, 127, -1)),
+            ((64, 64), (64, 64, -64)),
+            ((127, 1), (127, 1, -127)),
+            ((127, 64), (127, 1, -127)),
+            ((128, 64), (127, 1, -127)),
+            ((130, 10), (127, 1, -127)),
+            ((40_002, 2), (127, 1, -127)),
+        ];
+        for ((goe, ext), (g, x, floor)) in i8_table {
+            let want = GapTerms::<i8> {
+                goe: g,
+                ext: x,
+                floor,
+            };
+            assert_eq!(GapTerms::<i8>::new(goe, ext), want, "i8 {goe}/{ext}");
+        }
+        let i16_table = [
+            ((12, 2), (12, 2, -12)),
+            ((130, 10), (130, 10, -130)),
+            ((32_767, 32_767), (32_767, 1, -32_767)),
+            ((32_768, 16_384), (32_767, 1, -32_767)),
+            ((33_000, 1_000), (32_767, 1, -32_767)),
+        ];
+        for ((goe, ext), (g, x, floor)) in i16_table {
+            let want = GapTerms::<i16> {
+                goe: g,
+                ext: x,
+                floor,
+            };
+            assert_eq!(GapTerms::<i16>::new(goe, ext), want, "i16 {goe}/{ext}");
+        }
+        // Wherever the second clamp does not bite, `ext` is the plain
+        // lane clamp; everywhere, the wrapping subtractions stay in range.
+        for goe in -3..=300 {
+            for ext in -3..=300 {
+                let (g8, g16) = (
+                    GapTerms::<i8>::new(goe, ext),
+                    GapTerms::<i16>::new(goe, ext),
+                );
+                assert!(g8.cannot_wrap() && g16.cannot_wrap(), "{goe}/{ext}");
+                if goe >= 0 && ext >= 0 && goe.min(127) + ext <= 128 {
+                    assert_eq!(g8.ext, i8::from_i32_sat(ext), "{goe}/{ext}");
+                }
+                assert_eq!(g16.ext.to_i32(), ext.max(0), "{goe}/{ext}");
+            }
+        }
+    }
+
+    /// Eight queries of 1 to 128 residues over `letters` letters, and
+    /// subjects where gaps pay under +5/−4: each query with a run cut out,
+    /// with a run spliced in, and itself, plus random subjects (some empty).
+    fn gap_edge_inputs(rng: &mut ChaCha8Rng, letters: u8) -> (Vec<Vec<u8>>, Vec<EncodedSequence>) {
+        let letter = |rng: &mut ChaCha8Rng, len: usize| -> Vec<u8> {
+            (0..len).map(|_| rng.random_range(0..letters)).collect()
+        };
+        let queries: Vec<Vec<u8>> = [1usize, 5, 20, 33, 57, 64, 100, 128]
+            .iter()
+            .map(|&m| letter(rng, m))
+            .collect();
+        let mut subjects = Vec::new();
+        for q in &queries {
+            let run = rng.random_range(1..=q.len().div_ceil(4));
+            let at = rng.random_range(0..=q.len() - run);
+            subjects.push([&q[..at], &q[at + run..]].concat());
+            let insert = letter(rng, run);
+            subjects.push([&q[..at], &insert[..], &q[at..]].concat());
+            subjects.push(q.clone());
+        }
+        for _ in 0..8 {
+            let len = rng.random_range(0..150);
+            subjects.push(letter(rng, len));
+        }
+        let subjects = subjects
+            .into_iter()
+            .enumerate()
+            .map(|(i, codes)| subject(&format!("s{i}"), codes))
+            .collect();
+        (queries, subjects)
+    }
+
+    /// One tier at width `T` on one gap pair: the striped body against the
+    /// portable kernel (score, saturation flag, lazy-F vectors walked) and
+    /// the inter-sequence pass at K = 8 and K = 1 against the portable pass
+    /// (every result), both against the oracle scores `expect[q][k]`.
+    fn gap_edge_case<T: Width>(
+        isa: Isa,
+        s: &Scoring,
+        queries: &[Vec<u8>],
+        arena: &DbArena,
+        expect: &[Vec<i32>],
+    ) {
+        let (open, extend) = gap_params(s.gap);
+        let what = format!(
+            "{isa:?} {} gaps {open}/{extend}",
+            std::any::type_name::<T>()
+        );
+        let exact = |score: i32| (score < T::MAX.to_i32()).then_some(score);
+        let (mut ws, mut ws_portable) = (Workspace::<T>::new(), Workspace::<T>::new());
+        for (q, query) in queries.iter().enumerate() {
+            let profile = StripedProfile::<T>::build_with_lanes(query, &s.matrix, isa.lanes::<T>());
+            for (k, &want) in expect[q].iter().enumerate() {
+                let t = arena.residues(k);
+                let got = sw_striped(isa, &profile, t, open + extend, extend, &mut ws);
+                let portable =
+                    sw_striped_portable(&profile, t, open + extend, extend, &mut ws_portable);
+                let case = format!("{what} striped query {q} subject {k}");
+                assert_eq!(got, portable, "{case}");
+                assert_eq!(ws.lazy_vectors, ws_portable.lazy_vectors, "{case}");
+                assert_eq!((!got.saturated).then_some(got.score), exact(want), "{case}");
+            }
+        }
+        let jobs: Vec<usize> = (0..arena.len()).collect();
+        let tier: Vec<PreparedQuery> = queries
+            .iter()
+            .map(|q| PreparedQuery::with_isa(q, s, isa))
+            .collect();
+        let batch: Vec<&PreparedQuery> = tier.iter().collect();
+        let fused = pass_results::<T>(&batch, arena, &jobs).expect("one scoring");
+        for (q, query) in queries.iter().enumerate() {
+            let case = format!("{what} inter-sequence query {q}");
+            let oracle = PreparedQuery::with_isa(query, s, Isa::Portable);
+            let portable = pass_results::<T>(&[&oracle], arena, &jobs)
+                .unwrap()
+                .remove(0);
+            let solo = pass_results::<T>(&[batch[q]], arena, &jobs)
+                .unwrap()
+                .remove(0);
+            assert_eq!(solo, portable, "K = 1, {case}");
+            assert_eq!(fused[q], portable, "K = 8, {case}");
+            let want: Vec<Option<i32>> = expect[q].iter().map(|&e| exact(e)).collect();
+            assert_eq!(portable, want, "portable vs oracle, {case}");
+        }
+    }
+
+    #[test]
+    fn gap_edges_match_portable_and_oracle_on_low_complexity_inputs() {
+        let mut rng = ChaCha8Rng::seed_from_u64(331);
+        let mut gapped = 0;
+        for (round, (open, extend)) in GAPS.into_iter().enumerate() {
+            let s = Scoring {
+                matrix: SubstMatrix::match_mismatch(Alphabet::Protein, 5, -4),
+                gap: GapModel::Affine { open, extend },
+            };
+            let (queries, subjects) = gap_edge_inputs(&mut rng, [2, 3, 4][round % 3]);
+            let arena = DbArena::from_encoded(&subjects);
+            let expect: Vec<Vec<i32>> = queries
+                .iter()
+                .map(|q| {
+                    subjects
+                        .iter()
+                        .map(|t| sw_score_affine(q, &t.codes, &s).score)
+                        .collect()
+                })
+                .collect();
+            // Gaps pay: some alignment scores above every ungapped one.
+            let ungapped = Scoring {
+                gap: GapModel::Affine {
+                    open: 1_000_000,
+                    extend: 1_000_000,
+                },
+                ..s.clone()
+            };
+            gapped += queries
+                .iter()
+                .zip(&expect)
+                .map(|(q, row)| {
+                    let no_gaps = subjects
+                        .iter()
+                        .map(|t| sw_score_affine(q, &t.codes, &ungapped).score);
+                    row.iter().zip(no_gaps).filter(|&(&e, n)| e > n).count()
+                })
+                .sum::<usize>();
+            for isa in Isa::available() {
+                gap_edge_case::<i8>(isa, &s, &queries, &arena, &expect);
+                gap_edge_case::<i16>(isa, &s, &queries, &arena, &expect);
+            }
+        }
+        assert!(gapped > 0, "no input paid for a gap");
+    }
+
+    /// `sub` against `wrapping` and `subs` against the lane's saturating
+    /// subtract, lane for lane, on every pair of edge values (`MIN`, `MAX`,
+    /// zero and their neighbours) and on random lanes.
+    #[cfg(target_arch = "x86_64")]
+    fn subtract_case<V: SimdVec>(wrapping: fn(V::Elem, V::Elem) -> V::Elem) {
+        let (min, max) = (V::Elem::MIN.to_i32(), V::Elem::MAX.to_i32());
+        let edges = [min, min + 1, -1, 0, 1, max - 1, max];
+        let mut pairs: Vec<(i32, i32)> = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(61);
+        pairs.extend(
+            (0..4 * V::LANES).map(|_| (rng.random_range(min..=max), rng.random_range(min..=max))),
+        );
+        pairs.resize(pairs.len().next_multiple_of(V::LANES), (max, min));
+        let elem = V::Elem::from_i32_sat;
+        for chunk in pairs.chunks(V::LANES) {
+            let a: Vec<V::Elem> = chunk.iter().map(|&(a, _)| elem(a)).collect();
+            let b: Vec<V::Elem> = chunk.iter().map(|&(_, b)| elem(b)).collect();
+            let (mut diff, mut sat) =
+                (vec![V::Elem::ZERO; V::LANES], vec![V::Elem::ZERO; V::LANES]);
+            // SAFETY: the caller checked the tier; every buffer spans LANES.
+            unsafe {
+                let (va, vb) = (V::load(a.as_ptr()), V::load(b.as_ptr()));
+                va.sub(vb).store(diff.as_mut_ptr());
+                va.subs(vb).store(sat.as_mut_ptr());
+            }
+            for lane in 0..V::LANES {
+                let (x, y) = (a[lane], b[lane]);
+                assert_eq!(diff[lane], wrapping(x, y), "{x:?} - {y:?} wrapping");
+                assert_eq!(sat[lane], x.sat_sub(y), "{x:?} - {y:?} saturating");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sub_wraps_and_subs_saturates_on_every_tier_and_width() {
+        if Isa::Sse41.is_available() {
+            subtract_case::<<i8 as Width>::Sse41>(i8::wrapping_sub);
+            subtract_case::<<i16 as Width>::Sse41>(i16::wrapping_sub);
+        }
+        if Isa::Avx2.is_available() {
+            subtract_case::<<i8 as Width>::Avx2>(i8::wrapping_sub);
+            subtract_case::<<i16 as Width>::Avx2>(i16::wrapping_sub);
         }
     }
 

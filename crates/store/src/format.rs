@@ -198,6 +198,7 @@ impl Header {
             found.copy_from_slice(&bytes[0..8]);
             return Err(StoreError::BadMagic { found });
         }
+        // Invariant: `bytes` holds HEADER_LEN bytes, so a 4-byte range converts.
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         if version != VERSION {
             return Err(StoreError::BadVersion {
@@ -205,8 +206,10 @@ impl Header {
                 supported: VERSION,
             });
         }
+        // Invariant: every offset below is at most HEADER_LEN − 8, so 8 bytes convert.
         let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
         let header = Header {
+            // Invariant: a 4-byte range inside HEADER_LEN converts.
             flags: u32::from_le_bytes(bytes[12..16].try_into().unwrap()),
             alphabet: alphabet_from_code(bytes[16])?,
             db_digest: u64_at(24),

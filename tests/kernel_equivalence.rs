@@ -4,6 +4,8 @@
 //! rankings under every `KernelChoice`, chunk size, and scan order.
 
 use proptest::prelude::*;
+use rand::{RngExt, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use swhybrid::align::score_only::sw_score_affine;
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
@@ -244,6 +246,118 @@ proptest! {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// (open, extend) pairs around `−MIN` of each lane width (i8 first, then
+/// i16): `open + extend` at or past the lane ceiling, where the vector
+/// kernels cut `extend` to `−MIN − goe` and start `E`/`F` at `−MAX`, so
+/// that their wrapping gap subtractions stay in range.
+const GAP_EDGES: [(i32, i32); 10] = [
+    (0, 127),
+    (1, 127),
+    (63, 64),
+    (64, 64),
+    (120, 10),
+    (126, 1),
+    (127, 1),
+    (0, 32_767),
+    (16_384, 16_384),
+    (32_000, 1_000),
+];
+
+/// At every gap edge, on low-complexity inputs where gaps pay in the
+/// 16-bit lanes, every tier agrees with the portable tier and the oracle:
+/// the i8 and i16 inter-sequence passes at K = 1 and K = 8, result for
+/// result (`None` exactly where the oracle reaches the lane ceiling), and
+/// the striped chain's scores and i8/i16/scalar counts.
+#[test]
+fn gap_edges_agree_with_portable_and_oracle_on_every_tier() {
+    let mut rng = ChaCha8Rng::seed_from_u64(4101);
+    for (round, (open, extend)) in GAP_EDGES.into_iter().enumerate() {
+        let letters = [2u8, 3, 4][round % 3];
+        let scoring = Scoring {
+            matrix: SubstMatrix::match_mismatch(Alphabet::Protein, 5, -4),
+            gap: GapModel::Affine { open, extend },
+        };
+        let mut codes =
+            |len: usize| -> Vec<u8> { (0..len).map(|_| rng.random_range(0..letters)).collect() };
+        let queries: Vec<Vec<u8>> = [2usize, 9, 17, 30, 40, 64, 90, 128]
+            .iter()
+            .map(|&m| codes(m))
+            .collect();
+        // Each query whole and with a run cut out, plus random subjects.
+        let mut subjects: Vec<Vec<u8>> = queries
+            .iter()
+            .flat_map(|q| {
+                let (at, run) = (q.len() / 3, q.len() / 5);
+                [[&q[..at], &q[at + run..]].concat(), q.clone()]
+            })
+            .collect();
+        subjects.extend((0..6).map(|k| codes(25 * k + 1)));
+        let db = encode_db(&subjects);
+        let arena = DbArena::from_encoded(&db);
+        let jobs: Vec<usize> = (0..arena.len()).collect();
+        let passes = |batch: &[&PreparedQuery]| {
+            [
+                interseq::pass_results::<i8>(batch, &arena, &jobs).expect("one scoring"),
+                interseq::pass_results::<i16>(batch, &arena, &jobs).expect("one scoring"),
+            ]
+        };
+        let chain = |prepared: PreparedQuery| {
+            let mut engine = StripedEngine::with_prepared(Arc::new(prepared));
+            let mut scratch = KernelScratch::new();
+            let scores: Vec<i32> = subjects
+                .iter()
+                .map(|t| engine.score(t, &mut scratch))
+                .collect();
+            (scores, engine.stats())
+        };
+
+        // Per query, its i8 and i16 results on the portable tier.
+        let mut oracle = Vec::new();
+        for (q, query) in queries.iter().enumerate() {
+            let expect: Vec<i32> = subjects
+                .iter()
+                .map(|t| sw_score_affine(query, t, &scoring).score)
+                .collect();
+            let portable = PreparedQuery::with_isa(query, &scoring, Isa::Portable);
+            let [mut p8, mut p16] = passes(&[&portable]);
+            let (p8, p16) = (p8.remove(0), p16.remove(0));
+            for (results, ceiling) in [(&p8, i8::MAX as i32), (&p16, i16::MAX as i32)] {
+                let want: Vec<Option<i32>> =
+                    expect.iter().map(|&e| (e < ceiling).then_some(e)).collect();
+                assert_eq!(results, &want, "portable, gaps {open}/{extend} query {q}");
+            }
+            let (scores, portable_stats) = chain(portable);
+            assert_eq!(
+                scores, expect,
+                "portable chain, gaps {open}/{extend} query {q}"
+            );
+
+            for isa in Isa::available() {
+                let case = format!("{isa:?} gaps {open}/{extend} query {q}");
+                let solo = PreparedQuery::with_isa(query, &scoring, isa);
+                let [s8, s16] = passes(&[&solo]);
+                assert_eq!((&s8[0], &s16[0]), (&p8, &p16), "K = 1, {case}");
+                let (scores, stats) = chain(solo);
+                assert_eq!(scores, expect, "striped chain, {case}");
+                assert_eq!(stats, portable_stats, "striped counts, {case}");
+            }
+            oracle.push((p8, p16));
+        }
+        for isa in Isa::available() {
+            let tier: Vec<PreparedQuery> = queries
+                .iter()
+                .map(|q| PreparedQuery::with_isa(q, &scoring, isa))
+                .collect();
+            let batch: Vec<&PreparedQuery> = tier.iter().collect();
+            let [f8, f16] = passes(&batch);
+            for (q, (p8, p16)) in oracle.iter().enumerate() {
+                let case = format!("{isa:?} K = 8, gaps {open}/{extend} query {q}");
+                assert_eq!((&f8[q], &f16[q]), (p8, p16), "{case}");
             }
         }
     }
