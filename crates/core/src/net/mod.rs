@@ -64,12 +64,10 @@
 //! counters. The task's own counters are the merge of its queries'.
 //! Every field is mandatory.
 //!
-//! A slave works through a `tasks` package by the pool's package rule
-//! ([`crate::pool::package_groups`]): consecutive tasks of one shard whose
-//! queries are all short enough for the inter-sequence kernel share one
-//! database pass. It sends `started` for every task of a pass, scans once,
-//! then sends each task's `finished`; a pass of one task is the plain
-//! `started`, scan, `finished`. The messages do not change.
+//! A slave works through a `tasks` package task by task, in the order
+//! shipped: `started`, one database pass over every query of the task
+//! ([`crate::pool::PeExecutor::scan`]), `finished`. A task of several
+//! queries was fused where it was made; the slave never regroups.
 //!
 //! Both halves of the handshake carry [`PROTOCOL_VERSION`], checked before
 //! anything else, so a mismatched pair fails with an error naming both
@@ -1098,38 +1096,37 @@ mod tests {
         }
     }
 
-    /// A slave applies the pool's package rule to a `tasks` message: the
-    /// three short tasks share one pass (all started, then all finished,
-    /// one speed), the long one runs alone after them, and every task's
-    /// hits and counters are its solo scan's.
+    /// A slave runs a `tasks` message task by task, in the order shipped:
+    /// each short task is started, scanned and finished before the next,
+    /// the 3-query task is one pass, and every query's hits and counters
+    /// are its solo scan's.
     #[test]
-    fn a_slave_scans_a_package_of_short_tasks_in_one_pass() {
+    fn a_slave_runs_each_task_as_shipped() {
         let (queries, db, _) = tiny_workload();
-        let whole = |query: Vec<u8>| TaskPayload {
-            queries: vec![QueryPayload {
-                query,
-                top_n: BATCH_TOP_N,
-            }],
+        let whole = |queries: &[EncodedSequence]| TaskPayload {
+            queries: queries
+                .iter()
+                .map(|q| QueryPayload {
+                    query: q.codes.clone(),
+                    top_n: BATCH_TOP_N,
+                })
+                .collect(),
             shard: (0, db.len()),
         };
-        let long: Vec<u8> = queries.iter().flat_map(|q| q.codes.clone()).collect();
-        assert!(!crate::pool::fusable(&long));
-        let mut package: Vec<(TaskId, TaskPayload)> = queries[..3]
-            .iter()
+        // Three short single-query tasks, then one task of three queries.
+        assert!(queries[..3].iter().all(|q| crate::pool::fusable(&q.codes)));
+        let mut package: Vec<(TaskId, TaskPayload)> = (0..3)
             .zip(10..)
-            .map(|(q, id)| (id, whole(q.codes.clone())))
+            .map(|(i, id)| (id, whole(&queries[i..=i])))
             .collect();
-        package.push((13, whole(long)));
-        assert!(package[..3]
-            .iter()
-            .all(|(_, p)| crate::pool::fusable(&p.queries[0].query)));
+        package.push((13, whole(&queries[..3])));
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (order, finished) = std::thread::scope(|scope| {
             let s = &db;
             let slave = scope.spawn(move || {
-                run_slave(addr, "packer", 1.0, s, &scoring(), &NetConfig::default())
+                run_slave(addr, "shipped", 1.0, s, &scoring(), &NetConfig::default())
             });
             let (stream, _) = listener.accept().unwrap();
             let mut reader = LineReader::new(stream.try_clone().unwrap());
@@ -1166,29 +1163,22 @@ mod tests {
             assert_eq!(slave.join().unwrap().unwrap(), package.len());
             (order, finished)
         });
-        let started = |t| ("started", t);
-        let done = |t| ("finished", t);
-        assert_eq!(
-            order,
-            [
-                started(10),
-                started(11),
-                started(12),
-                done(10),
-                done(11),
-                done(12),
-                started(13),
-                done(13),
-            ]
-        );
-        // One pass, one measured speed for the three.
-        assert_eq!(finished[&10].gcups, finished[&11].gcups);
-        assert_eq!(finished[&10].gcups, finished[&12].gcups);
+        let expected: Vec<_> = (10..14)
+            .flat_map(|t| [("started", t), ("finished", t)])
+            .collect();
+        assert_eq!(order, expected);
         let sc = scoring();
         for (task, payload) in &package {
-            let solo = PeExecutor::new(&sc).scan(&db, payload).unwrap();
-            assert_eq!(finished[task].queries, solo.queries, "task {task}");
-            assert_eq!(finished[task].kernels(), solo.kernels(), "task {task}");
+            let got = &finished[task];
+            assert_eq!(got.queries.len(), payload.queries.len(), "task {task}");
+            for (q, got) in payload.queries.iter().zip(&got.queries) {
+                let alone = TaskPayload {
+                    queries: vec![q.clone()],
+                    shard: payload.shard,
+                };
+                let solo = PeExecutor::new(&sc).scan(&db, &alone).unwrap();
+                assert_eq!(solo.queries, std::slice::from_ref(got), "task {task}");
+            }
         }
     }
 

@@ -5,9 +5,10 @@
 //! holds the master's (and scores with the master's scheme) by its
 //! [`Identity`] digest, and every task arrives self-describing (query
 //! residues, shard, depth) — so one slave serves a batch master and a
-//! daemon alike, exactly as a local worker thread does. A package of tasks
-//! runs by the pool's package rule ([`PeExecutor::scan_package`]), so
-//! short queries shipped together share a database pass.
+//! daemon alike, exactly as a local worker thread does: each task of a
+//! `tasks` message is started, scanned in one pass ([`PeExecutor::scan`])
+//! and finished, in the order shipped. Which queries share a pass was
+//! decided when the task was made.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -16,7 +17,7 @@ use std::time::Duration;
 
 use super::wire::{invalid, send, LineReader, MasterMsg, SlaveMsg};
 use super::NetConfig;
-use crate::pool::{package_groups, Identity, PeExecutor, TaskPayload};
+use crate::pool::{Identity, PeExecutor, TaskPayload};
 use crate::shared::WaitHub;
 use crate::task::TaskId;
 use swhybrid_align::scoring::Scoring;
@@ -188,23 +189,16 @@ fn slave_work_loop(
             Err(e) if e.kind() == io::ErrorKind::InvalidData => return Err(e),
             Err(_) => return Ok(SessionEnd::Lost(executed)),
         };
-        // The package rule every batch PE applies: each group is one pass,
-        // started together and reported together. A group of one is the
-        // paper's start–scan–finish of one task.
-        let (ids, payloads): (Vec<TaskId>, Vec<TaskPayload>) = batch.into_iter().unzip();
-        for group in package_groups(&payloads) {
-            for &task in &ids[group.clone()] {
-                if send_msg(&SlaveMsg::Started { task }).is_err() {
-                    return Ok(SessionEnd::Lost(executed));
-                }
+        // The paper's start–scan–finish, task by task.
+        for (task, payload) in batch {
+            if send_msg(&SlaveMsg::Started { task }).is_err() {
+                return Ok(SessionEnd::Lost(executed));
             }
-            let results = pe.scan_package(db, &payloads[group.clone()])?;
-            for (&task, result) in ids[group].iter().zip(results) {
-                if send_msg(&SlaveMsg::Finished { task, result }).is_err() {
-                    return Ok(SessionEnd::Lost(executed));
-                }
-                executed += 1;
+            let result = pe.scan(db, &payload)?;
+            if send_msg(&SlaveMsg::Finished { task, result }).is_err() {
+                return Ok(SessionEnd::Lost(executed));
             }
+            executed += 1;
         }
     }
 }

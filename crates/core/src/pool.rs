@@ -12,9 +12,10 @@
 //! and liveness-driven requeue.
 //!
 //! Beside the one drive loop sits the one compute step,
-//! [`PeExecutor::scan_package`]: what every PE — daemon worker, slave,
-//! local-fleet thread, the one-shot `search`'s shard PEs — does with the
-//! payloads of its tasks. [`PeExecutor::scan`] is its package of one.
+//! [`PeExecutor::scan`]: what every PE — daemon worker, slave,
+//! local-fleet thread, the one-shot `search`'s shard PEs — does with each
+//! task it is given, one database pass per task. Which queries share a
+//! task is decided where tasks are made, by one rule ([`fuses`]).
 //!
 //! What a runtime still chooses is what happens to a finished task's
 //! result: that is the [`PoolOwner`] — batch runs collect hits per task
@@ -32,7 +33,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,8 +94,8 @@ impl TaskResult {
     }
 }
 
-/// Most queries one database pass scores together, in a package
-/// ([`PeExecutor::scan_package`]) or a daemon admission group.
+/// Most queries one fused task scores in its one database pass: a
+/// `search` task or a daemon admission group ([`fuses`]).
 /// On `scan_short`'s shape (64 queries of 24–96 aa, `search --threads 1`,
 /// 2-vCPU AVX2 Xeon) one query per pass took 1.93 s, 4 per pass 1.29 s,
 /// 8 1.15 s, 16 1.09 s and 64 1.07 s, but 64 raised peak RSS from 4.74 to
@@ -104,16 +104,25 @@ pub const FUSE_MAX: usize = 8;
 
 /// Whether `query` may share a database pass: `Auto` sends it to the
 /// inter-sequence kernel ([`MAX_INTERSEQ_QUERY`]), whose per-column gather
-/// a pass shares. The one rule for batch packages and daemon groups alike.
+/// a pass shares.
 pub fn fusable(query: &[u8]) -> bool {
     query.len() <= MAX_INTERSEQ_QUERY
+}
+
+/// Whether query `next` joins a task of `members` queries headed by
+/// `head`: both are [`fusable`], up to [`FUSE_MAX`] queries in all. The
+/// one rule by which queries share a task, applied where tasks are made
+/// (`search`'s tasks, the daemon's admission groups); a PE scans each
+/// task it is given in one pass.
+pub fn fuses(members: usize, head: &[u8], next: &[u8]) -> bool {
+    members < FUSE_MAX && fusable(head) && fusable(next)
 }
 
 /// THE compute state of every PE — daemon worker, slave, local-fleet
 /// thread, `search` shard: the scoring and the PE's [`ShardExecutor`] (its
 /// kernel scratch, warm for the PE's lifetime). Every task runs through
-/// [`PeExecutor::scan_package`] on profiles built for its pass and dropped
-/// with it (a profile costs microseconds against a scan's milliseconds).
+/// [`PeExecutor::scan`] on profiles built for its pass and dropped with it
+/// (a profile costs microseconds against a scan's milliseconds).
 pub struct PeExecutor<'a> {
     scoring: &'a Scoring,
     shards: ShardExecutor,
@@ -128,47 +137,18 @@ impl<'a> PeExecutor<'a> {
         }
     }
 
-    /// [`PeExecutor::scan_package`] for a package of one task: every
-    /// payload query against the payload's shard of `db` in one pass.
+    /// THE compute step: every query of `task` against the task's shard
+    /// of `db` in one pass, at [`chunk_floor`] with `Auto` dispatch (the
+    /// floor keeps it able to fill the inter-sequence lanes). A query's
+    /// hits and counters do not depend on what else rides in the pass, so
+    /// a fused task's result is each query's scanned alone. The result
+    /// holds per-query hits (ids from `db`, indices global) and
+    /// [`KernelStats`], paired positionally with the payload's queries,
+    /// and the pass's measured wall-clock GCUPS (for a modeled PE,
+    /// [`PePool::task_finished`] replaces it with the device model's
+    /// figure). A shard outside `db` is [`io::ErrorKind::InvalidData`].
     pub fn scan(&mut self, db: &DbSnapshot, task: &TaskPayload) -> io::Result<TaskResult> {
-        let mut results = self.scan_package(db, std::slice::from_ref(task))?;
-        Ok(results.pop().expect("one result per task"))
-    }
-
-    /// THE compute step: the package's tasks, one pass per group of
-    /// [`package_groups`], at [`chunk_floor`] with `Auto` dispatch (the
-    /// floor keeps it able to fill the inter-sequence lanes). A group's
-    /// pass scores every query of its tasks against their shard once; a
-    /// query's hits and counters do not depend on what else rides in the
-    /// pass, so every task's result is the one it gets scanned alone. The
-    /// results pair positionally with `tasks`, and each holds per-query
-    /// hits (ids from `db`, indices global) and [`KernelStats`] and the
-    /// pass's measured wall-clock GCUPS: a fused task reports its group's
-    /// cells ÷ time, which attributes the pass's time by cells (for a
-    /// modeled PE, [`PePool::task_finished`] replaces it with the device
-    /// model's figure). A shard outside `db` is
-    /// [`io::ErrorKind::InvalidData`].
-    pub fn scan_package(
-        &mut self,
-        db: &DbSnapshot,
-        tasks: &[TaskPayload],
-    ) -> io::Result<Vec<TaskResult>> {
-        let mut results = Vec::with_capacity(tasks.len());
-        for group in package_groups(tasks) {
-            self.scan_group(db, &tasks[group], &mut results)?;
-        }
-        Ok(results)
-    }
-
-    /// One pass over the shard `tasks` share, its results appended to
-    /// `results` in task order.
-    fn scan_group(
-        &mut self,
-        db: &DbSnapshot,
-        tasks: &[TaskPayload],
-        results: &mut Vec<TaskResult>,
-    ) -> io::Result<()> {
-        let (start, end) = tasks[0].shard;
+        let (start, end) = task.shard;
         if start > end || end > db.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -178,9 +158,9 @@ impl<'a> PeExecutor<'a> {
                 ),
             ));
         }
-        let batch: Vec<(Arc<PreparedQuery>, usize)> = tasks
+        let batch: Vec<(Arc<PreparedQuery>, usize)> = task
+            .queries
             .iter()
-            .flat_map(|task| &task.queries)
             .map(|q| {
                 let prepared = PreparedQuery::new(&q.query, self.scoring, EnginePreference::Auto);
                 (Arc::new(prepared), q.top_n)
@@ -203,46 +183,11 @@ impl<'a> PeExecutor<'a> {
             })
             .collect();
         let cells = queries.iter().map(|q| q.kernels.cells_computed).sum();
-        let gcups = Some(observed_gcups(cells, t0.elapsed().as_secs_f64()));
-        let mut queries = queries.into_iter();
-        results.extend(tasks.iter().map(|task| TaskResult {
-            gcups,
-            queries: queries.by_ref().take(task.queries.len()).collect(),
-        }));
-        Ok(())
+        Ok(TaskResult {
+            gcups: Some(observed_gcups(cells, t0.elapsed().as_secs_f64())),
+            queries,
+        })
     }
-}
-
-/// How [`PeExecutor::scan_package`] cuts a package into passes: the index
-/// ranges of `tasks`, in order, that run as one pass each. Consecutive
-/// tasks share a pass when they scan the same shard and every query of
-/// theirs is [`fusable`], up to [`FUSE_MAX`] queries in all. Every other
-/// task is a pass of its own, as it was shipped.
-pub fn package_groups(tasks: &[TaskPayload]) -> Vec<Range<usize>> {
-    let fusable_task = |task: &TaskPayload| {
-        !task.queries.is_empty() && task.queries.iter().all(|q| fusable(&q.query))
-    };
-    let mut groups = Vec::new();
-    let mut start = 0;
-    while start < tasks.len() {
-        let mut end = start + 1;
-        if fusable_task(&tasks[start]) {
-            let mut fused = tasks[start].queries.len();
-            while let Some(next) = tasks.get(end) {
-                if !fusable_task(next)
-                    || next.shard != tasks[start].shard
-                    || fused + next.queries.len() > FUSE_MAX
-                {
-                    break;
-                }
-                fused += next.queries.len();
-                end += 1;
-            }
-        }
-        groups.push(start..end);
-        start = end;
-    }
-    groups
 }
 
 /// A scheduling decision delivered to an endpoint.
@@ -1029,43 +974,7 @@ mod tests {
     }
 
     #[test]
-    fn package_groups_fuse_consecutive_short_tasks_of_one_shard() {
-        let short = |shard| sized(&[MAX_INTERSEQ_QUERY], shard);
-        let whole = (0, 10);
-        assert!(package_groups(&[]).is_empty());
-        // Up to FUSE_MAX queries per pass: 8 + 8 + 3.
-        let run: Vec<TaskPayload> = (0..19).map(|_| short(whole)).collect();
-        assert_eq!(package_groups(&run), vec![0..8, 8..16, 16..19]);
-        // A query one past the crossover keeps its own pass, and cuts the
-        // run; so does a change of shard.
-        let mixed = [
-            short(whole),
-            short(whole),
-            sized(&[MAX_INTERSEQ_QUERY + 1], whole),
-            short(whole),
-            short((0, 5)),
-            short((0, 5)),
-        ];
-        assert_eq!(package_groups(&mixed), vec![0..2, 2..3, 3..4, 4..6]);
-        // Multi-query tasks count every query; one that alone exceeds
-        // FUSE_MAX runs as shipped, and one with a long query is not fused.
-        let multi = [
-            sized(&[20, 30, 40], whole),
-            sized(&[20; 5], whole),
-            sized(&[20], whole),
-            sized(&[20; FUSE_MAX + 1], whole),
-            sized(&[20, 300], whole),
-            sized(&[20], whole),
-        ];
-        assert_eq!(package_groups(&multi), vec![0..2, 2..3, 3..4, 4..5, 5..6]);
-        // A payload with no query (only a peer that skips the wire's check
-        // could send one) is a pass of its own.
-        let empty = [short(whole), task(Vec::new(), whole), short(whole)];
-        assert_eq!(package_groups(&empty), vec![0..1, 1..2, 2..3]);
-    }
-
-    #[test]
-    fn a_package_is_each_task_scanned_alone() {
+    fn every_task_shape_is_its_queries_scanned_alone() {
         let db = protein_db(&[
             ("a", b"MKVLAWCDEFGHIKLMNPQRST"),
             ("b", b"WCDEFGHIKL"),
@@ -1075,33 +984,28 @@ mod tests {
         ]);
         let sc = scoring();
         let all = (0, db.len());
-        let package = [
-            sized(&[12], all),
-            sized(&[7, 9], all),
-            sized(&[MAX_INTERSEQ_QUERY + 40], all),
-            sized(&[15], (1, 4)),
-            sized(&[5], (1, 4)),
-            sized(&[20; FUSE_MAX], (1, 4)),
-        ];
-        assert_eq!(
-            package_groups(&package),
-            vec![0..2, 2..3, 3..5, 5..6],
-            "the package exercises fused, long and full passes"
-        );
         let mut pe = PeExecutor::new(&sc);
-        let results = pe.scan_package(&db, &package).unwrap();
-        assert_eq!(results.len(), package.len());
-        for (i, (task, got)) in package.iter().zip(&results).enumerate() {
-            let solo = PeExecutor::new(&sc).scan(&db, task).unwrap();
-            assert_eq!(got.queries, solo.queries, "task {i}");
+        // A fused pair, a long query riding beside a short one, and a full
+        // task of FUSE_MAX on a sub-shard: one pass each, and per query
+        // the result of a fresh PE scanning it alone.
+        for shaped in [
+            sized(&[7, 9], all),
+            sized(&[12, MAX_INTERSEQ_QUERY + 40], all),
+            sized(&[20; FUSE_MAX], (1, 4)),
+        ] {
+            let got = pe.scan(&db, &shaped).unwrap();
             assert!(got.gcups.is_some_and(|g| g.is_finite() && g >= 0.0));
+            assert_eq!(got.queries.len(), shaped.queries.len());
+            for (q, got) in shaped.queries.iter().zip(&got.queries) {
+                let alone = task(vec![q.clone()], shaped.shard);
+                let solo = PeExecutor::new(&sc).scan(&db, &alone).unwrap();
+                assert_eq!(solo.queries, std::slice::from_ref(got));
+            }
         }
-        // Tasks of one pass report the pass's speed.
-        assert_eq!(results[0].gcups, results[1].gcups);
-        assert_eq!(results[3].gcups, results[4].gcups);
-        // A bad shard fails the package with a typed error.
-        let bad = [sized(&[12], all), sized(&[12], (0, db.len() + 1))];
-        let err = pe.scan_package(&db, &bad).unwrap_err();
+        // A bad shard fails a fused task whole, with a typed error.
+        let err = pe
+            .scan(&db, &sized(&[12, 12], (0, db.len() + 1)))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

@@ -1,8 +1,8 @@
 //! Per-task allocation regression for a batch PE: the database is loaded
 //! and packed once, and a PE's executor (kernel scratch included) lives as
-//! long as the PE — so the second and later tasks a PE executes, and the
-//! second and later packages of short tasks it scans in one pass each,
-//! must allocate far less than the database holds. (A PE that re-packed the
+//! long as the PE — so the second and later tasks a PE executes, fused
+//! tasks of short queries included, must allocate far less than the
+//! database holds. (A PE that re-packed the
 //! database into a fresh arena per task, with fresh scratch, allocated at
 //! least one full copy of it every time.)
 //!
@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use swhybrid_align::scoring::{GapModel, Scoring, SubstMatrix};
-use swhybrid_core::pool::{package_groups, PeExecutor, QueryPayload, TaskPayload};
+use swhybrid_core::pool::{PeExecutor, QueryPayload, TaskPayload, FUSE_MAX};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbSnapshot};
 
@@ -111,34 +111,32 @@ fn later_batch_tasks_allocate_less_than_the_database_holds() {
         );
     }
 
-    // The package rule: 8 short tasks of one shard are one pass. The first
-    // package sizes the fused pass's scratch; later ones reuse it.
-    let packages: Vec<Vec<TaskPayload>> = (0..3)
-        .map(|p| {
-            (0..8)
-                .map(|i| TaskPayload {
-                    queries: vec![QueryPayload {
-                        query: residues(20_000 + 8 * p + i, 24 + 4 * i as usize),
-                        top_n: 10,
-                    }],
-                    shard: (0, db.len()),
+    // Fused tasks: 8 short queries each, one pass per task. The first
+    // sizes the fused pass's scratch; later ones reuse it.
+    let fused: Vec<TaskPayload> = (0..3)
+        .map(|t| TaskPayload {
+            queries: (0..8)
+                .map(|i| QueryPayload {
+                    query: residues(20_000 + 8 * t + i, 24 + 4 * i as usize),
+                    top_n: 10,
                 })
-                .collect()
+                .collect(),
+            shard: (0, db.len()),
         })
         .collect();
-    assert_eq!(package_groups(&packages[0]), vec![0..8], "one pass each");
+    assert_eq!(fused[0].queries.len(), FUSE_MAX, "full tasks");
     let mut pe = PeExecutor::new(&scoring);
-    let first = bytes_allocated_during(|| pe.scan_package(&db, &packages[0]).unwrap());
+    let first = bytes_allocated_during(|| pe.scan(&db, &fused[0]).unwrap());
     assert!(first > 0);
-    for (p, package) in packages.iter().enumerate().skip(1) {
+    for (t, task) in fused.iter().enumerate().skip(1) {
         let bytes = bytes_allocated_during(|| {
-            let results = pe.scan_package(&db, package).unwrap();
-            assert!(results.iter().all(|r| r.queries[0].hits.len() == 10));
-            results
+            let result = pe.scan(&db, task).unwrap();
+            assert!(result.queries.iter().all(|q| q.hits.len() == 10));
+            result
         });
         assert!(
             bytes < db.total_residues(),
-            "package {p} allocated {bytes} bytes against a database of {} residues: \
+            "fused task {t} allocated {bytes} bytes against a database of {} residues: \
              a fused pass must not copy the database (or rebuild its scratch)",
             db.total_residues()
         );

@@ -1,21 +1,20 @@
 //! Scheduling and cross-query fusion: draining the admission queue into
-//! fused shard-task groups by the rule a batch package is cut by
-//! (`pool::package_groups`). The daemon still groups at admission: PSS
-//! hands equal PEs one task per request, and a group's tasks are on
-//! different shards, so no PE's package ever holds two tasks to fuse.
+//! fused shard-task groups by the rule `search` cuts its tasks by
+//! (`pool::fuses`). Queries are fused here, where the daemon makes its
+//! tasks; a PE scans each task it is given in one pass.
 
-use swhybrid_core::pool::{fusable, FUSE_MAX};
+use swhybrid_core::pool::fuses;
 use swhybrid_core::sched::Scheduler;
 use swhybrid_device::task::TaskSpec;
 
 use super::{FusedTask, Phase, ServeOwner};
 
 /// Admit queued jobs into the task pool up to the active-group bound. A
-/// group takes jobs in dispatch order while each is [`fusable`] and of the
-/// head's database generation, up to [`FUSE_MAX`]; any other job is a
-/// group of its own, and a job that cannot join stays queued for the next
-/// group. A free slot never waits for companions: what fuses is what
-/// queued while every slot was busy.
+/// group takes jobs in dispatch order while each [`fuses`] with the group
+/// and is of the head's database generation; any other job is a group of
+/// its own, and a job that cannot join stays queued for the next group. A
+/// free slot never waits for companions: what fuses is what queued while
+/// every slot was busy.
 pub(super) fn pump(master: &mut Scheduler, o: &mut ServeOwner) {
     while o.active_groups < o.cfg.max_active {
         let mut group = Vec::new();
@@ -24,10 +23,7 @@ pub(super) fn pump(master: &mut Scheduler, o: &mut ServeOwner) {
         while let Some(job) = o.queue.pop_next_if(|next| {
             group.first().is_none_or(|head| {
                 let (head, next) = (&o.jobs[head], &o.jobs[&next]);
-                group.len() < FUSE_MAX
-                    && fusable(&head.codes)
-                    && fusable(&next.codes)
-                    && head.generation == next.generation
+                fuses(group.len(), &head.codes, &next.codes) && head.generation == next.generation
             })
         }) {
             group.push(job);
@@ -39,7 +35,7 @@ pub(super) fn pump(master: &mut Scheduler, o: &mut ServeOwner) {
     }
 }
 
-/// Submit one fused group (1..=[`FUSE_MAX`] jobs sharing a database
+/// Submit one fused group (1..=`pool::FUSE_MAX` jobs sharing a database
 /// snapshot generation) as a set of shard tasks, one task per shard
 /// scoring the whole batch.
 fn schedule_group(master: &mut Scheduler, o: &mut ServeOwner, group: &[u64]) {

@@ -662,7 +662,7 @@ fn fused_queries_match_cold_scans_and_share_tasks() {
     p.finish();
 }
 
-/// Admission groups follow the pool's package rule: eight queued queries
+/// Admission groups follow the pool's fusion rule: eight queued queries
 /// of at most 128 aa share one group, and the stats factor over its
 /// tasks reads eight.
 #[test]

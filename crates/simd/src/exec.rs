@@ -4,9 +4,9 @@
 //! The paper's architecture (Fig. 1) is a single task-execution environment
 //! driving heterogeneous PEs; this module is that environment's inner loop.
 //! One owner drives it: the one compute step of every PE
-//! (`core::pool::PeExecutor::scan_package`, of which `scan` is the package
-//! of one: daemon worker threads, slaves, local-fleet threads, and the
-//! one-shot `search`'s shard PEs).
+//! (`core::pool::PeExecutor::scan`, one pass per task: daemon worker
+//! threads, slaves, local-fleet threads, and the one-shot `search`'s shard
+//! PEs).
 //!
 //! The owner builds a [`ShardPlan`] (which arena positions to scan, the
 //! chunk size, the kernel choice, prefetch) and drives a
@@ -59,9 +59,9 @@ pub struct ShardPlan {
 
 /// The measured striped/inter-sequence crossover, in query residues: `Auto`
 /// sends no chunk of a longer query to the inter-sequence kernel (the
-/// query-length test below). It is also where a PE's package rule stops
-/// fusing (`core::pool::PeExecutor::scan_package`): a shared pass pays
-/// only on the inter-sequence kernel.
+/// query-length test below). It is also where the rule that fuses queries
+/// into one task stops (`core::pool::fusable`): a shared pass pays only on
+/// the inter-sequence kernel.
 pub const MAX_INTERSEQ_QUERY: usize = 128;
 
 /// Should `Auto` send this chunk to the inter-sequence kernel?
@@ -261,8 +261,8 @@ impl ShardExecutor {
     }
 
     /// Scan one whole shard with this (single) worker: the entry point of
-    /// every PE, through `core::pool::PeExecutor::scan_package`, which
-    /// makes one call per pass of its package. Drives the chunk loop over a private cursor
+    /// every PE, through `core::pool::PeExecutor::scan`, which makes one
+    /// call per task. Drives the chunk loop over a private cursor
     /// and returns, per batch entry, its scored subjects ranked by
     /// [`rank_scored`] and cut to that entry's `top_n`, with its kernel
     /// counters.

@@ -107,7 +107,7 @@ USAGE:
       shutdown, then drains in-flight queries and exits.
       Queries that queue behind a running group are fused: up to 8
       queries of at most 128 aa share each database pass, and a longer
-      query scans alone (the rule a slave cuts its packages by); results
+      query scans alone (the rule search cuts its tasks by); results
       stay byte-identical to per-query scans. --retain bounds how many
       finished jobs keep answering status before eviction.
       --listen-slaves additionally accepts remote slave processes

@@ -11,7 +11,7 @@ use crate::align::alignment::Alignment;
 use crate::align::evalue::KarlinAltschul;
 use crate::align::gotoh::gotoh_align;
 use crate::align::scoring::Scoring;
-use crate::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
+use crate::exec::pool::{fuses, PeExecutor, QueryPayload, TaskPayload, TaskResult};
 use crate::seq::sequence::EncodedSequence;
 use crate::seq::DbSnapshot;
 use crate::simd::engine::KernelStats;
@@ -102,45 +102,38 @@ impl<'a> ShardPes<'a> {
 
     /// Every query against the database, merged per query, in input
     /// order: its ranked top `top_n` hits and the shards' summed kernel
-    /// counters. Each shard PE takes the whole run as one package (a task
-    /// per query, [`PeExecutor::scan_package`]: short queries share a
-    /// pass), on the calling thread when there is one shard and on one
-    /// scoped thread per shard otherwise.
-    ///
-    /// The package runs longest query first: a PE's scratch reaches its
-    /// high-water mark on the first pass, and every later pass's profiles
-    /// fit where a longer one's were freed, so the heap does not grow pass
-    /// by pass.
+    /// counters. The run's tasks are made once ([`fused_tasks`]) and each
+    /// shard PE scans every one of them over its shard, one pass per task
+    /// ([`PeExecutor::scan`]), on the calling thread when there is one
+    /// shard and on one scoped thread per shard otherwise.
     pub(super) fn search(
         &mut self,
         queries: &[EncodedSequence],
         top_n: usize,
     ) -> Result<Vec<(Vec<Hit>, KernelStats)>, String> {
         let db = self.db;
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(queries[i].len()));
-        let package = |shard| -> Vec<TaskPayload> {
-            order
+        let tasks = fused_tasks(queries, top_n, (0, db.len()));
+        let scan_shard = |pe: &mut PeExecutor, shard| -> io::Result<Vec<TaskResult>> {
+            tasks
                 .iter()
-                .map(|&i| TaskPayload {
-                    queries: vec![QueryPayload {
-                        query: queries[i].codes.clone(),
-                        top_n,
-                    }],
-                    shard,
+                .map(|(_, task)| {
+                    pe.scan(
+                        db,
+                        &TaskPayload {
+                            shard,
+                            ..task.clone()
+                        },
+                    )
                 })
                 .collect()
         };
         let per_shard = match &mut self.pes[..] {
-            [pe] => vec![pe.scan_package(db, &package(self.shards[0]))],
+            [pe] => vec![scan_shard(pe, self.shards[0])],
             pes => std::thread::scope(|scope| {
                 let handles: Vec<_> = pes
                     .iter_mut()
                     .zip(&self.shards)
-                    .map(|(pe, &shard)| {
-                        let tasks = package(shard);
-                        scope.spawn(move || pe.scan_package(db, &tasks))
-                    })
+                    .map(|(pe, &shard)| scope.spawn(move || scan_shard(pe, shard)))
                     .collect();
                 handles
                     .into_iter()
@@ -152,10 +145,11 @@ impl<'a> ShardPes<'a> {
         let mut kernels = vec![KernelStats::default(); queries.len()];
         for results in per_shard {
             let results = results.map_err(|e| e.to_string())?;
-            for (&i, mut result) in order.iter().zip(results) {
-                let q = result.queries.pop().expect("one result per payload query");
-                kernels[i].merge(&q.kernels);
-                lists[i].push(q.hits);
+            for ((members, _), result) in tasks.iter().zip(results) {
+                for (&i, q) in members.iter().zip(result.queries) {
+                    kernels[i].merge(&q.kernels);
+                    lists[i].push(q.hits);
+                }
             }
         }
         Ok(lists
@@ -164,6 +158,43 @@ impl<'a> ShardPes<'a> {
             .map(|(lists, kernels)| (merge_top_n(lists, top_n), kernels))
             .collect())
     }
+}
+
+/// `search`'s tasks over `shard`, each paired with the input indices of
+/// its queries: the queries longest first, each joining the task before it
+/// while the pool's rule lets it ([`fuses`]), so a long query is a task of
+/// its own and up to `FUSE_MAX` short ones share one. Longest first, a
+/// PE's scratch reaches its high-water mark on the first pass and every
+/// later pass's profiles fit where a longer one's were freed, so the heap
+/// does not grow pass by pass.
+pub(super) fn fused_tasks(
+    queries: &[EncodedSequence],
+    top_n: usize,
+    shard: (usize, usize),
+) -> Vec<(Vec<usize>, TaskPayload)> {
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(queries[i].len()));
+    let mut tasks: Vec<(Vec<usize>, TaskPayload)> = Vec::new();
+    for i in order {
+        let query = QueryPayload {
+            query: queries[i].codes.clone(),
+            top_n,
+        };
+        match tasks.last_mut() {
+            Some((members, task)) if fuses(members.len(), &task.queries[0].query, &query.query) => {
+                members.push(i);
+                task.queries.push(query);
+            }
+            _ => tasks.push((
+                vec![i],
+                TaskPayload {
+                    queries: vec![query],
+                    shard,
+                },
+            )),
+        }
+    }
+    tasks
 }
 
 /// Write one query's hit table to `out`: its header, then one row per hit

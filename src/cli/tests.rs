@@ -2,7 +2,7 @@ use super::args::{scoring_from_opts, Opts};
 use super::db::{load_db, load_encoded};
 use super::kernel_counts;
 use super::run;
-use super::search::{align_hits, write_hit_table, ShardPes};
+use super::search::{align_hits, fused_tasks, write_hit_table, ShardPes};
 
 use crate::align::scoring::{GapModel, Scoring, SubstMatrix, MAX_GAP_PENALTY};
 use crate::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
@@ -916,6 +916,51 @@ fn packaged_search_prints_the_per_query_scans() {
         assert_eq!((tables, counts), print(&reference), "--threads {threads}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `search` makes its tasks once, longest query first: a query past the
+/// inter-sequence bound is a task alone, and short ones share a task up to
+/// the pool's limit of 8 — 19 of them make tasks of 8, 8 and 3.
+#[test]
+fn search_fuses_short_queries_into_tasks_longest_first() {
+    use crate::simd::exec::MAX_INTERSEQ_QUERY;
+    let query = |i: usize, len: usize| EncodedSequence {
+        id: format!("q{i}"),
+        codes: (0..len).map(|r| ((r + i) % 20) as u8).collect(),
+        alphabet: Alphabet::Protein,
+    };
+    // 19 short lengths, shuffled, the longest at the bound; one query just
+    // past it, in the middle of the input.
+    let mut queries: Vec<EncodedSequence> = (0..19)
+        .map(|i| query(i, MAX_INTERSEQ_QUERY - (i * 7) % 19))
+        .collect();
+    queries.insert(5, query(99, MAX_INTERSEQ_QUERY + 1));
+    let shard = (3, 17);
+    let tasks = fused_tasks(&queries, 7, shard);
+    let sizes: Vec<usize> = tasks.iter().map(|(members, _)| members.len()).collect();
+    assert_eq!(sizes, [1, 8, 8, 3]);
+    assert_eq!(tasks[0].0, [5], "the long query runs alone and first");
+    let order: Vec<usize> = tasks.iter().flat_map(|(m, _)| m.clone()).collect();
+    let lens: Vec<usize> = order.iter().map(|&i| queries[i].len()).collect();
+    assert!(
+        lens.windows(2).all(|w| w[0] > w[1]),
+        "longest first: {lens:?}"
+    );
+    let mut seen = order.clone();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..queries.len()).collect::<Vec<_>>());
+    for (members, task) in &tasks {
+        assert_eq!(task.shard, shard);
+        let payload: Vec<_> = members
+            .iter()
+            .map(|&i| QueryPayload {
+                query: queries[i].codes.clone(),
+                top_n: 7,
+            })
+            .collect();
+        assert_eq!(task.queries, payload);
+    }
+    assert!(fused_tasks(&[], 7, shard).is_empty());
 }
 
 #[test]

@@ -105,10 +105,10 @@ type Tables = Vec<(Vec<Hit>, KernelStats)>;
 
 /// Path A: the unfused per-query reference — one `PeExecutor::scan` of
 /// the whole database per query (one worker, chunk floor, `Auto`
-/// dispatch). `search --threads 1` makes the same call for a package of
-/// the run's queries (`PeExecutor::scan_package`, short ones sharing a
-/// pass); this path keeps each query in a pass of its own, so a package
-/// rule that changed a result would show here.
+/// dispatch). `search --threads 1` makes the same call once per task it
+/// cuts from the run's queries (short ones fused, sharing a pass); this
+/// path keeps each query in a pass of its own, so a fusion rule that
+/// changed a result would show here.
 fn one_shot(fx: &Fixture, db: &DbSnapshot) -> Tables {
     one_shot_of(&fx.queries, db)
 }
