@@ -48,9 +48,7 @@ use swhybrid_seq::digest::Fnv1a;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbSnapshot;
 use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
-use swhybrid_simd::exec::{
-    chunk_floor, materialize_hits, ShardExecutor, ShardPlan, MAX_INTERSEQ_QUERY,
-};
+use swhybrid_simd::exec::{chunk_floor, materialize_hits, ShardExecutor, ShardPlan};
 use swhybrid_simd::search::{Hit, KernelChoice};
 
 /// Hits kept per query by every batch PE, local or remote — the one depth
@@ -102,11 +100,17 @@ impl TaskResult {
 /// 5.42 MB: each query of a pass holds its profiles for the pass.
 pub const FUSE_MAX: usize = 8;
 
-/// Whether `query` may share a database pass: `Auto` sends it to the
-/// inter-sequence kernel ([`MAX_INTERSEQ_QUERY`]), whose per-column gather
-/// a pass shares.
+/// Longest query, in residues, that may share a database pass
+/// ([`fusable`]): where sharing one was measured to pay (see [`FUSE_MAX`]).
+/// `Auto` scans a query of any length inter-sequence, but a pass holds
+/// each of its queries' profiles and DP rows: fusing `scan_long`'s three
+/// 2,100–3,100-aa queries raised peak RSS by 0.6–0.8 MB (+15–21 %).
+pub const MAX_FUSABLE_QUERY: usize = 128;
+
+/// Whether `query` may share a database pass: it is at most
+/// [`MAX_FUSABLE_QUERY`] residues long.
 pub fn fusable(query: &[u8]) -> bool {
-    query.len() <= MAX_INTERSEQ_QUERY
+    query.len() <= MAX_FUSABLE_QUERY
 }
 
 /// Whether query `next` joins a task of `members` queries headed by
@@ -990,7 +994,7 @@ mod tests {
         // the result of a fresh PE scanning it alone.
         for shaped in [
             sized(&[7, 9], all),
-            sized(&[12, MAX_INTERSEQ_QUERY + 40], all),
+            sized(&[12, MAX_FUSABLE_QUERY + 40], all),
             sized(&[20; FUSE_MAX], (1, 4)),
         ] {
             let got = pe.scan(&db, &shaped).unwrap();

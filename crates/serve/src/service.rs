@@ -67,8 +67,6 @@ mod execution;
 mod fusion;
 mod reload;
 mod stats;
-#[cfg(test)]
-mod tests;
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -507,3 +505,6 @@ impl QueryService {
             .map_err(|e| e.to_string())
     }
 }
+
+#[cfg(test)]
+mod tests;

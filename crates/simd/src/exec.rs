@@ -57,36 +57,33 @@ pub struct ShardPlan {
     pub prefetch: bool,
 }
 
-/// The measured striped/inter-sequence crossover, in query residues: `Auto`
-/// sends no chunk of a longer query to the inter-sequence kernel (the
-/// query-length test below). It is also where the rule that fuses queries
-/// into one task stops (`core::pool::fusable`): a shared pass pays only on
-/// the inter-sequence kernel.
-pub const MAX_INTERSEQ_QUERY: usize = 128;
-
 /// Should `Auto` send this chunk to the inter-sequence kernel?
 ///
-/// Each of the three tests is a measured crossover against the striped
-/// kernel (PR 22 tables in CHANGES.md: AVX2 and SSE4.1, whole-database
-/// scans of a protein-composition database, a fresh query per timed scan):
+/// Two tests, each a measured crossover against the striped kernel:
 ///
 /// * **lane fill** — in chunks of fewer than `2 × LANES` subjects the
 ///   inter-sequence lanes cannot stay full: on AVX2 it is 4–8× slower than
 ///   striped at 4–8 subjects, 1.3–1.5× slower at 32, level at 48–64 and
-///   1.3× faster at 128;
-/// * **query length** — striped throughput grows with the query (longer
-///   stripes amortise the per-column lazy-F visit and the per-subject
-///   setup) while inter-sequence throughput is flat. On a
-///   protein-composition database the two are within ±10 % of each other
-///   from 32 to 192 residues, crossing at ≈ 105 (SSE4.1) and ≈ 170 (AVX2);
-///   above, striped pulls away (+16 % at 256, +30–40 % at 512, ≈ 2× by
-///   2048). The tiers' crossovers are 1.5× apart in residues and would be
-///   3× apart in stripe segments, so the constant is in residues. Only
-///   uniform-composition synthetic subjects (more positive cells, so more
-///   live carries) move the crossover up, to ≈ 165–225;
+///   1.3× faster at 128 (the lane-fill tables in CHANGES.md). On a
+///   length-ordered scan the sub-floor tail chunk a shard may end on
+///   holds its longest subjects; sending `ms_tcp`'s 28-subject tails to
+///   inter-sequence as well read no difference (`search` of its 40
+///   queries, medians 1.51 → 1.48 s, faster in 5 of 10 pairs);
 /// * **skew** — when one subject dwarfs the chunk every other lane idles
 ///   while it drains (the test compares the longest subject against the
 ///   chunk's mean length).
+///
+/// The query's length is not a test: on a length-ordered scan the
+/// inter-sequence kernel wins or ties at every length. One random query
+/// against a whole benchmark database (one PE, 2-vCPU AVX2 Xeon, best of
+/// 3 in each of two alternated runs), ms, striped → inter-sequence:
+///
+/// | query aa | 256 | 512 | 1,024 | 2,048 | 4,096 | 8,192 | 16,384 |
+/// |---|---|---|---|---|---|---|---|
+/// | AVX2, `ms_tcp` (470k res.) | 23 → 9.4 | 34 → 17 | 49 → 33 | 95 → 62 | 183 → 123 | 374 → 252 | 1,024 → 572 |
+/// | SSE4.1, `ms_tcp` | 24 → 17 | 38 → 32 | 77 → 56 | 143 → 113 | 334 → 236 | 632 → 444 | 1,319 → 938 |
+/// | AVX2, `scan_long` (160k res.) | 6.6 → 4.8 | 9.4 → 8.4 | 16 → 16 | 28 → 27 | 60 → 57 | 106 → 112 | 321 → 247 |
+/// | SSE4.1, `scan_long` | 8.6 → 7.1 | 16 → 13 | 28 → 26 | 53 → 52 | 105 → 97 | 215 → 200 | 432 → 392 |
 fn auto_picks_interseq(prepared: &PreparedQuery, arena: &DbArena, chunk: Range<usize>) -> bool {
     /// Minimum lane utilisation (as 1/MAX_SKEW). Lanes refill from the
     /// subject queue, so a long outlier only hurts once the queue drains
@@ -97,9 +94,6 @@ fn auto_picks_interseq(prepared: &PreparedQuery, arena: &DbArena, chunk: Range<u
     const MAX_SKEW: u64 = 8;
     let lanes = prepared.isa().lanes::<i8>() as u64;
     if (chunk.len() as u64) < 2 * lanes {
-        return false;
-    }
-    if prepared.query_len() > MAX_INTERSEQ_QUERY {
         return false;
     }
     let total = arena.range_residues(chunk.clone());
@@ -589,9 +583,9 @@ mod tests {
         assert!(ShardExecutor::new().execute(&[], &arena, &plan).is_empty());
     }
 
-    /// The `Auto` dispatcher's three tests, one row each side of every
-    /// boundary, on every tier (the lane-fill and skew bounds scale with
-    /// the tier's i8 lane count; the query cutoff does not).
+    /// The `Auto` dispatcher's two tests, one row each side of every
+    /// boundary, on every tier (both bounds scale with the tier's i8 lane
+    /// count), and no query-length bound.
     #[test]
     fn auto_dispatch_table() {
         let arena_of = |lens: &[usize]| {
@@ -614,13 +608,11 @@ mod tests {
                 auto_picks_interseq(&prepared, &arena_of(lens), 0..lens.len())
             };
             let full = vec![300usize; chunk_floor()];
-            // Query length: the cutoff itself is inter-sequence, one past it
-            // and everything longer is striped.
-            assert!(picks(32, &full), "{isa:?}");
-            assert!(picks(128, &full), "{isa:?}: at the cutoff");
-            assert!(!picks(129, &full), "{isa:?}: one past the cutoff");
-            assert!(!picks(2048, &full), "{isa:?}");
-            assert!(!picks(4096, &full), "{isa:?}");
+            // Query length: a full, unskewed chunk goes inter-sequence at
+            // any length.
+            for query_len in [32, 128, 129, 2048, 4096, 16_384] {
+                assert!(picks(query_len, &full), "{isa:?}: {query_len} aa");
+            }
             // Lane fill: a chunk of 2 × lanes fills them, one subject fewer
             // does not — so the 63-subject tail is striped on AVX2 only.
             assert!(picks(64, &vec![300; 2 * lanes]), "{isa:?}");

@@ -5,19 +5,20 @@
 //! goes to one of two kernel families ([`KernelChoice`]):
 //!
 //! * **Striped** — the adapted-Farrar intra-sequence kernel, one subject at
-//!   a time. Its rate grows with the query length (level with InterSeq up
-//!   to ≈ 170 residues, ≈ 2× ahead by 2048), and it wins on tiny or skewed
-//!   chunks.
+//!   a time. Its rate grows with the query length but stays below
+//!   InterSeq's at every length on a length-ordered scan (128 to 16,384
+//!   residues, AVX2 and SSE4.1); it wins on tiny or skewed chunks.
 //! * **InterSeq** — the SWIPE-style inter-sequence kernel, `LANES` subjects
 //!   per vector. A flat rate whatever the query: no per-subject setup, no
 //!   lazy-F loop, near-perfect lane utilisation when chunk lengths are
 //!   homogeneous — which every database snapshot's scan order makes them
 //!   (the stable length order, [`DbArena::length_sorted`]) — the kernel
-//!   for short queries, and the one a fused query batch shares a score
-//!   gather in.
-//! * **Auto** (every PE's choice) — picks per chunk from the query length,
-//!   the chunk's size and its length skew (measured crossovers, see
-//!   `exec`); the decision counters land in [`KernelStats`].
+//!   for queries of every length, and the one a fused query batch shares a
+//!   score gather in.
+//! * **Auto** (every PE's choice) — picks per chunk from the chunk's size
+//!   and its length skew, whatever the query's length (measured
+//!   crossovers, see `exec`); the decision counters land in
+//!   [`KernelStats`].
 //!
 //! Every kernel family resolves every subject to the exact Gotoh score, so
 //! the ranked output is **bit-identical** across kernel choices, shard

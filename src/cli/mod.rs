@@ -20,8 +20,6 @@ mod db;
 mod master_slave;
 mod search;
 mod serve;
-#[cfg(test)]
-mod tests;
 
 const USAGE: &str = "\
 swhybrid — biological sequence comparison on hybrid platforms
@@ -192,3 +190,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Some(other) => Err(format!("unknown command {other:?}")),
     }
 }
+
+#[cfg(test)]
+mod tests;

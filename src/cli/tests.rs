@@ -919,11 +919,11 @@ fn packaged_search_prints_the_per_query_scans() {
 }
 
 /// `search` makes its tasks once, longest query first: a query past the
-/// inter-sequence bound is a task alone, and short ones share a task up to
+/// pool's fuse bound is a task alone, and short ones share a task up to
 /// the pool's limit of 8 — 19 of them make tasks of 8, 8 and 3.
 #[test]
 fn search_fuses_short_queries_into_tasks_longest_first() {
-    use crate::simd::exec::MAX_INTERSEQ_QUERY;
+    use crate::exec::pool::MAX_FUSABLE_QUERY;
     let query = |i: usize, len: usize| EncodedSequence {
         id: format!("q{i}"),
         codes: (0..len).map(|r| ((r + i) % 20) as u8).collect(),
@@ -932,9 +932,9 @@ fn search_fuses_short_queries_into_tasks_longest_first() {
     // 19 short lengths, shuffled, the longest at the bound; one query just
     // past it, in the middle of the input.
     let mut queries: Vec<EncodedSequence> = (0..19)
-        .map(|i| query(i, MAX_INTERSEQ_QUERY - (i * 7) % 19))
+        .map(|i| query(i, MAX_FUSABLE_QUERY - (i * 7) % 19))
         .collect();
-    queries.insert(5, query(99, MAX_INTERSEQ_QUERY + 1));
+    queries.insert(5, query(99, MAX_FUSABLE_QUERY + 1));
     let shard = (3, 17);
     let tasks = fused_tasks(&queries, 7, shard);
     let sizes: Vec<usize> = tasks.iter().map(|(members, _)| members.len()).collect();

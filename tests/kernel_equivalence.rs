@@ -479,3 +479,93 @@ fn saturation_accounting_identical_across_kernels() {
     assert_eq!(hits[0], hits[1]);
     assert_eq!(hits[0], hits[2]);
 }
+
+/// Long queries take the inter-sequence kernel under `Auto` and stay
+/// exact: a 2,000- and a 3,100-residue query over a length-ordered arena
+/// of two `chunk_floor()` chunks, on every tier. Every subject's score
+/// equals the scalar oracle's, and the ranked list equals
+/// `KernelChoice::Striped`'s. Planted homologs of the 2,000-residue query
+/// saturate i8, so its i16 pass reruns them; the all-W query against itself
+/// (BLOSUM62 W/W = 11, 3,100 × 11 > `i16::MAX`) saturates i16 as well, so
+/// the scalar kernel scores that one.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "≈ 60 s unoptimized; run with `cargo test --release --test kernel_equivalence`"
+)]
+fn long_queries_go_inter_sequence_and_match_oracle_and_striped() {
+    const W: u8 = 17;
+    let scoring = Scoring::blosum62_affine();
+    let mut rng = ChaCha8Rng::seed_from_u64(3100);
+    let mut codes = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.random_range(0..20)).collect() };
+    let homologous = codes(2000);
+    let all_w = vec![W; 3100];
+    // Two chunks of the floor: a short random background, then a longer
+    // one with four windows of the 2,000-residue query (one residue in ten
+    // replaced) and the all-W query itself, which keep the second chunk
+    // inside the skew bound on every tier.
+    let mut subjects: Vec<Vec<u8>> = (0..2 * chunk_floor() - 5)
+        .map(|i| {
+            if i < chunk_floor() {
+                codes(10 + (i * 7) % 30)
+            } else {
+                codes(120 + (i * 37) % 80)
+            }
+        })
+        .collect();
+    for k in 0..4 {
+        let mut window = homologous[300 * k..300 * k + 600 + 50 * k].to_vec();
+        for (i, r) in window.iter_mut().enumerate() {
+            if i % 10 == 3 {
+                *r = (*r + 7) % 20;
+            }
+        }
+        subjects.push(window);
+    }
+    subjects.push(all_w.clone());
+    let db = encode_db(&subjects);
+    let arena = DbArena::length_sorted(&db);
+    let scan = |prepared: &Arc<PreparedQuery>, kernel: KernelChoice| {
+        let plan = ShardPlan {
+            range: 0..arena.len(),
+            chunk_size: chunk_floor(),
+            kernel,
+            prefetch: true,
+        };
+        let batch = [(Arc::clone(prepared), db.len())];
+        let (scored, stats) = ShardExecutor::new()
+            .execute(&batch, &arena, &plan)
+            .remove(0);
+        (materialize_hits(&scored, |i| db[i].id.clone()), stats)
+    };
+    for (name, query) in [("2,000 aa", &homologous), ("3,100 aa all-W", &all_w)] {
+        let expect: Vec<i32> = subjects
+            .iter()
+            .map(|s| sw_score_affine(query, s, &scoring).score)
+            .collect();
+        for isa in Isa::available() {
+            let prepared = Arc::new(PreparedQuery::with_isa(query, &scoring, isa));
+            let (hits, stats) = scan(&prepared, KernelChoice::Auto);
+            assert_eq!(hits.len(), db.len(), "{isa:?} {name}");
+            for hit in &hits {
+                assert_eq!(hit.score, expect[hit.db_index], "{isa:?} {name} {}", hit.id);
+            }
+            assert_eq!(
+                hits,
+                scan(&prepared, KernelChoice::Striped).0,
+                "{isa:?} {name}: Auto against Striped"
+            );
+            assert_eq!(
+                (stats.chunks_interseq, stats.chunks_striped),
+                (2, 0),
+                "{isa:?} {name}: every chunk inter-sequence"
+            );
+            assert_eq!(stats.interseq_total(), db.len() as u64, "{isa:?} {name}");
+            if query.len() == 2000 {
+                assert!(stats.interseq_i16 >= 4, "{isa:?} {name}: {stats:?}");
+            } else {
+                assert_eq!(stats.interseq_scalar, 1, "{isa:?} {name}: {stats:?}");
+            }
+        }
+    }
+}
