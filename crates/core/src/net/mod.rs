@@ -123,7 +123,7 @@ use swhybrid_simd::engine::KernelStats;
 use swhybrid_simd::search::{merge_top_n, Hit};
 
 pub use accept::{Acceptor, MAX_SESSIONS};
-pub use server::{query_specs, Batch, MasterServer};
+pub use server::{Batch, MasterServer};
 pub use session::serve_slaves;
 pub use slave::run_slave;
 pub use wire::{
@@ -280,7 +280,7 @@ mod tests {
     use super::wire::{decode, send, Wire};
     use super::*;
     use crate::policy::Policy;
-    use crate::pool::BATCH_TOP_N;
+    use crate::pool::{query_tasks, task_spec, BATCH_TOP_N};
     use crate::pool::{Identity, PeExecutor, QueryPayload, QueryResult, TaskPayload, TaskResult};
     use crate::sched::MasterConfig;
     use crate::task::TaskId;
@@ -319,7 +319,11 @@ mod tests {
         .iter()
         .map(|q| EncodedSequence::from_sequence(q, Alphabet::Protein).unwrap())
         .collect();
-        let specs = query_specs(&queries, &db);
+        let whole = (0, db.len());
+        let specs = queries
+            .iter()
+            .map(|q| task_spec(&db, whole, [q.len()]))
+            .collect();
         (queries, db, specs)
     }
 
@@ -330,7 +334,7 @@ mod tests {
         scoring: &'a Scoring,
     ) -> Batch<'a> {
         Batch {
-            queries,
+            tasks: query_tasks(queries, db),
             db,
             scoring,
             fleet: Vec::new(),

@@ -9,29 +9,33 @@ use std::time::Instant;
 use super::accept::Acceptor;
 use super::session::serve_slaves;
 use super::{merge_hits, DistributedOutcome, NetConfig};
-use crate::pool::{drive, BatchOwner, LocalEndpoint, PeExecutor, PePool};
+use crate::pool::{
+    drive, task_spec, BatchOwner, Identity, LocalEndpoint, PeExecutor, PePool, TaskPayload,
+};
 use crate::sched::{MasterConfig, Scheduler};
 use crate::stats::observed_gcups;
 use crate::trace::RuntimeEvent;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_device::fleet::FleetPe;
 use swhybrid_device::task::TaskSpec;
-use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbSnapshot;
 use swhybrid_simd::engine::KernelStats;
 
 /// A live event consumer, as accepted by [`MasterServer::with_event_sink`].
 type EventCallback = Box<dyn FnMut(&RuntimeEvent) + Send>;
 
-/// One batch run: the paper's task set — one task per query, each against
-/// the whole database under one scoring scheme ([`BatchOwner`]) — and the
-/// PEs the master hosts itself. With a fleet this is the paper's Fig. 1 in
-/// one process: the master is not only a dispatcher but may *itself* host
-/// real SIMD cores and modeled accelerators, sharing the pool (and thus
-/// the scheduler) with whatever slaves connect over TCP.
+/// One batch run: the tasks its caller made, each a payload and the
+/// input indices of its queries — the master's one task per query
+/// ([`crate::pool::query_tasks`]), `search`'s fused groups over shards —
+/// and the PEs the master hosts itself. With a fleet this is the paper's
+/// Fig. 1 in one process: the master is not only a dispatcher but may
+/// *itself* host real SIMD cores and modeled accelerators, sharing the
+/// pool (and thus the scheduler) with whatever slaves connect over TCP.
 pub struct Batch<'a> {
-    /// The encoded query set (task id = query index, as everywhere).
-    pub queries: &'a [EncodedSequence],
+    /// The tasks, task *t* being `tasks[t]`: its payload (queries, each
+    /// with its depth, and shard) and its queries' input indices, paired
+    /// positionally with the payload's queries.
+    pub tasks: Vec<(Vec<usize>, TaskPayload)>,
     /// The loaded database.
     pub db: &'a DbSnapshot,
     /// Alignment scoring.
@@ -44,30 +48,13 @@ pub struct Batch<'a> {
 impl Batch<'_> {
     /// Run the batch on its fleet alone: no listener, no remote slaves —
     /// the same pool, scheduler and drive loop as a distributed run, with
-    /// only local-thread endpoints on it.
+    /// only local endpoints on it, one of them on the calling thread.
     pub fn run(self, config: MasterConfig) -> DistributedOutcome {
         // Every way a batch fails is a transport failure: no slave
         // registered, every slave lost, the listener broke.
         run_batch(self, config, None, None)
             .expect("a batch without a listener has no transport to fail")
     }
-}
-
-/// The paper's very coarse grain: one task per query, each against the
-/// whole database.
-pub fn query_specs(queries: &[EncodedSequence], db: &DbSnapshot) -> Vec<TaskSpec> {
-    let db_residues = db.total_residues();
-    queries
-        .iter()
-        .enumerate()
-        .map(|(id, q)| TaskSpec {
-            id,
-            query_len: q.len(),
-            queries: 1,
-            db_residues,
-            db_sequences: db.len(),
-        })
-        .collect()
 }
 
 /// The listening half of a master: where slaves connect, how many the
@@ -149,11 +136,17 @@ impl MasterServer {
 }
 
 /// Run one batch to completion on one pool: its fleet's PEs as local
-/// threads, plus whatever slaves connect to the `slaves` listener (with
+/// endpoints, plus whatever slaves connect to the `slaves` listener (with
 /// the number the registration barrier waits for and the liveness
 /// timings). Either half may be absent (not both); every PE — local or
 /// remote — is an endpoint on the same [`drive`] loop under the same
 /// [`Scheduler`], and runs the same payload.
+///
+/// Without a listener the fleet is all there is: no PE can register late
+/// or be lost, so the supervisor loop (registration timeout, all-lost
+/// grace) has nothing to watch. Every fleet PE drives until the pool
+/// drains, one of them on the calling thread, so a one-PE batch (`search
+/// --threads 1`) starts no thread.
 ///
 /// One deliberate difference from the simulator: real replicas are not
 /// preempted — a replica that loses the race runs to completion and its
@@ -165,62 +158,73 @@ fn run_batch(
     sink: Option<EventCallback>,
     slaves: Option<(Acceptor, usize, NetConfig)>,
 ) -> io::Result<DistributedOutcome> {
-    let fleet_size = batch.fleet.len();
+    let Batch {
+        tasks,
+        db,
+        scoring,
+        fleet,
+    } = batch;
     let (listener, expected_slaves, net) = match slaves {
         Some((listener, expected, net)) => (Some(listener), expected, net),
         None => (None, 0, NetConfig::default()),
     };
     assert!(
-        expected_slaves + fleet_size >= 1,
+        expected_slaves + fleet.len() >= 1,
         "need at least one PE (slave or fleet member)"
     );
-    let specs = query_specs(batch.queries, batch.db);
-    let total_cells: u64 = specs.iter().map(|s| s.cells()).sum();
+    let specs: Vec<TaskSpec> = tasks
+        .iter()
+        .map(|(_, task)| task_spec(db, task.shard, task.queries.iter().map(|q| q.query.len())))
+        .collect();
+    let total_cells: u64 = specs.iter().map(TaskSpec::cells).sum();
     let mut master = Scheduler::new(specs, config);
     if let Some(sink) = sink {
         master.set_event_sink(sink);
     }
     let pool = PePool::new(
         master,
-        BatchOwner::new(batch.queries, batch.db, batch.scoring),
-        expected_slaves + fleet_size,
+        BatchOwner::new(tasks, Identity::of(db, scoring)),
+        expected_slaves + fleet.len(),
     );
     let start = Instant::now();
-    let mut lost_since: Option<Instant> = None;
 
     std::thread::scope(|scope| {
-        // Admit the whole local fleet before any of its threads runs, so
-        // the event stream opens with the complete registration block
-        // (the paper's barrier) and PE ids follow the fleet's order.
-        let ids: Vec<_> = batch.fleet.iter().map(|pe| pool.admit_fleet(pe)).collect();
+        // Admit the whole local fleet before any of its PEs runs, so the
+        // event stream opens with the complete registration block (the
+        // paper's barrier) and PE ids follow the fleet's order.
+        let ids: Vec<_> = fleet.iter().map(|pe| pool.admit_fleet(pe)).collect();
+        let pool = &pool;
+        let run_pe = move |pe_id| {
+            // A fleet PE runs the very payload a slave is shipped.
+            let mut executor = PeExecutor::new(scoring);
+            let mut endpoint = LocalEndpoint::new(|task| {
+                let scan = |payload| executor.scan(db, &payload).expect("a batch shard fits");
+                pool.payload(task).map(scan).unwrap_or_default()
+            });
+            drive(pool, pe_id, &mut endpoint);
+        };
+        let Some(listener) = &listener else {
+            let (&here, spawned) = ids.split_first().expect("a fleet PE");
+            for &pe_id in spawned {
+                scope.spawn(move || run_pe(pe_id));
+            }
+            run_pe(here);
+            return;
+        };
         for pe_id in ids {
-            let pool = &pool;
-            let mut executor = PeExecutor::new(batch.scoring);
-            scope.spawn(move || {
-                // A fleet thread runs the very payload a slave is shipped.
-                let mut endpoint = LocalEndpoint::new(|task| {
-                    let scan = |payload| {
-                        executor
-                            .scan(batch.db, &payload)
-                            .expect("a batch shard fits")
-                    };
-                    pool.payload(task).map(scan).unwrap_or_default()
-                });
-                drive(pool, pe_id, &mut endpoint);
-            });
+            scope.spawn(move || run_pe(pe_id));
         }
-        if let Some(listener) = &listener {
-            let (pool, net) = (&pool, &net);
-            scope.spawn(move || {
-                if let Err(e) = serve_slaves(listener, pool, net) {
-                    pool.lock().set_abort(e.kind(), e.to_string());
-                    pool.notify_all();
-                }
-            });
-        }
+        let net = &net;
+        scope.spawn(move || {
+            if let Err(e) = serve_slaves(listener, pool, net) {
+                pool.lock().set_abort(e.kind(), e.to_string());
+                pool.notify_all();
+            }
+        });
         // Every change this loop reacts to notifies the hub, so it sleeps
         // until one happens or its own next deadline — the registration
         // timeout before the barrier opens, the all-lost grace after.
+        let mut lost_since: Option<Instant> = None;
         let mut g = pool.lock();
         loop {
             if g.abort().is_some() {
@@ -265,9 +269,7 @@ fn run_batch(
             pool.notify_all();
         }
         drop(g);
-        if let Some(listener) = &listener {
-            listener.stop();
-        }
+        listener.stop();
         // Wake every parked endpoint so the scope can join them.
         pool.notify_all();
     });
@@ -285,13 +287,7 @@ fn run_batch(
         .filter(|(_, k)| **k != KernelStats::default())
         .map(|(pe, k)| (core.master.pe_name(pe).to_string(), *k))
         .collect();
-    let hits = merge_hits(
-        core.owner
-            .results
-            .into_iter()
-            .enumerate()
-            .filter_map(|(task, hits)| hits.map(|hits| (task, hits))),
-    );
+    let hits = merge_hits(core.owner.hits);
     Ok(DistributedOutcome {
         elapsed_seconds,
         total_cells,

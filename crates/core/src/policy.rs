@@ -5,17 +5,17 @@
 //! a *user choice*. Implemented:
 //!
 //! * [`Policy::SelfScheduling`] — one task per request (§IV-A-1); the
-//!   policy of most related work ([12], [14], [15], [16], [17]),
+//!   policy of most related work (\[12\], \[14\], \[15\], \[16\], \[17\]),
 //! * [`Policy::Pss`] — Package Weighted Adaptive Self-Scheduling
 //!   (§IV-A-2): batch = `Allocate(N, pᵢ) × Φ(pᵢ, P)` where `Allocate` is SS
 //!   (= 1) and `Φ` scales by the PE's Ω-window weighted-mean speed relative
 //!   to the slowest live PE — exactly the behaviour of the paper's Fig. 5
 //!   (GPU 6× faster than an SSE core receives 6 tasks at once),
-//! * [`Policy::Fixed`] — even up-front split (Singh & Aruni [10], who
+//! * [`Policy::Fixed`] — even up-front split (Singh & Aruni \[10\], who
 //!   "assume that multicores and accelerators have the same processing
 //!   power"),
 //! * [`Policy::WFixed`] — up-front split proportional to *theoretical*
-//!   speed (Meng & Chaudhary's configuration-file weights [13]).
+//!   speed (Meng & Chaudhary's configuration-file weights \[13\]).
 
 use crate::task::PeId;
 

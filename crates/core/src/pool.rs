@@ -13,14 +13,15 @@
 //!
 //! Beside the one drive loop sits the one compute step,
 //! [`PeExecutor::scan`]: what every PE — daemon worker, slave,
-//! local-fleet thread, the one-shot `search`'s shard PEs — does with each
+//! local-fleet thread, the one-shot `search`'s PEs — does with each
 //! task it is given, one database pass per task. Which queries share a
 //! task is decided where tasks are made, by one rule ([`fuses`]).
 //!
 //! What a runtime still chooses is what happens to a finished task's
-//! result: that is the [`PoolOwner`] — batch runs collect hits per task
-//! ([`BatchOwner`]), the persistent daemon shards queries and fires
-//! completions. Every owner describes each of its tasks the same way, as a
+//! result: that is the [`PoolOwner`] — a batch run (`master`, `search`)
+//! collects the hits of the tasks its caller made ([`BatchOwner`]), the
+//! persistent daemon shards queries and fires completions. Every owner
+//! describes each of its tasks the same way, as a
 //! [`TaskPayload`] (query residues, shard, depth), and names the one
 //! [`Identity`] (database and scoring) a PE must hold to run them — so a
 //! slave needs nothing but the database, whichever driver it serves.
@@ -43,7 +44,7 @@ use crate::task::{PeId, TaskId, TaskState};
 use crate::trace::EventKind;
 use swhybrid_align::scoring::Scoring;
 use swhybrid_device::fleet::FleetPe;
-use swhybrid_device::task::Device;
+use swhybrid_device::task::{Device, TaskSpec};
 use swhybrid_seq::digest::Fnv1a;
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::DbSnapshot;
@@ -51,11 +52,48 @@ use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery};
 use swhybrid_simd::exec::{chunk_floor, materialize_hits, ShardExecutor, ShardPlan};
 use swhybrid_simd::search::{Hit, KernelChoice};
 
-/// Hits kept per query by every batch PE, local or remote — the one depth
-/// of the paper's grain. Batch payloads carry it, so a slave answers at
-/// this depth whatever it was started with; `master --top` only sets how
-/// many merged rows are printed.
+/// Hits kept per query by the batch master's tasks ([`query_tasks`]) —
+/// the one depth of the paper's grain. The payloads carry it, so a slave
+/// answers at this depth whatever it was started with; `master --top` only
+/// sets how many merged rows are printed.
 pub const BATCH_TOP_N: usize = 10;
+
+/// The paper's grain, the batch master's tasks: task *t* is query *t*
+/// against the whole of `db` at [`BATCH_TOP_N`].
+pub fn query_tasks(queries: &[EncodedSequence], db: &DbSnapshot) -> Vec<(Vec<usize>, TaskPayload)> {
+    let task = |q: &EncodedSequence| TaskPayload {
+        queries: vec![QueryPayload {
+            query: q.codes.clone(),
+            top_n: BATCH_TOP_N,
+        }],
+        shard: (0, db.len()),
+    };
+    queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| (vec![i], task(q)))
+        .collect()
+}
+
+/// The one rule by which every driver charges the tasks it makes
+/// ([`TaskSpec`]): its queries' summed length against the residues of its
+/// `shard` of `db`, so a fused task of K queries costs K passes' cells.
+pub fn task_spec(
+    db: &DbSnapshot,
+    shard: (usize, usize),
+    query_lens: impl IntoIterator<Item = usize>,
+) -> TaskSpec {
+    let (query_len, queries) = query_lens
+        .into_iter()
+        .fold((0, 0), |(sum, n), len| (sum + len, n + 1));
+    TaskSpec {
+        id: 0,
+        query_len,
+        queries,
+        db_residues: db.range_residues(shard.0..shard.1),
+        db_sequences: shard.1 - shard.0,
+    }
+}
 
 /// One query's share of a task's result, paired positionally with the
 /// payload's [`TaskPayload::queries`].
@@ -764,43 +802,37 @@ impl<S: PoolOwner, F: FnMut(TaskId) -> TaskResult> PeEndpoint<S> for LocalEndpoi
     }
 }
 
-/// The batch-run owner: the paper's grain, task *t* being query *t*
-/// against the whole database at [`BATCH_TOP_N`]. Collects per-task
-/// winning hits, winner names, and merged kernel counters (losing
+/// The batch-run owner: runs the tasks its caller made, each a payload
+/// and the input indices of its queries. Collects each task's winning
+/// hits per query, the winner's name, and merged kernel counters (losing
 /// replicas' counters are merged too — they are work the platform really
 /// did).
 #[derive(Debug)]
 pub struct BatchOwner {
-    /// For each task, the first finisher's hits.
-    pub results: Vec<Option<Vec<Hit>>>,
+    /// `(query index, hits)` for each query of each task, from the task's
+    /// first finisher, in completion order.
+    pub hits: Vec<(usize, Vec<Hit>)>,
     /// For each task, the name of the PE whose result was used.
     pub completed_by: Vec<String>,
     /// Kernel counters merged across every completion.
     pub kernels: KernelStats,
     /// Kernel counters per PE (indexed by [`PeId`]).
     pub kernels_by_pe: Vec<KernelStats>,
-    tasks: Vec<TaskPayload>,
+    tasks: Vec<(Vec<usize>, TaskPayload)>,
     identity: Identity,
 }
 
 impl BatchOwner {
-    /// The owner of one batch: every query of `queries` against the whole
-    /// of `db` under `scoring`.
-    pub fn new(queries: &[EncodedSequence], db: &DbSnapshot, scoring: &Scoring) -> BatchOwner {
-        let task = |q: &EncodedSequence| TaskPayload {
-            queries: vec![QueryPayload {
-                query: q.codes.clone(),
-                top_n: BATCH_TOP_N,
-            }],
-            shard: (0, db.len()),
-        };
+    /// The owner of one batch: `tasks` (task *t* is `tasks[t]`), run by
+    /// PEs that hold `identity`.
+    pub fn new(tasks: Vec<(Vec<usize>, TaskPayload)>, identity: Identity) -> BatchOwner {
         BatchOwner {
-            results: vec![None; queries.len()],
-            completed_by: vec![String::new(); queries.len()],
+            hits: Vec::new(),
+            completed_by: vec![String::new(); tasks.len()],
             kernels: KernelStats::default(),
             kernels_by_pe: Vec::new(),
-            tasks: queries.iter().map(task).collect(),
-            identity: Identity::of(db, scoring),
+            tasks,
+            identity,
         }
     }
 }
@@ -821,16 +853,16 @@ impl PoolOwner for BatchOwner {
             self.kernels_by_pe.resize(pe + 1, KernelStats::default());
         }
         self.kernels_by_pe[pe].merge(&kernels);
-        if was_first && task < self.results.len() {
-            let hits = result.queries.into_iter().next().map(|q| q.hits);
-            self.results[task] = Some(hits.unwrap_or_default());
+        if let (true, Some((members, _))) = (was_first, self.tasks.get(task)) {
+            let hits = result.queries.into_iter().map(|q| q.hits);
+            self.hits.extend(members.iter().copied().zip(hits));
             self.completed_by[task] = master.pe_name(pe).to_string();
         }
         None
     }
 
     fn task_payload(&self, _master: &Scheduler, task: TaskId) -> Option<TaskPayload> {
-        self.tasks.get(task).cloned()
+        self.tasks.get(task).map(|(_, payload)| payload.clone())
     }
 
     fn identity(&self) -> &Identity {
@@ -844,7 +876,6 @@ mod tests {
     use crate::sched::MasterConfig;
     use crate::trace::RuntimeEvent;
     use std::sync::Mutex;
-    use swhybrid_device::task::TaskSpec;
 
     fn specs(n: usize) -> Vec<TaskSpec> {
         (0..n)
@@ -1058,6 +1089,21 @@ mod tests {
         assert_eq!(mine.scoring, "BLOSUM62, gap open 10 extend 2");
     }
 
+    #[test]
+    fn a_task_is_charged_its_summed_queries_against_its_shard() {
+        let db = protein_db(&[("a", b"MKVL"), ("b", b"WCDEFGHIKL"), ("c", b"GG")]);
+        // Scan positions follow length order: GG, MKVL, WCDEFGHIKL.
+        let spec = task_spec(&db, (1, 3), [5, 7]);
+        assert_eq!(spec.query_len, 12);
+        assert_eq!(
+            (spec.queries, spec.db_residues, spec.db_sequences),
+            (2, 14, 2)
+        );
+        assert_eq!(spec.cells(), 12 * 14);
+        let whole = task_spec(&db, (0, db.len()), [5]);
+        assert_eq!(whole.db_residues, db.total_residues());
+    }
+
     fn queries(residues: &[&[u8]]) -> Vec<EncodedSequence> {
         residues
             .iter()
@@ -1071,14 +1117,16 @@ mod tests {
 
     fn batch_pool(queries: &[EncodedSequence], db: &DbSnapshot) -> PePool<BatchOwner> {
         let master = Scheduler::new(specs(queries.len()), MasterConfig::default());
-        PePool::new(master, BatchOwner::new(queries, db, &scoring()), 1)
+        let owner = BatchOwner::new(query_tasks(queries, db), Identity::of(db, &scoring()));
+        PePool::new(master, owner, 1)
     }
 
     /// A pool over `n_tasks` dummy specs (one-residue queries against a
     /// one-subject database).
     fn pool(n_tasks: usize, expected: usize) -> PePool<BatchOwner> {
         let db = protein_db(&[("s", b"MKVL")]);
-        let owner = BatchOwner::new(&queries(&vec![&b"M"[..]; n_tasks]), &db, &scoring());
+        let tasks = query_tasks(&queries(&vec![&b"M"[..]; n_tasks]), &db);
+        let owner = BatchOwner::new(tasks, Identity::of(&db, &scoring()));
         PePool::new(
             Scheduler::new(specs(n_tasks), MasterConfig::default()),
             owner,

@@ -67,12 +67,15 @@ pub struct TaskPool {
 
 impl TaskPool {
     /// Build a pool from the workload, all tasks ready, in file order.
+    /// Each spec's `id` is rewritten to its slot, as [`TaskPool::push`]
+    /// does.
     pub fn new(specs: Vec<TaskSpec>) -> TaskPool {
         let ready = (0..specs.len()).collect();
         let tasks = specs
             .into_iter()
-            .map(|spec| Task {
-                spec,
+            .enumerate()
+            .map(|(id, spec)| Task {
+                spec: TaskSpec { id, ..spec },
                 state: TaskState::Ready,
                 executors: Vec::new(),
                 finished_by: None,

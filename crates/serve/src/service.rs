@@ -42,10 +42,10 @@
 //! paths share one implementation,
 //! [`ShardExecutor`](swhybrid_simd::ShardExecutor) — so
 //! fused replies stay byte-identical to per-query cold scans; the win is
-//! wall-clock throughput, not a different answer. A fused task's
-//! [`TaskSpec`](swhybrid_device::task::TaskSpec) charges the batch's
-//! summed query length, so PSS cell accounting and speed estimates stay
-//! calibrated.
+//! wall-clock throughput, not a different answer. A fused task is charged
+//! by the pool's one rule ([`task_spec`](swhybrid_core::pool::task_spec)):
+//! the batch's summed query length, so PSS cell accounting and speed
+//! estimates stay calibrated.
 //!
 //! Replies are delivered through per-job completion callbacks, so the
 //! executor never blocks on a slow client: the TCP layer hands in a

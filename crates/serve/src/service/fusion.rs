@@ -3,9 +3,8 @@
 //! (`pool::fuses`). Queries are fused here, where the daemon makes its
 //! tasks; a PE scans each task it is given in one pass.
 
-use swhybrid_core::pool::fuses;
+use swhybrid_core::pool::{fuses, task_spec};
 use swhybrid_core::sched::Scheduler;
-use swhybrid_device::task::TaskSpec;
 
 use super::{FusedTask, Phase, ServeOwner};
 
@@ -43,22 +42,10 @@ fn schedule_group(master: &mut Scheduler, o: &mut ServeOwner, group: &[u64]) {
         return;
     };
     let (shards, specs) = {
-        let first = &o.jobs[&head];
-        let shards = first.db.shard_ranges(o.cfg.shards);
-        // A fused task computes every member's matrix against the shard,
-        // so its spec charges the batch's summed query length — PSS cell
-        // accounting then counts K× cells per task automatically.
-        let qlen: usize = group.iter().map(|id| o.jobs[id].codes.len()).sum();
-        let specs: Vec<TaskSpec> = shards
-            .iter()
-            .map(|&(s, e)| TaskSpec {
-                id: 0, // rewritten by the pool
-                query_len: qlen,
-                queries: group.len(),
-                db_residues: first.db.range_residues(s..e),
-                db_sequences: e - s,
-            })
-            .collect();
+        let db = &o.jobs[&head].db;
+        let shards = db.shard_ranges(o.cfg.shards);
+        let lens = || group.iter().map(|id| o.jobs[id].codes.len());
+        let specs: Vec<_> = shards.iter().map(|&s| task_spec(db, s, lens())).collect();
         (shards, specs)
     };
     let tasks = master.submit_tasks(specs);

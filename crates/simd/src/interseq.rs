@@ -1,4 +1,4 @@
-//! Inter-sequence (SWIPE-style) Smith-Waterman — the Rognes [17] kernel
+//! Inter-sequence (SWIPE-style) Smith-Waterman — the Rognes \[17\] kernel
 //! family.
 //!
 //! The paper's related-work table credits Rognes' inter-sequence SIMD

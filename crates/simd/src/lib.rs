@@ -20,7 +20,7 @@
 //!   chain: 8-bit kernel first, recompute with 16 bits on saturation, fall
 //!   back to the exact scalar kernel as a last resort,
 //! * [`interseq`] — the Rognes/SWIPE-style *inter-sequence* kernel family
-//!   (the related-work baseline [17]): `LANES` database sequences scored
+//!   (the related-work baseline \[17\]): `LANES` database sequences scored
 //!   simultaneously in the lanes of one vector, lanes refilling from the
 //!   queue, for a whole query *batch* per pass (a lone query is the batch
 //!   of one); one vector pass over `SimdVec`, one portable pass, and their

@@ -9,6 +9,7 @@ use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
 use swhybrid::exec::net::Batch;
 use swhybrid::exec::policy::Policy;
+use swhybrid::exec::pool::query_tasks;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::sequence::EncodedSequence;
 use swhybrid::seq::synth::{paper_database, QueryOrder, QuerySetSpec};
@@ -58,7 +59,7 @@ fn main() {
         },
     };
     let outcome = Batch {
-        queries: &encoded_queries,
+        tasks: query_tasks(&encoded_queries, &db),
         db: &db,
         scoring: &scoring,
         fleet: vec![

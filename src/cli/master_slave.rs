@@ -79,7 +79,7 @@ pub(super) fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
 pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
     use crate::exec::net::{Batch, MasterServer, NetConfig};
-    use crate::exec::pool::BATCH_TOP_N;
+    use crate::exec::pool::{query_tasks, BATCH_TOP_N};
     use crate::exec::sched::MasterConfig;
 
     let opts = Opts::parse(
@@ -182,7 +182,7 @@ pub(super) fn cmd_master(args: &[String]) -> Result<(), String> {
         println!("local fleet: {}", spec.describe());
     }
     let batch = Batch {
-        queries: &queries,
+        tasks: query_tasks(&queries, &db),
         db: &db,
         scoring: &scoring,
         fleet: fleet.map(|spec| spec.build()).unwrap_or_default(),

@@ -9,7 +9,7 @@
 //! * [`db`] — database plumbing: `db build|inspect`, `generate`,
 //!   and [`db::load_db`], by which every verb loads its database (FASTA
 //!   or a memory-mapped `.swdb` store) into the one `DbSnapshot`,
-//! * [`search`] — the one-shot `search` verb, a run of shard PEs,
+//! * [`search`] — the one-shot `search` verb, one batch on the pool,
 //! * [`master_slave`] — the distributed `master` / `slave` pair and the
 //!   virtual-time `simulate` verb,
 //! * [`serve`] — the persistent daemon (`serve`) and its clients
@@ -48,15 +48,19 @@ USAGE:
                   [--matrix blosum62|blosum50|pam250]
                   [--gap-open N] [--gap-extend N] [--align]
                   [--db-store FILE.swdb] [--verify-store]
-      Compare every query against the database with the adapted-Farrar
-      striped engine; print ranked hits (and alignments with --align).
-      Each chunk goes to the striped or the SWIPE-style inter-sequence
-      kernel, whichever suits the query length and the chunk.
-      --threads N splits the database into N residue-balanced shards, one
-      PE each (the shards `serve --workers N` makes): hit tables do not
-      depend on N. Queries are scanned longest first; tables print in
-      input order once every query is scanned. Gap penalties (--gap-open, --gap-extend; every verb)
-      must be at most 1000000.
+      Compare every query against the database; print ranked hits (and
+      alignments with --align). Each chunk goes to the SWIPE-style
+      inter-sequence kernel, at any query length, unless it holds too few
+      subjects to fill the lanes (a shard's tail) or subjects of too
+      unlike lengths; those go to the adapted-Farrar striped engine.
+      The queries run as one batch on the pool `master` uses: longest
+      first, up to 8 queries of at most 128 aa share a task, and each task
+      is cut over N residue-balanced shards (the shards `serve --workers
+      N` makes). --threads N runs N PEs, each pulling one (task, shard)
+      at a time; with N = 1 the one PE scans on the calling thread. Hit
+      tables and the `kernel auto:` line do not depend on N. Tables print
+      in input order once every query is scanned. Gap penalties
+      (--gap-open, --gap-extend; every verb) must be at most 1000000.
       --db-store replaces <db.fasta> with a `.swdb` store: the arena is
       memory-mapped and scanned in place (no parse, no re-encode), with
       hit tables byte-identical to the FASTA path. --verify-store

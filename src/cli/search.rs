@@ -1,5 +1,5 @@
-//! The one-shot `search` verb: load the queries and the database, scan
-//! every query on `--threads` shard PEs, rank, and (optionally) print
+//! The one-shot `search` verb: load the queries and the database, run
+//! them as one batch on `--threads` PEs, rank, and (optionally) print
 //! Gotoh alignments for the reported hits.
 
 use std::io::{self, Write};
@@ -11,11 +11,15 @@ use crate::align::alignment::Alignment;
 use crate::align::evalue::KarlinAltschul;
 use crate::align::gotoh::gotoh_align;
 use crate::align::scoring::Scoring;
-use crate::exec::pool::{fuses, PeExecutor, QueryPayload, TaskPayload, TaskResult};
+use crate::device::FleetPe;
+use crate::exec::net::{Batch, QueryHit};
+use crate::exec::policy::Policy;
+use crate::exec::pool::{fuses, QueryPayload, TaskPayload};
+use crate::exec::sched::{Dispatch, MasterConfig};
 use crate::seq::sequence::EncodedSequence;
 use crate::seq::DbSnapshot;
 use crate::simd::engine::KernelStats;
-use crate::simd::search::{merge_top_n, Hit};
+use crate::simd::search::Hit;
 
 pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -52,11 +56,9 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     );
 
     let start = std::time::Instant::now();
-    let results = ShardPes::new(&db, &scoring, threads).search(&queries, top_n)?;
-    let mut kernel_stats = KernelStats::default();
+    let (tables, kernel_stats) = search_tables(&queries, &db, &scoring, top_n, threads);
     let mut out = std::io::stdout().lock();
-    for (query, (hits, kernels)) in queries.iter().zip(results) {
-        kernel_stats.merge(&kernels);
+    for (query, hits) in queries.iter().zip(tables) {
         write_hit_table(&mut out, &query.id, query.len(), &hits, &db, &scoring)
             .map_err(|e| format!("stdout: {e}"))?;
         if opts.has("align") {
@@ -84,114 +86,84 @@ pub(super) fn cmd_search(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The PEs of one `search` run: one [`PeExecutor`] per residue-balanced
-/// shard of the database ([`DbSnapshot::shard_ranges`], the split
-/// `serve --workers N` makes).
-pub(super) struct ShardPes<'a> {
-    db: &'a DbSnapshot,
-    shards: Vec<(usize, usize)>,
-    pes: Vec<PeExecutor<'a>>,
-}
-
-impl<'a> ShardPes<'a> {
-    pub(super) fn new(db: &'a DbSnapshot, scoring: &'a Scoring, threads: usize) -> ShardPes<'a> {
-        let shards = db.shard_ranges(threads);
-        let pes = shards.iter().map(|_| PeExecutor::new(scoring)).collect();
-        ShardPes { db, shards, pes }
+/// Every query against the database as one [`Batch`] on `threads` SIMD
+/// PEs: the run's tasks ([`fused_tasks`]) over the residue-balanced shards
+/// `serve --workers N` also cuts ([`DbSnapshot::shard_ranges`]), each PE
+/// pulling one task at a time with no replica, so every task is scanned
+/// exactly once whatever `threads` is. Returns each query's ranked top
+/// `top_n` hits, in input order, and the run's summed kernel counters.
+pub(super) fn search_tables(
+    queries: &[EncodedSequence],
+    db: &DbSnapshot,
+    scoring: &Scoring,
+    top_n: usize,
+    threads: usize,
+) -> (Vec<Vec<Hit>>, KernelStats) {
+    let outcome = Batch {
+        tasks: fused_tasks(queries, top_n, &db.shard_ranges(threads)),
+        db,
+        scoring,
+        fleet: (0..threads)
+            .map(|i| FleetPe::simd(format!("sse{i}"), 1.0))
+            .collect(),
     }
-
-    /// Every query against the database, merged per query, in input
-    /// order: its ranked top `top_n` hits and the shards' summed kernel
-    /// counters. The run's tasks are made once ([`fused_tasks`]) and each
-    /// shard PE scans every one of them over its shard, one pass per task
-    /// ([`PeExecutor::scan`]), on the calling thread when there is one
-    /// shard and on one scoped thread per shard otherwise.
-    pub(super) fn search(
-        &mut self,
-        queries: &[EncodedSequence],
-        top_n: usize,
-    ) -> Result<Vec<(Vec<Hit>, KernelStats)>, String> {
-        let db = self.db;
-        let tasks = fused_tasks(queries, top_n, (0, db.len()));
-        let scan_shard = |pe: &mut PeExecutor, shard| -> io::Result<Vec<TaskResult>> {
-            tasks
-                .iter()
-                .map(|(_, task)| {
-                    pe.scan(
-                        db,
-                        &TaskPayload {
-                            shard,
-                            ..task.clone()
-                        },
-                    )
-                })
-                .collect()
-        };
-        let per_shard = match &mut self.pes[..] {
-            [pe] => vec![scan_shard(pe, self.shards[0])],
-            pes => std::thread::scope(|scope| {
-                let handles: Vec<_> = pes
-                    .iter_mut()
-                    .zip(&self.shards)
-                    .map(|(pe, &shard)| scope.spawn(move || scan_shard(pe, shard)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard PE panicked"))
-                    .collect()
-            }),
-        };
-        let mut lists: Vec<Vec<Vec<Hit>>> = vec![Vec::new(); queries.len()];
-        let mut kernels = vec![KernelStats::default(); queries.len()];
-        for results in per_shard {
-            let results = results.map_err(|e| e.to_string())?;
-            for ((members, _), result) in tasks.iter().zip(results) {
-                for (&i, q) in members.iter().zip(result.queries) {
-                    kernels[i].merge(&q.kernels);
-                    lists[i].push(q.hits);
-                }
-            }
+    .run(MasterConfig {
+        policy: Policy::SelfScheduling,
+        adjustment: false,
+        dispatch: Dispatch::FileOrder,
+    });
+    // The merge ranks each query's hits score first, then database order,
+    // as `merge_top_n` does: a table is its query's first `top_n`.
+    let mut tables = vec![Vec::new(); queries.len()];
+    for QueryHit { query_index, hit } in outcome.hits {
+        if tables[query_index].len() < top_n {
+            tables[query_index].push(hit);
         }
-        Ok(lists
-            .into_iter()
-            .zip(kernels)
-            .map(|(lists, kernels)| (merge_top_n(lists, top_n), kernels))
-            .collect())
     }
+    (tables, outcome.kernels)
 }
 
-/// `search`'s tasks over `shard`, each paired with the input indices of
-/// its queries: the queries longest first, each joining the task before it
-/// while the pool's rule lets it ([`fuses`]), so a long query is a task of
-/// its own and up to `FUSE_MAX` short ones share one. Longest first, a
-/// PE's scratch reaches its high-water mark on the first pass and every
-/// later pass's profiles fit where a longer one's were freed, so the heap
-/// does not grow pass by pass.
+/// `search`'s tasks, each paired with the input indices of its queries:
+/// the queries longest first, each joining the group before it while the
+/// pool's rule lets it ([`fuses`]), so a long query is a group of its own
+/// and up to `FUSE_MAX` short ones share one; then each group over each of
+/// `shards`, group by group. Longest first, a PE's scratch reaches its
+/// high-water mark on the first pass and every later pass's profiles fit
+/// where a longer one's were freed, so the heap does not grow pass by
+/// pass.
 pub(super) fn fused_tasks(
     queries: &[EncodedSequence],
     top_n: usize,
-    shard: (usize, usize),
+    shards: &[(usize, usize)],
 ) -> Vec<(Vec<usize>, TaskPayload)> {
     let mut order: Vec<usize> = (0..queries.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(queries[i].len()));
-    let mut tasks: Vec<(Vec<usize>, TaskPayload)> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     for i in order {
-        let query = QueryPayload {
-            query: queries[i].codes.clone(),
-            top_n,
-        };
-        match tasks.last_mut() {
-            Some((members, task)) if fuses(members.len(), &task.queries[0].query, &query.query) => {
-                members.push(i);
-                task.queries.push(query);
+        match groups.last_mut() {
+            Some(members)
+                if fuses(members.len(), &queries[members[0]].codes, &queries[i].codes) =>
+            {
+                members.push(i)
             }
-            _ => tasks.push((
-                vec![i],
-                TaskPayload {
-                    queries: vec![query],
-                    shard,
-                },
-            )),
+            _ => groups.push(vec![i]),
+        }
+    }
+    let mut tasks = Vec::new();
+    for members in groups {
+        let queries: Vec<QueryPayload> = members
+            .iter()
+            .map(|&i| QueryPayload {
+                query: queries[i].codes.clone(),
+                top_n,
+            })
+            .collect();
+        for &shard in shards {
+            let task = TaskPayload {
+                queries: queries.clone(),
+                shard,
+            };
+            tasks.push((members.clone(), task));
         }
     }
     tasks

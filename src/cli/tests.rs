@@ -2,7 +2,7 @@ use super::args::{scoring_from_opts, Opts};
 use super::db::{load_db, load_encoded};
 use super::kernel_counts;
 use super::run;
-use super::search::{align_hits, fused_tasks, write_hit_table, ShardPes};
+use super::search::{align_hits, fused_tasks, search_tables, write_hit_table};
 
 use crate::align::scoring::{GapModel, Scoring, SubstMatrix, MAX_GAP_PENALTY};
 use crate::exec::pool::{PeExecutor, QueryPayload, TaskPayload};
@@ -481,12 +481,12 @@ fn db_build_inspect_and_store_search_round_trip() {
     };
     let from_fasta = load_db(DbFile::Fasta(&db_s), &scoring).unwrap();
     let query = std::slice::from_ref(&query);
-    let via_fasta = ShardPes::new(&from_fasta, &scoring, 1).search(query, 5);
+    let via_fasta = search_tables(query, &from_fasta, &scoring, 5, 1);
     let from_store = load_db(DbFile::Store(&store_s, Verify::Full), &scoring).unwrap();
     assert!(from_store.arena().is_shared(), "store arena is not mapped");
     assert_eq!(from_store.digest(), from_fasta.digest());
-    let via_store = ShardPes::new(&from_store, &scoring, 1).search(query, 5);
-    assert_eq!(via_fasta.unwrap(), via_store.unwrap());
+    let via_store = search_tables(query, &from_store, &scoring, 5, 1);
+    assert_eq!(via_fasta, via_store);
 
     // Mismatched usage is rejected, not silently accepted.
     assert!(run(&s(&[
@@ -774,11 +774,9 @@ fn search_threads_do_not_change_the_hit_tables() {
     let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
     let queries = load_encoded(&q).unwrap();
     let tables = |threads: usize| {
-        let results = ShardPes::new(&snapshot, &scoring, threads)
-            .search(&queries, 6)
-            .unwrap();
+        let (tables, _) = search_tables(&queries, &snapshot, &scoring, 6, threads);
         let mut printed = Vec::new();
-        for (query, (hits, _)) in queries.iter().zip(&results) {
+        for (query, hits) in queries.iter().zip(&tables) {
             write_hit_table(
                 &mut printed,
                 &query.id,
@@ -798,7 +796,8 @@ fn search_threads_do_not_change_the_hit_tables() {
 }
 
 /// `search --threads 2` is the daemon's 2-shard decomposition: the same
-/// per-query hits, and the same kernel counters summed over the shards.
+/// per-query hits, and the same kernel counters summed over the shards and
+/// the queries.
 #[test]
 fn search_threads_match_a_two_worker_daemon() {
     let (dir, q, db) = search_fixture("daemon", 3);
@@ -813,16 +812,17 @@ fn search_threads_match_a_two_worker_daemon() {
         },
     );
     let queries = load_encoded(&q).unwrap();
-    let results = ShardPes::new(&snapshot, &scoring, 2)
-        .search(&queries, 7)
-        .unwrap();
-    for (query, (hits, kernels)) in queries.iter().zip(results) {
+    let (tables, kernels) = search_tables(&queries, &snapshot, &scoring, 7, 2);
+    let mut replied = KernelStats::default();
+    for (query, hits) in queries.iter().zip(tables) {
         let reply = svc.search_blocking(query.codes.clone(), 7, 1).unwrap();
         assert!(!reply.cached);
         assert_eq!(reply.hits, hits, "{}", query.id);
-        assert_eq!(reply.kernels, kernels, "{}", query.id);
-        assert_eq!(reply.cells, kernels.cells_computed);
+        assert_eq!(reply.cells, reply.kernels.cells_computed);
+        replied.merge(&reply.kernels);
     }
+    assert_eq!(replied, kernels);
+    assert!(kernels.cells_computed > 0);
     svc.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -867,10 +867,9 @@ fn packaged_search_prints_the_per_query_scans() {
     let scoring = Scoring::blosum62_affine();
     let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
     let queries = load_encoded(&q).unwrap();
-    let print = |results: &[(Vec<Hit>, KernelStats)]| {
+    let print = |tables: &[Vec<Hit>], kernels: &KernelStats| {
         let mut printed = Vec::new();
-        let mut total = KernelStats::default();
-        for (query, (hits, kernels)) in queries.iter().zip(results) {
+        for (query, hits) in queries.iter().zip(tables) {
             write_hit_table(
                 &mut printed,
                 &query.id,
@@ -880,18 +879,16 @@ fn packaged_search_prints_the_per_query_scans() {
                 &scoring,
             )
             .unwrap();
-            total.merge(kernels);
         }
-        let tables = String::from_utf8(printed).unwrap();
-        (tables, kernel_counts(&total))
+        (String::from_utf8(printed).unwrap(), kernel_counts(kernels))
     };
     for threads in [1, 3] {
         let shards = snapshot.shard_ranges(threads);
         let mut pe = PeExecutor::new(&scoring);
-        let reference: Vec<(Vec<Hit>, KernelStats)> = queries
+        let mut kernels = KernelStats::default();
+        let reference: Vec<Vec<Hit>> = queries
             .iter()
             .map(|query| {
-                let mut kernels = KernelStats::default();
                 let lists = shards.iter().map(|&shard| {
                     let payload = TaskPayload {
                         queries: vec![QueryPayload {
@@ -904,23 +901,23 @@ fn packaged_search_prints_the_per_query_scans() {
                     kernels.merge(&result.kernels);
                     result.hits
                 });
-                let hits = merge_top_n(lists.collect::<Vec<_>>(), 10);
-                (hits, kernels)
+                merge_top_n(lists.collect::<Vec<_>>(), 10)
             })
             .collect();
-        let packaged = ShardPes::new(&snapshot, &scoring, threads)
-            .search(&queries, 10)
-            .unwrap();
-        let (tables, counts) = print(&packaged);
+        let (packaged, packaged_kernels) =
+            search_tables(&queries, &snapshot, &scoring, 10, threads);
+        let (tables, counts) = print(&packaged, &packaged_kernels);
         assert_eq!(tables.matches("# query").count(), queries.len());
-        assert_eq!((tables, counts), print(&reference), "--threads {threads}");
+        let expected = print(&reference, &kernels);
+        assert_eq!((tables, counts), expected, "--threads {threads}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `search` makes its tasks once, longest query first: a query past the
-/// pool's fuse bound is a task alone, and short ones share a task up to
-/// the pool's limit of 8 — 19 of them make tasks of 8, 8 and 3.
+/// pool's fuse bound is a group alone, and short ones share a group up to
+/// the pool's limit of 8 — 19 of them make groups of 8, 8 and 3 — and
+/// each group is a task on each shard, group by group.
 #[test]
 fn search_fuses_short_queries_into_tasks_longest_first() {
     use crate::exec::pool::MAX_FUSABLE_QUERY;
@@ -935,12 +932,14 @@ fn search_fuses_short_queries_into_tasks_longest_first() {
         .map(|i| query(i, MAX_FUSABLE_QUERY - (i * 7) % 19))
         .collect();
     queries.insert(5, query(99, MAX_FUSABLE_QUERY + 1));
-    let shard = (3, 17);
-    let tasks = fused_tasks(&queries, 7, shard);
-    let sizes: Vec<usize> = tasks.iter().map(|(members, _)| members.len()).collect();
+    let shards = [(0, 3), (3, 17)];
+    let tasks = fused_tasks(&queries, 7, &shards);
+    assert_eq!(tasks.len(), 4 * shards.len());
+    let groups: Vec<&[usize]> = tasks.iter().step_by(2).map(|(m, _)| &m[..]).collect();
+    let sizes: Vec<usize> = groups.iter().map(|members| members.len()).collect();
     assert_eq!(sizes, [1, 8, 8, 3]);
-    assert_eq!(tasks[0].0, [5], "the long query runs alone and first");
-    let order: Vec<usize> = tasks.iter().flat_map(|(m, _)| m.clone()).collect();
+    assert_eq!(groups[0], [5], "the long query runs alone and first");
+    let order: Vec<usize> = groups.concat();
     let lens: Vec<usize> = order.iter().map(|&i| queries[i].len()).collect();
     assert!(
         lens.windows(2).all(|w| w[0] > w[1]),
@@ -949,8 +948,9 @@ fn search_fuses_short_queries_into_tasks_longest_first() {
     let mut seen = order.clone();
     seen.sort_unstable();
     assert_eq!(seen, (0..queries.len()).collect::<Vec<_>>());
-    for (members, task) in &tasks {
-        assert_eq!(task.shard, shard);
+    for (t, (members, task)) in tasks.iter().enumerate() {
+        assert_eq!(members[..], *groups[t / 2]);
+        assert_eq!(task.shard, shards[t % 2]);
         let payload: Vec<_> = members
             .iter()
             .map(|&i| QueryPayload {
@@ -960,7 +960,7 @@ fn search_fuses_short_queries_into_tasks_longest_first() {
             .collect();
         assert_eq!(task.queries, payload);
     }
-    assert!(fused_tasks(&[], 7, shard).is_empty());
+    assert!(fused_tasks(&[], 7, &shards).is_empty());
 }
 
 #[test]
@@ -969,10 +969,8 @@ fn align_hits_rescore_to_their_hits() {
     let scoring = Scoring::blosum62_affine();
     let snapshot = load_db(DbFile::Fasta(&db), &scoring).unwrap();
     let queries = load_encoded(&q).unwrap();
-    let results = ShardPes::new(&snapshot, &scoring, 1)
-        .search(&queries, 5)
-        .unwrap();
-    for (query, (hits, _)) in queries.iter().zip(&results) {
+    let (tables, _) = search_tables(&queries, &snapshot, &scoring, 5, 1);
+    for (query, hits) in queries.iter().zip(&tables) {
         let aligned = align_hits(hits, &query.codes, &snapshot, &scoring);
         assert_eq!(aligned.len(), 5);
         for (hit, alignment) in &aligned {

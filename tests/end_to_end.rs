@@ -5,6 +5,7 @@ use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
 use swhybrid::exec::net::{Batch, DistributedOutcome};
 use swhybrid::exec::policy::Policy;
+use swhybrid::exec::pool::query_tasks;
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::seq::fasta::{self, FastaReader};
 use swhybrid::seq::sequence::EncodedSequence;
@@ -34,7 +35,7 @@ fn run_local(
     master: MasterConfig,
 ) -> DistributedOutcome {
     Batch {
-        queries,
+        tasks: query_tasks(queries, db),
         db,
         scoring: &scoring(),
         fleet,

@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::{Device, DeviceKind, FleetSpec, TaskSpec};
 use swhybrid::exec::net::{merge_hits, Batch, DistributedOutcome, MasterServer, QueryHit};
-use swhybrid::exec::pool::{PeExecutor, QueryPayload, TaskPayload, BATCH_TOP_N};
+use swhybrid::exec::pool::{query_tasks, PeExecutor, QueryPayload, TaskPayload, BATCH_TOP_N};
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::{EventKind, RuntimeEvent};
 use swhybrid::seq::sequence::EncodedSequence;
@@ -71,7 +71,7 @@ impl Fixture {
             .unwrap()
             .with_event_sink(move |e| sink.lock().unwrap().push(e.clone()))
             .serve(Batch {
-                queries: &self.queries,
+                tasks: query_tasks(&self.queries, &self.db),
                 db: &self.db,
                 scoring: &scoring(),
                 fleet: FleetSpec::parse(spec).unwrap().build(),

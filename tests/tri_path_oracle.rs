@@ -21,7 +21,7 @@ use swhybrid::align::scoring::{GapModel, Scoring, SubstMatrix};
 use swhybrid::device::FleetPe;
 use swhybrid::exec::net::{run_slave, Batch, DistributedOutcome, MasterServer, NetConfig};
 use swhybrid::exec::policy::Policy;
-use swhybrid::exec::pool::{PeExecutor, QueryPayload, TaskPayload, BATCH_TOP_N};
+use swhybrid::exec::pool::{query_tasks, PeExecutor, QueryPayload, TaskPayload, BATCH_TOP_N};
 use swhybrid::exec::sched::MasterConfig;
 use swhybrid::exec::trace::{EventKind, RuntimeEvent};
 use swhybrid::seq::sequence::EncodedSequence;
@@ -279,7 +279,7 @@ fn tcp_run(
         let run = serve_recorded(
             server,
             Batch {
-                queries,
+                tasks: query_tasks(queries, db),
                 db,
                 scoring: &scoring,
                 fleet: Vec::new(),
@@ -308,7 +308,7 @@ fn master_slave_pair_matches_one_shot() {
         let local = serve_recorded(
             MasterServer::bind("127.0.0.1:0", exactly_once(), 0).expect("bind master"),
             Batch {
-                queries: &fx.queries,
+                tasks: query_tasks(&fx.queries, db),
                 db,
                 scoring: &scoring,
                 fleet: vec![FleetPe::simd("oracle-pe", 1.0)],
