@@ -17,8 +17,6 @@
 //! * [`Policy::WFixed`] — up-front split proportional to *theoretical*
 //!   speed (Meng & Chaudhary's configuration-file weights \[13\]).
 
-use crate::task::PeId;
-
 /// The allocation policy selected by the user.
 ///
 /// ```
@@ -26,10 +24,8 @@ use crate::task::PeId;
 ///
 /// // Fig. 5: a GPU observed 6x faster than the slowest PE gets 6 tasks.
 /// let pss = Policy::pss_default();
-/// let speeds = [6.0, 1.0, 1.0, 1.0];
-/// let alive = [true; 4];
-/// assert_eq!(pss.batch_size(0, &speeds, &alive), 6);
-/// assert_eq!(pss.batch_size(1, &speeds, &alive), 1);
+/// assert_eq!(pss.batch_size(6.0, 1.0), 6);
+/// assert_eq!(pss.batch_size(1.0, 1.0), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
@@ -65,26 +61,20 @@ impl Policy {
         }
     }
 
-    /// Batch size for a *dynamic* request: `speeds[pe]` is the current
-    /// estimated GCUPS of each registered PE (index = PeId), `alive[pe]`
-    /// says whether the PE still participates.
+    /// Batch size for a *dynamic* request from a PE whose current estimated
+    /// speed is `speed` GCUPS, when the slowest PE still participating is
+    /// estimated at `min_alive` (infinite when none is).
     ///
     /// For static policies this returns 0 — quotas are computed once by
     /// [`Policy::static_quotas`].
-    pub fn batch_size(&self, pe: PeId, speeds: &[f64], alive: &[bool]) -> usize {
+    pub fn batch_size(&self, speed: f64, min_alive: f64) -> usize {
         match self {
             Policy::SelfScheduling => 1,
             Policy::Pss { .. } => {
-                let min_alive = speeds
-                    .iter()
-                    .zip(alive)
-                    .filter(|&(_, &a)| a)
-                    .map(|(&s, _)| s)
-                    .fold(f64::INFINITY, f64::min);
                 if !min_alive.is_finite() || min_alive <= 0.0 {
                     return 1;
                 }
-                let phi = (speeds[pe] / min_alive).round() as usize;
+                let phi = (speed / min_alive).round() as usize;
                 phi.max(1)
             }
             Policy::Fixed | Policy::WFixed => 0,
@@ -128,8 +118,8 @@ mod tests {
     #[test]
     fn ss_is_always_one() {
         let p = Policy::SelfScheduling;
-        assert_eq!(p.batch_size(0, &[100.0, 1.0], &[true, true]), 1);
-        assert_eq!(p.batch_size(1, &[100.0, 1.0], &[true, true]), 1);
+        assert_eq!(p.batch_size(100.0, 1.0), 1);
+        assert_eq!(p.batch_size(1.0, 1.0), 1);
         assert!(!p.is_static());
     }
 
@@ -138,38 +128,31 @@ mod tests {
         // Fig. 5: 1 GPU 6× faster than 3 SSE cores → GPU gets 6 tasks,
         // each SSE core gets 1.
         let p = Policy::pss_default();
-        let speeds = [6.0, 1.0, 1.0, 1.0];
-        let alive = [true; 4];
-        assert_eq!(p.batch_size(0, &speeds, &alive), 6);
-        for pe in 1..4 {
-            assert_eq!(p.batch_size(pe, &speeds, &alive), 1);
-        }
+        assert_eq!(p.batch_size(6.0, 1.0), 6);
+        assert_eq!(p.batch_size(1.0, 1.0), 1);
     }
 
     #[test]
     fn pss_rounds_ratio() {
         let p = Policy::pss_default();
-        let alive = [true, true];
-        assert_eq!(p.batch_size(0, &[2.4, 1.0], &alive), 2);
-        assert_eq!(p.batch_size(0, &[2.6, 1.0], &alive), 3);
+        assert_eq!(p.batch_size(2.4, 1.0), 2);
+        assert_eq!(p.batch_size(2.6, 1.0), 3);
         // A PE slower than the minimum still gets at least one task.
-        assert_eq!(p.batch_size(1, &[10.0, 0.4], &[true, true]), 1);
-    }
-
-    #[test]
-    fn pss_ignores_dead_pes_for_minimum() {
-        let p = Policy::pss_default();
-        // PE 1 is dead; minimum alive speed is 5.0, not 1.0.
-        let speeds = [10.0, 1.0, 5.0];
-        let alive = [true, false, true];
-        assert_eq!(p.batch_size(0, &speeds, &alive), 2);
+        assert_eq!(p.batch_size(0.4, 1.0), 1);
     }
 
     #[test]
     fn pss_degenerate_speeds_fall_back_to_one() {
         let p = Policy::pss_default();
-        assert_eq!(p.batch_size(0, &[0.0, 0.0], &[true, true]), 1);
-        assert_eq!(p.batch_size(0, &[5.0], &[false]), 1);
+        assert_eq!(p.batch_size(0.0, 0.0), 1);
+        // No PE alive: the minimum over none is infinite.
+        assert_eq!(p.batch_size(5.0, f64::INFINITY), 1);
+    }
+
+    #[test]
+    fn static_policies_size_no_dynamic_batch() {
+        assert_eq!(Policy::Fixed.batch_size(6.0, 1.0), 0);
+        assert_eq!(Policy::WFixed.batch_size(6.0, 1.0), 0);
     }
 
     #[test]

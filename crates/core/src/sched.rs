@@ -263,7 +263,7 @@ impl Scheduler {
         // The next drain is a fresh completion.
         self.run_completed_emitted = false;
         let ids: Vec<TaskId> = specs.into_iter().map(|spec| self.pool.push(spec)).collect();
-        self.emit(EventKind::BatchSubmitted { tasks: ids.clone() });
+        self.emit(|| EventKind::BatchSubmitted { tasks: ids.clone() });
         ids
     }
 
@@ -275,11 +275,16 @@ impl Scheduler {
         self.push_event(RuntimeEvent { time, kind });
     }
 
-    fn emit(&mut self, kind: EventKind) {
-        self.push_event(RuntimeEvent {
-            time: self.clock,
-            kind,
-        });
+    /// Emit an event stamped with the engine clock. `kind` runs only when
+    /// a sink is installed, so without one no event is built (and no task
+    /// list cloned).
+    fn emit(&mut self, kind: impl FnOnce() -> EventKind) {
+        if self.sink.is_some() {
+            self.push_event(RuntimeEvent {
+                time: self.clock,
+                kind: kind(),
+            });
+        }
     }
 
     fn push_event(&mut self, event: RuntimeEvent) {
@@ -297,7 +302,7 @@ impl Scheduler {
         );
         let id = self.pes.len();
         let name = name.into();
-        self.emit(EventKind::PeRegistered {
+        self.emit(|| EventKind::PeRegistered {
             pe: id,
             name: name.clone(),
         });
@@ -369,7 +374,7 @@ impl Scheduler {
             if let Some(quotas) = &mut self.quotas {
                 quotas[pe] -= tasks.len().min(quotas[pe]);
             }
-            self.emit(EventKind::TasksAssigned {
+            self.emit(|| EventKind::TasksAssigned {
                 pe,
                 tasks: tasks.clone(),
             });
@@ -385,12 +390,12 @@ impl Scheduler {
             // construction can never delay the original execution.
             if let Some((task, from)) = self.steal_candidate(pe, now) {
                 self.pool.reassign(task, from, pe);
-                self.emit(EventKind::TaskStolen { pe, task, from });
+                self.emit(|| EventKind::TaskStolen { pe, task, from });
                 return Assignment::Steal { task, from };
             }
             if let Some(task) = self.replication_candidate(pe, now) {
                 self.pool.replicate(task, pe);
-                self.emit(EventKind::TaskReplicated { pe, task });
+                self.emit(|| EventKind::TaskReplicated { pe, task });
                 return Assignment::Replicate(task);
             }
         }
@@ -472,16 +477,15 @@ impl Scheduler {
         // fleet mis-calibrated batches. Clamp everyone to the SS grain for
         // that interval; the cold-start case (initial registrations) keeps
         // the paper's behaviour, where priors are what Φ is *for*.
-        if self
-            .pes
-            .iter()
-            .any(|p| p.alive && p.late_join && !p.stats.has_observations())
-        {
-            return 1;
+        let mut min_alive = f64::INFINITY;
+        for p in self.pes.iter().filter(|p| p.alive) {
+            if p.late_join && !p.stats.has_observations() {
+                return 1;
+            }
+            min_alive = min_alive.min(p.stats.weighted_mean_gcups());
         }
-        let speeds = self.speed_estimates();
-        let alive: Vec<bool> = self.pes.iter().map(|p| p.alive).collect();
-        self.config.policy.batch_size(pe, &speeds, &alive)
+        let speed = self.pes[pe].stats.weighted_mean_gcups();
+        self.config.policy.batch_size(speed, min_alive)
     }
 
     /// The executing task with the largest estimated remaining work that
@@ -521,7 +525,7 @@ impl Scheduler {
     pub fn task_started(&mut self, pe: PeId, task: TaskId, now: f64) {
         self.clock = self.clock.max(now);
         self.pes[pe].running.insert(task, now);
-        self.emit(EventKind::TaskStarted { pe, task });
+        self.emit(|| EventKind::TaskStarted { pe, task });
     }
 
     /// A PE reports a periodic progress notification (observed GCUPS since
@@ -550,7 +554,7 @@ impl Scheduler {
         }
         let winner = self.pool.state(task) != TaskState::Finished;
         let cancels = self.pool.finish(task, pe);
-        self.emit(EventKind::TaskFinished {
+        self.emit(|| EventKind::TaskFinished {
             pe,
             task,
             winner,
@@ -569,7 +573,7 @@ impl Scheduler {
                 None => 0, // assigned but never started: nothing computed
             };
             self.pes[other].running.remove(&task);
-            self.emit(EventKind::ReplicaCancelled {
+            self.emit(|| EventKind::ReplicaCancelled {
                 pe: other,
                 task,
                 wasted_cells,
@@ -577,7 +581,7 @@ impl Scheduler {
         }
         if self.pool.all_finished() && !self.run_completed_emitted {
             self.run_completed_emitted = true;
-            self.emit(EventKind::RunCompleted);
+            self.emit(|| EventKind::RunCompleted);
         }
         // An engine that outlives its workloads must not keep in memory
         // each task it ever finished.
@@ -593,7 +597,7 @@ impl Scheduler {
     pub fn pe_leaves(&mut self, pe: PeId, held: &[TaskId]) {
         self.pes[pe].alive = false;
         self.pes[pe].running.clear();
-        self.emit(EventKind::PeLeft { pe });
+        self.emit(|| EventKind::PeLeft { pe });
         for &t in held {
             let was_executing = self.pool.find(t).is_some_and(|held| {
                 held.state == TaskState::Executing && held.executors.contains(&pe)
@@ -601,7 +605,7 @@ impl Scheduler {
             self.pool.release(t, pe);
             // Requeued only when no surviving replica kept it executing.
             if was_executing && self.pool.state(t) == TaskState::Ready {
-                self.emit(EventKind::TaskRequeued { task: t, from: pe });
+                self.emit(|| EventKind::TaskRequeued { task: t, from: pe });
             }
         }
     }
@@ -613,7 +617,7 @@ impl Scheduler {
         self.clock = self.clock.max(now);
         let id = self.pes.len();
         let name = name.into();
-        self.emit(EventKind::PeJoined {
+        self.emit(|| EventKind::PeJoined {
             pe: id,
             name: name.clone(),
         });
@@ -972,6 +976,23 @@ mod tests {
         // Both tasks are ready again; b picks them up.
         match m.request(b, 1.0) {
             Assignment::Tasks(t) => assert!(!t.is_empty()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn pss_ignores_dead_pes_for_minimum() {
+        let mut m = engine(20, Policy::pss_default(), false);
+        let a = m.register("a", 10.0);
+        let dead = m.register("dead", 1.0);
+        let c = m.register("c", 5.0);
+        for (pe, gcups) in [(a, 10.0), (dead, 1.0), (c, 5.0)] {
+            m.notify_progress(pe, 0.0, gcups);
+        }
+        m.pe_leaves(dead, &[]);
+        // The slowest live PE runs at 5.0, not 1.0: Φ = 10 / 5.
+        match m.request(a, 0.0) {
+            Assignment::Tasks(t) => assert_eq!(t, vec![0, 1]),
             other => panic!("{other:?}"),
         }
     }
