@@ -19,7 +19,7 @@
 //! batch master: [`MasterServer`], [`Batch`]), `slave` (the slave
 //! process, [`run_slave`]).
 //!
-//! ## Wire protocol (v5)
+//! ## Wire protocol (v6)
 //!
 //! Newline-delimited JSON, one message per line (chosen over a binary
 //! format so a session is inspectable with `nc`; at one message per
@@ -35,7 +35,7 @@
 //!
 //! | message | shape |
 //! |---|---|
-//! | register | `{"type":"register","name":"host-a","gcups":2.5,"proto":5,"digest":"<16 hex>"}` |
+//! | register | `{"type":"register","name":"host-a","gcups":2.5,"proto":6,"digest":"<16 hex>"}` |
 //! | request | `{"type":"request"}` |
 //! | started | `{"type":"started","task":3}` |
 //! | finished | `{"type":"finished","task":3,"gcups":2.4,"queries":[{"hits":[…],"kernels":{…}},…]}` |
@@ -45,9 +45,8 @@
 //!
 //! | message | shape |
 //! |---|---|
-//! | registered | `{"type":"registered","pe_id":1,"proto":5}` |
-//! | tasks | `{"type":"tasks","tasks":[4,5],"descs":[…,…]}` (empty when what was assigned finished elsewhere first: ask again) |
-//! | execute | `{"type":"execute","task":2,"desc":…}` (a steal or a replica) |
+//! | registered | `{"type":"registered","pe_id":1,"proto":6}` |
+//! | tasks | `{"type":"tasks","tasks":[4,5],"descs":[…,…]}` (one task for a steal or a replica; empty when what was assigned finished or was taken elsewhere first: ask again) |
 //! | done | `{"type":"done"}` |
 //! | error | `{"type":"error","message":"…"}` |
 //!
@@ -460,9 +459,8 @@ mod tests {
             MasterMsg::Tasks {
                 tasks: vec![(7, payload()), (4, payload())],
             },
-            MasterMsg::Execute {
-                task: 2,
-                desc: payload(),
+            MasterMsg::Tasks {
+                tasks: vec![(2, payload())],
             },
             MasterMsg::Done,
             MasterMsg::Error {
@@ -511,8 +509,9 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
+        // A steal or a replica is a one-task batch.
         match decode::<MasterMsg>(&master_msgs[2].to_json().to_string()).unwrap() {
-            MasterMsg::Execute { task, desc } => assert_eq!((task, desc), (2, payload())),
+            MasterMsg::Tasks { tasks } => assert_eq!(tasks, vec![(2, payload())]),
             other => panic!("wrong decode: {other:?}"),
         }
         // A v1 handshake (no proto, no digest) is a clear version error,
@@ -1068,7 +1067,8 @@ mod tests {
     }
 
     /// The slave side of v4: a master that ships a task without its
-    /// payload ends the slave with a typed error, not a guess.
+    /// payload ends the slave with a typed error, not a guess. So does a
+    /// v5 `execute` line, a type v6 does not have.
     #[test]
     fn an_assignment_without_its_payload_is_a_typed_error() {
         let (_, db, _) = tiny_workload();
@@ -1237,10 +1237,13 @@ mod tests {
         send(&mut writer, &SlaveMsg::Request).unwrap();
         match reader.next_msg::<MasterMsg>().unwrap() {
             Some(MasterMsg::Tasks { tasks }) => {
-                // Start the first batch entry, then vanish holding them all.
-                send(&mut writer, &SlaveMsg::Started { task: tasks[0].0 }).unwrap();
+                // Start the first entry (of a batch, or a replica), then
+                // vanish holding them all.
+                if let Some((task, _)) = tasks.first() {
+                    send(&mut writer, &SlaveMsg::Started { task: *task }).unwrap();
+                }
             }
-            Some(MasterMsg::Execute { .. }) | Some(MasterMsg::Done) => {
+            Some(MasterMsg::Done) => {
                 // The steady slave was too fast this run; dropping here
                 // still exercises the disconnect path.
             }
@@ -1555,7 +1558,13 @@ mod tests {
                 }],
                 shard: (0, db.len()),
             };
-            send(&mut writer, &MasterMsg::Execute { task: 0, desc }).unwrap();
+            send(
+                &mut writer,
+                &MasterMsg::Tasks {
+                    tasks: vec![(0, desc)],
+                },
+            )
+            .unwrap();
             let mut finished = false;
             loop {
                 match reader.next_msg::<SlaveMsg>().unwrap() {

@@ -213,29 +213,32 @@ struct RemoteEndpoint {
 }
 
 impl RemoteEndpoint {
-    /// `(task, payload)` pairs for `tasks`, recorded as shipped. A task
-    /// finished or taken elsewhere since it was assigned to `pe` is
-    /// skipped, as a local PE skips it: its owner may already have
-    /// replied and forgotten it. `Err` when a task `pe` still holds is no
-    /// longer worth running (e.g. its database generation was swapped
-    /// out) — the drive loop then tears the session down and the tasks
-    /// requeue to PEs that can still run them.
+    /// `(task, payload)` pairs for the `tasks` still on `pe`'s run queue,
+    /// recorded as shipped, read under one lock. A task finished or taken
+    /// elsewhere since it was assigned to `pe` is skipped, as a local PE
+    /// skips it: its owner may already have replied and forgotten it.
+    /// `Err` when a queued task is no longer worth running (e.g. its
+    /// database generation was swapped out) — the drive loop then tears
+    /// the session down and the tasks requeue to PEs that can still run
+    /// them.
     fn ship<S: PoolOwner>(
         &mut self,
         pool: &PePool<S>,
         pe: PeId,
         tasks: &[TaskId],
     ) -> io::Result<Vec<(TaskId, TaskPayload)>> {
+        let g = pool.lock();
         let mut shipped = Vec::with_capacity(tasks.len());
         for &t in tasks {
-            match pool.payload(t) {
-                Some(payload) => {
-                    self.shipped.insert(t, payload.queries.len());
-                    shipped.push((t, payload));
-                }
-                None if !pool.still_runnable(pe, t) => {}
-                None => return Err(invalid(format!("task {t} has no payload to ship"))),
+            if !g.master.pool().queued_by(pe).any(|q| q == t) {
+                continue;
             }
+            let payload = g
+                .owner
+                .task_payload(&g.master, t)
+                .ok_or_else(|| invalid(format!("task {t} has no payload to ship")))?;
+            self.shipped.insert(t, payload.queries.len());
+            shipped.push((t, payload));
         }
         Ok(shipped)
     }
@@ -291,10 +294,6 @@ impl<S: PoolOwner> PeEndpoint<S> for RemoteEndpoint {
         let msg = match cmd {
             PeCommand::Tasks(tasks) => MasterMsg::Tasks {
                 tasks: self.ship(pool, pe, tasks)?,
-            },
-            PeCommand::Execute(task) => match self.ship(pool, pe, &[*task])?.pop() {
-                Some((task, desc)) => MasterMsg::Execute { task, desc },
-                None => MasterMsg::Tasks { tasks: Vec::new() },
             },
             PeCommand::Done => MasterMsg::Done,
         };
@@ -414,11 +413,18 @@ mod tests {
             pool.next_assignment(remote),
             Some(PeCommand::Tasks(vec![1]))
         );
+        // A batch ships what is queued for its PE and skips the rest.
+        endpoint
+            .deliver(&pool, remote, &PeCommand::Tasks(vec![0, 1]))
+            .unwrap();
+        let line = next_line(&mut slave);
+        assert!(line.contains(r#""tasks":[1]"#), "{line}");
+        assert_eq!(endpoint.shipped.keys().copied().collect::<Vec<_>>(), [1]);
         assert!(pool.task_started(remote, 1));
         assert!(pool.task_started(local, 0));
         // The remote's request: nothing ready, so it replicates task 0 …
         let replica = pool.next_assignment(remote).unwrap();
-        assert_eq!(replica, PeCommand::Execute(0));
+        assert_eq!(replica, PeCommand::Tasks(vec![0]));
         // … which the local PE finishes before the replica goes out.
         assert!(pool.task_finished(local, 0, TaskResult::default()));
         assert!(pool.payload(0).is_none());
@@ -427,14 +433,33 @@ mod tests {
             next_line(&mut slave).trim_end(),
             r#"{"type":"tasks","tasks":[],"descs":[]}"#
         );
-        assert!(endpoint.shipped.is_empty());
-        // A batch ships what is still runnable and skips the rest.
-        endpoint
-            .deliver(&pool, remote, &PeCommand::Tasks(vec![0, 1]))
-            .unwrap();
-        let line = next_line(&mut slave);
-        assert!(line.contains(r#""tasks":[1]"#), "{line}");
         assert_eq!(endpoint.shipped.keys().copied().collect::<Vec<_>>(), [1]);
+    }
+
+    /// A task taken over by another PE between its assignment and its
+    /// delivery is not shipped: it would run twice, once on a PE that no
+    /// longer holds it.
+    #[test]
+    fn a_task_stolen_before_it_is_shipped_is_not_shipped() {
+        let (pool, local, remote) = pool();
+        let (mut endpoint, mut slave) = endpoint();
+        let first = pool.next_assignment(remote).unwrap();
+        assert_eq!(first, PeCommand::Tasks(vec![0]));
+        let second = pool.next_assignment(remote).unwrap();
+        assert_eq!(second, PeCommand::Tasks(vec![1]));
+        // The local PE finds nothing ready and takes over the remote's last
+        // unstarted task: it would wait behind task 0 there.
+        assert_eq!(pool.next_assignment(local), Some(PeCommand::Tasks(vec![1])));
+        assert_eq!(pool.lock().master.pool().get(1).executors, [local]);
+        endpoint.deliver(&pool, remote, &first).unwrap();
+        let line = next_line(&mut slave);
+        assert!(line.contains(r#""tasks":[0]"#), "{line}");
+        endpoint.deliver(&pool, remote, &second).unwrap();
+        assert_eq!(
+            next_line(&mut slave).trim_end(),
+            r#"{"type":"tasks","tasks":[],"descs":[]}"#
+        );
+        assert_eq!(endpoint.shipped.keys().copied().collect::<Vec<_>>(), [0]);
     }
 
     /// A task the slave still holds but cannot run (its database was

@@ -179,7 +179,6 @@ fn slave_work_loop(
         // until an assignment or completion arrives.
         let batch: Vec<(TaskId, TaskPayload)> = match reader.next_msg::<MasterMsg>() {
             Ok(Some(MasterMsg::Tasks { tasks })) => tasks,
-            Ok(Some(MasterMsg::Execute { task, desc })) => vec![(task, desc)],
             Ok(Some(MasterMsg::Done)) => return Ok(SessionEnd::Done(executed)),
             Ok(Some(MasterMsg::Error { message })) => return Err(invalid(message)),
             Ok(Some(MasterMsg::Registered { .. })) => {

@@ -35,8 +35,11 @@ use swhybrid_simd::search::Hit;
 ///   derived from it,
 /// * v5 — a payload's `shard` names scan positions of the database's
 ///   stable length order (ascending length, ties in database order), no
-///   longer database indices; the lines are v4's.
-pub const PROTOCOL_VERSION: u32 = 5;
+///   longer database indices; the lines are v4's,
+/// * v6 — no `execute` message: a task taken over from another PE or
+///   replicated is a one-task `tasks` line, and every assignment lands at
+///   the back of what the slave runs, in the order shipped.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Socket read quantum: deadlines are checked at this granularity.
 pub(crate) fn liveness_quantum(deadline: Duration) -> Duration {
@@ -84,18 +87,12 @@ pub enum MasterMsg {
         /// The PE id assigned to this slave.
         pe_id: PeId,
     },
-    /// A batch of fresh tasks, in execution order, each with its payload
-    /// (on the wire: parallel `tasks` and `descs` arrays).
+    /// Tasks to run, in execution order, each with its payload (on the
+    /// wire: parallel `tasks` and `descs` arrays): a batch of fresh ones,
+    /// or one taken over or replicated — the slave does not care which.
     Tasks {
         /// `(task id, payload)` pairs.
         tasks: Vec<(TaskId, TaskPayload)>,
-    },
-    /// Execute this task even though another PE also holds it.
-    Execute {
-        /// The task (a steal or a replica — the slave does not care).
-        task: TaskId,
-        /// Its payload.
-        desc: TaskPayload,
     },
     /// Everything is finished; disconnect.
     Done,
@@ -389,11 +386,6 @@ impl Wire for MasterMsg {
                     Json::Arr(tasks.iter().map(|(_, desc)| desc.to_json()).collect()),
                 ),
             ]),
-            MasterMsg::Execute { task, desc } => Json::obj([
-                ("type", Json::str("execute")),
-                ("task", Json::Num(*task as f64)),
-                ("desc", desc.to_json()),
-            ]),
             MasterMsg::Done => Json::obj([("type", Json::str("done"))]),
             MasterMsg::Error { message } => Json::obj([
                 ("type", Json::str("error")),
@@ -428,10 +420,6 @@ impl Wire for MasterMsg {
                     tasks: tasks.collect::<Result<_, _>>()?,
                 })
             }
-            "execute" => Ok(MasterMsg::Execute {
-                task: field_usize(v, "task")?,
-                desc: TaskPayload::from_json(field(v, "desc")?)?,
-            }),
             "done" => Ok(MasterMsg::Done),
             "error" => Ok(MasterMsg::Error {
                 message: field_str(v, "message")?,
@@ -840,9 +828,10 @@ mod tests {
 
     const ZERO: &str = r#"{"striped_i8":0,"striped_i16":0,"striped_scalar":0,"interseq_i8":0,"interseq_i16":0,"interseq_scalar":0,"chunks_striped":0,"chunks_interseq":0,"cells_computed":0}"#;
 
-    /// Every message variant beside the exact line protocol v5 writes for
+    /// Every message variant beside the exact line protocol v6 writes for
     /// it (regenerated when v4 made every payload, the digest and the
-    /// per-query list mandatory, and for v5's version number).
+    /// per-query list mandatory, and for v5's and v6's version numbers;
+    /// v6 dropped `execute` and left every other line as v5 wrote it).
     fn golden() -> Vec<(Json, String)> {
         let slave = [
             (
@@ -851,7 +840,7 @@ mod tests {
                     gcups: 2.7,
                     digest: 0xdead_beef_cafe_f00d,
                 },
-                r#"{"type":"register","name":"host-a/core0","gcups":2.7,"proto":5,"digest":"deadbeefcafef00d"}"#.to_string(),
+                r#"{"type":"register","name":"host-a/core0","gcups":2.7,"proto":6,"digest":"deadbeefcafef00d"}"#.to_string(),
             ),
             (SlaveMsg::Request, r#"{"type":"request"}"#.to_string()),
             (
@@ -900,7 +889,7 @@ mod tests {
         let master = [
             (
                 MasterMsg::Registered { pe_id: 1 },
-                r#"{"type":"registered","pe_id":1,"proto":5}"#.to_string(),
+                r#"{"type":"registered","pe_id":1,"proto":6}"#.to_string(),
             ),
             (
                 MasterMsg::Tasks {
@@ -913,13 +902,6 @@ mod tests {
                     tasks: vec![(4, payload()), (5, payload())],
                 },
                 format!(r#"{{"type":"tasks","tasks":[4,5],"descs":[{DESC},{DESC}]}}"#),
-            ),
-            (
-                MasterMsg::Execute {
-                    task: 8,
-                    desc: payload(),
-                },
-                format!(r#"{{"type":"execute","task":8,"desc":{DESC}}}"#),
             ),
             (MasterMsg::Done, r#"{"type":"done"}"#.to_string()),
             (
@@ -935,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn every_message_encodes_to_its_v5_bytes() {
+    fn every_message_encodes_to_its_v6_bytes() {
         for (json, line) in golden() {
             assert_eq!(json.to_string(), line);
         }
@@ -951,16 +933,16 @@ mod tests {
         }
     }
 
-    /// What v4 made mandatory, missing or inconsistent, and a v3 handshake:
-    /// each a typed error (the session that reads it is dropped), never a
-    /// panic or a default.
+    /// What v4 made mandatory, missing or inconsistent, a v5 `execute`
+    /// line, and a v3 handshake: each a typed error (the session that
+    /// reads it is dropped), never a panic or a default.
     #[test]
     fn v4_lines_missing_a_mandatory_part_are_typed_errors() {
         let slave_lines = [
             // `register` without the digest, or with a malformed one.
-            r#"{"type":"register","name":"b","gcups":1,"proto":5}"#.to_string(),
-            r#"{"type":"register","name":"b","gcups":1,"proto":5,"digest":12}"#.to_string(),
-            r#"{"type":"register","name":"b","gcups":1,"proto":5,"digest":"xyz"}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":6}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":6,"digest":12}"#.to_string(),
+            r#"{"type":"register","name":"b","gcups":1,"proto":6,"digest":"xyz"}"#.to_string(),
             // `finished` without the per-query list (the v3 task-level form),
             // or with an entry missing its counters.
             format!(
@@ -972,8 +954,8 @@ mod tests {
             // `tasks` without `descs`, or with one payload too few.
             r#"{"type":"tasks","tasks":[4,5]}"#.to_string(),
             format!(r#"{{"type":"tasks","tasks":[4,5],"descs":[{DESC}]}}"#),
-            // `execute` without `desc`.
-            r#"{"type":"execute","task":2}"#.to_string(),
+            // `execute`, which v6 no longer has: an unknown type.
+            format!(r#"{{"type":"execute","task":2,"desc":{DESC}}}"#),
         ];
         for line in &slave_lines {
             let err = decode::<SlaveMsg>(line).unwrap_err();
@@ -983,39 +965,50 @@ mod tests {
             let err = decode::<MasterMsg>(line).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
         }
+        let execute = decode::<MasterMsg>(&master_lines[2])
+            .unwrap_err()
+            .to_string();
+        assert!(
+            execute.contains("unknown master message type 'execute'"),
+            "{execute}"
+        );
         // A v3 handshake — which had no digest — is told about versions.
         let v3 = r#"{"type":"register","name":"b","gcups":1,"proto":3}"#;
         let err = decode::<SlaveMsg>(v3).unwrap_err().to_string();
         assert_eq!(
             err,
-            "protocol version mismatch: master speaks v5, slave speaks v3"
+            "protocol version mismatch: master speaks v6, slave speaks v3"
         );
         let v3 = r#"{"type":"registered","pe_id":1,"proto":3}"#;
         let err = decode::<MasterMsg>(v3).unwrap_err().to_string();
         assert_eq!(
             err,
-            "protocol version mismatch: slave speaks v5, master speaks v3"
+            "protocol version mismatch: slave speaks v6, master speaks v3"
         );
     }
 
     /// A v4 peer would cut a shard range into database indices where v5
-    /// means scan positions, so the whole v4 handshake is refused, with
+    /// and v6 mean scan positions, and a v5 master would send `execute`
+    /// lines a v6 slave cannot read, so either handshake is refused, with
     /// both versions named, before any task could be misread.
     #[test]
     fn v4_register_is_refused_naming_both_versions() {
-        let v4 =
-            r#"{"type":"register","name":"b","gcups":1,"proto":4,"digest":"deadbeefcafef00d"}"#;
-        let err = decode::<SlaveMsg>(v4).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(
-            err.to_string(),
-            "protocol version mismatch: master speaks v5, slave speaks v4"
-        );
-        let v4 = r#"{"type":"registered","pe_id":1,"proto":4}"#;
-        assert_eq!(
-            decode::<MasterMsg>(v4).unwrap_err().to_string(),
-            "protocol version mismatch: slave speaks v5, master speaks v4"
-        );
+        for old in [4, 5] {
+            let register = format!(
+                r#"{{"type":"register","name":"b","gcups":1,"proto":{old},"digest":"deadbeefcafef00d"}}"#
+            );
+            let err = decode::<SlaveMsg>(&register).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                format!("protocol version mismatch: master speaks v6, slave speaks v{old}")
+            );
+            let registered = format!(r#"{{"type":"registered","pe_id":1,"proto":{old}}}"#);
+            assert_eq!(
+                decode::<MasterMsg>(&registered).unwrap_err().to_string(),
+                format!("protocol version mismatch: slave speaks v6, master speaks v{old}")
+            );
+        }
     }
 
     /// Through the framer and both decoders: decodes or is the typed

@@ -32,7 +32,7 @@
 //! the lock and must stay short — slow work (completion callbacks, socket
 //! writes) is returned as a [`Deferred`] closure and run off-lock.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -235,10 +235,9 @@ impl<'a> PeExecutor<'a> {
 /// A scheduling decision delivered to an endpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeCommand {
-    /// Fresh ready tasks, in allocation order.
+    /// Tasks now at the back of the PE's run queue, in order: a batch of
+    /// fresh ones, or one taken over or replicated.
     Tasks(Vec<TaskId>),
-    /// One task to execute now (a steal or a replica).
-    Execute(TaskId),
     /// The pool is drained and not keeping alive: the PE retires.
     Done,
 }
@@ -452,8 +451,7 @@ impl<S> PoolCore<S> {
             self.master
                 .record_event(now, EventKind::PeSuspectedDead { pe });
         }
-        let held: Vec<TaskId> = self.master.pool().held_by(pe).collect();
-        self.master.pe_leaves(pe, &held);
+        self.master.pe_leaves(pe);
     }
 }
 
@@ -599,17 +597,6 @@ impl<S: PoolOwner> PePool<S> {
         g.owner.task_payload(&g.master, task)
     }
 
-    /// Whether `task` is still worth executing on `pe`: batch entries may
-    /// have been stolen from this PE or finished by a replica elsewhere
-    /// while queued.
-    pub fn still_runnable(&self, pe: PeId, task: TaskId) -> bool {
-        let g = self.lock();
-        g.master
-            .pool()
-            .find(task)
-            .is_some_and(|t| t.state != TaskState::Finished && t.executors.contains(&pe))
-    }
-
     /// Record a task start. Returns `false` — the caller must tear the PE
     /// down — when the task id is out of bounds (a corrupt or stale
     /// report from a remote).
@@ -683,7 +670,7 @@ impl<S: PoolOwner> PePool<S> {
                 let cmd = match g.master.request(pe, now) {
                     Assignment::Tasks(tasks) => Some(PeCommand::Tasks(tasks)),
                     Assignment::Steal { task, .. } | Assignment::Replicate(task) => {
-                        Some(PeCommand::Execute(task))
+                        Some(PeCommand::Tasks(vec![task]))
                     }
                     Assignment::Done => {
                         let m = g.members.get_mut(&pe).expect("member admitted");
@@ -756,11 +743,10 @@ pub fn drive<S: PoolOwner, E: PeEndpoint<S>>(pool: &PePool<S>, pe: PeId, endpoin
     }
 }
 
-/// The in-process endpoint: a queue of assigned tasks and a closure that
-/// really computes one. Skips queued entries that were stolen or finished
-/// elsewhere while they waited.
+/// The in-process endpoint: a closure that really computes one task. It
+/// starts what the pool's run queue for its PE holds next, so a task
+/// stolen or finished elsewhere while queued is never started here.
 pub struct LocalEndpoint<F> {
-    queue: VecDeque<TaskId>,
     running: Option<TaskId>,
     execute: F,
 }
@@ -769,7 +755,6 @@ impl<F: FnMut(TaskId) -> TaskResult> LocalEndpoint<F> {
     /// New endpoint around the compute closure.
     pub fn new(execute: F) -> LocalEndpoint<F> {
         LocalEndpoint {
-            queue: VecDeque::new(),
             running: None,
             execute,
         }
@@ -783,21 +768,17 @@ impl<S: PoolOwner, F: FnMut(TaskId) -> TaskResult> PeEndpoint<S> for LocalEndpoi
             let result = (self.execute)(task);
             return PeEvent::Finished { task, result };
         }
-        while let Some(task) = self.queue.pop_front() {
-            if pool.still_runnable(pe, task) {
+        match pool.lock().master.pool().next_queued(pe) {
+            Some(task) => {
                 self.running = Some(task);
-                return PeEvent::Started(task);
+                PeEvent::Started(task)
             }
+            None => PeEvent::NeedWork,
         }
-        PeEvent::NeedWork
     }
 
-    fn deliver(&mut self, _pool: &PePool<S>, _pe: PeId, cmd: &PeCommand) -> io::Result<()> {
-        match cmd {
-            PeCommand::Tasks(tasks) => self.queue.extend(tasks.iter().copied()),
-            PeCommand::Execute(task) => self.queue.push_back(*task),
-            PeCommand::Done => {}
-        }
+    /// Nothing to carry: the pool already queued the tasks for this PE.
+    fn deliver(&mut self, _pool: &PePool<S>, _pe: PeId, _cmd: &PeCommand) -> io::Result<()> {
         Ok(())
     }
 }
@@ -1228,6 +1209,30 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::TaskRequeued { task, from } if task == tasks[0] && from == a)));
+    }
+
+    /// A departing PE's tasks return to the front of the ready queue in
+    /// the simulator's order: its run queue first, then what it started,
+    /// so the started task leads and the queued ones follow, last first.
+    #[test]
+    fn a_leaving_pe_hands_back_its_queue_then_its_running_task() {
+        let p = pool(3, 2);
+        let a = p.admit("a", 1.0, false);
+        let b = p.admit("b", 1.0, false);
+        for t in 0..3 {
+            assert_eq!(p.next_assignment(a), Some(PeCommand::Tasks(vec![t])));
+        }
+        let mut ep = LocalEndpoint::new(|_| TaskResult::default());
+        let PeEvent::Started(running) = ep.next_event(&p, a) else {
+            panic!("a has tasks queued");
+        };
+        assert_eq!(running, 0);
+        assert!(p.task_started(a, running));
+        assert_eq!(p.lock().master.pool().next_queued(a), Some(1));
+        p.disconnect(a, false);
+        let front: Vec<PeCommand> = (0..3).filter_map(|_| p.next_assignment(b)).collect();
+        let tasks = |t: TaskId| PeCommand::Tasks(vec![t]);
+        assert_eq!(front, [tasks(0), tasks(2), tasks(1)]);
     }
 
     #[test]

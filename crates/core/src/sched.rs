@@ -142,8 +142,8 @@ pub enum Assignment {
     /// Fresh ready tasks, in allocation order.
     Tasks(Vec<TaskId>),
     /// Take over a task that was assigned to another PE's batch but has not
-    /// started there yet: the task moves wholesale (no work is lost). The
-    /// `from` PE must drop it from its local queue.
+    /// started there yet: the task moves wholesale (no work is lost), from
+    /// `from`'s run queue to the requester's.
     Steal {
         /// The reassigned task.
         task: TaskId,
@@ -521,9 +521,11 @@ impl Scheduler {
             .fold(cells, f64::min)
     }
 
-    /// A PE reports that it has *started* executing a task.
+    /// A PE reports that it has *started* executing a task (which leaves
+    /// its run queue).
     pub fn task_started(&mut self, pe: PeId, task: TaskId, now: f64) {
         self.clock = self.clock.max(now);
+        self.pool.start(task, pe);
         self.pes[pe].running.insert(task, now);
         self.emit(|| EventKind::TaskStarted { pe, task });
     }
@@ -591,20 +593,20 @@ impl Scheduler {
         cancels
     }
 
-    /// A PE leaves the platform (membership extension): its held tasks —
-    /// running or queued — are handed back so they return to ready unless a
-    /// replica survives elsewhere.
-    pub fn pe_leaves(&mut self, pe: PeId, held: &[TaskId]) {
+    /// A PE leaves the platform (membership extension): its run queue, then
+    /// what it started, return to the *front* of the ready queue unless a
+    /// replica survives elsewhere (the simulator's order, for every driver).
+    pub fn pe_leaves(&mut self, pe: PeId) {
         self.pes[pe].alive = false;
         self.pes[pe].running.clear();
         self.emit(|| EventKind::PeLeft { pe });
-        for &t in held {
-            let was_executing = self.pool.find(t).is_some_and(|held| {
-                held.state == TaskState::Executing && held.executors.contains(&pe)
-            });
+        let queued: Vec<TaskId> = self.pool.queued_by(pe).collect();
+        let started = self.pool.held_by(pe).filter(|t| !queued.contains(t));
+        let held: Vec<TaskId> = queued.iter().copied().chain(started).collect();
+        for t in held {
             self.pool.release(t, pe);
             // Requeued only when no surviving replica kept it executing.
-            if was_executing && self.pool.state(t) == TaskState::Ready {
+            if self.pool.state(t) == TaskState::Ready {
                 self.emit(|| EventKind::TaskRequeued { task: t, from: pe });
             }
         }
@@ -972,7 +974,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         m.task_started(a, 0, 0.0);
-        m.pe_leaves(a, &[0, 1]);
+        m.pe_leaves(a);
         // Both tasks are ready again; b picks them up.
         match m.request(b, 1.0) {
             Assignment::Tasks(t) => assert!(!t.is_empty()),
@@ -989,7 +991,7 @@ mod tests {
         for (pe, gcups) in [(a, 10.0), (dead, 1.0), (c, 5.0)] {
             m.notify_progress(pe, 0.0, gcups);
         }
-        m.pe_leaves(dead, &[]);
+        m.pe_leaves(dead);
         // The slowest live PE runs at 5.0, not 1.0: Φ = 10 / 5.
         match m.request(a, 0.0) {
             Assignment::Tasks(t) => assert_eq!(t, vec![0, 1]),
@@ -1153,7 +1155,7 @@ mod tests {
         assert_eq!(m.request(b, 0.1), Assignment::Steal { task: 1, from: a });
         m.task_started(b, 1, 0.1);
         // a dies holding task 0 (task 1 was stolen away already).
-        m.pe_leaves(a, &[0]);
+        m.pe_leaves(a);
         let requeued: Vec<_> = events
             .lock()
             .unwrap()

@@ -10,7 +10,9 @@
 //! the one scheduling engine in [`crate::sched`], exactly like the real
 //! runtimes: it advances a [`VirtualClock`] along its event heap and relays
 //! request/start/notify/finish calls, so allocation decisions,
-//! replication, and cancellations are the genuine article.
+//! replication, and cancellations are the genuine article. It keeps only
+//! device, time and counter state: which task a PE starts next is the
+//! pool's run queue (`TaskPool::next_queued`).
 //!
 //! Determinism: events are ordered by `(time, insertion sequence)`, PEs are
 //! always iterated in id order, and no wall-clock or RNG enters the loop —
@@ -28,7 +30,7 @@
 //! only by [`Simulator::run_traced`], for the figures drawn from them.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::sched::{Assignment, Clock, MasterConfig, Scheduler, VirtualClock};
 use crate::task::{PeId, TaskId};
@@ -166,7 +168,6 @@ struct Running {
 
 #[derive(Debug, Default)]
 struct PeState {
-    queue: VecDeque<TaskId>,
     current: Option<Running>,
     epoch: u64,
     waiting: bool,
@@ -451,10 +452,9 @@ impl Engine {
         if !self.state[pe].alive || self.state[pe].current.is_some() {
             return;
         }
-        if let Some(next) = self.state[pe].queue.pop_front() {
-            self.start_task(pe, next, now);
-        } else {
-            self.request_work(pe, now);
+        match self.master.pool().next_queued(pe) {
+            Some(next) => self.start_task(pe, next, now),
+            None => self.request_work(pe, now),
         }
     }
 
@@ -464,20 +464,11 @@ impl Engine {
         }
         self.set_waiting(pe, false);
         match self.master.request(pe, now) {
-            Assignment::Tasks(tasks) => {
-                self.state[pe].queue.extend(tasks);
-                if let Some(next) = self.state[pe].queue.pop_front() {
+            // Each lands on the PE's run queue in the pool.
+            Assignment::Tasks(_) | Assignment::Steal { .. } | Assignment::Replicate(_) => {
+                if let Some(next) = self.master.pool().next_queued(pe) {
                     self.start_task(pe, next, now + self.latency);
                 }
-            }
-            Assignment::Steal { task, from } => {
-                let present = self.state[from].queue.iter().any(|&t| t == task);
-                debug_assert!(present, "stolen task {task} not in PE {from}'s queue");
-                self.state[from].queue.retain(|&t| t != task);
-                self.start_task(pe, task, now + self.latency);
-            }
-            Assignment::Replicate(task) => {
-                self.start_task(pe, task, now + self.latency);
             }
             Assignment::Wait => self.set_waiting(pe, true),
             Assignment::Done => {}
@@ -532,8 +523,8 @@ impl Engine {
         self.poll_waiting(now);
     }
 
-    /// Remove a finished task from another PE: cancel its running replica
-    /// or drop it from its queue.
+    /// Cancel another PE's running replica of a finished task. (A queued
+    /// copy already left the PE's run queue when the task finished.)
     fn cancel_holder(&mut self, pe: PeId, task: TaskId, now: f64) {
         let is_current = self.state[pe]
             .current
@@ -549,11 +540,6 @@ impl Engine {
             self.state[pe].epoch += 1; // invalidate the pending Finish
             self.segment(pe, &run, now, SegmentEnd::Cancelled);
             self.advance(pe, now);
-        } else {
-            self.state[pe].queue.retain(|&t| t != task);
-            // A PE whose queue emptied keeps running its current task; if
-            // it had nothing running it must have been mid-request — the
-            // waiting poll will reach it.
         }
     }
 
@@ -611,17 +597,15 @@ impl Engine {
             return;
         }
         self.touch(pe, now);
-        let mut held: Vec<TaskId> = self.state[pe].queue.drain(..).collect();
         if let Some(run) = self.state[pe].current.take() {
             self.state[pe].busy_seconds += (now - run.start).max(0.0);
             self.segment(pe, &run, now, SegmentEnd::Abandoned);
-            held.push(run.task);
             self.state[pe].epoch += 1;
         }
         self.state[pe].alive = false;
         // The poll skips a PE that left, so it no longer counts as waiting.
         self.set_waiting(pe, false);
-        self.master.pe_leaves(pe, &held);
+        self.master.pe_leaves(pe);
         // Released tasks may be ready again: wake the waiters.
         self.poll_waiting(now);
     }

@@ -47,7 +47,8 @@ pub struct Task {
 /// what is in flight, not every task of the run. Only the mutators that
 /// change a task's `state` or `executors` touch them. Both are id-ordered,
 /// so they enumerate exactly what a walk over `tasks` would, in the same
-/// order.
+/// order. The same mutators keep each PE's run queue, and `start` pops
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct TaskPool {
     /// The live tasks: ids `forgotten..len()`, in id order.
@@ -63,6 +64,9 @@ pub struct TaskPool {
     /// Per PE (grown on demand), the executing tasks whose `executors`
     /// contain it.
     held: Vec<BTreeSet<TaskId>>,
+    /// Per PE, its run queue: the held tasks it has not started, in the
+    /// order it is to run them, whichever driver runs it.
+    queued: Vec<VecDeque<TaskId>>,
 }
 
 impl TaskPool {
@@ -131,16 +135,20 @@ impl TaskPool {
         &mut self.tasks[id - self.forgotten]
     }
 
+    /// `pe` now holds `id`, queued after what it holds unstarted.
     fn hold(&mut self, id: TaskId, pe: PeId) {
         if self.held.len() <= pe {
             self.held.resize_with(pe + 1, BTreeSet::new);
+            self.queued.resize_with(pe + 1, VecDeque::new);
         }
         self.held[pe].insert(id);
+        self.queued[pe].push_back(id);
     }
 
     fn unhold(&mut self, id: TaskId, pe: PeId) {
         if let Some(held) = self.held.get_mut(pe) {
             held.remove(&id);
+            self.queued[pe].retain(|&t| t != id);
         }
     }
 
@@ -204,6 +212,24 @@ impl TaskPool {
         self.held.get(pe).into_iter().flatten().copied()
     }
 
+    /// `pe`'s run queue: the tasks it holds unstarted, in run order.
+    pub(crate) fn queued_by(&self, pe: PeId) -> impl Iterator<Item = TaskId> + '_ {
+        self.queued.get(pe).into_iter().flatten().copied()
+    }
+
+    /// The task `pe` is to start next, if it has one queued.
+    pub(crate) fn next_queued(&self, pe: PeId) -> Option<TaskId> {
+        self.queued.get(pe)?.front().copied()
+    }
+
+    /// `pe` started `id`: it leaves the PE's run queue (if it is there; a
+    /// remote PE may start a task taken from it after it was shipped).
+    pub(crate) fn start(&mut self, id: TaskId, pe: PeId) {
+        if let Some(queue) = self.queued.get_mut(pe) {
+            queue.retain(|&t| t != id);
+        }
+    }
+
     /// Pop up to `n` ready tasks (file order) and assign them to `pe`.
     pub fn take_ready(&mut self, n: usize, pe: PeId) -> Vec<TaskId> {
         let mut out = Vec::with_capacity(n.min(self.ready.len()));
@@ -242,7 +268,7 @@ impl TaskPool {
     }
 
     /// Add `pe` as an additional executor of an already-executing task
-    /// (the workload adjustment replication).
+    /// (the workload adjustment replication), last on its run queue.
     pub fn replicate(&mut self, id: TaskId, pe: PeId) {
         let task = self.held_mut(id);
         assert_eq!(
@@ -259,7 +285,7 @@ impl TaskPool {
     }
 
     /// Move an executing task from one holder to another (work stealing of
-    /// a not-yet-started batch entry).
+    /// a not-yet-started batch entry), to the back of `to`'s run queue.
     pub fn reassign(&mut self, id: TaskId, from: PeId, to: PeId) {
         let task = self.held_mut(id);
         assert_eq!(
@@ -281,9 +307,9 @@ impl TaskPool {
         self.hold(id, to);
     }
 
-    /// Mark a task finished by `pe`. Returns the *other* executors whose
-    /// replicas must be cancelled; idempotent calls after the first return
-    /// an empty list.
+    /// Mark a task finished by `pe` (off every run queue). Returns the
+    /// *other* executors whose replicas must be cancelled; idempotent
+    /// calls after the first return an empty list.
     pub fn finish(&mut self, id: TaskId, pe: PeId) -> Vec<PeId> {
         if self.state(id) == TaskState::Finished {
             return Vec::new();
@@ -460,10 +486,18 @@ mod tests {
         walk(pool, |t| t.state == TaskState::Executing)
     }
 
-    /// Apply one `(operation, pick, pe)` step, where `pick` chooses among
-    /// the tasks (and holders) the operation is legal on; a step with no
-    /// legal target does nothing.
-    fn apply(pool: &mut TaskPool, (op, pick, pe): (u8, usize, PeId)) {
+    /// Per PE, the run queue a driver would keep itself: what it was
+    /// handed, in order, less what it started, lost or gave back.
+    type Queues = Vec<VecDeque<TaskId>>;
+
+    fn drop_from(queue: &mut VecDeque<TaskId>, t: TaskId) {
+        queue.retain(|&q| q != t);
+    }
+
+    /// Apply one `(operation, pick, pe)` step to the pool and to the model
+    /// queues, where `pick` chooses among the tasks (and holders) the
+    /// operation is legal on; a step with no legal target does nothing.
+    fn apply(pool: &mut TaskPool, queues: &mut Queues, (op, pick, pe): (u8, usize, PeId)) {
         let choose = |ids: Vec<TaskId>| (!ids.is_empty()).then(|| ids[pick % ids.len()]);
         let executing = executing_walk(pool);
         let not_held_by_pe: Vec<TaskId> = executing
@@ -484,20 +518,25 @@ mod tests {
                 pool.push(specs(1 + pick % 3).remove(0));
             }
             1 => {
-                pool.take_ready(pick % 4, pe);
+                let got = pool.take_ready(pick % 4, pe);
+                queues[pe].extend(got);
             }
             2 => {
-                pool.take_ready_by_size(pick % 4, pe, pick % 2 == 0);
+                let got = pool.take_ready_by_size(pick % 4, pe, pick % 2 == 0);
+                queues[pe].extend(got);
             }
             3 => {
                 if let Some(t) = choose(not_held_by_pe) {
                     pool.replicate(t, pe);
+                    queues[pe].push_back(t);
                 }
             }
             4 => {
                 if let Some(t) = choose(not_held_by_pe) {
                     let from = holder_of(pool, t);
                     pool.reassign(t, from, pe);
+                    drop_from(&mut queues[from], t);
+                    queues[pe].push_back(t);
                 }
             }
             // The winner: one of its holders crosses the line first.
@@ -505,6 +544,7 @@ mod tests {
                 if let Some(t) = choose(executing) {
                     let winner = holder_of(pool, t);
                     pool.finish(t, winner);
+                    queues.iter_mut().for_each(|q| drop_from(q, t));
                 }
             }
             // A late loser, possibly after its task was forgotten.
@@ -518,6 +558,7 @@ mod tests {
                 if let Some(t) = choose(with_holders(|n| n == 1)) {
                     let sole = holder_of(pool, t);
                     pool.release(t, sole);
+                    drop_from(&mut queues[sole], t);
                     assert_eq!(pool.get(t).state, TaskState::Ready);
                 }
             }
@@ -525,7 +566,15 @@ mod tests {
                 if let Some(t) = choose(with_holders(|n| n > 1)) {
                     let replica = holder_of(pool, t);
                     pool.release(t, replica);
+                    drop_from(&mut queues[replica], t);
                     assert_eq!(pool.get(t).state, TaskState::Executing);
+                }
+            }
+            // A start, of a queued task or of one `pe` already runs.
+            9 => {
+                if let Some(t) = choose(walk(pool, |t| t.executors.contains(&pe))) {
+                    pool.start(t, pe);
+                    drop_from(&mut queues[pe], t);
                 }
             }
             _ => pool.forget_finished_prefix(),
@@ -536,22 +585,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The indexes answer what the walks they replace would, in the same
-        /// order, after every mutator in any interleaving.
+        /// order, and each PE's run queue what a driver's own queue would,
+        /// after every mutator in any interleaving.
         #[test]
         fn indexes_match_the_walks_they_replace(
             start in 0usize..6,
-            steps in prop::collection::vec((0u8..10, 0usize..64, 0..PES), 1..120),
+            steps in prop::collection::vec((0u8..11, 0usize..64, 0..PES), 1..120),
         ) {
             let mut pool = TaskPool::new(specs(start));
+            let mut queues: Queues = vec![VecDeque::new(); PES];
             for step in steps {
-                apply(&mut pool, step);
+                apply(&mut pool, &mut queues, step);
                 prop_assert_eq!(
                     pool.executing_ids().collect::<Vec<_>>(),
                     executing_walk(&pool),
                     "executing after {:?}",
                     step
                 );
-                for pe in 0..PES {
+                for (pe, queue) in queues.iter().enumerate() {
                     prop_assert_eq!(
                         pool.held_by(pe).collect::<Vec<_>>(),
                         walk(&pool, |t| t.executors.contains(&pe)),
@@ -559,6 +610,14 @@ mod tests {
                         pe,
                         step
                     );
+                    prop_assert_eq!(
+                        pool.queued_by(pe).collect::<Vec<_>>(),
+                        queue.iter().copied().collect::<Vec<_>>(),
+                        "queued by PE {} after {:?}",
+                        pe,
+                        step
+                    );
+                    prop_assert_eq!(pool.next_queued(pe), queue.front().copied());
                 }
             }
         }

@@ -511,7 +511,7 @@ impl DoomedSlave {
     /// Block until the daemon assigns a task, then die without a word.
     fn die_on_first_assignment(mut self) {
         while let Some(line) = self.read_line() {
-            if line.contains("\"execute\"") || line.contains("\"tasks\"") {
+            if line.contains("\"tasks\"") {
                 return; // drop both socket halves: a crash mid-assignment
             }
         }
