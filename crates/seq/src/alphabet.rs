@@ -30,6 +30,38 @@ pub const RNA_RESIDUES: &[u8; 5] = b"ACGUN";
 /// Code used for "unknown/any" nucleotide (N).
 pub const NUCLEOTIDE_UNKNOWN: u8 = 4;
 
+/// Entry of a code table for a byte outside the alphabet. No alphabet has
+/// this many codes.
+pub(crate) const NO_CODE: u8 = 0xff;
+
+/// A 256-entry code table: each of `residues` maps to its index, upper and
+/// lower case alike, and each of `aliases` (upper and lower case) to
+/// `unknown`. Every other byte maps to [`NO_CODE`].
+const fn code_table(residues: &[u8], aliases: &[u8], unknown: u8) -> [u8; 256] {
+    let mut table = [NO_CODE; 256];
+    let mut i = 0;
+    while i < residues.len() {
+        table[residues[i] as usize] = i as u8;
+        table[residues[i].to_ascii_lowercase() as usize] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < aliases.len() {
+        table[aliases[i] as usize] = unknown;
+        table[aliases[i].to_ascii_lowercase() as usize] = unknown;
+        i += 1;
+    }
+    table
+}
+
+/// IUPAC nucleotide ambiguity codes other than `N`: all read as `N`.
+const NUCLEOTIDE_ALIASES: &[u8] = b"RYSWKMBDHV";
+
+static DNA_TABLE: [u8; 256] = code_table(DNA_RESIDUES, NUCLEOTIDE_ALIASES, NUCLEOTIDE_UNKNOWN);
+static RNA_TABLE: [u8; 256] = code_table(RNA_RESIDUES, NUCLEOTIDE_ALIASES, NUCLEOTIDE_UNKNOWN);
+// Selenocysteine / pyrrolysine / ambiguous J map to unknown.
+static PROTEIN_TABLE: [u8; 256] = code_table(PROTEIN_RESIDUES, b"UOJ", PROTEIN_UNKNOWN);
+
 /// A biological alphabet: which ASCII residues are legal and how they map to
 /// dense integer codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,57 +111,20 @@ impl Alphabet {
     /// permissive behaviour of database-search tools.
     #[inline]
     pub fn encode_byte(self, byte: u8) -> Option<u8> {
-        let up = byte.to_ascii_uppercase();
+        match self.code_table()[byte as usize] {
+            NO_CODE => None,
+            code => Some(code),
+        }
+    }
+
+    /// This alphabet's code for every byte value, [`NO_CODE`] for a byte
+    /// outside it: one indexed load per residue, no case fold or branch.
+    #[inline]
+    pub(crate) const fn code_table(self) -> &'static [u8; 256] {
         match self {
-            Alphabet::Dna => match up {
-                b'A' => Some(0),
-                b'C' => Some(1),
-                b'G' => Some(2),
-                b'T' => Some(3),
-                b'N' | b'R' | b'Y' | b'S' | b'W' | b'K' | b'M' | b'B' | b'D' | b'H' | b'V' => {
-                    Some(NUCLEOTIDE_UNKNOWN)
-                }
-                _ => None,
-            },
-            Alphabet::Rna => match up {
-                b'A' => Some(0),
-                b'C' => Some(1),
-                b'G' => Some(2),
-                b'U' => Some(3),
-                b'N' | b'R' | b'Y' | b'S' | b'W' | b'K' | b'M' | b'B' | b'D' | b'H' | b'V' => {
-                    Some(NUCLEOTIDE_UNKNOWN)
-                }
-                _ => None,
-            },
-            Alphabet::Protein => match up {
-                b'A' => Some(0),
-                b'R' => Some(1),
-                b'N' => Some(2),
-                b'D' => Some(3),
-                b'C' => Some(4),
-                b'Q' => Some(5),
-                b'E' => Some(6),
-                b'G' => Some(7),
-                b'H' => Some(8),
-                b'I' => Some(9),
-                b'L' => Some(10),
-                b'K' => Some(11),
-                b'M' => Some(12),
-                b'F' => Some(13),
-                b'P' => Some(14),
-                b'S' => Some(15),
-                b'T' => Some(16),
-                b'W' => Some(17),
-                b'Y' => Some(18),
-                b'V' => Some(19),
-                b'B' => Some(20),
-                b'Z' => Some(21),
-                b'X' => Some(22),
-                b'*' => Some(23),
-                // Selenocysteine / pyrrolysine / ambiguous J map to unknown.
-                b'U' | b'O' | b'J' => Some(PROTEIN_UNKNOWN),
-                _ => None,
-            },
+            Alphabet::Dna => &DNA_TABLE,
+            Alphabet::Rna => &RNA_TABLE,
+            Alphabet::Protein => &PROTEIN_TABLE,
         }
     }
 
@@ -146,14 +141,15 @@ impl Alphabet {
     ///
     /// Fails with [`SeqError::InvalidResidue`] on the first illegal byte.
     pub fn encode(self, residues: &[u8]) -> Result<Vec<u8>, SeqError> {
-        let mut out = Vec::with_capacity(residues.len());
-        for (position, &byte) in residues.iter().enumerate() {
-            match self.encode_byte(byte) {
-                Some(code) => out.push(code),
-                None => return Err(SeqError::InvalidResidue { byte, position }),
-            }
+        let table = self.code_table();
+        let codes: Vec<u8> = residues.iter().map(|&b| table[b as usize]).collect();
+        match codes.iter().position(|&c| c == NO_CODE) {
+            None => Ok(codes),
+            Some(position) => Err(SeqError::InvalidResidue {
+                byte: residues[position],
+                position,
+            }),
         }
-        Ok(out)
     }
 
     /// Decode a code slice back into ASCII residues.
@@ -163,7 +159,8 @@ impl Alphabet {
 
     /// Whether every byte of `residues` is legal in this alphabet.
     pub fn validates(self, residues: &[u8]) -> bool {
-        residues.iter().all(|&b| self.encode_byte(b).is_some())
+        let table = self.code_table();
+        residues.iter().all(|&b| table[b as usize] != NO_CODE)
     }
 
     /// Guess the alphabet of an ASCII residue string.

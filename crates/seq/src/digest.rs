@@ -41,6 +41,18 @@ impl Fnv1a {
         }
     }
 
+    /// Absorb `bytes` into `self` and `other` in one walk. The two
+    /// multiply chains do not depend on each other, so the processor runs
+    /// them side by side: two digests for about the time of one.
+    fn update_pair(&mut self, other: &mut Fnv1a, bytes: &[u8]) {
+        let (mut a, mut b) = (self.0, other.0);
+        for &byte in bytes {
+            a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+            b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+        }
+        (self.0, other.0) = (a, b);
+    }
+
     /// Absorb a length-prefixed byte run (makes the digest unambiguous
     /// under concatenation: `["ab","c"]` ≠ `["a","bc"]`).
     pub fn update_framed(&mut self, bytes: &[u8]) {
@@ -68,11 +80,25 @@ pub fn query_digest(codes: &[u8]) -> u64 {
 /// changes the observable result even though scores are unchanged. Order
 /// participates because `db_index` (the tie-break of every ranking) does.
 pub fn db_digest(subjects: &[EncodedSequence]) -> u64 {
+    db_walk(subjects, |h, codes| h.update(codes))
+}
+
+/// [`db_digest`], also absorbing every sequence's codes, in database
+/// order and unframed, into `codes_hash` in the same walk (a store's arena
+/// checksum).
+pub fn db_digest_feeding(subjects: &[EncodedSequence], codes_hash: &mut Fnv1a) -> u64 {
+    db_walk(subjects, |h, codes| h.update_pair(codes_hash, codes))
+}
+
+/// The [`db_digest`] walk, with `absorb` taking each sequence's codes
+/// after their length.
+fn db_walk(subjects: &[EncodedSequence], mut absorb: impl FnMut(&mut Fnv1a, &[u8])) -> u64 {
     let mut h = Fnv1a::new();
     h.update(&(subjects.len() as u64).to_le_bytes());
     for s in subjects {
         h.update_framed(s.id.as_bytes());
-        h.update_framed(&s.codes);
+        h.update(&(s.codes.len() as u64).to_le_bytes());
+        absorb(&mut h, &s.codes);
     }
     h.finish()
 }
@@ -152,6 +178,22 @@ mod tests {
             db_digest_parts(&[], &crate::arena::DbArena::from_encoded(&[])),
             db_digest(&[])
         );
+    }
+
+    #[test]
+    fn feeding_walk_matches_both_digests() {
+        for db in [
+            vec![],
+            vec![enc("a", b"MKVL"), enc("b", b""), enc("c", b"AWCDE")],
+        ] {
+            let mut codes = Fnv1a::new();
+            assert_eq!(db_digest_feeding(&db, &mut codes), db_digest(&db));
+            let mut serial = Fnv1a::new();
+            for s in &db {
+                serial.update(&s.codes);
+            }
+            assert_eq!(codes.finish(), serial.finish());
+        }
     }
 
     #[test]

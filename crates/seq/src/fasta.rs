@@ -1,30 +1,57 @@
 //! Streaming FASTA reader and writer.
 //!
 //! Biological "databases" are in fact huge flat FASTA files (paper §IV-B);
-//! this module parses them one record at a time, so building a database
-//! store never holds the raw text of more than one record.
+//! this module reads them one line at a time. A reader on a file holds one
+//! [`BUFFER_BYTES`] read buffer, the current line, and the current record:
+//! its raw residues ([`FastaReader::next_record`]) or, in [`read_encoded`],
+//! its alphabet codes, appended straight from each line through the
+//! alphabet's code table. It never holds the whole file.
+//!
+//! Lines are scanned as bytes. An ASCII line is trimmed at its end of the
+//! bytes `str::trim_end` strips (`\t \n \x0b \x0c \r` and space), and its
+//! residues skip the bytes `u8::is_ascii_whitespace` names (which keeps a
+//! `\x0b` inside a line, where it is an invalid residue). A line holding a
+//! byte ≥ 0x80 is checked as UTF-8 and trimmed as a `str`, so non-ASCII
+//! whitespace at its end is stripped and invalid UTF-8 is an
+//! [`io::ErrorKind::InvalidData`] error.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
-use crate::alphabet::Alphabet;
+use crate::alphabet::{Alphabet, NO_CODE};
 use crate::error::SeqError;
 use crate::sequence::{EncodedSequence, Sequence};
+
+/// Capacity of the read buffer [`FastaReader::open`] puts under a file.
+pub const BUFFER_BYTES: usize = 64 << 10;
 
 /// Streaming FASTA reader: yields one [`Sequence`] per record.
 pub struct FastaReader<R: BufRead> {
     inner: R,
     /// Header of the next record, if we've already consumed its `>` line.
     pending_header: Option<String>,
-    line: String,
+    line: Vec<u8>,
     records_read: usize,
+}
+
+/// One input line, trimmed at its end.
+enum Line<'a> {
+    /// End of input.
+    Eof,
+    /// A `>` line: the header text after the `>`. Valid UTF-8.
+    Header(&'a [u8]),
+    /// Any other line (possibly empty). Valid UTF-8.
+    Body(&'a [u8]),
 }
 
 impl FastaReader<BufReader<std::fs::File>> {
     /// Open a FASTA file from disk.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, SeqError> {
         let file = std::fs::File::open(path)?;
-        Ok(FastaReader::new(BufReader::new(file)))
+        Ok(FastaReader::new(BufReader::with_capacity(
+            BUFFER_BYTES,
+            file,
+        )))
     }
 }
 
@@ -34,7 +61,7 @@ impl<R: BufRead> FastaReader<R> {
         FastaReader {
             inner,
             pending_header: None,
-            line: String::new(),
+            line: Vec::new(),
             records_read: 0,
         }
     }
@@ -46,46 +73,14 @@ impl<R: BufRead> FastaReader<R> {
 
     /// Read the next record, or `Ok(None)` at end of input.
     pub fn next_record(&mut self) -> Result<Option<Sequence>, SeqError> {
-        let header = match self.pending_header.take() {
-            Some(h) => h,
-            None => {
-                // Skip blank lines before the first record.
-                loop {
-                    self.line.clear();
-                    if self.inner.read_line(&mut self.line)? == 0 {
-                        return Ok(None);
-                    }
-                    let trimmed = self.line.trim_end();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    if let Some(h) = trimmed.strip_prefix('>') {
-                        break h.to_string();
-                    }
-                    return Err(SeqError::MalformedFasta(format!(
-                        "expected '>' header, found {:?}",
-                        preview(trimmed)
-                    )));
-                }
-            }
-        };
-
         let mut residues = Vec::new();
-        loop {
-            self.line.clear();
-            if self.inner.read_line(&mut self.line)? == 0 {
-                break;
-            }
-            let trimmed = self.line.trim_end();
-            if let Some(h) = trimmed.strip_prefix('>') {
-                self.pending_header = Some(h.to_string());
-                break;
-            }
-            residues.extend(trimmed.bytes().filter(|b| !b.is_ascii_whitespace()));
-        }
-
+        let Some(header) = self.scan_record(|body| {
+            residues.extend(body.iter().filter(|b| !b.is_ascii_whitespace()));
+        })?
+        else {
+            return Ok(None);
+        };
         let (id, description) = split_header(&header);
-        self.records_read += 1;
         Ok(Some(Sequence::new(id, description, residues)))
     }
 
@@ -97,6 +92,71 @@ impl<R: BufRead> FastaReader<R> {
         }
         Ok(out)
     }
+
+    /// Read one record: hand each of its residue lines to `body`, and
+    /// return its header, or `Ok(None)` at end of input. The record ends at
+    /// the next `>` line, whose header is kept for the next call, or at end
+    /// of input.
+    fn scan_record(&mut self, mut body: impl FnMut(&[u8])) -> Result<Option<String>, SeqError> {
+        let header = match self.pending_header.take() {
+            Some(h) => h,
+            // Skip blank lines before the first record.
+            None => loop {
+                match next_line(&mut self.inner, &mut self.line)? {
+                    Line::Eof => return Ok(None),
+                    Line::Header(h) => break String::from_utf8_lossy(h).into_owned(),
+                    Line::Body([]) => continue,
+                    Line::Body(text) => {
+                        return Err(SeqError::MalformedFasta(format!(
+                            "expected '>' header, found {:?}",
+                            preview(&String::from_utf8_lossy(text))
+                        )))
+                    }
+                }
+            },
+        };
+        loop {
+            match next_line(&mut self.inner, &mut self.line)? {
+                Line::Eof => break,
+                Line::Header(h) => {
+                    self.pending_header = Some(String::from_utf8_lossy(h).into_owned());
+                    break;
+                }
+                Line::Body(text) => body(text),
+            }
+        }
+        self.records_read += 1;
+        Ok(Some(header))
+    }
+}
+
+/// Read the next line of `inner` into `line` and trim its end.
+fn next_line<'a>(inner: &mut impl BufRead, line: &'a mut Vec<u8>) -> Result<Line<'a>, SeqError> {
+    line.clear();
+    if inner.read_until(b'\n', line)? == 0 {
+        return Ok(Line::Eof);
+    }
+    let trimmed = if line.is_ascii() {
+        let end = line
+            .iter()
+            .rposition(|&b| !matches!(b, b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b' '))
+            .map_or(0, |last| last + 1);
+        &line[..end]
+    } else {
+        std::str::from_utf8(line)
+            .map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?
+            .trim_end()
+            .as_bytes()
+    };
+    Ok(match trimmed.split_first() {
+        Some((b'>', header)) => Line::Header(header),
+        _ => Line::Body(trimmed),
+    })
 }
 
 impl<R: BufRead> Iterator for FastaReader<R> {
@@ -133,21 +193,64 @@ pub fn parse_str(input: &str) -> Result<Vec<Sequence>, SeqError> {
     FastaReader::new(input.as_bytes()).read_all()
 }
 
-/// Read a FASTA file and encode every record under `alphabet`, one record
-/// at a time (the raw text of a record is dropped as soon as it is
-/// encoded). An encoding failure names its record.
+/// Read a FASTA file and encode every record under `alphabet`, one line at
+/// a time: each line's residues become codes as it is read, and only the
+/// current record's codes are held beside the finished records. An
+/// encoding failure names its record; it is reported once the record has
+/// been read to its end, so a read error later in the same record wins.
 pub fn read_encoded(
     path: impl AsRef<Path>,
     alphabet: Alphabet,
 ) -> Result<Vec<EncodedSequence>, SeqError> {
+    let table = alphabet.code_table();
     let mut reader = FastaReader::open(path)?;
     let mut encoded = Vec::new();
-    while let Some(record) = reader.next_record()? {
-        let sequence = EncodedSequence::from_sequence(&record, alphabet)
-            .map_err(|e| SeqError::MalformedFasta(format!("record {}: {e}", record.id)))?;
-        encoded.push(sequence);
+    let mut codes = Vec::new();
+    loop {
+        codes.clear();
+        // The first invalid residue of the record: (byte, position).
+        let mut invalid = None;
+        let Some(header) = reader.scan_record(|body| {
+            if invalid.is_none() {
+                invalid = encode_line(table, body, &mut codes);
+            }
+        })?
+        else {
+            return Ok(encoded);
+        };
+        let (id, _) = split_header(&header);
+        if let Some((byte, position)) = invalid {
+            let e = SeqError::InvalidResidue { byte, position };
+            return Err(SeqError::MalformedFasta(format!("record {id}: {e}")));
+        }
+        encoded.push(EncodedSequence {
+            id,
+            // An exact-size copy: `codes` keeps its capacity for the next
+            // record.
+            codes: codes.clone(),
+            alphabet,
+        });
     }
-    Ok(encoded)
+}
+
+/// Append the codes of one trimmed line's residues to `codes`, skipping
+/// ASCII whitespace. On an invalid byte, stop and return it with its
+/// position in the record (the codes before it stay appended).
+fn encode_line(table: &[u8; 256], body: &[u8], codes: &mut Vec<u8>) -> Option<(u8, usize)> {
+    let start = codes.len();
+    codes.extend(body.iter().map(|&b| table[b as usize]));
+    if !codes[start..].contains(&NO_CODE) {
+        return None;
+    }
+    // Whitespace inside the line, or an invalid residue: redo it bytewise.
+    codes.truncate(start);
+    for &b in body.iter().filter(|b| !b.is_ascii_whitespace()) {
+        match table[b as usize] {
+            NO_CODE => return Some((b, codes.len())),
+            code => codes.push(code),
+        }
+    }
+    None
 }
 
 /// Width at which [`write_fasta`] wraps residue lines.

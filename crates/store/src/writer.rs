@@ -11,7 +11,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use swhybrid_seq::arena::length_order;
-use swhybrid_seq::digest::{db_digest, Fnv1a};
+use swhybrid_seq::digest::{db_digest_feeding, Fnv1a};
 use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::snapshot::CHUNK_STRIDE;
 use swhybrid_seq::Alphabet;
@@ -112,16 +112,15 @@ pub fn build_store(
     let perm_bytes = le(&perm);
     let chunks_bytes = le(&chunks);
 
-    // Arena checksum streams over codes in database order.
+    // The arena checksum streams over codes in database order, in the
+    // db digest's walk.
     let mut arena_hash = Fnv1a::new();
-    for s in subjects {
-        arena_hash.update(&s.codes);
-    }
+    let db_digest = db_digest_feeding(subjects, &mut arena_hash);
 
     let mut header = Header {
         flags: FLAG_HAS_PERM,
         alphabet,
-        db_digest: db_digest(subjects),
+        db_digest,
         num_seqs,
         total_residues,
         max_len,
