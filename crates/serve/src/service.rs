@@ -5,15 +5,13 @@
 //!
 //! * a [`Scheduler`] in keep-alive mode — the same SS/PSS engine and
 //!   workload-adjustment state machine the batch runtimes use, never
-//!   restarted between queries — wrapped in a
-//!   [`PePool`](swhybrid_core::pool::PePool),
-//! * long-lived PE worker threads, each a
-//!   [`LocalEndpoint`](swhybrid_core::pool::LocalEndpoint) run by the
-//!   shared [`drive`](swhybrid_core::pool::drive) loop,
+//!   restarted between queries — wrapped in a [`PePool`],
+//! * long-lived PE worker threads, each a [`LocalEndpoint`] run by the
+//!   shared [`drive`] loop,
 //! * optionally, via [`QueryService::listen_slaves`], remote TCP slaves
 //!   that join and leave mid-daemon-lifetime — served by the *same* drive
-//!   loop through [`serve_slaves`](swhybrid_core::net::serve_slaves),
-//!   so a fleet can mix local SIMD threads and remote processes freely,
+//!   loop through [`serve_slaves`], so a fleet can mix local SIMD
+//!   threads and remote processes freely,
 //! * the admission queue, result cache, and metrics.
 //!
 //! Every admitted query is split into contiguous, residue-balanced

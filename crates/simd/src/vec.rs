@@ -132,11 +132,12 @@ pub trait SimdVec: Copy {
     /// Whether any lane of `self` exceeds `o` (striped lazy-F: is the carry
     /// still alive?).
     unsafe fn any_gt(self, o: Self) -> bool;
-    /// Move every lane up by one; lane 0 receives the top lane of `fill`'s
-    /// low 128 bits. Striped only — its layout puts query position `j + 1`
-    /// one lane above `j` at the stripe wrap. Callers pass a splat: zero
-    /// for the `H` boundary, `MIN` for the `F` carry.
-    unsafe fn shift_in(self, fill: Self) -> Self;
+    /// Move every lane up by `n`, a power of two below `LANES`; lanes
+    /// below `n` receive the top `n` lanes of `fill`'s low 128 bits.
+    /// Striped only — the lazy-F scan's doubling step. Every call site
+    /// passes a constant `n`, so each tier compiles it to one `alignr`
+    /// (128-bit) or a `permute2x128` and an `alignr` (256-bit).
+    unsafe fn shift_lanes(self, n: usize, fill: Self) -> Self;
     /// The inter-sequence score gather. For each query symbol `s` below
     /// `symbols` (≤ `TABLE_DIM`), write to `dprofile[s × LANES..][..LANES]`
     /// the score of `s` against every lane's current residue:
@@ -152,6 +153,15 @@ pub trait SimdVec: Copy {
         symbols: usize,
         dprofile: *mut Self::Elem,
     );
+
+    /// Move every lane up by one; lane 0 receives the top lane of `fill`'s
+    /// low 128 bits. Striped only — its layout puts query position `j + 1`
+    /// one lane above `j` at the stripe wrap. Callers pass a splat: zero
+    /// for the `H` boundary, `MIN` for the `F` carry.
+    #[inline(always)]
+    unsafe fn shift_in(self, fill: Self) -> Self {
+        self.shift_lanes(1, fill)
+    }
 
     /// Largest lane (the striped kernel's final score).
     #[inline(always)]
@@ -261,6 +271,20 @@ mod x86 {
         _mm_add_epi8(_mm_shuffle_epi8(row_lo, lo), _mm_shuffle_epi8(row_hi, hi))
     }
 
+    /// `shift_lanes` for 128-bit registers: `alignr` takes the byte count
+    /// as an immediate, so the power-of-two counts are spelled out; a
+    /// constant `bytes` folds the `match` away.
+    #[inline(always)]
+    unsafe fn shift_bytes_128(v: __m128i, fill: __m128i, bytes: usize) -> __m128i {
+        match bytes {
+            1 => _mm_alignr_epi8::<15>(v, fill),
+            2 => _mm_alignr_epi8::<14>(v, fill),
+            4 => _mm_alignr_epi8::<12>(v, fill),
+            8 => _mm_alignr_epi8::<8>(v, fill),
+            _ => unreachable!("a lane shift of {bytes} bytes"),
+        }
+    }
+
     /// 16 × i8 in a 128-bit register.
     #[derive(Clone, Copy)]
     pub struct Sse41I8(__m128i);
@@ -302,8 +326,8 @@ mod x86 {
             _mm_movemask_epi8(_mm_cmpgt_epi8(self.0, o.0)) != 0
         }
         #[inline(always)]
-        unsafe fn shift_in(self, fill: Self) -> Self {
-            Self(_mm_alignr_epi8::<15>(self.0, fill.0))
+        unsafe fn shift_lanes(self, n: usize, fill: Self) -> Self {
+            Self(shift_bytes_128(self.0, fill.0, n))
         }
         #[inline(always)]
         unsafe fn gather(
@@ -361,8 +385,8 @@ mod x86 {
             _mm_movemask_epi8(_mm_cmpgt_epi16(self.0, o.0)) != 0
         }
         #[inline(always)]
-        unsafe fn shift_in(self, fill: Self) -> Self {
-            Self(_mm_alignr_epi8::<14>(self.0, fill.0))
+        unsafe fn shift_lanes(self, n: usize, fill: Self) -> Self {
+            Self(shift_bytes_128(self.0, fill.0, 2 * n))
         }
         #[inline(always)]
         unsafe fn gather(
@@ -380,14 +404,21 @@ mod x86 {
         }
     }
 
-    /// `shift_in` for 256-bit registers: `_mm256_alignr_epi8` shifts within
-    /// each 128-bit half, so first build the vector whose halves are what
-    /// each half must shift in — `fill`'s low half below, `v`'s low half
-    /// above. The byte count is the lane width (`16 - BYTES` for alignr).
+    /// `shift_lanes` for 256-bit registers: `_mm256_alignr_epi8` shifts
+    /// within each 128-bit half, so first build the vector whose halves are
+    /// what each half must shift in — `fill`'s low half below, `v`'s low
+    /// half above. A shift of a whole half is that vector itself.
     #[inline(always)]
-    unsafe fn shift_in_256<const KEEP: i32>(v: __m256i, fill: __m256i) -> __m256i {
+    unsafe fn shift_bytes_256(v: __m256i, fill: __m256i, bytes: usize) -> __m256i {
         let below = _mm256_permute2x128_si256::<0x02>(v, fill);
-        _mm256_alignr_epi8::<KEEP>(v, below)
+        match bytes {
+            1 => _mm256_alignr_epi8::<15>(v, below),
+            2 => _mm256_alignr_epi8::<14>(v, below),
+            4 => _mm256_alignr_epi8::<12>(v, below),
+            8 => _mm256_alignr_epi8::<8>(v, below),
+            16 => below,
+            _ => unreachable!("a lane shift of {bytes} bytes"),
+        }
     }
 
     /// 32 × i8 in a 256-bit register.
@@ -431,8 +462,8 @@ mod x86 {
             _mm256_movemask_epi8(_mm256_cmpgt_epi8(self.0, o.0)) != 0
         }
         #[inline(always)]
-        unsafe fn shift_in(self, fill: Self) -> Self {
-            Self(shift_in_256::<15>(self.0, fill.0))
+        unsafe fn shift_lanes(self, n: usize, fill: Self) -> Self {
+            Self(shift_bytes_256(self.0, fill.0, n))
         }
         #[inline(always)]
         unsafe fn gather(
@@ -502,8 +533,8 @@ mod x86 {
             _mm256_movemask_epi8(_mm256_cmpgt_epi16(self.0, o.0)) != 0
         }
         #[inline(always)]
-        unsafe fn shift_in(self, fill: Self) -> Self {
-            Self(shift_in_256::<14>(self.0, fill.0))
+        unsafe fn shift_lanes(self, n: usize, fill: Self) -> Self {
+            Self(shift_bytes_256(self.0, fill.0, 2 * n))
         }
         #[inline(always)]
         unsafe fn gather(
@@ -1034,6 +1065,23 @@ mod tests {
             v.shift_in(V::splat(V::Elem::MIN)).store(out.as_mut_ptr());
             assert_eq!(out[0], V::Elem::MIN);
             assert_eq!(out[1..], ramp[..V::LANES - 1]);
+            // The lazy-F scan's doubling step: `n` lanes at once is `n`
+            // single-lane shifts, at every power of two below LANES.
+            let min = V::splat(V::Elem::MIN);
+            let mut stepped = vec![V::Elem::ZERO; V::LANES];
+            let mut n = 1;
+            while n < V::LANES {
+                let mut w = v;
+                for _ in 0..n {
+                    w = w.shift_in(min);
+                }
+                w.store(stepped.as_mut_ptr());
+                v.shift_lanes(n, min).store(out.as_mut_ptr());
+                assert_eq!(out, stepped, "{n} lanes");
+                assert!(out[..n].iter().all(|&x| x == V::Elem::MIN), "{n} lanes");
+                assert_eq!(out[n..], ramp[..V::LANES - n], "{n} lanes");
+                n *= 2;
+            }
 
             // Every byte distinct mod 251, half of them negative.
             let table: Vec<i8> = (0..TABLE_DIM * TABLE_DIM)

@@ -12,7 +12,7 @@
 //! laid out little-endian with a 64-byte-aligned arena so [`DbArena`]
 //! borrows straight from the mapping with zero copies.
 //!
-//! * [`format`] — the on-disk layout (header, sections, checksums),
+//! * [`format`](mod@format) — the on-disk layout (header, sections, checksums),
 //! * [`writer`] — atomic store builds (temp file + fsync + rename),
 //! * [`reader`] — validated opens and zero-copy [`DbSnapshot`] loads,
 //! * [`load`] — THE database loader ([`DbFile::load`]): FASTA path or

@@ -4,15 +4,15 @@
 //! verb lives here in the library so the whole CLI surface is testable
 //! in-process (no subprocess spawning, no argv plumbing):
 //!
-//! * [`args`] — the shared flag parser plus the scoring / policy / fleet
+//! * `args` — the shared flag parser plus the scoring / policy / fleet
 //!   option decoders every verb reuses,
-//! * [`db`] — database plumbing: `db build|inspect`, `generate`,
-//!   and [`db::load_db`], by which every verb loads its database (FASTA
+//! * `db` — database plumbing: `db build|inspect`, `generate`,
+//!   and `db::load_db`, by which every verb loads its database (FASTA
 //!   or a memory-mapped `.swdb` store) into the one `DbSnapshot`,
-//! * [`search`] — the one-shot `search` verb, one batch on the pool,
-//! * [`master_slave`] — the distributed `master` / `slave` pair and the
+//! * `search` — the one-shot `search` verb, one batch on the pool,
+//! * `master_slave` — the distributed `master` / `slave` pair and the
 //!   virtual-time `simulate` verb,
-//! * [`serve`] — the persistent daemon (`serve`) and its clients
+//! * `serve` — the persistent daemon (`serve`) and its clients
 //!   (`query`, `reload`).
 
 mod args;
