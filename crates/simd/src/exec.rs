@@ -19,9 +19,9 @@
 //! pins this.
 //!
 //! The chunk size every PE scans at is [`chunk_floor`] = 2 × the widest
-//! kernel lane count. Below that floor the `Auto` dispatcher can never fill
-//! the inter-sequence lanes, so every chunk silently degrades to the
-//! striped kernel.
+//! kernel lane count. Below that floor a chunk cannot fill the
+//! inter-sequence lanes twice, and `Auto` weighs each such chunk by its
+//! lane-fill cost, which sends most of them to the striped kernel.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,12 +30,15 @@ use std::sync::Arc;
 use crate::engine::{KernelStats, PreparedQuery, StripedEngine};
 use crate::scratch::KernelScratch;
 use crate::search::{rank_scored, Hit, KernelChoice, Scored};
+use crate::vec::{Isa, MAX_LANES};
 use swhybrid_seq::arena::DbArena;
 
 /// The minimum chunk size any scan path may use: 2 × the widest
 /// inter-sequence kernel lane count (AVX2, 32 × i8). A chunk narrower than
-/// this can never satisfy the `Auto` dispatcher's lane-fill guard, so every
-/// `Auto` chunk silently runs striped — a performance bug with no wrong
+/// this cannot fill the lanes twice, so `Auto` sends it to the striped
+/// kernel unless the query is short and the chunk's subjects long (the
+/// lane-fill cost test) — a scan cut finer would lose most of the
+/// inter-sequence kernel's throughput, a performance bug with no wrong
 /// answers to catch it.
 pub const fn chunk_floor() -> usize {
     2 * crate::vec::MAX_LANES
@@ -59,24 +62,14 @@ pub struct ShardPlan {
 
 /// Should `Auto` send this chunk to the inter-sequence kernel?
 ///
-/// Two tests, each a measured crossover against the striped kernel:
-///
-/// * **lane fill** — in chunks of fewer than `2 × LANES` subjects the
-///   inter-sequence lanes cannot stay full: on AVX2 it is 4–8× slower than
-///   striped at 4–8 subjects, 1.3–1.5× slower at 32, level at 48–64 and
-///   1.3× faster at 128 (the lane-fill tables in CHANGES.md). On a
-///   length-ordered scan the sub-floor tail chunk a shard may end on
-///   holds its longest subjects; sending `ms_tcp`'s 28-subject tails to
-///   inter-sequence as well read no difference (`search` of its 40
-///   queries, medians 1.51 → 1.48 s, faster in 5 of 10 pairs);
-/// * **skew** — when one subject dwarfs the chunk every other lane idles
-///   while it drains (the test compares the longest subject against the
-///   chunk's mean length).
-///
-/// The query's length is not a test: on a length-ordered scan the
-/// inter-sequence kernel wins or ties at every length. One random query
-/// against a whole benchmark database (one PE, 2-vCPU AVX2 Xeon, best of
-/// 3 in each of two alternated runs), ms, striped → inter-sequence:
+/// A full chunk (at least `2 × lanes` subjects) makes one test, **skew**:
+/// when one subject dwarfs the chunk every other lane idles while it drains
+/// (the test compares the longest subject against the chunk's mean
+/// length). The query's length is not a test there: on a length-ordered
+/// scan the inter-sequence kernel wins or ties at every length. One random
+/// query against a whole benchmark database (one PE, 2-vCPU AVX2 Xeon,
+/// best of 3 in each of two alternated runs), ms, striped →
+/// inter-sequence:
 ///
 /// | query aa | 256 | 512 | 1,024 | 2,048 | 4,096 | 8,192 | 16,384 |
 /// |---|---|---|---|---|---|---|---|
@@ -84,6 +77,11 @@ pub struct ShardPlan {
 /// | SSE4.1, `ms_tcp` | 24 → 17 | 38 → 32 | 77 → 56 | 143 → 113 | 334 → 236 | 632 → 444 | 1,319 → 938 |
 /// | AVX2, `scan_long` (160k res.) | 6.6 → 4.8 | 9.4 → 8.4 | 16 → 16 | 28 → 27 | 60 → 57 | 106 → 112 | 321 → 247 |
 /// | SSE4.1, `scan_long` | 8.6 → 7.1 | 16 → 13 | 28 → 26 | 53 → 52 | 105 → 97 | 215 → 200 | 432 → 392 |
+///
+/// A sub-floor chunk — the tail a shard may end on, which on a
+/// length-ordered scan holds its longest subjects — cannot fill the lanes
+/// twice, and there the query's length decides: [`FillCost`] weighs one
+/// inter-sequence pass against striping every subject.
 fn auto_picks_interseq(prepared: &PreparedQuery, arena: &DbArena, chunk: Range<usize>) -> bool {
     /// Minimum lane utilisation (as 1/MAX_SKEW). Lanes refill from the
     /// subject queue, so a long outlier only hurts once the queue drains
@@ -92,16 +90,106 @@ fn auto_picks_interseq(prepared: &PreparedQuery, arena: &DbArena, chunk: Range<u
     /// kernel's sequential scan is 4–9× faster; the break-even itself
     /// reads ≈ 2 on both tiers.
     const MAX_SKEW: u64 = 8;
-    let lanes = prepared.isa().lanes::<i8>() as u64;
-    if (chunk.len() as u64) < 2 * lanes {
-        return false;
-    }
+    let lanes = prepared.isa().lanes::<i8>();
     let total = arena.range_residues(chunk.clone());
     if total == 0 {
         return false;
     }
+    if chunk.len() < 2 * lanes {
+        let cost = FillCost::of(prepared.isa());
+        return cost.picks_interseq(prepared.query_len(), lanes, arena, chunk, total);
+    }
     let max_len = chunk.clone().map(|p| arena.seq_len(p)).max().unwrap_or(0) as u64;
-    max_len * lanes <= MAX_SKEW * total
+    max_len * lanes as u64 <= MAX_SKEW * total
+}
+
+/// The lane-fill cost test for a sub-floor chunk: one inter-sequence pass
+/// costs `columns × (m + gather)` and striping every subject costs
+/// `Σlen × (stripe × ⌈m / lanes⌉ + column)`, both in DP rows of one
+/// inter-sequence column. `columns` is the length of the pass: each
+/// subject joins the lane that frees first, as the pass's refill does
+/// ([`pass_columns`]; `max(max_len, ⌈Σlen / lanes⌉)` underestimates it up
+/// to 2×, e.g. 21 subjects on 16 lanes run two rounds). `gather` is the
+/// per-column score gather, which does not grow with the query; `stripe`
+/// and `column` are the striped kernel's cost per vector of a stripe and
+/// per subject residue.
+///
+/// The constants are fitted, per tier, to a ladder: the `scan_short` and
+/// `ms_tcp` databases (seed 2013), tails of k ∈ {8, 21, 32, 48, 63}
+/// subjects as the shard end and as a mid-database chunk, against queries
+/// of m ∈ {1 … 2,048} aa (one PE, 2-vCPU AVX2 Xeon, best of 5 per point).
+/// Striped time ÷ inter-sequence time at the `scan_short` shard end, `i`
+/// where the test picks inter-sequence (k ≥ 32 is a full chunk on
+/// SSE4.1):
+///
+/// | tier, subjects | 24 aa | 64 aa | 256 aa | 1,024 aa | 2,048 aa |
+/// |---|---|---|---|---|---|
+/// | AVX2, 8 (1,634–1,965 aa) | 0.77 | 0.81 | 0.65 | 0.38 | 0.34 |
+/// | AVX2, 21 (1,275–1,965 aa) | 1.82 i | 1.86 i | 1.21 i | 0.97 | 0.79 |
+/// | AVX2, 32 | 2.39 i | 2.79 i | 2.11 i | 1.18 i | 1.04 i |
+/// | AVX2, 48 | 2.49 i | 2.41 i | 1.84 i | 1.07 i | 0.99 i |
+/// | AVX2, 63 | 2.55 i | 2.59 i | 1.86 i | 1.25 i | 1.12 i |
+/// | SSE4.1, 8 | 0.92 | 0.93 | 0.70 | 0.64 | 0.61 |
+/// | SSE4.1, 21 | 1.24 i | 1.10 i | 0.91 | 0.88 | 0.82 |
+///
+/// At `ms_tcp`'s shard end the test makes the same picks at these points.
+/// Over all 448 points it picks the slower kernel at 23, each within
+/// 0.87–1.22 of break-even.
+/// The portable tier has SSE4.1's lane counts and takes its constants; its
+/// two kernels run within ≈ 10 % of each other from 24 aa up.
+#[derive(Clone, Copy)]
+struct FillCost {
+    stripe: f64,
+    column: f64,
+    gather: f64,
+}
+
+impl FillCost {
+    /// The tier's measured constants.
+    fn of(isa: Isa) -> FillCost {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => FillCost {
+                stripe: 1.5,
+                column: 12.0,
+                gather: 112.0,
+            },
+            _ => FillCost {
+                stripe: 1.4,
+                column: 8.0,
+                gather: 64.0,
+            },
+        }
+    }
+
+    /// Whether one inter-sequence pass over `chunk` (`total` residues) on
+    /// `lanes` lanes costs less than striping its subjects, for a query of
+    /// `m` residues.
+    fn picks_interseq(
+        self,
+        m: usize,
+        lanes: usize,
+        arena: &DbArena,
+        chunk: Range<usize>,
+        total: u64,
+    ) -> bool {
+        let columns = pass_columns(arena, chunk, lanes) as f64;
+        let stripe = m.div_ceil(lanes) as f64;
+        columns * (m as f64 + self.gather) < total as f64 * (self.stripe * stripe + self.column)
+    }
+}
+
+/// Columns one inter-sequence pass over `chunk` takes on `lanes` lanes:
+/// each subject joins the lane that frees first, as the pass's refill
+/// does, and the pass lasts as long as its busiest lane.
+fn pass_columns(arena: &DbArena, chunk: Range<usize>, lanes: usize) -> u64 {
+    let mut busy = [0u64; MAX_LANES];
+    let busy = &mut busy[..lanes];
+    for pos in chunk {
+        let free = (0..lanes).min_by_key(|&lane| busy[lane]).unwrap_or(0);
+        busy[free] += arena.seq_len(pos) as u64;
+    }
+    busy.iter().copied().max().unwrap_or(0)
 }
 
 /// One worker of the shard-execution layer. Owns the worker's
@@ -145,7 +233,10 @@ impl ShardExecutor {
 
     /// THE chunk loop: claim chunks of `plan.range` from the shared
     /// `cursor`, dispatch each per `plan.kernel`, and score every batch
-    /// query against the chunk before releasing it. Each entry is
+    /// query against the chunk before releasing it — all but the
+    /// inter-sequence i8 pass's saturated subjects, whose i16 reruns wait
+    /// in the scratch until a whole lane group has gathered, across chunks,
+    /// and are all run by the call's end. Each entry is
     /// `(prepared query, top_n)`; `top_n` bounds that query's local list
     /// (only the global top-N can survive the merge). Per query the work
     /// does not depend on the rest of the batch, so a query's output is
@@ -167,12 +258,20 @@ impl ShardExecutor {
             .collect();
         let mut stats: Vec<KernelStats> = vec![KernelStats::default(); batch.len()];
         let mut locals: Vec<Vec<Scored>> = vec![Vec::new(); batch.len()];
+        let scored = |pos: usize, score: i32| Scored {
+            db_index: arena.db_index(pos),
+            score,
+            subject_len: arena.seq_len(pos),
+        };
         // Per-chunk lists, hoisted out of the claim loop and reused (cleared
         // each chunk) so the steady-state loop allocates nothing.
         let mut picks_interseq: Vec<bool> = Vec::with_capacity(batch.len());
         let mut fused: Vec<usize> = Vec::with_capacity(batch.len());
         let mut fused_batch: Vec<&PreparedQuery> = Vec::with_capacity(batch.len());
-        let mut fused_stats: Vec<KernelStats> = Vec::with_capacity(batch.len());
+        // Batch entry k's i8-saturated subjects wait in rerun queue k until
+        // a whole i16 lane group has gathered, across chunks; none is left
+        // from an earlier call.
+        scratch.interseq.clear_reruns();
         loop {
             let start = range.start + cursor.fetch_add(chunk_size, Ordering::Relaxed);
             if start >= range.end {
@@ -194,37 +293,23 @@ impl ShardExecutor {
             fused.extend((0..batch.len()).filter(|&k| picks_interseq[k]));
             fused_batch.clear();
             fused_batch.extend(fused.iter().map(|&k| &*batch[k].0));
-            fused_stats.clear();
-            fused_stats.resize(fused.len(), KernelStats::default());
-            // The fused pass folds in first (its scores borrow `scratch`),
-            // then the striped queries run; per-query work and counters are
-            // the same either way because each query takes exactly one of
-            // the paths.
-            {
-                let fused_scores = crate::interseq::scores_batch(
-                    &fused_batch,
-                    arena,
-                    start..end,
-                    &mut fused_stats,
-                    scratch,
-                    plan.prefetch,
-                );
-                for ((&k, scores), chunk_stats) in fused.iter().zip(fused_scores).zip(&fused_stats)
-                {
-                    stats[k].chunks_interseq += 1;
-                    stats[k].merge(chunk_stats);
-                    for (offset, &score) in scores.iter().enumerate() {
-                        let pos = start + offset;
-                        locals[k].push(Scored {
-                            db_index: arena.db_index(pos),
-                            score,
-                            subject_len: arena.seq_len(pos),
-                        });
-                    }
-                }
-            }
+            // The fused pass runs first, then the striped queries; per-query
+            // work and counters are the same either way because each query
+            // takes exactly one of the paths.
+            crate::interseq::scores_deferring(
+                &fused_batch,
+                |q| fused[q],
+                arena,
+                start..end,
+                &mut stats,
+                &mut scratch.interseq,
+                plan.prefetch,
+                |k, pos, score| locals[k].push(scored(pos, score)),
+            );
             for (k, top_n) in batch.iter().map(|&(_, top_n)| top_n).enumerate() {
-                if !picks_interseq[k] {
+                if picks_interseq[k] {
+                    stats[k].chunks_interseq += 1;
+                } else {
                     stats[k].chunks_striped += 1;
                     for pos in start..end {
                         // Pull the next subject's residues towards L1
@@ -233,11 +318,7 @@ impl ShardExecutor {
                             crate::scratch::prefetch_read(arena.residues(pos + 1));
                         }
                         let score = engines[k].score(arena.residues(pos), scratch);
-                        locals[k].push(Scored {
-                            db_index: arena.db_index(pos),
-                            score,
-                            subject_len: arena.seq_len(pos),
-                        });
+                        locals[k].push(scored(pos, score));
                     }
                 }
                 // Keep the per-worker list bounded: only the global top-N
@@ -249,6 +330,15 @@ impl ShardExecutor {
             }
         }
         for (k, engine) in engines.iter().enumerate() {
+            crate::interseq::flush_deferred(
+                &batch[k].0,
+                k,
+                arena,
+                &mut scratch.interseq,
+                plan.prefetch,
+                &mut stats[k],
+                |pos, score| locals[k].push(scored(pos, score)),
+            );
             stats[k].merge(&engine.stats());
         }
         locals.into_iter().zip(stats).collect()
@@ -298,7 +388,6 @@ pub fn materialize_hits(scored: &[Scored], mut id_of: impl FnMut(usize) -> Strin
 mod tests {
     use super::*;
     use crate::engine::EnginePreference;
-    use crate::vec::Isa;
     use rand::{RngExt, SeedableRng};
     use swhybrid_align::score_only::sw_score_affine;
     use swhybrid_align::scoring::Scoring;
@@ -533,18 +622,30 @@ mod tests {
     /// The fused-scan law: each output of a batched scan is byte-identical
     /// to scanning that query alone with the same plan — scored list and
     /// kernel counters both match, across kernel choices, chunk sizes and
-    /// per-entry depths.
+    /// per-entry depths. Two queries have i8-saturating self-matches spread
+    /// over every chunk: 24 of the 80-aa query, more than one i16 lane
+    /// group on every tier, so their deferred reruns run both mid-scan and
+    /// at the end, and 5 of the 60-aa query.
     #[test]
     fn fused_batch_matches_solo_scans() {
-        let db = random_db(197, 120, 110);
+        let queries: Vec<Vec<u8>> = [(199u64, 40), (211, 80), (223, 17), (227, 60)]
+            .iter()
+            .map(|&(seed, len)| random_query(seed, len))
+            .collect();
+        let mut db = random_db(197, 120, 110);
+        for i in 0..24 {
+            db[5 * i + 1].codes = queries[1].clone();
+        }
+        for pos in [3, 40, 64, 90, 118] {
+            db[pos].codes = queries[3].clone();
+        }
         let arena = DbArena::from_encoded(&db);
-        let batch: Vec<(Arc<PreparedQuery>, usize)> =
-            [(199u64, 40), (211, 80), (223, 17), (227, 60)]
-                .iter()
-                .enumerate()
-                // Distinct per-entry depths.
-                .map(|(i, &(seed, len))| (prepared(&random_query(seed, len)), 5 + 3 * i))
-                .collect();
+        let batch: Vec<(Arc<PreparedQuery>, usize)> = queries
+            .iter()
+            .enumerate()
+            // Distinct per-entry depths.
+            .map(|(i, query)| (prepared(query), 5 + 3 * i))
+            .collect();
         for kernel in [
             KernelChoice::Auto,
             KernelChoice::Striped,
@@ -562,6 +663,51 @@ mod tests {
                         ShardExecutor::new().execute(std::slice::from_ref(entry), &arena, &plan);
                     assert_eq!(out, &solo[0], "{kernel:?} chunk {chunk_size}");
                 }
+                let saturated = fused[1].1.interseq_i16 + fused[1].1.resolved_i16;
+                assert_eq!(saturated, 24, "{kernel:?} chunk {chunk_size}");
+            }
+        }
+    }
+
+    /// Forty i8-saturating subjects, one per chunk: their i16 reruns wait
+    /// across chunks and run in ⌈40 / i16 lanes⌉ passes, each a whole lane
+    /// group but the last. Every score stays exact, and the counters are
+    /// those of one rerun per subject.
+    #[test]
+    fn deferred_reruns_fill_whole_i16_lane_groups() {
+        let query = random_query(241, 60);
+        let mut db = random_db(243, 40 * 16, 50);
+        for chunk in 0..40 {
+            db[chunk * 16 + chunk % 16].codes = query.clone();
+        }
+        let arena = DbArena::from_encoded(&db);
+        let plan = ShardPlan {
+            chunk_size: 16,
+            ..plan(0..arena.len(), KernelChoice::InterSeq)
+        };
+        let scoring = Scoring::blosum62_affine();
+        for isa in Isa::available() {
+            let batch = [(
+                Arc::new(PreparedQuery::with_isa(&query, &scoring, isa)),
+                db.len(),
+            )];
+            let mut executor = ShardExecutor::new();
+            let (scored, stats) = executor.execute(&batch, &arena, &plan).remove(0);
+            assert_eq!(
+                (stats.interseq_i16, stats.interseq_scalar),
+                (40, 0),
+                "{isa:?}"
+            );
+            let lanes = isa.lanes::<i16>() as u64;
+            assert_eq!(
+                executor.scratch.interseq.w16.passes,
+                40u64.div_ceil(lanes),
+                "{isa:?}"
+            );
+            assert_eq!(scored.len(), db.len());
+            for hit in &scored {
+                let expect = sw_score_affine(&query, &db[hit.db_index].codes, &scoring).score;
+                assert_eq!(hit.score, expect, "{isa:?} subject {}", hit.db_index);
             }
         }
     }
@@ -583,9 +729,10 @@ mod tests {
         assert!(ShardExecutor::new().execute(&[], &arena, &plan).is_empty());
     }
 
-    /// The `Auto` dispatcher's two tests, one row each side of every
-    /// boundary, on every tier (both bounds scale with the tier's i8 lane
-    /// count), and no query-length bound.
+    /// The `Auto` dispatcher's two tests on every tier (both scale with the
+    /// tier's i8 lane count). A full chunk: skew, one row each side of the
+    /// bound, and no query-length bound. A sub-floor chunk: the lane-fill
+    /// cost, where the query's length decides.
     #[test]
     fn auto_dispatch_table() {
         let arena_of = |lens: &[usize]| {
@@ -601,6 +748,10 @@ mod tests {
             DbArena::from_encoded(&db)
         };
         let scoring = Scoring::blosum62_affine();
+        // A shard's tail on a length-ordered scan: k subjects spread evenly
+        // over 1,200–2,000 aa, ascending.
+        let tail = |k: usize| -> Vec<usize> { (0..k).map(|i| 1200 + 800 * i / (k - 1)).collect() };
+        let ladder = [1, 8, 24, 64, 96, 128, 256, 512, 2048, 4096, 16_384];
         for isa in Isa::available() {
             let lanes = isa.lanes::<i8>();
             let picks = |query_len: usize, lens: &[usize]| {
@@ -609,16 +760,13 @@ mod tests {
             };
             let full = vec![300usize; chunk_floor()];
             // Query length: a full, unskewed chunk goes inter-sequence at
-            // any length.
+            // any length, and so does a chunk of exactly 2 × lanes.
             for query_len in [32, 128, 129, 2048, 4096, 16_384] {
                 assert!(picks(query_len, &full), "{isa:?}: {query_len} aa");
+                assert!(picks(query_len, &vec![300; 2 * lanes]), "{isa:?}");
             }
-            // Lane fill: a chunk of 2 × lanes fills them, one subject fewer
-            // does not — so the 63-subject tail is striped on AVX2 only.
-            assert!(picks(64, &vec![300; 2 * lanes]), "{isa:?}");
-            assert!(!picks(64, &vec![300; 2 * lanes - 1]), "{isa:?}");
-            assert_eq!(picks(64, &[300; 63]), 63 >= 2 * lanes, "{isa:?}");
             assert!(!picks(64, &[]), "{isa:?}: empty chunk");
+            assert!(!picks(64, &[0; 5]), "{isa:?}: empty subjects");
             // Skew: one subject at MAX_SKEW × the mean lane load is the
             // last inter-sequence chunk; a residue more tips it to striped.
             let mut skewed = full.clone();
@@ -629,7 +777,46 @@ mod tests {
             assert!(picks(64, &skewed), "{isa:?}: skew at the bound");
             skewed[7] = edge + 1;
             assert!(!picks(64, &skewed), "{isa:?}: skew past the bound");
+            // Lane fill: a 21-subject tail (`scan_short`'s) goes
+            // inter-sequence for a short query and striped for a long one;
+            // an 8-subject tail stays striped at every query length.
+            assert!(picks(64, &tail(21)), "{isa:?}: 21 subjects, 64 aa");
+            assert!(!picks(2048, &tail(21)), "{isa:?}: 21 subjects, 2,048 aa");
+            for query_len in ladder {
+                assert!(
+                    !picks(query_len, &tail(8)),
+                    "{isa:?}: 8 subjects, {query_len} aa"
+                );
+            }
+            // One subject fewer than the floor, of like lengths, fills two
+            // lane rounds: inter-sequence at every query length (a fixed
+            // lane-fill floor sent it striped).
+            for query_len in ladder {
+                assert!(picks(query_len, &vec![300; 2 * lanes - 1]), "{isa:?}");
+            }
         }
+    }
+
+    /// A pass's length on a sub-floor chunk: the busiest lane, each subject
+    /// joining the lane that frees first.
+    #[test]
+    fn pass_columns_follows_the_lane_refill() {
+        let arena = DbArena::from_encoded(
+            &[5usize, 3, 4, 2, 7]
+                .iter()
+                .map(|&len| EncodedSequence {
+                    id: String::new(),
+                    codes: vec![0; len],
+                    alphabet: Alphabet::Protein,
+                })
+                .collect::<Vec<_>>(),
+        );
+        // Two lanes: 5 | 3, then 4 joins the second (3 → 7), 2 the first
+        // (5 → 7), 7 the first again (tie, lowest lane): 14.
+        assert_eq!(pass_columns(&arena, 0..5, 2), 14);
+        assert_eq!(pass_columns(&arena, 0..5, 32), 7);
+        assert_eq!(pass_columns(&arena, 1..3, 1), 7);
+        assert_eq!(pass_columns(&arena, 2..2, 4), 0);
     }
 
     /// Pin the floor: 2 × the widest (AVX2 32 × i8) lane count. If a wider

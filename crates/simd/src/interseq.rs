@@ -48,11 +48,14 @@
 //!   the cross-architecture path and the reference the vector pass is
 //!   tested against, result for result.
 //!
-//! [`scores_batch`] is the saturation chain the database scan drives: one
-//! 8-bit pass for the batch over a [`DbArena`] range, then per query the
-//! saturated subjects rerun at 16 bits and stragglers finish with the exact
-//! scalar kernel — the same fallback chain as the striped engine, but
-//! batched per pass instead of per subject.
+//! [`scores_batch`] is the saturation chain: one 8-bit pass for the batch
+//! over a [`DbArena`] range, then per query the saturated subjects rerun at
+//! 16 bits and stragglers finish with the exact scalar kernel — the same
+//! fallback chain as the striped engine, but batched per pass instead of
+//! per subject. The shard executor drives it chunk by chunk with the 16-bit
+//! stage deferred (`scores_deferring`): a query's saturated subjects wait
+//! across chunks until they fill the i16 lanes, because one rerun per chunk
+//! would run a whole pass at 1/16 lane fill.
 
 #![allow(unsafe_code)]
 
@@ -89,15 +92,15 @@ pub fn scores_arena(
 /// query an i16 rerun of its saturated subjects and the exact scalar kernel
 /// for stragglers. Returns one exact score vector per batch entry, in range
 /// order, borrowed from `scratch` (every buffer lives there and is reused
-/// across chunks: zero steady-state allocations).
+/// across chunks: zero steady-state allocations). It is
+/// `scores_deferring` over one range, then `flush_deferred` for every
+/// query.
 ///
 /// Per query, scores and the `stats` accounting (`interseq_i8` /
 /// `interseq_i16` / `interseq_scalar`, `cells_computed`) do not depend on
 /// who else is in the batch: sharing a pass changes wall-clock, never
-/// results. Queries whose scoring or tier differ cannot share a gather, so
-/// a mixed batch runs one pass per query instead. `prefetch` turns on the
-/// advisory next-subject prefetch at lane refill; it never changes scores
-/// or `stats`.
+/// results. `prefetch` turns on the advisory next-subject prefetch at lane
+/// refill; it never changes scores or `stats`.
 pub fn scores_batch<'s>(
     batch: &[&PreparedQuery],
     arena: &DbArena,
@@ -110,101 +113,172 @@ pub fn scores_batch<'s>(
     let KernelScratch {
         interseq, scores, ..
     } = scratch;
-    if batch.is_empty() {
-        return &scores[..0];
-    }
     if scores.len() < batch.len() {
         scores.resize_with(batch.len(), Vec::new);
     }
+    let scores = &mut scores[..batch.len()];
+    for out in scores.iter_mut() {
+        out.clear();
+        out.resize(range.len(), 0);
+    }
+    let start = range.start;
+    interseq.clear_reruns();
+    scores_deferring(
+        batch,
+        |q| q,
+        arena,
+        range,
+        stats,
+        interseq,
+        prefetch,
+        |q, pos, score| scores[q][pos - start] = score,
+    );
+    for (q, prepared) in batch.iter().enumerate() {
+        flush_deferred(
+            prepared,
+            q,
+            arena,
+            interseq,
+            prefetch,
+            &mut stats[q],
+            |pos, score| scores[q][pos - start] = score,
+        );
+    }
+    scores
+}
+
+/// The saturation chain for one chunk of a scan that goes on past it, with
+/// the i16 stage deferred. Batch query `q` is scan entry `entry(q)`, which
+/// names its `stats` slot and its rerun queue
+/// ([`InterSeqScratch::reruns`]). ONE shared 8-bit pass (one per query when
+/// their scoring or tier differ, as they cannot share a gather); then each
+/// exact i8 score goes to `emit(entry(q), pos, score)` at once, and each
+/// saturated position joins the entry's queue. The queue keeps its
+/// positions across chunks and reruns them whenever a whole i16 lane group
+/// has gathered: one rerun per chunk would run a whole pass at 1/16 lane
+/// fill. [`flush_deferred`] reruns what is left at the scan's end. A
+/// rerun's cells and width counter are charged when its pass runs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scores_deferring(
+    batch: &[&PreparedQuery],
+    entry: impl Fn(usize) -> usize,
+    arena: &DbArena,
+    range: Range<usize>,
+    stats: &mut [KernelStats],
+    interseq: &mut InterSeqScratch,
+    prefetch: bool,
+    mut emit: impl FnMut(usize, usize, i32),
+) {
+    if batch.is_empty() {
+        return;
+    }
     let InterSeqScratch {
         jobs,
-        sat,
-        jobs16,
+        reruns,
         w8,
         w16,
     } = interseq;
     jobs.clear();
     jobs.extend(range);
     let residues: u64 = jobs.iter().map(|&p| arena.seq_len(p) as u64).sum();
-
     let group = if shares_pass(batch) { batch.len() } else { 1 };
-    for ((queries, stats), scores) in batch
-        .chunks(group)
-        .zip(stats.chunks_mut(group))
-        .zip(scores.chunks_mut(group))
-    {
+    for (g, queries) in batch.chunks(group).enumerate() {
         pass::<i8>(queries, arena, jobs, prefetch, w8);
-        for (q, ((prepared, stats), out)) in queries.iter().zip(stats).zip(scores).enumerate() {
+        for (q, (prepared, r8)) in queries.iter().zip(&w8.results).enumerate() {
+            let k = entry(g * group + q);
+            if reruns.len() <= k {
+                reruns.resize_with(k + 1, Vec::new);
+            }
+            let (stats, queue) = (&mut stats[k], &mut reruns[k]);
             stats.cells_computed += prepared.query_len() as u64 * residues;
-            let r8 = &w8.results[q];
-            resolve_saturated(
-                prepared, arena, jobs, r8, sat, jobs16, w16, prefetch, stats, out,
-            );
+            for (&pos, &r) in jobs.iter().zip(r8) {
+                match r {
+                    Some(score) => {
+                        stats.interseq_i8 += 1;
+                        emit(k, pos, score);
+                    }
+                    None => queue.push(pos),
+                }
+            }
+            let whole = queue.len() - queue.len() % prepared.isa().lanes::<i16>();
+            if whole > 0 {
+                rerun_i16(
+                    prepared,
+                    arena,
+                    &queue[..whole],
+                    prefetch,
+                    w16,
+                    stats,
+                    |pos, score| emit(k, pos, score),
+                );
+                queue.drain(..whole);
+            }
         }
     }
-    &scores[..batch.len()]
 }
 
-/// Resolve one query's i8 pass results into exact scores: keep the exact
-/// i8 lanes, rerun the saturated subjects at 16 bits (a pass for a batch of
-/// one), and finish stragglers with the exact scalar kernel — accumulating
-/// the width counters and the rerun cells into `stats`. `sat`/`jobs16`/`w16`
-/// are scratch (reused across chunks); `out` receives one score per job.
-#[allow(clippy::too_many_arguments)]
-fn resolve_saturated(
+/// The end of a deferred scan for scan entry `entry`: rerun every position
+/// still in its queue, whatever the lane fill, handing each score to
+/// `emit(pos, score)` and charging `stats`. Leaves the queue empty.
+pub(crate) fn flush_deferred(
     prepared: &PreparedQuery,
+    entry: usize,
     arena: &DbArena,
-    jobs: &[usize],
-    r8: &[Option<i32>],
-    sat: &mut Vec<usize>,
-    jobs16: &mut Vec<usize>,
-    w16: &mut WidthBuf<i16>,
+    interseq: &mut InterSeqScratch,
     prefetch: bool,
     stats: &mut KernelStats,
-    out: &mut Vec<i32>,
+    emit: impl FnMut(usize, i32),
 ) {
-    let query = prepared.query();
-    let m = query.len() as u64;
-
-    out.clear();
-    out.resize(jobs.len(), 0);
-    sat.clear(); // indices into `jobs`
-    for (k, r) in r8.iter().enumerate() {
-        match *r {
-            Some(score) => {
-                out[k] = score;
-                stats.interseq_i8 += 1;
-            }
-            None => sat.push(k),
-        }
+    let InterSeqScratch { reruns, w16, .. } = interseq;
+    if let Some(queue) = reruns.get_mut(entry) {
+        rerun_i16(prepared, arena, queue, prefetch, w16, stats, emit);
+        queue.clear();
     }
-    if sat.is_empty() {
+}
+
+/// Resolve one query's i8-saturated scan positions: an i16 pass over all of
+/// them (a batch of one), then the exact scalar kernel for stragglers.
+/// Charges their cells and width counters to `stats` and hands each exact
+/// score to `emit(pos, score)`.
+fn rerun_i16(
+    prepared: &PreparedQuery,
+    arena: &DbArena,
+    positions: &[usize],
+    prefetch: bool,
+    w16: &mut WidthBuf<i16>,
+    stats: &mut KernelStats,
+    mut emit: impl FnMut(usize, i32),
+) {
+    if positions.is_empty() {
         return;
     }
-
-    jobs16.clear();
-    jobs16.extend(sat.iter().map(|&k| jobs[k]));
-    stats.cells_computed += m * jobs16.iter().map(|&p| arena.seq_len(p) as u64).sum::<u64>();
+    let query = prepared.query();
+    let m = query.len() as u64;
+    stats.cells_computed += m * positions
+        .iter()
+        .map(|&p| arena.seq_len(p) as u64)
+        .sum::<u64>();
     pass::<i16>(
         std::slice::from_ref(&prepared),
         arena,
-        jobs16,
+        positions,
         prefetch,
         w16,
     );
-    for (&k, r16) in sat.iter().zip(&w16.results[0]) {
-        match *r16 {
+    for (&pos, r16) in positions.iter().zip(&w16.results[0]) {
+        let score = match *r16 {
             Some(score) => {
-                out[k] = score;
                 stats.interseq_i16 += 1;
+                score
             }
             None => {
-                let subject = arena.residues(jobs[k]);
+                let subject = arena.residues(pos);
                 stats.cells_computed += m * subject.len() as u64;
-                out[k] = sw_score_affine(query, subject, prepared.scoring()).score;
                 stats.interseq_scalar += 1;
+                sw_score_affine(query, subject, prepared.scoring()).score
             }
-        }
+        };
+        emit(pos, score);
     }
 }
 
@@ -253,6 +327,10 @@ fn pass<T: Width>(
     };
     debug_assert!(shares_pass(batch));
     buf.grow_slots(batch.len());
+    #[cfg(test)]
+    {
+        buf.passes += 1;
+    }
     match first.isa() {
         // SAFETY (both arms): a `PreparedQuery` only ever holds a tier that
         // `Isa::is_available` confirmed when it was built.
@@ -605,6 +683,7 @@ fn pass_portable_buf<T: Lane>(
         live,
         diag,
         f,
+        ..
     } = buf;
     let (results, h, e) = (&mut results[slot], &mut h[slot], &mut e[slot]);
 
@@ -867,18 +946,66 @@ mod tests {
         }
     }
 
+    /// A scan of `arena` in chunks of `chunk` with the i16 stage deferred,
+    /// as the shard executor drives it: every batch query's scores by scan
+    /// position, and its counters.
+    fn scan_deferred(
+        batch: &[&PreparedQuery],
+        arena: &DbArena,
+        chunk: usize,
+        scratch: &mut KernelScratch,
+    ) -> (Vec<Vec<i32>>, Vec<KernelStats>) {
+        let mut scores = vec![vec![i32::MIN; arena.len()]; batch.len()];
+        let mut stats = vec![KernelStats::default(); batch.len()];
+        let interseq = &mut scratch.interseq;
+        interseq.clear_reruns();
+        for start in (0..arena.len()).step_by(chunk) {
+            let range = start..(start + chunk).min(arena.len());
+            scores_deferring(
+                batch,
+                |q| q,
+                arena,
+                range,
+                &mut stats,
+                interseq,
+                true,
+                |k, pos, score| scores[k][pos] = score,
+            );
+        }
+        for (k, prepared) in batch.iter().enumerate() {
+            flush_deferred(
+                prepared,
+                k,
+                arena,
+                interseq,
+                true,
+                &mut stats[k],
+                |pos, score| scores[k][pos] = score,
+            );
+        }
+        (scores, stats)
+    }
+
     #[test]
     fn a_shared_pass_is_byte_identical_to_passes_of_one() {
-        // Different lengths, one query with a planted i8-saturating
-        // self-match: the K = 4 chain must reproduce each K = 1 chain's
-        // scores AND its width/cell accounting exactly, with the scratch
-        // reused across both.
+        // Different lengths, two queries with planted i8-saturating
+        // self-matches spread over the database (20 of the 90-aa query,
+        // more than one i16 lane group on every tier): the K = 4 chain must
+        // reproduce each K = 1 chain's scores AND its width/cell accounting
+        // exactly, with the scratch reused across both — in one pass over
+        // the whole range, and in chunks with the reruns deferred, where
+        // each query also matches its whole-range chain.
         let queries: Vec<Vec<u8>> = [(1u64, 20usize), (2, 55), (3, 20), (4, 90)]
             .iter()
             .map(|&(seed, m)| random_query(230 + seed, m))
             .collect();
         let mut subjects = random_subjects(232, 70, 60);
-        subjects[13] = subject("self", queries[1].clone());
+        for pos in [0, 13, 27, 45, 64] {
+            subjects[pos] = subject("self", queries[1].clone());
+        }
+        for i in 0..20 {
+            subjects[3 * i + 2] = subject("self", queries[3].clone());
+        }
         let arena = DbArena::from_encoded(&subjects);
         for isa in Isa::available() {
             let prepared: Vec<PreparedQuery> = queries
@@ -899,6 +1026,7 @@ mod tests {
             )
             .to_vec();
             assert_eq!(fused.len(), batch.len());
+            assert_eq!(batch_stats[3].interseq_i16, 20, "{isa:?}");
             for (q, prepared) in batch.iter().enumerate() {
                 let mut solo_stats = [KernelStats::default()];
                 let solo = scores_batch(
@@ -912,6 +1040,20 @@ mod tests {
                 assert_eq!(solo.len(), 1);
                 assert_eq!(fused[q], solo[0], "{isa:?} query {q}");
                 assert_eq!(batch_stats[q], solo_stats[0], "{isa:?} query {q} stats");
+            }
+            for chunk in [7, 32] {
+                let (chunked, chunked_stats) = scan_deferred(&batch, &arena, chunk, &mut scratch);
+                assert_eq!(chunked, fused, "{isa:?} chunk {chunk}");
+                assert_eq!(chunked_stats, batch_stats, "{isa:?} chunk {chunk}");
+                for (q, prepared) in batch.iter().enumerate() {
+                    let (solo, solo_stats) =
+                        scan_deferred(&[prepared], &arena, chunk, &mut scratch);
+                    assert_eq!(solo[0], fused[q], "{isa:?} chunk {chunk} query {q}");
+                    assert_eq!(
+                        solo_stats[0], batch_stats[q],
+                        "{isa:?} chunk {chunk} query {q}"
+                    );
+                }
             }
         }
     }

@@ -6,8 +6,8 @@
 //! that. [`KernelScratch`] therefore owns the complete working set of every
 //! kernel family — the striped H/E rows ([`crate::portable::Workspace`] at
 //! both widths), the inter-sequence lane state at both widths (one slot
-//! per batch query), the i8→i16→scalar fallback job lists, and the score
-//! output vectors — all sized high-water: each buffer grows to the
+//! per batch query), the chunk's job list and the i16 rerun queues, and
+//! the score output vectors — all sized high-water: each buffer grows to the
 //! largest chunk/query it has seen and is then only `clear()`ed and
 //! `resize()`d (a length change, never a reallocation) on reuse. After the
 //! first chunk a worker claims, the steady-state scan performs **zero** heap
@@ -51,6 +51,9 @@ pub(crate) struct WidthBuf<T: Lane> {
     pub(crate) diag: Vec<T>,
     /// Portable pass: per-lane F carry.
     pub(crate) f: Vec<T>,
+    /// Passes run on this buffer: what the rerun-packing tests count.
+    #[cfg(test)]
+    pub(crate) passes: u64,
 }
 
 impl<T: Lane> WidthBuf<T> {
@@ -67,6 +70,8 @@ impl<T: Lane> WidthBuf<T> {
             live: Vec::new(),
             diag: Vec::new(),
             f: Vec::new(),
+            #[cfg(test)]
+            passes: 0,
         }
     }
 
@@ -86,10 +91,9 @@ impl<T: Lane> WidthBuf<T> {
 pub(crate) struct InterSeqScratch {
     /// Scan positions of the current chunk.
     pub(crate) jobs: Vec<usize>,
-    /// Indices into `jobs` whose i8 lane saturated.
-    pub(crate) sat: Vec<usize>,
-    /// Scan positions of the i16 rerun (mapped from `sat`).
-    pub(crate) jobs16: Vec<usize>,
+    /// Per batch entry of a multi-chunk scan: the scan positions whose i8
+    /// lane saturated and whose i16 rerun waits for a whole lane group.
+    pub(crate) reruns: Vec<Vec<usize>>,
     pub(crate) w8: WidthBuf<i8>,
     pub(crate) w16: WidthBuf<i16>,
 }
@@ -98,11 +102,15 @@ impl InterSeqScratch {
     fn new() -> Self {
         InterSeqScratch {
             jobs: Vec::new(),
-            sat: Vec::new(),
-            jobs16: Vec::new(),
+            reruns: Vec::new(),
             w8: WidthBuf::new(),
             w16: WidthBuf::new(),
         }
+    }
+
+    /// Empty every rerun queue, keeping its capacity.
+    pub(crate) fn clear_reruns(&mut self) {
+        self.reruns.iter_mut().for_each(Vec::clear);
     }
 }
 

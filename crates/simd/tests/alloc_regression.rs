@@ -1,7 +1,7 @@
 //! Steady-state allocation regression: after the first (warming) chunk, a
 //! scan worker's hot path must perform **zero** heap allocations per chunk,
 //! for every kernel family — striped, and the inter-sequence chain at both
-//! K = 1 and K > 1. The [`KernelScratch`] buffers are sized high-water on
+//! K = 1 and K > 1, with its i16 reruns deferred across chunks. The [`KernelScratch`] buffers are sized high-water on
 //! the first chunk and only `clear()`/`resize()`d afterwards; this test is
 //! the enforcement for that contract (see `crates/simd/src/scratch.rs`).
 //!
@@ -19,7 +19,7 @@ use swhybrid_seq::sequence::EncodedSequence;
 use swhybrid_seq::{Alphabet, DbArena};
 use swhybrid_simd::engine::{EnginePreference, KernelStats, PreparedQuery, StripedEngine};
 use swhybrid_simd::interseq::scores_batch;
-use swhybrid_simd::{Isa, KernelScratch};
+use swhybrid_simd::{Isa, KernelChoice, KernelScratch, ShardExecutor, ShardPlan};
 
 struct CountingAlloc;
 
@@ -202,4 +202,45 @@ fn warm_scan_paths_allocate_nothing_per_chunk() {
         }
     });
     assert_eq!(n, 0, "40 warm chunks allocated {n} times");
+
+    // The shard executor's chunk loop, with chunks whose subjects saturate
+    // i8: each chunk's reruns wait in the scratch's queues across chunks.
+    // A call allocates its per-call lists (engines, counters, hit lists),
+    // so a warm executor's scan of 10 chunks and of 40 must allocate the
+    // same: the chunks themselves, deferral included, allocate nothing.
+    let query = residues(11, 60);
+    let db: Vec<EncodedSequence> = (0..40 * 32)
+        .map(|i| EncodedSequence {
+            id: format!("s{i}"),
+            // Four or five self-matches per chunk of 32.
+            codes: if i % 7 == 3 {
+                query.clone()
+            } else {
+                residues(i as u64 + 500, 30 + i % 40)
+            },
+            alphabet: Alphabet::Protein,
+        })
+        .collect();
+    let arena = DbArena::from_encoded(&db);
+    for isa in Isa::available() {
+        let batch = [(Arc::new(PreparedQuery::with_isa(&query, &scoring, isa)), 5)];
+        let plan = |chunks: usize| ShardPlan {
+            range: 0..32 * chunks,
+            chunk_size: 32,
+            kernel: KernelChoice::InterSeq,
+            prefetch: true,
+        };
+        let mut executor = ShardExecutor::new();
+        let (_, stats) = executor.execute(&batch, &arena, &plan(40)).remove(0);
+        let planted = (0..db.len()).filter(|i| i % 7 == 3).count() as u64;
+        assert_eq!(stats.interseq_i16, planted, "{isa:?}: {stats:?}");
+        let short = allocations_during(|| executor.execute(&batch, &arena, &plan(10)));
+        let long = allocations_during(|| executor.execute(&batch, &arena, &plan(40)));
+        assert_eq!(
+            short,
+            long,
+            "{isa:?}: 30 more saturating chunks allocated {} times",
+            long as i64 - short as i64
+        );
+    }
 }

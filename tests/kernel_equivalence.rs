@@ -569,3 +569,81 @@ fn long_queries_go_inter_sequence_and_match_oracle_and_striped() {
         }
     }
 }
+
+/// Short queries (24, 64 and 96 aa) against shard tails of long subjects.
+/// The database's 36 longest subjects (1,200–2,000 aa) come last in its
+/// length order, half of them hold a planted homolog of one query, and
+/// 64 short subjects fill the first chunk: whole, the scan ends on a
+/// sub-floor chunk of long subjects, and so does each shard when it is cut
+/// in two. Those are the chunks the lane-fill cost test weighs for short
+/// queries. On every tier, each shard's `Auto` scan equals its `Striped`
+/// scan, and every score equals the Gotoh oracle's.
+#[test]
+fn short_queries_over_long_shard_tails_agree_on_every_tier() {
+    let scoring = Scoring::blosum62_affine();
+    let mut rng = ChaCha8Rng::seed_from_u64(2400);
+    let mut codes = |len: usize| -> Vec<u8> { (0..len).map(|_| rng.random_range(0..20)).collect() };
+    let queries: Vec<Vec<u8>> = [24, 64, 96].into_iter().map(&mut codes).collect();
+    let mut subjects: Vec<Vec<u8>> = (0..chunk_floor())
+        .map(|i| codes(40 + (i * 13) % 200))
+        .collect();
+    for i in 0..36 {
+        let mut subject = codes(1200 + (i * 29) % 800);
+        if i % 2 == 0 {
+            // A homolog: the query with one residue in ten replaced.
+            let query = &queries[i / 2 % 3];
+            let at = 30 * (i / 2);
+            for (j, &r) in query.iter().enumerate() {
+                subject[at + j] = if j % 10 == 3 { (r + 7) % 20 } else { r };
+            }
+        }
+        subjects.push(subject);
+    }
+    let db = DbSnapshot::from_encoded("tails", &encode_db(&subjects));
+    let arena = db.arena();
+    let oracle: Vec<Vec<i32>> = queries
+        .iter()
+        .map(|q| {
+            (0..db.len())
+                .map(|i| sw_score_affine(q, db.residues(i), &scoring).score)
+                .collect()
+        })
+        .collect();
+    for shards in [1, 2] {
+        for (start, end) in db.shard_ranges(shards) {
+            let tail = start + (end - start) / chunk_floor() * chunk_floor();
+            assert!(
+                tail < end && (tail..end).all(|p| arena.seq_len(p) >= 1200),
+                "{shards} shard(s): {start}..{end} must end on a sub-floor chunk of long subjects"
+            );
+            for (q, query) in queries.iter().enumerate() {
+                for isa in Isa::available() {
+                    let prepared = Arc::new(PreparedQuery::with_isa(query, &scoring, isa));
+                    let scan = |kernel| {
+                        let plan = ShardPlan {
+                            range: start..end,
+                            chunk_size: chunk_floor(),
+                            kernel,
+                            prefetch: true,
+                        };
+                        let batch = [(Arc::clone(&prepared), end - start)];
+                        let (scored, _) =
+                            ShardExecutor::new().execute(&batch, arena, &plan).remove(0);
+                        materialize_hits(&scored, |i| db.id(i).to_string())
+                    };
+                    let auto = scan(KernelChoice::Auto);
+                    let what = format!("{isa:?}, {} aa, shard {start}..{end}", query.len());
+                    assert_eq!(auto.len(), end - start, "{what}");
+                    for hit in &auto {
+                        assert_eq!(hit.score, oracle[q][hit.db_index], "{what}: {}", hit.id);
+                    }
+                    assert_eq!(
+                        auto,
+                        scan(KernelChoice::Striped),
+                        "{what}: Auto against Striped"
+                    );
+                }
+            }
+        }
+    }
+}
